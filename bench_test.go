@@ -159,13 +159,32 @@ func BenchmarkProcessBatchCachedPerPacket(b *testing.B) {
 	b.ReportMetric(float64(eng.HotCache().Stats().Hits)/float64(eng.Packets()), "cache_hit_rate")
 }
 
-func BenchmarkRCCEncode(b *testing.B) {
-	c := rcc.MustNew(rcc.Config{MemoryBytes: 32 << 10, VectorBits: 8, Seed: 1})
+// benchHashes returns the bench trace's flow hashes, one per packet.
+func benchHashes(b *testing.B) []uint64 {
 	tr := benchTrace(b)
 	hashes := make([]uint64, len(tr.Packets))
 	for i := range tr.Packets {
 		hashes[i] = tr.Packets[i].Key.Hash64(1)
 	}
+	return hashes
+}
+
+// BenchmarkRCCLocate is the virtual-vector derivation alone — the half of
+// BenchmarkRCCEncode that touches no pool word.
+func BenchmarkRCCLocate(b *testing.B) {
+	c := rcc.MustNew(rcc.Config{MemoryBytes: 32 << 10, VectorBits: 8, Seed: 1})
+	hashes := benchHashes(b)
+	var loc rcc.Location
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Locate(hashes[i%len(hashes)], &loc)
+	}
+}
+
+func BenchmarkRCCEncode(b *testing.B) {
+	c := rcc.MustNew(rcc.Config{MemoryBytes: 32 << 10, VectorBits: 8, Seed: 1})
+	hashes := benchHashes(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -177,11 +196,7 @@ func BenchmarkFlowRegulatorProcess(b *testing.B) {
 	reg := flowreg.MustNew(flowreg.Config{Layer: rcc.Config{
 		MemoryBytes: 32 << 10, VectorBits: 8, Seed: 1,
 	}})
-	tr := benchTrace(b)
-	hashes := make([]uint64, len(tr.Packets))
-	for i := range tr.Packets {
-		hashes[i] = tr.Packets[i].Key.Hash64(1)
-	}
+	hashes := benchHashes(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -297,11 +312,7 @@ func BenchmarkPipelineScaling(b *testing.B) {
 // FlowRegulator against single-layer RCC on identical traffic — the
 // paper's headline design choice.
 func BenchmarkAblationLayers(b *testing.B) {
-	tr := benchTrace(b)
-	hashes := make([]uint64, len(tr.Packets))
-	for i := range tr.Packets {
-		hashes[i] = tr.Packets[i].Key.Hash64(1)
-	}
+	hashes := benchHashes(b)
 	b.Run("single-layer-rcc", func(b *testing.B) {
 		c := rcc.MustNew(rcc.Config{MemoryBytes: 128 << 10, VectorBits: 8, Seed: 1})
 		for i := 0; i < b.N; i++ {

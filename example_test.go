@@ -92,5 +92,5 @@ func ExampleMeter_ExportSnapshot() {
 	fmt.Printf("epoch %d restored %d flows (matches live table: %v)\n",
 		epoch, len(flows), len(flows) == meter.Stats().ActiveFlows)
 	// Output:
-	// epoch 1 restored 93 flows (matches live table: true)
+	// epoch 1 restored 94 flows (matches live table: true)
 }

@@ -169,6 +169,24 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestEstimateZeroAllocs: Estimate sits under every query and top-k
+// correction, so it must not allocate — with or without the hot cache.
+func TestEstimateZeroAllocs(t *testing.T) {
+	tr := batchTrace(t, 1000, 60_000, 9)
+	for _, cache := range []int{0, 256} {
+		eng := testEngine(t, Config{SketchMemoryBytes: 8 << 10, WSAFEntries: 1 << 14, HotCacheEntries: cache, Seed: 1})
+		eng.ProcessBatch(tr.Packets)
+		next := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			eng.Estimate(tr.Packets[next%len(tr.Packets)].Key)
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("cache=%d: Estimate allocates %.1f objects per call, want 0", cache, allocs)
+		}
+	}
+}
+
 func TestProcessBatchEmpty(t *testing.T) {
 	eng := testEngine(t, Config{})
 	eng.ProcessBatch(nil)

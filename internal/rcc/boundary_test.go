@@ -3,7 +3,6 @@ package rcc
 import (
 	"errors"
 	"math"
-	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -118,46 +117,24 @@ func Test32BitConfinementSpanIndexing(t *testing.T) {
 	const memory = 64 // 8 words → 16 spans
 	c := MustNew(Config{MemoryBytes: memory, VectorBits: 8, WordBits: 32, Seed: 3})
 
-	spansSeen := make(map[uint64]bool)
+	spansSeen := make(map[int]bool)
 	hashRng := rand.New(rand.NewSource(29))
 	var loc Location
 	for trial := 0; trial < 4096; trial++ {
-		h := hashRng.Uint64()
-		c.Locate(h, &loc)
-		if loc.Word < 0 || loc.Word >= c.Words() {
-			t.Fatalf("h=%x: word %d out of pool [0,%d)", h, loc.Word, c.Words())
-		}
-		if loc.N != 8 || bits.OnesCount64(loc.Mask) != 8 {
-			t.Fatalf("h=%d: vector has %d positions, mask popcount %d", h, loc.N, bits.OnesCount64(loc.Mask))
-		}
-		// All positions must fall inside a single 32-bit span.
-		lo := loc.Mask & 0xFFFFFFFF
-		hi := loc.Mask >> 32
-		if lo != 0 && hi != 0 {
-			t.Fatalf("h=%d: mask %016x straddles the 32-bit span boundary", h, loc.Mask)
-		}
-		span := uint64(loc.Word) * 2
-		if hi != 0 {
-			span++
-		}
-		spansSeen[span] = true
-		for i := 0; i < loc.N; i++ {
-			p := uint(loc.Pos[i])
-			if hi != 0 && (p < 32 || p >= 64) || hi == 0 && p >= 32 {
-				t.Fatalf("h=%d: position %d outside its span", h, p)
-			}
-		}
+		c.Locate(hashRng.Uint64(), &loc)
+		// spanOf also holds the vector to v bits inside one 32-bit span.
+		spansSeen[spanOf(t, c, loc)] = true
 	}
 	// 4096 hashes over 16 spans: every span, including the last span of
 	// the last word, must have been selected.
-	for s := uint64(0); s < 16; s++ {
+	for s := 0; s < 16; s++ {
 		if !spansSeen[s] {
 			t.Errorf("span %d never selected (span indexing does not cover the pool)", s)
 		}
 	}
 
-	// Dense case: v == span size forces the selectBit fallback and must
-	// yield exactly the full span mask.
+	// Dense case: v == span size must yield exactly the full span mask,
+	// whatever the rotation.
 	dense := MustNew(Config{MemoryBytes: memory, VectorBits: 32, WordBits: 32, Seed: 3})
 	for h := uint64(0); h < 256; h++ {
 		dense.Locate(h*2654435761, &loc)
@@ -170,28 +147,35 @@ func Test32BitConfinementSpanIndexing(t *testing.T) {
 }
 
 // TestSelectBitExhaustive checks the k-th-set-bit helper against a naive
-// scan over random words, plus the degenerate single-bit edges.
+// scan over random words of every density, plus the degenerate edges.
 func TestSelectBitExhaustive(t *testing.T) {
-	if got := selectBit(1, 0); got != 0 {
-		t.Errorf("selectBit(1,0) = %d", got)
+	if got := selectBit(1, 0); got != 1 {
+		t.Errorf("selectBit(1,0) = %#x", got)
 	}
-	if got := selectBit(1<<63, 0); got != 63 {
-		t.Errorf("selectBit(1<<63,0) = %d", got)
+	if got := selectBit(1<<63, 0); got != 1<<63 {
+		t.Errorf("selectBit(1<<63,0) = %#x", got)
 	}
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		x := rng.Uint64() | 1 // never empty
-		n := bits.OnesCount64(x)
-		want := make([]int, 0, n)
-		for i := 0; i < 64; i++ {
-			if x&(1<<uint(i)) != 0 {
-				want = append(want, i)
-			}
+	for trial := 0; trial < 2000; trial++ {
+		x := rng.Uint64()
+		switch trial % 4 {
+		case 1:
+			x &= rng.Uint64() & rng.Uint64() // sparse
+		case 2:
+			x |= rng.Uint64() | rng.Uint64() // dense
+		case 3:
+			x = ^uint64(0) >> uint(trial%64) // full low run, up to all 64 bits
 		}
-		for k := 0; k < n; k++ {
-			if got := selectBit(x, k); got != want[k] {
-				t.Fatalf("selectBit(%016x, %d) = %d, want %d", x, k, got, want[k])
+		x |= 1 << uint(trial%64) // never empty
+		k := 0
+		for i := 0; i < 64; i++ {
+			if x&(1<<uint(i)) == 0 {
+				continue
 			}
+			if got := selectBit(x, k); got != 1<<uint(i) {
+				t.Fatalf("selectBit(%016x, %d) = %016x, want bit %d", x, k, got, i)
+			}
+			k++
 		}
 	}
 }

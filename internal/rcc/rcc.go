@@ -107,30 +107,38 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// Location is a resolved virtual vector: the pool word holding it and the v
-// bit positions inside that word. FlowRegulator resolves a Location once per
-// packet and reuses it across both layers (the paper's hash-reuse design).
+// Location is a resolved virtual vector: the pool word holding it and the
+// mask of its v bit positions inside that word. FlowRegulator resolves a
+// Location once per packet and reuses it across both layers (the paper's
+// hash-reuse design).
 type Location struct {
 	Word int
 	Mask uint64
-	Pos  [wordBits]uint8
-	N    int
 }
+
+// A virtual vector is one of tableSize precomputed v-of-span masks, rotated
+// within its span by further hash bits: tableSize × span ≥ 2¹⁵ distinct
+// vectors per span for one table load, and rotation over every offset makes
+// each span position exactly equally likely whatever the table holds.
+const (
+	tableBits = 10
+	tableSize = 1 << tableBits
+)
 
 // Counter is one RCC instance over a private bit pool. It is not safe for
 // concurrent use; the pipeline gives each worker its own Counter.
 type Counter struct {
-	cfg    Config
-	words  []uint64
-	nWords uint64
-	// nSpans and spansPerWord implement the 32-bit confinement option:
-	// virtual vectors live inside one span of spanBits bits, so a 32-bit
-	// CPU still reads the whole vector with one access.
-	nSpans       uint64
-	spansPerWord uint64
-	spanBits     uint
-	rng          *flowhash.Rand
-	decode       []float64
+	cfg   Config
+	words []uint64
+	// nSpans counts the pool's confinement spans: virtual vectors live
+	// inside one span of cfg.WordBits bits, so a 32-bit CPU still reads
+	// the whole vector with one access.
+	nSpans uint64
+	// masks holds span-relative vectors (bits below cfg.WordBits only).
+	// Read-only after New, so Siblings share it.
+	masks  *[tableSize]uint64
+	rng    *flowhash.Rand
+	decode []float64
 
 	encodes     uint64
 	saturations uint64
@@ -143,18 +151,28 @@ func New(cfg Config) (*Counter, error) {
 		return nil, err
 	}
 	n := (full.MemoryBytes + 7) / 8
-	spansPerWord := uint64(wordBits / full.WordBits)
-	c := &Counter{
-		cfg:          full,
-		words:        make([]uint64, n),
-		nWords:       uint64(n),
-		nSpans:       uint64(n) * spansPerWord,
-		spansPerWord: spansPerWord,
-		spanBits:     uint(full.WordBits),
-		rng:          flowhash.NewRand(full.Seed ^ 0xC0FFEE),
-		decode:       decodeTable(full),
-	}
-	return c, nil
+	return &Counter{
+		cfg:    full,
+		words:  make([]uint64, n),
+		nSpans: uint64(n * (wordBits / full.WordBits)),
+		masks:  vectorTable(full),
+		rng:    flowhash.NewRand(full.Seed ^ 0xC0FFEE),
+		decode: decodeTable(full),
+	}, nil
+}
+
+// Sibling returns a Counter with c's geometry and vector table — so a
+// Location resolved by either is valid for both — but its own zeroed pool
+// and an independent bit-draw stream (distinct stream values give
+// unrelated streams). FlowRegulator builds its higher-layer banks this way.
+// EncodeLoc trusts popcount(loc.Mask) == VectorBits: a Location from a
+// Counter of another geometry is not checked and misbehaves in selectBit.
+func (c *Counter) Sibling(stream uint64) *Counter {
+	s := *c
+	s.words = make([]uint64, len(c.words))
+	s.rng = flowhash.NewRand(c.cfg.Seed ^ 0xC0FFEE ^ flowhash.Mix64(stream))
+	s.encodes, s.saturations = 0, 0
+	return &s
 }
 
 // MustNew is New for statically-known-good configs; it panics on error and
@@ -173,8 +191,7 @@ func (c *Counter) Config() Config { return c.cfg }
 // MemoryBytes returns the bit pool size.
 func (c *Counter) MemoryBytes() int { return len(c.words) * 8 }
 
-// Words returns the number of pool words; two Counters with equal Words can
-// share Locations.
+// Words returns the number of pool words.
 func (c *Counter) Words() int { return len(c.words) }
 
 // Encodes returns the number of Encode calls processed.
@@ -185,41 +202,26 @@ func (c *Counter) Encodes() uint64 { return c.encodes }
 func (c *Counter) Saturations() uint64 { return c.saturations }
 
 // Locate resolves the virtual vector for flow hash h into loc. The vector
-// is confined within one span (WordBits bits) of one pool word.
+// is confined within one span (WordBits bits) of one pool word. One mix of
+// h supplies everything: its high bits pick the span by multiply-high (no
+// division, any pool size), its low bits pick a table mask, the next bits
+// rotate the mask within the span. The span comes from the mix and not
+// from h itself because the sharded pipeline routes flows by h's high bits;
+// a shard's flows must still spread over its whole pool.
 //
 //im:hotpath
 func (c *Counter) Locate(h uint64, loc *Location) {
-	span := h % c.nSpans
-	loc.Word = int(span / c.spansPerWord)
-	base := uint(span%c.spansPerWord) * c.spanBits
-	loc.N = c.cfg.VectorBits
-	loc.Mask = 0
-
-	// Derive v distinct bit positions within the span from an independent
-	// stream of h. Rejection sampling against the accumulating mask is
-	// cheap for v well below the span size and exact for dense vectors
-	// thanks to the select fallback below.
-	spanMask := (^uint64(0) >> (wordBits - c.spanBits)) << base
 	s := flowhash.Mix64(h ^ (c.cfg.Seed + 0x9E3779B97F4A7C15))
-	for i := 0; i < loc.N; i++ {
-		var pos uint
-		for tries := 0; ; tries++ {
-			s = flowhash.Mix64(s)
-			pos = base + uint(s%uint64(c.spanBits))
-			if loc.Mask&(1<<pos) == 0 {
-				break
-			}
-			if tries == 8 {
-				// Dense vector: pick the k-th free span position directly.
-				free := spanMask &^ loc.Mask
-				k := int(s % uint64(bits.OnesCount64(free)))
-				pos = uint(selectBit(free, k))
-				break
-			}
-		}
-		loc.Pos[i] = uint8(pos)
-		loc.Mask |= 1 << pos
+	span, _ := bits.Mul64(s, c.nSpans)
+	m := c.masks[s&(tableSize-1)]
+	rot := int(s >> tableBits) // the rotates reduce it modulo the span
+	if c.cfg.WordBits == wordBits {
+		loc.Word = int(span)
+		loc.Mask = bits.RotateLeft64(m, rot)
+		return
 	}
+	loc.Word = int(span >> 1)
+	loc.Mask = uint64(bits.RotateLeft32(uint32(m), rot)) << (32 * (span & 1))
 }
 
 // Encode records one packet of the flow with hash h. It reports the noise
@@ -245,10 +247,11 @@ func (c *Counter) PrefetchLoc(loc *Location) {
 //im:hotpath
 func (c *Counter) EncodeLoc(loc *Location) (noise int, saturated bool) {
 	c.encodes++
+	v := c.cfg.VectorBits
 	w := &c.words[loc.Word]
-	*w |= 1 << loc.Pos[c.rng.Intn(loc.N)]
+	*w |= selectBit(loc.Mask, c.rng.Intn(v))
 
-	zeros := loc.N - bits.OnesCount64(*w&loc.Mask)
+	zeros := v - bits.OnesCount64(*w&loc.Mask)
 	if zeros > c.cfg.NoiseMax {
 		return zeros, false
 	}
@@ -284,14 +287,15 @@ func (c *Counter) EstimateResidual(h uint64) float64 {
 // EstimateResidualLoc is EstimateResidual with a pre-resolved Location.
 func (c *Counter) EstimateResidualLoc(loc *Location) float64 {
 	w := c.words[loc.Word]
-	zeros := loc.N - bits.OnesCount64(w&loc.Mask)
-	if zeros == loc.N {
+	n := c.cfg.VectorBits
+	zeros := n - bits.OnesCount64(w&loc.Mask)
+	if zeros == n {
 		return 0
 	}
 	if zeros == 0 {
 		zeros = 1 // saturated-but-unrecycled state; clamp like Encode does
 	}
-	v := float64(loc.N)
+	v := float64(n)
 	return v * math.Log(v/float64(zeros))
 }
 
@@ -344,15 +348,49 @@ func decodeTable(cfg Config) []float64 {
 	return t
 }
 
-// selectBit returns the index of the k-th (0-based) set bit of x.
-func selectBit(x uint64, k int) int {
-	for i := 0; i < wordBits; i++ {
-		if x&(1<<uint(i)) != 0 {
-			if k == 0 {
-				return i
-			}
-			k--
+// vectorTable draws the tableSize span-relative masks Locate picks from.
+// Each takes its v positions one at a time, uniformly among the span
+// positions still free, so every mask has exactly v distinct bits inside
+// the span for any v up to the span size.
+func vectorTable(cfg Config) *[tableSize]uint64 {
+	rng := flowhash.NewRand(cfg.Seed ^ 0x7AB1E)
+	span := ^uint64(0) >> (wordBits - cfg.WordBits)
+	t := new([tableSize]uint64)
+	for i := range t {
+		for n := cfg.WordBits; n > cfg.WordBits-cfg.VectorBits; n-- {
+			t[i] |= selectBit(span&^t[i], rng.Intn(n))
 		}
 	}
-	return wordBits - 1
+	return t
+}
+
+// selectBit returns the k-th (0-based) lowest set bit of x, as a one-bit
+// mask; x must have more than k bits set. Branch-free broadword selection
+// (Vigna, "Broadword implementation of rank/select queries"): prefix sums
+// of the per-byte popcounts locate the byte holding rank k, then prefix
+// sums of that byte's bits, spread one per lane, locate the bit.
+//
+//im:hotpath
+func selectBit(x uint64, k int) uint64 {
+	s := x - (x>>1)&0x5555555555555555
+	s = s&0x3333333333333333 + (s>>2)&0x3333333333333333
+	s = (s + s>>4) & 0x0F0F0F0F0F0F0F0F
+	sums := s * l8 // lane i: popcount of bytes 0..i
+	byteOff := lanesAtMost(sums, uint64(k)) * 8
+	rank := uint64(k) - (sums<<8>>byteOff)&0xFF
+	b := (x >> byteOff & 0xFF) * l8 & 0x8040201008040201 // bit i to lane i
+	b = (b + 0x7F7F7F7F7F7F7F7F) >> 7 & l8               // as 0/1
+	return 1 << (byteOff + lanesAtMost(b*l8, rank))
+}
+
+// The low and the high bit of every byte lane.
+const l8, h8 = 0x0101010101010101, 0x8080808080808080
+
+// lanesAtMost counts the byte lanes of sums holding a value ≤ k (all
+// < 128): a lane's top bit survives the subtraction iff its value ≤ k. On
+// prefix sums that is the index of the first lane exceeding k.
+//
+//im:hotpath
+func lanesAtMost(sums, k uint64) uint {
+	return uint(bits.OnesCount64(((k*l8 | h8) - sums) & h8))
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"testing"
-	"testing/quick"
 
 	"instameasure/internal/flowhash"
 )
@@ -65,30 +64,6 @@ func TestMemoryRounding(t *testing.T) {
 	tiny := MustNew(Config{VectorBits: 8, MemoryBytes: 1})
 	if tiny.Words() < 1 {
 		t.Error("must allocate at least one word")
-	}
-}
-
-func TestLocateDistinctPositions(t *testing.T) {
-	for _, v := range []int{2, 4, 8, 16, 32, 48, 64} {
-		c := MustNew(Config{VectorBits: v, MemoryBytes: 4096, NoiseMax: 1})
-		f := func(h uint64) bool {
-			var loc Location
-			c.Locate(h, &loc)
-			if loc.N != v || bits.OnesCount64(loc.Mask) != v {
-				return false
-			}
-			seen := make(map[uint8]bool, v)
-			for i := 0; i < loc.N; i++ {
-				if seen[loc.Pos[i]] || loc.Mask&(1<<loc.Pos[i]) == 0 {
-					return false
-				}
-				seen[loc.Pos[i]] = true
-			}
-			return loc.Word >= 0 && loc.Word < c.Words()
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("v=%d: %v", v, err)
-		}
 	}
 }
 
@@ -297,18 +272,6 @@ func TestFillRatioBounds(t *testing.T) {
 	}
 	if fr := c.FillRatio(); fr <= 0 || fr > 1 {
 		t.Errorf("fill ratio %v out of (0,1]", fr)
-	}
-}
-
-func TestSelectBit(t *testing.T) {
-	if got := selectBit(0b1010, 0); got != 1 {
-		t.Errorf("selectBit(0b1010, 0) = %d, want 1", got)
-	}
-	if got := selectBit(0b1010, 1); got != 3 {
-		t.Errorf("selectBit(0b1010, 1) = %d, want 3", got)
-	}
-	if got := selectBit(1<<63, 0); got != 63 {
-		t.Errorf("selectBit(1<<63, 0) = %d, want 63", got)
 	}
 }
 
