@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 lint vet-race fuzz-smoke store-smoke flight-smoke fleet-smoke bench bench-guard bench-json bench-smoke bench-check clean
+.PHONY: all build test tier1 lint vet-race fuzz-smoke store-smoke flight-smoke fleet-smoke bench bench-guard bench-json bench-layers bench-smoke bench-check clean
 
 all: build test
 
@@ -69,11 +69,12 @@ fleet-smoke:
 # with a locked or lock-free concurrent surface under the race detector —
 # telemetry (lock-free counters), pipeline (SPSC rings, drop-when-full
 # manager), flight (seqlock recorder), export (exporter send path +
-# collector callback seams), fleet (aggregator/detector callbacks), and
-# store (WAL lock scope).
+# collector callback seams), fleet (aggregator/detector callbacks),
+# store (WAL lock scope), and trace (ground truth built on first use, from
+# whichever goroutine asks first).
 vet-race: lint
 	$(GO) vet ./...
-	$(GO) test -race ./internal/telemetry/... ./internal/pipeline/... ./internal/flight/... ./internal/export/... ./internal/fleet/... ./internal/store/...
+	$(GO) test -race ./internal/telemetry/... ./internal/pipeline/... ./internal/flight/... ./internal/export/... ./internal/fleet/... ./internal/store/... ./internal/trace/...
 
 # fuzz-smoke gives each native fuzz target a short budget against its
 # committed seed corpus (testdata/fuzz/). go test accepts one -fuzz
@@ -119,6 +120,19 @@ bench-json:
 	$(GO) test -bench '$(BENCH_HOTPATH)' -benchmem -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -guard -o BENCH_hotpath.json \
 		$$(test -f BENCH_hotpath.json && echo -baseline BENCH_hotpath.json)
+
+# bench-layers archives the per-layer microbenchmarks of the path a packet
+# takes before the meter — pcap record read, frame parse, and the whole
+# materialised ReadPcap, one frame per op — as BENCH_layers.json, the first
+# rows of ROADMAP's layered ledger. Baseline handling and -guard are
+# bench-json's: the archived baseline section (the parent commit of the PR
+# that added these rows, measured on the same host) carries over, and a
+# >10% Mframes/s drop against it fails the target.
+BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap
+bench-layers:
+	$(GO) test -bench '^Benchmark($(BENCH_LAYERS))$$' -benchmem -run '^$$' . | \
+		$(GO) run ./cmd/benchjson -guard -o BENCH_layers.json \
+		$$(test -f BENCH_layers.json && echo -baseline BENCH_layers.json)
 
 # bench-smoke is the multicore-scaling drill in tier1: a short run of the
 # shared-nothing scaling benchmark gated by cmd/benchjson -guard against

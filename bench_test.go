@@ -9,7 +9,10 @@ package instameasure
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -17,6 +20,7 @@ import (
 	"instameasure/internal/experiments"
 	"instameasure/internal/flowreg"
 	"instameasure/internal/packet"
+	"instameasure/internal/pcap"
 	"instameasure/internal/pipeline"
 	"instameasure/internal/rcc"
 	"instameasure/internal/trace"
@@ -248,6 +252,115 @@ func BenchmarkFlowKeyHash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = k.Hash64(uint64(i))
 	}
+}
+
+// Wire-path benchmarks, one frame per b.N: the first rows of the layered
+// ledger (make bench-layers).
+
+// benchCapture is a 250k-frame Ethernet capture snapped at 96 bytes, every
+// 100th frame an ARP request the parser must skip. frames[i] is record i's
+// frame inside raw; ends[i] is the offset just past it, so raw[:ends[n-1]]
+// is a valid n-frame capture.
+func benchCapture(b *testing.B) (raw []byte, frames [][]byte, ends []int) {
+	b.Helper()
+	tr, err := trace.GenerateZipf(trace.ZipfConfig{Flows: 20_000, TotalPackets: 250_000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	arp := make([]byte, 60)
+	arp[12], arp[13] = 0x08, 0x06
+	var buf bytes.Buffer
+	w := pcap.NewWriter(&buf, pcap.LinkEthernet, 96)
+	end := 24 // global header
+	for i, p := range tr.Packets {
+		frame := arp
+		if i%100 != 99 {
+			if frame, err = packet.BuildEthernet(p, 96); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Write(p.TS, max(int(p.Len), len(frame)), frame); err != nil {
+			b.Fatal(err)
+		}
+		end += 16 + len(frame)
+		ends = append(ends, end)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	raw = buf.Bytes()
+	for i, end := range ends {
+		start := 24 + 16
+		if i > 0 {
+			start = ends[i-1] + 16
+		}
+		frames = append(frames, raw[start:end])
+	}
+	return raw, frames, ends
+}
+
+// reportMframes adds frames per second in the unit cmd/benchjson guards.
+func reportMframes(b *testing.B) {
+	b.ReportMetric(float64(b.N)*1e3/float64(b.Elapsed().Nanoseconds()), "Mpps")
+}
+
+// BenchmarkPcapRead is the record reader alone: header decode plus the
+// body copy into the Reader's buffer.
+func BenchmarkPcapRead(b *testing.B) {
+	raw, _, _ := benchCapture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		r, err := pcap.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for ; i < b.N; i++ {
+			if _, err := r.Next(); err != nil {
+				if !errors.Is(err, io.EOF) {
+					b.Fatal(err)
+				}
+				break
+			}
+		}
+	}
+	reportMframes(b)
+}
+
+// BenchmarkParseEthernet is the frame parser alone on pre-located frames,
+// the 1 % it skips included.
+func BenchmarkParseEthernet(b *testing.B) {
+	_, frames, _ := benchCapture(b)
+	var sink packet.Packet
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := frames[i%len(frames)]
+		if p, err := packet.ParseEthernet(f, len(f), 0); err == nil {
+			sink = p
+		}
+	}
+	_ = sink
+	reportMframes(b)
+}
+
+// BenchmarkReadPcap is the materialised path a meter run waits on: read,
+// parse and collect the whole capture as a Trace.
+func BenchmarkReadPcap(b *testing.B) {
+	raw, _, ends := benchCapture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(ends) {
+		n := min(len(ends), b.N-i)
+		tr, err := trace.ReadPcap(bytes.NewReader(raw[:ends[n-1]]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(tr.Packets) != n-n/100 {
+			b.Fatalf("read %d packets from %d frames", len(tr.Packets), n)
+		}
+	}
+	reportMframes(b)
 }
 
 // BenchmarkPipelineScaling sweeps the shared-nothing pipeline over 1/2/4/8

@@ -124,7 +124,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("read %s: %w", *pcapPath, err)
 		}
-		fmt.Printf("loaded %s: %d packets, %d flows\n", *pcapPath, len(tr.Packets), tr.Flows())
+		// No flow count here: it would build the ground truth a meter run
+		// never reads; the report below prints the active flows.
+		fmt.Printf("loaded %s: %d packets, %d frames skipped (not IP, no L4 ports, or truncated)\n",
+			*pcapPath, len(tr.Packets), tr.Skipped)
 		src = tr.Source()
 	case *synth:
 		tr, err := instameasure.GenerateZipfTrace(instameasure.ZipfTraceConfig{

@@ -1,13 +1,13 @@
 package packet
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
-// Parse errors. ErrNotIP and ErrUnsupportedL4 mark frames the measurement
-// system deliberately skips (non-IP ethertypes, L4 protocols without ports);
-// callers match them with errors.Is and count the frame instead of failing.
+// Parse errors, the only ones the parsers return. ErrNotIP and
+// ErrUnsupportedL4 mark frames the measurement system deliberately skips
+// (non-IP ethertypes, L4 protocols without ports); callers match them with
+// errors.Is and count the frame instead of failing. They are returned as
+// they stand, never wrapped per frame: a skipped frame must not cost more
+// than a parsed one, or an ARP flood is the dearest traffic to be fed.
 var (
 	ErrTruncated     = errors.New("packet: truncated frame")
 	ErrNotIP         = errors.New("packet: not an IP frame")
@@ -27,9 +27,27 @@ const (
 // wireLen is the original (untruncated) length of the frame on the wire;
 // the returned Packet carries wireLen so byte counting reflects actual
 // traffic volume even when the capture snapped the payload.
-func ParseEthernet(frame []byte, wireLen int, ts int64) (Packet, error) {
+func ParseEthernet(frame []byte, wireLen int, ts int64) (p Packet, err error) {
+	if err = p.DecodeEthernet(frame, wireLen, ts); err != nil {
+		return Packet{}, err
+	}
+	return p, nil
+}
+
+// ParseIP parses a raw IP packet (no link-layer header), as produced by
+// DLT_RAW captures.
+func ParseIP(datagram []byte, wireLen int, ts int64) (p Packet, err error) {
+	if err = p.DecodeIP(datagram, wireLen, ts); err != nil {
+		return Packet{}, err
+	}
+	return p, nil
+}
+
+// DecodeEthernet is ParseEthernet into a slot the caller owns, for bulk
+// readers that fill a packet slice in place. On error *p is unspecified.
+func (p *Packet) DecodeEthernet(frame []byte, wireLen int, ts int64) error {
 	if len(frame) < etherHeaderLen {
-		return Packet{}, fmt.Errorf("ethernet header: %w", ErrTruncated)
+		return ErrTruncated
 	}
 	etherType := uint16(frame[12])<<8 | uint16(frame[13])
 	payload := frame[etherHeaderLen:]
@@ -37,7 +55,7 @@ func ParseEthernet(frame []byte, wireLen int, ts int64) (Packet, error) {
 	// Unwrap up to two VLAN tags (802.1Q / QinQ).
 	for i := 0; i < 2 && etherType == etherTypeVLAN; i++ {
 		if len(payload) < vlanTagLen {
-			return Packet{}, fmt.Errorf("vlan tag: %w", ErrTruncated)
+			return ErrTruncated
 		}
 		etherType = uint16(payload[2])<<8 | uint16(payload[3])
 		payload = payload[vlanTagLen:]
@@ -45,44 +63,44 @@ func ParseEthernet(frame []byte, wireLen int, ts int64) (Packet, error) {
 
 	switch etherType {
 	case etherTypeIPv4:
-		return parseIPv4(payload, wireLen, ts)
+		return p.decodeIPv4(payload, wireLen, ts)
 	case etherTypeIPv6:
-		return parseIPv6(payload, wireLen, ts)
+		return p.decodeIPv6(payload, wireLen, ts)
 	default:
-		return Packet{}, fmt.Errorf("ethertype 0x%04x: %w", etherType, ErrNotIP)
+		return ErrNotIP
 	}
 }
 
-// ParseIP parses a raw IP packet (no link-layer header), as produced by
-// DLT_RAW captures.
-func ParseIP(datagram []byte, wireLen int, ts int64) (Packet, error) {
+// DecodeIP is ParseIP into a slot the caller owns; see DecodeEthernet.
+func (p *Packet) DecodeIP(datagram []byte, wireLen int, ts int64) error {
 	if len(datagram) < 1 {
-		return Packet{}, fmt.Errorf("ip version: %w", ErrTruncated)
+		return ErrTruncated
 	}
 	switch datagram[0] >> 4 {
 	case 4:
-		return parseIPv4(datagram, wireLen, ts)
+		return p.decodeIPv4(datagram, wireLen, ts)
 	case 6:
-		return parseIPv6(datagram, wireLen, ts)
+		return p.decodeIPv6(datagram, wireLen, ts)
 	default:
-		return Packet{}, fmt.Errorf("ip version %d: %w", datagram[0]>>4, ErrNotIP)
+		return ErrNotIP
 	}
 }
 
-func parseIPv4(b []byte, wireLen int, ts int64) (Packet, error) {
+func (p *Packet) decodeIPv4(b []byte, wireLen int, ts int64) error {
 	if len(b) < 20 {
-		return Packet{}, fmt.Errorf("ipv4 header: %w", ErrTruncated)
+		return ErrTruncated
 	}
 	if b[0]>>4 != 4 {
-		return Packet{}, fmt.Errorf("ipv4 version field: %w", ErrNotIP)
+		return ErrNotIP
 	}
 	ihl := int(b[0]&0x0F) * 4
 	if ihl < 20 || len(b) < ihl {
-		return Packet{}, fmt.Errorf("ipv4 options: %w", ErrTruncated)
+		return ErrTruncated
 	}
 	proto := b[9]
 
-	var k FlowKey
+	*p = Packet{Len: clampLen(wireLen), TS: ts}
+	k := &p.Key
 	copy(k.SrcIP[:4], b[12:16])
 	copy(k.DstIP[:4], b[16:20])
 	k.Proto = proto
@@ -95,22 +113,21 @@ func parseIPv4(b []byte, wireLen int, ts int64) (Packet, error) {
 	fragOffset := (uint16(b[6])&0x1F)<<8 | uint16(b[7])
 	moreFrags := b[6]&0x20 != 0
 	if fragOffset != 0 || moreFrags {
-		return Packet{Key: k, Len: clampLen(wireLen), Fragment: true, TS: ts}, nil
+		p.Fragment = true
+		return nil
 	}
-	if err := parseL4(&k, proto, b[ihl:]); err != nil {
-		return Packet{}, err
-	}
-	return Packet{Key: k, Len: clampLen(wireLen), TS: ts}, nil
+	return parseL4(k, proto, b[ihl:])
 }
 
-func parseIPv6(b []byte, wireLen int, ts int64) (Packet, error) {
+func (p *Packet) decodeIPv6(b []byte, wireLen int, ts int64) error {
 	if len(b) < 40 {
-		return Packet{}, fmt.Errorf("ipv6 header: %w", ErrTruncated)
+		return ErrTruncated
 	}
 	if b[0]>>4 != 6 {
-		return Packet{}, fmt.Errorf("ipv6 version field: %w", ErrNotIP)
+		return ErrNotIP
 	}
-	var k FlowKey
+	*p = Packet{Len: clampLen(wireLen), TS: ts}
+	k := &p.Key
 	copy(k.SrcIP[:], b[8:24])
 	copy(k.DstIP[:], b[24:40])
 	k.IsV6 = true
@@ -122,17 +139,17 @@ func parseIPv6(b []byte, wireLen int, ts int64) (Packet, error) {
 		switch next {
 		case 0, 43, 60: // hop-by-hop, routing, destination options
 			if len(payload) < 2 {
-				return Packet{}, fmt.Errorf("ipv6 ext header: %w", ErrTruncated)
+				return ErrTruncated
 			}
 			hdrLen := (int(payload[1]) + 1) * 8
 			if len(payload) < hdrLen {
-				return Packet{}, fmt.Errorf("ipv6 ext header body: %w", ErrTruncated)
+				return ErrTruncated
 			}
 			next = payload[0]
 			payload = payload[hdrLen:]
 		case 44: // fragment header
 			if len(payload) < 8 {
-				return Packet{}, fmt.Errorf("ipv6 fragment header: %w", ErrTruncated)
+				return ErrTruncated
 			}
 			offset := uint16(payload[2])<<5 | uint16(payload[3])>>3
 			more := payload[3]&0x01 != 0
@@ -142,40 +159,38 @@ func parseIPv6(b []byte, wireLen int, ts int64) (Packet, error) {
 				// Same 3-tuple policy as IPv4: any fragment of a truly
 				// fragmented datagram (first included) keys without ports.
 				k.Proto = nxt
-				return Packet{Key: k, Len: clampLen(wireLen), Fragment: true, TS: ts}, nil
+				p.Fragment = true
+				return nil
 			}
 			// Atomic fragment (offset 0, M 0, RFC 6946): a whole datagram
 			// wearing a fragment header — parse its L4 normally.
 			next = nxt
 		default:
 			k.Proto = next
-			if err := parseL4(&k, next, payload); err != nil {
-				return Packet{}, err
-			}
-			return Packet{Key: k, Len: clampLen(wireLen), TS: ts}, nil
+			return parseL4(k, next, payload)
 		}
 	}
-	return Packet{}, fmt.Errorf("ipv6 extension chain too deep: %w", ErrUnsupportedL4)
+	return ErrUnsupportedL4
 }
 
 func parseL4(k *FlowKey, proto uint8, b []byte) error {
 	switch proto {
 	case ProtoTCP, ProtoUDP:
 		if len(b) < 4 {
-			return fmt.Errorf("l4 ports: %w", ErrTruncated)
+			return ErrTruncated
 		}
 		k.SrcPort = uint16(b[0])<<8 | uint16(b[1])
 		k.DstPort = uint16(b[2])<<8 | uint16(b[3])
 	case ProtoICMP, ProtoICMPv6:
 		if len(b) < 2 {
-			return fmt.Errorf("icmp type: %w", ErrTruncated)
+			return ErrTruncated
 		}
 		// Use type/code as the "port" pair so distinct ICMP conversations
 		// separate, mirroring how flow tools treat ICMP.
 		k.SrcPort = uint16(b[0])
 		k.DstPort = uint16(b[1])
 	default:
-		return fmt.Errorf("proto %d: %w", proto, ErrUnsupportedL4)
+		return ErrUnsupportedL4
 	}
 	return nil
 }

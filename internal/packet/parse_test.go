@@ -132,6 +132,84 @@ func TestParseUnsupportedL4(t *testing.T) {
 	}
 }
 
+// TestParseSkipsAllocateNothing pins the cost of the frames the parser
+// turns away: an ARP, LLDP or garbage flood must not be the most expensive
+// traffic it can be fed, so every skip returns an error built once.
+func TestParseSkipsAllocateNothing(t *testing.T) {
+	tcp, err := BuildEthernet(Packet{Key: V4Key(1, 2, 3, 4, ProtoTCP), Len: 100}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arp := make([]byte, 60)
+	arp[12], arp[13] = 0x08, 0x06
+	gre := append([]byte(nil), tcp...)
+	gre[14+9] = 47
+	for _, tt := range []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"arp", arp, ErrNotIP},
+		{"unsupported l4", gre, ErrUnsupportedL4},
+		{"truncated", tcp[:30], ErrTruncated},
+		{"tcp", tcp, nil},
+	} {
+		var got error
+		allocs := testing.AllocsPerRun(100, func() {
+			_, got = ParseEthernet(tt.frame, len(tt.frame), 0)
+		})
+		if !errors.Is(got, tt.want) {
+			t.Errorf("%s: err = %v, want %v", tt.name, got, tt.want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per frame, want 0", tt.name, allocs)
+		}
+	}
+}
+
+// TestDecodeOverwritesSlot: bulk readers decode into reused slots, so a
+// decode must leave nothing of the slot's previous packet behind — an IPv4
+// key writes only four of each address's sixteen bytes.
+func TestDecodeOverwritesSlot(t *testing.T) {
+	var v6 FlowKey
+	for i := range v6.SrcIP {
+		v6.SrcIP[i], v6.DstIP[i] = 0xAA, 0xBB
+	}
+	v6.SrcPort, v6.DstPort, v6.Proto, v6.IsV6 = 7, 9, ProtoUDP, true
+	frames := [][]byte{}
+	for _, p := range []Packet{
+		{Key: v6, Len: 200},
+		{Key: V4Key(1, 2, 3, 4, ProtoTCP), Len: 100},
+		{Key: V4Key(5, 6, 8, 0, ProtoICMP), Len: 80},
+	} {
+		f, err := BuildEthernet(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	frag := append([]byte(nil), frames[1]...)
+	frag[14+6] |= 0x20 // more-fragments
+	frames = append(frames, frag, frames[1])
+
+	var slot Packet
+	for i, f := range frames {
+		want, err := ParseEthernet(f, len(f), int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := slot.DecodeEthernet(f, len(f), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if slot != want {
+			t.Errorf("frame %d: reused slot = %+v, fresh parse = %+v", i, slot, want)
+		}
+		if err := slot.DecodeIP(f[14:], len(f), int64(i)); err != nil || slot != want {
+			t.Errorf("frame %d: DecodeIP into reused slot = %+v (%v), want %+v", i, slot, err, want)
+		}
+	}
+}
+
 func TestParseIPv4Fragment(t *testing.T) {
 	key := V4Key(10, 20, 30, 40, ProtoUDP)
 	frame, err := BuildEthernet(Packet{Key: key, Len: 100}, 0)

@@ -58,14 +58,18 @@ type Record struct {
 	Data    []byte
 }
 
-// Reader streams records from a pcap file.
+// Reader streams records from a pcap file. Record bodies are read into its
+// one buffer, so Next allocates nothing once that has grown to fit.
 type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
-	nanos    bool
-	linkType LinkType
-	snapLen  uint32
-	buf      []byte
+	r         *bufio.Reader
+	bigEndian bool
+	nanos     bool
+	linkType  LinkType
+	snapLen   uint32
+	// hdr is the record-header scratch: a local in Next escapes into the
+	// reader it is handed to, one malloc per record.
+	hdr [16]byte
+	buf []byte
 }
 
 // NewReader parses the pcap global header from r and returns a Reader.
@@ -97,11 +101,11 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 
 	return &Reader{
-		r:        br,
-		order:    order,
-		nanos:    nanos,
-		linkType: LinkType(order.Uint32(hdr[20:24])),
-		snapLen:  order.Uint32(hdr[16:20]),
+		r:         br,
+		bigEndian: order == binary.BigEndian,
+		nanos:     nanos,
+		linkType:  LinkType(order.Uint32(hdr[20:24])),
+		snapLen:   order.Uint32(hdr[16:20]),
 	}, nil
 }
 
@@ -111,21 +115,41 @@ func (r *Reader) LinkType() LinkType { return r.linkType }
 // SnapLen returns the capture's snap length.
 func (r *Reader) SnapLen() int { return int(r.snapLen) }
 
-// Next returns the next record. The record's Data slice is reused between
-// calls; copy it if it must outlive the next Next. At end of file it
-// returns io.EOF.
+// readFull is io.ReadFull on the concrete bufio.Reader: the two reads per
+// record stay direct calls instead of going through an io.Reader interface.
+func (r *Reader) readFull(p []byte) error {
+	for got := 0; got < len(p); {
+		n, err := r.r.Read(p[got:])
+		if got += n; err != nil && got < len(p) {
+			if got > 0 && errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// Next returns the next record. The record's Data slice aliases the
+// Reader's buffer and is valid only until the next call to Next; copy it
+// if it must outlive that. At end of file it returns io.EOF.
 func (r *Reader) Next() (Record, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if err := r.readFull(hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Record{}, io.EOF
 		}
 		return Record{}, fmt.Errorf("record header: %w", err)
 	}
-	sec := int64(r.order.Uint32(hdr[0:4]))
-	sub := int64(r.order.Uint32(hdr[4:8]))
-	inclLen := r.order.Uint32(hdr[8:12])
-	origLen := r.order.Uint32(hdr[12:16])
+	// Concrete byte orders: a binary.ByteOrder field costs four dynamic
+	// calls per record.
+	le, be := binary.LittleEndian, binary.BigEndian
+	sec, sub := le.Uint32(hdr[0:4]), le.Uint32(hdr[4:8])
+	inclLen, origLen := le.Uint32(hdr[8:12]), le.Uint32(hdr[12:16])
+	if r.bigEndian {
+		sec, sub = be.Uint32(hdr[0:4]), be.Uint32(hdr[4:8])
+		inclLen, origLen = be.Uint32(hdr[8:12]), be.Uint32(hdr[12:16])
+	}
 
 	if r.snapLen > 0 && inclLen > r.snapLen {
 		return Record{}, fmt.Errorf("%w: incl=%d snap=%d", ErrSnapLen, inclLen, r.snapLen)
@@ -151,7 +175,7 @@ func (r *Reader) Next() (Record, error) {
 		} else {
 			r.buf = r.buf[:off+n]
 		}
-		if _, err := io.ReadFull(r.r, r.buf[off:]); err != nil {
+		if err := r.readFull(r.buf[off:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF
 			}
@@ -160,11 +184,11 @@ func (r *Reader) Next() (Record, error) {
 		remaining -= n
 	}
 
-	ts := sec * 1e9
+	ts := int64(sec) * 1e9
 	if r.nanos {
-		ts += sub
+		ts += int64(sub)
 	} else {
-		ts += sub * 1e3
+		ts += int64(sub) * 1e3
 	}
 	return Record{TS: ts, WireLen: int(origLen), Data: r.buf}, nil
 }

@@ -245,3 +245,52 @@ func TestTruncatedRecordBody(t *testing.T) {
 		t.Error("truncated body must fail")
 	}
 }
+
+// TestRecordDataValidUntilNextNext pins who owns the record buffer: Data
+// aliases the Reader's one body buffer, so a record is intact until the
+// next Next and overwritten by it — which is what lets Next allocate
+// nothing per record.
+func TestRecordDataValidUntilNextNext(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, LinkEthernet, 0)
+	const records = 1000
+	for i := 0; i < records; i++ {
+		if err := w.Write(int64(i), 64, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Data, bytes.Repeat([]byte{0}, 64)) {
+		t.Fatalf("first record data = %x", first.Data)
+	}
+	second, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first.Data[0] != &second.Data[0] || first.Data[0] != 1 {
+		t.Errorf("second Next did not reuse the first record's buffer (first now starts %#x)", first.Data[0])
+	}
+
+	n := 2
+	allocs := testing.AllocsPerRun(records-10, func() {
+		if _, err := r.Next(); err == nil {
+			n++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Next: %v allocations per record, want 0", allocs)
+	}
+	if n != records-10+1+2 { // AllocsPerRun adds one warm-up call
+		t.Errorf("read %d records", n)
+	}
+}

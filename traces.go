@@ -141,6 +141,10 @@ func OpenPcapStream(r io.Reader) (PacketSource, error) {
 }
 
 // ReadPcap materializes a classic-libpcap capture stream into a Trace.
+// Frames that are not IP, carry no L4 ports or are truncated are left out
+// and counted in Trace.Skipped. The per-flow ground truth is not built
+// until Truth, Flows, EachTruth or TopTruth first asks for it, so loading
+// a capture only to meter it costs the parse and nothing more.
 func ReadPcap(r io.Reader) (*Trace, error) {
 	tr, err := trace.ReadPcap(r)
 	if err != nil {
