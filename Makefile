@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 lint vet-race fuzz-smoke store-smoke flight-smoke fleet-smoke bench bench-guard bench-json bench-layers bench-smoke bench-check clean
+.PHONY: all build test tier1 lint vet-race fuzz-smoke store-smoke flight-smoke fleet-smoke bench bench-guard bench-json bench-layers bench-smoke bench-check loc clean
 
 all: build test
 
@@ -68,10 +68,11 @@ fleet-smoke:
 # vet-race is the concurrency gate: static checks plus every package
 # with a locked or lock-free concurrent surface under the race detector —
 # telemetry (lock-free counters), pipeline (SPSC rings, drop-when-full
-# manager), flight (seqlock recorder), export (exporter send path +
-# collector callback seams), fleet (aggregator/detector callbacks),
+# exchange, ring probes), flight (seqlock recorder), export (exporter send
+# path + collector callback seams), fleet (aggregator/detector callbacks),
 # store (WAL lock scope), and trace (ground truth built on first use, from
-# whichever goroutine asks first).
+# whichever goroutine asks first; the shared source the pipeline's workers
+# take turns on).
 vet-race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./internal/telemetry/... ./internal/pipeline/... ./internal/flight/... ./internal/export/... ./internal/fleet/... ./internal/store/... ./internal/trace/...
@@ -149,6 +150,16 @@ bench-smoke:
 		$(GO) run ./cmd/benchjson -guard -mpps-drop 0.35 -eff-floor 0.55 \
 		-o .bench/smoke.json \
 		$$(test -f .bench/smoke.json && echo -baseline .bench/smoke.json)
+
+# loc prints non-test Go lines per package directory of the root module
+# (bench/ is a module of its own; analyzer fixtures count, folded into one
+# testdata row) and their total — the table every PR pastes into
+# CHANGES.md next to its line budget.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/\/testdata\/.*/, "/testdata", d); n[d] += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d }' | \
+		sort -k2,2 | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'
 
 clean:
 	$(GO) clean ./...

@@ -18,6 +18,7 @@ import (
 
 	"instameasure/internal/core"
 	"instameasure/internal/experiments"
+	"instameasure/internal/flowhash"
 	"instameasure/internal/flowreg"
 	"instameasure/internal/packet"
 	"instameasure/internal/pcap"
@@ -385,7 +386,6 @@ func BenchmarkPipelineScaling(b *testing.B) {
 		b.Helper()
 		sys, err := pipeline.New(pipeline.Config{
 			Workers: workers,
-			Ingest:  pipeline.IngestSharded,
 			Engine: core.Config{
 				SketchMemoryBytes: 32 << 10,
 				WSAFEntries:       (1 << 18) / workers,
@@ -474,21 +474,24 @@ func BenchmarkAblationDecode(b *testing.B) {
 }
 
 // BenchmarkAblationSharding compares the paper's popcount sharding with
-// round robin across 4 workers.
+// a per-packet spray (no flow affinity) across 4 workers.
 func BenchmarkAblationSharding(b *testing.B) {
 	tr := benchTrace(b)
+	spray := func(h uint64, p *packet.Packet, workers int) int {
+		return pipeline.HashShard(flowhash.Mix64(h^uint64(p.TS)), p, workers)
+	}
 	for _, s := range []struct {
 		name  string
-		shard pipeline.ShardFunc
+		shard pipeline.HashShardFunc
 	}{
 		{"popcount", pipeline.PopcountShard},
-		{"round-robin", pipeline.RoundRobinShard()},
+		{"spray", spray},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sys, err := pipeline.New(pipeline.Config{
-					Workers: 4,
-					Shard:   s.shard,
+					Workers:    4,
+					HashPolicy: s.shard,
 					Engine: core.Config{
 						SketchMemoryBytes: 16 << 10,
 						WSAFEntries:       1 << 16,

@@ -45,7 +45,7 @@ func run() error {
 		wsafExp  = flag.Int("wsaf-exp", 20, "WSAF size as a power of two (20 = paper default)")
 		hotCache = flag.Int("hotcache", 0, "exact hot-flow cache entries in front of the WSAF (0 = off, 4096 typical)")
 		workers  = flag.Int("workers", 1, "worker cores (1 = single-core meter)")
-		batch    = flag.Int("batch", 256, "burst size packets travel in between manager and workers")
+		batch    = flag.Int("batch", 256, "burst size packets are read, exchanged and processed in")
 		topK     = flag.Int("top", 10, "print the K largest flows by packets and bytes")
 		hhPkts   = flag.Float64("hh-pkts", 0, "heavy-hitter packet threshold (0 = off)")
 		hhBytes  = flag.Float64("hh-bytes", 0, "heavy-hitter byte threshold (0 = off)")

@@ -1,4 +1,4 @@
-// Multicore: run the paper's manager/worker measurement system with four
+// Multicore: run the paper's multi-core measurement system with four
 // workers sharded by source-IP popcount, then merge per-worker results
 // into a global Top-K and compare against ground truth.
 package main

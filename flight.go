@@ -72,9 +72,10 @@ func (c *Cluster) MarkEpochCut(epoch int64) {
 	c.sys.Flight().Control().Event(flight.StageCut, epoch, uint32(flows), 0, 0)
 }
 
-// Saturated is the cluster's readiness probe: non-nil while any worker
-// queue sits at or above 90% of capacity (sustained saturation adds
-// queueing delay the per-stage timers cannot see).
+// Saturated is the cluster's readiness probe: non-nil while any
+// worker-to-worker exchange ring sits at or above 90% of QueueDepth
+// (sustained saturation adds queueing delay the per-stage timers cannot
+// see).
 func (c *Cluster) Saturated() error { return c.sys.Saturated() }
 
 // Connected reports whether the exporter currently holds a live

@@ -472,10 +472,11 @@ type ClusterConfig struct {
 	// Workers is the number of worker goroutines (paper: worker cores);
 	// 0 means 1.
 	Workers int
-	// QueueDepth is each worker's FIFO queue capacity (default 4096).
+	// QueueDepth is the capacity in packets of each worker-to-worker
+	// exchange ring (default 4096).
 	QueueDepth int
-	// BatchSize is the burst size packets travel in between the manager
-	// and the workers (default 256). Larger batches amortize handoff and
+	// BatchSize is the burst size packets are read, exchanged and
+	// processed in (default 256). Larger batches amortize handoff and
 	// hashing further at the cost of detection granularity.
 	BatchSize int
 	// Shard selects how flows map to workers.
@@ -506,11 +507,13 @@ type ClusterReport struct {
 }
 
 // Cluster is the multi-worker measurement system. Each worker runs an
-// independent Meter engine over exclusive memory; sources that support
-// splitting (all of this package's trace sources do) are ingested
-// shared-nothing — every worker reads its own stripe and exchanges
-// cross-shard packets over lock-free rings — so ingest capacity scales
-// with workers instead of bottlenecking on a manager goroutine.
+// independent Meter engine over exclusive memory and ingest is
+// shared-nothing: every worker reads bursts from the source — its own
+// stripe of a trace source, a turn at a time on a streamed one — hashes
+// them, and exchanges cross-shard packets over lock-free rings, so no
+// goroutine touches every packet and ingest capacity scales with workers.
+// Per-worker packet order depends on scheduling; a run with Workers: 1 is
+// bit-reproducible.
 type Cluster struct {
 	sys   *pipeline.System
 	seed  uint64
@@ -529,7 +532,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	var policy pipeline.HashShardFunc
 	if cfg.Shard == ShardByPopcount {
-		policy = pipeline.PopcountHashShard
+		policy = pipeline.PopcountShard
 	}
 	sys, err := pipeline.New(pipeline.Config{
 		Workers:    cfg.Workers,

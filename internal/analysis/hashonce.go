@@ -13,7 +13,7 @@ import (
 // the flow key again. Re-deriving the hash inside such a function is
 // exactly the double-hash regression the batched hot path removed: the
 // caller already paid for flowhash once and threads the value down, per
-// packet or per batch, across queues and SPSC rings alike.
+// packet or per batch, and across the pipeline's SPSC rings.
 //
 // Banned inside hash-taking functions (closures included):
 //

@@ -2,7 +2,7 @@
 // contract: its synthetic import path ends in "pipeline", so the ingest
 // layer's scope applies, and the []uint64 "hashes" parameter marks a
 // function that receives the whole batch's precomputed hashes — exactly
-// the shape the worker side of the queues and SPSC rings consumes.
+// the shape the worker side of the SPSC rings consumes.
 package pipeline
 
 import "instameasure/internal/packet"

@@ -115,10 +115,10 @@ type PassEvent struct {
 	Cached  bool
 }
 
-// latencySampleEvery is the per-packet latency sampling period: one in
+// latencySamplePeriod is the per-packet latency sampling period: one in
 // every 1024 Process calls is timed (two clock reads amortized to ~0.1 ns
 // per packet).
-const latencySampleEvery = 1024
+const latencySamplePeriod = 1024
 
 // publishEvery is the packet/byte counter publication period. Go's
 // atomic store is an XCHG on amd64 (a full locked op), so publishing the
@@ -402,7 +402,7 @@ func (e *Engine) Process(p packet.Packet) {
 	if e.packets&(publishEvery-1) == 0 {
 		e.publishTotals()
 	}
-	sampled := e.packets&(latencySampleEvery-1) == 0
+	sampled := e.packets&(latencySamplePeriod-1) == 0
 	var t0 time.Time
 	if sampled {
 		//im:allow hotalloc,wallclock — latency telemetry seam: 1-in-1024 packets pays one clock read

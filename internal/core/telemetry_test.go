@@ -60,7 +60,7 @@ func TestEngineTelemetryWiring(t *testing.T) {
 		}
 	}
 	// Latency is sampled 1-in-1024.
-	wantSamples := float64(len(tr.Packets) / latencySampleEvery)
+	wantSamples := float64(len(tr.Packets) / latencySamplePeriod)
 	h := reg.Histogram("process_latency_ns", "", 24)
 	if got := float64(h.Count()); got != wantSamples {
 		t.Errorf("latency samples = %g, want %g", got, wantSamples)

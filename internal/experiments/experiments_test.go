@@ -146,18 +146,25 @@ func TestFig9aShapeModeledScaling(t *testing.T) {
 	if len(rep.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rep.Rows))
 	}
+	// The shape is asserted on counted work — packets over the busiest
+	// worker's packets under the popcount policy, exact and clock-free. The
+	// host and aggregate Mpps columns read a clock (and share the host with
+	// every other test package), so they are reported, not asserted.
 	var prev float64
 	for i, row := range rep.Rows {
-		agg := parseFloat(t, row[2])
-		// Shape check with slack: the busy-time estimate on the tiny trace
-		// carries scheduling noise, so allow a small dip between steps.
-		if i > 0 && agg < prev*0.90 {
-			t.Errorf("aggregate Mpps decreased at %s workers: %.2f after %.2f", row[0], agg, prev)
+		sp, imb := parseFloat(t, row[5]), parseFloat(t, row[6])
+		if sp < prev {
+			t.Errorf("counted speedup decreased at %s workers: %.2f after %.2f", row[0], sp, prev)
 		}
-		prev = agg
+		prev = sp
+		// One worker is balanced by definition; popcount's binomial skew
+		// plus the trace's elephants stay inside 1.6x of the mean load.
+		if lo, hi := 1.0, 1.6; (i == 0 && imb != 1) || imb < lo || imb > hi {
+			t.Errorf("imbalance %.2f at %s workers outside [%.1f, %.1f]", imb, row[0], lo, hi)
+		}
 	}
-	if sp := parseFloat(t, rep.Rows[3][3]); sp < 1.5 {
-		t.Errorf("aggregate 4-worker speedup %.2f < 1.5x", sp)
+	if prev < 1.5 {
+		t.Errorf("counted 4-worker speedup %.2f < 1.5x", prev)
 	}
 }
 
@@ -255,6 +262,12 @@ func TestFig12ShapeBoundedSystem(t *testing.T) {
 	}
 	if !foundUtil || !foundReg {
 		t.Error("missing utilization or regulation notes")
+	}
+	// Offered 40 % of calibrated capacity: the worker must read as partly
+	// idle. The time it spends asleep in the paced source is not busy time;
+	// before that was kept apart, this read ~1.0.
+	if u := rep.Metrics["utilization"]; u <= 0.2 || u >= 0.7 {
+		t.Errorf("worker utilisation %.2f at 40%% offered load, want inside (0.2, 0.7)", u)
 	}
 }
 
@@ -416,7 +429,7 @@ func TestAblationShardingShape(t *testing.T) {
 	pop := parsePct(t, rep.Rows[0][2])
 	rr := parsePct(t, rep.Rows[1][2])
 	if pop > rr {
-		t.Errorf("popcount top-100 error %.3f above round-robin %.3f — affinity should win", pop, rr)
+		t.Errorf("popcount top-100 error %.3f above spray %.3f — affinity should win", pop, rr)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"instameasure/internal/core"
 	"instameasure/internal/detect"
 	"instameasure/internal/export"
+	"instameasure/internal/flowhash"
 	"instameasure/internal/flowreg"
 	"instameasure/internal/memmodel"
 	"instameasure/internal/packet"
@@ -279,8 +280,16 @@ func DelegationLoopback(s Scale) (*Report, error) {
 	return rep, nil
 }
 
+// sprayShard is the ablation's "no flow affinity" policy: the worker is
+// drawn from the packet's hash and timestamp together, so a flow's packets
+// scatter over all workers. A pure function of the packet, as every shard
+// policy must be — each ingesting worker computes the same answer.
+func sprayShard(h uint64, p *packet.Packet, workers int) int {
+	return pipeline.HashShard(flowhash.Mix64(h^uint64(p.TS)), p, workers)
+}
+
 // AblationShardingQuality compares measurement quality under the paper's
-// popcount sharding (flow affinity preserved) vs round robin (each flow
+// popcount sharding (flow affinity preserved) vs spraying (each flow
 // split across all workers, defeating per-worker sketches).
 func AblationShardingQuality(s Scale) (*Report, error) {
 	tr, err := caidaTrace(s)
@@ -291,19 +300,19 @@ func AblationShardingQuality(s Scale) (*Report, error) {
 
 	rep := &Report{
 		ID:     "Abl.shard",
-		Title:  "Worker sharding: popcount (flow affinity) vs round robin",
+		Title:  "Worker sharding: popcount (flow affinity) vs per-packet spray",
 		Header: []string{"policy", "top-100 recall", "mean top-100 err"},
 	}
 	for _, pol := range []struct {
 		name  string
-		shard pipeline.ShardFunc
+		shard pipeline.HashShardFunc
 	}{
 		{"popcount", pipeline.PopcountShard},
-		{"round-robin", pipeline.RoundRobinShard()},
+		{"spray", sprayShard},
 	} {
 		sys, err := pipeline.New(pipeline.Config{
-			Workers: 4,
-			Shard:   pol.shard,
+			Workers:    4,
+			HashPolicy: pol.shard,
 			Engine: core.Config{
 				SketchMemoryBytes: 32 << 10,
 				WSAFEntries:       1 << 16,
@@ -317,7 +326,7 @@ func AblationShardingQuality(s Scale) (*Report, error) {
 			return nil, err
 		}
 
-		// Merge per-worker entries per flow (round robin splits flows).
+		// Merge per-worker entries per flow (spraying splits flows).
 		merged := map[packet.FlowKey]float64{}
 		for _, e := range sys.MergedSnapshot() {
 			merged[e.Key] += e.Pkts
@@ -336,7 +345,7 @@ func AblationShardingQuality(s Scale) (*Report, error) {
 		}
 		rep.AddRow(pol.name, pct2(recall), pct2(stats.MeanRelErr(est, truth)))
 	}
-	rep.AddNote("round robin splits each flow across 4 sketches: per-worker counts stay below saturation, losing flows and accuracy")
+	rep.AddNote("spraying splits each flow across 4 sketches: per-worker counts stay below saturation, losing flows and accuracy")
 	return rep, nil
 }
 

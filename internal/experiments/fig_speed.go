@@ -22,7 +22,9 @@ import (
 // per-worker busy time — total packets over the bottleneck worker's CPU
 // time (Report.AggregateMPPS) — which is exactly the per-core capacity the
 // paper's one-core-per-worker board realizes. Host wall-clock numbers are
-// reported alongside.
+// reported alongside, and so is the clock-free shape: the counted speedup
+// total/max(per-worker packets), what k cores deliver when every packet
+// costs the same, which only the shard policy and the trace decide.
 func Fig9aCoreScaling(s Scale) (*Report, error) {
 	tr, err := caidaTrace(s)
 	if err != nil {
@@ -31,13 +33,12 @@ func Fig9aCoreScaling(s Scale) (*Report, error) {
 	rep := &Report{
 		ID:     "Fig.9a",
 		Title:  "Processing speed vs number of worker cores",
-		Header: []string{"workers", "host Mpps", "aggregate Mpps", "speedup", "efficiency"},
+		Header: []string{"workers", "host Mpps", "aggregate Mpps", "speedup", "efficiency", "counted speedup", "imbalance"},
 	}
-	runOnce := func(workers int) (float64, float64, error) {
+	runOnce := func(workers int) (pipeline.Report, error) {
 		sys, err := pipeline.New(pipeline.Config{
 			Workers:    workers,
-			Ingest:     pipeline.IngestSharded,
-			HashPolicy: pipeline.PopcountHashShard,
+			HashPolicy: pipeline.PopcountShard,
 			Engine: core.Config{
 				SketchMemoryBytes: 32 << 10,
 				WSAFEntries:       1 << 18,
@@ -45,28 +46,24 @@ func Fig9aCoreScaling(s Scale) (*Report, error) {
 			},
 		})
 		if err != nil {
-			return 0, 0, err
+			return pipeline.Report{}, err
 		}
-		repRun, err := sys.Run(tr.Source())
-		if err != nil {
-			return 0, 0, err
-		}
-		return repRun.MPPS(), repRun.AggregateMPPS(), nil
+		return sys.Run(tr.Source())
 	}
 	var base, topAgg, topEff float64
 	for _, workers := range []int{1, 2, 3, 4} {
 		// Best of two runs: in the busy-time capacity model scheduling
 		// noise only subtracts, so the max is the better estimate.
-		host, agg, err := runOnce(workers)
+		r1, err := runOnce(workers)
 		if err != nil {
 			return nil, err
 		}
-		host2, agg2, err := runOnce(workers)
+		r2, err := runOnce(workers)
 		if err != nil {
 			return nil, err
 		}
-		host = math.Max(host, host2)
-		agg = math.Max(agg, agg2)
+		host := math.Max(r1.MPPS(), r2.MPPS())
+		agg := math.Max(r1.AggregateMPPS(), r2.AggregateMPPS())
 		if workers == 1 {
 			base = agg
 		}
@@ -78,12 +75,17 @@ func Fig9aCoreScaling(s Scale) (*Report, error) {
 			fmt.Sprintf("%.2f", agg),
 			fmt.Sprintf("%.2fx", agg/base),
 			fmt.Sprintf("%.2f", eff),
+			// Exact and the same in both runs: the shard policy is a pure
+			// function of the packet.
+			fmt.Sprintf("%.2fx", float64(workers)/r1.Imbalance()),
+			fmt.Sprintf("%.2f", r1.Imbalance()),
 		)
 	}
 	rep.SetMetric("mpps", topAgg)
 	rep.SetMetric("scaling_eff", topEff)
 	rep.AddNote("host has %d core(s); aggregate column models one core per worker from per-worker busy time, as on the paper's 8-core board", runtime.NumCPU())
 	rep.AddNote("shared-nothing ingest, popcount policy (paper-faithful); elephants pin their worker, so efficiency tracks the trace's flow-size skew")
+	rep.AddNote("counted speedup = packets / busiest worker's packets: no clock in it, so it is the column the tests assert")
 	rep.AddNote("paper (8-core Atom + DPDK): 18.9 / 25.5 / 36.2 / 46.3 Mpps for 1-4 cores — sub-linear, manager-bounded; shared-nothing ingest removes the manager bound")
 	return rep, nil
 }
@@ -181,15 +183,4 @@ func abs64(x int64) int64 {
 		return -x
 	}
 	return x
-}
-
-// queueStats summarizes queue occupancy samples for Fig. 12.
-func queueStats(samples []pipeline.QueueSample) (mean, p99 float64) {
-	var depths []float64
-	for _, s := range samples {
-		for _, d := range s.Depths {
-			depths = append(depths, float64(d))
-		}
-	}
-	return stats.Mean(depths), stats.Percentile(depths, 99)
 }

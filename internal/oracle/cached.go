@@ -198,7 +198,6 @@ func RunCached(tr *trace.Trace, cfg Config) (*CachedReport, error) {
 		Workers:   cfg.Workers,
 		BatchSize: cfg.BatchSize,
 		Engine:    cfg.Engine,
-		Ingest:    pipeline.IngestSharded,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("oracle: cached sharded pipeline: %w", err)

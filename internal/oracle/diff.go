@@ -13,6 +13,7 @@ import (
 	"instameasure/internal/core"
 	"instameasure/internal/export"
 	"instameasure/internal/packet"
+	"instameasure/internal/pcap"
 	"instameasure/internal/pipeline"
 	"instameasure/internal/trace"
 )
@@ -80,27 +81,29 @@ func (r *Report) violatef(format string, args ...any) {
 }
 
 // Run replays tr through (a) the exact Reference, (b) a scalar Process
-// engine, (c) a ProcessBatch engine, (d) a concurrent multi-worker
-// pipeline paired with a synchronously-fed twin, and (e) the
-// shared-nothing sharded pipeline, then cross-checks:
+// engine, (c) a ProcessBatch engine, (d) a one-worker pipeline and (e) a
+// cfg.Workers-wide one — (d) and (e) each twice, once striping the trace
+// and once sharing it as a streamed capture — then cross-checks:
 //
 //   - batch ≡ scalar: identical table state, statistics, and per-flow
 //     estimates (bit-exact — same seed, same update order).
-//   - pipeline ≡ sync: each concurrent worker's state matches a worker fed
-//     the same shard sequence synchronously (bit-exact).
+//   - one-worker pipeline ≡ batch: with a single worker no packet crosses
+//     a ring and the engine sees the batch engine's very bursts, so any
+//     divergence is a transport bug (bit-exact; needs a non-zero engine
+//     Seed or HashSeed — with both zero the pipeline picks a hash seed of
+//     its own).
 //   - conservation: Σ outcome counters = delegations, occupancy =
-//     fresh-slot inserts, per-worker queued packets sum to the trace.
-//   - sharded conservation: each shared-nothing worker's packet total
-//     equals the shard truth computed from the trace (bit-exact counts;
-//     worker-local packet order is scheduling-dependent, so state is
-//     checked structurally and through the envelope, not bit-exactly).
+//     fresh-slot inserts.
+//   - sharded conservation: each worker's packet and byte totals equal the
+//     shard truth computed from the trace (bit-exact counts; worker-local
+//     packet order is scheduling-dependent, so state is checked
+//     structurally and through the envelope, not bit-exactly).
 //   - no phantom flows: every WSAF entry's key appeared in the trace.
 //   - TTL hygiene: no snapshot entry is older than the TTL.
 //   - export fidelity: snapshot → codec → snapshot round-trips exactly.
 //   - envelope (TTL=0 runs only): per-flow relative error within the
 //     analytic bound for every flow above the retention floor — held by
-//     the scalar engine, the manager-pipeline worker, and the
-//     shared-nothing worker owning each flow.
+//     the scalar engine and by the worker owning the flow in each (e) run.
 func Run(tr *trace.Trace, cfg Config) (*Report, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -155,115 +158,106 @@ func Run(tr *trace.Trace, cfg Config) (*Report, error) {
 	checkNoPhantoms(rep, "scalar", scalar, ref)
 	checkTTLHygiene(rep, "scalar", scalar, ttl)
 
-	// (d) Concurrent pipeline vs a synchronously-fed twin. Both use the
-	// same shard policy, so worker w of each system sees the identical
-	// packet subsequence; only the transport differs (queues + bursts vs
-	// direct calls). Any divergence is a transport bug.
-	shard := pipeline.PopcountShard
-	pipeCfg := pipeline.Config{
-		Workers:   cfg.Workers,
-		BatchSize: cfg.BatchSize,
-		Engine:    cfg.Engine,
-		Shard:     shard,
+	// The same trace as a streamed capture: a source that cannot be split,
+	// so the workers share it. Headers survive the 64-byte snap; the wire
+	// length rides in the record header.
+	var capture bytes.Buffer
+	capture.Grow(len(tr.Packets) * 96)
+	if err := tr.WritePcap(&capture, 64); err != nil {
+		return nil, fmt.Errorf("oracle: write capture: %w", err)
 	}
-	sysA, err := pipeline.New(pipeCfg)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: pipeline: %w", err)
+	// Each source has its shard policy for leg (e) and, so that the truth
+	// there does not all come from the system under test, its own way of
+	// naming a flow's owner.
+	sources := []struct {
+		name   string
+		open   func() (trace.Source, error)
+		policy pipeline.HashShardFunc // nil: the default, HashShard
+		owner  func(*pipeline.System, packet.FlowKey) int
+	}{
+		{"striped", func() (trace.Source, error) { return tr.Source(), nil },
+			nil, (*pipeline.System).ShardOf},
+		{"streamed", func() (trace.Source, error) {
+			r, err := pcap.NewReader(bytes.NewReader(capture.Bytes()))
+			if err != nil {
+				return nil, err
+			}
+			return trace.NewPcapSource(r), nil
+		}, pipeline.PopcountShard, func(_ *pipeline.System, k packet.FlowKey) int { return shardKey(k, cfg.Workers) }},
 	}
-	pipeRep, err := sysA.Run(tr.Source())
-	if err != nil {
-		return nil, fmt.Errorf("oracle: pipeline run: %w", err)
-	}
-	sysB, err := pipeline.New(pipeCfg)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: sync pipeline: %w", err)
-	}
-	for i := range tr.Packets {
-		p := tr.Packets[i]
-		sysB.Engines()[shard(&p, cfg.Workers)].Process(p)
+	runPipeline := func(label string, pc pipeline.Config, open func() (trace.Source, error)) (*pipeline.System, error) {
+		pc.BatchSize, pc.Engine = cfg.BatchSize, cfg.Engine
+		sys, err := pipeline.New(pc)
+		if err != nil {
+			return nil, fmt.Errorf("oracle: %s: %w", label, err)
+		}
+		src, err := open()
+		if err != nil {
+			return nil, fmt.Errorf("oracle: %s source: %w", label, err)
+		}
+		pipeRep, err := sys.Run(src)
+		if err != nil {
+			return nil, fmt.Errorf("oracle: %s run: %w", label, err)
+		}
+		if pipeRep.Packets != rep.Packets {
+			rep.violatef("%s: report packets %d != trace %d", label, pipeRep.Packets, rep.Packets)
+		}
+		for w, d := range pipeRep.Dropped {
+			if d != 0 {
+				rep.violatef("%s: lossless pipeline dropped %d packets bound for worker %d", label, d, w)
+			}
+		}
+		return sys, nil
 	}
 
-	if pipeRep.Packets != rep.Packets {
-		rep.violatef("pipeline report packets %d != trace %d", pipeRep.Packets, rep.Packets)
-	}
-	var queued, perWorker, droppedTotal uint64
-	for w := 0; w < cfg.Workers; w++ {
-		queued += pipeRep.Queued[w]
-		perWorker += pipeRep.PerWorker[w]
-		droppedTotal += pipeRep.Dropped[w]
-	}
-	if droppedTotal != 0 {
-		rep.violatef("lossless pipeline dropped %d packets", droppedTotal)
-	}
-	if queued != rep.Packets || perWorker != rep.Packets {
-		rep.violatef("pipeline conservation: queued %d, processed %d, want %d", queued, perWorker, rep.Packets)
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		label := fmt.Sprintf("pipeline worker %d", w)
-		a, b := sysA.Engines()[w], sysB.Engines()[w]
-		checkConservation(rep, label, a, a.Packets())
-		compareEngines(rep, label+" vs sync twin", a, b, nil)
-		checkNoPhantoms(rep, label, a, ref)
-		checkTTLHygiene(rep, label, a, ttl)
-	}
-	// Per-flow estimates must be identical across the two transports.
-	tr.EachTruth(func(k packet.FlowKey, _ *trace.FlowTruth) {
-		w := shardKey(k, cfg.Workers)
-		ap, ab := sysA.Engines()[w].Estimate(k)
-		bp, bb := sysB.Engines()[w].Estimate(k)
-		if ap != bp || ab != bb {
-			rep.violatef("pipeline worker %d estimate for %v: concurrent (%g,%g) != sync (%g,%g)",
-				w, k, ap, ab, bp, bb)
+	// (d) One worker: no ring traffic, and the engine is handed exactly the
+	// bursts (c) was, so its state must match the batch engine bit for bit
+	// — from a stripe and through the shared handle alike.
+	for _, src := range sources {
+		label := "1-worker pipeline (" + src.name + ")"
+		sys, err := runPipeline(label, pipeline.Config{Workers: 1}, src.open)
+		if err != nil {
+			return nil, err
 		}
-	})
+		compareEngines(rep, label+" vs batch", sys.Engines()[0], batcher, tr)
+	}
 
-	// (e) Shared-nothing ingest: the same engine config through the
-	// per-worker sharded architecture (hash-shard policy, ring exchange).
-	// Worker-local packet order is scheduling-dependent there, so no
-	// bit-exact twin exists: the checks are structural — conservation,
-	// shard-truth per-worker totals, no phantom flows, TTL hygiene — plus
-	// the accuracy envelope below.
-	sysS, err := pipeline.New(pipeline.Config{
-		Workers:   cfg.Workers,
-		BatchSize: cfg.BatchSize,
-		Engine:    cfg.Engine,
-		Ingest:    pipeline.IngestSharded,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("oracle: sharded pipeline: %w", err)
-	}
-	shardRep, err := sysS.Run(tr.Source())
-	if err != nil {
-		return nil, fmt.Errorf("oracle: sharded run: %w", err)
-	}
-	if shardRep.Packets != rep.Packets {
-		rep.violatef("sharded report packets %d != trace %d", shardRep.Packets, rep.Packets)
-	}
-	// Shard truth: the policy is a pure function of the flow key, so the
-	// exact per-worker load is computable from the trace alone. Any
-	// mismatch means a packet was routed, dropped, or double-counted
-	// somewhere in the ring exchange.
-	wantPer := make([]uint64, cfg.Workers)
-	for i := range tr.Packets {
-		wantPer[sysS.ShardOf(tr.Packets[i].Key)]++
-	}
-	var shardDropped uint64
-	for w := 0; w < cfg.Workers; w++ {
-		shardDropped += shardRep.Dropped[w]
-		if shardRep.PerWorker[w] != wantPer[w] {
-			rep.violatef("sharded worker %d processed %d packets, shard truth %d",
-				w, shardRep.PerWorker[w], wantPer[w])
+	// (e) cfg.Workers workers. Worker-local packet order is
+	// scheduling-dependent, so no bit-exact twin exists: the checks are
+	// structural — conservation, shard truth, no phantom flows, TTL hygiene
+	// — plus the accuracy envelope below. The striped run shards by the
+	// default hash policy, the streamed one by the paper's popcount (its
+	// truth computed by shardKey, not by the system under test).
+	//
+	// Shard truth: a policy is a pure function of the flow key, so each
+	// worker's exact load is computable from the trace alone. A packet
+	// count off means a packet was misrouted, dropped, or double-counted in
+	// the ring exchange; a byte count off means one was corrupted there.
+	var sharded []*pipeline.System
+	for _, src := range sources {
+		label := fmt.Sprintf("%d-worker pipeline (%s)", cfg.Workers, src.name)
+		sys, err := runPipeline(label, pipeline.Config{Workers: cfg.Workers, HashPolicy: src.policy}, src.open)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if shardDropped != 0 {
-		rep.violatef("lossless sharded pipeline dropped %d packets", shardDropped)
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		label := fmt.Sprintf("sharded worker %d", w)
-		e := sysS.Engines()[w]
-		checkConservation(rep, label, e, e.Packets())
-		checkNoPhantoms(rep, label, e, ref)
-		checkTTLHygiene(rep, label, e, ttl)
+		sharded = append(sharded, sys)
+		wantPkts := make([]uint64, cfg.Workers)
+		wantBytes := make([]uint64, cfg.Workers)
+		for i := range tr.Packets {
+			w := src.owner(sys, tr.Packets[i].Key)
+			wantPkts[w]++
+			wantBytes[w] += uint64(tr.Packets[i].Len)
+		}
+		for w, e := range sys.Engines() {
+			wl := fmt.Sprintf("%s worker %d", label, w)
+			if e.Packets() != wantPkts[w] || e.Bytes() != wantBytes[w] {
+				rep.violatef("%s processed %d packets / %d bytes, shard truth %d / %d",
+					wl, e.Packets(), e.Bytes(), wantPkts[w], wantBytes[w])
+			}
+			checkConservation(rep, wl, e, e.Packets())
+			checkNoPhantoms(rep, wl, e, ref)
+			checkTTLHygiene(rep, wl, e, ttl)
+		}
 	}
 
 	checkExportRoundTrip(rep, scalar)
@@ -307,23 +301,16 @@ func Run(tr *trace.Trace, cfg Config) (*Report, error) {
 				rep.violatef("flow %v (truth %.0f): byte error %.4f exceeds bound %.4f",
 					k, truth, check.ByteRel, check.ByteBound)
 			}
-			// The concurrent pipeline worker holding this flow is an
-			// independent sample (different seed); it must satisfy the
-			// same envelope.
-			w := shardKey(k, cfg.Workers)
-			pEst, _ := sysA.Engines()[w].Estimate(k)
-			if rel := math.Abs(pEst-truth) / truth; rel > check.Bound {
-				rep.violatef("flow %v (truth %.0f): pipeline worker %d error %.4f exceeds bound %.4f",
-					k, truth, w, rel, check.Bound)
-			}
-			// The shared-nothing worker owning this flow is yet another
-			// independent sample — different ingest order, different
-			// derived seed — and must satisfy the same envelope.
-			ws := sysS.ShardOf(k)
-			sEst, _ := sysS.Engines()[ws].Estimate(k)
-			if rel := math.Abs(sEst-truth) / truth; rel > check.Bound {
-				rep.violatef("flow %v (truth %.0f): sharded worker %d error %.4f exceeds bound %.4f",
-					k, truth, ws, rel, check.Bound)
+			// The pipeline worker owning this flow is an independent
+			// sample — different ingest order, different derived seed —
+			// and must satisfy the same envelope.
+			for i, sys := range sharded {
+				w := sys.ShardOf(k)
+				est, _ := sys.Engines()[w].Estimate(k)
+				if rel := math.Abs(est-truth) / truth; rel > check.Bound {
+					rep.violatef("flow %v (truth %.0f): %s pipeline worker %d error %.4f exceeds bound %.4f",
+						k, truth, sources[i].name, w, rel, check.Bound)
+				}
 			}
 		})
 		if rep.Checked > 0 {
@@ -337,8 +324,7 @@ func Run(tr *trace.Trace, cfg Config) (*Report, error) {
 
 // shardKey applies the popcount shard policy to a bare key.
 func shardKey(k packet.FlowKey, workers int) int {
-	p := packet.Packet{Key: k}
-	return pipeline.PopcountShard(&p, workers)
+	return pipeline.PopcountShard(0, &packet.Packet{Key: k}, workers)
 }
 
 // checkConservation asserts the engine's internal counting identities.

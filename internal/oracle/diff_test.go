@@ -70,7 +70,7 @@ func TestDifferentialOracle(t *testing.T) {
 
 // TestDifferentialTTL runs the structural invariants with TTL enabled:
 // no expired entries may leak from any snapshot, conservation holds, and
-// the transports stay bit-identical.
+// the one-worker pipeline stays bit-identical to the batch engine.
 func TestDifferentialTTL(t *testing.T) {
 	flows, packets := 5_000, 120_000
 	tr := genTrace(t, flows, packets, 42)
@@ -93,9 +93,10 @@ func TestDifferentialTTL(t *testing.T) {
 	}
 }
 
-// TestDifferentialSingleWorkerPipeline pins the strongest transport
-// equivalence: a one-worker pipeline is bit-identical to the scalar engine
-// (worker 0's seed derivation adds zero).
+// TestDifferentialSingleWorkerPipeline runs the harness at Workers: 1,
+// where leg (e) degenerates to leg (d): every pipeline in the run is
+// bit-identical to the batch engine (worker 0's seed derivation adds
+// zero), and through it to the scalar one.
 func TestDifferentialSingleWorkerPipeline(t *testing.T) {
 	tr := genTrace(t, 3_000, 80_000, 7)
 	rep, err := Run(tr, Config{

@@ -5,34 +5,31 @@
 // never share mutable state, so the design scales with cores exactly as
 // the prototype did.
 //
-// Two ingest architectures share the System type:
+// There is one architecture, shared-nothing, for every source: each worker
+// pulls bursts from the source, hashes each packet once, keeps the packets
+// its shard owns, and hands the rest to their owners over lock-free SPSC
+// rings — no goroutine touches every packet, so ingest capacity grows with
+// workers. (The paper's own layout, one manager core dispatching to the
+// workers, is what bounds its Fig. 9a.) A source that can be split
+// (trace.SplittableSource) gives every worker a stripe of its own; one
+// that cannot (a pcap stream, a paced source) is shared, the workers
+// taking turns to read a burst under a mutex (trace.Share).
 //
-//   - Shared-nothing (the default for splittable sources): every worker
-//     pulls bursts from its own slice of the trace, hashes each packet
-//     once, keeps the packets its shard owns, and hands the rest to their
-//     owners over lock-free SPSC rings — no goroutine touches every
-//     packet, so ingest capacity grows with workers.
-//   - Manager funnel (the paper's Section IV.C layout, and the fallback
-//     for plain sources, queue sampling, and legacy ShardFuncs): one
-//     manager goroutine reads the source and dispatches batches to
-//     per-worker FIFO queues. Dispatch order is the trace order, which
-//     makes this mode deterministic — the differential oracle pins its
-//     bit-exact pipeline≡scalar comparison to it.
+// Packets travel in bursts (the DPDK idiom the prototype was built on),
+// which keeps the per-packet synchronization cost negligible, and the flow
+// hash computed at ingest travels with the packet across the rings, so no
+// packet is ever hashed twice (the hashonce invariant is enforced across
+// this seam by imvet).
 //
-// Packets travel in bursts either way (the DPDK idiom the prototype was
-// built on), which keeps the per-packet synchronization cost negligible.
-// In both modes the flow hash computed at ingest travels with the packet
-// — across queues and rings alike — so no packet is ever hashed twice
-// (the hashonce invariant is enforced across these seams by imvet).
+// Per-engine packet order depends on scheduling once there is more than
+// one worker. A run with Workers: 1 is bit-reproducible: no packet crosses
+// a ring, and the engine sees exactly Engine.ProcessBatch over consecutive
+// BatchSize slices of the source.
 package pipeline
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"strconv"
-	"sync"
 	"time"
 
 	"instameasure/internal/core"
@@ -40,20 +37,13 @@ import (
 	"instameasure/internal/flowhash"
 	"instameasure/internal/packet"
 	"instameasure/internal/telemetry"
-	"instameasure/internal/trace"
 	"instameasure/internal/wsaf"
 )
 
-// ShardFunc maps a packet to a worker index in [0, workers). Legacy
-// policies of this shape may be stateful (RoundRobinShard), so setting
-// one forces the single-manager funnel, where exactly one goroutine
-// shards.
-type ShardFunc func(p *packet.Packet, workers int) int
-
 // HashShardFunc maps a packet to a worker index using the packet's
-// precomputed flow hash. Policies of this shape must be pure functions of
-// (h, p.Key, workers) — every ingesting worker of the shared-nothing mode
-// shards independently and all must agree where a flow lives.
+// precomputed flow hash. Policies must be pure functions of (h, p,
+// workers) — every ingesting worker shards independently and all must
+// agree where a packet goes.
 type HashShardFunc func(h uint64, p *packet.Packet, workers int) int
 
 // HashShard is the load-balanced default policy: the flow hash's high 32
@@ -66,56 +56,19 @@ func HashShard(h uint64, _ *packet.Packet, workers int) int {
 }
 
 // PopcountShard is the paper's policy: the number of 1 bits in the source
-// IP address selects the queue.
-func PopcountShard(p *packet.Packet, workers int) int {
+// IP address selects the worker. The hash is ignored.
+func PopcountShard(_ uint64, p *packet.Packet, workers int) int {
 	return flowhash.PopCount32(p.Key.SrcIPv4()) % workers
 }
-
-// PopcountHashShard is PopcountShard in HashShardFunc shape: Fig-series
-// experiments keep the paper's policy while running the shared-nothing
-// ingest. The hash is ignored — popcount needs only the source address.
-func PopcountHashShard(_ uint64, p *packet.Packet, workers int) int {
-	return PopcountShard(p, workers)
-}
-
-// RoundRobinShard cycles through workers regardless of flow identity —
-// the ablation baseline. It breaks flow affinity, so per-worker sketches
-// each see a slice of every flow. The first packet goes to worker 0.
-func RoundRobinShard() ShardFunc {
-	var n int
-	return func(_ *packet.Packet, workers int) int {
-		w := n % workers
-		n++
-		return w
-	}
-}
-
-// IngestMode selects the pipeline architecture.
-type IngestMode int
-
-// Ingest modes.
-const (
-	// IngestAuto picks shared-nothing when the source supports it (it
-	// implements trace.SplittableSource, no legacy Shard is set, and
-	// queue sampling is off) and the manager funnel otherwise.
-	IngestAuto IngestMode = iota
-	// IngestManager forces the single-manager funnel: deterministic
-	// trace-order dispatch, required by the bit-exact differential
-	// oracle and by Fig. 12's queue-occupancy sampling.
-	IngestManager
-	// IngestSharded forces shared-nothing per-worker ingest; New errors
-	// at Run time if the source cannot be split or the config demands a
-	// manager (legacy Shard, SampleEvery).
-	IngestSharded
-)
 
 // Config parameterizes a System.
 type Config struct {
 	// Workers is the number of worker cores; 0 means 1.
 	Workers int
-	// QueueDepth is each worker's FIFO capacity in packets; 0 means 4096.
-	// The depth bounds memory and provides the back-pressure point the
-	// Fig. 12 queue-occupancy probe watches.
+	// QueueDepth is the capacity in packets of each exchange ring (one per
+	// ordered pair of workers); 0 means 4096. The depth bounds memory and
+	// is the back-pressure point Saturated and the worker_queue_depth gauge
+	// watch.
 	QueueDepth int
 	// BatchSize is the burst size packets travel in; 0 means 256.
 	BatchSize int
@@ -123,24 +76,12 @@ type Config struct {
 	// per worker; to match the paper's fixed 2^20 total, divide by
 	// Workers before calling New.
 	Engine core.Config
-	// Shard, when set, selects a legacy (possibly stateful) dispatch
-	// policy and forces the manager funnel. nil (the default) uses
-	// HashPolicy instead.
-	Shard ShardFunc
-	// HashPolicy selects the flow-affine policy used when Shard is nil;
-	// nil means HashShard (the load-balanced default). Paper-faithful
-	// runs pass PopcountHashShard.
+	// HashPolicy selects the shard policy; nil means HashShard (the
+	// load-balanced default). Paper-faithful runs pass PopcountShard.
 	HashPolicy HashShardFunc
-	// Ingest selects the architecture; the zero value (IngestAuto) uses
-	// shared-nothing ingest whenever the source supports it.
-	Ingest IngestMode
-	// SampleEvery controls queue-occupancy sampling: the manager records
-	// every worker's queue length each SampleEvery packets. 0 disables
-	// sampling.
-	SampleEvery int
 	// DropWhenFull makes ingest drop packets instead of blocking when the
-	// destination worker's queue (manager mode) or exchange ring (sharded
-	// mode) is full — the lossy head-of-line policy of a real NIC ring.
+	// destination worker's exchange ring is full — the lossy head-of-line
+	// policy of a real NIC ring.
 	// Dropped packets are counted against the destination worker in
 	// Report.Dropped and the telemetry registry. Default false (lossless
 	// back-pressure).
@@ -154,35 +95,30 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-// QueueSample is one occupancy observation; depths are in packets
-// (queued batches × batch size plus the manager-side partial batch).
-type QueueSample struct {
-	PacketIndex uint64
-	TS          int64
-	Depths      []int
-}
-
 // Report summarizes a completed run.
 type Report struct {
-	Packets      uint64
-	Bytes        uint64
-	WallTime     time.Duration
-	PerWorker    []uint64
-	BusyTime     []time.Duration
-	QueueSamples []QueueSample
-	// Queued counts packets enqueued to each worker by the manager;
-	// Dropped counts packets discarded for that worker because its queue
-	// was full (only non-zero with Config.DropWhenFull). For worker i,
-	// Queued[i] = PerWorker[i] and Queued[i]+Dropped[i] is the load the
-	// shard policy offered it.
+	Packets   uint64
+	Bytes     uint64
+	WallTime  time.Duration
+	PerWorker []uint64
+	// BusyTime is each worker's measurement work — hash, shard, exchange,
+	// engine. Reading the source is not in it (a paced source sleeps, a
+	// shared one waits its turn), nor is time yielded at a full ring.
+	BusyTime []time.Duration
+	// Queued counts packets that reached each worker; Dropped counts
+	// packets discarded for that worker because its exchange ring was full
+	// (only non-zero with Config.DropWhenFull). For worker i, Queued[i] =
+	// PerWorker[i] and Queued[i]+Dropped[i] is the load the shard policy
+	// offered it.
 	Queued  []uint64
 	Dropped []uint64
 }
 
 // Imbalance reports the offered-load skew across workers: the maximum
 // worker's share of (queued+dropped) packets over the mean share. 1.0 is
-// perfectly balanced; RoundRobinShard sits at ~1.0 while PopcountShard
-// inherits the binomial popcount distribution's skew.
+// perfectly balanced; a policy that sprays packets regardless of flow sits
+// at ~1.0 while PopcountShard inherits the binomial popcount
+// distribution's skew.
 func (r Report) Imbalance() float64 {
 	if len(r.Queued) == 0 {
 		return 0
@@ -244,9 +180,8 @@ func (r Report) Utilization() []float64 {
 	return out
 }
 
-// workBatch is one queued burst: the packets plus, when the shard policy
-// is hash-based, their precomputed flow hashes (index-aligned; nil under
-// a legacy ShardFunc, where workers hash for themselves).
+// workBatch is one burst bound for an engine: the packets plus their
+// precomputed flow hashes, index-aligned.
 type workBatch struct {
 	pkts   []packet.Packet
 	hashes []uint64
@@ -256,14 +191,12 @@ type workBatch struct {
 type System struct {
 	cfg     Config
 	engines []*core.Engine
-	queues  []chan workBatch
-	// recycle[w] is worker w's buffer free list: the worker pushes each
-	// spent batch back (non-blocking) and the manager prefers a recycled
-	// buffer over a fresh allocation, so the steady state moves a fixed
-	// set of buffers around instead of allocating one per flush.
-	recycle []chan workBatch
-	shard   ShardFunc // nil in hash-policy mode
-	policy  HashShardFunc
+	// rings[f][t] carries packets ingested by worker f but owned by worker
+	// t (nil for f == t), QueueDepth packets per lane. They hang here, not
+	// in the run, so Saturated and the queue-depth gauge can read them; a
+	// finished run drops their buffers.
+	rings  [][]*ring
+	policy HashShardFunc
 	// hashSeed is the flow-key hash seed shared by every worker engine:
 	// a hash computed at ingest shards the packet and then probes
 	// whichever worker's sketches and table it lands on.
@@ -302,10 +235,6 @@ func New(cfg Config) (*System, error) {
 	if hashSeed == 0 {
 		hashSeed = 0x1A57A4EA5EED // default shared hash seed
 	}
-	chanCap := cfg.QueueDepth / cfg.BatchSize
-	if chanCap < 1 {
-		chanCap = 1
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry("instameasure", cfg.Workers)
@@ -318,9 +247,7 @@ func New(cfg Config) (*System, error) {
 		cfg:           cfg,
 		flight:        rec,
 		engines:       make([]*core.Engine, cfg.Workers),
-		queues:        make([]chan workBatch, cfg.Workers),
-		recycle:       make([]chan workBatch, cfg.Workers),
-		shard:         cfg.Shard,
+		rings:         make([][]*ring, cfg.Workers),
 		policy:        cfg.HashPolicy,
 		hashSeed:      hashSeed,
 		batch:         cfg.BatchSize,
@@ -330,6 +257,14 @@ func New(cfg Config) (*System, error) {
 	}
 	packetCounters := make([]*telemetry.Counter, cfg.Workers)
 	droppedCounters := make([]*telemetry.Counter, cfg.Workers)
+	for f := range s.rings {
+		s.rings[f] = make([]*ring, cfg.Workers)
+		for t := range s.rings[f] {
+			if t != f {
+				s.rings[f][t] = newRing(cfg.QueueDepth)
+			}
+		}
+	}
 	for i := range s.engines {
 		engCfg := cfg.Engine
 		engCfg.Seed = cfg.Engine.Seed + uint64(i)*0x9E3779B97F4A7C15
@@ -342,25 +277,29 @@ func New(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("worker %d engine: %w", i, err)
 		}
 		s.engines[i] = eng
-		s.queues[i] = make(chan workBatch, chanCap)
-		// +2: every in-flight batch plus the one being processed and the
-		// one being filled can be parked here, so neither side ever blocks
-		// on the free list.
-		s.recycle[i] = make(chan workBatch, chanCap+2)
 
 		label := strconv.Itoa(i)
 		packetCounters[i] = reg.Counter("worker_packets_total",
 			"Packets processed, per worker.", "worker", label)
 		droppedCounters[i] = reg.Counter("worker_dropped_total",
-			"Packets dropped at a full worker queue (DropWhenFull policy), per worker.",
+			"Packets dropped at a full exchange ring (DropWhenFull policy), per destination worker.",
 			"worker", label)
 		s.workerPackets[i] = packetCounters[i].Shard(i)
 		s.workerDropped[i] = droppedCounters[i].Shard(i)
-		q := s.queues[i]
-		batch := cfg.BatchSize
+		// The closure holds worker i's inbound lanes, not the System: a
+		// registry can outlive its System (the process-wide flight recorder
+		// keeps every registry it instruments), and must not pin the
+		// engines' tables with it.
+		in := s.inbound(i)
 		reg.GaugeFunc("worker_queue_depth",
-			"Queued packets awaiting a worker (batches in flight x batch size).",
-			func() float64 { return float64(len(q) * batch) },
+			"Packets buffered for a worker across its inbound exchange rings.",
+			func() float64 {
+				n := 0
+				for _, r := range in {
+					n += r.len() // approximate while a run is in flight
+				}
+				return float64(n)
+			},
 			"worker", label)
 	}
 	reg.GaugeFunc("shard_imbalance",
@@ -382,21 +321,34 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// Telemetry returns the registry shared by the manager and every worker
-// engine.
+// Telemetry returns the registry shared by every worker engine.
 func (s *System) Telemetry() *telemetry.Registry { return s.telemetry }
 
 // Flight returns the recorder shared by every worker engine.
 func (s *System) Flight() *flight.Recorder { return s.flight }
 
-// Saturated is the pipeline's readiness probe: it errors when any worker
-// queue is at or above 90% of its batch capacity — sustained saturation
-// means the detection-delay bound is at risk (queueing delay is invisible
-// to per-stage timers).
+// inbound returns worker w's inbound lanes, one per other worker.
+func (s *System) inbound(w int) []*ring {
+	var in []*ring
+	for f := range s.rings {
+		if f != w {
+			in = append(in, s.rings[f][w])
+		}
+	}
+	return in
+}
+
+// Saturated is the pipeline's readiness probe: it errors when any exchange
+// lane holds 90% of QueueDepth or more — sustained saturation means the
+// detection-delay bound is at risk (queueing delay is invisible to
+// per-stage timers).
 func (s *System) Saturated() error {
-	for i, q := range s.queues {
-		if c := cap(q); c > 0 && len(q)*10 >= c*9 {
-			return fmt.Errorf("worker %d queue saturated: %d/%d batches in flight", i, len(q), c)
+	for f := range s.rings {
+		for t, r := range s.rings[f] {
+			if r != nil && r.len()*10 >= s.cfg.QueueDepth*9 {
+				return fmt.Errorf("worker %d inbound ring from worker %d saturated: %d/%d packets buffered",
+					t, f, r.len(), s.cfg.QueueDepth)
+			}
 		}
 	}
 	return nil
@@ -406,277 +358,16 @@ func (s *System) Saturated() error {
 func (s *System) Workers() int { return len(s.engines) }
 
 // ShardOf returns the worker index the system's shard policy assigns to
-// flow key k: the legacy ShardFunc when one is set, otherwise the hash
-// policy over the shared hash seed. Callers use it to locate the engine
-// owning a flow.
+// flow key k, over the shared hash seed. Callers use it to locate the
+// engine owning a flow.
 func (s *System) ShardOf(k packet.FlowKey) int {
 	p := packet.Packet{Key: k}
-	if s.shard != nil {
-		return s.shard(&p, len(s.engines))
-	}
 	return s.policy(k.Hash64(s.hashSeed), &p, len(s.engines))
 }
 
 // Engines exposes the per-worker engines for post-run inspection. Do not
 // call while Run is in flight.
 func (s *System) Engines() []*core.Engine { return s.engines }
-
-// Run drains src through the pipeline: the calling goroutine acts as the
-// manager core, workers run as goroutines, and Run returns once every
-// packet has been processed and all workers have exited.
-func (s *System) Run(src trace.Source) (Report, error) {
-	return s.RunContext(context.Background(), src)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled ingest stops
-// reading the source, flushes pending batches, and waits for the workers
-// to drain what was already queued. The report covers the packets
-// dispatched before cancellation and the returned error wraps ctx.Err().
-//
-// The ingest architecture follows Config.Ingest: shared-nothing when the
-// source is splittable (each worker reads its own stripe and exchanges
-// cross-shard packets over SPSC rings), the manager funnel otherwise.
-func (s *System) RunContext(ctx context.Context, src trace.Source) (Report, error) {
-	sharded, err := s.useSharded(src)
-	if err != nil {
-		return Report{}, err
-	}
-	if sharded {
-		return s.runSharded(ctx, src.(trace.SplittableSource))
-	}
-	return s.runManager(ctx, src)
-}
-
-// useSharded resolves the ingest mode for this source, erroring when a
-// forced mode's requirements are unmet.
-func (s *System) useSharded(src trace.Source) (bool, error) {
-	_, splittable := src.(trace.SplittableSource)
-	compatible := s.shard == nil && s.cfg.SampleEvery == 0
-	switch s.cfg.Ingest {
-	case IngestManager:
-		return false, nil
-	case IngestSharded:
-		if !splittable {
-			return false, errors.New("pipeline: IngestSharded needs a trace.SplittableSource")
-		}
-		if !compatible {
-			return false, errors.New("pipeline: IngestSharded excludes legacy Shard and SampleEvery (manager-only features)")
-		}
-		return true, nil
-	default:
-		return splittable && compatible, nil
-	}
-}
-
-// runManager is the funnel architecture: this goroutine reads the source
-// in trace order and dispatches batches to per-worker FIFO queues. With a
-// hash policy (Config.Shard nil) each packet is hashed here, once, and
-// the hash travels with it.
-func (s *System) runManager(ctx context.Context, src trace.Source) (Report, error) {
-	var wg sync.WaitGroup
-	nw := len(s.engines)
-	perWorker := make([]uint64, nw)
-	busy := make([]time.Duration, nw)
-	for i := 0; i < nw; i++ {
-		i := i
-		eng := s.engines[i]
-		q := s.queues[i]
-		recycle := s.recycle[i]
-		counter := s.workerPackets[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var n uint64
-			var b time.Duration
-			for wb := range q {
-				start := time.Now()
-				if wb.hashes != nil {
-					eng.ProcessBatchHashed(wb.pkts, wb.hashes)
-				} else {
-					eng.ProcessBatch(wb.pkts)
-				}
-				b += time.Since(start)
-				n += uint64(len(wb.pkts))
-				counter.Set(n)
-				// Hand the spent buffer back to the manager; if the free
-				// list is somehow full, let the GC have it.
-				wb.pkts = wb.pkts[:0]
-				if wb.hashes != nil {
-					wb.hashes = wb.hashes[:0]
-				}
-				select {
-				case recycle <- wb:
-				default:
-				}
-			}
-			// Publish exact totals now that this worker is done.
-			eng.FlushTelemetry()
-			perWorker[i] = n
-			busy[i] = b
-		}()
-	}
-
-	hashMode := s.shard == nil
-	pending := make([]workBatch, nw)
-	for i := range pending {
-		pending[i].pkts = make([]packet.Packet, 0, s.batch)
-		if hashMode {
-			pending[i].hashes = make([]uint64, 0, s.batch)
-		}
-	}
-	queued := make([]uint64, nw)
-	dropped := make([]uint64, nw)
-	// nextBuf prefers a buffer the worker has finished with over a fresh
-	// allocation; with the free lists primed after the first QueueDepth
-	// packets, the steady state allocates nothing per flush.
-	nextBuf := func(w int) workBatch {
-		select {
-		case wb := <-s.recycle[w]:
-			if hashMode && wb.hashes == nil {
-				wb.hashes = make([]uint64, 0, s.batch)
-			}
-			return wb
-		default:
-			wb := workBatch{pkts: make([]packet.Packet, 0, s.batch)}
-			if hashMode {
-				wb.hashes = make([]uint64, 0, s.batch)
-			}
-			return wb
-		}
-	}
-	flush := func(w int) {
-		if len(pending[w].pkts) == 0 {
-			return
-		}
-		if s.cfg.DropWhenFull {
-			select {
-			case s.queues[w] <- pending[w]:
-				queued[w] += uint64(len(pending[w].pkts))
-				pending[w] = nextBuf(w)
-			default:
-				dropped[w] += uint64(len(pending[w].pkts))
-				s.workerDropped[w].Add(uint64(len(pending[w].pkts)))
-				// The batch never left the manager; reuse it in place.
-				pending[w].pkts = pending[w].pkts[:0]
-				if pending[w].hashes != nil {
-					pending[w].hashes = pending[w].hashes[:0]
-				}
-			}
-		} else {
-			s.queues[w] <- pending[w]
-			queued[w] += uint64(len(pending[w].pkts))
-			pending[w] = nextBuf(w)
-		}
-	}
-
-	var report Report
-	// depthArena backs QueueSample.Depths in blocks of depthArenaSamples
-	// samples, replacing the per-sample allocation of the scalar manager.
-	var depthArena []int
-	const depthArenaSamples = 64
-	sample := func(ts int64) {
-		if len(depthArena) < nw {
-			depthArena = make([]int, nw*depthArenaSamples)
-		}
-		depths := depthArena[:nw:nw]
-		depthArena = depthArena[nw:]
-		for j, q := range s.queues {
-			depths[j] = len(q)*s.batch + len(pending[j].pkts)
-		}
-		report.QueueSamples = append(report.QueueSamples, QueueSample{
-			PacketIndex: report.Packets,
-			TS:          ts,
-			Depths:      depths,
-		})
-	}
-	dispatch := func(p *packet.Packet) {
-		report.Packets++
-		report.Bytes += uint64(p.Len)
-		var w int
-		if hashMode {
-			h := p.Key.Hash64(s.hashSeed)
-			w = s.policy(h, p, nw)
-			pending[w].pkts = append(pending[w].pkts, *p)
-			pending[w].hashes = append(pending[w].hashes, h)
-		} else {
-			w = s.shard(p, nw)
-			pending[w].pkts = append(pending[w].pkts, *p)
-		}
-		if len(pending[w].pkts) >= s.batch {
-			flush(w)
-		}
-		if s.cfg.SampleEvery > 0 && report.Packets%uint64(s.cfg.SampleEvery) == 0 {
-			sample(p.TS)
-		}
-	}
-
-	start := time.Now()
-	var err error
-	var cancelled bool
-	if bs, ok := src.(trace.BatchSource); ok {
-		// Bulk ingest: read a burst per interface call, then shard
-		// packet-by-packet. The context check runs once per burst.
-		readBuf := make([]packet.Packet, s.batch)
-		for {
-			select {
-			case <-ctx.Done():
-				cancelled = true
-			default:
-			}
-			if cancelled {
-				break
-			}
-			var n int
-			n, err = bs.NextBatch(readBuf)
-			for i := 0; i < n; i++ {
-				dispatch(&readBuf[i])
-			}
-			if err != nil {
-				break
-			}
-		}
-	} else {
-		// Scalar ingest for plain Sources. Check ctx every checkEvery
-		// packets — cheap enough to leave on.
-		const checkEvery = 1024
-		for {
-			if report.Packets%checkEvery == 0 {
-				select {
-				case <-ctx.Done():
-					cancelled = true
-				default:
-				}
-				if cancelled {
-					break
-				}
-			}
-			var p packet.Packet
-			p, err = src.Next()
-			if err != nil {
-				break
-			}
-			dispatch(&p)
-		}
-	}
-	for w := 0; w < nw; w++ {
-		flush(w)
-		close(s.queues[w])
-	}
-	wg.Wait()
-	report.WallTime = time.Since(start)
-	report.PerWorker = perWorker
-	report.BusyTime = busy
-	report.Queued = queued
-	report.Dropped = dropped
-
-	if cancelled {
-		return report, fmt.Errorf("pipeline cancelled: %w", ctx.Err())
-	}
-	if !errors.Is(err, io.EOF) {
-		return report, fmt.Errorf("pipeline source: %w", err)
-	}
-	return report, nil
-}
 
 // MergedSnapshot gathers live WSAF entries across every worker. Workers
 // never share flows (sharding is by source IP), so concatenation is exact.

@@ -1,15 +1,18 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"instameasure/internal/core"
 	"instameasure/internal/flowhash"
 	"instameasure/internal/packet"
+	"instameasure/internal/pcap"
 	"instameasure/internal/trace"
 )
 
@@ -31,94 +34,106 @@ func testConfig(workers int) Config {
 
 func TestPopcountShardStable(t *testing.T) {
 	p := packet.Packet{Key: packet.V4Key(0xF0F0F0F0, 1, 2, 3, packet.ProtoTCP)}
-	w := PopcountShard(&p, 4)
+	w := PopcountShard(0, &p, 4)
 	if w != flowhash.PopCount32(0xF0F0F0F0)%4 {
 		t.Errorf("shard = %d, want popcount%%4", w)
 	}
 	for i := 0; i < 10; i++ {
-		if PopcountShard(&p, 4) != w {
+		if PopcountShard(uint64(i), &p, 4) != w {
 			t.Fatal("popcount shard not stable")
 		}
 	}
 }
 
-func TestRoundRobinShardCycles(t *testing.T) {
-	shard := RoundRobinShard()
-	var p packet.Packet
-	seen := map[int]bool{}
-	for i := 0; i < 8; i++ {
-		w := shard(&p, 4)
-		if w < 0 || w >= 4 {
-			t.Fatalf("shard %d out of range", w)
-		}
-		seen[w] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("round robin visited %d of 4 workers", len(seen))
-	}
-}
-
-func TestRoundRobinShardStartsAtZero(t *testing.T) {
-	shard := RoundRobinShard()
-	var p packet.Packet
-	for i := 0; i < 9; i++ {
-		if w := shard(&p, 4); w != i%4 {
-			t.Fatalf("call %d: shard = %d, want %d", i, w, i%4)
-		}
-	}
-}
-
-// scalarOnlySource hides the BatchSource fast path so tests can force the
-// pipeline's packet-at-a-time ingest loop.
+// scalarOnlySource hides NextBatch and Split, leaving the plain Source a
+// caller might hand in: the pipeline shares it and reads it through Next.
 type scalarOnlySource struct{ inner trace.Source }
 
 func (s scalarOnlySource) Next() (packet.Packet, error) { return s.inner.Next() }
 
-func TestBatchIngestMatchesScalarIngest(t *testing.T) {
-	// The BatchSource bulk-read path must leave the system in exactly the
-	// state the scalar Next() loop does: same per-worker totals, same
-	// merged flow table.
-	tr := testTrace(t, 1200, 60_000)
+// batchOnlySource hides Split alone: a BatchSource the pipeline must share.
+type batchOnlySource struct{ inner trace.BatchSource }
 
+func (s batchOnlySource) Next() (packet.Packet, error) { return s.inner.Next() }
+func (s batchOnlySource) NextBatch(buf []packet.Packet) (int, error) {
+	return s.inner.NextBatch(buf)
+}
+
+// streamed writes tr out as a capture and hands back the stream source over
+// it — the non-splittable source the CLI's -pcap streaming path uses.
+func streamed(t testing.TB, tr *trace.Trace) *trace.PcapSource {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WritePcap(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	r, err := pcap.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace.NewPcapSource(r)
+}
+
+// sprayShard ignores flow identity: a pure function of the packet (so every
+// ingesting worker agrees) that scatters a flow's packets over all workers.
+func sprayShard(h uint64, p *packet.Packet, workers int) int {
+	return HashShard(flowhash.Mix64(h^uint64(p.TS)), p, workers)
+}
+
+// TestSharedSourceMatchesStriped: whether the workers stripe the source or
+// take turns on a shared handle (batch reads, or the Next loop of a plain
+// Source), every packet reaches the worker its shard names — same totals,
+// per-worker loads equal to the shard truth, same flows in the merged
+// table.
+func TestSharedSourceMatchesStriped(t *testing.T) {
+	tr := testTrace(t, 1200, 60_000)
+	if _, ok := tr.Source().(trace.SplittableSource); !ok {
+		t.Fatal("trace source must be splittable for this test to exercise the striped path")
+	}
 	run := func(src trace.Source) (*System, Report) {
 		t.Helper()
-		cfg := testConfig(3)
-		// Pin the funnel: this test compares the manager's two ingest
-		// loops, and only manager dispatch is order-deterministic.
-		cfg.Ingest = IngestManager
-		sys, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := mustSystem(t, testConfig(3))
 		rep, err := sys.Run(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sys, rep
 	}
-	if _, ok := tr.Source().(trace.BatchSource); !ok {
-		t.Fatal("trace source must implement BatchSource for this test to exercise the bulk path")
+	stripedSys, striped := run(tr.Source())
+	want := make([]uint64, 3)
+	for i := range tr.Packets {
+		want[stripedSys.ShardOf(tr.Packets[i].Key)]++
 	}
-	batchSys, batchRep := run(tr.Source())
-	scalarSys, scalarRep := run(scalarOnlySource{inner: tr.Source()})
-
-	if batchRep.Packets != scalarRep.Packets || batchRep.Bytes != scalarRep.Bytes {
-		t.Fatalf("totals differ: batch %d/%d, scalar %d/%d",
-			batchRep.Packets, batchRep.Bytes, scalarRep.Packets, scalarRep.Bytes)
+	flows := map[packet.FlowKey]bool{}
+	for _, e := range stripedSys.MergedSnapshot() {
+		flows[e.Key] = true
 	}
-	for w := range batchRep.PerWorker {
-		if batchRep.PerWorker[w] != scalarRep.PerWorker[w] {
-			t.Errorf("worker %d: batch %d packets, scalar %d", w, batchRep.PerWorker[w], scalarRep.PerWorker[w])
+	for name, src := range map[string]trace.Source{
+		"shared batch":  batchOnlySource{inner: tr.Source().(trace.BatchSource)},
+		"shared scalar": scalarOnlySource{inner: tr.Source()},
+		"streamed pcap": streamed(t, tr),
+	} {
+		sys, rep := run(src)
+		if rep.Packets != striped.Packets || rep.Bytes != striped.Bytes {
+			t.Fatalf("%s: totals %d/%d, striped %d/%d", name, rep.Packets, rep.Bytes, striped.Packets, striped.Bytes)
 		}
-	}
-	bm := map[packet.FlowKey]float64{}
-	for _, e := range batchSys.MergedSnapshot() {
-		bm[e.Key] = e.Pkts
-	}
-	for _, e := range scalarSys.MergedSnapshot() {
-		if bm[e.Key] != e.Pkts {
-			t.Fatalf("flow %v: batch %v pkts, scalar %v", e.Key, bm[e.Key], e.Pkts)
+		for w := range want {
+			if rep.PerWorker[w] != want[w] || striped.PerWorker[w] != want[w] {
+				t.Errorf("%s: worker %d processed %d (striped %d), shard truth %d",
+					name, w, rep.PerWorker[w], striped.PerWorker[w], want[w])
+			}
 		}
+		// Which flows pass the regulator depends on arrival order, so the
+		// tables need not be identical — but the heavy flows are in both.
+		got := map[packet.FlowKey]bool{}
+		for _, e := range sys.MergedSnapshot() {
+			got[e.Key] = true
+		}
+		tr.EachTruth(func(k packet.FlowKey, ft *trace.FlowTruth) {
+			if ft.Pkts >= 1000 && (!got[k] || !flows[k]) {
+				t.Errorf("%s: heavy flow %v (%d pkts) missing (shared %v, striped %v)", name, k, ft.Pkts, got[k], flows[k])
+			}
+		})
 	}
 }
 
@@ -257,39 +272,10 @@ func TestTotalRegulation(t *testing.T) {
 	}
 }
 
-func TestQueueSampling(t *testing.T) {
-	tr := testTrace(t, 500, 20_000)
-	cfg := testConfig(2)
-	cfg.SampleEvery = 1000
-	cfg.QueueDepth = 4096
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.Run(tr.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int(rep.Packets) / 1000
-	if len(rep.QueueSamples) != want {
-		t.Errorf("queue samples = %d, want %d", len(rep.QueueSamples), want)
-	}
-	for _, s := range rep.QueueSamples {
-		if len(s.Depths) != 2 {
-			t.Fatalf("sample has %d depths, want 2", len(s.Depths))
-		}
-		for _, d := range s.Depths {
-			if d < 0 || d > cfg.QueueDepth+256 {
-				t.Fatalf("queue depth %d out of range", d)
-			}
-		}
-	}
-}
-
-func TestRoundRobinBreaksAffinityButKeepsTotals(t *testing.T) {
+func TestSprayBreaksAffinityButKeepsTotals(t *testing.T) {
 	tr := testTrace(t, 1000, 50_000)
 	cfg := testConfig(4)
-	cfg.Shard = RoundRobinShard()
+	cfg.HashPolicy = sprayShard
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -301,10 +287,10 @@ func TestRoundRobinBreaksAffinityButKeepsTotals(t *testing.T) {
 	if rep.Packets != uint64(len(tr.Packets)) {
 		t.Errorf("packets = %d, want %d", rep.Packets, len(tr.Packets))
 	}
-	// Round robin spreads load almost perfectly evenly.
+	// Spraying spreads load evenly (binomial noise only).
 	mean := float64(rep.Packets) / 4
 	for w, n := range rep.PerWorker {
-		if math.Abs(float64(n)-mean)/mean > 0.01 {
+		if math.Abs(float64(n)-mean)/mean > 0.03 {
 			t.Errorf("worker %d processed %d, want ≈%.0f", w, n, mean)
 		}
 	}
@@ -361,7 +347,8 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel via a source wrapper after 10k packets, mid-run.
+	// Cancel via a source wrapper after 10k packets, mid-run. The wrapper
+	// is a plain Source, so the workers share it.
 	src := &cancellingSource{inner: tr.Source(), after: 10_000, cancel: cancel}
 	rep, err := sys.RunContext(ctx, src)
 	if err == nil || !errors.Is(err, context.Canceled) {
@@ -393,4 +380,37 @@ func (s *cancellingSource) Next() (packet.Packet, error) {
 		s.cancel()
 	}
 	return s.inner.Next()
+}
+
+// sleepySource blocks in every read, as a paced or a live source does.
+type sleepySource struct {
+	inner trace.BatchSource
+	nap   time.Duration
+}
+
+func (s sleepySource) Next() (packet.Packet, error) { return s.inner.Next() }
+func (s sleepySource) NextBatch(buf []packet.Packet) (int, error) {
+	time.Sleep(s.nap)
+	return s.inner.NextBatch(buf)
+}
+
+// TestBusyTimeExcludesSourceRead: time a worker spends inside the source —
+// asleep here — is not measurement work and must stay out of BusyTime, or
+// a paced run reads as 100 % utilisation.
+func TestBusyTimeExcludesSourceRead(t *testing.T) {
+	tr := testTrace(t, 200, 30*256)
+	sys := mustSystem(t, testConfig(1))
+	rep, err := sys.Run(sleepySource{inner: tr.Source().(trace.BatchSource), nap: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Packets != uint64(len(tr.Packets)) {
+		t.Fatalf("packets = %d, want %d", rep.Packets, len(tr.Packets))
+	}
+	if rep.WallTime < 30*time.Millisecond {
+		t.Fatalf("wall time %v: the source did not block", rep.WallTime)
+	}
+	if u := rep.Utilization()[0]; u <= 0 || u > 0.5 {
+		t.Errorf("utilisation %.2f with a source asleep ~all of the run; busy %v of wall %v", u, rep.BusyTime[0], rep.WallTime)
+	}
 }

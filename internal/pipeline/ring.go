@@ -95,6 +95,23 @@ func (r *ring) popBatch(dst []hpkt) int {
 // close marks the producer done. Buffered elements stay poppable.
 func (r *ring) close() { r.closed.Store(1) }
 
+// reopen readies a lane for a run: the closed flag cleared and, after an
+// earlier run released it, a buffer again. A finished run leaves every
+// lane drained, so the cursors already agree and stay where they are.
+func (r *ring) reopen() {
+	if r.buf == nil {
+		r.buf = make([]hpkt, r.mask+1)
+	}
+	r.closed.Store(0)
+}
+
+// release drops the buffer once a run has drained the lane. The cursors
+// stay readable (len, drained): the occupancy gauge holds the lanes for as
+// long as its registry lives, which can be longer than the System — the
+// process-wide flight recorder keeps every registry it instruments — and
+// should not hold QueueDepth packets per lane with them.
+func (r *ring) release() { r.buf = nil }
+
 // drained reports closed-and-empty — the consumer's termination test.
 // The closed flag is read before the cursors: racing the producer's final
 // push-then-close can only err toward "not drained yet", never toward
@@ -109,7 +126,7 @@ func (r *ring) drained() bool {
 }
 
 // len reports the buffered element count (approximate under concurrency;
-// used by occupancy telemetry only).
+// read by the occupancy gauge and the saturation probe only).
 func (r *ring) len() int {
 	return int(r.tail.Load() - r.head.Load())
 }

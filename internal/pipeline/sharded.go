@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"instameasure/internal/core"
@@ -16,48 +15,41 @@ import (
 	"instameasure/internal/trace"
 )
 
-// runSharded is the shared-nothing architecture: no manager. Each worker
-// reads bursts from its own stripe of the source, hashes every packet
-// once, keeps the packets its shard owns, and stages the rest into
-// per-destination SPSC rings. Cross-shard packets carry their hash across
-// the ring, so the receiving engine never re-hashes. Ingest capacity
-// scales with workers because no goroutine touches every packet — the
-// funnel's serial hash-and-dispatch loop, the old scaling ceiling, is
-// gone.
+// Run drains src through the pipeline and returns once every packet has
+// been processed and all workers have exited. A System serves one run.
+func (s *System) Run(src trace.Source) (Report, error) {
+	return s.RunContext(context.Background(), src)
+}
+
+// RunContext is Run with cancellation: when ctx is cancelled the workers
+// stop reading the source, flush what they staged, and drain what was
+// already exchanged. The report covers the packets read before
+// cancellation and the returned error wraps ctx.Err().
 //
-// Per-engine packet order is not deterministic here: a worker interleaves
-// its own stripe with ring arrivals as scheduling dictates. Flow totals
-// and conservation are exact regardless (each packet is processed exactly
-// once, on the worker owning its flow); only the sketches' packet-order-
-// dependent randomness varies run to run, within the same accuracy
-// envelope. Runs needing bit-reproducibility use IngestManager.
-func (s *System) runSharded(ctx context.Context, src trace.SplittableSource) (Report, error) {
+// There is no manager. Each worker reads bursts from the source — its own
+// stripe when the source can be split, one mutex-guarded turn at a time
+// when it cannot (trace.Share) — hashes every packet once, keeps the
+// packets its shard owns, and stages the rest into per-destination SPSC
+// rings. Cross-shard packets carry their hash across the ring, so the
+// receiving engine never re-hashes. No goroutine touches every packet: a
+// shared source serializes only its own read and parse, never the hash,
+// the shard or the exchange.
+//
+// Per-engine packet order is not deterministic with more than one worker:
+// a worker interleaves its own reads with ring arrivals as scheduling
+// dictates. Flow totals and conservation are exact regardless (each packet
+// is processed exactly once, on the worker its shard names); only the
+// sketches' packet-order-dependent randomness varies run to run, within
+// the same accuracy envelope. A run that must be bit-reproducible uses
+// Workers: 1 (see the package doc).
+func (s *System) RunContext(ctx context.Context, src trace.Source) (Report, error) {
 	nw := len(s.engines)
-	parts := src.Split(nw)
-
-	// rings[f][t] carries packets ingested by worker f but owned by
-	// worker t. Depth is QueueDepth packets per lane, mirroring the
-	// funnel's per-worker FIFO budget.
-	rings := make([][]*ring, nw)
-	for f := 0; f < nw; f++ {
-		rings[f] = make([]*ring, nw)
-		for t := 0; t < nw; t++ {
-			if t != f {
-				rings[f][t] = newRing(s.cfg.QueueDepth)
-			}
-		}
+	var parts []trace.BatchSource
+	if sp, ok := src.(trace.SplittableSource); ok {
+		parts = sp.Split(nw)
+	} else {
+		parts = trace.Share(src, nw)
 	}
-
-	var cancelled atomic.Bool
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			cancelled.Store(true)
-		case <-stop:
-		}
-	}()
 
 	workers := make([]*shardWorker, nw)
 	for i := 0; i < nw; i++ {
@@ -66,23 +58,25 @@ func (s *System) runSharded(ctx context.Context, src trace.SplittableSource) (Re
 			sys:       s,
 			eng:       s.engines[i],
 			part:      parts[i],
-			in:        make([]*ring, nw),
-			out:       rings[i],
+			in:        s.inbound(i),
+			out:       s.rings[i],
 			outBuf:    make([][]hpkt, nw),
 			popBuf:    make([]hpkt, s.batch),
 			readBuf:   make([]packet.Packet, s.batch),
 			drops:     make([]uint64, nw),
 			counter:   s.workerPackets[i],
 			dropCount: s.workerDropped[i],
-			cancelled: &cancelled,
+			ctx:       ctx,
 			yield:     nw > runtime.NumCPU(),
 		}
 		w.local.pkts = make([]packet.Packet, 0, s.batch)
 		w.local.hashes = make([]uint64, 0, s.batch)
-		for f := 0; f < nw; f++ {
-			w.in[f] = rings[f][i]
-			if f != i {
-				w.outBuf[f] = make([]hpkt, 0, outStage)
+		for _, r := range w.in {
+			r.reopen() // a run leaves its lanes closed, drained and released
+		}
+		for t := range w.outBuf {
+			if t != i {
+				w.outBuf[t] = make([]hpkt, 0, outStage)
 			}
 		}
 		workers[i] = w
@@ -91,7 +85,6 @@ func (s *System) runSharded(ctx context.Context, src trace.SplittableSource) (Re
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, w := range workers {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -107,16 +100,14 @@ func (s *System) runSharded(ctx context.Context, src trace.SplittableSource) (Re
 		Dropped:   make([]uint64, nw),
 	}
 	var err error
+	cancelled := false
 	for i, w := range workers {
 		// Packets/Bytes count everything read from the source: processed
-		// plus dropped, matching the manager funnel's accounting.
+		// plus dropped.
 		report.Packets += w.packets
 		report.Bytes += w.bytes + w.dropBytes
 		report.PerWorker[i] = w.packets
-		report.BusyTime[i] = w.busy - w.blocked
-		if report.BusyTime[i] < 0 {
-			report.BusyTime[i] = 0
-		}
+		report.BusyTime[i] = max(w.busy-w.blocked, 0)
 		report.Queued[i] = w.packets
 		for t, d := range w.drops {
 			report.Dropped[t] += d
@@ -125,10 +116,14 @@ func (s *System) runSharded(ctx context.Context, src trace.SplittableSource) (Re
 		if err == nil && w.err != nil {
 			err = w.err
 		}
+		cancelled = cancelled || w.cancelled
+		for _, r := range w.in {
+			r.release()
+		}
 	}
 	report.WallTime = time.Since(start)
 
-	if cancelled.Load() {
+	if cancelled {
 		return report, fmt.Errorf("pipeline cancelled: %w", ctx.Err())
 	}
 	if err != nil {
@@ -151,7 +146,7 @@ type shardWorker struct {
 	eng  *core.Engine
 	part trace.BatchSource
 
-	in     []*ring  // in[f]: packets worker f ingested for us (nil for f==id)
+	in     []*ring  // inbound lanes: packets the other workers ingested for us
 	out    []*ring  // out[t]: our lane to worker t (nil for t==id)
 	outBuf [][]hpkt // staging per destination
 
@@ -174,11 +169,12 @@ type shardWorker struct {
 	// built on; yielding at the window boundary keeps windows clean (a
 	// freshly scheduled goroutine isn't preempted for ~10ms, far longer
 	// than one burst).
-	yield bool
+	yield     bool
+	cancelled bool // this worker saw ctx cancelled and stopped reading
 
 	counter   telemetry.CounterShard
 	dropCount telemetry.CounterShard
-	cancelled *atomic.Bool
+	ctx       context.Context // the run's; polled once per burst
 }
 
 func (w *shardWorker) run() {
@@ -190,13 +186,20 @@ func (w *shardWorker) run() {
 		t0 := time.Now()
 		did := w.drainIn()
 
+		// The source read is timed apart and kept out of busy: a paced
+		// source sleeps in it and a shared one waits its turn, and neither
+		// is measurement work.
+		var read time.Duration
 		if !srcDone {
+			r0 := time.Now()
 			n, err := w.part.NextBatch(w.readBuf)
+			read = time.Since(r0)
 			if n > 0 {
 				did = true
 				w.ingest(w.readBuf[:n])
 			}
-			if err != nil || w.cancelled.Load() {
+			w.cancelled = w.ctx.Err() != nil
+			if err != nil || w.cancelled {
 				if err != nil && !errors.Is(err, io.EOF) {
 					w.err = err
 				}
@@ -212,13 +215,13 @@ func (w *shardWorker) run() {
 			}
 		}
 		if did {
-			w.busy += time.Since(t0)
+			w.busy += time.Since(t0) - read
 		}
 
 		if srcDone {
 			alive := false
 			for _, r := range w.in {
-				if r != nil && !r.drained() {
+				if !r.drained() {
 					alive = true
 					break
 				}
@@ -319,9 +322,6 @@ func (w *shardWorker) flushOut(t int) {
 func (w *shardWorker) drainIn() bool {
 	did := false
 	for _, r := range w.in {
-		if r == nil {
-			continue
-		}
 		for {
 			n := r.popBatch(w.popBuf)
 			if n == 0 {

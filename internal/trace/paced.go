@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"io"
 	"time"
 
 	"instameasure/internal/packet"
@@ -66,25 +65,9 @@ func (p *pacedSource) NextBatch(buf []packet.Packet) (int, error) {
 	if len(buf) > p.chunk {
 		buf = buf[:p.chunk]
 	}
-	var n int
-	var err error
-	if bs, ok := p.src.(BatchSource); ok {
-		n, err = bs.NextBatch(buf)
-	} else {
-		for n < len(buf) {
-			var pkt packet.Packet
-			pkt, err = p.src.Next()
-			if err != nil {
-				break
-			}
-			buf[n] = pkt
-			n++
-		}
-		if n > 0 {
-			err = nil // deliver the partial read; the source re-errors next call
-		} else if err == nil {
-			err = io.EOF
-		}
+	n, err := readBatch(p.src, buf)
+	if n > 0 {
+		err = nil // deliver the partial read; the source re-errors next call
 	}
 	p.count += n
 	return n, err

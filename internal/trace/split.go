@@ -2,6 +2,8 @@ package trace
 
 import (
 	"io"
+	"runtime"
+	"sync"
 
 	"instameasure/internal/packet"
 )
@@ -26,7 +28,8 @@ type SplittableSource interface {
 
 // Split divides the replay source's remaining packets into parts by
 // striping SplitChunk-sized runs round-robin. sliceSource implements
-// SplittableSource; pcap streams do not (one decoder owns the file).
+// SplittableSource; pcap streams do not (one decoder owns the file) and
+// are shared instead (Share).
 func (s *sliceSource) Split(parts int) []BatchSource {
 	if parts < 1 {
 		parts = 1
@@ -38,6 +41,76 @@ func (s *sliceSource) Split(parts int) []BatchSource {
 		out[i] = &stripeSource{pkts: rem, next: i * SplitChunk, stride: parts * SplitChunk}
 	}
 	return out
+}
+
+// Share is Split for a source that cannot be divided (a pcap stream, a
+// paced source, any caller-supplied Source): every part is the same
+// handle, and each NextBatch pulls one burst from src under a mutex, so
+// the workers take turns reading and every packet goes to exactly one of
+// them. Only the read is serialized — the lock is released before the
+// caller touches the burst. Once src errors, every later read by any
+// worker returns that error.
+func Share(src Source, parts int) []BatchSource {
+	out := make([]BatchSource, max(parts, 1))
+	shared := &sharedSource{src: src}
+	for i := range out {
+		out[i] = shared
+	}
+	return out
+}
+
+type sharedSource struct {
+	mu  sync.Mutex
+	src Source
+	err error // the error that ended src; sticky
+}
+
+func (s *sharedSource) Next() (packet.Packet, error) {
+	var one [1]packet.Packet
+	_, err := s.NextBatch(one[:])
+	return one[0], err
+}
+
+func (s *sharedSource) NextBatch(buf []packet.Packet) (int, error) {
+	// Poll for the turn rather than park: a turn lasts one burst (tens of
+	// microseconds), a parked worker costs a futex round trip per burst —
+	// 130 against 76 ns/packet for two workers on a capture, measured —
+	// and the pipeline's workers yield-and-poll wherever else they wait.
+	for !s.mu.TryLock() {
+		runtime.Gosched()
+	}
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return 0, s.err
+	}
+	// The one call made under the lock, and the lock's whole purpose: src
+	// has a single reader's state. src may block here (a paced source
+	// sleeps); the other workers then wait their turn, which is the pacing
+	// — polling, so a long block costs them their cores, as idling does
+	// everywhere in the pipeline.
+	n, err := readBatch(s.src, buf)
+	s.err = err
+	if n > 0 {
+		return n, nil // packets first; the error follows on the next read
+	}
+	return 0, err
+}
+
+// readBatch fills buf with one burst from src: a single NextBatch call for
+// a BatchSource, a Next loop otherwise. The loop hands back the packets it
+// read together with the error that ended it; the caller holds the error
+// back, as the BatchSource contract requires.
+func readBatch(src Source, buf []packet.Packet) (n int, err error) {
+	if bs, ok := src.(BatchSource); ok {
+		return bs.NextBatch(buf)
+	}
+	for n < len(buf) {
+		if buf[n], err = src.Next(); err != nil {
+			break
+		}
+		n++
+	}
+	return n, err
 }
 
 // stripeSource replays every SplitChunk-run of packets whose chunk index

@@ -29,7 +29,7 @@ type Source interface {
 }
 
 // BatchSource is an optional Source extension for bulk consumers: the
-// pipeline manager reads whole bursts through it, paying one interface
+// pipeline workers read whole bursts through it, paying one interface
 // call per batch instead of one per packet. NextBatch fills buf from the
 // front, returning how many packets were written. A short count with a nil
 // error is a partial read (e.g. the tail of the stream); errors — io.EOF

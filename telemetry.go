@@ -108,8 +108,8 @@ func (m *Meter) Telemetry() *Telemetry {
 	return &Telemetry{reg: m.eng.Telemetry()}
 }
 
-// Telemetry returns the cluster-wide metrics registry shared by the
-// manager and every worker; per-worker series carry a worker label.
+// Telemetry returns the cluster-wide metrics registry shared by every
+// worker; per-worker series carry a worker label.
 func (c *Cluster) Telemetry() *Telemetry {
 	return &Telemetry{reg: c.sys.Telemetry()}
 }
