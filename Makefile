@@ -122,14 +122,17 @@ bench-json:
 		$(GO) run ./cmd/benchjson -guard -o BENCH_hotpath.json \
 		$$(test -f BENCH_hotpath.json && echo -baseline BENCH_hotpath.json)
 
-# bench-layers archives the per-layer microbenchmarks of the path a packet
-# takes before the meter — pcap record read, frame parse, and the whole
-# materialised ReadPcap, one frame per op — as BENCH_layers.json, the first
-# rows of ROADMAP's layered ledger. Baseline handling and -guard are
-# bench-json's: the archived baseline section (the parent commit of the PR
-# that added these rows, measured on the same host) carries over, and a
-# >10% Mframes/s drop against it fails the target.
-BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap
+# bench-layers archives the per-layer microbenchmarks around the meter as
+# BENCH_layers.json, rows of ROADMAP's layered ledger: before it, the path
+# a packet takes — pcap record read, frame parse, and the whole
+# materialised ReadPcap, one frame per op; after it, the cut and the query
+# — table snapshot, engine top-1k and snapshot export on a 2^20-slot table
+# at ~0.3 % and ~3 % load, one whole walk per op (their Mpps is live
+# entries visited per second). Baseline handling and -guard are
+# bench-json's: the archived baseline section (each row measured on the
+# parent commit of the PR that added it, on the same host) carries over,
+# and a >10% Mpps drop against it fails the target.
+BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot
 bench-layers:
 	$(GO) test -bench '^Benchmark($(BENCH_LAYERS))$$' -benchmem -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -guard -o BENCH_layers.json \

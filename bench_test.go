@@ -255,6 +255,123 @@ func BenchmarkFlowKeyHash(b *testing.B) {
 	}
 }
 
+// Cut-and-query benchmarks, one whole snapshot / top-k / export per b.N, on
+// the paper's 2^20-slot table at the two loads the repository benchmark
+// runs it at: ~0.3 % (zipf_hot) and ~3 % (mice_churn). Rows of the layered
+// ledger (make bench-layers).
+
+var sparseLoads = []struct {
+	name string
+	live int
+}{
+	{"load0.3pct", 3_146},
+	{"load3pct", 31_457},
+}
+
+// fillSparse tops tab up to live entries with synthetic flows of varied
+// size, so a top-k over it has work to do.
+func fillSparse(tab *wsaf.Table, live int, now int64) {
+	for i := 0; tab.Len() < live; i++ {
+		k := packet.V4Key(0x0A000000+uint32(i), 0x08080808, uint16(i), 443, packet.ProtoTCP)
+		tab.Accumulate(k, float64(10+i%977), float64(1000+i%7919), now)
+	}
+}
+
+// ageTable leaves every page of tab's slot array written, as on a meter
+// past its first windows: memory never written reads back from the
+// kernel's one shared zero page, which would flatter any pass over empty
+// slots.
+func ageTable(tab *wsaf.Table) {
+	fillSparse(tab, tab.Capacity()*3/4, 1)
+	tab.Reset()
+}
+
+// sparseEngine is an engine whose aged table holds live flows: the bench
+// trace first, so a hot cache (when on) is populated the way traffic
+// populates it, then synthetic flows up to the load.
+func sparseEngine(b *testing.B, tr *trace.Trace, live, hotCache int) *core.Engine {
+	b.Helper()
+	eng := core.MustNew(core.Config{HotCacheEntries: hotCache, Seed: 1})
+	ageTable(eng.Table())
+	const burst = 256
+	for i := 0; i < len(tr.Packets); i += burst {
+		eng.ProcessBatch(tr.Packets[i:min(i+burst, len(tr.Packets))])
+	}
+	if eng.Table().Len() > live {
+		b.Fatalf("bench trace alone leaves %d live flows, above the %d-flow load", eng.Table().Len(), live)
+	}
+	fillSparse(eng.Table(), live, eng.LastTS())
+	return eng
+}
+
+// reportMentries adds live entries visited per second in the unit
+// cmd/benchjson guards.
+func reportMentries(b *testing.B, live int) {
+	b.ReportMetric(float64(b.N)*float64(live)*1e3/float64(b.Elapsed().Nanoseconds()), "Mpps")
+}
+
+// forSparseEngines runs fn once per load, with and without the hot cache.
+func forSparseEngines(b *testing.B, fn func(b *testing.B, eng *core.Engine)) {
+	tr := benchTrace(b)
+	for _, load := range sparseLoads {
+		for _, cache := range []struct {
+			name    string
+			entries int
+		}{{"uncached", 0}, {"cached", 4096}} {
+			eng := sparseEngine(b, tr, load.live, cache.entries)
+			b.Run(load.name+"/"+cache.name, func(b *testing.B) {
+				b.ReportAllocs()
+				fn(b, eng)
+				reportMentries(b, load.live)
+			})
+		}
+	}
+}
+
+// BenchmarkWSAFSnapshotSparse is the table walk alone: copy every live
+// entry out of a table that is almost all empty slots.
+func BenchmarkWSAFSnapshotSparse(b *testing.B) {
+	for _, load := range sparseLoads {
+		tab := wsaf.MustNew(wsaf.Config{Entries: 1 << 20})
+		ageTable(tab)
+		fillSparse(tab, load.live, 1)
+		b.Run(load.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if snap := tab.Snapshot(0); len(snap) != load.live {
+					b.Fatalf("snapshot holds %d entries, want %d", len(snap), load.live)
+				}
+			}
+			reportMentries(b, load.live)
+		})
+	}
+}
+
+// BenchmarkEngineTopK1k is the query: the 1 000 largest flows by packets,
+// hot-cache deltas merged in when the cache is on.
+func BenchmarkEngineTopK1k(b *testing.B) {
+	forSparseEngines(b, func(b *testing.B, eng *core.Engine) {
+		for i := 0; i < b.N; i++ {
+			if top := eng.TopKPackets(1000); len(top) != 1000 {
+				b.Fatalf("top-k holds %d entries", len(top))
+			}
+		}
+	})
+}
+
+// BenchmarkExportSnapshot is the epoch cut: walk, convert to export
+// records and encode the snapshot file to a writer that discards.
+func BenchmarkExportSnapshot(b *testing.B) {
+	forSparseEngines(b, func(b *testing.B, eng *core.Engine) {
+		m := &Meter{eng: eng}
+		for i := 0; i < b.N; i++ {
+			if err := m.ExportSnapshot(io.Discard, int64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // Wire-path benchmarks, one frame per b.N: the first rows of the layered
 // ledger (make bench-layers).
 

@@ -22,17 +22,7 @@ func NewCollector(addr string, onBatch func(epoch int64, flows []FlowRecord)) (*
 	var hook func(export.Batch)
 	if onBatch != nil {
 		hook = func(b export.Batch) {
-			flows := make([]FlowRecord, len(b.Records))
-			for i, rec := range b.Records {
-				flows[i] = FlowRecord{
-					Key:        rec.Key,
-					Pkts:       rec.Pkts,
-					Bytes:      rec.Bytes,
-					FirstSeen:  rec.FirstSeen,
-					LastUpdate: rec.LastUpdate,
-				}
-			}
-			onBatch(b.Epoch, flows)
+			onBatch(b.Epoch, fromExport(b.Records))
 		}
 	}
 	c, err := export.NewCollector(addr, hook)
@@ -52,14 +42,8 @@ func (c *Collector) Addr() string { return c.c.Addr() }
 func (c *Collector) Flows() []FlowRecord {
 	m := c.c.Flows()
 	out := make([]FlowRecord, 0, len(m))
-	for key, rec := range m {
-		out = append(out, FlowRecord{
-			Key:        key,
-			Pkts:       rec.Pkts,
-			Bytes:      rec.Bytes,
-			FirstSeen:  rec.FirstSeen,
-			LastUpdate: rec.LastUpdate,
-		})
+	for _, rec := range m {
+		out = append(out, FlowRecord(rec))
 	}
 	return out
 }
@@ -93,11 +77,7 @@ func DialCollector(addr string) (*Exporter, error) {
 // inside the exporter.
 func (e *Exporter) ExportMeter(m *Meter, epoch int64) error {
 	start := time.Now()
-	snap := m.eng.Snapshot()
-	records := make([]export.Record, len(snap))
-	for i, entry := range snap {
-		records[i] = export.FromEntry(entry)
-	}
+	records, _ := cut(m.eng)
 	m.eng.Flight().EventAt(start, flight.StageEncode, epoch,
 		uint32(len(records)), 0, uint64(time.Since(start)))
 	if err := e.e.Export(export.Batch{Epoch: epoch, Records: records}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"instameasure/internal/core"
 	"instameasure/internal/export"
 	"instameasure/internal/flight"
 	"instameasure/internal/store"
@@ -112,14 +113,7 @@ func (f *FlowStore) EpochFlows(epoch int64) (flows []FlowRecord, activity WSAFAc
 	if err != nil || !ok {
 		return nil, WSAFActivity{}, ok, err
 	}
-	flows = make([]FlowRecord, len(recs))
-	for i, r := range recs {
-		flows[i] = FlowRecord{Key: r.Key, Pkts: r.Pkts, Bytes: r.Bytes, FirstSeen: r.FirstSeen, LastUpdate: r.LastUpdate}
-	}
-	return flows, WSAFActivity{
-		Updates: stats.Updates, Inserts: stats.Inserts,
-		Expirations: stats.Expirations, Evictions: stats.Evictions, Drops: stats.Drops,
-	}, true, nil
+	return fromExport(recs), WSAFActivity(stats), true, nil
 }
 
 // Sync flushes the active segment to stable storage.
@@ -162,24 +156,16 @@ func (m *Meter) Store() *FlowStore { return m.store }
 // the attached store as epoch's snapshot. Counters are cumulative, so a
 // committed epoch carries totals since start — the store's windowed
 // queries difference them.
-func (m *Meter) CommitEpoch(epoch int64) error {
-	if m.store == nil {
+func (m *Meter) CommitEpoch(epoch int64) error { return m.store.commit(epoch, m.eng) }
+
+// commit appends the engines' cut as epoch's snapshot; f is the attached
+// store and may be nil.
+func (f *FlowStore) commit(epoch int64, engines ...*core.Engine) error {
+	if f == nil {
 		return fmt.Errorf("instameasure: no store attached (use WithStore)")
 	}
-	snap := m.eng.Snapshot()
-	records := make([]export.Record, len(snap))
-	for i, e := range snap {
-		records[i] = export.FromEntry(e)
-	}
-	ts := m.eng.Table().Stats()
-	err := m.store.st.Append(epoch, records, export.TableStats{
-		Updates:     ts.Updates,
-		Inserts:     ts.Inserts,
-		Expirations: ts.Reclaims,
-		Evictions:   ts.Evictions,
-		Drops:       ts.Drops,
-	})
-	if err != nil {
+	records, stats := cut(engines...)
+	if err := f.st.Append(epoch, records, stats); err != nil {
 		return fmt.Errorf("instameasure: %w", err)
 	}
 	return nil
@@ -205,27 +191,7 @@ func (c *Cluster) Store() *FlowStore { return c.store }
 // CommitEpoch appends the cluster's merged flow table (and activity
 // summed across workers) to the attached store as epoch's snapshot.
 func (c *Cluster) CommitEpoch(epoch int64) error {
-	if c.store == nil {
-		return fmt.Errorf("instameasure: no store attached (use WithStore)")
-	}
-	snap := c.sys.MergedSnapshot()
-	records := make([]export.Record, len(snap))
-	for i, e := range snap {
-		records[i] = export.FromEntry(e)
-	}
-	var stats export.TableStats
-	for _, eng := range c.sys.Engines() {
-		ts := eng.Table().Stats()
-		stats.Updates += ts.Updates
-		stats.Inserts += ts.Inserts
-		stats.Expirations += ts.Reclaims
-		stats.Evictions += ts.Evictions
-		stats.Drops += ts.Drops
-	}
-	if err := c.store.st.Append(epoch, records, stats); err != nil {
-		return fmt.Errorf("instameasure: %w", err)
-	}
-	return nil
+	return c.store.commit(epoch, c.sys.Engines()...)
 }
 
 // WithStore attaches an open store as the collector's sink: every batch

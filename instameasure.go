@@ -34,6 +34,7 @@ import (
 	"instameasure/internal/export"
 	"instameasure/internal/packet"
 	"instameasure/internal/pipeline"
+	"instameasure/internal/topk"
 	"instameasure/internal/trace"
 	"instameasure/internal/wsaf"
 )
@@ -122,15 +123,7 @@ type FlowRecord struct {
 	LastUpdate int64
 }
 
-func toRecord(e wsaf.Entry) FlowRecord {
-	return FlowRecord{
-		Key:        e.Key,
-		Pkts:       e.Pkts,
-		Bytes:      e.Bytes,
-		FirstSeen:  e.FirstSeen,
-		LastUpdate: e.LastUpdate,
-	}
-}
+func toRecord(e wsaf.Entry) FlowRecord { return FlowRecord(export.FromEntry(e)) }
 
 // HeavyHitterEvent reports a flow crossing a detection threshold.
 type HeavyHitterEvent struct {
@@ -316,14 +309,7 @@ func (m *Meter) Lookup(key FlowKey) (FlowRecord, bool) {
 }
 
 // Flows returns all measured flows currently resident in the WSAF.
-func (m *Meter) Flows() []FlowRecord {
-	snap := m.eng.Snapshot()
-	out := make([]FlowRecord, len(snap))
-	for i, e := range snap {
-		out[i] = toRecord(e)
-	}
-	return out
-}
+func (m *Meter) Flows() []FlowRecord { return records(m.eng.Snapshot()) }
 
 // TopKPackets returns the k largest flows by packet count, largest first.
 func (m *Meter) TopKPackets(k int) []FlowRecord {
@@ -376,19 +362,33 @@ func (m *Meter) Reset() { m.eng.Reset() }
 // recording the table's update/insert/expiration/eviction activity;
 // pre-trailer readers simply stop at the flow records.
 func (m *Meter) ExportSnapshot(w io.Writer, epoch int64) error {
-	snap := m.eng.Snapshot()
-	records := make([]export.Record, len(snap))
-	for i, e := range snap {
-		records[i] = export.FromEntry(e)
+	return writeSnapshot(w, epoch, m.eng)
+}
+
+// cut walks the engines' live flows once into export records and sums
+// their WSAF activity: the body of every epoch cut — snapshot file, store
+// commit, collector export — for a Meter (one engine) and a Cluster alike.
+func cut(engines ...*core.Engine) ([]export.Record, export.TableStats) {
+	live := 0
+	for _, eng := range engines {
+		live += eng.Table().Len()
 	}
-	ts := m.eng.Table().Stats()
-	stats := export.TableStats{
-		Updates:     ts.Updates,
-		Inserts:     ts.Inserts,
-		Expirations: ts.Reclaims,
-		Evictions:   ts.Evictions,
-		Drops:       ts.Drops,
+	records := make([]export.Record, 0, live)
+	var stats export.TableStats
+	for _, eng := range engines {
+		eng.Each(func(e *wsaf.Entry) { records = append(records, export.FromEntry(*e)) })
+		ts := eng.Table().Stats()
+		stats.Updates += ts.Updates
+		stats.Inserts += ts.Inserts
+		stats.Expirations += ts.Reclaims
+		stats.Evictions += ts.Evictions
+		stats.Drops += ts.Drops
 	}
+	return records, stats
+}
+
+func writeSnapshot(w io.Writer, epoch int64, engines ...*core.Engine) error {
+	records, stats := cut(engines...)
 	if err := export.WriteSnapshotStats(w, epoch, records, stats); err != nil {
 		return fmt.Errorf("instameasure: %w", err)
 	}
@@ -432,28 +432,22 @@ func ReadSnapshotDetail(r io.Reader) (SnapshotInfo, error) {
 	if err != nil {
 		return SnapshotInfo{}, fmt.Errorf("instameasure: %w", err)
 	}
-	info := SnapshotInfo{
-		Records:  make([]FlowRecord, len(b.Records)),
+	return SnapshotInfo{
+		Records:  fromExport(b.Records),
 		Epoch:    b.Epoch,
 		HasStats: hasStats,
-		Stats: WSAFActivity{
-			Updates:     stats.Updates,
-			Inserts:     stats.Inserts,
-			Expirations: stats.Expirations,
-			Evictions:   stats.Evictions,
-			Drops:       stats.Drops,
-		},
+		Stats:    WSAFActivity(stats),
+	}, nil
+}
+
+// fromExport converts wire records; a FlowRecord is an export.Record field
+// for field.
+func fromExport(recs []export.Record) []FlowRecord {
+	out := make([]FlowRecord, len(recs))
+	for i, rec := range recs {
+		out[i] = FlowRecord(rec)
 	}
-	for i, rec := range b.Records {
-		info.Records[i] = FlowRecord{
-			Key:        rec.Key,
-			Pkts:       rec.Pkts,
-			Bytes:      rec.Bytes,
-			FirstSeen:  rec.FirstSeen,
-			LastUpdate: rec.LastUpdate,
-		}
-	}
-	return info, nil
+	return out
 }
 
 func records(entries []wsaf.Entry) []FlowRecord {
@@ -574,12 +568,12 @@ func (c *Cluster) Flows() []FlowRecord {
 
 // TopKPackets returns the cluster-wide k largest flows by packets.
 func (c *Cluster) TopKPackets(k int) []FlowRecord {
-	return clusterTopK(c, k, func(r *FlowRecord) float64 { return r.Pkts })
+	return c.topK(k, func(e *wsaf.Entry) float64 { return e.Pkts })
 }
 
 // TopKBytes returns the cluster-wide k largest flows by bytes.
 func (c *Cluster) TopKBytes(k int) []FlowRecord {
-	return clusterTopK(c, k, func(r *FlowRecord) float64 { return r.Bytes })
+	return c.topK(k, func(e *wsaf.Entry) float64 { return e.Bytes })
 }
 
 // ExportSnapshot writes the cluster's merged flow table as a snapshot
@@ -587,31 +581,13 @@ func (c *Cluster) TopKBytes(k int) []FlowRecord {
 // trailer summed across workers — readable by wsafdump and
 // ReadSnapshotDetail.
 func (c *Cluster) ExportSnapshot(w io.Writer, epoch int64) error {
-	snap := c.sys.MergedSnapshot()
-	records := make([]export.Record, len(snap))
-	for i, e := range snap {
-		records[i] = export.FromEntry(e)
-	}
-	var stats export.TableStats
-	for _, eng := range c.sys.Engines() {
-		ts := eng.Table().Stats()
-		stats.Updates += ts.Updates
-		stats.Inserts += ts.Inserts
-		stats.Expirations += ts.Reclaims
-		stats.Evictions += ts.Evictions
-		stats.Drops += ts.Drops
-	}
-	if err := export.WriteSnapshotStats(w, epoch, records, stats); err != nil {
-		return fmt.Errorf("instameasure: %w", err)
-	}
-	return nil
+	return writeSnapshot(w, epoch, c.sys.Engines()...)
 }
 
-func clusterTopK(c *Cluster, k int, metric func(*FlowRecord) float64) []FlowRecord {
-	all := c.Flows()
-	sortRecords(all, metric)
-	if k < len(all) {
-		all = all[:k]
-	}
-	return all
+// topK selects across the workers' walks: only the k survivors are copied.
+// Flows of equal metric come lower worker, then that engine's order, first.
+func (c *Cluster) topK(k int, metric func(*wsaf.Entry) float64) []FlowRecord {
+	sel := topk.New[wsaf.Entry](k)
+	c.sys.Each(func(e *wsaf.Entry) { sel.Offer(metric(e), e) })
+	return records(sel.Sorted())
 }

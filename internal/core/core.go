@@ -10,8 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"instameasure/internal/flight"
@@ -21,6 +22,7 @@ import (
 	"instameasure/internal/packet"
 	"instameasure/internal/rcc"
 	"instameasure/internal/telemetry"
+	"instameasure/internal/topk"
 	"instameasure/internal/wsaf"
 )
 
@@ -772,26 +774,35 @@ func (e *Engine) Lookup(key packet.FlowKey) (wsaf.Entry, bool) {
 	return entry, ok
 }
 
-// Snapshot returns all live flows as one coherent table: the WSAF
-// entries with each promoted flow's exact cache delta merged in. Epoch
-// export and the store see this merged view, so the cache tier is
-// invisible downstream.
-func (e *Engine) Snapshot() []wsaf.Entry {
-	snap := e.table.Snapshot(e.lastTS)
+// Each calls fn for every live flow as one coherent table: the WSAF
+// entries in ascending slot order, each promoted flow's exact cache delta
+// merged in, then the cached flows whose WSAF entry is gone. Epoch export,
+// the store and top-k all read this merged view, so the cache tier is
+// invisible downstream. The pointer is valid only during the call.
+//
+// The merge costs the cache, not the table: each cached flow is resolved
+// to its slot with its stored hash (one probe, no rehash), the resolved
+// deltas are sorted by slot, and the table walk — itself in slot order —
+// consumes them as a merge join.
+func (e *Engine) Each(fn func(*wsaf.Entry)) {
 	if e.cache == nil || e.cache.Len() == 0 {
-		return snap
+		e.table.Each(e.lastTS, func(_ int, en *wsaf.Entry) { fn(en) })
+		return
 	}
-	idx := make(map[packet.FlowKey]int, len(snap))
-	for i := range snap {
-		idx[snap[i].Key] = i
+	type delta struct {
+		slot       int
+		pkts       float64
+		bytes      float64
+		lastUpdate int64
 	}
+	deltas := make([]delta, 0, e.cache.Len())
+	var orphans []wsaf.Entry
+	// Each cached flow's probe is a DRAM miss; hinting them all first lets
+	// the misses overlap instead of serializing behind the probe loop.
+	e.cache.Each(func(ce *hotcache.Entry) { e.table.PrefetchHashed(ce.Hash) })
 	e.cache.Each(func(ce *hotcache.Entry) {
-		if i, ok := idx[ce.Key]; ok {
-			snap[i].Pkts += float64(ce.Pkts)
-			snap[i].Bytes += float64(ce.Bytes)
-			if ce.LastUpdate > snap[i].LastUpdate {
-				snap[i].LastUpdate = ce.LastUpdate
-			}
+		if slot := e.table.SlotHashed(ce.Hash, ce.Key, e.lastTS); slot >= 0 {
+			deltas = append(deltas, delta{slot, float64(ce.Pkts), float64(ce.Bytes), ce.LastUpdate})
 			return
 		}
 		if ce.Pkts == 0 && ce.Bytes == 0 {
@@ -799,46 +810,57 @@ func (e *Engine) Snapshot() []wsaf.Entry {
 		}
 		// The pre-promotion WSAF entry expired (TTL) or was evicted;
 		// the exact cached segment still represents a live flow.
-		h := ce.Hash
-		snap = append(snap, wsaf.Entry{
-			FlowID:     uint32(h ^ (h >> 32)),
-			Key:        ce.Key,
-			Pkts:       float64(ce.Pkts),
-			Bytes:      float64(ce.Bytes),
-			FirstSeen:  ce.FirstSeen,
-			LastUpdate: ce.LastUpdate,
+		orphans = append(orphans, wsaf.Entry{
+			FlowID: uint32(ce.Hash ^ (ce.Hash >> 32)), Key: ce.Key,
+			Pkts: float64(ce.Pkts), Bytes: float64(ce.Bytes),
+			FirstSeen: ce.FirstSeen, LastUpdate: ce.LastUpdate,
 		})
 	})
-	return snap
+	slices.SortFunc(deltas, func(a, b delta) int { return cmp.Compare(a.slot, b.slot) })
+	var merged wsaf.Entry
+	e.table.Each(e.lastTS, func(slot int, en *wsaf.Entry) {
+		if len(deltas) == 0 || deltas[0].slot != slot {
+			fn(en)
+			return
+		}
+		merged = *en
+		for ; len(deltas) > 0 && deltas[0].slot == slot; deltas = deltas[1:] {
+			d := &deltas[0]
+			merged.Pkts += d.pkts
+			merged.Bytes += d.bytes
+			merged.LastUpdate = max(merged.LastUpdate, d.lastUpdate)
+		}
+		fn(&merged)
+	})
+	for i := range orphans {
+		fn(&orphans[i])
+	}
+}
+
+// Snapshot returns a copy of every live flow, in Each's order.
+func (e *Engine) Snapshot() []wsaf.Entry {
+	out := make([]wsaf.Entry, 0, e.table.Len())
+	e.Each(func(en *wsaf.Entry) { out = append(out, *en) })
+	return out
 }
 
 // TopKPackets returns the k largest flows by packet count, cache deltas
-// included.
+// included; flows of equal count come in Each's order.
 func (e *Engine) TopKPackets(k int) []wsaf.Entry {
-	if e.cache == nil {
-		return e.table.TopK(k, e.lastTS, func(en *wsaf.Entry) float64 { return en.Pkts })
-	}
-	return topMerged(e.Snapshot(), k, func(en *wsaf.Entry) float64 { return en.Pkts })
+	return e.topK(k, func(en *wsaf.Entry) float64 { return en.Pkts })
 }
 
 // TopKBytes returns the k largest flows by byte volume, cache deltas
-// included.
+// included; flows of equal volume come in Each's order.
 func (e *Engine) TopKBytes(k int) []wsaf.Entry {
-	if e.cache == nil {
-		return e.table.TopK(k, e.lastTS, func(en *wsaf.Entry) float64 { return en.Bytes })
-	}
-	return topMerged(e.Snapshot(), k, func(en *wsaf.Entry) float64 { return en.Bytes })
+	return e.topK(k, func(en *wsaf.Entry) float64 { return en.Bytes })
 }
 
-// topMerged sorts a merged snapshot by metric and truncates to k.
-func topMerged(snap []wsaf.Entry, k int, metric func(*wsaf.Entry) float64) []wsaf.Entry {
-	sort.Slice(snap, func(i, j int) bool {
-		return metric(&snap[i]) > metric(&snap[j])
-	})
-	if k < len(snap) {
-		snap = snap[:k]
-	}
-	return snap
+// topK selects during the walk: nothing but the k survivors is copied.
+func (e *Engine) topK(k int, metric func(*wsaf.Entry) float64) []wsaf.Entry {
+	sel := topk.New[wsaf.Entry](k)
+	e.Each(func(en *wsaf.Entry) { sel.Offer(metric(en), en) })
+	return sel.Sorted()
 }
 
 // DistinctFlows estimates the number of distinct flows observed since the

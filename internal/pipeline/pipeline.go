@@ -369,13 +369,20 @@ func (s *System) ShardOf(k packet.FlowKey) int {
 // call while Run is in flight.
 func (s *System) Engines() []*core.Engine { return s.engines }
 
-// MergedSnapshot gathers live WSAF entries across every worker. Workers
-// never share flows (sharding is by source IP), so concatenation is exact.
+// Each calls fn for every live flow across the workers, worker by worker
+// in each engine's own Each order. Workers never share flows (the shard
+// policy maps a flow to one worker), so concatenation is exact. The
+// pointer is valid only during the call.
+func (s *System) Each(fn func(*wsaf.Entry)) {
+	for _, eng := range s.engines {
+		eng.Each(fn)
+	}
+}
+
+// MergedSnapshot copies out every live flow, in Each's order.
 func (s *System) MergedSnapshot() []wsaf.Entry {
 	var out []wsaf.Entry
-	for _, eng := range s.engines {
-		out = append(out, eng.Snapshot()...)
-	}
+	s.Each(func(en *wsaf.Entry) { out = append(out, *en) })
 	return out
 }
 

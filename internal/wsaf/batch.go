@@ -38,8 +38,11 @@ type Op struct {
 // Advisory: dropping the hint changes nothing observable.
 //
 //im:hotpath
-func (t *Table) PrefetchHashed(h uint64) {
-	e := &t.entries[h&t.mask]
+func (t *Table) PrefetchHashed(h uint64) { t.prefetchSlot(int(h & t.mask)) }
+
+//im:hotpath
+func (t *Table) prefetchSlot(slot int) {
+	e := &t.entries[slot]
 	prefetch.T0(unsafe.Pointer(e))
 	prefetch.T0(unsafe.Pointer(&e.chance))
 }

@@ -15,10 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"instameasure/internal/packet"
 	"instameasure/internal/telemetry"
+	"instameasure/internal/topk"
 )
 
 // Probing selects the probe sequence.
@@ -136,7 +136,13 @@ type Telemetry struct {
 // Table is a WSAF instance. It is not safe for concurrent use; the pipeline
 // shards one Table per worker.
 type Table struct {
-	entries    []Entry
+	entries []Entry
+	// occ is the occupancy bitmap: bit i is set exactly when entries[i].used.
+	// used only ever goes false→true in place and back in Reset — eviction
+	// and TTL reclaim overwrite a used slot in place — so those two are the
+	// only writers. Each walks it, so a snapshot, a top-k or a Reset costs
+	// what is live, not what is allocated.
+	occ        []uint64
 	mask       uint64
 	probeLimit int
 	ttl        int64
@@ -173,6 +179,7 @@ func New(cfg Config) (*Table, error) {
 	}
 	return &Table{
 		entries:    make([]Entry, cfg.Entries),
+		occ:        make([]uint64, (cfg.Entries+63)/64),
 		mask:       uint64(cfg.Entries - 1),
 		probeLimit: probeLimit,
 		ttl:        cfg.TTL,
@@ -247,7 +254,7 @@ func (t *Table) AccumulateHashed(h uint64, key packet.FlowKey, pkts, bytes float
 				// our own slot).
 				t.stats.Reclaims++
 				t.size--
-				t.place(e, id, key, pkts, bytes, now)
+				t.place(slot, id, key, pkts, bytes, now)
 				return t.note(Reclaimed, steps), e
 			}
 			e.Pkts += pkts
@@ -276,7 +283,7 @@ func (t *Table) AccumulateHashed(h uint64, key packet.FlowKey, pkts, bytes float
 		} else {
 			t.stats.Inserts++
 		}
-		t.place(slot, id, key, pkts, bytes, now)
+		t.place(freeSlot, id, key, pkts, bytes, now)
 		return t.note(outcome, steps), slot
 	}
 
@@ -319,7 +326,7 @@ func (t *Table) AccumulateHashed(h uint64, key packet.FlowKey, pkts, bytes float
 	t.victim = t.entries[victimSlot]
 	t.size--
 	slot := &t.entries[victimSlot]
-	t.place(slot, id, key, pkts, bytes, now)
+	t.place(victimSlot, id, key, pkts, bytes, now)
 	t.stats.Evictions++
 	return t.note(Evicted, steps), slot
 }
@@ -361,51 +368,82 @@ func (t *Table) Lookup(key packet.FlowKey, now int64) (Entry, bool) {
 //
 //im:hotpath
 func (t *Table) LookupHashed(h uint64, key packet.FlowKey, now int64) (Entry, bool) {
+	if slot := t.SlotHashed(h, key, now); slot >= 0 {
+		return t.entries[slot], true
+	}
+	return Entry{}, false
+}
+
+// SlotHashed returns the slot holding key's entry, or -1 if the key is
+// absent or its entry expired at now. Slots are what Each reports, so a
+// caller can join its own per-flow state against a walk without a map.
+//
+//im:hotpath
+func (t *Table) SlotHashed(h uint64, key packet.FlowKey, now int64) int {
 	id := uint32(h ^ (h >> 32))
 	for i := 0; i < t.probeLimit; i++ {
 		slot := t.slot(h, i)
 		e := &t.entries[slot]
 		if !e.used {
-			return Entry{}, false
+			return -1
 		}
 		if e.FlowID == id && e.Key == key {
 			if t.expired(e, now) {
-				return Entry{}, false
+				return -1
 			}
-			return *e, true
+			return slot
 		}
 	}
-	return Entry{}, false
+	return -1
+}
+
+// Each calls fn for every live entry in ascending slot order (expired ones
+// excluded when a TTL is configured and now > 0). It walks the occupancy
+// bitmap, so an almost-empty table costs its live entries plus one pass
+// over 1 bit per slot. Live entries of a sparse table are one DRAM miss
+// each, so the walk runs prefetchWindow entries behind its own prefetches,
+// the same overlap AccumulateBatch buys. The pointer is into the table and
+// valid only during the call; fn may overwrite *e but must not call
+// anything that probes.
+func (t *Table) Each(now int64, fn func(slot int, e *Entry)) {
+	var ring [prefetchWindow]int
+	queued := 0
+	visit := func(slot int) {
+		if e := &t.entries[slot]; now <= 0 || !t.expired(e, now) {
+			fn(slot, e)
+		}
+	}
+	for w, word := range t.occ {
+		for ; word != 0; word &= word - 1 {
+			slot := w<<6 | bits.TrailingZeros64(word)
+			if queued >= len(ring) {
+				visit(ring[queued%len(ring)])
+			}
+			t.prefetchSlot(slot)
+			ring[queued%len(ring)] = slot
+			queued++
+		}
+	}
+	for i := max(0, queued-len(ring)); i < queued; i++ {
+		visit(ring[i%len(ring)])
+	}
 }
 
 // Snapshot copies out all live entries (expired ones excluded when a TTL is
-// configured and now > 0).
+// configured and now > 0), in ascending slot order.
 func (t *Table) Snapshot(now int64) []Entry {
 	out := make([]Entry, 0, t.size)
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !e.used {
-			continue
-		}
-		if now > 0 && t.expired(e, now) {
-			continue
-		}
-		out = append(out, *e)
-	}
+	t.Each(now, func(_ int, e *Entry) { out = append(out, *e) })
 	return out
 }
 
 // TopK returns the k largest live entries by the given metric function
-// (e.g. packets or bytes), largest first.
+// (e.g. packets or bytes), largest first; entries of equal metric come
+// lower slot first. k <= 0 returns none, k past the live count all of them.
 func (t *Table) TopK(k int, now int64, metric func(*Entry) float64) []Entry {
-	snap := t.Snapshot(now)
-	sort.Slice(snap, func(i, j int) bool {
-		return metric(&snap[i]) > metric(&snap[j])
-	})
-	if k < len(snap) {
-		snap = snap[:k]
-	}
-	return snap
+	sel := topk.New[Entry](k)
+	t.Each(now, func(_ int, e *Entry) { sel.Offer(metric(e), e) })
+	return sel.Sorted()
 }
 
 // Len returns the number of occupied slots (including expired-but-not-yet-
@@ -421,6 +459,8 @@ func (t *Table) LoadFactor() float64 {
 }
 
 // MemoryBytes reports DRAM consumption using the paper's 33-byte entries.
+// The occupancy bitmap (1 bit per slot, +0.4 %) is this implementation's
+// index, not part of the paper's accounting, and is left out.
 func (t *Table) MemoryBytes() int { return len(t.entries) * EntryBytes }
 
 // Stats returns a copy of the activity counters.
@@ -428,9 +468,8 @@ func (t *Table) Stats() Stats { return t.stats }
 
 // Reset clears all entries and statistics.
 func (t *Table) Reset() {
-	for i := range t.entries {
-		t.entries[i] = Entry{}
-	}
+	t.Each(0, func(_ int, e *Entry) { *e = Entry{} })
+	clear(t.occ)
 	t.size = 0
 	t.stats = Stats{}
 	if t.tm != nil {
@@ -438,8 +477,9 @@ func (t *Table) Reset() {
 	}
 }
 
-func (t *Table) place(e *Entry, id uint32, key packet.FlowKey, pkts, bytes float64, now int64) {
-	*e = Entry{
+func (t *Table) place(slot int, id uint32, key packet.FlowKey, pkts, bytes float64, now int64) {
+	t.occ[slot>>6] |= 1 << (slot & 63)
+	t.entries[slot] = Entry{
 		FlowID:     id,
 		Key:        key,
 		Pkts:       pkts,

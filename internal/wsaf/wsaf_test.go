@@ -476,7 +476,8 @@ func TestQuadraticBeatsLinearClusteringAtHighLoad(t *testing.T) {
 
 // TestModelEquivalence is a model-based property test: with a roomy table
 // (no eviction pressure), the WSAF must behave exactly like a reference
-// map for any accumulate/lookup interleaving.
+// map for any accumulate/lookup interleaving, its occupancy bitmap true to
+// the slots after every step.
 func TestModelEquivalence(t *testing.T) {
 	type op struct {
 		Flow  uint8
@@ -491,6 +492,7 @@ func TestModelEquivalence(t *testing.T) {
 			k := key(int(o.Flow))
 			pk, by := float64(o.Pkts)+1, float64(o.Bytes)+1
 			tab.Accumulate(k, pk, by, int64(o.TS))
+			checkOccupancy(t, tab)
 			cur := model[k]
 			model[k] = [2]float64{cur[0] + pk, cur[1] + by}
 		}

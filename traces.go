@@ -3,7 +3,6 @@ package instameasure
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"instameasure/internal/pcap"
 	"instameasure/internal/trace"
@@ -160,10 +159,4 @@ func WritePcap(w io.Writer, tr *Trace, snapLen int) error {
 		return fmt.Errorf("instameasure: %w", err)
 	}
 	return nil
-}
-
-func sortRecords(recs []FlowRecord, metric func(*FlowRecord) float64) {
-	sort.Slice(recs, func(i, j int) bool {
-		return metric(&recs[i]) > metric(&recs[j])
-	})
 }
