@@ -190,7 +190,9 @@ func runCollect(addr, metricsAddr string, cfg instameasure.FleetConfig) error {
 	}
 	fmt.Printf("fleet collector listening on %s\n", coll.Addr())
 	if metricsAddr != "" {
-		srv, err := instameasure.NewTelemetry().Serve(metricsAddr)
+		tel := instameasure.NewTelemetry()
+		coll.Instrument(tel)
+		srv, err := tel.Serve(metricsAddr)
 		if err != nil {
 			return err
 		}

@@ -39,14 +39,7 @@ func NewCollector(addr string, onBatch func(epoch int64, flows []FlowRecord)) (*
 func (c *Collector) Addr() string { return c.c.Addr() }
 
 // Flows returns the merged flow table across all exporters and epochs.
-func (c *Collector) Flows() []FlowRecord {
-	m := c.c.Flows()
-	out := make([]FlowRecord, 0, len(m))
-	for _, rec := range m {
-		out = append(out, FlowRecord(rec))
-	}
-	return out
-}
+func (c *Collector) Flows() []FlowRecord { return fromExport(c.c.Flows()) }
 
 // Stats returns batches and records merged so far.
 func (c *Collector) Stats() (batches, records uint64) { return c.c.Stats() }

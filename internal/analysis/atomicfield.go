@@ -121,6 +121,11 @@ func runAtomicfield(prog *Program, report func(token.Pos, string, ...any)) {
 				if !ok {
 					return true
 				}
+				// A generic struct has no layout until it is instantiated:
+				// a field of type-parameter type has no size to offset by.
+				if named, ok := obj.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
+					return true
+				}
 				checkStructLayout(obj, st, atomic64, sizes386, sizesAMD64, report)
 				return true
 			})

@@ -62,3 +62,13 @@ type goodCell struct {
 }
 
 func (c *goodCell) inc() { c.v.Add(1) }
+
+// slot is generic: a field of type-parameter type has no size, so the
+// struct has no layout to check until it is instantiated. The layout pass
+// must step over it rather than ask for offsets.
+type slot[V any] struct {
+	ready uint32
+	val   V
+}
+
+func (s *slot[V]) get() V { return s.val }

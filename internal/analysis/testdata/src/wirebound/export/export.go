@@ -83,3 +83,35 @@ func DecodeBlessed(r io.Reader) ([]uint64, error) {
 	out := make([]uint64, count)
 	return out, nil
 }
+
+// EachUnchecked is the in-place, per-record callback decoder shape: the
+// frame is already in memory and records are handed out as they are cut
+// from it, so there is no allocation to size — the wire's lengths reach
+// slice bounds instead. Trusting them is the same bug.
+func EachUnchecked(frame []byte, fn func(rec []byte)) {
+	payloadLen := binary.BigEndian.Uint32(frame[0:4])
+	recLen := int(binary.BigEndian.Uint16(frame[4:6]))
+	payload := frame[6 : 6+payloadLen] // want `wire-derived length payloadLen \(from binary\.BigEndian\.Uint32\(frame\[0:4\]\)\) reaches slice bound`
+	for len(payload) > 0 {
+		fn(payload[:recLen])       // want `wire-derived length recLen \(from binary\.BigEndian\.Uint16\(frame\[4:6\]\)\) reaches slice bound`
+		payload = payload[recLen:] // want `wire-derived length recLen .* reaches slice bound`
+	}
+}
+
+// EachChecked holds both lengths against what is actually there first.
+func EachChecked(frame []byte, fn func(rec []byte)) error {
+	if len(frame) < 6 {
+		return io.ErrUnexpectedEOF
+	}
+	payloadLen := binary.BigEndian.Uint32(frame[0:4])
+	recLen := int(binary.BigEndian.Uint16(frame[4:6]))
+	if uint64(len(frame)-6) < uint64(payloadLen) || recLen == 0 || int(payloadLen)%recLen != 0 {
+		return io.ErrUnexpectedEOF
+	}
+	payload := frame[6 : 6+payloadLen]
+	for len(payload) > 0 {
+		fn(payload[:recLen])
+		payload = payload[recLen:]
+	}
+	return nil
+}

@@ -8,6 +8,7 @@
 package export
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -136,14 +137,14 @@ func appendRecord(dst []byte, r *Record) []byte {
 	return dst
 }
 
-// decodeRecord decodes one record from b, returning the remainder.
-func decodeRecord(b []byte) (Record, []byte, error) {
-	var r Record
+// decodeRecord decodes one record from b into r, overwriting all of it,
+// and returns the remainder.
+func decodeRecord(r *Record, b []byte) ([]byte, error) {
 	if len(b) < 1 {
-		return r, nil, fmt.Errorf("export: record flag: %w", io.ErrUnexpectedEOF)
+		return nil, fmt.Errorf("export: record flag: %w", io.ErrUnexpectedEOF)
 	}
 	if b[0] > 1 {
-		return r, nil, fmt.Errorf("%w: flag 0x%02x", ErrBadRecord, b[0])
+		return nil, fmt.Errorf("%w: flag 0x%02x", ErrBadRecord, b[0])
 	}
 	isV6 := b[0] == 1
 	b = b[1:]
@@ -153,9 +154,9 @@ func decodeRecord(b []byte) (Record, []byte, error) {
 	}
 	need := 2*n + 2 + 2 + 1 + 4*8
 	if len(b) < need {
-		return r, nil, fmt.Errorf("export: record body: %w", io.ErrUnexpectedEOF)
+		return nil, fmt.Errorf("export: record body: %w", io.ErrUnexpectedEOF)
 	}
-	r.Key.IsV6 = isV6
+	r.Key = packet.FlowKey{IsV6: isV6}
 	copy(r.Key.SrcIP[:n], b[:n])
 	copy(r.Key.DstIP[:n], b[n:2*n])
 	b = b[2*n:]
@@ -167,7 +168,25 @@ func decodeRecord(b []byte) (Record, []byte, error) {
 	r.Bytes = math.Float64frombits(binary.BigEndian.Uint64(b[8:16]))
 	r.FirstSeen = int64(binary.BigEndian.Uint64(b[16:24]))
 	r.LastUpdate = int64(binary.BigEndian.Uint64(b[24:32]))
-	return r, b[32:], nil
+	return b[32:], nil
+}
+
+// decodeRecords decodes the count records that must fill payload exactly,
+// handing each to fn. The pointee is reused between calls.
+func decodeRecords(payload []byte, count uint32, fn func(*Record)) error {
+	var rec Record
+	rest := payload
+	for i := uint32(0); i < count; i++ {
+		var err error
+		if rest, err = decodeRecord(&rec, rest); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+		fn(&rec)
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("export: %d trailing payload bytes", len(rest))
+	}
+	return nil
 }
 
 // WriteBatch frames and writes one batch:
@@ -253,61 +272,80 @@ func readPayload(r io.Reader, n uint32) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadBatch reads one framed batch, accepting both wire versions: the
-// original version-1 frame and the fleet version-2 frame carrying a site
-// ID. io.EOF is returned verbatim at a clean stream end.
-func ReadBatch(r io.Reader) (Batch, error) {
+// batchHeader is a frame's header, decoded and bounds-checked.
+type batchHeader struct {
+	epoch      int64
+	site       string
+	count      uint32
+	payloadLen uint32
+	crc        uint32 // CRC state the payload continues: the v2 site bytes, 0 for v1
+}
+
+// readBatchHeader reads a frame up to its payload, accepting both wire
+// versions, and rejects a count over the batch limit or a payload length
+// the count cannot produce. io.EOF is returned verbatim at a clean stream
+// end.
+func readBatchHeader(r io.Reader) (batchHeader, error) {
+	var h batchHeader
 	var pre [5]byte // magic + version
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return Batch{}, io.EOF
+			return h, io.EOF
 		}
-		return Batch{}, fmt.Errorf("batch header: %w", err)
+		return h, fmt.Errorf("batch header: %w", err)
 	}
 	if binary.BigEndian.Uint32(pre[0:4]) != batchMagic {
-		return Batch{}, ErrBadMagic
+		return h, ErrBadMagic
 	}
-	site := ""
-	crc0 := uint32(0)
 	switch pre[4] {
 	case version:
 	case versionSited:
 		var siteLen [1]byte
 		if _, err := io.ReadFull(r, siteLen[:]); err != nil {
-			return Batch{}, fmt.Errorf("batch site length: %w", eofToUnexpected(err))
+			return h, fmt.Errorf("batch site length: %w", eofToUnexpected(err))
 		}
 		if siteLen[0] == 0 || int(siteLen[0]) > MaxSiteLen {
-			return Batch{}, fmt.Errorf("%w: length %d", ErrBadSite, siteLen[0])
+			return h, fmt.Errorf("%w: length %d", ErrBadSite, siteLen[0])
 		}
 		siteBytes := make([]byte, siteLen[0])
 		if _, err := io.ReadFull(r, siteBytes); err != nil {
-			return Batch{}, fmt.Errorf("batch site: %w", eofToUnexpected(err))
+			return h, fmt.Errorf("batch site: %w", eofToUnexpected(err))
 		}
-		site = string(siteBytes)
-		if err := ValidateSite(site); err != nil {
-			return Batch{}, err
+		h.site = string(siteBytes)
+		if err := ValidateSite(h.site); err != nil {
+			return h, err
 		}
-		crc0 = crc32.Update(crc0, crc32.IEEETable, siteLen[:])
-		crc0 = crc32.Update(crc0, crc32.IEEETable, siteBytes)
+		h.crc = crc32.Update(h.crc, crc32.IEEETable, siteLen[:])
+		h.crc = crc32.Update(h.crc, crc32.IEEETable, siteBytes)
 	default:
-		return Batch{}, fmt.Errorf("%w: %d", ErrBadVersion, pre[4])
+		return h, fmt.Errorf("%w: %d", ErrBadVersion, pre[4])
 	}
 	var hdr [16]byte // epoch + count + payloadLen
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Batch{}, fmt.Errorf("batch header: %w", eofToUnexpected(err))
+		return h, fmt.Errorf("batch header: %w", eofToUnexpected(err))
 	}
-	epoch := int64(binary.BigEndian.Uint64(hdr[0:8]))
-	count := binary.BigEndian.Uint32(hdr[8:12])
-	payloadLen := binary.BigEndian.Uint32(hdr[12:16])
-	if count > maxBatchRecords {
-		return Batch{}, ErrOversized
+	h.epoch = int64(binary.BigEndian.Uint64(hdr[0:8]))
+	h.count = binary.BigEndian.Uint32(hdr[8:12])
+	h.payloadLen = binary.BigEndian.Uint32(hdr[12:16])
+	if h.count > maxBatchRecords {
+		return h, ErrOversized
 	}
-	if uint64(payloadLen) < uint64(count)*recordMinBytes ||
-		uint64(payloadLen) > uint64(count)*recordMaxBytes {
-		return Batch{}, fmt.Errorf("%w: count=%d payload=%d", ErrFrameLength, count, payloadLen)
+	if uint64(h.payloadLen) < uint64(h.count)*recordMinBytes ||
+		uint64(h.payloadLen) > uint64(h.count)*recordMaxBytes {
+		return h, fmt.Errorf("%w: count=%d payload=%d", ErrFrameLength, h.count, h.payloadLen)
 	}
+	return h, nil
+}
 
-	payload, err := readPayload(r, payloadLen)
+// ReadBatch reads one framed batch, accepting both wire versions: the
+// original version-1 frame and the fleet version-2 frame carrying a site
+// ID. io.EOF is returned verbatim at a clean stream end.
+func ReadBatch(r io.Reader) (Batch, error) {
+	h, err := readBatchHeader(r)
+	if err != nil {
+		return Batch{}, err
+	}
+	payload, err := readPayload(r, h.payloadLen)
 	if err != nil {
 		return Batch{}, fmt.Errorf("batch payload: %w", err)
 	}
@@ -315,23 +353,14 @@ func ReadBatch(r io.Reader) (Batch, error) {
 	if _, err := io.ReadFull(r, crc[:]); err != nil {
 		return Batch{}, fmt.Errorf("batch checksum: %w", eofToUnexpected(err))
 	}
-	if crc32.Update(crc0, crc32.IEEETable, payload) != binary.BigEndian.Uint32(crc[:]) {
+	if crc32.Update(h.crc, crc32.IEEETable, payload) != binary.BigEndian.Uint32(crc[:]) {
 		return Batch{}, ErrChecksum
 	}
-
-	b := Batch{Epoch: epoch, Site: site, Records: make([]Record, 0, count)}
-	rest := payload
-	for i := uint32(0); i < count; i++ {
-		var rec Record
-		var err error
-		rec, rest, err = decodeRecord(rest)
-		if err != nil {
-			return Batch{}, fmt.Errorf("record %d: %w", i, err)
-		}
-		b.Records = append(b.Records, rec)
-	}
-	if len(rest) != 0 {
-		return Batch{}, fmt.Errorf("export: %d trailing payload bytes", len(rest))
+	b := Batch{Epoch: h.epoch, Site: h.site, Records: make([]Record, 0, h.count)}
+	if err := decodeRecords(payload, h.count, func(rec *Record) {
+		b.Records = append(b.Records, *rec)
+	}); err != nil {
+		return Batch{}, err
 	}
 	return b, nil
 }
@@ -388,15 +417,23 @@ func WriteSnapshotStats(w io.Writer, epoch int64, records []Record, stats TableS
 	return nil
 }
 
+// readSnapshotMagic consumes and checks a snapshot's leading magic.
+func readSnapshotMagic(r io.Reader) error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("snapshot magic: %w", err)
+	}
+	if binary.BigEndian.Uint32(hdr[:]) != snapshotMagic {
+		return ErrBadMagic
+	}
+	return nil
+}
+
 // ReadSnapshot loads a snapshot file written by WriteSnapshot (any stats
 // trailer is left unread).
 func ReadSnapshot(r io.Reader) (Batch, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Batch{}, fmt.Errorf("snapshot magic: %w", err)
-	}
-	if binary.BigEndian.Uint32(hdr[:]) != snapshotMagic {
-		return Batch{}, ErrBadMagic
+	if err := readSnapshotMagic(r); err != nil {
+		return Batch{}, err
 	}
 	return ReadBatch(r)
 }
@@ -409,29 +446,76 @@ func ReadSnapshotStats(r io.Reader) (b Batch, stats TableStats, hasStats bool, e
 	if err != nil {
 		return Batch{}, TableStats{}, false, err
 	}
+	stats, hasStats, err = readTrailer(r)
+	if err != nil {
+		return Batch{}, TableStats{}, false, err
+	}
+	return b, stats, hasStats, nil
+}
+
+// DecodeSnapshotStats is ReadSnapshotStats over a snapshot already in
+// memory: every check is the same — magics, version, site, the record
+// limit, the count/length cross-check, the batch CRC, each record's
+// bounds, no trailing payload, the trailer CRC — but the payload is read
+// where it lies and each record is handed to fn as it is decoded (the
+// pointee reused between calls) instead of being collected, so a caller
+// that folds records into a table never holds a []Record. fn has seen the
+// records ahead of a malformed one by the time the error is returned.
+func DecodeSnapshotStats(snap []byte, fn func(*Record)) (epoch int64, stats TableStats, hasStats bool, err error) {
+	r := bytes.NewReader(snap)
+	if err := readSnapshotMagic(r); err != nil {
+		return 0, TableStats{}, false, err
+	}
+	h, err := readBatchHeader(r)
+	if err != nil {
+		return 0, TableStats{}, false, err
+	}
+	rest := snap[len(snap)-r.Len():]
+	if uint64(len(rest)) < uint64(h.payloadLen) {
+		return 0, TableStats{}, false, fmt.Errorf("batch payload: %w", io.ErrUnexpectedEOF)
+	}
+	payload, rest := rest[:h.payloadLen], rest[h.payloadLen:]
+	if len(rest) < 4 {
+		return 0, TableStats{}, false, fmt.Errorf("batch checksum: %w", io.ErrUnexpectedEOF)
+	}
+	if crc32.Update(h.crc, crc32.IEEETable, payload) != binary.BigEndian.Uint32(rest[:4]) {
+		return 0, TableStats{}, false, ErrChecksum
+	}
+	if err := decodeRecords(payload, h.count, fn); err != nil {
+		return 0, TableStats{}, false, err
+	}
+	stats, hasStats, err = readTrailer(bytes.NewReader(rest[4:]))
+	if err != nil {
+		return 0, TableStats{}, false, err
+	}
+	return h.epoch, stats, hasStats, nil
+}
+
+// readTrailer reads the stats trailer that may follow a snapshot's batch.
+// A clean EOF in its place is a snapshot written without one.
+func readTrailer(r io.Reader) (stats TableStats, hasStats bool, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		// A clean EOF here is a v1 snapshot without trailer.
 		if errors.Is(err, io.EOF) {
-			return b, TableStats{}, false, nil
+			return TableStats{}, false, nil
 		}
-		return Batch{}, TableStats{}, false, fmt.Errorf("snapshot trailer magic: %w", err)
+		return TableStats{}, false, fmt.Errorf("snapshot trailer magic: %w", err)
 	}
 	if binary.BigEndian.Uint32(hdr[:]) != trailerMagic {
-		return Batch{}, TableStats{}, false, ErrBadMagic
+		return TableStats{}, false, ErrBadMagic
 	}
 	var body [44]byte
 	if _, err := io.ReadFull(r, body[:]); err != nil {
-		return Batch{}, TableStats{}, false, fmt.Errorf("snapshot trailer: %w", err)
+		return TableStats{}, false, fmt.Errorf("snapshot trailer: %w", err)
 	}
 	payload := body[:40]
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(body[40:44]) {
-		return Batch{}, TableStats{}, false, ErrChecksum
+		return TableStats{}, false, ErrChecksum
 	}
 	stats.Updates = binary.BigEndian.Uint64(payload[0:8])
 	stats.Inserts = binary.BigEndian.Uint64(payload[8:16])
 	stats.Expirations = binary.BigEndian.Uint64(payload[16:24])
 	stats.Evictions = binary.BigEndian.Uint64(payload[24:32])
 	stats.Drops = binary.BigEndian.Uint64(payload[32:40])
-	return b, stats, true, nil
+	return stats, true, nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"instameasure/internal/flight"
+	"instameasure/internal/flowtable"
 	"instameasure/internal/packet"
 	"instameasure/internal/telemetry"
 )
@@ -90,7 +91,7 @@ type Exporter struct {
 	cw     countingWriter // guarded by sendMu
 
 	mu       sync.Mutex
-	conn     net.Conn // nil while disconnected
+	conn     net.Conn  // nil while disconnected
 	attempts int       // consecutive failed dials/sends
 	retryAt  time.Time // no redial before this
 	base     time.Duration
@@ -308,8 +309,13 @@ type Collector struct {
 	// 0 disables the deadline.
 	frameTimeout atomic.Int64
 
+	// drops counts connections the collector let go, by DropReason; met
+	// mirrors it into a registry once Instrument has run.
+	drops [dropReasons]atomic.Uint64
+	met   atomic.Pointer[[dropReasons]*telemetry.Counter]
+
 	mu      sync.Mutex
-	flows   map[packet.FlowKey]Record
+	flows   flowtable.Table[flowTotals]
 	batches uint64
 	records uint64
 	onBatch func(Batch)
@@ -319,6 +325,31 @@ type Collector struct {
 
 	closing chan struct{}
 	wg      sync.WaitGroup
+}
+
+// flowTotals is a merged flow's value in the collector's table: the
+// Record fields beside the key.
+type flowTotals struct {
+	Pkts, Bytes           float64
+	FirstSeen, LastUpdate int64
+}
+
+// DropReason says why the collector stopped serving a connection.
+type DropReason int
+
+const (
+	// DropEOF: the exporter closed the stream between frames.
+	DropEOF DropReason = iota
+	// DropTimeout: a frame did not arrive whole within the frame timeout.
+	DropTimeout
+	// DropProtocol: anything else — bad magic or version, a checksum
+	// mismatch, a stream cut mid-frame, or a socket error.
+	DropProtocol
+	dropReasons
+)
+
+func (r DropReason) String() string {
+	return [dropReasons]string{"eof", "timeout", "protocol"}[r]
 }
 
 // DefaultFrameTimeout is how long a collector connection may take to
@@ -335,7 +366,6 @@ func NewCollector(addr string, onBatch func(Batch)) (*Collector, error) {
 	}
 	c := &Collector{
 		ln:      ln,
-		flows:   make(map[packet.FlowKey]Record),
 		onBatch: onBatch,
 		closing: make(chan struct{}),
 	}
@@ -386,6 +416,41 @@ func (c *Collector) SetFlight(h flight.Handle) {
 	c.mu.Lock()
 	c.fl = h
 	c.mu.Unlock()
+}
+
+// Instrument registers collector_conn_drops_total{reason} on reg, counting
+// from the call on; ConnDrops keeps the totals since the collector started.
+func (c *Collector) Instrument(reg *telemetry.Registry) {
+	var m [dropReasons]*telemetry.Counter
+	for r := range m {
+		m[r] = reg.Counter("collector_conn_drops_total",
+			"Exporter connections the collector stopped serving.", "reason", DropReason(r).String())
+	}
+	c.met.Store(&m)
+}
+
+// ConnDrops returns how many connections the collector has stopped
+// serving for the given reason. Connections cut by Close are not drops.
+func (c *Collector) ConnDrops(r DropReason) uint64 { return c.drops[r].Load() }
+
+// dropped records why serve is letting a connection go. A read that fails
+// because Close interrupted it is a shutdown, not a drop.
+func (c *Collector) dropped(err error) {
+	if !c.Listening() {
+		return
+	}
+	r := DropProtocol
+	var ne net.Error
+	switch {
+	case errors.Is(err, io.EOF):
+		r = DropEOF
+	case errors.As(err, &ne) && ne.Timeout():
+		r = DropTimeout
+	}
+	c.drops[r].Add(1)
+	if m := c.met.Load(); m != nil {
+		m[r].Inc()
+	}
 }
 
 // Listening reports whether the collector still accepts connections —
@@ -440,16 +505,13 @@ func (c *Collector) serve(conn net.Conn) {
 		// it; if Close fires after, its SetDeadline overrides this one.
 		// A connection that cannot arm its deadline has no slow-loris
 		// bound: drop it and let the exporter re-dial.
+		deadline := time.Time{} // timeout disabled: clear any armed deadline, or it still fires
 		if d := c.frameTimeout.Load(); d > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(time.Duration(d))); err != nil {
-				return
-			}
-		} else {
-			// Timeout disabled after a deadline was armed: clear it, or the
-			// stale deadline still fires and drops the connection.
-			if err := conn.SetReadDeadline(time.Time{}); err != nil {
-				return
-			}
+			deadline = time.Now().Add(time.Duration(d))
+		}
+		if err := conn.SetReadDeadline(deadline); err != nil {
+			c.dropped(err)
+			return
 		}
 		select {
 		case <-c.closing:
@@ -458,11 +520,9 @@ func (c *Collector) serve(conn net.Conn) {
 		}
 		b, err := ReadBatch(conn)
 		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				// Protocol error or frame deadline: drop the connection;
-				// the exporter re-dials.
-				return
-			}
+			// Stream end, frame deadline or protocol error: drop the
+			// connection either way; the exporter re-dials.
+			c.dropped(err)
 			return
 		}
 		c.merge(b)
@@ -472,21 +532,17 @@ func (c *Collector) serve(conn net.Conn) {
 func (c *Collector) merge(b Batch) {
 	start := time.Now()
 	c.mu.Lock()
-	for _, rec := range b.Records {
-		cur, ok := c.flows[rec.Key]
-		if !ok {
-			c.flows[rec.Key] = rec
+	for i := range b.Records {
+		rec := &b.Records[i]
+		cur, fresh := c.flows.Upsert(flowtable.Hash(&rec.Key), &rec.Key)
+		if fresh {
+			*cur = flowTotals{rec.Pkts, rec.Bytes, rec.FirstSeen, rec.LastUpdate}
 			continue
 		}
 		cur.Pkts += rec.Pkts
 		cur.Bytes += rec.Bytes
-		if rec.FirstSeen < cur.FirstSeen {
-			cur.FirstSeen = rec.FirstSeen
-		}
-		if rec.LastUpdate > cur.LastUpdate {
-			cur.LastUpdate = rec.LastUpdate
-		}
-		c.flows[rec.Key] = cur
+		cur.FirstSeen = min(cur.FirstSeen, rec.FirstSeen)
+		cur.LastUpdate = max(cur.LastUpdate, rec.LastUpdate)
 	}
 	c.batches++
 	c.records += uint64(len(b.Records))
@@ -515,18 +571,22 @@ func (c *Collector) merge(b Batch) {
 func (c *Collector) Lookup(key packet.FlowKey) (Record, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.flows[key]
-	return rec, ok
+	v := c.flows.Get(flowtable.Hash(&key), &key)
+	if v == nil {
+		return Record{}, false
+	}
+	return Record{key, v.Pkts, v.Bytes, v.FirstSeen, v.LastUpdate}, true
 }
 
-// Flows returns a copy of the merged flow table.
-func (c *Collector) Flows() map[packet.FlowKey]Record {
+// Flows returns a copy of the merged flow table, one record per flow in
+// the order the flows were first reported.
+func (c *Collector) Flows() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[packet.FlowKey]Record, len(c.flows))
-	for k, v := range c.flows {
-		out[k] = v
-	}
+	out := make([]Record, 0, c.flows.Len())
+	c.flows.Each(func(_ uint64, key *packet.FlowKey, v *flowTotals) {
+		out = append(out, Record{*key, v.Pkts, v.Bytes, v.FirstSeen, v.LastUpdate})
+	})
 	return out
 }
 

@@ -1,10 +1,14 @@
 package export
 
 import (
+	"bytes"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"instameasure/internal/telemetry"
 )
 
 // TestCollectorSlowSinkDoesNotBlockQueries pins the lock-free-callback
@@ -113,4 +117,78 @@ func TestCollectorHookSeesSite(t *testing.T) {
 		defer mu.Unlock()
 		return sites["edge-1"] == 1 && sites["edge-2"] == 1 && sites[""] == 1
 	})
+}
+
+// TestCollectorCountsConnDrops: every connection the collector stops
+// serving is counted under the reason it was let go, in the accessor and
+// in the labelled registry series; connections cut by Close are not drops.
+func TestCollectorCountsConnDrops(t *testing.T) {
+	coll, err := NewCollector("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry("im", 1)
+	coll.Instrument(reg)
+	coll.SetFrameTimeout(100 * time.Millisecond)
+
+	var frame bytes.Buffer
+	if err := WriteBatch(&frame, Batch{Epoch: 1, Records: []Record{rec(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", coll.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	wait := func(r DropReason, want uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); coll.ConnDrops(r) != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("ConnDrops(%v) = %d, want %d", r, coll.ConnDrops(r), want)
+			}
+		}
+		if got := reg.Value(`im_collector_conn_drops_total{reason="` + r.String() + `"}`); got != float64(want) {
+			t.Fatalf("registry series for %v = %v, want %d", r, got, want)
+		}
+	}
+
+	// A whole frame, then a clean close: end of stream.
+	conn := dial()
+	conn.Write(frame.Bytes()) //nolint:errcheck // a failed write fails the wait below
+	conn.Close()
+	wait(DropEOF, 1)
+
+	// A frame with its last payload byte flipped, and a stream cut mid-frame.
+	bad := bytes.Clone(frame.Bytes())
+	bad[len(bad)-5] ^= 0xFF
+	conn = dial()
+	conn.Write(bad) //nolint:errcheck
+	wait(DropProtocol, 1)
+	conn.Close()
+	conn = dial()
+	conn.Write(frame.Bytes()[:frame.Len()-3]) //nolint:errcheck
+	conn.Close()
+	wait(DropProtocol, 2)
+
+	// A frame that never completes: the deadline fires.
+	conn = dial()
+	defer conn.Close()
+	conn.Write(frame.Bytes()[:10]) //nolint:errcheck
+	wait(DropTimeout, 1)
+
+	// An idle connection interrupted by Close is a shutdown, not a drop.
+	idle := dial()
+	defer idle.Close()
+	coll.SetFrameTimeout(0)
+	if b, _ := coll.Stats(); b != 1 {
+		t.Fatalf("merged %d batches, want 1", b)
+	}
+	if err := coll.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if eof, to, proto := coll.ConnDrops(DropEOF), coll.ConnDrops(DropTimeout), coll.ConnDrops(DropProtocol); eof != 1 || to != 1 || proto != 2 {
+		t.Fatalf("after Close: eof %d, timeout %d, protocol %d; want 1, 1, 2", eof, to, proto)
+	}
 }

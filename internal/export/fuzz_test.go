@@ -79,9 +79,29 @@ func FuzzReadSnapshotStats(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, stats, hasStats, err := ReadSnapshotStats(bytes.NewReader(data))
+
+		// The in-place decoder accepts exactly what the stream decoder
+		// accepts, and hands over the same records, bit for bit.
+		var streamed []Record
+		epoch, stats2, hasStats2, err2 := DecodeSnapshotStats(data, func(r *Record) { streamed = append(streamed, *r) })
+		if (err == nil) != (err2 == nil) {
+			t.Fatalf("ReadSnapshotStats error %v, DecodeSnapshotStats error %v", err, err2)
+		}
 		if err != nil {
 			return
 		}
+		if epoch != b.Epoch || stats2 != stats || hasStats2 != hasStats || len(streamed) != len(b.Records) {
+			t.Fatalf("in-place decode: epoch %d stats %+v/%v %d records; stream decode: epoch %d stats %+v/%v %d records",
+				epoch, stats2, hasStats2, len(streamed), b.Epoch, stats, hasStats, len(b.Records))
+		}
+		for i := range streamed {
+			a, z := streamed[i], b.Records[i]
+			if a.Key != z.Key || !sameBits(a.Pkts, z.Pkts) || !sameBits(a.Bytes, z.Bytes) ||
+				a.FirstSeen != z.FirstSeen || a.LastUpdate != z.LastUpdate {
+				t.Fatalf("record %d: in-place %+v, stream %+v", i, a, z)
+			}
+		}
+
 		var re bytes.Buffer
 		if hasStats {
 			err = WriteSnapshotStats(&re, b.Epoch, b.Records, stats)

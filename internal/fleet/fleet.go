@@ -13,10 +13,10 @@
 //	coll.AddHook(agg.Ingest)
 //
 // Counters in a record are lifetime totals (the cumulative-counter
-// model), so per-site views replace per flow (store.UnionCumulative)
-// while the network view accumulates only the per-arrival delta —
-// re-sent snapshots are free, and a meter restart (counters moving
-// backward) is treated as a fresh life of the flow.
+// model), so a site's view keeps each flow's latest value while the
+// network view accumulates only the per-arrival delta — re-sent
+// snapshots are free, and a meter restart (counters moving backward) is
+// treated as a fresh life of the flow.
 package fleet
 
 import (
@@ -30,6 +30,7 @@ import (
 	"instameasure/internal/detect"
 	"instameasure/internal/export"
 	"instameasure/internal/flight"
+	"instameasure/internal/flowtable"
 	"instameasure/internal/packet"
 	"instameasure/internal/store"
 )
@@ -58,10 +59,22 @@ type Config struct {
 	OnAlert func(detect.Alert)
 }
 
+// counters is a flow's packet and byte count: lifetime totals, or the
+// traffic of one rotation window.
+type counters struct{ Pkts, Bytes float64 }
+
+// by returns the ranked dimension.
+func (c counters) by(byBytes bool) float64 {
+	if byBytes {
+		return c.Bytes
+	}
+	return c.Pkts
+}
+
 // siteView is one site's latest cumulative flow table plus arrival
 // bookkeeping.
 type siteView struct {
-	flows       map[packet.FlowKey]export.Record
+	flows       flowtable.Table[counters] // each flow's last reported totals
 	batches     uint64
 	records     uint64
 	lastEpoch   int64
@@ -76,12 +89,13 @@ type Aggregator struct {
 
 	mu    sync.Mutex
 	sites map[string]*siteView
-	// net is the network-wide view: per flow, the cross-site sum of
-	// cumulative counters (FirstSeen = min, LastUpdate = max).
-	net map[packet.FlowKey]export.Record
-	// cur and prev are the current and previous rotation window's
-	// network-wide traffic deltas, for heavy-changer queries.
-	cur, prev map[packet.FlowKey]store.FlowDelta
+	// net is the network-wide view, one entry per flow any site has
+	// reported traffic for.
+	net flowtable.Table[netFlow]
+	// gen numbers the open rotation window. Rotation only adds one: an
+	// entry's window counters are dated by netFlow.gen and brought up to
+	// date when it is next touched or read.
+	gen uint64
 
 	seenBatch    bool
 	rotatedEpoch int64
@@ -93,6 +107,39 @@ type Aggregator struct {
 	ring *alertRing
 	met  atomic.Pointer[metrics]
 	fl   flight.Handle
+}
+
+// netFlow is one flow in the network-wide view: the cross-site sum of its
+// cumulative counters, and its traffic in the rotation window numbered
+// gen — the last one it moved in — and in the window before that one
+// (zero if it did not move then).
+type netFlow struct {
+	total     counters
+	cur, prev counters
+	gen       uint64
+}
+
+// windows reads the flow's traffic in the open window gen and in the one
+// before it — the heavy-changer view. A window the flow did not move in
+// reads zero; live is false when it moved in neither.
+func (f *netFlow) windows(gen uint64) (cur, prev counters, live bool) {
+	switch f.gen {
+	case gen:
+		return f.cur, f.prev, true
+	case gen - 1:
+		return counters{}, f.cur, true
+	}
+	return counters{}, counters{}, false
+}
+
+// touch dates the entry to the open window gen before a delta is added:
+// the window it last moved in becomes the previous one, or is forgotten
+// if rotation has passed it by more than once.
+func (f *netFlow) touch(gen uint64) {
+	if f.gen != gen {
+		_, f.prev, _ = f.windows(gen)
+		f.cur, f.gen = counters{}, gen
+	}
 }
 
 // New builds an Aggregator.
@@ -112,16 +159,17 @@ func New(cfg Config) (*Aggregator, error) {
 	return &Aggregator{
 		cfg:   cfg,
 		sites: make(map[string]*siteView),
-		net:   make(map[packet.FlowKey]export.Record),
-		cur:   make(map[packet.FlowKey]store.FlowDelta),
-		prev:  make(map[packet.FlowKey]store.FlowDelta),
 		ring:  newAlertRing(cfg.AlertRingSize),
 	}, nil
 }
 
 // SetFlight wires a flight-recorder handle; aggregate, detect, and
 // alert events are recorded per ingested batch.
-func (a *Aggregator) SetFlight(h flight.Handle) { a.fl = h }
+func (a *Aggregator) SetFlight(h flight.Handle) {
+	a.mu.Lock()
+	a.fl = h
+	a.mu.Unlock()
+}
 
 // now is the package's single wall-clock seam: arrival stamps and
 // stage durations are operator telemetry about the collector host, not
@@ -158,7 +206,7 @@ func (a *Aggregator) Ingest(b export.Batch) {
 			}
 			return
 		}
-		sv = &siteView{flows: make(map[packet.FlowKey]export.Record)}
+		sv = &siteView{}
 		a.sites[site] = sv
 	}
 
@@ -175,43 +223,40 @@ func (a *Aggregator) Ingest(b export.Batch) {
 		rotated = true
 	}
 
+	// One hash per record serves both probes: the site's last value (which
+	// yields the arrival's delta and is replaced in the same visit) and the
+	// network entry the delta lands on. A key repeated inside one batch is
+	// therefore measured against its previous occurrence, later wins.
 	for i := range b.Records {
 		rec := &b.Records[i]
+		h := flowtable.Hash(&rec.Key)
+		last, fresh := sv.flows.Upsert(h, &rec.Key)
 		dPkts, dBytes := rec.Pkts, rec.Bytes
-		if old, ok := sv.flows[rec.Key]; ok {
-			dPkts -= old.Pkts
-			dBytes -= old.Bytes
+		if !fresh {
+			dPkts -= last.Pkts
+			dBytes -= last.Bytes
 			if dPkts < 0 || dBytes < 0 {
 				// Counters moved backward: the meter restarted and
 				// this is a fresh life of the flow.
 				dPkts, dBytes = rec.Pkts, rec.Bytes
 			}
 		}
+		*last = counters{rec.Pkts, rec.Bytes}
 		if dPkts == 0 && dBytes == 0 {
 			continue
 		}
 		observed++
 
-		nf, ok := a.net[rec.Key]
-		if !ok {
-			nf = *rec
+		nf, fresh := a.net.Upsert(h, &rec.Key)
+		if fresh {
+			nf.total = counters{rec.Pkts, rec.Bytes}
 		} else {
-			nf.Pkts += dPkts
-			nf.Bytes += dBytes
-			if rec.FirstSeen < nf.FirstSeen {
-				nf.FirstSeen = rec.FirstSeen
-			}
-			if rec.LastUpdate > nf.LastUpdate {
-				nf.LastUpdate = rec.LastUpdate
-			}
+			nf.total.Pkts += dPkts
+			nf.total.Bytes += dBytes
 		}
-		a.net[rec.Key] = nf
-
-		cd := a.cur[rec.Key]
-		cd.Key = rec.Key
-		cd.Pkts += dPkts
-		cd.Bytes += dBytes
-		a.cur[rec.Key] = cd
+		nf.touch(a.gen)
+		nf.cur.Pkts += dPkts
+		nf.cur.Bytes += dBytes
 
 		if dPkts > 0 {
 			for _, det := range a.cfg.Detectors {
@@ -220,13 +265,13 @@ func (a *Aggregator) Ingest(b export.Batch) {
 		}
 	}
 
-	store.UnionCumulative(sv.flows, b.Records)
 	sv.batches++
 	sv.records += uint64(len(b.Records))
 	sv.lastEpoch = b.Epoch
 	sv.lastArrival = t0.UnixNano()
 	a.batches++
 	a.records += uint64(len(b.Records))
+	fl := a.fl
 	a.mu.Unlock()
 
 	for i := range alerts {
@@ -250,10 +295,10 @@ func (a *Aggregator) Ingest(b export.Batch) {
 	}
 
 	dur := uint64(now().Sub(t0))
-	a.fl.EventAt(t0, flight.StageAggregate, b.Epoch, uint32(len(b.Records)), 0, dur)
-	a.fl.EventAt(t0, flight.StageDetect, b.Epoch, uint32(observed), 0, dur)
+	fl.EventAt(t0, flight.StageAggregate, b.Epoch, uint32(len(b.Records)), 0, dur)
+	fl.EventAt(t0, flight.StageDetect, b.Epoch, uint32(observed), 0, dur)
 	if len(alerts) > 0 {
-		a.fl.EventAt(t0, flight.StageAlert, b.Epoch, uint32(len(alerts)), 0, dur)
+		fl.EventAt(t0, flight.StageAlert, b.Epoch, uint32(len(alerts)), 0, dur)
 	}
 }
 
@@ -270,8 +315,7 @@ func (a *Aggregator) Rotate() {
 }
 
 func (a *Aggregator) rotateLocked() {
-	a.prev = a.cur
-	a.cur = make(map[packet.FlowKey]store.FlowDelta, len(a.prev))
+	a.gen++
 	for _, det := range a.cfg.Detectors {
 		det.Rotate()
 	}
@@ -299,23 +343,33 @@ type FlowRank struct {
 func (a *Aggregator) TopK(k int, byBytes bool) []FlowRank {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	deltas := make(map[packet.FlowKey]store.FlowDelta, len(a.net))
-	for key, rec := range a.net {
-		deltas[key] = store.FlowDelta{Key: key, Pkts: rec.Pkts, Bytes: rec.Bytes}
-	}
-	ranked := store.RankDeltas(deltas, k, byBytes)
+	ranked := rankCounters(&a.net, k, byBytes, func(f *netFlow) counters { return f.total })
 	names := a.siteNamesLocked()
 	out := make([]FlowRank, len(ranked))
 	for i, d := range ranked {
 		fr := FlowRank{Key: d.Key, Pkts: d.Pkts, Bytes: d.Bytes}
+		h := flowtable.Hash(&d.Key)
 		for _, name := range names {
-			if rec, ok := a.sites[name].flows[d.Key]; ok {
-				fr.Sites = append(fr.Sites, SiteShare{Site: name, Pkts: rec.Pkts, Bytes: rec.Bytes})
+			if c := a.sites[name].flows.Get(h, &d.Key); c != nil {
+				fr.Sites = append(fr.Sites, SiteShare{Site: name, Pkts: c.Pkts, Bytes: c.Bytes})
 			}
 		}
 		out[i] = fr
 	}
 	return out
+}
+
+// rankCounters ranks the flows of one table by packets or bytes in the
+// store's order; of reads a flow's ranked counters out of its entry.
+func rankCounters[V any](t *flowtable.Table[V], k int, byBytes bool, of func(*V) counters) []store.FlowDelta {
+	sel := store.NewRanking(k, t.Len(), store.DeltaKey)
+	var d store.FlowDelta // one candidate row for the whole walk: Offer copies what it keeps
+	t.Each(func(_ uint64, key *packet.FlowKey, v *V) {
+		c := of(v)
+		d = store.FlowDelta{Key: *key, Pkts: c.Pkts, Bytes: c.Bytes}
+		sel.Offer(c.by(byBytes), &d)
+	})
+	return sel.Sorted()
 }
 
 // SiteTopK returns one site's k heaviest flows by its latest cumulative
@@ -327,11 +381,7 @@ func (a *Aggregator) SiteTopK(site string, k int, byBytes bool) (flows []store.F
 	if sv == nil {
 		return nil, false
 	}
-	deltas := make(map[packet.FlowKey]store.FlowDelta, len(sv.flows))
-	for key, rec := range sv.flows {
-		deltas[key] = store.FlowDelta{Key: key, Pkts: rec.Pkts, Bytes: rec.Bytes}
-	}
-	return store.RankDeltas(deltas, k, byBytes), true
+	return rankCounters(&sv.flows, k, byBytes, func(c *counters) counters { return *c }), true
 }
 
 // Changers returns the k flows whose traffic changed most between the
@@ -339,31 +389,25 @@ func (a *Aggregator) SiteTopK(site string, k int, byBytes bool) (flows []store.F
 func (a *Aggregator) Changers(k int, byBytes bool) []store.FlowChange {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	mag := make(map[packet.FlowKey]store.FlowDelta, len(a.cur)+len(a.prev))
-	for key, d := range a.cur {
-		o := a.prev[key]
-		mag[key] = store.FlowDelta{Key: key, Pkts: abs(d.Pkts - o.Pkts), Bytes: abs(d.Bytes - o.Bytes)}
-	}
-	for key, o := range a.prev {
-		if _, seen := a.cur[key]; !seen {
-			mag[key] = store.FlowDelta{Key: key, Pkts: o.Pkts, Bytes: o.Bytes}
+	sel := store.NewRanking(k, a.net.Len(), func(c *store.FlowChange) *packet.FlowKey { return &c.Key })
+	var c store.FlowChange // one candidate row for the whole walk: Offer copies what it keeps
+	a.net.Each(func(_ uint64, key *packet.FlowKey, f *netFlow) {
+		cur, prev, live := f.windows(a.gen)
+		if !live {
+			return
 		}
-	}
-	ranked := store.RankDeltas(mag, k, byBytes)
-	out := make([]store.FlowChange, len(ranked))
-	for i, d := range ranked {
-		c, p := a.cur[d.Key], a.prev[d.Key]
-		out[i] = store.FlowChange{
-			Key:        d.Key,
-			Pkts:       c.Pkts - p.Pkts,
-			Bytes:      c.Bytes - p.Bytes,
-			NewerPkts:  c.Pkts,
-			OlderPkts:  p.Pkts,
-			NewerBytes: c.Bytes,
-			OlderBytes: p.Bytes,
+		c = store.FlowChange{
+			Key:        *key,
+			Pkts:       cur.Pkts - prev.Pkts,
+			Bytes:      cur.Bytes - prev.Bytes,
+			NewerPkts:  cur.Pkts,
+			OlderPkts:  prev.Pkts,
+			NewerBytes: cur.Bytes,
+			OlderBytes: prev.Bytes,
 		}
-	}
-	return out
+		sel.Offer(abs(counters{c.Pkts, c.Bytes}.by(byBytes)), &c)
+	})
+	return sel.Sorted()
 }
 
 func abs(v float64) float64 {
@@ -394,16 +438,16 @@ func (a *Aggregator) Sites() []SiteStats {
 		sv := a.sites[name]
 		st := SiteStats{
 			Site:        name,
-			Flows:       len(sv.flows),
+			Flows:       sv.flows.Len(),
 			Batches:     sv.batches,
 			Records:     sv.records,
 			LastEpoch:   sv.lastEpoch,
 			LastArrival: sv.lastArrival,
 		}
-		for _, rec := range sv.flows {
-			st.Pkts += rec.Pkts
-			st.Bytes += rec.Bytes
-		}
+		sv.flows.Each(func(_ uint64, _ *packet.FlowKey, c *counters) {
+			st.Pkts += c.Pkts
+			st.Bytes += c.Bytes
+		})
 		out = append(out, st)
 	}
 	return out
@@ -448,7 +492,7 @@ func (a *Aggregator) Stats() Stats {
 	defer a.mu.Unlock()
 	st := Stats{
 		Sites:        len(a.sites),
-		Flows:        len(a.net),
+		Flows:        a.net.Len(),
 		Batches:      a.batches,
 		Records:      a.records,
 		Rotations:    a.rotations,

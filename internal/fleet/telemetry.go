@@ -59,7 +59,7 @@ func (a *Aggregator) Instrument(reg *telemetry.Registry) {
 		"Flows in the network-wide merged view.", func() float64 {
 			a.mu.Lock()
 			defer a.mu.Unlock()
-			return float64(len(a.net))
+			return float64(a.net.Len())
 		})
 	reg.GaugeFunc("fleet_alert_ring_seq",
 		"Sequence number of the newest published alert.", func() float64 {

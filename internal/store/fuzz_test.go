@@ -75,10 +75,16 @@ func FuzzStoreSegment(f *testing.F) {
 
 		// Every indexed payload passed the outer CRC; decoding it through
 		// the export codec may still reject it (the outer frame does not
-		// cover inner semantics) but must never panic.
+		// cover inner semantics) but must never panic — through the stream
+		// decoder or the in-place one the queries use — and the two must
+		// agree on whether it decodes.
 		for _, r := range refs {
 			payload := data[r.off+headerLen : r.off+r.size-4]
-			export.ReadSnapshotStats(bytes.NewReader(payload)) //nolint:errcheck
+			_, _, _, err := export.ReadSnapshotStats(bytes.NewReader(payload))
+			_, _, _, err2 := export.DecodeSnapshotStats(payload, func(*export.Record) {})
+			if (err == nil) != (err2 == nil) {
+				t.Fatalf("stream decoder error %v, in-place decoder error %v", err, err2)
+			}
 		}
 
 		// And a store opened over the prefix must come up clean.

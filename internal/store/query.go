@@ -1,13 +1,16 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
 	"instameasure/internal/export"
+	"instameasure/internal/flowtable"
 	"instameasure/internal/packet"
+	"instameasure/internal/topk"
 )
 
 // Window is an inclusive epoch range. A zero From means "from the
@@ -123,27 +126,43 @@ func (s *Store) snapshotRefs() ([]recordRef, error) {
 	return out, nil
 }
 
-// segReader opens segment files lazily and at most once per query.
+// segReader opens segment files lazily and at most once per query, and
+// reads every frame into one buffer it reuses.
 type segReader struct {
 	dir   string
 	files map[int]*os.File
+	buf   []byte
 }
 
 func newSegReader(dir string) *segReader {
 	return &segReader{dir: dir, files: make(map[int]*os.File)}
 }
 
-func (sr *segReader) decode(ref recordRef) ([]export.Record, export.TableStats, error) {
+// each re-verifies ref's frame and decodes it in place, handing every flow
+// record to fn in frame order. The pointee is reused between calls, and fn
+// has seen the records ahead of a malformed one when an error comes back.
+func (sr *segReader) each(ref recordRef, fn func(*export.Record)) (export.TableStats, error) {
 	f, ok := sr.files[ref.seg]
 	if !ok {
 		var err error
 		f, err = os.Open(filepath.Join(sr.dir, segName(ref.seg)))
 		if err != nil {
-			return nil, export.TableStats{}, err
+			return export.TableStats{}, err
 		}
 		sr.files[ref.seg] = f
 	}
-	return decodeFrameFrom(f, ref)
+	if int64(cap(sr.buf)) < ref.size {
+		sr.buf = make([]byte, ref.size)
+	}
+	payload, err := readFrame(f, ref, sr.buf[:ref.size])
+	if err != nil {
+		return export.TableStats{}, err
+	}
+	_, stats, _, err := export.DecodeSnapshotStats(payload, fn)
+	if err != nil {
+		return export.TableStats{}, fmt.Errorf("store: decode epoch %d: %w", ref.epoch, err)
+	}
+	return stats, nil
 }
 
 // close closes every opened segment file and returns the first failure: a
@@ -200,7 +219,8 @@ func (s *Store) EpochRecords(epoch int64) (records []export.Record, stats export
 		if match == nil {
 			return nil
 		}
-		recs, st, derr := sr.decode(*match)
+		recs := make([]export.Record, 0, match.count)
+		st, derr := sr.each(*match, func(rec *export.Record) { recs = append(recs, *rec) })
 		if derr != nil {
 			return derr
 		}
@@ -210,77 +230,117 @@ func (s *Store) EpochRecords(epoch int64) (records []export.Record, stats export
 	return records, stats, ok, err
 }
 
-// tableAt resolves the merged per-flow cumulative table as of epoch e:
-// all records carrying the latest outer epoch ≤ e are unioned in append
-// order (later appends win per flow). found is false when no record is
-// that old. e ≤ 0 means "latest".
-func tableAt(refs []recordRef, sr *segReader, e int64) (map[packet.FlowKey]export.Record, int64, bool, error) {
-	best := int64(0)
-	found := false
+// latestAt finds the latest outer epoch ≤ e (e ≤ 0: the latest of all) and
+// how many flow rows its records hold together. found is false when no
+// record is that old.
+func latestAt(refs []recordRef, e int64) (epoch int64, rows int, found bool) {
 	for _, r := range refs {
 		if e > 0 && r.epoch > e {
 			continue
 		}
-		if !found || r.epoch > best {
-			best, found = r.epoch, true
+		switch {
+		case !found || r.epoch > epoch:
+			epoch, rows, found = r.epoch, int(r.count), true
+		case r.epoch == epoch:
+			rows += int(r.count)
 		}
 	}
-	if !found {
-		return nil, 0, false, nil
-	}
-	table := make(map[packet.FlowKey]export.Record)
-	for _, r := range refs {
-		if r.epoch != best {
-			continue
-		}
-		recs, _, err := sr.decode(r)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		UnionCumulative(table, recs)
-	}
-	return table, best, true, nil
+	return epoch, rows, found
 }
 
-// windowDelta computes each flow's counter growth across w: its value in
-// the table at the window's end minus its value in the table just before
-// the window's start (zero if it was absent). A negative delta means the
-// flow's WSAF entry restarted (eviction or TTL) inside the window; the
-// end-of-window value is used as a floor in that case.
-func windowDelta(refs []recordRef, sr *segReader, w Window) (map[packet.FlowKey]FlowDelta, error) {
-	end, _, found, err := tableAt(refs, sr, w.To)
+// eachAt streams the cumulative table as of one outer epoch: every record
+// carrying that epoch, in append order, so the last value fn sees for a
+// flow is the one that counts (later appends win per flow).
+func eachAt(refs []recordRef, sr *segReader, epoch int64, fn func(*export.Record)) error {
+	for _, r := range refs {
+		if r.epoch != epoch {
+			continue
+		}
+		if _, err := sr.each(r, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flowWindow is one flow's cumulative counters at a window's two boundary
+// snapshots: the table at the window's end, and the table just before its
+// start (zero when the flow was absent there, or the window has no base).
+type flowWindow struct {
+	endPkts, endBytes   float64
+	basePkts, baseBytes float64
+}
+
+// delta is the flow's counter growth across the window. A negative
+// difference means the flow's WSAF entry restarted (eviction or TTL)
+// inside the window; the end-of-window value is the floor in that case.
+// A flow that did not grow reads 0, 0 and is left out of every ranking.
+func (f *flowWindow) delta() (pkts, bytes float64) {
+	pkts, bytes = f.endPkts-f.basePkts, f.endBytes-f.baseBytes
+	if pkts < 0 || bytes < 0 {
+		return f.endPkts, f.endBytes
+	}
+	return pkts, bytes
+}
+
+// windowDelta builds one table holding every flow of the window's end
+// snapshot and streams the base snapshot through it by lookup, one hash
+// per record per pass.
+func windowDelta(refs []recordRef, sr *segReader, w Window) (*flowtable.Table[flowWindow], error) {
+	end, rows, found := latestAt(refs, w.To)
+	if !found {
+		return flowtable.New[flowWindow](0), nil
+	}
+	t := flowtable.New[flowWindow](rows)
+	err := eachAt(refs, sr, end, func(rec *export.Record) {
+		v, _ := t.Upsert(flowtable.Hash(&rec.Key), &rec.Key)
+		v.endPkts, v.endBytes = rec.Pkts, rec.Bytes
+	})
 	if err != nil {
 		return nil, err
 	}
-	if !found {
-		return map[packet.FlowKey]FlowDelta{}, nil
-	}
-	// A baseline exists only for From > 1: From-1 == 0 would hit tableAt's
+	// A baseline exists only for From > 1: From-1 == 0 would hit latestAt's
 	// "latest" sentinel and subtract the newest table from itself, zeroing
 	// every flow that stopped growing before the window end. Epochs are
 	// positive, so a window starting at 1 (or unbounded) has an empty base.
-	var base map[packet.FlowKey]export.Record
-	if w.From > 1 {
-		base, _, _, err = tableAt(refs, sr, w.From-1)
-		if err != nil {
-			return nil, err
-		}
+	if w.From <= 1 {
+		return t, nil
 	}
-	out := make(map[packet.FlowKey]FlowDelta, len(end))
-	for key, rec := range end {
-		d := FlowDelta{Key: key, Pkts: rec.Pkts, Bytes: rec.Bytes}
-		if b, ok := base[key]; ok {
-			d.Pkts -= b.Pkts
-			d.Bytes -= b.Bytes
-			if d.Pkts < 0 || d.Bytes < 0 {
-				d.Pkts, d.Bytes = rec.Pkts, rec.Bytes
-			}
-		}
-		if d.Pkts != 0 || d.Bytes != 0 {
-			out[key] = d
-		}
+	base, _, found := latestAt(refs, w.From-1)
+	if !found {
+		return t, nil
 	}
-	return out, nil
+	err = eachAt(refs, sr, base, func(rec *export.Record) {
+		if v := t.Get(flowtable.Hash(&rec.Key), &rec.Key); v != nil {
+			v.basePkts, v.baseBytes = rec.Pkts, rec.Bytes
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// NewRanking returns the collection tier's one ranking: the k rows with the
+// largest score offered, largest first, equal scores in KeyLess order of
+// the rows' flow keys so an answer does not depend on the order flows were
+// stored in. k <= 0 keeps all of the (at most n) rows.
+func NewRanking[T any](k, n int, key func(*T) *packet.FlowKey) *topk.Selector[T] {
+	if k <= 0 {
+		k = n
+	}
+	return topk.NewTied(k, func(a, b *T) bool { return keyLess(key(a), key(b)) })
+}
+
+// DeltaKey is NewRanking's key accessor for FlowDelta rows.
+func DeltaKey(d *FlowDelta) *packet.FlowKey { return &d.Key }
+
+// pick returns the ranked dimension.
+func pick(byBytes bool, pkts, bytes float64) float64 {
+	if byBytes {
+		return bytes
+	}
+	return pkts
 }
 
 // TopK returns the k largest flows by packet (or byte) growth within the
@@ -291,39 +351,23 @@ func (s *Store) TopK(w Window, k int, byBytes bool) ([]FlowDelta, error) {
 	start := time.Now()
 	var out []FlowDelta
 	err := s.query(func(refs []recordRef, sr *segReader) error {
-		deltas, err := windowDelta(refs, sr, w)
+		t, err := windowDelta(refs, sr, w)
 		if err != nil {
 			return err
 		}
-		out = rankDeltas(deltas, k, byBytes)
+		sel := NewRanking(k, t.Len(), DeltaKey)
+		var d FlowDelta // one candidate row for the whole walk: Offer copies what it keeps
+		t.Each(func(_ uint64, key *packet.FlowKey, v *flowWindow) {
+			if d.Pkts, d.Bytes = v.delta(); d.Pkts != 0 || d.Bytes != 0 {
+				d.Key = *key
+				sel.Offer(pick(byBytes, d.Pkts, d.Bytes), &d)
+			}
+		})
+		out = sel.Sorted()
 		return nil
 	})
 	s.observeQuery(queryTopK, start)
 	return out, err
-}
-
-// rankDeltas sorts deltas by the chosen metric (key order breaking ties,
-// so results are deterministic) and keeps the top k.
-func rankDeltas(deltas map[packet.FlowKey]FlowDelta, k int, byBytes bool) []FlowDelta {
-	out := make([]FlowDelta, 0, len(deltas))
-	for _, d := range deltas {
-		out = append(out, d)
-	}
-	metric := func(d *FlowDelta) float64 { return d.Pkts }
-	if byBytes {
-		metric = func(d *FlowDelta) float64 { return d.Bytes }
-	}
-	sort.Slice(out, func(i, j int) bool {
-		mi, mj := metric(&out[i]), metric(&out[j])
-		if mi != mj {
-			return mi > mj
-		}
-		return keyLess(&out[i].Key, &out[j].Key)
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
 }
 
 // Timeline returns the flow's per-epoch series within the window,
@@ -357,20 +401,19 @@ func (s *Store) timeline(w Window, match func(*packet.FlowKey) bool) ([]Timeline
 			if w.To > 0 && r.epoch > w.To {
 				continue
 			}
-			recs, _, err := sr.decode(r)
-			if err != nil {
-				return err
-			}
-			for i := range recs {
-				if match(&recs[i].Key) {
-					matched = recs[i].Key
+			_, err := sr.each(r, func(rec *export.Record) {
+				if match(&rec.Key) {
+					matched = rec.Key
 					byEpoch[r.epoch] = TimelinePoint{
 						Epoch: r.epoch,
-						TS:    recs[i].LastUpdate,
-						Pkts:  recs[i].Pkts,
-						Bytes: recs[i].Bytes,
+						TS:    rec.LastUpdate,
+						Pkts:  rec.Pkts,
+						Bytes: rec.Bytes,
 					}
 				}
+			})
+			if err != nil {
+				return err
 			}
 		}
 		return nil
@@ -404,37 +447,40 @@ func (s *Store) HeavyChangers(older, newer Window, k int, byBytes bool) ([]FlowC
 		if err != nil {
 			return err
 		}
-		changes := make(map[packet.FlowKey]FlowChange, len(dNew)+len(dOld))
-		for key, d := range dNew {
-			changes[key] = FlowChange{Key: key, NewerPkts: d.Pkts, NewerBytes: d.Bytes}
-		}
-		for key, d := range dOld {
-			c := changes[key]
-			c.Key = key
-			c.OlderPkts, c.OlderBytes = d.Pkts, d.Bytes
-			changes[key] = c
-		}
-		out = out[:0]
-		for key, c := range changes {
-			c.Pkts = c.NewerPkts - c.OlderPkts
-			c.Bytes = c.NewerBytes - c.OlderBytes
-			changes[key] = c
-			out = append(out, c)
-		}
-		metric := func(c *FlowChange) float64 { return c.Pkts }
-		if byBytes {
-			metric = func(c *FlowChange) float64 { return c.Bytes }
-		}
-		sort.Slice(out, func(i, j int) bool {
-			mi, mj := abs(metric(&out[i])), abs(metric(&out[j]))
-			if mi != mj {
-				return mi > mj
+		sel := NewRanking(k, dNew.Len()+dOld.Len(), func(c *FlowChange) *packet.FlowKey { return &c.Key })
+		var c FlowChange // one candidate row for both walks: Offer copies what it keeps
+		offer := func(key *packet.FlowKey, newPkts, newBytes, oldPkts, oldBytes float64) {
+			c = FlowChange{
+				Key:       *key,
+				Pkts:      newPkts - oldPkts,
+				Bytes:     newBytes - oldBytes,
+				NewerPkts: newPkts, OlderPkts: oldPkts,
+				NewerBytes: newBytes, OlderBytes: oldBytes,
 			}
-			return keyLess(&out[i].Key, &out[j].Key)
-		})
-		if k > 0 && k < len(out) {
-			out = out[:k]
+			sel.Offer(abs(pick(byBytes, c.Pkts, c.Bytes)), &c)
 		}
+		// Every flow that grew in either window is ranked once: the newer
+		// window's flows joined to the older by lookup, then the flows only
+		// the older window saw grow.
+		dNew.Each(func(h uint64, key *packet.FlowKey, v *flowWindow) {
+			newPkts, newBytes := v.delta()
+			var oldPkts, oldBytes float64
+			if o := dOld.Get(h, key); o != nil {
+				oldPkts, oldBytes = o.delta()
+			}
+			if newPkts != 0 || newBytes != 0 || oldPkts != 0 || oldBytes != 0 {
+				offer(key, newPkts, newBytes, oldPkts, oldBytes)
+			}
+		})
+		dOld.Each(func(h uint64, key *packet.FlowKey, v *flowWindow) {
+			if dNew.Get(h, key) != nil {
+				return
+			}
+			if oldPkts, oldBytes := v.delta(); oldPkts != 0 || oldBytes != 0 {
+				offer(key, 0, 0, oldPkts, oldBytes)
+			}
+		})
+		out = sel.Sorted()
 		return nil
 	})
 	s.observeQuery(queryChangers, start)

@@ -235,12 +235,12 @@ func parseSegName(name string) (int, bool) {
 	return id, true
 }
 
-// readFrame reads and re-verifies one record frame from an open segment
-// file, returning its payload (the inner snapshot bytes). The CRC is
-// checked again on every read: the open-time scan guards against torn
-// writes, this guards against bit rot after open.
-func readFrame(f *os.File, ref recordRef) ([]byte, error) {
-	buf := make([]byte, ref.size)
+// readFrame reads one record frame from an open segment file into buf
+// (ref.size bytes long) and re-verifies it, returning its payload (the
+// inner snapshot bytes, inside buf). The CRC is checked again on every
+// read: the open-time scan guards against torn writes, this guards against
+// bit rot after open.
+func readFrame(f *os.File, ref recordRef, buf []byte) ([]byte, error) {
 	if _, err := f.ReadAt(buf, ref.off); err != nil {
 		return nil, fmt.Errorf("store: read segment %d @%d: %w", ref.seg, ref.off, err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"instameasure/internal/export"
 	"instameasure/internal/flight"
+	"instameasure/internal/flowtable"
 	"instameasure/internal/packet"
 )
 
@@ -542,19 +543,25 @@ func containsSeg(segs []segmentInfo, id int) bool {
 // writeRollup merges the victims' records into one rollup record, written
 // to a temp file and atomically renamed over the oldest victim's path.
 func (s *Store) writeRollup(victims []segmentInfo, refs []recordRef) (recordRef, int64, error) {
-	merged := make(map[packet.FlowKey]export.Record)
+	rows := 0
+	for _, r := range refs {
+		rows = max(rows, int(r.count))
+	}
+	merged := flowtable.New[export.Record](rows)
 	var stats export.TableStats
 	lo, hi := int64(0), int64(0)
 	newestUnix := int64(0)
+	sr := newSegReader(s.dir)
+	var err error
 	for i, r := range refs {
-		recs, st, err := s.decodeRef(r)
+		// Later (newer) records win, per flow and for the cumulative stats.
+		stats, err = sr.each(r, func(rec *export.Record) {
+			v, _ := merged.Upsert(flowtable.Hash(&rec.Key), &rec.Key)
+			*v = *rec
+		})
 		if err != nil {
-			return recordRef{}, 0, err
+			break
 		}
-		for _, rec := range recs {
-			merged[rec.Key] = rec
-		}
-		stats = st // later (newer) records win: stats are cumulative
 		if i == 0 || r.loEpoch < lo {
 			lo = r.loEpoch
 		}
@@ -565,10 +572,14 @@ func (s *Store) writeRollup(victims []segmentInfo, refs []recordRef) (recordRef,
 			newestUnix = r.unixNano
 		}
 	}
-	out := make([]export.Record, 0, len(merged))
-	for _, rec := range merged {
-		out = append(out, rec)
+	if cerr := sr.close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		return recordRef{}, 0, err
+	}
+	out := make([]export.Record, 0, merged.Len())
+	merged.Each(func(_ uint64, _ *packet.FlowKey, rec *export.Record) { out = append(out, *rec) })
 	sort.Slice(out, func(i, j int) bool { return keyLess(&out[i].Key, &out[j].Key) })
 
 	var payload bytes.Buffer
@@ -621,33 +632,4 @@ func keyLess(a, b *packet.FlowKey) bool {
 		return a.DstPort < b.DstPort
 	}
 	return a.Proto < b.Proto
-}
-
-// decodeRef reads and fully decodes one record's flow table.
-func (s *Store) decodeRef(ref recordRef) ([]export.Record, export.TableStats, error) {
-	f, err := os.Open(filepath.Join(s.dir, segName(ref.seg)))
-	if err != nil {
-		return nil, export.TableStats{}, err
-	}
-	recs, stats, err := decodeFrameFrom(f, ref)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, export.TableStats{}, err
-	}
-	return recs, stats, nil
-}
-
-// decodeFrameFrom decodes one record from an already-open segment file.
-func decodeFrameFrom(f *os.File, ref recordRef) ([]export.Record, export.TableStats, error) {
-	payload, err := readFrame(f, ref)
-	if err != nil {
-		return nil, export.TableStats{}, err
-	}
-	b, stats, _, err := export.ReadSnapshotStats(bytes.NewReader(payload))
-	if err != nil {
-		return nil, export.TableStats{}, fmt.Errorf("store: decode epoch %d: %w", ref.epoch, err)
-	}
-	return b.Records, stats, nil
 }

@@ -1,12 +1,6 @@
 package instameasure
 
-import (
-	cryptorand "crypto/rand"
-	"encoding/binary"
-	"time"
-
-	"instameasure/internal/flowhash"
-)
+import "instameasure/internal/flowhash"
 
 // RandomSeed draws a nonzero seed from the operating system's entropy
 // source. New and NewCluster call it when Config.Seed is 0, so every run
@@ -18,18 +12,4 @@ import (
 //
 // Callers wanting a reproducible run set Config.Seed explicitly (and can
 // read back a randomly drawn one via Meter.Seed / Cluster.Seed).
-func RandomSeed() uint64 {
-	var b [8]byte
-	for {
-		if _, err := cryptorand.Read(b[:]); err != nil {
-			// Entropy failure is effectively impossible on the supported
-			// platforms; degrade to a time-mixed seed rather than panic —
-			// weaker unpredictability still beats the fixed constant this
-			// path replaces.
-			return flowhash.Mix64(uint64(time.Now().UnixNano()) | 1)
-		}
-		if s := binary.LittleEndian.Uint64(b[:]); s != 0 {
-			return s
-		}
-	}
-}
+func RandomSeed() uint64 { return flowhash.RandomSeed() }

@@ -114,6 +114,11 @@ func (c *Cluster) Telemetry() *Telemetry {
 	return &Telemetry{reg: c.sys.Telemetry()}
 }
 
+// Instrument registers the collector's connection-drop counters
+// (collector_conn_drops_total{reason="eof"|"timeout"|"protocol"}) on t's
+// registry: every exporter connection the collector stops serving, by why.
+func (c *Collector) Instrument(t *Telemetry) { c.c.Instrument(t.reg) }
+
 // Instrument attaches export metrics (export_batches_total,
 // export_records_total, export_bytes_total, export_errors_total) to t's
 // registry, updated on every batch this exporter sends.
