@@ -1,7 +1,10 @@
 package instameasure
 
 import (
+	"cmp"
 	"fmt"
+	"net/netip"
+	"slices"
 
 	"instameasure/internal/apps"
 	"instameasure/internal/detect"
@@ -11,85 +14,111 @@ import (
 // SpreadConfig parameterizes the spread-based anomaly detectors
 // (SuperSpreader and DDoS victim detection).
 type SpreadConfig struct {
-	// Threshold is the distinct-peer count that flags an endpoint.
+	// Threshold is the distinct-peer count that flags an endpoint; it
+	// must be positive and finite.
 	Threshold float64
 	// Precision is the per-endpoint HyperLogLog precision (default 10:
 	// 1 KB per endpoint, ~3% error).
 	Precision int
-	// MaxTracked caps concurrently tracked endpoints (default 4096).
+	// MaxTracked caps concurrently tracked endpoints (default 4096). A
+	// new endpoint arriving at the cap displaces a quiet unflagged one;
+	// flagged endpoints are never displaced.
 	MaxTracked int
-	// Seed drives peer hashing.
-	Seed uint64
 }
 
-// SpreadReport is one flagged endpoint: its IPv4 address (or folded IPv6),
-// estimated distinct peers, and first-flag timestamp.
-type SpreadReport = apps.SpreadReport
-
-// SuperSpreaderDetector flags sources contacting many distinct
-// destinations — scan and worm behaviour. Feed it the same packet stream
-// as the Meter.
-type SuperSpreaderDetector struct {
-	d *apps.SuperSpreaderDetector
+// SpreadReport is one flagged endpoint: its address, estimated distinct
+// peers, and the timestamp of the packet that first took the estimate
+// over the threshold.
+type SpreadReport struct {
+	Addr         netip.Addr
+	DistinctEst  float64
+	FirstFlagged int64
 }
+
+// spreadDetector adapts detect.StreamDetector — the distinct-count engine
+// the fleet also runs — to a packet stream and keeps each flagged endpoint.
+// It never rotates, so an endpoint is flagged at most once.
+type spreadDetector struct {
+	d       *detect.StreamDetector
+	flagged []SpreadReport
+}
+
+func newSpreadDetector(kind detect.StreamKind, cfg SpreadConfig) (*spreadDetector, error) {
+	if cfg.Precision == 0 {
+		cfg.Precision = 10
+	}
+	d, err := detect.NewStreamDetector(detect.StreamConfig{
+		Kind:      kind,
+		Threshold: cfg.Threshold,
+		Precision: cfg.Precision,
+		MaxKeys:   cfg.MaxTracked,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("instameasure: %w", err)
+	}
+	return &spreadDetector{d: d}, nil
+}
+
+// Observe records one packet.
+func (s *spreadDetector) Observe(p Packet) {
+	for _, al := range s.d.ObservePacket(&p, nil) { // allocates only on an alert
+		s.flagged = append(s.flagged, SpreadReport{Addr: netip.MustParseAddr(al.Host), FirstFlagged: al.TS})
+	}
+}
+
+// Estimate returns the current distinct-peer estimate for an endpoint
+// address (0 if it is not tracked).
+func (s *spreadDetector) Estimate(addr netip.Addr) float64 { return s.d.Estimate(addr) }
+
+// reports returns the flagged endpoints by current estimate, largest
+// first, then by address.
+func (s *spreadDetector) reports() []SpreadReport {
+	out := slices.Clone(s.flagged)
+	for i := range out {
+		out[i].DistinctEst = s.d.Estimate(out[i].Addr)
+	}
+	slices.SortFunc(out, func(a, b SpreadReport) int {
+		if c := cmp.Compare(b.DistinctEst, a.DistinctEst); c != 0 {
+			return c
+		}
+		return a.Addr.Compare(b.Addr)
+	})
+	return out
+}
+
+// SuperSpreaderDetector flags sources contacting many distinct destination
+// addresses — scan and worm behaviour. Destination ports do not count: a
+// source probing many ports on one host is a port scan, not a spreader.
+// Feed it the same packet stream as the Meter.
+type SuperSpreaderDetector struct{ *spreadDetector }
 
 // NewSuperSpreaderDetector builds a detector from cfg.
 func NewSuperSpreaderDetector(cfg SpreadConfig) (*SuperSpreaderDetector, error) {
-	d, err := apps.NewSuperSpreaderDetector(apps.SpreadConfig{
-		Threshold:  cfg.Threshold,
-		Precision:  cfg.Precision,
-		MaxTracked: cfg.MaxTracked,
-		Seed:       cfg.Seed,
-	})
+	s, err := newSpreadDetector(detect.KindSuperSpreader, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("instameasure: %w", err)
+		return nil, err
 	}
-	return &SuperSpreaderDetector{d: d}, nil
+	return &SuperSpreaderDetector{s}, nil
 }
-
-// Observe records one packet.
-func (s *SuperSpreaderDetector) Observe(p Packet) { s.d.Observe(p) }
 
 // SuperSpreaders returns flagged sources, largest spread first.
-func (s *SuperSpreaderDetector) SuperSpreaders() []SpreadReport {
-	return s.d.SuperSpreaders()
-}
+func (d *SuperSpreaderDetector) SuperSpreaders() []SpreadReport { return d.reports() }
 
-// Estimate returns the current distinct-destination estimate for a source
-// address.
-func (s *SuperSpreaderDetector) Estimate(src uint32) float64 {
-	return s.d.Estimate(src)
-}
-
-// DDoSDetector flags destinations contacted by many distinct sources —
-// volumetric attack victims.
-type DDoSDetector struct {
-	d *apps.DDoSDetector
-}
+// DDoSDetector flags destinations contacted by many distinct source
+// addresses — volumetric attack victims.
+type DDoSDetector struct{ *spreadDetector }
 
 // NewDDoSDetector builds a detector from cfg.
 func NewDDoSDetector(cfg SpreadConfig) (*DDoSDetector, error) {
-	d, err := apps.NewDDoSDetector(apps.SpreadConfig{
-		Threshold:  cfg.Threshold,
-		Precision:  cfg.Precision,
-		MaxTracked: cfg.MaxTracked,
-		Seed:       cfg.Seed,
-	})
+	s, err := newSpreadDetector(detect.KindDDoSVictim, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("instameasure: %w", err)
+		return nil, err
 	}
-	return &DDoSDetector{d: d}, nil
+	return &DDoSDetector{s}, nil
 }
 
-// Observe records one packet.
-func (d *DDoSDetector) Observe(p Packet) { d.d.Observe(p) }
-
 // Victims returns flagged destinations, largest spread first.
-func (d *DDoSDetector) Victims() []SpreadReport { return d.d.Victims() }
-
-// Estimate returns the current distinct-source estimate for a destination
-// address.
-func (d *DDoSDetector) Estimate(dst uint32) float64 { return d.d.Estimate(dst) }
+func (d *DDoSDetector) Victims() []SpreadReport { return d.reports() }
 
 // FlowEntropy returns the Shannon entropy (bits) of the meter's current
 // flow-size distribution. Sudden drops indicate traffic concentration

@@ -2,13 +2,14 @@ package instameasure
 
 import (
 	"math"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestPublicSuperSpreaderDetector(t *testing.T) {
-	d, err := NewSuperSpreaderDetector(SpreadConfig{Threshold: 200, Seed: 1})
+	d, err := NewSuperSpreaderDetector(SpreadConfig{Threshold: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,40 +21,65 @@ func TestPublicSuperSpreaderDetector(t *testing.T) {
 			TS:  int64(i),
 		})
 	}
+	// Many ports on one host are a port scan, not a spread.
+	for i := 0; i < 1000; i++ {
+		d.Observe(Packet{Key: V4Key(0x0B0B0B0B, 9, 1000, uint16(i), ProtoTCP), Len: 60, TS: int64(i)})
+	}
+	addr := netip.MustParseAddr("10.10.10.10")
 	got := d.SuperSpreaders()
-	if len(got) != 1 || got[0].Addr != scanner {
+	if len(got) != 1 || got[0].Addr != addr {
 		t.Fatalf("spreaders = %+v", got)
 	}
-	if est := d.Estimate(scanner); math.Abs(est-1000)/1000 > 0.15 {
-		t.Errorf("estimate %.0f, want ≈1000", est)
+	if at := got[0].FirstFlagged; at < 100 || at > 400 {
+		t.Errorf("flagged at TS %d, want near the 200th destination", at)
 	}
-	if _, err := NewSuperSpreaderDetector(SpreadConfig{}); err == nil {
-		t.Error("zero threshold must fail")
+	if est := d.Estimate(addr); math.Abs(est-1000)/1000 > 0.15 || got[0].DistinctEst != est {
+		t.Errorf("estimate %.0f (report %.0f), want ≈1000", est, got[0].DistinctEst)
 	}
 }
 
 func TestPublicDDoSDetector(t *testing.T) {
-	d, err := NewDDoSDetector(SpreadConfig{Threshold: 300, Seed: 2})
+	d, err := NewDDoSDetector(SpreadConfig{Threshold: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const victim = 0x08080404
-	for i := 0; i < 800; i++ {
-		d.Observe(Packet{
-			Key: V4Key(uint32(i)+1, victim, 1000, 53, ProtoUDP),
-			Len: 500,
-			TS:  int64(i),
-		})
+	// Two IPv6 victims whose four 32-bit words XOR to the same value: a
+	// fold of the address into a uint32 would count them as one host.
+	victims := []netip.Addr{netip.MustParseAddr("2001:db8::"), netip.MustParseAddr("2001:db8:0:1::1")}
+	for v, victim := range victims {
+		for i := 0; i < 400*(v+1); i++ {
+			d.Observe(Packet{
+				Key: FlowKey{SrcIP: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}).As16(),
+					DstIP: victim.As16(), SrcPort: 1000, DstPort: 53, Proto: ProtoUDP, IsV6: true},
+				Len: 500,
+				TS:  int64(i),
+			})
+		}
 	}
 	got := d.Victims()
-	if len(got) != 1 || got[0].Addr != victim {
-		t.Fatalf("victims = %+v", got)
+	if len(got) != 2 || got[0].Addr != victims[1] || got[1].Addr != victims[0] {
+		t.Fatalf("victims = %+v, want both, larger spread first", got)
 	}
-	if est := d.Estimate(victim); math.Abs(est-800)/800 > 0.15 {
+	if est := d.Estimate(victims[1]); math.Abs(est-800)/800 > 0.15 {
 		t.Errorf("estimate %.0f, want ≈800", est)
 	}
-	if _, err := NewDDoSDetector(SpreadConfig{Threshold: -1}); err == nil {
-		t.Error("negative threshold must fail")
+}
+
+func TestSpreadConfigValidation(t *testing.T) {
+	for _, cfg := range []SpreadConfig{
+		{},
+		{Threshold: -1},
+		{Threshold: math.NaN()},
+		{Threshold: math.Inf(1)},
+		{Threshold: 10, Precision: 99},
+		{Threshold: 10, MaxTracked: -1},
+	} {
+		if _, err := NewSuperSpreaderDetector(cfg); err == nil {
+			t.Errorf("super-spreader config %+v accepted", cfg)
+		}
+		if _, err := NewDDoSDetector(cfg); err == nil {
+			t.Errorf("DDoS config %+v accepted", cfg)
+		}
 	}
 }
 

@@ -6,18 +6,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"instameasure"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	background, err := instameasure.GenerateZipfTrace(instameasure.ZipfTraceConfig{
 		Flows:        20_000,
 		TotalPackets: 300_000,
@@ -53,22 +55,18 @@ func run() error {
 	}
 
 	tr := mergeAll(background, scanPkts, ddosPkts)
-	fmt.Printf("workload: %d packets, %d flows (scanner + 3000-bot DDoS overlaid)\n\n",
+	fmt.Fprintf(w, "workload: %d packets, %d flows (scanner + 3000-bot DDoS overlaid)\n\n",
 		len(tr.Packets), tr.Flows())
 
 	meter, err := instameasure.New(instameasure.Config{Seed: 33})
 	if err != nil {
 		return err
 	}
-	spreader, err := instameasure.NewSuperSpreaderDetector(instameasure.SpreadConfig{
-		Threshold: 500, Seed: 33,
-	})
+	spreader, err := instameasure.NewSuperSpreaderDetector(instameasure.SpreadConfig{Threshold: 500})
 	if err != nil {
 		return err
 	}
-	ddos, err := instameasure.NewDDoSDetector(instameasure.SpreadConfig{
-		Threshold: 1000, Seed: 33,
-	})
+	ddos, err := instameasure.NewDDoSDetector(instameasure.SpreadConfig{Threshold: 1000})
 	if err != nil {
 		return err
 	}
@@ -79,23 +77,21 @@ func run() error {
 		ddos.Observe(p)
 	}
 
-	fmt.Println("SuperSpreaders (sources contacting ≥500 distinct destinations):")
+	fmt.Fprintln(w, "SuperSpreaders (sources contacting ≥500 distinct destination addresses):")
 	for _, r := range spreader.SuperSpreaders() {
-		fmt.Printf("  %d.%d.%d.%d — ~%.0f destinations, flagged at t=%.1fms\n",
-			r.Addr>>24, r.Addr>>16&0xFF, r.Addr>>8&0xFF, r.Addr&0xFF,
-			r.DistinctEst, float64(r.FirstFlagged)/1e6)
+		fmt.Fprintf(w, "  %s — ~%.0f destinations, flagged at t=%.1fms\n",
+			r.Addr, r.DistinctEst, float64(r.FirstFlagged)/1e6)
 	}
 
-	fmt.Println("\nDDoS victims (destinations hit by ≥1000 distinct sources):")
+	fmt.Fprintln(w, "\nDDoS victims (destinations hit by ≥1000 distinct sources):")
 	for _, r := range ddos.Victims() {
-		fmt.Printf("  %d.%d.%d.%d — ~%.0f sources, flagged at t=%.1fms\n",
-			r.Addr>>24, r.Addr>>16&0xFF, r.Addr>>8&0xFF, r.Addr&0xFF,
-			r.DistinctEst, float64(r.FirstFlagged)/1e6)
+		fmt.Fprintf(w, "  %s — ~%.0f sources, flagged at t=%.1fms\n",
+			r.Addr, r.DistinctEst, float64(r.FirstFlagged)/1e6)
 	}
 
-	fmt.Printf("\nflow-size entropy of the WSAF: %.2f bits (normalized %.3f)\n",
+	fmt.Fprintf(w, "\nflow-size entropy of the WSAF: %.2f bits (normalized %.3f)\n",
 		meter.FlowEntropy(), meter.NormalizedFlowEntropy())
-	fmt.Println("a concentration attack pushes normalized entropy down; a scan pushes it up")
+	fmt.Fprintln(w, "a concentration attack pushes normalized entropy down; a scan pushes it up")
 	return nil
 }
 

@@ -4,140 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"instameasure/internal/packet"
 	"instameasure/internal/wsaf"
 )
-
-func pkt(src, dst uint32, dstPort uint16, ts int64) packet.Packet {
-	return packet.Packet{
-		Key: packet.V4Key(src, dst, 40_000, dstPort, packet.ProtoTCP),
-		Len: 100,
-		TS:  ts,
-	}
-}
-
-func TestSpreadConfigValidation(t *testing.T) {
-	if _, err := NewSuperSpreaderDetector(SpreadConfig{Threshold: 0}); err == nil {
-		t.Error("zero threshold must fail")
-	}
-	if _, err := NewDDoSDetector(SpreadConfig{Threshold: -5}); err == nil {
-		t.Error("negative threshold must fail")
-	}
-	if _, err := NewSuperSpreaderDetector(SpreadConfig{Threshold: 10, Precision: 99}); err == nil {
-		t.Error("bad precision must fail")
-	}
-}
-
-func TestSuperSpreaderDetection(t *testing.T) {
-	d, err := NewSuperSpreaderDetector(SpreadConfig{Threshold: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const scanner = 0x0A000001
-	// Scanner probes 500 distinct destinations; 50 benign sources talk
-	// to 3 destinations each.
-	ts := int64(0)
-	for i := 0; i < 500; i++ {
-		d.Observe(pkt(scanner, uint32(0xC0000000)+uint32(i), 80, ts))
-		ts++
-	}
-	for s := 0; s < 50; s++ {
-		for j := 0; j < 3; j++ {
-			d.Observe(pkt(uint32(0x0B000000)+uint32(s), uint32(j)+1, 80, ts))
-			ts++
-		}
-	}
-
-	reports := d.SuperSpreaders()
-	if len(reports) != 1 {
-		t.Fatalf("flagged %d sources, want 1", len(reports))
-	}
-	if reports[0].Addr != scanner {
-		t.Errorf("flagged %#x, want the scanner", reports[0].Addr)
-	}
-	if est := reports[0].DistinctEst; math.Abs(est-500)/500 > 0.15 {
-		t.Errorf("scanner spread estimate %.0f, want ≈500", est)
-	}
-	if reports[0].FirstFlagged <= 0 || reports[0].FirstFlagged > 200 {
-		t.Errorf("flag time %d; must be around the 100th probe", reports[0].FirstFlagged)
-	}
-	if benign := d.Estimate(0x0B000000); benign > 10 {
-		t.Errorf("benign source estimate %.0f, want ~3", benign)
-	}
-}
-
-func TestSuperSpreaderDuplicatesDontFlag(t *testing.T) {
-	d, err := NewSuperSpreaderDetector(SpreadConfig{Threshold: 50, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A chatty-but-narrow source: 10k packets to 5 destinations.
-	for i := 0; i < 10_000; i++ {
-		d.Observe(pkt(1, uint32(i%5)+1, 443, int64(i)))
-	}
-	if len(d.SuperSpreaders()) != 0 {
-		t.Error("narrow source must not be flagged")
-	}
-}
-
-func TestDDoSDetection(t *testing.T) {
-	d, err := NewDDoSDetector(SpreadConfig{Threshold: 200, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const victim = 0x08080808
-	for i := 0; i < 1_000; i++ { // 1000 distinct attackers → one victim
-		d.Observe(pkt(uint32(0x10000000)+uint32(i), victim, 80, int64(i)))
-	}
-	for i := 0; i < 100; i++ { // benign: few sources per other dst
-		d.Observe(pkt(uint32(i%3)+1, 0x09090909, 443, int64(i)))
-	}
-	victims := d.Victims()
-	if len(victims) != 1 {
-		t.Fatalf("flagged %d victims, want 1", len(victims))
-	}
-	if victims[0].Addr != victim {
-		t.Errorf("flagged %#x, want %#x", victims[0].Addr, victim)
-	}
-	if est := victims[0].DistinctEst; math.Abs(est-1000)/1000 > 0.15 {
-		t.Errorf("victim spread estimate %.0f, want ≈1000", est)
-	}
-}
-
-func TestSpreadTrackerCapEviction(t *testing.T) {
-	d, err := NewSuperSpreaderDetector(SpreadConfig{Threshold: 1000, MaxTracked: 8, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 100 sources, far above the cap of 8.
-	for s := 0; s < 100; s++ {
-		for j := 0; j < 3; j++ {
-			d.Observe(pkt(uint32(s)+1, uint32(j)+1, 80, int64(s)))
-		}
-	}
-	if tracked := len(d.t.sketches); tracked > 8 {
-		t.Errorf("tracking %d sources, cap is 8", tracked)
-	}
-}
-
-func TestFlaggedSurvivesEviction(t *testing.T) {
-	d, err := NewSuperSpreaderDetector(SpreadConfig{Threshold: 20, MaxTracked: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const scanner = 77
-	for i := 0; i < 100; i++ {
-		d.Observe(pkt(scanner, uint32(i)+1, 80, int64(i)))
-	}
-	// Flood with new sources to force evictions.
-	for s := 0; s < 50; s++ {
-		d.Observe(pkt(uint32(1000+s), 1, 80, int64(200+s)))
-	}
-	reports := d.SuperSpreaders()
-	if len(reports) != 1 || reports[0].Addr != scanner {
-		t.Error("flagged scanner lost after cap evictions")
-	}
-}
 
 func TestFlowSizeEntropy(t *testing.T) {
 	if FlowSizeEntropy(nil) != 0 {
@@ -158,49 +26,6 @@ func TestFlowSizeEntropy(t *testing.T) {
 	}
 	if NormalizedFlowSizeEntropy([]wsaf.Entry{{Pkts: 5}}) != 0 {
 		t.Error("single flow normalized entropy must be 0")
-	}
-}
-
-func TestEntropyCounts(t *testing.T) {
-	if EntropyCounts(nil) != 0 || EntropyCounts([]float64{0, 0}) != 0 {
-		t.Error("degenerate entropy must be 0")
-	}
-	if h := EntropyCounts([]float64{1, 1}); math.Abs(h-1) > 1e-12 {
-		t.Errorf("two-way uniform entropy = %v, want 1", h)
-	}
-}
-
-func TestEndpointTracker(t *testing.T) {
-	tr := NewEndpointTracker(0)
-	for i := 0; i < 8; i++ {
-		tr.Observe(uint32(i), 1)
-	}
-	if tr.Endpoints() != 8 {
-		t.Errorf("endpoints = %d", tr.Endpoints())
-	}
-	if h := tr.Entropy(); math.Abs(h-3) > 1e-12 {
-		t.Errorf("uniform 8-way entropy = %v, want 3", h)
-	}
-	if n := tr.NormalizedEntropy(); math.Abs(n-1) > 1e-12 {
-		t.Errorf("normalized = %v, want 1", n)
-	}
-}
-
-func TestEndpointTrackerCap(t *testing.T) {
-	tr := NewEndpointTracker(4)
-	// One elephant endpoint and many mice.
-	tr.Observe(99, 1000)
-	for i := 0; i < 20; i++ {
-		tr.Observe(uint32(i), 1)
-	}
-	if tr.Endpoints() > 4 {
-		t.Errorf("endpoints = %d, cap 4", tr.Endpoints())
-	}
-	if tr.Dropped() == 0 {
-		t.Error("cap evictions not counted")
-	}
-	if _, ok := tr.counts[99]; !ok {
-		t.Error("elephant endpoint evicted before mice")
 	}
 }
 

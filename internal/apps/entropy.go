@@ -1,3 +1,8 @@
+// Package apps holds the WSAF-consumer applications the paper names
+// (Section II) that are not distinct counts: flow-size entropy over a WSAF
+// snapshot and an EWMA change-point detector over any scalar signal.
+// SuperSpreader and DDoS-victim detection are distinct counts and run on
+// internal/detect's StreamDetector.
 package apps
 
 import (
@@ -38,92 +43,3 @@ func NormalizedFlowSizeEntropy(entries []wsaf.Entry) float64 {
 	}
 	return FlowSizeEntropy(entries) / math.Log2(float64(len(entries)))
 }
-
-// EntropyCounts computes Shannon entropy (bits) over an arbitrary count
-// vector — the helper the endpoint tracker and tests share.
-func EntropyCounts(counts []float64) float64 {
-	var total float64
-	for _, c := range counts {
-		total += c
-	}
-	if total <= 0 {
-		return 0
-	}
-	var h float64
-	for _, c := range counts {
-		if c <= 0 {
-			continue
-		}
-		p := c / total
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
-// EndpointTracker maintains per-endpoint packet counts (e.g. by source
-// address) with a size cap, for streaming endpoint-entropy estimation.
-// When full, the smallest counter is evicted, biasing retention toward
-// the heavy endpoints that dominate the entropy sum.
-type EndpointTracker struct {
-	maxKeys int
-	counts  map[uint32]float64
-	dropped uint64
-}
-
-// NewEndpointTracker returns a tracker capped at maxKeys endpoints
-// (0 means 65536).
-func NewEndpointTracker(maxKeys int) *EndpointTracker {
-	if maxKeys <= 0 {
-		maxKeys = 1 << 16
-	}
-	return &EndpointTracker{
-		maxKeys: maxKeys,
-		counts:  make(map[uint32]float64, maxKeys),
-	}
-}
-
-// Observe adds weight (usually 1 packet) to an endpoint.
-func (t *EndpointTracker) Observe(addr uint32, weight float64) {
-	if _, ok := t.counts[addr]; !ok && len(t.counts) >= t.maxKeys {
-		t.evictSmallest()
-	}
-	t.counts[addr] += weight
-}
-
-func (t *EndpointTracker) evictSmallest() {
-	var victim uint32
-	min := -1.0
-	for addr, c := range t.counts {
-		if min < 0 || c < min {
-			min = c
-			victim = addr
-		}
-	}
-	if min >= 0 {
-		delete(t.counts, victim)
-		t.dropped++
-	}
-}
-
-// Entropy returns the Shannon entropy (bits) of the tracked distribution.
-func (t *EndpointTracker) Entropy() float64 {
-	counts := make([]float64, 0, len(t.counts))
-	for _, c := range t.counts {
-		counts = append(counts, c)
-	}
-	return EntropyCounts(counts)
-}
-
-// NormalizedEntropy scales Entropy into [0,1].
-func (t *EndpointTracker) NormalizedEntropy() float64 {
-	if len(t.counts) < 2 {
-		return 0
-	}
-	return t.Entropy() / math.Log2(float64(len(t.counts)))
-}
-
-// Endpoints returns the number of tracked endpoints.
-func (t *EndpointTracker) Endpoints() int { return len(t.counts) }
-
-// Dropped returns how many endpoints were evicted by the cap.
-func (t *EndpointTracker) Dropped() uint64 { return t.dropped }

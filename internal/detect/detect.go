@@ -9,17 +9,18 @@ package detect
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
 
 	"instameasure/internal/core"
 	"instameasure/internal/packet"
+	"instameasure/internal/topk"
 	"instameasure/internal/trace"
 	"instameasure/internal/wsaf"
 )
 
 // ErrThreshold is returned when a detector is configured without any
-// positive threshold.
-var ErrThreshold = errors.New("detect: need a positive packet or byte threshold")
+// positive threshold, or with a non-finite one.
+var ErrThreshold = errors.New("detect: need a positive, finite threshold")
 
 // HeavyHitterDetector watches an Engine's passthrough events and records
 // the first time each flow's accumulated count crosses a threshold — the
@@ -74,13 +75,13 @@ func (d *HeavyHitterDetector) Observe(ev core.PassEvent) {
 // PacketHitters returns flows detected as packet heavy hitters with their
 // detection timestamps.
 func (d *HeavyHitterDetector) PacketHitters() map[packet.FlowKey]int64 {
-	return copyMap(d.pktHits)
+	return maps.Clone(d.pktHits)
 }
 
 // ByteHitters returns flows detected as byte heavy hitters with their
 // detection timestamps.
 func (d *HeavyHitterDetector) ByteHitters() map[packet.FlowKey]int64 {
-	return copyMap(d.byteHits)
+	return maps.Clone(d.byteHits)
 }
 
 // DetectionTS returns when key was first detected as a packet heavy
@@ -95,14 +96,6 @@ func (d *HeavyHitterDetector) DetectionTS(key packet.FlowKey) (int64, bool) {
 func (d *HeavyHitterDetector) ByteDetectionTS(key packet.FlowKey) (int64, bool) {
 	ts, ok := d.byteHits[key]
 	return ts, ok
-}
-
-func copyMap(m map[packet.FlowKey]int64) map[packet.FlowKey]int64 {
-	out := make(map[packet.FlowKey]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // Crossing is a ground-truth threshold crossing: the timestamp of the
@@ -200,19 +193,11 @@ func DelegationLatencies(truth []Crossing, epochNs, networkDelayNs int64) ([]Lat
 }
 
 // TopKKeys extracts the flow keys of the k largest WSAF entries under
-// metric, largest first.
+// metric, largest first; equal scores keep their order in entries.
 func TopKKeys(entries []wsaf.Entry, k int, metric func(*wsaf.Entry) float64) []packet.FlowKey {
-	sorted := make([]wsaf.Entry, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		return metric(&sorted[i]) > metric(&sorted[j])
-	})
-	if k > len(sorted) {
-		k = len(sorted)
+	sel := topk.New[packet.FlowKey](k)
+	for i := range entries {
+		sel.Offer(metric(&entries[i]), &entries[i].Key)
 	}
-	keys := make([]packet.FlowKey, k)
-	for i := 0; i < k; i++ {
-		keys[i] = sorted[i].Key
-	}
-	return keys
+	return sel.Sorted()
 }

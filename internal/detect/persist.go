@@ -3,6 +3,7 @@ package detect
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"instameasure/internal/packet"
@@ -143,20 +144,15 @@ func (t *PersistenceTracker) Tracked() int { return len(t.history) }
 func (t *PersistenceTracker) Epoch() int { return t.epoch }
 
 func (t *PersistenceTracker) presence(p *persistence) int {
-	bits := p.epochBits
+	seen := p.epochBits
 	// Age the bitmap to the current epoch, then mask to the window.
 	gap := t.epoch - p.lastSeen
 	if gap >= 64 {
 		return 0
 	}
-	bits <<= uint(gap)
+	seen <<= uint(gap)
 	if t.window < 64 {
-		bits &= (1 << uint(t.window)) - 1
+		seen &= (1 << uint(t.window)) - 1
 	}
-	n := 0
-	for bits != 0 {
-		bits &= bits - 1
-		n++
-	}
-	return n
+	return bits.OnesCount64(seen)
 }

@@ -3,11 +3,13 @@ package detect
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 
 	"instameasure/internal/export"
 	"instameasure/internal/flowhash"
 	"instameasure/internal/hll"
+	"instameasure/internal/packet"
 )
 
 // StreamKind selects which traffic pattern a StreamDetector watches for.
@@ -22,7 +24,8 @@ const (
 	// source addresses: many sources converging on one destination.
 	KindDDoSVictim StreamKind = iota + 1
 	// KindSuperSpreader groups by source address and counts distinct
-	// destination addresses: one source fanning out to many hosts.
+	// destination addresses: one source fanning out to many hosts. Port
+	// fan-out to one host is KindPortScan's signal, not this one's.
 	KindSuperSpreader
 	// KindPortScan groups by source address and counts distinct
 	// destination ports: one source probing many services.
@@ -57,7 +60,7 @@ const (
 var (
 	ErrStreamKind = errors.New("detect: unknown stream detector kind")
 	// ErrThreshold (shared with HeavyHitterDetector) rejects a
-	// non-positive firing threshold.
+	// non-positive or non-finite firing threshold or clear ratio.
 )
 
 // StreamConfig parameterizes one streaming distinct-count detector.
@@ -65,7 +68,7 @@ type StreamConfig struct {
 	// Kind selects the grouping/element pattern. Required.
 	Kind StreamKind
 	// Threshold is the distinct-element estimate that fires an alert.
-	// Required > 0.
+	// Required > 0 and finite.
 	Threshold float64
 	// ClearRatio re-arms an alerted group when a window closes with its
 	// estimate at or below ClearRatio*Threshold — the hysteresis band
@@ -76,8 +79,10 @@ type StreamConfig struct {
 	// (256 registers, ~6.5% standard error, 256 B per tracked group).
 	Precision int
 	// MaxKeys bounds the number of concurrently tracked group keys.
-	// When full, new groups are dropped (and counted) until rotation
-	// evicts idle entries. Default 4096.
+	// When full, a new group displaces the unlatched group with the
+	// fewest observations this pane among admitSample sampled ones; if
+	// every sampled group is latched, the newcomer is refused (counted
+	// in Drops). Default 4096.
 	MaxKeys int
 }
 
@@ -124,6 +129,10 @@ type streamEntry struct {
 // pane closes at or below ClearRatio*Threshold. A sustained attack
 // therefore alerts exactly once per episode, not once per window.
 //
+// It is the one distinct-count engine: the fleet aggregator feeds it flow
+// records (Observe), the public SuperSpreader and DDoS detectors feed it
+// packets (ObservePacket).
+//
 // Not safe for concurrent use; the fleet aggregator drives all
 // detectors under its own lock.
 type StreamDetector struct {
@@ -145,8 +154,11 @@ type StreamStats struct {
 	Keys      int     `json:"keys"`
 	Pane      uint64  `json:"pane"`
 	Fired     uint64  `json:"fired"`
-	Drops     uint64  `json:"drops"`
-	Evictions uint64  `json:"evictions"`
+	// Drops counts new groups refused by a full table whose sample was
+	// all latched; Evictions counts groups removed, idle at Rotate or
+	// displaced to admit a new group.
+	Drops     uint64 `json:"drops"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // NewStreamDetector validates cfg, applies defaults, and returns a
@@ -157,14 +169,16 @@ func NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) {
 	default:
 		return nil, fmt.Errorf("%w (%d)", ErrStreamKind, cfg.Kind)
 	}
-	if cfg.Threshold <= 0 {
-		return nil, ErrThreshold
+	// Negated comparisons reject NaN: it would never fire, yet scan the
+	// registers on every record (adds < NaN is false).
+	if !(cfg.Threshold > 0) || math.IsInf(cfg.Threshold, 1) {
+		return nil, fmt.Errorf("%w (got %g)", ErrThreshold, cfg.Threshold)
 	}
 	if cfg.ClearRatio == 0 {
 		cfg.ClearRatio = 0.5
 	}
-	if cfg.ClearRatio < 0 || cfg.ClearRatio > 1 {
-		return nil, fmt.Errorf("detect: ClearRatio must be in (0, 1] (got %g)", cfg.ClearRatio)
+	if !(cfg.ClearRatio > 0 && cfg.ClearRatio <= 1) {
+		return nil, fmt.Errorf("%w: ClearRatio must be in (0, 1] (got %g)", ErrThreshold, cfg.ClearRatio)
 	}
 	if cfg.Precision == 0 {
 		cfg.Precision = 8
@@ -195,18 +209,6 @@ func NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) {
 // within a window.
 func NewDDoSVictimDetector(minSources float64) (*StreamDetector, error) {
 	return NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: minSources})
-}
-
-// NewSuperSpreaderDetector alerts when one source contacts
-// ~minDsts distinct destination addresses within a window.
-func NewSuperSpreaderDetector(minDsts float64) (*StreamDetector, error) {
-	return NewStreamDetector(StreamConfig{Kind: KindSuperSpreader, Threshold: minDsts})
-}
-
-// NewPortScanDetector alerts when one source probes ~minPorts distinct
-// destination ports within a window.
-func NewPortScanDetector(minPorts float64) (*StreamDetector, error) {
-	return NewStreamDetector(StreamConfig{Kind: KindPortScan, Threshold: minPorts})
 }
 
 // Kind returns the configured pattern.
@@ -250,11 +252,12 @@ func (d *StreamDetector) Observe(site string, rec *export.Record, dPkts float64,
 
 	e := d.keys[group]
 	if e == nil {
-		if len(d.keys) >= d.cfg.MaxKeys {
+		if len(d.keys) < d.cfg.MaxKeys {
+			e = &streamEntry{sk: hll.MustNew(d.cfg.Precision)}
+		} else if e = d.displace(); e == nil {
 			d.drops++
 			return alerts
 		}
-		e = &streamEntry{sk: hll.MustNew(d.cfg.Precision)}
 		d.keys[group] = e
 	}
 	crossed, est := d.bump(e, elem, dPkts, rec.LastUpdate)
@@ -273,6 +276,51 @@ func (d *StreamDetector) Observe(site string, rec *export.Record, dPkts float64,
 		})
 	}
 	return alerts
+}
+
+// ObservePacket is Observe for one packet: a one-packet record with no
+// site, LastUpdate = p.TS, epoch 0.
+func (d *StreamDetector) ObservePacket(p *packet.Packet, alerts []Alert) []Alert {
+	rec := export.Record{Key: p.Key, LastUpdate: p.TS}
+	return d.Observe("", &rec, 1, 0, alerts)
+}
+
+// Estimate returns group's current pane estimate, 0 if it is not tracked.
+func (d *StreamDetector) Estimate(group netip.Addr) float64 {
+	if e := d.keys[group]; e != nil {
+		return e.sk.Estimate()
+	}
+	return 0
+}
+
+// admitSample bounds the groups a full table inspects per admission (map
+// iteration starts at a random position, so the sample moves).
+const admitSample = 32
+
+// displace evicts, among admitSample groups, the unlatched one with the
+// fewest observations this pane and returns its entry reset for reuse. It
+// never displaces a latched group, so an episode still alerts exactly
+// once; with an all-latched sample it returns nil.
+func (d *StreamDetector) displace() *streamEntry {
+	var victim netip.Addr
+	var ve *streamEntry
+	n := 0
+	for g, e := range d.keys {
+		if !e.alerted && (ve == nil || e.adds < ve.adds) {
+			victim, ve = g, e
+		}
+		if n++; n == admitSample {
+			break
+		}
+	}
+	if ve == nil {
+		return nil
+	}
+	delete(d.keys, victim)
+	d.evictions++
+	ve.sk.Reset()
+	*ve = streamEntry{sk: ve.sk, sites: ve.sites[:0]}
+	return ve
 }
 
 // bump folds one element observation into a group's pane and reports a
@@ -331,8 +379,12 @@ func hashAddr(addr *[16]byte, isV6 bool, seed uint64) uint64 {
 	return flowhash.Sum64(addr[:4], seed)
 }
 
-// addSite records site in a group's bounded attribution list.
+// addSite records site in a group's bounded attribution list; "" (a
+// packet-fed observation) attributes nothing.
 func addSite(e *streamEntry, site string) {
+	if site == "" {
+		return
+	}
 	for _, s := range e.sites {
 		if s == site {
 			return

@@ -2,6 +2,8 @@ package detect
 
 import (
 	"errors"
+	"math"
+	"net/netip"
 	"testing"
 
 	"instameasure/internal/export"
@@ -125,11 +127,11 @@ func TestSuperSpreaderAndPortScanOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread, err := NewSuperSpreaderDetector(700)
+	spread, err := NewStreamDetector(StreamConfig{Kind: KindSuperSpreader, Threshold: 700})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := NewPortScanDetector(700)
+	scan, err := NewStreamDetector(StreamConfig{Kind: KindPortScan, Threshold: 700})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,22 +193,222 @@ func TestHysteresisEpisodes(t *testing.T) {
 	}
 }
 
+// TestStreamMaxKeysDrops pins the refusal half of full-table admission:
+// when every sampled group is latched, the newcomer is refused and counted,
+// and no latched group is displaced.
 func TestStreamMaxKeysDrops(t *testing.T) {
-	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 10, MaxKeys: 2})
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 2, MaxKeys: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		rec := export.Record{Key: packet.V4Key(1, uint32(100+i), 1, 80, packet.ProtoTCP), Pkts: 1}
-		d.Observe("s", &rec, 1, 1, nil)
+	var alerts []Alert
+	for dst := uint32(100); dst < 102; dst++ {
+		for src := uint32(1); src <= 3; src++ {
+			p := pkt(src, dst, 80, 1)
+			alerts = d.ObservePacket(&p, alerts)
+		}
+	}
+	if len(alerts) != 2 {
+		t.Fatalf("%d alerts, want both groups latched", len(alerts))
+	}
+	for i := 0; i < 2; i++ {
+		p := pkt(1, uint32(200+i), 80, 2)
+		alerts = d.ObservePacket(&p, alerts)
 	}
 	st := d.Stats()
-	if st.Keys != 2 {
-		t.Errorf("Keys = %d, want 2 (MaxKeys)", st.Keys)
+	if st.Keys != 2 || st.Evictions != 0 {
+		t.Errorf("Keys = %d, Evictions = %d; want 2 latched groups kept", st.Keys, st.Evictions)
 	}
 	if st.Drops != 2 {
-		t.Errorf("Drops = %d, want 2", st.Drops)
+		t.Errorf("Drops = %d, want 2 refused newcomers", st.Drops)
 	}
+	if got := d.Estimate(netip.MustParseAddr("0.0.0.200")); got != 0 {
+		t.Errorf("refused group is tracked (estimate %g)", got)
+	}
+}
+
+// TestStreamLateVictimAfterFullTable: background groups fill the table
+// before the attack starts; the victim's group must still be admitted (by
+// displacing an unlatched background group) and alert exactly once.
+func TestStreamLateVictimAfterFullTable(t *testing.T) {
+	const maxKeys, bots = 4096, 2000
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: bots / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alerts []Alert
+	for dst := uint32(0); dst < maxKeys; dst++ {
+		for src := uint32(1); src <= 2; src++ {
+			p := pkt(src, 0x0A000000+dst, 443, int64(dst))
+			alerts = d.ObservePacket(&p, alerts)
+		}
+	}
+	if st := d.Stats(); st.Keys != maxKeys || len(alerts) != 0 {
+		t.Fatalf("background: Keys = %d, %d alerts", st.Keys, len(alerts))
+	}
+	const victim = 0xCB007101
+	for i := uint32(0); i < bots; i++ {
+		p := pkt(0x20000000+i, victim, 80, int64(maxKeys+i))
+		alerts = d.ObservePacket(&p, alerts)
+	}
+	if len(alerts) != 1 || alerts[0].Host != "203.0.113.1" {
+		t.Fatalf("alerts = %+v, want exactly one for 203.0.113.1", alerts)
+	}
+	if st := d.Stats(); st.Keys != maxKeys || st.Drops != 0 || st.Evictions != 1 {
+		t.Errorf("stats = %+v, want one displacement and no drops", st)
+	}
+}
+
+// TestStreamMaxKeysBound: churn far above MaxKeys never grows the table;
+// every admission past the cap displaces an unlatched group.
+func TestStreamMaxKeysBound(t *testing.T) {
+	d, err := NewStreamDetector(StreamConfig{Kind: KindSuperSpreader, Threshold: 1000, MaxKeys: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := uint32(1); s <= 100; s++ {
+		for j := uint32(1); j <= 3; j++ {
+			p := pkt(s, j, 80, int64(s))
+			d.ObservePacket(&p, nil)
+		}
+	}
+	if st := d.Stats(); st.Keys != 8 || st.Evictions != 92 || st.Drops != 0 {
+		t.Errorf("stats = %+v, want 8 keys, 92 displacements, no drops", st)
+	}
+}
+
+// TestStreamLatchedSurvivesAdmission: a latched group is never displaced
+// by admission churn, so it keeps its estimate and does not re-alert.
+func TestStreamLatchedSurvivesAdmission(t *testing.T) {
+	d, err := NewStreamDetector(StreamConfig{Kind: KindSuperSpreader, Threshold: 20, MaxKeys: 4, Precision: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scanner = 77
+	var alerts []Alert
+	for i := uint32(0); i < 100; i++ {
+		p := pkt(scanner, i+1, 80, int64(i))
+		alerts = d.ObservePacket(&p, alerts)
+	}
+	for s := uint32(0); s < 50; s++ {
+		p := pkt(1000+s, 1, 80, int64(200+s))
+		alerts = d.ObservePacket(&p, alerts)
+	}
+	for i := uint32(100); i < 200; i++ {
+		p := pkt(scanner, i+1, 80, int64(300+i))
+		alerts = d.ObservePacket(&p, alerts)
+	}
+	if len(alerts) != 1 || alerts[0].Host != "0.0.0.77" {
+		t.Fatalf("alerts = %+v, want exactly one for the scanner", alerts)
+	}
+	if est := d.Estimate(netip.MustParseAddr("0.0.0.77")); math.Abs(est-200)/200 > 0.15 {
+		t.Errorf("scanner estimate %.0f after churn, want ≈200", est)
+	}
+	if st := d.Stats(); st.Evictions == 0 {
+		t.Error("churn displaced nothing")
+	}
+}
+
+// TestStreamNarrowGroupDoesNotFlag: a chatty source with few distinct
+// destinations never reaches a distinct-count threshold.
+func TestStreamNarrowGroupDoesNotFlag(t *testing.T) {
+	d, err := NewStreamDetector(StreamConfig{Kind: KindSuperSpreader, Threshold: 50, Precision: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alerts []Alert
+	for i := 0; i < 10_000; i++ {
+		p := pkt(1, uint32(i%5)+1, 443, int64(i))
+		alerts = d.ObservePacket(&p, alerts)
+	}
+	if len(alerts) != 0 {
+		t.Errorf("narrow source flagged: %+v", alerts)
+	}
+	if est := d.Estimate(netip.MustParseAddr("0.0.0.1")); est > 10 {
+		t.Errorf("narrow source estimate %.0f, want ≈5", est)
+	}
+}
+
+// TestStreamFirstFlagNearCrossing: the alert's TS is the packet that took
+// the estimate over the threshold, not the end of the stream.
+func TestStreamFirstFlagNearCrossing(t *testing.T) {
+	d, err := NewStreamDetector(StreamConfig{Kind: KindSuperSpreader, Threshold: 100, Precision: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scanner = 0x0A000001
+	var alerts []Alert
+	ts := int64(1)
+	for i := uint32(0); i < 500; i++ {
+		p := pkt(scanner, 0xC0000000+i, 80, ts)
+		alerts = d.ObservePacket(&p, alerts)
+		ts++
+	}
+	for s := uint32(0); s < 50; s++ {
+		for j := uint32(1); j <= 3; j++ {
+			p := pkt(0x0B000000+s, j, 80, ts)
+			alerts = d.ObservePacket(&p, alerts)
+			ts++
+		}
+	}
+	if len(alerts) != 1 || alerts[0].Host != "10.0.0.1" {
+		t.Fatalf("alerts = %+v, want exactly one for 10.0.0.1", alerts)
+	}
+	if at := alerts[0].TS; at < 50 || at > 200 {
+		t.Errorf("flagged at TS %d, want near the 100th probe", at)
+	}
+	if benign := d.Estimate(netip.MustParseAddr("11.0.0.0")); benign > 10 {
+		t.Errorf("benign source estimate %.0f, want ≈3", benign)
+	}
+}
+
+// TestStreamEstimatePrecision10: at the packet-fed detectors' precision the
+// estimate lands within 15 % of the true distinct count.
+func TestStreamEstimatePrecision10(t *testing.T) {
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 200, Precision: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 0x08080808
+	var alerts []Alert
+	for i := uint32(0); i < 1000; i++ {
+		p := pkt(0x10000000+i, victim, 80, int64(i))
+		alerts = d.ObservePacket(&p, alerts)
+	}
+	for i := uint32(0); i < 100; i++ {
+		p := pkt(i%3+1, 0x09090909, 443, int64(i))
+		alerts = d.ObservePacket(&p, alerts)
+	}
+	if len(alerts) != 1 || alerts[0].Host != "8.8.8.8" {
+		t.Fatalf("alerts = %+v, want exactly one for 8.8.8.8", alerts)
+	}
+	if len(alerts[0].Sites) != 0 {
+		t.Errorf("packet-fed alert carries sites %v", alerts[0].Sites)
+	}
+	if est := d.Estimate(netip.MustParseAddr("8.8.8.8")); math.Abs(est-1000)/1000 > 0.15 {
+		t.Errorf("victim estimate %.0f, want ≈1000", est)
+	}
+}
+
+// TestStreamRejectsNonFinite: a NaN or infinite threshold, or a NaN clear
+// ratio, would build a detector that never fires (and scans registers on
+// every record); construction refuses them.
+func TestStreamRejectsNonFinite(t *testing.T) {
+	for _, cfg := range []StreamConfig{
+		{Kind: KindDDoSVictim, Threshold: math.NaN()},
+		{Kind: KindDDoSVictim, Threshold: math.Inf(1)},
+		{Kind: KindDDoSVictim, Threshold: math.Inf(-1)},
+		{Kind: KindDDoSVictim, Threshold: 10, ClearRatio: math.NaN()},
+		{Kind: KindDDoSVictim, Threshold: 10, ClearRatio: math.Inf(1)},
+	} {
+		if _, err := NewStreamDetector(cfg); !errors.Is(err, ErrThreshold) {
+			t.Errorf("threshold %g, clear ratio %g: err = %v, want ErrThreshold", cfg.Threshold, cfg.ClearRatio, err)
+		}
+	}
+}
+
+func pkt(src, dst uint32, dstPort uint16, ts int64) packet.Packet {
+	return packet.Packet{Key: packet.V4Key(src, dst, 40_000, dstPort, packet.ProtoTCP), Len: 100, TS: ts}
 }
 
 func TestStreamIdleEviction(t *testing.T) {

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"net/netip"
 
 	"instameasure/internal/apps"
 	"instameasure/internal/core"
+	"instameasure/internal/detect"
 	"instameasure/internal/flowhash"
 	"instameasure/internal/packet"
 	"instameasure/internal/trace"
@@ -56,11 +58,12 @@ func AppsDetection(s Scale) (*Report, error) {
 	}
 	tr := trace.Merge(background, trace.NewTrace(planted))
 
-	spreader, err := apps.NewSuperSpreaderDetector(apps.SpreadConfig{Threshold: 500, Seed: s.Seed})
+	// Precision 10, as the public packet-fed detectors use.
+	spreader, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindSuperSpreader, Threshold: 500, Precision: 10})
 	if err != nil {
 		return nil, err
 	}
-	ddos, err := apps.NewDDoSDetector(apps.SpreadConfig{Threshold: 1000, Seed: s.Seed})
+	ddos, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindDDoSVictim, Threshold: 1000, Precision: 10})
 	if err != nil {
 		return nil, err
 	}
@@ -68,11 +71,12 @@ func AppsDetection(s Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	var ssAlerts, ddosAlerts []detect.Alert
 	for i := range tr.Packets {
-		p := tr.Packets[i]
-		eng.Process(p)
-		spreader.Observe(p)
-		ddos.Observe(p)
+		p := &tr.Packets[i]
+		eng.Process(*p)
+		ssAlerts = spreader.ObservePacket(p, ssAlerts)
+		ddosAlerts = ddos.ObservePacket(p, ddosAlerts)
 	}
 
 	rep := &Report{
@@ -80,26 +84,25 @@ func AppsDetection(s Scale) (*Report, error) {
 		Title:  "WSAF applications: SuperSpreader, DDoS victim, entropy",
 		Header: []string{"detector", "flagged", "expected", "largest estimate"},
 	}
-	ss := spreader.SuperSpreaders()
-	largestSS := 0.0
-	if len(ss) > 0 {
-		largestSS = ss[0].DistinctEst
-	}
 	rep.AddRow("superspreader (>=500 dsts)",
-		fmt.Sprintf("%d", len(ss)), "2", fmt.Sprintf("%.0f", largestSS))
-
-	victims := ddos.Victims()
-	largestV := 0.0
-	if len(victims) > 0 {
-		largestV = victims[0].DistinctEst
-	}
+		fmt.Sprintf("%d", len(ssAlerts)), "2", fmt.Sprintf("%.0f", largestEstimate(spreader, ssAlerts)))
 	rep.AddRow("ddos victim (>=1000 srcs)",
-		fmt.Sprintf("%d", len(victims)), "1", fmt.Sprintf("%.0f", largestV))
+		fmt.Sprintf("%d", len(ddosAlerts)), "1", fmt.Sprintf("%.0f", largestEstimate(ddos, ddosAlerts)))
 
 	entropy := apps.NormalizedFlowSizeEntropy(eng.Snapshot())
 	rep.AddNote("planted: scanners with 2000/800/100 distinct dsts (100 must stay unflagged), %d-bot flood", bots)
 	rep.AddNote("normalized WSAF flow-size entropy: %.3f (concentration pushes this down)", entropy)
 	return rep, nil
+}
+
+// largestEstimate is the largest current estimate among alerted groups (0
+// with none). The detectors never rotate here, so each group alerts once.
+func largestEstimate(d *detect.StreamDetector, alerts []detect.Alert) float64 {
+	largest := 0.0
+	for _, al := range alerts {
+		largest = max(largest, d.Estimate(netip.MustParseAddr(al.Host)))
+	}
+	return largest
 }
 
 // AnomalyOnset demonstrates streaming anomaly detection: a DDoS flood is

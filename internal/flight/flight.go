@@ -26,7 +26,9 @@ package flight
 import (
 	"context"
 	"math/bits"
+	"runtime"
 	"runtime/trace"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -347,10 +349,19 @@ func (t *sloTracker) burn() float64 {
 }
 
 // stageMetrics is one registry binding: per-stage duration histogram
-// shards the recorder pushes lifecycle durations into.
+// shards the recorder pushes lifecycle durations into. It points into the
+// histograms, never at the registry, so it does not keep the registry alive.
 type stageMetrics struct {
-	reg   *telemetry.Registry
 	stage [numStages]telemetry.HistogramShard
+}
+
+// binding lives exactly as long as its registry: only the registry's SLO
+// gauges reach it, so its finalizer runs once the registry is unreachable
+// and unbinds sm. (A finalizer on the registry itself could collide with a
+// caller's and would never run for a registry inside a reference cycle.)
+type binding struct {
+	r  *Recorder
+	sm *stageMetrics
 }
 
 // Recorder is a set of per-worker event rings plus one control ring for
@@ -469,16 +480,15 @@ func (r *Recorder) noteStage(stage Stage, epoch, at int64, dur uint64) {
 // Instrument binds reg to the recorder: every lifecycle event's duration
 // is observed into instameasure_epoch_stage_seconds{stage=...} on reg,
 // and the SLO tracker's state is exposed as gauges. Idempotent per
-// registry; a recorder can feed several registries.
+// registry; a recorder can feed several registries, and stops feeding
+// each once nothing else reaches it — a process that builds an engine per
+// run does not keep every run's registry alive in flight.Default(). A
+// registry follows the last recorder that instrumented it: its SLO gauges
+// are replaced, so the earlier recorder's binding is released.
 func (r *Recorder) Instrument(reg *telemetry.Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, sm := range r.regs {
-		if sm.reg == reg {
-			return
-		}
-	}
-	sm := &stageMetrics{reg: reg}
+	sm := &stageMetrics{}
 	for st := StageCut; st < numStages; st++ {
 		if st == StagePacketSpan {
 			continue // spans are covered by process_latency_ns
@@ -490,19 +500,38 @@ func (r *Recorder) Instrument(reg *telemetry.Registry) {
 			"Epoch lifecycle stage duration in seconds, by stage.",
 			34, 1e-9, "stage", st.String()).Shard(0)
 	}
-	regs := append(append([]*stageMetrics(nil), r.regs...), sm)
-	r.regs = regs
-	r.tm.Store(&regs)
+	for _, x := range r.regs {
+		if x.stage == sm.stage {
+			return // reg handed back the histograms it already feeds
+		}
+	}
+	r.setRegs(append(slices.Clone(r.regs), sm))
+	b := &binding{r: r, sm: sm}
+	runtime.SetFinalizer(b, func(b *binding) { b.r.release(b.sm) })
 
 	reg.GaugeFunc("slo_epoch_commit_p99_seconds",
 		"p99 cut-to-commit latency over recent epochs (the measured detection delay).",
-		func() float64 { return float64(r.slo.p99()) * 1e-9 })
+		func() float64 { return float64(b.r.slo.p99()) * 1e-9 })
 	reg.GaugeFunc("slo_detection_delay_budget_seconds",
 		"Configured detection-delay budget (0 = unset).",
-		func() float64 { return float64(r.slo.budget.Load()) * 1e-9 })
+		func() float64 { return float64(b.r.slo.budget.Load()) * 1e-9 })
 	reg.GaugeFunc("slo_burn",
 		"p99 cut-to-commit latency over the detection-delay budget (>1 = SLO blown; 0 = no budget).",
-		func() float64 { return r.slo.burn() })
+		func() float64 { return b.r.slo.burn() })
+}
+
+// release unbinds sm once its registry has been collected.
+func (r *Recorder) release(sm *stageMetrics) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.setRegs(slices.DeleteFunc(slices.Clone(r.regs), func(x *stageMetrics) bool { return x == sm }))
+}
+
+// setRegs publishes a new binding list (noteStage reads it lock-free, so
+// it is replaced, never edited). Callers hold r.mu.
+func (r *Recorder) setRegs(regs []*stageMetrics) {
+	r.regs = regs
+	r.tm.Store(&regs)
 }
 
 // Events returns every stable event currently held in the rings, oldest

@@ -287,9 +287,8 @@ func New(cfg Config) (*System, error) {
 		s.workerPackets[i] = packetCounters[i].Shard(i)
 		s.workerDropped[i] = droppedCounters[i].Shard(i)
 		// The closure holds worker i's inbound lanes, not the System: a
-		// registry can outlive its System (the process-wide flight recorder
-		// keeps every registry it instruments), and must not pin the
-		// engines' tables with it.
+		// registry can outlive its System (a caller that scrapes it keeps
+		// it), and must not pin the engines' tables with it.
 		in := s.inbound(i)
 		reg.GaugeFunc("worker_queue_depth",
 			"Packets buffered for a worker across its inbound exchange rings.",

@@ -107,9 +107,9 @@ func (r *ring) reopen() {
 
 // release drops the buffer once a run has drained the lane. The cursors
 // stay readable (len, drained): the occupancy gauge holds the lanes for as
-// long as its registry lives, which can be longer than the System — the
-// process-wide flight recorder keeps every registry it instruments — and
-// should not hold QueueDepth packets per lane with them.
+// long as its registry lives, which can be longer than the System — a
+// caller that scrapes the registry keeps it — and should not hold
+// QueueDepth packets per lane with them.
 func (r *ring) release() { r.buf = nil }
 
 // drained reports closed-and-empty — the consumer's termination test.
