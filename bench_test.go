@@ -221,29 +221,31 @@ func BenchmarkWSAFAccumulate(b *testing.B) {
 }
 
 // BenchmarkWSAFAccumulateBatch is the scalar benchmark's two-pass
-// counterpart: the same table and traffic fed as 256-op batches through
-// AccumulateBatch, whose prefetch pass issues the probe-slot loads before
-// the probe pass consumes them. ns/op is still per packet; the delta
-// against BenchmarkWSAFAccumulate is the software-prefetch win.
+// counterpart: the same table and traffic fed in 256-op bursts the way the
+// engine's burst loop feeds it — PrefetchHashed for the whole burst, then
+// AccumulateHashed for each op — so the probe-slot loads are in flight
+// before the probe pass consumes them. ns/op is still per packet; the
+// delta against BenchmarkWSAFAccumulate is the software-prefetch win.
 func BenchmarkWSAFAccumulateBatch(b *testing.B) {
 	tab := wsaf.MustNew(wsaf.Config{Entries: 1 << 18})
 	tr := benchTrace(b)
 	const burst = 256
-	ops := make([]wsaf.Op, len(tr.Packets))
+	hashes := make([]uint64, len(tr.Packets))
 	for i := range tr.Packets {
-		p := &tr.Packets[i]
-		ops[i] = wsaf.Op{Hash: p.Key.Hash64(0), Key: p.Key, Pkts: 50, Bytes: 25_000, TS: p.TS}
+		hashes[i] = tr.Packets[i].Key.Hash64(0)
 	}
-	outcomes := make([]wsaf.Outcome, burst)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += burst {
-		start := i % (len(ops) - burst)
-		n := burst
-		if rem := b.N - i; rem < n {
-			n = rem
+		start := i % (len(hashes) - burst)
+		end := start + min(burst, b.N-i)
+		for j := start; j < end; j++ {
+			tab.PrefetchHashed(hashes[j])
 		}
-		tab.AccumulateBatch(ops[start:start+n], outcomes[:n])
+		for j := start; j < end; j++ {
+			p := &tr.Packets[j]
+			tab.AccumulateHashed(hashes[j], p.Key, 50, 25_000, p.TS)
+		}
 	}
 }
 

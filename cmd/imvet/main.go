@@ -1,5 +1,5 @@
-// Command imvet runs instameasure's domain-specific static analyzers —
-// hotalloc, flightrec, hashonce, atomicfield, errclose, wallclock,
+// Command imvet runs instameasure's eight domain-specific static
+// analyzers — hotalloc, hashonce, atomicfield, errclose, wallclock,
 // locksafe, seqproto, wirebound — over the module and prints vet-style
 // file:line:col diagnostics to stderr, exiting non-zero if any invariant
 // is violated.

@@ -215,8 +215,12 @@ func (m *Meter) Process(p Packet) {
 
 // ProcessBatch records a burst of packets through the batched hot path:
 // the whole batch is hashed up front and per-packet bookkeeping is
-// amortized across the burst. Equivalent to calling Process on each
-// packet in order, only faster.
+// amortized across the burst. Without a hot cache it is equivalent to
+// calling Process on each packet in order, only faster. With
+// HotCacheEntries > 0, every packet of the burst is probed against the
+// cache before any promotion, so a flow promoted mid-burst is counted
+// exactly only from the next burst; totals are the same, and a burst of
+// one is exactly Process.
 func (m *Meter) ProcessBatch(batch []Packet) {
 	m.eng.ProcessBatch(batch)
 }

@@ -70,9 +70,9 @@ type Program struct {
 	allow map[string]map[int][]string
 
 	// fnOnce guards the lazily-built function index shared by every
-	// analyzer that walks the static call graph (hotalloc, flightrec,
-	// locksafe): the program is loaded once, so the declaration index is
-	// built once too instead of re-walked per analyzer.
+	// analyzer that walks the static call graph (hotalloc, locksafe): the
+	// program is loaded once, so the declaration index is built once too
+	// instead of re-walked per analyzer.
 	fnOnce  sync.Once
 	fnDecls map[*types.Func]*ast.FuncDecl
 	fnRoots []*types.Func

@@ -48,7 +48,7 @@ func TestInScope(t *testing.T) {
 }
 
 func TestSuiteNames(t *testing.T) {
-	want := []string{"hotalloc", "flightrec", "hashonce", "atomicfield", "errclose", "wallclock", "locksafe", "seqproto", "wirebound"}
+	want := []string{"hotalloc", "hashonce", "atomicfield", "errclose", "wallclock", "locksafe", "seqproto", "wirebound"}
 	suite := Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers; want %d", len(suite), len(want))

@@ -118,10 +118,12 @@ func TestHotallocGolden(t *testing.T) {
 	runGolden(t, Hotalloc, "hotalloc")
 }
 
+// TestFlightrecGolden pins hotalloc's flight-package scope: the hash and
+// map bans that apply only inside the flight recorder's record seam.
 func TestFlightrecGolden(t *testing.T) {
 	// Order matters: fixture imports resolve against already-loaded dirs,
 	// so dependencies come first.
-	runGolden(t, Flightrec, "flightrec/flowhash", "flightrec/flight", "flightrec/hot")
+	runGolden(t, Hotalloc, "hotalloc/flowhash", "hotalloc/flight", "hotalloc/flightroot")
 }
 
 func TestHashonceGolden(t *testing.T) {

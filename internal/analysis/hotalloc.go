@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Hotalloc enforces the zero-allocation, bounded-latency contract of the
@@ -25,6 +26,12 @@ import (
 //     design's per-packet budget admits only sync/atomic — a mutex on the
 //     hot path is a scalability regression even when uncontended
 //
+// Hot functions of the flight package (the Handle.Span record seam the
+// engine calls on sampled bursts) are also held hash-free — no map index,
+// range or delete, no calls into flowhash/maphash/hash/* or
+// FlowKey.Hash64/Hash32 — since a record seam that hashes re-adds the
+// per-packet cost the recorder exists to observe.
+//
 // Propagation stops at dynamic calls (function values, interface
 // methods): those cannot be resolved statically and are the architectural
 // boundary where the hot path hands off (e.g. the OnPass callback).
@@ -36,7 +43,7 @@ var Hotalloc = &Analyzer{
 
 func runHotalloc(prog *Program, report func(token.Pos, string, ...any)) {
 	// The function-declaration index and annotated roots are built once on
-	// the Program and shared with flightrec and locksafe.
+	// the Program and shared with locksafe.
 	decls := prog.FuncDecls()
 	roots := prog.HotpathRoots()
 
@@ -87,6 +94,7 @@ func checkHotBody(prog *Program, fn, root *types.Func, decl *ast.FuncDecl, repor
 		where = fmt.Sprintf("%s (hot via %s)", where, funcLabel(root))
 	}
 	info := prog.Info
+	flight := fn.Pkg() != nil && inScope(fn.Pkg().Path(), "flight")
 	reported := make(map[ast.Node]bool)
 	flag := func(n ast.Node, format string, args ...any) {
 		if reported[n] {
@@ -112,8 +120,19 @@ func checkHotBody(prog *Program, fn, root *types.Func, decl *ast.FuncDecl, repor
 			flag(n, "channel send")
 		case *ast.RangeStmt:
 			if t, ok := info.Types[n.X]; ok {
-				if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
+				switch t.Type.Underlying().(type) {
+				case *types.Chan:
 					flag(n, "range over channel")
+				case *types.Map:
+					if flight {
+						flag(n, "range over map (runtime key hash)")
+					}
+				}
+			}
+		case *ast.IndexExpr:
+			if t, ok := info.Types[n.X]; ok && flight {
+				if _, isMap := t.Type.Underlying().(*types.Map); isMap {
+					flag(n, "map access (runtime key hash)")
 				}
 			}
 		case *ast.UnaryExpr:
@@ -147,14 +166,15 @@ func checkHotBody(prog *Program, fn, root *types.Func, decl *ast.FuncDecl, repor
 				}
 			}
 		case *ast.CallExpr:
-			checkHotCall(info, n, flag)
+			checkHotCall(info, n, flight, flag)
 		}
 		return true
 	})
 }
 
-// checkHotCall classifies one call inside a hot function.
-func checkHotCall(info *types.Info, call *ast.CallExpr, flag func(ast.Node, string, ...any)) {
+// checkHotCall classifies one call inside a hot function; flight adds the
+// flight package's hash-free contract.
+func checkHotCall(info *types.Info, call *ast.CallExpr, flight bool, flag func(ast.Node, string, ...any)) {
 	// Conversions: string <-> []byte/[]rune copy and allocate.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		to := tv.Type.Underlying()
@@ -171,7 +191,7 @@ func checkHotCall(info *types.Info, call *ast.CallExpr, flag func(ast.Node, stri
 		return
 	}
 
-	// Builtins: make of reference types and new allocate.
+	// Builtins: make of reference types and new allocate; delete hashes.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
@@ -186,6 +206,10 @@ func checkHotCall(info *types.Info, call *ast.CallExpr, flag func(ast.Node, stri
 				}
 			case "new":
 				flag(call, "new(T) allocation")
+			case "delete":
+				if flight {
+					flag(call, "map delete (runtime key hash)")
+				}
 			}
 			return
 		}
@@ -203,6 +227,9 @@ func checkHotCall(info *types.Info, call *ast.CallExpr, flag func(ast.Node, stri
 		}
 		if callee.Pkg() != nil && callee.Pkg().Path() == "sync" && isLockAcquire(callee.Name()) {
 			flag(call, "lock acquisition (%s)", funcLabel(callee))
+		}
+		if flight && isHashCall(callee) {
+			flag(call, "hash call (%s)", funcLabel(callee))
 		}
 	}
 
@@ -235,6 +262,27 @@ func checkHotCall(info *types.Info, call *ast.CallExpr, flag func(ast.Node, stri
 		}
 		flag(call, fmt.Sprintf("argument %d boxed into interface %s", i+1, pt))
 	}
+}
+
+// isLockAcquire reports whether a sync-package method blocks or serializes:
+// the hot path's only admissible synchronization is sync/atomic.
+func isLockAcquire(name string) bool {
+	switch name {
+	case "Lock", "RLock", "Do", "Wait":
+		return true
+	}
+	return false
+}
+
+// isHashCall reports whether fn hashes: a flowhash- or maphash-scoped
+// function, a stdlib hash/* one, or FlowKey.Hash64/Hash32.
+func isHashCall(fn *types.Func) bool {
+	if fn.Pkg() == nil {
+		return false
+	}
+	path := fn.Pkg().Path()
+	return inScope(path, "flowhash", "maphash") || path == "hash" || strings.HasPrefix(path, "hash/") ||
+		((fn.Name() == "Hash64" || fn.Name() == "Hash32") && recvNamed(fn) == "FlowKey")
 }
 
 func isString(t types.Type) bool {

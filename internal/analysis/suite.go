@@ -4,7 +4,6 @@ package analysis
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Hotalloc,
-		Flightrec,
 		Hashonce,
 		Atomicfield,
 		Errclose,

@@ -105,41 +105,96 @@ func TestBatchScalarEquivalence(t *testing.T) {
 			t.Errorf("series %s: scalar %v, batch %v", series, got, v)
 		}
 	})
+
+	// With the hot cache on, promotions land at the next burst, so only a
+	// burst of one is scalar order: it must match Process bit for bit —
+	// table, pass events (the cache's crossing events included) and cache
+	// counters.
+	t.Run("cached", func(t *testing.T) {
+		cfg := cfg
+		cfg.HotCacheEntries = 64
+		run := func(burstOfOne bool) (*Engine, []PassEvent) {
+			e := testEngine(t, cfg)
+			var evs []PassEvent
+			e.OnPass(func(ev PassEvent) { evs = append(evs, ev) })
+			e.SetDetectThresholds(500, 500*600)
+			for i := range tr.Packets {
+				if burstOfOne {
+					e.ProcessBatch(tr.Packets[i : i+1])
+				} else {
+					e.Process(tr.Packets[i])
+				}
+			}
+			return e, evs
+		}
+		scalar, scalarPasses := run(false)
+		batched, batchPasses := run(true)
+
+		if got, want := batched.HotCache().Stats(), scalar.HotCache().Stats(); got != want {
+			t.Fatalf("cache stats: scalar %+v, burst of one %+v", want, got)
+		}
+		if len(scalarPasses) != len(batchPasses) {
+			t.Fatalf("pass events: scalar %d, burst of one %d", len(scalarPasses), len(batchPasses))
+		}
+		cached := 0
+		for i := range scalarPasses {
+			if scalarPasses[i] != batchPasses[i] {
+				t.Fatalf("pass event %d differs:\nscalar      %+v\nburst of one %+v", i, scalarPasses[i], batchPasses[i])
+			}
+			if scalarPasses[i].Cached {
+				cached++
+			}
+		}
+		if cached == 0 || scalar.HotCache().Stats().Hits == 0 {
+			t.Fatalf("degenerate cached leg: %d crossing events, %d hits", cached, scalar.HotCache().Stats().Hits)
+		}
+		sa, sb := scalar.Snapshot(), batched.Snapshot()
+		if len(sa) != len(sb) {
+			t.Fatalf("snapshot sizes: scalar %d, burst of one %d", len(sa), len(sb))
+		}
+		for i := range sa {
+			if sa[i] != sb[i] {
+				t.Fatalf("snapshot entry %d differs:\nscalar       %+v\nburst of one %+v", i, sa[i], sb[i])
+			}
+		}
+	})
 }
 
 // TestSingleHashPerPacket pins the tentpole invariant: each packet's flow
 // key is hashed exactly once end-to-end — by Process and by ProcessBatch —
 // even with the onPass consumer armed (the path that used to re-probe via
-// Lookup).
+// Lookup) and with the hot cache probing, admitting and demoting on the
+// same hash.
 func TestSingleHashPerPacket(t *testing.T) {
 	tr := batchTrace(t, 500, 30_000, 3)
-	cfg := Config{SketchMemoryBytes: 8 << 10, WSAFEntries: 1 << 12, Seed: 2}
+	defer packet.SetHashCounting(false)
+	for _, cache := range []int{0, 64} {
+		cfg := Config{SketchMemoryBytes: 8 << 10, WSAFEntries: 1 << 12, HotCacheEntries: cache, Seed: 2}
 
-	eng := testEngine(t, cfg)
-	eng.OnPass(func(PassEvent) {})
-	packet.SetHashCounting(true)
-	for i := range tr.Packets {
-		eng.Process(tr.Packets[i])
-	}
-	if got := packet.HashCount(); got != uint64(len(tr.Packets)) {
-		packet.SetHashCounting(false)
-		t.Fatalf("scalar path: %d Hash64 calls for %d packets, want exactly one per packet", got, len(tr.Packets))
-	}
-
-	eng2 := testEngine(t, cfg)
-	eng2.OnPass(func(PassEvent) {})
-	packet.SetHashCounting(true)
-	for i := 0; i < len(tr.Packets); i += 256 {
-		end := i + 256
-		if end > len(tr.Packets) {
-			end = len(tr.Packets)
+		eng := testEngine(t, cfg)
+		eng.OnPass(func(PassEvent) {})
+		eng.SetDetectThresholds(100, 0)
+		packet.SetHashCounting(true)
+		for i := range tr.Packets {
+			eng.Process(tr.Packets[i])
 		}
-		eng2.ProcessBatch(tr.Packets[i:end])
-	}
-	got := packet.HashCount()
-	packet.SetHashCounting(false)
-	if got != uint64(len(tr.Packets)) {
-		t.Fatalf("batch path: %d Hash64 calls for %d packets, want exactly one per packet", got, len(tr.Packets))
+		if got := packet.HashCount(); got != uint64(len(tr.Packets)) {
+			t.Fatalf("cache=%d scalar path: %d Hash64 calls for %d packets, want exactly one per packet", cache, got, len(tr.Packets))
+		}
+
+		eng2 := testEngine(t, cfg)
+		eng2.OnPass(func(PassEvent) {})
+		eng2.SetDetectThresholds(100, 0)
+		packet.SetHashCounting(true)
+		for i := 0; i < len(tr.Packets); i += 256 {
+			eng2.ProcessBatch(tr.Packets[i:min(i+256, len(tr.Packets))])
+		}
+		if got := packet.HashCount(); got != uint64(len(tr.Packets)) {
+			t.Fatalf("cache=%d batch path: %d Hash64 calls for %d packets, want exactly one per packet", cache, got, len(tr.Packets))
+		}
+		if cache > 0 && (eng.HotCache().Stats().Hits == 0 || eng2.HotCache().Stats().Demotions == 0) {
+			t.Fatalf("cache=%d: degenerate run, stats %+v / %+v", cache, eng.HotCache().Stats(), eng2.HotCache().Stats())
+		}
 	}
 }
 
@@ -166,6 +221,15 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Errorf("ProcessBatch allocates %.1f objects per burst in steady state, want 0", allocs)
+	}
+
+	// Process is a burst of one through engine-owned scratch.
+	allocs = testing.AllocsPerRun(1000, func() {
+		eng.Process(tr.Packets[next%len(tr.Packets)])
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Process allocates %.2f objects per packet, want 0", allocs)
 	}
 }
 

@@ -117,22 +117,22 @@ type PassEvent struct {
 	Cached  bool
 }
 
-// latencySamplePeriod is the per-packet latency sampling period: one in
-// every 1024 Process calls is timed (two clock reads amortized to ~0.1 ns
-// per packet).
+// latencySamplePeriod is the latency sampling period: a burst is timed
+// when it holds one of every 1024 packets (two clock reads amortized to
+// ~0.1 ns per packet, whatever the burst size).
 const latencySamplePeriod = 1024
 
-// publishEvery is the packet/byte counter publication period. Go's
-// atomic store is an XCHG on amd64 (a full locked op), so publishing the
-// totals every packet costs ~8% of the Process budget; every 64 packets
+// publishEvery is the packet/byte counter publication period, in packets.
+// Go's atomic store is an XCHG on amd64 (a full locked op), so publishing
+// the totals every packet costs ~8% of the scalar budget; every 64 packets
 // it is noise, and scrapes see totals at most 64 packets stale. Explicit
 // flush points (FlushTelemetry, the getters, worker exit) make the
 // counters exact whenever a run hands control back.
 const publishEvery = 64
 
 // engineMetrics holds the engine's hot-path telemetry handles. packets
-// and bytes are published with single-writer atomic stores every packet;
-// the rest update only on rare events (saturations, delegations).
+// and bytes are published with single-writer atomic stores every
+// publishEvery packets; the rest update only on rare events.
 type engineMetrics struct {
 	packets telemetry.CounterShard
 	bytes   telemetry.CounterShard
@@ -159,22 +159,23 @@ type Engine struct {
 	packets uint64
 	bytes   uint64
 	lastTS  int64
-	// hashBuf is the pre-hash scratch for ProcessBatch, sized to the
-	// largest batch seen so the steady state allocates nothing. The
-	// remaining buffers are the batched path's per-burst scratch, grown
-	// the same way: per-packet lengths, regulator results, and the indices
-	// of packets that passed through to the WSAF.
-	hashBuf []uint64
-	lenBuf  []int
-	emBuf   []flowreg.Emission
-	okBuf   []bool
-	passBuf []int32
-	// missBuf/missHashBuf are the cached batch path's compaction
-	// scratch: the indices and hashes of packets the cache did not
-	// absorb, which then run the regulator pass exactly as an uncached
-	// batch of just those packets would.
+	// one/oneHash are Process's burst of one: the packet and its hash run
+	// the burst loop like any other burst, without allocating.
+	one     [1]packet.Packet
+	oneHash [1]uint64
+	// sampleT0 is a timed burst's start, kept here rather than in a local
+	// so the burst loop does not carry it across its calls.
+	sampleT0 time.Time
+	// The burst loop's scratch, grown to the largest burst seen: hashes;
+	// the misses' indices, hashes and lengths; the regulator's results;
+	// and the indices of the misses that passed through.
+	hashBuf     []uint64
 	missBuf     []int32
 	missHashBuf []uint64
+	lenBuf      []int
+	emBuf       []flowreg.Emission
+	okBuf       []bool
+	passBuf     []int32
 	// victim is the demotion scratch Admit fills when it displaces a
 	// cached flow; the delta is folded into the WSAF immediately, so the
 	// scratch never outlives one admission.
@@ -391,51 +392,27 @@ func (e *Engine) fireCacheCross(ce *hotcache.Entry, ts int64) {
 		Bytes: ce.BaseBytes + float64(ce.Bytes)})
 }
 
-// Process encodes one packet. Most packets are absorbed by the
-// FlowRegulator; roughly 1% reach the WSAF. It is the scalar wrapper
-// around the single-hash measurement path; bulk callers should prefer
-// ProcessBatch, which amortizes hashing, sampling, and publication.
+// Process measures one packet: it is hashed once and run through
+// ProcessBatchHashed as a burst of one, so the scalar path is the burst
+// loop, not a second body. Most packets are absorbed by the FlowRegulator;
+// roughly 1% reach the WSAF. Bulk callers should prefer ProcessBatch,
+// which amortizes the loop's per-burst work.
 //
 //im:hotpath
 func (e *Engine) Process(p packet.Packet) {
-	e.packets++
-	e.bytes += uint64(p.Len)
-	e.lastTS = p.TS
-	if e.packets&(publishEvery-1) == 0 {
-		e.publishTotals()
-	}
-	sampled := e.packets&(latencySamplePeriod-1) == 0
-	var t0 time.Time
-	if sampled {
-		//im:allow hotalloc,wallclock — latency telemetry seam: 1-in-1024 packets pays one clock read
-		t0 = time.Now()
-	}
-
-	e.encode(&p, p.Key.Hash64(e.cfg.HashSeed))
-
-	if sampled {
-		//im:allow hotalloc,wallclock — latency telemetry seam: paired with the sampled time.Now above
-		lat := uint64(time.Since(t0))
-		e.tm.latency.Observe(lat)
-		// Flight span reuses the sample's own clock reads — Span is held
-		// alloc- and hash-free by the imvet flightrec gate.
-		e.fl.Span(t0, 1, lat)
-	}
+	e.one[0] = p
+	e.oneHash[0] = p.Key.Hash64(e.cfg.HashSeed)
+	e.ProcessBatchHashed(e.one[:], e.oneHash[:])
 }
 
-// ProcessBatch encodes a burst of packets — the pipeline workers' hot
-// path. The whole batch is pre-hashed in a tight loop before any sketch is
-// touched (one bounds-checked pass over the packets, then one over the
-// hashes); everything else is ProcessBatchHashed.
+// ProcessBatch measures a burst of packets — the pipeline workers' hot
+// path. The whole burst is hashed in one tight loop before any sketch is
+// touched; everything else is ProcessBatchHashed.
 //
 //im:hotpath
 func (e *Engine) ProcessBatch(batch []packet.Packet) {
-	if len(batch) == 0 {
-		return
-	}
 	if cap(e.hashBuf) < len(batch) {
-		//im:allow hotalloc — amortized: the hash buffer grows to the high-water batch size once, then is reused
-		e.hashBuf = make([]uint64, len(batch))
+		e.growScratch(len(batch))
 	}
 	hashes := e.hashBuf[:len(batch)]
 	seed := e.cfg.HashSeed
@@ -445,235 +422,145 @@ func (e *Engine) ProcessBatch(batch []packet.Packet) {
 	e.ProcessBatchHashed(batch, hashes)
 }
 
-// ProcessBatchHashed is ProcessBatch for callers that already hashed every
-// packet with this engine's HashSeed — the shared-nothing pipeline hashes
-// at ingest to shard, then threads the values here so no packet is ever
-// hashed twice. The burst runs as staged passes so DRAM misses overlap
-// instead of serializing:
+// ProcessBatchHashed is the engine's one packet path. hashes are the
+// packets' flow-key hashes under this engine's HashSeed — the
+// shared-nothing pipeline hashes at ingest to shard and threads the values
+// here, so no packet is ever hashed twice. The burst runs as staged passes
+// so DRAM misses overlap instead of serializing:
 //
-//	pass 1: totals + cardinality sketch (pure arithmetic, no misses)
-//	pass 2: batched FlowRegulator — Locate+prefetch then encode (flowreg)
-//	pass 3: prefetch the WSAF first probe slot of every passthrough
-//	pass 4: WSAF accumulates + pass events, in packet order
+//	stage 1: totals + hot-cache probe; hits are counted exactly, misses
+//	         enter the cardinality sketch and are compacted (with no
+//	         cache the misses are the burst itself, with no copy)
+//	stage 2: batched FlowRegulator over the misses
+//	stage 3: prefetch the WSAF first probe slot of every passthrough
+//	stage 4: WSAF accumulate, cache admission, pass event — packet order
 //
-// Sketch and table state advance exactly as len(batch) Process calls
-// would: same update order, same RNG stream, same outcomes. The staging is
-// invisible because the components are independent — the regulator never
-// reads the table, and both consume only the packet and its hash. Pass
-// events fire in packet order but after the whole burst's regulator pass;
-// callbacks observing final state per event see the same values either
-// way. The amortized per-packet costs of the scalar path — the latency
-// sample and the telemetry publication — collapse to one of each per
-// batch.
+// Without a cache, sketch and table state advance exactly as one packet at
+// a time would: the regulator never reads the table, and both consume only
+// the packet and its hash, so the staging is invisible. With a cache,
+// every probe in a burst runs before any admission: a flow promoted
+// mid-burst sends its remaining same-burst packets through the regulator
+// and is counted exactly from the next burst (a second same-burst
+// passthrough reaches Admit as a duplicate and returns AlreadyCached).
+// Totals are conserved either way. Armed cache crossings
+// (SetDetectThresholds) fire from the stage-1 probe, before the burst's
+// WSAF pass events.
+//
+// Timing and counter publication are keyed to the packet count (see
+// latencySamplePeriod and publishEvery), not to calls, so a burst of one
+// reports what a scalar packet always has.
 //
 //im:hotpath
 func (e *Engine) ProcessBatchHashed(batch []packet.Packet, hashes []uint64) {
-	if len(batch) == 0 {
-		return
+	n := len(batch)
+	hashes = hashes[:n]
+	if cap(e.passBuf) < n {
+		e.growScratch(n)
 	}
-	if e.cache != nil {
-		e.processBatchCached(batch, hashes)
-		return
+	if crossed(e.packets+uint64(n), n, latencySamplePeriod) {
+		//im:allow hotalloc,wallclock — latency telemetry seam: a burst holding a 1-in-1024 packet pays one clock read
+		e.sampleT0 = time.Now()
 	}
-	hashes = hashes[:len(batch)]
-	if cap(e.lenBuf) < len(batch) {
-		//im:allow hotalloc — amortized: batch scratch grows to the high-water batch size once, then is reused
-		e.lenBuf = make([]int, len(batch))
-		//im:allow hotalloc — amortized: see above
-		e.emBuf = make([]flowreg.Emission, len(batch))
-		//im:allow hotalloc — amortized: see above
-		e.okBuf = make([]bool, len(batch))
-		//im:allow hotalloc — amortized: see above
-		e.passBuf = make([]int32, len(batch))
-	}
-	lens := e.lenBuf[:len(batch)]
-	ems := e.emBuf[:len(batch)]
-	oks := e.okBuf[:len(batch)]
 
-	//im:allow hotalloc,wallclock — latency telemetry seam: one clock read per batch
-	t0 := time.Now()
-
+	// Stage 1. Misses are written in place, not appended, so the loop
+	// around the cache probe carries few values across the call.
+	cache := e.cache
+	m := 0
 	for i := range batch {
 		p := &batch[i]
 		e.packets++
 		e.bytes += uint64(p.Len)
 		e.lastTS = p.TS
-		e.card.Add(hashes[i])
-		lens[i] = int(p.Len)
-	}
-
-	e.reg.ProcessBatch(hashes, lens, ems, oks)
-
-	// Collect the ~1% of packets that passed through, prefetching each
-	// one's first WSAF probe slot so pass 4 finds the lines in flight.
-	pass := e.passBuf[:0]
-	for i := range oks {
-		if oks[i] {
-			e.table.PrefetchHashed(hashes[i])
-			pass = append(pass, int32(i))
-		}
-	}
-
-	for _, pi := range pass {
-		i := int(pi)
-		p := &batch[i]
-		em := ems[i]
-		outcome, entry := e.table.AccumulateHashed(hashes[i], p.Key, em.EstPkts, em.EstBytes, p.TS)
-		if e.onPass != nil {
-			ev := PassEvent{Key: p.Key, TS: p.TS, Est: em, Outcome: outcome}
-			if entry != nil {
-				ev.Pkts = entry.Pkts
-				ev.Bytes = entry.Bytes
+		if cache != nil {
+			if cache.Bump(hashes[i], &p.Key, p.Len, p.TS) {
+				continue
 			}
-			e.onPass(ev)
+			e.missBuf[m], e.missHashBuf[m] = int32(i), hashes[i]
 		}
-	}
-
-	// One mean per-packet latency observation and one counter publication
-	// per batch (versus 1-in-1024 and 1-in-64 packets on the scalar path).
-	//im:allow hotalloc,wallclock — latency telemetry seam: paired with the per-batch time.Now above
-	perPkt := uint64(time.Since(t0)) / uint64(len(batch))
-	e.tm.latency.Observe(perPkt)
-	// Flight span reuses the batch's own clock reads — Span is held
-	// alloc- and hash-free by the imvet flightrec gate.
-	e.fl.Span(t0, uint32(len(batch)), perPkt)
-	e.publishTotals()
-}
-
-// processBatchCached is ProcessBatchHashed with the promotion cache in
-// front: pass 1 additionally probes the cache, and hits — the bulk of a
-// skewed workload — are counted exactly and drop out of the burst before
-// the regulator runs. The surviving misses are compacted (indices +
-// hashes + lengths) and take the regulator → prefetch → accumulate
-// passes exactly as an uncached batch of just those packets would: same
-// update order, same RNG stream.
-//
-// One deliberate divergence from the scalar cached path: promotions take
-// effect at the next burst, because every packet's cache probe runs
-// before any admission. A flow promoted mid-burst therefore sends its
-// remaining same-burst packets through the regulator where scalar order
-// would have counted them exactly (a second same-burst passthrough
-// reaches Admit as a duplicate, which refreshes the entry's base and
-// returns AlreadyCached). Totals stay conserved either way — those
-// packets are regulated estimates instead of exact counts — so the
-// cached differential oracle checks per-engine invariants rather than
-// scalar≡batch bit-equality.
-//
-// Armed cache-crossing events (SetDetectThresholds) fire from inside the
-// pass-1 probe loop, so a cached crossing is reported at its packet's
-// position — before the burst's WSAF pass events, which still fire in
-// packet order after the regulator pass.
-//
-//im:hotpath
-func (e *Engine) processBatchCached(batch []packet.Packet, hashes []uint64) {
-	hashes = hashes[:len(batch)]
-	if cap(e.lenBuf) < len(batch) {
-		//im:allow hotalloc — amortized: batch scratch grows to the high-water batch size once, then is reused
-		e.lenBuf = make([]int, len(batch))
-		//im:allow hotalloc — amortized: see above
-		e.emBuf = make([]flowreg.Emission, len(batch))
-		//im:allow hotalloc — amortized: see above
-		e.okBuf = make([]bool, len(batch))
-		//im:allow hotalloc — amortized: see above
-		e.passBuf = make([]int32, len(batch))
-	}
-	if cap(e.missBuf) < len(batch) {
-		//im:allow hotalloc — amortized: cached-path compaction scratch grows once, then is reused
-		e.missBuf = make([]int32, len(batch))
-		//im:allow hotalloc — amortized: see above
-		e.missHashBuf = make([]uint64, len(batch))
-	}
-
-	//im:allow hotalloc,wallclock — latency telemetry seam: one clock read per batch
-	t0 := time.Now()
-
-	miss := e.missBuf[:0]
-	mh := e.missHashBuf[:0]
-	mlen := e.lenBuf[:0]
-	for i := range batch {
-		p := &batch[i]
-		e.packets++
-		e.bytes += uint64(p.Len)
-		e.lastTS = p.TS
-		if e.cache.Bump(hashes[i], &p.Key, p.Len, p.TS) {
-			continue
-		}
+		// A cache hit skips the cardinality sketch too: re-adding an
+		// already-seen hash is a no-op for HLL registers.
 		e.card.Add(hashes[i])
-		miss = append(miss, int32(i))
-		mh = append(mh, hashes[i])
-		mlen = append(mlen, int(p.Len))
+		e.lenBuf[m] = int(p.Len)
+		m++
 	}
 
-	if len(miss) > 0 {
-		ems := e.emBuf[:len(miss)]
-		oks := e.okBuf[:len(miss)]
-		e.reg.ProcessBatch(mh, mlen, ems, oks)
-
+	// Stage 2 runs over the misses, if any; stages 3–4 only when the
+	// regulator passed one through, which its emission count tells
+	// without a scan.
+	var mh []uint64
+	passed := false
+	if m > 0 {
+		mh = hashes[:m]
+		if cache != nil {
+			mh = e.missHashBuf[:m]
+		}
+		emitted := e.reg.Emissions()
+		e.reg.ProcessBatch(mh, e.lenBuf, e.emBuf, e.okBuf)
+		passed = e.reg.Emissions() != emitted
+	}
+	if passed {
+		// Stage 3.
 		pass := e.passBuf[:0]
-		for j := range oks {
-			if oks[j] {
+		for j, ok := range e.okBuf[:m] {
+			if ok {
 				e.table.PrefetchHashed(mh[j])
 				pass = append(pass, int32(j))
 			}
 		}
 
-		for _, pj := range pass {
-			j := int(pj)
-			i := int(miss[j])
-			p := &batch[i]
-			em := ems[j]
+		// Stage 4.
+		for _, j := range pass {
+			p := &batch[j]
+			if cache != nil {
+				p = &batch[e.missBuf[j]]
+			}
+			em := &e.emBuf[j]
 			outcome, entry := e.table.AccumulateHashed(mh[j], p.Key, em.EstPkts, em.EstBytes, p.TS)
 			var evPkts, evBytes float64
 			if entry != nil {
-				// Copy the totals out before admission: folding a
-				// demoted victim into the table may relocate the entry
-				// the pointer aliases.
+				// Copy the totals out before admission: folding a demoted
+				// victim into the table may relocate the entry the pointer
+				// aliases. The returned entry fills the pass event, so a
+				// passthrough costs exactly one probe sequence.
 				evPkts, evBytes = entry.Pkts, entry.Bytes
-				e.admit(mh[j], &p.Key, p.TS, evPkts, evBytes)
+				if cache != nil {
+					e.admit(mh[j], &p.Key, p.TS, evPkts, evBytes)
+				}
 			}
 			if e.onPass != nil {
-				e.onPass(PassEvent{Key: p.Key, TS: p.TS, Est: em,
+				e.onPass(PassEvent{Key: p.Key, TS: p.TS, Est: *em,
 					Outcome: outcome, Pkts: evPkts, Bytes: evBytes})
 			}
 		}
 	}
 
-	//im:allow hotalloc,wallclock — latency telemetry seam: paired with the per-batch time.Now above
-	perPkt := uint64(time.Since(t0)) / uint64(len(batch))
-	e.tm.latency.Observe(perPkt)
-	e.fl.Span(t0, uint32(len(batch)), perPkt)
-	e.publishTotals()
+	// Decided from the count, not carried across the loops. publishEvery
+	// divides latencySamplePeriod, so only a burst that publishes is timed.
+	if crossed(e.packets, n, publishEvery) {
+		if crossed(e.packets, n, latencySamplePeriod) {
+			//im:allow hotalloc,wallclock — latency telemetry seam: paired with the sampled time.Now above
+			perPkt := uint64(time.Since(e.sampleT0)) / uint64(n)
+			e.tm.latency.Observe(perPkt)
+			// The flight span reuses the sample's own clock reads;
+			// hotalloc holds Span alloc-, hash- and map-free.
+			e.fl.Span(e.sampleT0, uint32(n), perPkt)
+		}
+		e.publishTotals()
+	}
 }
 
-// encode is the single-hash measurement path shared by Process and
-// ProcessBatch: h is the packet's one flow-key hash, reused by the hot
-// cache, the cardinality sketch, every FlowRegulator layer, and the WSAF
-// probe sequence. The entry returned by AccumulateHashed fills the pass
-// event, so a passthrough costs exactly one probe sequence. A hit in the
-// promotion cache counts the packet exactly and ends the path — no
-// sketch, no regulator, no DRAM (the cardinality sketch can be skipped
-// because re-adding an already-seen hash is a no-op for HLL registers).
-func (e *Engine) encode(p *packet.Packet, h uint64) {
-	if e.cache != nil && e.cache.Bump(h, &p.Key, p.Len, p.TS) {
-		return
-	}
-	e.card.Add(h)
-	em, ok := e.reg.Process(h, int(p.Len))
-	if !ok {
-		return
-	}
-	outcome, entry := e.table.AccumulateHashed(h, p.Key, em.EstPkts, em.EstBytes, p.TS)
-	var evPkts, evBytes float64
-	if entry != nil {
-		evPkts, evBytes = entry.Pkts, entry.Bytes
-		if e.cache != nil {
-			e.admit(h, &p.Key, p.TS, evPkts, evBytes)
-		}
-	}
-	if e.onPass != nil {
-		e.onPass(PassEvent{Key: p.Key, TS: p.TS, Est: em,
-			Outcome: outcome, Pkts: evPkts, Bytes: evBytes})
-	}
+// crossed reports whether the last n packets counted, up to after, passed
+// a multiple of period.
+func crossed(after uint64, n int, period uint64) bool {
+	return after%period < uint64(n)
+}
+
+// growScratch sizes the burst loop's scratch for bursts of n packets.
+func (e *Engine) growScratch(n int) {
+	//im:allow hotalloc — amortized: the scratch grows to the high-water burst size once, then is reused
+	e.hashBuf, e.missBuf, e.missHashBuf, e.lenBuf = make([]uint64, n), make([]int32, n), make([]uint64, n), make([]int, n)
+	//im:allow hotalloc — amortized: as above
+	e.emBuf, e.okBuf, e.passBuf = make([]flowreg.Emission, n), make([]bool, n), make([]int32, n)
 }
 
 // admit offers a regulator passthrough a hot-cache slot and, when an

@@ -13,7 +13,7 @@
 // fetch-add, and readers (the /debug/flight handler, the timeline
 // reconstruction) skip slots whose sequence moved under them. The hot
 // path records only sampled spans through Handle.Span, which the imvet
-// flightrec gate holds to the alloc-free, hash-free contract.
+// hotalloc gate holds to the alloc-free, hash-free contract.
 //
 // A Recorder also derives observability surfaces: per-stage duration
 // histograms (instameasure_epoch_stage_seconds) pushed into any
@@ -224,7 +224,7 @@ type Handle struct {
 
 // Span records a sampled hot-path span: n packets measured at perPktNanos
 // each, stamped at t0 (the sample's own clock read — Span reads no clock
-// of its own). Alloc-free and hash-free; guarded by the imvet flightrec
+// of its own). Alloc-free and hash-free; guarded by the imvet hotalloc
 // gate on the //im:hotpath call graph.
 func (h Handle) Span(t0 time.Time, n uint32, perPktNanos uint64) {
 	if h.rec == nil {

@@ -189,6 +189,13 @@ const batchWindow = 64
 //
 //im:hotpath
 func (r *Regulator) ProcessBatch(hashes []uint64, pktLens []int, ems []Emission, oks []bool) {
+	if len(hashes) == 1 {
+		// A lone packet has no miss to overlap its own with: no prefetch.
+		var loc rcc.Location
+		r.layers[0][0].Locate(hashes[0], &loc)
+		ems[0], oks[0] = r.processLoc(&loc, pktLens[0])
+		return
+	}
 	pktLens = pktLens[:len(hashes)]
 	ems = ems[:len(hashes)]
 	oks = oks[:len(hashes)]

@@ -48,11 +48,11 @@ type Model struct {
 	// the paper's margin arithmetic, which compares raw access latencies;
 	// set 2 to additionally charge the probe+write pair.
 	WSAFAccessesPerOp float64
-	// DRAMPrefetchedNs is the effective per-access DRAM cost inside a
-	// two-pass batched probe loop (wsaf.AccumulateBatch): the prefetch
-	// pass issues the probe-slot loads ahead of the probe pass, so misses
-	// overlap instead of serializing and only the bandwidth/row-cycle
-	// floor remains. Commodity cores overlap 10–16 line fills but the
+	// DRAMPrefetchedNs is the effective per-access DRAM cost inside the
+	// engine's two-pass burst (wsaf.PrefetchHashed for every passthrough,
+	// then AccumulateHashed for each): the prefetch pass issues the
+	// probe-slot loads ahead of the probe pass, so misses overlap instead
+	// of serializing and only the bandwidth/row-cycle floor remains. Commodity cores overlap 10–16 line fills but the
 	// probe pass still pays dependent work per entry, so the achieved —
 	// not theoretical — overlap is about 2×. 0 disables the prefetch
 	// model (PrefetchSpeedup returns 1).
@@ -138,8 +138,8 @@ func (m Model) CacheSpeedup(hitRate, regulationRatio float64) float64 {
 
 // PrefetchSpeedup returns the modeled scalar/batched cost ratio for a
 // DRAM-resident WSAF: a plain Accumulate loop pays the full access
-// latency per probe, the two-pass AccumulateBatch pays the overlapped
-// cost plus the prefetch-pass overhead. The default model gives 1.8×;
+// latency per probe, the engine's two-pass burst (prefetch, then
+// accumulate) pays the overlapped cost plus the prefetch-pass overhead. The default model gives 1.8×;
 // TestPrefetchModelCrossCheck holds this against the measured
 // BenchmarkWSAFAccumulate vs BenchmarkWSAFAccumulateBatch delta.
 func (m Model) PrefetchSpeedup() float64 {

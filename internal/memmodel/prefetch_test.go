@@ -101,22 +101,21 @@ func TestPrefetchModelCrossCheck(t *testing.T) {
 			tab.AccumulateHashed(hashes[j], keys[j], 50, 25_000, int64(i))
 		}
 	})
+	// The engine's two passes per burst: prefetch every op's probe slot,
+	// then accumulate each.
 	batch := testing.Benchmark(func(b *testing.B) {
 		tab := wsaf.MustNew(wsaf.Config{Entries: entries})
 		const burst = 256
-		ops := make([]wsaf.Op, nkeys)
-		for i := range ops {
-			ops[i] = wsaf.Op{Hash: hashes[i], Key: keys[i], Pkts: 50, Bytes: 25_000, TS: int64(i)}
-		}
-		outcomes := make([]wsaf.Outcome, burst)
 		b.ResetTimer()
 		for i := 0; i < b.N; i += burst {
 			start := i % (nkeys - burst)
-			n := burst
-			if rem := b.N - i; rem < n {
-				n = rem
+			end := start + min(burst, b.N-i)
+			for j := start; j < end; j++ {
+				tab.PrefetchHashed(hashes[j])
 			}
-			tab.AccumulateBatch(ops[start:start+n], outcomes[:n])
+			for j := start; j < end; j++ {
+				tab.AccumulateHashed(hashes[j], keys[j], 50, 25_000, int64(j))
+			}
 		}
 	})
 

@@ -402,9 +402,9 @@ func (t *Table) SlotHashed(h uint64, key packet.FlowKey, now int64) int {
 // bitmap, so an almost-empty table costs its live entries plus one pass
 // over 1 bit per slot. Live entries of a sparse table are one DRAM miss
 // each, so the walk runs prefetchWindow entries behind its own prefetches,
-// the same overlap AccumulateBatch buys. The pointer is into the table and
-// valid only during the call; fn may overwrite *e but must not call
-// anything that probes.
+// the same overlap the engine's prefetch pass buys. The pointer is into
+// the table and valid only during the call; fn may overwrite *e but must
+// not call anything that probes.
 func (t *Table) Each(now int64, fn func(slot int, e *Entry)) {
 	var ring [prefetchWindow]int
 	queued := 0
