@@ -131,12 +131,16 @@ bench-json:
 # entries visited per second); and past the meter, the control plane on
 # the epoch_fleet shape (bench_collect_test.go) — collector merge, fleet
 # ingest, the store's windowed top-k and heavy changers over 80 000 flows
-# (Mpps is records or ranked flows per second), and one flow-table upsert.
+# (Mpps is records or ranked flows per second), and one flow-table upsert
+# at 80 000 flows (scalar) and at 2^20 (FlowtableUpsert1M: beyond what the
+# 80 000-flow rows leave in cache, so each probe is a DRAM miss — the case
+# the collection tier's prefetched bursts exist for; the row runs the burst
+# path, its baseline the same keys through scalar Upsert on its parent).
 # Baseline handling and -guard are
 # bench-json's: the archived baseline section (each row measured on the
 # parent commit of the PR that added it, on the same host) carries over,
 # and a >10% Mpps drop against it fails the target.
-BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot|CollectorMerge|FleetIngest|StoreTopK80k|StoreHeavyChangers80k|FlowtableUpsert
+BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot|CollectorMerge|FleetIngest|StoreTopK80k|StoreHeavyChangers80k|FlowtableUpsert|FlowtableUpsert1M
 bench-layers:
 	$(GO) test -bench '^Benchmark($(BENCH_LAYERS))$$' -benchmem -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -guard -o BENCH_layers.json \

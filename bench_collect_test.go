@@ -4,7 +4,8 @@ package instameasure
 // record costs after it has left the meter — collector merge, fleet
 // aggregate + detect, and the store's windowed queries — on the shape the
 // repository benchmark's epoch_fleet workload runs (two sites, 40 000
-// cumulative records each, every flow moving every epoch).
+// cumulative records each, every flow moving every epoch), plus the flow
+// table's unit of work at that size and at 2^20 flows.
 
 import (
 	"bytes"
@@ -178,6 +179,40 @@ func BenchmarkFlowtableUpsert(b *testing.B) {
 		k := &keys[(i*7919)%len(keys)].Key
 		v, _ := tab.Upsert(flowtable.Hash(k), k)
 		v[0]++
+	}
+	reportMframes(b)
+}
+
+// BenchmarkFlowtableUpsert1M is the burst path at 2^20 flows — a table
+// (~80 MB of entries and slots) past what the 80 000-flow rows leave in
+// cache, so every probe is a DRAM miss: the case the collection tier's
+// bursts exist for. Keys go in the same insertion-unrelated order as
+// FlowtableUpsert, flowtable.Burst at a time: all hashed and hinted, then
+// upserted in order. One op is one key. Its baseline row is the same keys
+// through scalar Upsert on the parent commit.
+func BenchmarkFlowtableUpsert1M(b *testing.B) {
+	keys := make([]packet.FlowKey, 1<<20)
+	for i := range keys {
+		keys[i] = packet.V4Key(0x0A000000|uint32(i), 0xC0A80000|uint32(i%251), uint16(1024+i%40000), 443, packet.ProtoTCP)
+	}
+	var tab flowtable.Table[[2]float64]
+	for i := range keys {
+		tab.Upsert(flowtable.Hash(&keys[i]), &keys[i])
+	}
+	key := func(op int) *packet.FlowKey { return &keys[op*7919%len(keys)] }
+	var hs [flowtable.Burst]uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += flowtable.Burst {
+		n := min(flowtable.Burst, b.N-i)
+		for j := range n {
+			hs[j] = flowtable.Hash(key(i + j))
+			tab.Prefetch(hs[j])
+		}
+		for j := range n {
+			v, _ := tab.Upsert(hs[j], key(i+j))
+			v[0]++
+		}
 	}
 	reportMframes(b)
 }

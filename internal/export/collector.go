@@ -532,9 +532,17 @@ func (c *Collector) serve(conn net.Conn) {
 func (c *Collector) merge(b Batch) {
 	start := time.Now()
 	c.mu.Lock()
+	// A burst of records is hashed and hinted before any is merged, in order.
+	var hs [flowtable.Burst]uint64
 	for i := range b.Records {
+		if i%flowtable.Burst == 0 {
+			for k := range min(flowtable.Burst, len(b.Records)-i) {
+				hs[k] = flowtable.Hash(&b.Records[i+k].Key)
+				c.flows.Prefetch(hs[k])
+			}
+		}
 		rec := &b.Records[i]
-		cur, fresh := c.flows.Upsert(flowtable.Hash(&rec.Key), &rec.Key)
+		cur, fresh := c.flows.Upsert(hs[i%flowtable.Burst], &rec.Key)
 		if fresh {
 			*cur = flowTotals{rec.Pkts, rec.Bytes, rec.FirstSeen, rec.LastUpdate}
 			continue

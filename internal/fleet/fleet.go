@@ -223,13 +223,20 @@ func (a *Aggregator) Ingest(b export.Batch) {
 		rotated = true
 	}
 
-	// One hash per record serves both probes: the site's last value (which
-	// yields the arrival's delta and is replaced in the same visit) and the
-	// network entry the delta lands on. A key repeated inside one batch is
-	// therefore measured against its previous occurrence, later wins.
+	// One hash per record, hinted a burst ahead, serves both probes: the
+	// site's last value (the arrival's delta, replaced in the same visit) and
+	// the network entry the delta lands on. A key repeated inside one batch
+	// is measured against its previous occurrence, later wins.
+	var hs [flowtable.Burst]uint64
 	for i := range b.Records {
-		rec := &b.Records[i]
-		h := flowtable.Hash(&rec.Key)
+		if i%flowtable.Burst == 0 {
+			for k := range min(flowtable.Burst, len(b.Records)-i) {
+				hs[k] = flowtable.Hash(&b.Records[i+k].Key)
+				sv.flows.Prefetch(hs[k])
+				a.net.Prefetch(hs[k])
+			}
+		}
+		rec, h := &b.Records[i], hs[i%flowtable.Burst]
 		last, fresh := sv.flows.Upsert(h, &rec.Key)
 		dPkts, dBytes := rec.Pkts, rec.Bytes
 		if !fresh {

@@ -13,6 +13,13 @@
 // empty slots. Entries carry their hash, so growth re-seats them without
 // rehashing.
 //
+// Bulk callers work in bursts, the WSAF's two-pass idiom: hash up to Burst
+// keys and Prefetch each home slot word, then Get or Upsert them in record
+// order, so a burst's DRAM misses overlap instead of queueing (Join does
+// the same for a lookup walk). Hints are advisory and order is kept, so a
+// burst builds exactly the table one call at a time builds. Reset empties
+// a table for reuse without giving up its arrays.
+//
 // Callers hash once per record with Hash and hand the value to every table
 // the record touches. Hash is keyed by a seed drawn once per process from
 // the OS entropy source: the collector is network-facing, and a predictable
@@ -22,8 +29,11 @@
 package flowtable
 
 import (
+	"unsafe"
+
 	"instameasure/internal/flowhash"
 	"instameasure/internal/packet"
+	"instameasure/internal/prefetch"
 )
 
 var seed = flowhash.RandomSeed()
@@ -33,6 +43,11 @@ func Hash(k *packet.FlowKey) uint64 { return k.Hash64(seed) }
 
 // minSlots is the first slot array's size.
 const minSlots = 16
+
+// Burst is how far a bulk caller hints ahead of what it resolves: wsaf's
+// prefetchWindow, for the same reason — past the 10–16 misses a core
+// overlaps, and few enough lines to still be in L1D when resolved.
+const Burst = 32
 
 // Table maps flow keys to values of type V. The zero value is an empty
 // table ready for use. A Table is not safe for concurrent use.
@@ -49,22 +64,30 @@ type entry[V any] struct {
 	val  V
 }
 
-// New returns a table with room for n flows before it first grows.
-func New[V any](n int) *Table[V] {
-	t := &Table[V]{}
-	if n > 0 {
-		size := minSlots
-		for size < 2*n {
-			size *= 2
-		}
-		t.slots = make([]uint64, size)
+// Reset empties the table and pre-sizes it for n flows, keeping its arrays
+// wherever they are large enough.
+func (t *Table[V]) Reset(n int) {
+	if cap(t.entries) < n {
 		t.entries = make([]entry[V], 0, n)
 	}
-	return t
+	t.entries = t.entries[:0]
+	size := minSlots
+	for size < 2*n {
+		size *= 2
+	}
+	t.reseat(size)
 }
 
 // Len is the number of flows held.
 func (t *Table[V]) Len() int { return len(t.entries) }
+
+// Prefetch hints the cache line of the slot word a probe for hash h reads
+// first. Advisory: it changes nothing a later Get or Upsert returns.
+func (t *Table[V]) Prefetch(h uint64) {
+	if len(t.slots) > 0 {
+		prefetch.T0(unsafe.Pointer(&t.slots[h&uint64(len(t.slots)-1)]))
+	}
+}
 
 // Get returns the value stored for key, whose Hash is h, or nil. The
 // pointer stays valid until the next Upsert.
@@ -91,7 +114,7 @@ func (t *Table[V]) Get(h uint64, key *packet.FlowKey) *V {
 // valid until the next Upsert.
 func (t *Table[V]) Upsert(h uint64, key *packet.FlowKey) (v *V, fresh bool) {
 	if 2*len(t.entries) >= len(t.slots) {
-		t.grow()
+		t.reseat(max(minSlots, 2*len(t.slots)))
 	}
 	mask := uint64(len(t.slots) - 1)
 	for i, step := h&mask, uint64(1); ; i, step = (i+step)&mask, step+1 {
@@ -109,12 +132,17 @@ func (t *Table[V]) Upsert(h uint64, key *packet.FlowKey) (v *V, fresh bool) {
 	}
 }
 
-// grow doubles the slot array and re-seats every entry by its stored hash.
+// reseat empties the slot array at size words, reusing its backing array
+// when that is large enough, and re-seats every entry by its stored hash.
 // Triangular steps reach every slot of a power-of-two array, and the array
 // is never more than half full, so each placement finds an empty slot.
-func (t *Table[V]) grow() {
-	size := max(minSlots, 2*len(t.slots))
-	t.slots = make([]uint64, size)
+func (t *Table[V]) reseat(size int) {
+	if cap(t.slots) < size {
+		t.slots = make([]uint64, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
 	mask := uint64(size - 1)
 	for n := range t.entries {
 		h := t.entries[n].hash
@@ -132,5 +160,18 @@ func (t *Table[V]) Each(fn func(h uint64, key *packet.FlowKey, v *V)) {
 	for i := range t.entries {
 		e := &t.entries[i]
 		fn(e.hash, &e.key, &e.val)
+	}
+}
+
+// Join visits every flow of a in insertion order with its value in a and
+// its value in b (nil when b lacks it), each lookup Burst flows behind its
+// Prefetch hint. fn must not Upsert into either table.
+func Join[A, B any](a *Table[A], b *Table[B], fn func(key *packet.FlowKey, va *A, vb *B)) {
+	for i := range a.entries {
+		if j := i + Burst; j < len(a.entries) {
+			b.Prefetch(a.entries[j].hash)
+		}
+		e := &a.entries[i]
+		fn(&e.key, &e.val, b.Get(e.hash, &e.key))
 	}
 }

@@ -2,7 +2,9 @@ package flowtable
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"instameasure/internal/packet"
 	"instameasure/internal/trace"
@@ -18,16 +20,27 @@ func key(i int) packet.FlowKey {
 	return packet.V4Key(0x0A000000+uint32(i), 0x08080808, uint16(i), 443, packet.ProtoTCP)
 }
 
+// hashes are the tests' two hash functions: a colliding one and the
+// process-seeded one (TestTableMatchesMap describes both).
+var hashes = map[string]func(*packet.FlowKey) uint64{
+	"colliding": func(k *packet.FlowKey) uint64 { return uint64(k.SrcPort%8) * 0x9E3779B97F4A7C15 },
+	"seeded":    Hash,
+}
+
+// newTable is a table Reset to room for n flows.
+func newTable[V any](n int) *Table[V] {
+	t := new(Table[V])
+	t.Reset(n)
+	return t
+}
+
 // TestTableMatchesMap drives a table and a Go map with the same random
 // upserts and lookups. Hashes come from a deliberately poor function —
 // eight distinct values, so nearly every key shares its full 64-bit hash
 // (tag and home slot both) with hundreds of others — and from the real
 // one, and the table grows through many doublings either way.
 func TestTableMatchesMap(t *testing.T) {
-	for name, hash := range map[string]func(*packet.FlowKey) uint64{
-		"colliding": func(k *packet.FlowKey) uint64 { return uint64(k.SrcPort%8) * 0x9E3779B97F4A7C15 },
-		"seeded":    Hash,
-	} {
+	for name, hash := range hashes {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			var tab Table[int]
@@ -82,11 +95,11 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestPresizedTableDoesNotGrow: New(n) holds n flows in the slot array it
-// was built with.
+// TestPresizedTableDoesNotGrow: a table Reset(n) holds n flows in the slot
+// array Reset gave it.
 func TestPresizedTableDoesNotGrow(t *testing.T) {
 	const n = 1000
-	tab := New[int](n)
+	tab := newTable[int](n)
 	slots := len(tab.slots)
 	for i := 0; i < n; i++ {
 		k := key(i)
@@ -161,7 +174,7 @@ func TestCollisionFloodProbeBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	worst := func(seed uint64) int {
-		tab := New[struct{}](flows)
+		tab := newTable[struct{}](flows)
 		if len(tab.slots) != slots {
 			t.Fatalf("table for %d flows has %d slots, flood was mined for %d", flows, len(tab.slots), slots)
 		}
@@ -183,5 +196,178 @@ func TestCollisionFloodProbeBound(t *testing.T) {
 	}
 	if seed == knownSeed || seed == 0 {
 		t.Errorf("process seed is the predictable %d", seed)
+	}
+}
+
+// upsertBurst is the bulk callers' two-pass idiom: hash up to Burst keys
+// and hint each, then upsert them in order, adding i+1 to key i's value.
+// It reports each upsert's fresh flag and how many slot-array growths
+// happened between a burst's hints and its last upsert.
+func upsertBurst(tab *Table[int], keys []packet.FlowKey, hash func(*packet.FlowKey) uint64) (fresh []bool, midBurst int) {
+	var hs [Burst]uint64
+	for lo := 0; lo < len(keys); lo += Burst {
+		burst := keys[lo:min(lo+Burst, len(keys))]
+		for i := range burst {
+			hs[i] = hash(&burst[i])
+			tab.Prefetch(hs[i])
+		}
+		slots := len(tab.slots)
+		for i := range burst {
+			v, f := tab.Upsert(hs[i], &burst[i])
+			*v += lo + i + 1
+			fresh = append(fresh, f)
+		}
+		if len(tab.slots) != slots {
+			midBurst++
+		}
+	}
+	return fresh, midBurst
+}
+
+// upsertScalar is upsertBurst one call at a time.
+func upsertScalar(tab *Table[int], keys []packet.FlowKey, hash func(*packet.FlowKey) uint64) (fresh []bool) {
+	for i := range keys {
+		v, f := tab.Upsert(hash(&keys[i]), &keys[i])
+		*v += i + 1
+		fresh = append(fresh, f)
+	}
+	return fresh
+}
+
+// sameTable fails unless a and b hold the same slot words and the same
+// entries in the same order, and answer Get alike for every key in probe
+// (present or not).
+func sameTable(t *testing.T, a, b *Table[int], probe []packet.FlowKey, hash func(*packet.FlowKey) uint64) {
+	t.Helper()
+	if !slices.Equal(a.slots, b.slots) {
+		t.Fatalf("slot arrays differ (%d and %d slots)", len(a.slots), len(b.slots))
+	}
+	if !slices.Equal(a.entries, b.entries) {
+		t.Fatalf("entries differ (%d and %d flows)", a.Len(), b.Len())
+	}
+	for i := range probe {
+		h := hash(&probe[i])
+		va, vb := a.Get(h, &probe[i]), b.Get(h, &probe[i])
+		if (va == nil) != (vb == nil) || (va != nil && *va != *vb) {
+			t.Fatalf("Get(%v) = %v and %v", probe[i], va, vb)
+		}
+	}
+}
+
+// TestBurstMatchesScalar: resolving keys a burst at a time behind Prefetch
+// hints builds the table one-at-a-time upserts build — slot for slot,
+// entry for entry, fresh flag for fresh flag — under a colliding and the
+// seeded hash, repeats inside a burst included, from a table small enough
+// to grow in the middle of bursts.
+func TestBurstMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]packet.FlowKey, 6000)
+	for i := range keys {
+		keys[i] = key(rng.Intn(2500))
+	}
+	probe := make([]packet.FlowKey, 3000) // keys 2500.. are never inserted
+	for i := range probe {
+		probe[i] = key(i)
+	}
+	for name, hash := range hashes {
+		t.Run(name, func(t *testing.T) {
+			burst, scalar := newTable[int](20), newTable[int](20)
+			fb, midBurst := upsertBurst(burst, keys, hash)
+			if fs := upsertScalar(scalar, keys, hash); !slices.Equal(fb, fs) {
+				t.Fatal("fresh flags differ between burst and scalar upserts")
+			}
+			if midBurst == 0 {
+				t.Fatal("the table never grew inside a burst")
+			}
+			sameTable(t, burst, scalar, probe, hash)
+		})
+	}
+}
+
+// TestResetReusesArrays: a table Reset to a smaller or a larger n, then
+// filled a burst at a time, is a table freshly Reset(n) and filled one key at a time,
+// and a Reset that fits keeps the arrays it had.
+func TestResetReusesArrays(t *testing.T) {
+	keys := make([]packet.FlowKey, 3000)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	for name, hash := range hashes {
+		t.Run(name, func(t *testing.T) {
+			tab := newTable[int](0)
+			upsertBurst(tab, keys[:1000], hash)
+			for _, n := range []int{100, 2500} {
+				slots, entries := unsafe.SliceData(tab.slots), unsafe.SliceData(tab.entries)
+				tab.Reset(n)
+				if tab.Len() != 0 || tab.Get(hash(&keys[0]), &keys[0]) != nil {
+					t.Fatalf("Reset(%d) left %d flows", n, tab.Len())
+				}
+				// 100 flows fit the arrays the previous fill left; 2500 do not.
+				kept := unsafe.SliceData(tab.slots) == slots && unsafe.SliceData(tab.entries) == entries
+				if kept != (n == 100) {
+					t.Fatalf("Reset(%d): arrays kept = %v", n, kept)
+				}
+				upsertBurst(tab, keys[:n], hash)
+				ref := newTable[int](n)
+				upsertScalar(ref, keys[:n], hash)
+				sameTable(t, tab, ref, keys, hash)
+			}
+		})
+	}
+}
+
+// TestJoinMatchesGet: Join hands every flow of a the value Get finds for
+// it in b.
+func TestJoinMatchesGet(t *testing.T) {
+	a, b := newTable[int](0), newTable[int](0)
+	for i := 0; i < 2000; i++ {
+		k := key(i)
+		v, _ := a.Upsert(Hash(&k), &k)
+		*v = i
+		if i%3 != 0 {
+			k := key(i + 1000) // b holds keys 1000.. and misses every third
+			v, _ := b.Upsert(Hash(&k), &k)
+			*v = -i
+		}
+	}
+	n := 0
+	Join(a, b, func(k *packet.FlowKey, va, vb *int) {
+		if want := b.Get(Hash(k), k); vb != want || *va != n || *k != key(n) {
+			t.Fatalf("Join visit %d: %v va=%d vb=%p, want va=%d vb=%p", n, *k, *va, vb, n, want)
+		}
+		n++
+	})
+	if n != a.Len() {
+		t.Fatalf("Join visited %d flows, want %d", n, a.Len())
+	}
+}
+
+// TestNoAllocsOnPresentBurst: a burst over keys already present hints and
+// upserts without allocating.
+func TestNoAllocsOnPresentBurst(t *testing.T) {
+	keys := make([]packet.FlowKey, 4*Burst)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	var tab Table[int]
+	upsertScalar(&tab, keys, Hash)
+	var hs [Burst]uint64
+	lo := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		burst := keys[lo : lo+Burst]
+		lo = (lo + Burst) % len(keys)
+		for i := range burst {
+			hs[i] = Hash(&burst[i])
+			tab.Prefetch(hs[i])
+		}
+		for i := range burst {
+			if v, fresh := tab.Upsert(hs[i], &burst[i]); fresh {
+				t.Fatal("present key inserted again")
+			} else {
+				*v++
+			}
+		}
+	}); n != 0 {
+		t.Errorf("a burst over present keys allocates %v times", n)
 	}
 }

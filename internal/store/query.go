@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"instameasure/internal/export"
@@ -126,16 +127,22 @@ func (s *Store) snapshotRefs() ([]recordRef, error) {
 	return out, nil
 }
 
-// segReader opens segment files lazily and at most once per query, and
-// reads every frame into one buffer it reuses.
+// segReader is a query's state — segment files opened at most once, one
+// frame buffer, the window tables — pooled so queries reuse its arrays.
 type segReader struct {
-	dir   string
-	files map[int]*os.File
-	buf   []byte
+	dir     string
+	files   map[int]*os.File
+	buf     []byte
+	windows [2]flowtable.Table[flowWindow] // windowDelta's, Reset per use
+	recs    [flowtable.Burst]export.Record // eachBurst's (a local would escape via fn)
 }
 
+var segReaders = sync.Pool{New: func() any { return &segReader{files: make(map[int]*os.File)} }}
+
 func newSegReader(dir string) *segReader {
-	return &segReader{dir: dir, files: make(map[int]*os.File)}
+	sr := segReaders.Get().(*segReader)
+	sr.dir = dir
+	return sr
 }
 
 // each re-verifies ref's frame and decodes it in place, handing every flow
@@ -165,9 +172,31 @@ func (sr *segReader) each(ref recordRef, fn func(*export.Record)) (export.TableS
 	return stats, nil
 }
 
-// close closes every opened segment file and returns the first failure: a
-// read-only descriptor that cannot close cleanly means the kernel flagged
-// a deferred I/O problem, and the query results it produced are suspect.
+// eachBurst is each for resolving every record in t: keys are hashed and
+// hinted in t as decoded, and fn gets them in frame order a burst behind.
+func (sr *segReader) eachBurst(ref recordRef, t interface{ Prefetch(uint64) }, fn func(h uint64, rec *export.Record)) (export.TableStats, error) {
+	var hs [flowtable.Burst]uint64
+	n := 0
+	resolve := func() {
+		for i := range n {
+			fn(hs[i], &sr.recs[i])
+		}
+		n = 0
+	}
+	stats, err := sr.each(ref, func(rec *export.Record) {
+		hs[n], sr.recs[n] = flowtable.Hash(&rec.Key), *rec
+		t.Prefetch(hs[n])
+		if n++; n == flowtable.Burst {
+			resolve()
+		}
+	})
+	resolve()
+	return stats, err
+}
+
+// close closes every segment file the reader opened, returns it to the
+// pool, and reports the first failure: a read-only descriptor that cannot
+// close cleanly means a deferred I/O problem, so the results are suspect.
 func (sr *segReader) close() error {
 	var first error
 	for _, f := range sr.files {
@@ -175,6 +204,8 @@ func (sr *segReader) close() error {
 			first = err
 		}
 	}
+	clear(sr.files)
+	segReaders.Put(sr)
 	return first
 }
 
@@ -248,15 +279,15 @@ func latestAt(refs []recordRef, e int64) (epoch int64, rows int, found bool) {
 	return epoch, rows, found
 }
 
-// eachAt streams the cumulative table as of one outer epoch: every record
-// carrying that epoch, in append order, so the last value fn sees for a
-// flow is the one that counts (later appends win per flow).
-func eachAt(refs []recordRef, sr *segReader, epoch int64, fn func(*export.Record)) error {
+// eachAt streams the cumulative table as of one outer epoch into t: every
+// record carrying that epoch, in append order, so the last value fn sees
+// for a flow is the one that counts (later appends win per flow).
+func eachAt(refs []recordRef, sr *segReader, epoch int64, t *flowtable.Table[flowWindow], fn func(h uint64, rec *export.Record)) error {
 	for _, r := range refs {
 		if r.epoch != epoch {
 			continue
 		}
-		if _, err := sr.each(r, fn); err != nil {
+		if _, err := sr.eachBurst(r, t, fn); err != nil {
 			return err
 		}
 	}
@@ -283,42 +314,35 @@ func (f *flowWindow) delta() (pkts, bytes float64) {
 	return pkts, bytes
 }
 
-// windowDelta builds one table holding every flow of the window's end
-// snapshot and streams the base snapshot through it by lookup, one hash
-// per record per pass.
-func windowDelta(refs []recordRef, sr *segReader, w Window) (*flowtable.Table[flowWindow], error) {
+// windowDelta fills t with every flow of the window's end snapshot and
+// streams the base snapshot through it by lookup, one hash per record per
+// pass.
+func windowDelta(refs []recordRef, sr *segReader, w Window, t *flowtable.Table[flowWindow]) error {
 	end, rows, found := latestAt(refs, w.To)
+	t.Reset(rows)
 	if !found {
-		return flowtable.New[flowWindow](0), nil
+		return nil
 	}
-	t := flowtable.New[flowWindow](rows)
-	err := eachAt(refs, sr, end, func(rec *export.Record) {
-		v, _ := t.Upsert(flowtable.Hash(&rec.Key), &rec.Key)
+	err := eachAt(refs, sr, end, t, func(h uint64, rec *export.Record) {
+		v, _ := t.Upsert(h, &rec.Key)
 		v.endPkts, v.endBytes = rec.Pkts, rec.Bytes
 	})
-	if err != nil {
-		return nil, err
-	}
 	// A baseline exists only for From > 1: From-1 == 0 would hit latestAt's
 	// "latest" sentinel and subtract the newest table from itself, zeroing
 	// every flow that stopped growing before the window end. Epochs are
 	// positive, so a window starting at 1 (or unbounded) has an empty base.
-	if w.From <= 1 {
-		return t, nil
+	if err != nil || w.From <= 1 {
+		return err
 	}
 	base, _, found := latestAt(refs, w.From-1)
 	if !found {
-		return t, nil
+		return nil
 	}
-	err = eachAt(refs, sr, base, func(rec *export.Record) {
-		if v := t.Get(flowtable.Hash(&rec.Key), &rec.Key); v != nil {
+	return eachAt(refs, sr, base, t, func(h uint64, rec *export.Record) {
+		if v := t.Get(h, &rec.Key); v != nil {
 			v.basePkts, v.baseBytes = rec.Pkts, rec.Bytes
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // NewRanking returns the collection tier's one ranking: the k rows with the
@@ -351,8 +375,8 @@ func (s *Store) TopK(w Window, k int, byBytes bool) ([]FlowDelta, error) {
 	start := time.Now()
 	var out []FlowDelta
 	err := s.query(func(refs []recordRef, sr *segReader) error {
-		t, err := windowDelta(refs, sr, w)
-		if err != nil {
+		t := &sr.windows[0]
+		if err := windowDelta(refs, sr, w, t); err != nil {
 			return err
 		}
 		sel := NewRanking(k, t.Len(), DeltaKey)
@@ -439,12 +463,11 @@ func (s *Store) HeavyChangers(older, newer Window, k int, byBytes bool) ([]FlowC
 	start := time.Now()
 	var out []FlowChange
 	err := s.query(func(refs []recordRef, sr *segReader) error {
-		dOld, err := windowDelta(refs, sr, older)
-		if err != nil {
+		dOld, dNew := &sr.windows[0], &sr.windows[1]
+		if err := windowDelta(refs, sr, older, dOld); err != nil {
 			return err
 		}
-		dNew, err := windowDelta(refs, sr, newer)
-		if err != nil {
+		if err := windowDelta(refs, sr, newer, dNew); err != nil {
 			return err
 		}
 		sel := NewRanking(k, dNew.Len()+dOld.Len(), func(c *FlowChange) *packet.FlowKey { return &c.Key })
@@ -462,18 +485,18 @@ func (s *Store) HeavyChangers(older, newer Window, k int, byBytes bool) ([]FlowC
 		// Every flow that grew in either window is ranked once: the newer
 		// window's flows joined to the older by lookup, then the flows only
 		// the older window saw grow.
-		dNew.Each(func(h uint64, key *packet.FlowKey, v *flowWindow) {
+		flowtable.Join(dNew, dOld, func(key *packet.FlowKey, v, o *flowWindow) {
 			newPkts, newBytes := v.delta()
 			var oldPkts, oldBytes float64
-			if o := dOld.Get(h, key); o != nil {
+			if o != nil {
 				oldPkts, oldBytes = o.delta()
 			}
 			if newPkts != 0 || newBytes != 0 || oldPkts != 0 || oldBytes != 0 {
 				offer(key, newPkts, newBytes, oldPkts, oldBytes)
 			}
 		})
-		dOld.Each(func(h uint64, key *packet.FlowKey, v *flowWindow) {
-			if dNew.Get(h, key) != nil {
+		flowtable.Join(dOld, dNew, func(key *packet.FlowKey, v, n *flowWindow) {
+			if n != nil {
 				return
 			}
 			if oldPkts, oldBytes := v.delta(); oldPkts != 0 || oldBytes != 0 {

@@ -547,7 +547,8 @@ func (s *Store) writeRollup(victims []segmentInfo, refs []recordRef) (recordRef,
 	for _, r := range refs {
 		rows = max(rows, int(r.count))
 	}
-	merged := flowtable.New[export.Record](rows)
+	var merged flowtable.Table[export.Record]
+	merged.Reset(rows)
 	var stats export.TableStats
 	lo, hi := int64(0), int64(0)
 	newestUnix := int64(0)
@@ -555,8 +556,8 @@ func (s *Store) writeRollup(victims []segmentInfo, refs []recordRef) (recordRef,
 	var err error
 	for i, r := range refs {
 		// Later (newer) records win, per flow and for the cumulative stats.
-		stats, err = sr.each(r, func(rec *export.Record) {
-			v, _ := merged.Upsert(flowtable.Hash(&rec.Key), &rec.Key)
+		stats, err = sr.eachBurst(r, &merged, func(h uint64, rec *export.Record) {
+			v, _ := merged.Upsert(h, &rec.Key)
 			*v = *rec
 		})
 		if err != nil {
