@@ -26,15 +26,18 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# lint runs imvet, the repo's domain-specific static-analysis gate
-# (cmd/imvet + internal/analysis): hot-path allocation discipline,
-# single-hash-per-packet, atomic-field hygiene, store/export error
-# checking, wall-clock bans in the deterministic packages, lock-scope
-# discipline (no dynamic calls / blocking I/O / channel sends under a
-# mutex, cross-package lock-order cycles), seqlock and SPSC-ring protocol
-# conformance, and wire-derived length bounds in decode paths. Exits
-# non-zero with file:line:col diagnostics on any violation.
+# lint fails on any file gofmt would change, then runs imvet, the repo's
+# domain-specific static-analysis gate (cmd/imvet + internal/analysis):
+# five analyzers — hot-path allocation discipline (hotalloc), store/export
+# error checking (errclose), wall-clock bans in the deterministic packages
+# (wallclock), lock-scope discipline (locksafe: no dynamic calls /
+# blocking I/O / channel sends under a mutex, cross-package lock-order
+# cycles, typed atomics only), and wire-derived length bounds in decode
+# paths (wirebound). Exits non-zero with file:line:col diagnostics on any
+# violation. The single hash per packet, the seqlock and the SPSC ring are
+# witnessed by tests instead (see vet-race).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/imvet ./...
 
 # store-smoke is the epoch-store drill: meter a trace into a store, tear
@@ -67,8 +70,10 @@ fleet-smoke:
 
 # vet-race is the concurrency gate: static checks plus every package
 # with a locked or lock-free concurrent surface under the race detector —
-# telemetry (lock-free counters), pipeline (SPSC rings, drop-when-full
-# exchange, ring probes), flight (seqlock recorder), export (exporter send
+# telemetry (lock-free counters), pipeline (SPSC rings: TestRingConcurrentStress
+# is the ring protocol's witness; drop-when-full exchange, ring probes,
+# the single hash per packet across the rings), flight (seqlock recorder:
+# TestConcurrentRecordAndSnapshot is the torn-read witness), export (exporter send
 # path + collector callback seams), fleet (aggregator/detector callbacks),
 # store (WAL lock scope), and trace (ground truth built on first use, from
 # whichever goroutine asks first; the shared source the pipeline's workers

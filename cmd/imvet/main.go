@@ -1,13 +1,12 @@
-// Command imvet runs instameasure's eight domain-specific static
-// analyzers — hotalloc, hashonce, atomicfield, errclose, wallclock,
-// locksafe, seqproto, wirebound — over the module and prints vet-style
-// file:line:col diagnostics to stderr, exiting non-zero if any invariant
-// is violated.
+// Command imvet runs instameasure's five domain-specific static
+// analyzers — hotalloc, errclose, wallclock, locksafe, wirebound — over
+// the module and prints vet-style file:line:col diagnostics to stderr,
+// exiting non-zero if any invariant is violated.
 //
 // The analyzers are whole-program by design (hot-path annotations
-// propagate through the cross-package call graph; atomic-field discipline
-// spans packages; lock scopes follow static calls), so any package
-// pattern argument analyzes the entire enclosing module:
+// propagate through the cross-package call graph; lock scopes and lock
+// order follow static calls across packages), so any package pattern
+// argument analyzes the entire enclosing module:
 //
 //	go run ./cmd/imvet ./...
 //

@@ -33,9 +33,9 @@ func run() error {
 	var (
 		fig = flag.String("fig", "", "figure id to run (1, 6, 7, 8a, 8b, 8c, 9a, 9b, 10, 11, 12, 13, 14, "+
 			"csm, iblt, deleg, evict, probe, shard, apps, onset, layers, hotcache, oracle, fleet); empty = all")
-		scale   = flag.String("scale", "default", "workload scale: small, default, large")
-		seed    = flag.Uint64("seed", 0, "override workload seed (0 = scale default)")
-		metrics = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/flight and /healthz on host:port while benchmarking")
+		scale    = flag.String("scale", "default", "workload scale: small, default, large")
+		seed     = flag.Uint64("seed", 0, "override workload seed (0 = scale default)")
+		metrics  = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/flight and /healthz on host:port while benchmarking")
 		flightTL = flag.Bool("flight", false, "print the flight recorder's text timeline after the run (sampled hot-path spans from every experiment engine)")
 	)
 	flag.Parse()

@@ -36,32 +36,32 @@ func main() {
 
 func run() error {
 	var (
-		pcapPath = flag.String("pcap", "", "pcap capture file to measure")
-		synth    = flag.Bool("synth", false, "measure a synthetic Zipf workload instead of a capture")
-		flows    = flag.Int("flows", 100_000, "synthetic workload: number of flows")
-		packets  = flag.Int("packets", 2_000_000, "synthetic workload: number of packets")
-		seed     = flag.Uint64("seed", 0, "measurement and workload seed (0 = random per run; the chosen seed is printed)")
-		sketchKB = flag.Int("sketch-kb", 32, "L1 sketch memory in KB (total FlowRegulator = 4x)")
-		wsafExp  = flag.Int("wsaf-exp", 20, "WSAF size as a power of two (20 = paper default)")
-		hotCache = flag.Int("hotcache", 0, "exact hot-flow cache entries in front of the WSAF (0 = off, 4096 typical)")
-		workers  = flag.Int("workers", 1, "worker cores (1 = single-core meter)")
-		batch    = flag.Int("batch", 256, "burst size packets are read, exchanged and processed in")
-		topK     = flag.Int("top", 10, "print the K largest flows by packets and bytes")
-		hhPkts   = flag.Float64("hh-pkts", 0, "heavy-hitter packet threshold (0 = off)")
-		hhBytes  = flag.Float64("hh-bytes", 0, "heavy-hitter byte threshold (0 = off)")
-		stream   = flag.Bool("stream", false, "decode the pcap incrementally (constant memory; '-' reads stdin)")
-		epoch    = flag.Int("epoch", 0, "cut an epoch every N packets (0 = off): print interim stats, export, commit to -store")
-		interval = flag.Duration("epoch-interval", 0, "cut an epoch every D of trace time (capture timestamps), e.g. 500ms; combines with -epoch — whichever fires first cuts")
-		snapshot = flag.String("snapshot", "", "write the final flow table to this snapshot file")
-		exportTo = flag.String("export", "", "export each epoch's flow table to a collector at host:port")
-		site     = flag.String("site", "", "site ID stamped on exported batches (1-64 printable ASCII; requires -export)")
-		collect  = flag.String("collect", "", "run a fleet collector on host:port instead of measuring (see -ddos-sources, -spread-dsts, -scan-ports, -metrics)")
-		ddosSrc  = flag.Float64("ddos-sources", 0, "collector: alert when one destination sees this many distinct sources per window (0 = off)")
-		spread   = flag.Float64("spread-dsts", 0, "collector: alert when one source contacts this many distinct destinations per window (0 = off)")
-		scan     = flag.Float64("scan-ports", 0, "collector: alert when one source probes this many distinct ports per window (0 = off)")
-		metrics  = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/flight, /healthz and /readyz on host:port")
-		storeDir = flag.String("store", "", "append each epoch's flow table to the epoch store in this directory (query with /flows or wsafdump -store)")
-		storeSyn = flag.Bool("store-sync", false, "fsync the store after every epoch append")
+		pcapPath  = flag.String("pcap", "", "pcap capture file to measure")
+		synth     = flag.Bool("synth", false, "measure a synthetic Zipf workload instead of a capture")
+		flows     = flag.Int("flows", 100_000, "synthetic workload: number of flows")
+		packets   = flag.Int("packets", 2_000_000, "synthetic workload: number of packets")
+		seed      = flag.Uint64("seed", 0, "measurement and workload seed (0 = random per run; the chosen seed is printed)")
+		sketchKB  = flag.Int("sketch-kb", 32, "L1 sketch memory in KB (total FlowRegulator = 4x)")
+		wsafExp   = flag.Int("wsaf-exp", 20, "WSAF size as a power of two (20 = paper default)")
+		hotCache  = flag.Int("hotcache", 0, "exact hot-flow cache entries in front of the WSAF (0 = off, 4096 typical)")
+		workers   = flag.Int("workers", 1, "worker cores (1 = single-core meter)")
+		batch     = flag.Int("batch", 256, "burst size packets are read, exchanged and processed in")
+		topK      = flag.Int("top", 10, "print the K largest flows by packets and bytes")
+		hhPkts    = flag.Float64("hh-pkts", 0, "heavy-hitter packet threshold (0 = off)")
+		hhBytes   = flag.Float64("hh-bytes", 0, "heavy-hitter byte threshold (0 = off)")
+		stream    = flag.Bool("stream", false, "decode the pcap incrementally (constant memory; '-' reads stdin)")
+		epoch     = flag.Int("epoch", 0, "cut an epoch every N packets (0 = off): print interim stats, export, commit to -store")
+		interval  = flag.Duration("epoch-interval", 0, "cut an epoch every D of trace time (capture timestamps), e.g. 500ms; combines with -epoch — whichever fires first cuts")
+		snapshot  = flag.String("snapshot", "", "write the final flow table to this snapshot file")
+		exportTo  = flag.String("export", "", "export each epoch's flow table to a collector at host:port")
+		site      = flag.String("site", "", "site ID stamped on exported batches (1-64 printable ASCII; requires -export)")
+		collect   = flag.String("collect", "", "run a fleet collector on host:port instead of measuring (see -ddos-sources, -spread-dsts, -scan-ports, -metrics)")
+		ddosSrc   = flag.Float64("ddos-sources", 0, "collector: alert when one destination sees this many distinct sources per window (0 = off)")
+		spread    = flag.Float64("spread-dsts", 0, "collector: alert when one source contacts this many distinct destinations per window (0 = off)")
+		scan      = flag.Float64("scan-ports", 0, "collector: alert when one source probes this many distinct ports per window (0 = off)")
+		metrics   = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/flight, /healthz and /readyz on host:port")
+		storeDir  = flag.String("store", "", "append each epoch's flow table to the epoch store in this directory (query with /flows or wsafdump -store)")
+		storeSyn  = flag.Bool("store-sync", false, "fsync the store after every epoch append")
 		sloBudget = flag.Duration("slo-budget", 0, "detection-delay budget: p99 epoch cut-to-commit latency the run promises (0 = no SLO); burn state is the instameasure_slo_burn gauge")
 		flightOut = flag.String("flight-dump", "", "write the flight recorder's JSON dump to this file at exit (re-render with wsafdump -flight)")
 	)

@@ -6,8 +6,8 @@
 // entire module (every package, with one merged types.Info), because the
 // repo's invariants are cross-package by nature: the //im:hotpath
 // annotation propagates through the static call graph from core into
-// wsaf/flowreg/rcc/flowhash, and a struct field accessed atomically in one
-// package must not be accessed plainly in another.
+// wsaf/flowreg/rcc/flowhash, and lock scopes and lock order follow static
+// calls across store/export/fleet/telemetry.
 //
 // Two comment directives drive the suite:
 //
@@ -255,8 +255,8 @@ func hotpathAnnotated(decl *ast.FuncDecl) bool {
 
 // inScope reports whether a package path belongs to one of the named
 // scopes: the path's last element equals one of the names. Synthetic
-// testdata paths ("hashonce/wsaf") land in scope the same way real module
-// paths ("instameasure/internal/wsaf") do.
+// testdata paths ("wallclock/core") land in scope the same way real module
+// paths ("instameasure/internal/core") do.
 func inScope(pkgPath string, names ...string) bool {
 	last := pkgPath
 	if i := strings.LastIndexByte(pkgPath, '/'); i >= 0 {
@@ -310,6 +310,20 @@ func calleeIs(fn *types.Func, pkgSuffix string, names ...string) bool {
 		}
 	}
 	return false
+}
+
+// fieldOf resolves a selector expression to the struct field it reads or
+// writes, or nil for method values, package selectors, and the like.
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil
+	}
+	v, ok := s.Obj().(*types.Var)
+	if !ok || !v.IsField() {
+		return nil
+	}
+	return v
 }
 
 // recvNamed returns the name of fn's receiver base type ("" for

@@ -35,7 +35,7 @@ func TestInScope(t *testing.T) {
 		want  bool
 	}{
 		{"instameasure/internal/wsaf", []string{"wsaf", "core"}, true},
-		{"hashonce/wsaf", []string{"wsaf"}, true}, // synthetic testdata path
+		{"wallclock/core", []string{"core"}, true}, // synthetic testdata path
 		{"instameasure/internal/store", []string{"wsaf", "core"}, false},
 		{"wsaf", []string{"wsaf"}, true}, // bare path
 		{"instameasure/internal/wsafx", []string{"wsaf"}, false},
@@ -48,7 +48,7 @@ func TestInScope(t *testing.T) {
 }
 
 func TestSuiteNames(t *testing.T) {
-	want := []string{"hotalloc", "hashonce", "atomicfield", "errclose", "wallclock", "locksafe", "seqproto", "wirebound"}
+	want := []string{"hotalloc", "errclose", "wallclock", "locksafe", "wirebound"}
 	suite := Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers; want %d", len(suite), len(want))

@@ -126,14 +126,6 @@ func TestFlightrecGolden(t *testing.T) {
 	runGolden(t, Hotalloc, "hotalloc/flowhash", "hotalloc/flight", "hotalloc/flightroot")
 }
 
-func TestHashonceGolden(t *testing.T) {
-	runGolden(t, Hashonce, "hashonce/wsaf", "hashonce/free", "hashonce/pipeline", "hashonce/hotcache")
-}
-
-func TestAtomicfieldGolden(t *testing.T) {
-	runGolden(t, Atomicfield, "atomicfield")
-}
-
 func TestErrcloseGolden(t *testing.T) {
 	runGolden(t, Errclose, "errclose/store", "errclose/free")
 }
@@ -144,10 +136,6 @@ func TestWallclockGolden(t *testing.T) {
 
 func TestLocksafeGolden(t *testing.T) {
 	runGolden(t, Locksafe, "locksafe")
-}
-
-func TestSeqprotoGolden(t *testing.T) {
-	runGolden(t, Seqproto, "seqproto")
 }
 
 func TestWireboundGolden(t *testing.T) {

@@ -42,9 +42,12 @@ import (
 // THROUGH closure values are dynamic calls like any other. Approved seams
 // — e.g. a dedicated wire-order lock whose only purpose is serializing
 // sends — carry //im:allow locksafe with their justification.
+//
+// Lock-free state gets one rule: no package-level sync/atomic function
+// (atomic.AddUint64(&s.f, 1) and kin) anywhere in the module.
 var Locksafe = &Analyzer{
 	Name: "locksafe",
-	Doc:  "ban dynamic calls, blocking I/O, and channel sends while a sync lock is held; fail on lock-ordering cycles",
+	Doc:  "ban dynamic calls, blocking I/O, and channel sends while a sync lock is held; fail on lock-ordering cycles and package-level sync/atomic calls",
 	Run:  runLocksafe,
 }
 
@@ -162,6 +165,26 @@ func runLocksafe(prog *Program, report func(token.Pos, string, ...any)) {
 	}
 
 	reportLockCycles(edges, label, report)
+	reportPlainAtomics(prog, report)
+}
+
+// reportPlainAtomics bans package-level sync/atomic functions. Every atomic
+// in the module is a typed wrapper (atomic.Uint64, ...): mixed atomic and
+// plain access to one is a compile error, and it self-aligns on 32-bit.
+func reportPlainAtomics(prog *Program, report func(token.Pos, string, ...any)) {
+	for _, pkg := range prog.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					fn := staticCallee(prog.Info, call)
+					if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && recvNamed(fn) == "" {
+						report(call.Pos(), "%s on a plain word — use a typed atomic so no access can be plain", funcLabel(fn))
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // scanLockFacts collects one body's local summary. Function literals are

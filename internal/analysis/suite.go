@@ -4,12 +4,9 @@ package analysis
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Hotalloc,
-		Hashonce,
-		Atomicfield,
 		Errclose,
 		Wallclock,
 		Locksafe,
-		Seqproto,
 		Wirebound,
 	}
 }

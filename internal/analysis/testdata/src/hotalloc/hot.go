@@ -35,7 +35,7 @@ func Process(v uint64, name string) int {
 	clo := func() {}               // want `hot path: closure allocation in hotalloc\.Process`
 	mu.Lock()                      // want `hot path: lock acquisition \(\(Mutex\)\.Lock\) in hotalloc\.Process`
 	mu.Unlock()
-	box(v)                         // want `hot path: argument 1 boxed into interface`
+	box(v) // want `hot path: argument 1 boxed into interface`
 	clo()
 	helper(v)
 	Sink = msg

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 type server struct {
@@ -15,6 +16,17 @@ type server struct {
 	onDone func()
 	conn   net.Conn
 	ch     chan int
+	hits   uint64
+	typed  atomic.Uint64
+}
+
+// count bumps a plain word atomically: the next plain read of s.hits would
+// race it unseen, so only typed atomics are allowed.
+func (s *server) count() {
+	atomic.AddUint64(&s.hits, 1) // want `atomic\.AddUint64 on a plain word — use a typed atomic`
+	//im:allow locksafe — fixture: a blessed seam stays silent
+	atomic.StoreUint64(&s.hits, 0)
+	s.typed.Add(1)
 }
 
 // notify invokes a user-supplied callback under the lock — the PR 9

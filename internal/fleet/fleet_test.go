@@ -456,8 +456,8 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 				return
 			default:
 			}
-			a.Ingest(export.Batch{Epoch: e, Site: "a", Records: []export.Record{flowRec(int(e % 8), float64(e), float64(e) * 10)}})
-			a.Ingest(export.Batch{Epoch: e, Site: "b", Records: []export.Record{flowRec(int(e % 8), float64(e), float64(e) * 10)}})
+			a.Ingest(export.Batch{Epoch: e, Site: "a", Records: []export.Record{flowRec(int(e%8), float64(e), float64(e)*10)}})
+			a.Ingest(export.Batch{Epoch: e, Site: "b", Records: []export.Record{flowRec(int(e%8), float64(e), float64(e)*10)}})
 		}
 	}()
 	deadline := time.After(200 * time.Millisecond)

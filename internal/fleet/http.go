@@ -1,13 +1,10 @@
 package fleet
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
 
 	"instameasure/internal/detect"
-	"instameasure/internal/packet"
+	"instameasure/internal/store"
 )
 
 // API serves the fleet tier as JSON over HTTP:
@@ -56,46 +53,8 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func fleetWriteJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client went away
-}
-
-func fleetBadRequest(w http.ResponseWriter, format string, args ...any) {
-	http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
-}
-
-func fleetIntParam(r *http.Request, name string, def int64) (int64, error) {
-	s := r.URL.Query().Get(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, s)
-	}
-	return v, nil
-}
-
-func fleetByParam(r *http.Request) (byBytes bool, name string, err error) {
-	switch by := r.URL.Query().Get("by"); by {
-	case "", "packets", "pkts":
-		return false, "packets", nil
-	case "bytes":
-		return true, "bytes", nil
-	default:
-		return false, "", fmt.Errorf("bad by %q (want packets or bytes)", by)
-	}
-}
-
-func fleetFlowID(k *packet.FlowKey) string {
-	return fmt.Sprintf("%016x", k.Hash64(0))
-}
-
 func (a *API) handleSites(w http.ResponseWriter, r *http.Request) {
-	fleetWriteJSON(w, struct {
+	store.WriteJSON(w, struct {
 		Sites []SiteStats `json:"sites"`
 	}{Sites: a.agg.Sites()})
 }
@@ -110,14 +69,14 @@ type rankJSON struct {
 }
 
 func (a *API) handleTopK(w http.ResponseWriter, r *http.Request) {
-	k, err := fleetIntParam(r, "k", 10)
+	k, err := store.IntParam(r, "k", 10)
 	if err != nil || k <= 0 {
-		fleetBadRequest(w, "bad k")
+		store.BadRequest(w, "bad k")
 		return
 	}
-	byBytes, byName, err := fleetByParam(r)
+	byBytes, byName, err := store.ByParam(r)
 	if err != nil {
-		fleetBadRequest(w, "%v", err)
+		store.BadRequest(w, "%v", err)
 		return
 	}
 	out := struct {
@@ -128,35 +87,35 @@ func (a *API) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if site := r.URL.Query().Get("site"); site != "" {
 		flows, ok := a.agg.SiteTopK(site, int(k), byBytes)
 		if !ok {
-			fleetBadRequest(w, "unknown site %q", site)
+			store.BadRequest(w, "unknown site %q", site)
 			return
 		}
 		out.Site = site
 		for _, f := range flows {
 			out.Flows = append(out.Flows, rankJSON{
-				Flow: f.Key.String(), ID: fleetFlowID(&f.Key), Pkts: f.Pkts, Bytes: f.Bytes,
+				Flow: f.Key.String(), ID: store.FlowID(&f.Key), Pkts: f.Pkts, Bytes: f.Bytes,
 			})
 		}
 	} else {
 		for _, f := range a.agg.TopK(int(k), byBytes) {
 			out.Flows = append(out.Flows, rankJSON{
-				Flow: f.Key.String(), ID: fleetFlowID(&f.Key),
+				Flow: f.Key.String(), ID: store.FlowID(&f.Key),
 				Pkts: f.Pkts, Bytes: f.Bytes, Sites: f.Sites,
 			})
 		}
 	}
-	fleetWriteJSON(w, out)
+	store.WriteJSON(w, out)
 }
 
 func (a *API) handleChangers(w http.ResponseWriter, r *http.Request) {
-	k, err := fleetIntParam(r, "k", 10)
+	k, err := store.IntParam(r, "k", 10)
 	if err != nil || k <= 0 {
-		fleetBadRequest(w, "bad k")
+		store.BadRequest(w, "bad k")
 		return
 	}
-	byBytes, byName, err := fleetByParam(r)
+	byBytes, byName, err := store.ByParam(r)
 	if err != nil {
-		fleetBadRequest(w, "%v", err)
+		store.BadRequest(w, "%v", err)
 		return
 	}
 	type changeJSON struct {
@@ -176,36 +135,36 @@ func (a *API) handleChangers(w http.ResponseWriter, r *http.Request) {
 	}{By: byName, Flows: make([]changeJSON, len(changes))}
 	for i, c := range changes {
 		out.Flows[i] = changeJSON{
-			Flow: c.Key.String(), ID: fleetFlowID(&c.Key),
+			Flow: c.Key.String(), ID: store.FlowID(&c.Key),
 			Pkts: c.Pkts, Bytes: c.Bytes,
 			NewerPkts: c.NewerPkts, OlderPkts: c.OlderPkts,
 			NewerBytes: c.NewerBytes, OlderBytes: c.OlderBytes,
 		}
 	}
-	fleetWriteJSON(w, out)
+	store.WriteJSON(w, out)
 }
 
 func (a *API) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	since, err := fleetIntParam(r, "since", 0)
+	since, err := store.IntParam(r, "since", 0)
 	if err != nil || since < 0 {
-		fleetBadRequest(w, "bad since")
+		store.BadRequest(w, "bad since")
 		return
 	}
-	max, err := fleetIntParam(r, "max", 100)
+	max, err := store.IntParam(r, "max", 100)
 	if err != nil || max <= 0 {
-		fleetBadRequest(w, "bad max")
+		store.BadRequest(w, "bad max")
 		return
 	}
 	alerts := a.agg.Alerts(uint64(since), int(max))
 	if alerts == nil {
 		alerts = []detect.Alert{}
 	}
-	fleetWriteJSON(w, struct {
+	store.WriteJSON(w, struct {
 		LastSeq uint64         `json:"last_seq"`
 		Alerts  []detect.Alert `json:"alerts"`
 	}{LastSeq: a.agg.AlertSeq(), Alerts: alerts})
 }
 
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
-	fleetWriteJSON(w, a.agg.Stats())
+	store.WriteJSON(w, a.agg.Stats())
 }

@@ -10,10 +10,11 @@
 //
 // Recording is multi-writer safe and allocation-free: each ring slot is a
 // per-slot seqlock of atomic words, writers reserve a slot with one
-// fetch-add, and readers (the /debug/flight handler, the timeline
-// reconstruction) skip slots whose sequence moved under them. The hot
-// path records only sampled spans through Handle.Span, which the imvet
-// hotalloc gate holds to the alloc-free, hash-free contract.
+// fetch-add and open it with one compare-and-swap, and readers (the
+// /debug/flight handler, the timeline reconstruction) skip slots whose
+// sequence moved under them. The hot path records only sampled spans
+// through Handle.Span, which the imvet hotalloc gate holds to the
+// alloc-free, hash-free contract.
 //
 // A Recorder also derives observability surfaces: per-stage duration
 // histograms (instameasure_epoch_stage_seconds) pushed into any
@@ -158,7 +159,8 @@ type slot struct {
 // ring is one fixed-size event buffer. pos is the count of events ever
 // written; writers reserve slot pos%len with one fetch-add, so the ring
 // is multi-writer safe (two writers collide on a slot only when one lags
-// a full ring behind, and the seqlock turns that into a skipped read).
+// a full ring behind; the later one finds the slot's seq odd, or loses
+// the compare-and-swap that opens it, and drops its event).
 type ring struct {
 	pos atomic.Uint64
 	_   [56]byte // keep the hot write cursor on its own cache line
@@ -167,17 +169,23 @@ type ring struct {
 }
 
 // record writes one event. Alloc-free and hash-free: the hot path's
-// sampled spans come through here.
+// sampled spans come through here. The writer opens the slot by moving
+// its seq from even q to odd q+1 with one compare-and-swap, so only one
+// writer at a time holds it; a writer that finds the slot held drops its
+// event rather than interleave stores with the holder.
 func (r *ring) record(at, epoch int64, stage Stage, worker int, count uint32, bytes, dur uint64) {
 	i := r.pos.Add(1) - 1
 	s := &r.s[i&uint64(len(r.s)-1)]
-	s.seq.Add(1)
+	q := s.seq.Load()
+	if q&1 != 0 || !s.seq.CompareAndSwap(q, q+1) {
+		return
+	}
 	s.at.Store(at)
 	s.epoch.Store(epoch)
 	s.meta.Store(uint64(stage)<<56 | uint64(uint16(worker))<<40 | uint64(count))
 	s.bytes.Store(bytes)
 	s.dur.Store(dur)
-	s.seq.Add(1)
+	s.seq.Store(q + 2)
 }
 
 // snapshot appends the ring's stable events to out.

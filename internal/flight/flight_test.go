@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"instameasure/internal/telemetry"
 )
@@ -99,34 +101,49 @@ func TestZeroHandleIsNoOp(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecordAndSnapshot is the torn-read witness for the slot
+// seqlock. Writers collide on a one-slot ring, each recording events whose
+// fields all carry one counter value, while a reader checks that every
+// event it gets back carries a single value. A writer that opens the slot
+// without excluding the others, or a reader that does not revalidate seq
+// after its data loads, returns a mix of two events here.
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
-	r := NewRecorder(4, 16)
+	const writers = 2
+	r := &ring{s: make([]slot, 1)}
+	var stop atomic.Bool
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := r.Handle(w)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.Span(time.Now(), uint32(i), uint64(i))
+			for v := uint64(w + 1); !stop.Load(); v += writers {
+				r.record(int64(v), int64(v), StagePacketSpan, w, uint32(v), v, v)
 			}
 		}(w)
 	}
-	for i := 0; i < 50; i++ {
-		for _, ev := range r.Events() {
-			if ev.Stage != StagePacketSpan {
-				t.Errorf("torn read surfaced stage %v", ev.Stage)
+	reads, torn := 0, 0
+	buf := make([]Event, 0, 1)
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		for i := 0; i < 1000; i++ {
+			for _, ev := range r.snapshot(buf[:0]) {
+				reads++
+				v := uint64(ev.Count)
+				if ev.At != int64(v) || ev.Epoch != int64(v) || ev.Bytes != v || ev.Dur != v {
+					if torn++; torn <= 3 {
+						t.Errorf("torn event: %+v", ev)
+					}
+				}
 			}
 		}
 	}
-	close(stop)
+	stop.Store(true)
 	wg.Wait()
+	if torn > 0 {
+		t.Errorf("%d of %d reads returned a torn event", torn, reads)
+	}
+	if reads == 0 {
+		t.Error("the reader never saw a stable event")
+	}
 }
 
 func TestSLOTracker(t *testing.T) {
@@ -341,5 +358,21 @@ func TestInstrumentRegistersStageHistogramsAndSLOGauges(t *testing.T) {
 	}
 	if got := reg.Value("instameasure_slo_burn"); got <= 0 {
 		t.Errorf("burn gauge = %g, want positive (p99 ~1ms vs 2ms budget)", got)
+	}
+}
+
+// TestRingPadding: a recorder's rings sit side by side in a slice, so a
+// ring must fill whole 64-byte lines, with the write cursor alone on the
+// first. The padding is sized for 64-bit layouts.
+func TestRingPadding(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("ring padding is sized for 64-bit layouts")
+	}
+	var r ring
+	if size := unsafe.Sizeof(r); size%64 != 0 {
+		t.Errorf("ring is %d bytes, not a whole number of 64-byte cache lines", size)
+	}
+	if off := unsafe.Offsetof(r.s); off != 64 {
+		t.Errorf("slot slice sits at offset %d, sharing the write cursor's cache line", off)
 	}
 }

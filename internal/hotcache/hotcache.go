@@ -76,8 +76,8 @@ var ErrEntries = errors.New("hotcache: Entries must be >= 0")
 // estimate); FirstSeen is the promotion timestamp.
 type Entry struct {
 	// Hash is the flow's 64-bit key hash, stored so demotion can fold
-	// the delta back into the WSAF without re-hashing (the hashonce
-	// invariant holds across tiers).
+	// the delta back into the WSAF without re-hashing (one hash per
+	// packet holds across tiers).
 	Hash       uint64
 	Key        packet.FlowKey
 	Pkts       uint64

@@ -7,6 +7,7 @@ package packet
 import (
 	"fmt"
 	"net/netip"
+	"sync/atomic"
 
 	"instameasure/internal/flowhash"
 )
@@ -122,24 +123,25 @@ func (k FlowKey) AppendBytes(dst []byte) []byte {
 }
 
 // hashCounting instruments flow-key hashing for the single-hash-per-packet
-// invariant test: when enabled, every Hash64/Hash32 call bumps hashCount.
-// The guard is a plain (non-atomic) global — enable it only from
-// single-goroutine tests. Disabled, it costs one predicted branch per hash.
+// invariant tests: when enabled, every Hash64/Hash32 call bumps hashCount.
+// Both are atomic, so the count holds across a sharded run's workers.
+// Disabled, it costs one predicted branch per hash.
 var (
-	hashCounting bool
-	hashCount    uint64
+	hashCounting atomic.Bool
+	hashCount    atomic.Uint64
 )
 
 // SetHashCounting turns hash-call counting on or off and resets the count.
-// Test instrumentation only; not safe to enable around concurrent hashing.
+// Test instrumentation only: contended, the counter costs every hash a
+// shared cache line, so enable it around the run under test alone.
 func SetHashCounting(on bool) {
-	hashCounting = on
-	hashCount = 0
+	hashCounting.Store(on)
+	hashCount.Store(0)
 }
 
 // HashCount reports the number of Hash64/Hash32 calls since counting was
 // enabled.
-func HashCount() uint64 { return hashCount }
+func HashCount() uint64 { return hashCount.Load() }
 
 // Hash64 returns the seeded 64-bit hash of the key. Sketches derive the
 // word index, the virtual-vector bit positions, and the WSAF slot from this
@@ -152,8 +154,8 @@ func HashCount() uint64 { return hashCount }
 //
 //im:hotpath
 func (k *FlowKey) Hash64(seed uint64) uint64 {
-	if hashCounting {
-		hashCount++
+	if hashCounting.Load() {
+		hashCount.Add(1)
 	}
 	if !k.IsV6 {
 		addrs := uint64(uint32(k.SrcIP[0])|uint32(k.SrcIP[1])<<8|uint32(k.SrcIP[2])<<16|uint32(k.SrcIP[3])<<24) |

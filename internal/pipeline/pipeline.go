@@ -18,8 +18,8 @@
 // Packets travel in bursts (the DPDK idiom the prototype was built on),
 // which keeps the per-packet synchronization cost negligible, and the flow
 // hash computed at ingest travels with the packet across the rings, so no
-// packet is ever hashed twice (the hashonce invariant is enforced across
-// this seam by imvet).
+// packet is ever hashed twice (TestShardedSingleHashPerPacket counts the
+// hashes of a four-worker run across this seam).
 //
 // Per-engine packet order depends on scheduling once there is more than
 // one worker. A run with Workers: 1 is bit-reproducible: no packet crosses

@@ -9,7 +9,7 @@ import (
 
 // hpkt is the unit of cross-worker exchange in the shared-nothing
 // pipeline: a packet plus its precomputed flow hash, so the receiving
-// worker never re-hashes (the hashonce invariant crosses the ring).
+// worker never re-hashes (the single hash per packet crosses the ring).
 type hpkt struct {
 	p packet.Packet
 	h uint64
@@ -23,7 +23,9 @@ type hpkt struct {
 // full-burst exchange costs two atomics instead of a channel's
 // mutex+scheduler round trip. Index fields sit on their own cache lines;
 // without the padding every push would false-share with every pop
-// (imvet's atomicfield gate checks the cell sizing).
+// (TestRingPadding checks the layout). The slots are plain memory, so a
+// cursor published before its slot is filled, or released before it is
+// read, is a data race TestRingConcurrentStress reports under -race.
 //
 // Close-while-full semantics: close only publishes the closed flag — the
 // consumer drains whatever is buffered first and drained() turns true

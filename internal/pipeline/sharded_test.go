@@ -140,25 +140,29 @@ func TestStripedAndStreamedEnvelope(t *testing.T) {
 	envelope("streamed", pcSys)
 }
 
-// TestShardedSingleHashPerPacket: with one worker the run is
-// single-goroutine end to end, so the non-atomic hash counter can witness
-// the hashonce invariant: ingest hashes each packet exactly once and the
-// hash rides the batch into the engine.
+// TestShardedSingleHashPerPacket witnesses the single-hash invariant across
+// the exchange rings: with four workers most packets are ingested by one
+// worker and metered by another, and ingest must hash each packet exactly
+// once — the hash rides the ring and the batch into the engine.
 func TestShardedSingleHashPerPacket(t *testing.T) {
 	tr := testTrace(t, 300, 20_000)
-	cfg := testConfig(1)
-	sys := mustSystem(t, cfg)
-
-	packet.SetHashCounting(true)
-	defer packet.SetHashCounting(false)
-	rep, err := sys.Run(tr.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := packet.HashCount(); got != rep.Packets {
-		t.Errorf("hash calls = %d for %d packets; sharded ingest must hash exactly once per packet",
-			got, rep.Packets)
-	}
+	sources(t, tr, func(t *testing.T, src trace.Source) {
+		sys := mustSystem(t, testConfig(4))
+		packet.SetHashCounting(true)
+		rep, err := sys.Run(src)
+		hashes := packet.HashCount()
+		packet.SetHashCounting(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Packets != uint64(len(tr.Packets)) {
+			t.Fatalf("run ingested %d of %d packets", rep.Packets, len(tr.Packets))
+		}
+		if hashes != rep.Packets {
+			t.Errorf("hash calls = %d for %d packets; sharded ingest must hash exactly once per packet",
+				hashes, rep.Packets)
+		}
+	})
 }
 
 // sources runs fn once on the striped trace and once on the same trace

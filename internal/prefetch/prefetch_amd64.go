@@ -11,6 +11,5 @@ const enabled = true
 // never faults, even on wild addresses, and the hardware may ignore it.
 //
 //im:hotpath
-//
 //go:noescape
 func T0(p unsafe.Pointer)

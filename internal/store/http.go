@@ -61,23 +61,27 @@ type flowJSON struct {
 	Bytes float64 `json:"bytes"`
 }
 
-func flowID(k *packet.FlowKey) string {
+// FlowID renders a flow's 64-bit ID, the "id" of every flow in a JSON
+// response (store and fleet APIs alike).
+func FlowID(k *packet.FlowKey) string {
 	return fmt.Sprintf("%016x", k.Hash64(0))
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes v as the indented JSON response body.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client went away
 }
 
-func badRequest(w http.ResponseWriter, format string, args ...any) {
+// BadRequest answers 400 with the formatted message.
+func BadRequest(w http.ResponseWriter, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
 }
 
-// intParam parses an optional integer query parameter.
-func intParam(r *http.Request, name string, def int64) (int64, error) {
+// IntParam parses an optional integer query parameter.
+func IntParam(r *http.Request, name string, def int64) (int64, error) {
 	s := r.URL.Query().Get(name)
 	if s == "" {
 		return def, nil
@@ -91,11 +95,11 @@ func intParam(r *http.Request, name string, def int64) (int64, error) {
 
 // windowParams reads from/to (with optional prefix, e.g. "base-").
 func windowParams(r *http.Request, prefix string) (Window, error) {
-	from, err := intParam(r, prefix+"from", 0)
+	from, err := IntParam(r, prefix+"from", 0)
 	if err != nil {
 		return Window{}, err
 	}
-	to, err := intParam(r, prefix+"to", 0)
+	to, err := IntParam(r, prefix+"to", 0)
 	if err != nil {
 		return Window{}, err
 	}
@@ -105,8 +109,8 @@ func windowParams(r *http.Request, prefix string) (Window, error) {
 	return Window{From: from, To: to}, nil
 }
 
-// byParam reads by=packets|bytes.
-func byParam(r *http.Request) (byBytes bool, name string, err error) {
+// ByParam reads by=packets|bytes.
+func ByParam(r *http.Request) (byBytes bool, name string, err error) {
 	switch by := r.URL.Query().Get("by"); by {
 	case "", "packets", "pkts":
 		return false, "packets", nil
@@ -120,17 +124,17 @@ func byParam(r *http.Request) (byBytes bool, name string, err error) {
 func (a *QueryAPI) handleTopK(w http.ResponseWriter, r *http.Request) {
 	win, err := windowParams(r, "")
 	if err != nil {
-		badRequest(w, "%v", err)
+		BadRequest(w, "%v", err)
 		return
 	}
-	k, err := intParam(r, "k", 10)
+	k, err := IntParam(r, "k", 10)
 	if err != nil || k <= 0 {
-		badRequest(w, "bad k")
+		BadRequest(w, "bad k")
 		return
 	}
-	byBytes, byName, err := byParam(r)
+	byBytes, byName, err := ByParam(r)
 	if err != nil {
-		badRequest(w, "%v", err)
+		BadRequest(w, "%v", err)
 		return
 	}
 	flows, err := a.st.TopK(win, int(k), byBytes)
@@ -145,9 +149,9 @@ func (a *QueryAPI) handleTopK(w http.ResponseWriter, r *http.Request) {
 		Flows []flowJSON `json:"flows"`
 	}{From: win.From, To: win.To, By: byName, Flows: make([]flowJSON, len(flows))}
 	for i, f := range flows {
-		out.Flows[i] = flowJSON{Flow: f.Key.String(), ID: flowID(&f.Key), Pkts: f.Pkts, Bytes: f.Bytes}
+		out.Flows[i] = flowJSON{Flow: f.Key.String(), ID: FlowID(&f.Key), Pkts: f.Pkts, Bytes: f.Bytes}
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // timelineKey resolves the flow identity from ?flow=<hex id> or the
@@ -217,12 +221,12 @@ func parseProto(s string) (uint8, error) {
 func (a *QueryAPI) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	win, err := windowParams(r, "")
 	if err != nil {
-		badRequest(w, "%v", err)
+		BadRequest(w, "%v", err)
 		return
 	}
 	key, byHash, hash, err := timelineKey(r)
 	if err != nil {
-		badRequest(w, "%v", err)
+		BadRequest(w, "%v", err)
 		return
 	}
 	var points []TimelinePoint
@@ -249,40 +253,40 @@ func (a *QueryAPI) handleTimeline(w http.ResponseWriter, r *http.Request) {
 		Flow   string          `json:"flow"`
 		ID     string          `json:"id"`
 		Points []TimelinePoint `json:"points"`
-	}{Flow: key.String(), ID: flowID(&key), Points: points}
+	}{Flow: key.String(), ID: FlowID(&key), Points: points}
 	if len(points) == 0 {
 		out.Flow, out.ID = "", ""
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (a *QueryAPI) handleChangers(w http.ResponseWriter, r *http.Request) {
 	newer, err := windowParams(r, "")
 	if err != nil {
-		badRequest(w, "%v", err)
+		BadRequest(w, "%v", err)
 		return
 	}
 	older, err := windowParams(r, "base-")
 	if err != nil {
-		badRequest(w, "%v", err)
+		BadRequest(w, "%v", err)
 		return
 	}
 	if newer == (Window{}) && older == (Window{}) {
 		var ok bool
 		older, newer, ok = a.st.DefaultChangerWindows()
 		if !ok {
-			badRequest(w, "need at least two epochs (or explicit from/to and base-from/base-to)")
+			BadRequest(w, "need at least two epochs (or explicit from/to and base-from/base-to)")
 			return
 		}
 	}
-	k, err := intParam(r, "k", 10)
+	k, err := IntParam(r, "k", 10)
 	if err != nil || k <= 0 {
-		badRequest(w, "bad k")
+		BadRequest(w, "bad k")
 		return
 	}
-	byBytes, byName, err := byParam(r)
+	byBytes, byName, err := ByParam(r)
 	if err != nil {
-		badRequest(w, "%v", err)
+		BadRequest(w, "%v", err)
 		return
 	}
 	changes, err := a.st.HeavyChangers(older, newer, int(k), byBytes)
@@ -305,14 +309,14 @@ func (a *QueryAPI) handleChangers(w http.ResponseWriter, r *http.Request) {
 	}{Newer: newer, Older: older, By: byName, Flows: make([]changeJSON, len(changes))}
 	for i, c := range changes {
 		out.Flows[i] = changeJSON{
-			flowJSON:  flowJSON{Flow: c.Key.String(), ID: flowID(&c.Key), Pkts: c.Pkts, Bytes: c.Bytes},
+			flowJSON:  flowJSON{Flow: c.Key.String(), ID: FlowID(&c.Key), Pkts: c.Pkts, Bytes: c.Bytes},
 			NewerPkts: c.NewerPkts, OlderPkts: c.OlderPkts,
 			NewerBytes: c.NewerBytes, OlderBytes: c.OlderBytes,
 		}
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (a *QueryAPI) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, a.st.Stats())
+	WriteJSON(w, a.st.Stats())
 }

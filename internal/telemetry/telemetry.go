@@ -175,9 +175,9 @@ func (g *gaugeFunc) value() float64 {
 // probe-length distributions equally.
 type Histogram struct {
 	family
-	nBuckets int           // finite buckets, excluding +Inf
+	nBuckets  int           // finite buckets, excluding +Inf
 	scaleBits atomic.Uint64 // render-time multiplier (float64 bits) for bounds and sum; 0 = raw integers
-	shards   []histShard
+	shards    []histShard
 }
 
 // renderScale returns the multiplier applied to bounds and sum at render

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -345,5 +346,14 @@ func BenchmarkRenderPrometheus(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = r.RenderPrometheus()
+	}
+}
+
+// TestCellTilesCacheLines: a metric's shards sit side by side in a slice of
+// cells, so a cell must fill whole 64-byte lines or neighbouring shards
+// false-share.
+func TestCellTilesCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(cell{}); size%64 != 0 {
+		t.Errorf("cell is %d bytes, not a whole number of 64-byte cache lines", size)
 	}
 }
