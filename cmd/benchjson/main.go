@@ -14,7 +14,10 @@
 // document, the tool exits non-zero if any benchmark's Mpps fell more than
 // -mpps-drop below its baseline, or any reported scaling efficiency is
 // below -eff-floor. Benchmarks absent from the baseline pass (first run
-// establishes them).
+// establishes them). A row whose name carries a worker count (".../w8")
+// above its run's GOMAXPROCS is archived but not held to -eff-floor: its
+// workers share cores, so its efficiency measures the host, not the
+// pipeline.
 package main
 
 import (
@@ -42,6 +45,9 @@ type Result struct {
 	// additionally puts the benchmark under the -ns-rise guard, because a
 	// cached accumulate that slows down has lost the point of the cache.
 	CacheHitRate *float64 `json:"cache_hit_rate,omitempty"`
+	// Procs is the run's GOMAXPROCS, read off the name's suffix (none
+	// means 1); 0 when unknown. Not archived: names are host-independent.
+	Procs int `json:"-"`
 }
 
 // Document is the file layout: results keyed by benchmark name (CPU
@@ -155,9 +161,14 @@ func checkGuard(doc Document, mppsDrop, effFloor, nsRise float64) error {
 			}
 		}
 		if res.ScalingEff != nil && *res.ScalingEff < effFloor {
-			fails = append(fails, fmt.Sprintf(
-				"%s: scaling efficiency %.3f below floor %.2f",
-				n, *res.ScalingEff, effFloor))
+			if w, ok := workersOf(n); ok && res.Procs > 0 && w > res.Procs {
+				fmt.Fprintf(os.Stderr, "benchjson: %s: scaling efficiency %.3f not gated (%d workers on GOMAXPROCS %d)\n",
+					n, *res.ScalingEff, w, res.Procs)
+			} else {
+				fails = append(fails, fmt.Sprintf(
+					"%s: scaling efficiency %.3f below floor %.2f",
+					n, *res.ScalingEff, effFloor))
+			}
 		}
 		if res.CacheHitRate != nil {
 			if base, ok := doc.Baseline[n]; ok && base.CacheHitRate != nil && base.NsPerOp > 0 {
@@ -184,18 +195,18 @@ func parseLine(line string) (string, Result, error) {
 	if len(f) < 4 {
 		return "", Result{}, fmt.Errorf("want at least 4 fields, have %d", len(f))
 	}
-	name := f[0]
+	name, procs := f[0], 1 // go test leaves the suffix off at GOMAXPROCS 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		// Strip the GOMAXPROCS suffix so names are stable across hosts.
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
 		return "", Result{}, fmt.Errorf("iterations: %w", err)
 	}
-	res := Result{Iterations: iters}
+	res := Result{Iterations: iters, Procs: procs}
 	sawNs := false
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
@@ -224,6 +235,17 @@ func parseLine(line string) (string, Result, error) {
 		return "", Result{}, fmt.Errorf("no ns/op metric")
 	}
 	return name, res, nil
+}
+
+// workersOf reads the worker count a sub-benchmark name ends in
+// ("BenchmarkPipelineScaling/w8" → 8).
+func workersOf(name string) (int, bool) {
+	i := strings.LastIndex(name, "/w")
+	if i < 0 {
+		return 0, false
+	}
+	n, err := strconv.Atoi(name[i+2:])
+	return n, err == nil
 }
 
 // loadBaseline extracts the comparison section from an earlier document:

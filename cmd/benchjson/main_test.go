@@ -98,3 +98,40 @@ func TestGuardFailsOnCachedNsRise(t *testing.T) {
 		t.Fatalf("uncached benchmark hit the ns/op gate: %v", err)
 	}
 }
+
+// TestGuardEffFloorUpToGOMAXPROCS: the efficiency floor holds a worker row
+// only when the run had a core per worker. On GOMAXPROCS 2, w8 at 0.528
+// is archived and passes; w2 below the floor fails; and the same w8 row
+// from an 8-core run fails too.
+func TestGuardEffFloorUpToGOMAXPROCS(t *testing.T) {
+	parse := func(lines ...string) Document {
+		doc := Document{Results: map[string]Result{}}
+		for _, line := range lines {
+			name, res, err := parseLine(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc.Results[name] = res
+		}
+		return doc
+	}
+	const (
+		w2ok  = "BenchmarkPipelineScaling/w2-2 \t 2\t 1000 ns/op\t 9.1 Mpps\t 0.78 scaling_eff"
+		w2low = "BenchmarkPipelineScaling/w2-2 \t 2\t 1000 ns/op\t 9.1 Mpps\t 0.50 scaling_eff"
+		w8on2 = "BenchmarkPipelineScaling/w8-2 \t 2\t 1000 ns/op\t 9.1 Mpps\t 0.528 scaling_eff"
+		w8on8 = "BenchmarkPipelineScaling/w8-8 \t 2\t 1000 ns/op\t 9.1 Mpps\t 0.528 scaling_eff"
+	)
+	doc := parse(w2ok, w8on2)
+	if err := checkGuard(doc, 0.10, 0.55, 0.10); err != nil {
+		t.Errorf("w8 on 2 cores is above GOMAXPROCS and must not be gated: %v", err)
+	}
+	if _, ok := doc.Results["BenchmarkPipelineScaling/w8"]; !ok {
+		t.Error("the ungated w8 row must still be archived")
+	}
+	for _, lines := range [][]string{{w2low, w8on2}, {w2ok, w8on8}} {
+		err := checkGuard(parse(lines...), 0.10, 0.55, 0.10)
+		if err == nil || !strings.Contains(err.Error(), "below floor") {
+			t.Errorf("%q: want an efficiency guard failure, got %v", lines, err)
+		}
+	}
+}

@@ -97,7 +97,10 @@ func run() error {
 		Seed:              *seed,
 	}
 
-	var src instameasure.PacketSource
+	var (
+		src      instameasure.PacketSource
+		streamed *instameasure.PcapStream
+	)
 	switch {
 	case *pcapPath != "":
 		var in io.Reader
@@ -117,7 +120,7 @@ func run() error {
 				return fmt.Errorf("open %s: %w", *pcapPath, err)
 			}
 			fmt.Printf("streaming %s\n", *pcapPath)
-			src = s
+			src, streamed = s, s
 			break
 		}
 		tr, err := instameasure.ReadPcap(in)
@@ -165,6 +168,10 @@ func run() error {
 	}
 	if err != nil {
 		return err
+	}
+	if streamed != nil {
+		fmt.Printf("streamed %s: %d frames skipped (not IP, no L4 ports, or truncated)\n",
+			*pcapPath, streamed.Skipped)
 	}
 	return writeFlightDump(*flightOut)
 }

@@ -2,8 +2,11 @@ package instameasure
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"testing"
+	"time"
 )
 
 func testTrace(t *testing.T) *Trace {
@@ -308,6 +311,43 @@ func TestPcapRoundTripThroughPublicAPI(t *testing.T) {
 	if got.Flows() != tr.Flows() || len(got.Packets) != len(tr.Packets) {
 		t.Errorf("round trip: %d/%d flows, %d/%d packets",
 			got.Flows(), tr.Flows(), len(got.Packets), len(tr.Packets))
+	}
+}
+
+// TestOpenPcapStreamLiveness: a live capture's first packet comes back as
+// soon as its record has arrived, while the writer keeps the pipe open —
+// a reader that waited for a whole block of bytes would hang here.
+func TestOpenPcapStreamLiveness(t *testing.T) {
+	tr, err := GenerateZipfTrace(ZipfTraceConfig{Flows: 10, TotalPackets: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var capture bytes.Buffer
+	if err := WritePcap(&capture, &Trace{Packets: tr.Packets[:1]}, 0); err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close() // unblocks a reader still waiting when the test fails
+	go func() { _, _ = pw.Write(capture.Bytes()) }()
+
+	got := make(chan error, 1)
+	go func() {
+		s, err := OpenPcapStream(pr)
+		if err == nil {
+			var p Packet
+			if p, err = s.Next(); err == nil && p != tr.Packets[0] {
+				err = fmt.Errorf("packet %+v, want %+v", p, tr.Packets[0])
+			}
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("no packet 1 s after its record was written to an open pipe")
 	}
 }
 

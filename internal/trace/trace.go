@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -274,42 +275,129 @@ func (t *Trace) WritePcap(w io.Writer, snapLen int) error {
 	return pw.Flush()
 }
 
-// readBlock is how many packets ReadPcap parses into one allocation
-// (~900 KB): a million-frame capture costs tens of allocations, a ten-frame
-// one wastes under two megabytes.
-const readBlock = 1 << 14
-
-// ReadPcap materializes a pcap stream into a Trace. The packet count is
-// unknown until EOF, so packets are parsed in place into fixed-size blocks
-// and copied once into a slice of the exact size; growing one slice with
-// append moves every packet about three times and allocates six times the
-// result.
+// ReadPcap materializes a pcap stream into a Trace. The calling goroutine
+// reads blocks of whole records and GOMAXPROCS decoders parse each into a
+// packet block of its own; the packet count is unknown until EOF, so the
+// packet blocks are then copied, in order and in parallel, into one slice
+// of the exact size. A capture that fits in one block, or GOMAXPROCS 1,
+// decodes on the caller and starts no goroutine.
 func ReadPcap(r io.Reader) (*Trace, error) {
+	return readPcap(r, runtime.GOMAXPROCS(0))
+}
+
+// rawBlock is one block of records and, once decoded, its packets.
+type rawBlock struct {
+	raw  *pcap.Block
+	pkts []packet.Packet
+}
+
+// decodeBlock parses every frame of b straight into its slot of a packet
+// block of its own, leaving out the frames the meter skips.
+func decodeBlock(link pcap.LinkType, b *pcap.Block) []packet.Packet {
+	pkts, n := make([]packet.Packet, len(b.Frames)), 0
+	for _, f := range b.Frames {
+		data := b.Data[f.Off : f.Off+f.Incl]
+		var err error
+		if link == pcap.LinkEthernet {
+			err = pkts[n].DecodeEthernet(data, int(f.WireLen), f.TS)
+		} else {
+			err = pkts[n].DecodeIP(data, int(f.WireLen), f.TS)
+		}
+		if err == nil {
+			n++
+		}
+	}
+	return pkts[:n]
+}
+
+// readPcap is ReadPcap on the given number of decoders.
+func readPcap(r io.Reader, decoders int) (*Trace, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	src := NewPcapSource(pr)
-	var blocks [][]packet.Packet
-	total := 0
+	link := pr.LinkType()
+	if link != pcap.LinkEthernet && link != pcap.LinkRaw {
+		return nil, fmt.Errorf("trace: unsupported link type %d", link)
+	}
+	// Beside the Reader's own buffer, two raw blocks per decoder are being
+	// read into, queued or decoded: raw memory is O(decoders × block).
+	free := make(chan *pcap.Block, 2*max(decoders, 1))
+	for range cap(free) {
+		free <- new(pcap.Block)
+	}
+	decode := func(b *rawBlock) {
+		b.pkts = decodeBlock(link, b.raw)
+		free <- b.raw
+	}
+	var (
+		blocks []*rawBlock
+		frames int
+		jobs   chan *rawBlock // started by the second block
+		wg     sync.WaitGroup
+	)
 	for {
-		block := make([]packet.Packet, readBlock)
-		n, err := src.NextBatch(block)
-		if errors.Is(err, io.EOF) {
+		b := &rawBlock{raw: <-free}
+		if err = pr.NextBlock(b.raw); err != nil {
 			break
 		}
-		if err != nil {
-			return nil, err
+		blocks, frames = append(blocks, b), frames+len(b.raw.Frames)
+		if decoders <= 1 || len(blocks) == 1 {
+			decode(b)
+			continue
 		}
-		blocks = append(blocks, block[:n])
-		total += n
+		if jobs == nil {
+			// A block queued per decoder keeps each busy while the
+			// reader reads the next.
+			jobs = make(chan *rawBlock, decoders)
+			wg.Add(decoders)
+			for range decoders {
+				go func() {
+					defer wg.Done()
+					for b := range jobs {
+						decode(b)
+					}
+				}()
+			}
+		}
+		jobs <- b
 	}
-	// Not slices.Concat: it measured ~15 % slower over the whole ReadPcap.
-	pkts := make([]packet.Packet, 0, total)
-	for _, b := range blocks {
-		pkts = append(pkts, b...)
+	if jobs != nil {
+		close(jobs)
+		wg.Wait()
 	}
-	return &Trace{Packets: pkts, Skipped: src.Skipped}, nil
+	if !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	pkts := gather(blocks, decoders)
+	return &Trace{Packets: pkts, Skipped: frames - len(pkts)}, nil
+}
+
+// gather copies the packet blocks, in order, into one slice of the exact
+// size, on the caller and up to workers-1 more goroutines.
+func gather(blocks []*rawBlock, workers int) []packet.Packet {
+	at := make([]int, len(blocks)+1)
+	for i, b := range blocks {
+		at[i+1] = at[i] + len(b.pkts)
+	}
+	pkts := make([]packet.Packet, at[len(blocks)])
+	workers = max(min(workers, len(blocks)), 1)
+	copyShare := func(w int) {
+		for i := w * len(blocks) / workers; i < (w+1)*len(blocks)/workers; i++ {
+			copy(pkts[at[i]:], blocks[i].pkts)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			copyShare(w)
+		}()
+	}
+	copyShare(0)
+	wg.Wait()
+	return pkts
 }
 
 func sortByTS(pkts []packet.Packet) {

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"instameasure/internal/packet"
 	"instameasure/internal/pcap"
@@ -178,45 +181,184 @@ func TestLazyTruthConcurrentFirstUse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadPcapMatchesSource checks the block-wise materialisation around
-// its seams: whatever the packet count, ReadPcap returns exactly what
-// draining PcapSource.Next yields, in order.
-func TestReadPcapMatchesSource(t *testing.T) {
-	raw, ends, _ := wireCapture(t, 2*readBlock+500)
-	for _, n := range []int{0, 1, readBlock - 1, readBlock, readBlock + 1, 2*readBlock + 7} {
-		capture := raw[:ends[n]]
-		pr, err := pcap.NewReader(bytes.NewReader(capture))
-		if err != nil {
-			t.Fatal(err)
+// drainSource is the reference ReadPcap must match: NewPcapSource over
+// pcap.NewReader, drained with Next to its terminating error.
+func drainSource(r io.Reader) (pkts []packet.Packet, skipped int, err error) {
+	pr, err := pcap.NewReader(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	src := NewPcapSource(pr)
+	for {
+		p, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return pkts, src.Skipped, nil
 		}
-		src := NewPcapSource(pr)
-		var want []packet.Packet
-		for {
-			p, err := src.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
+		if err != nil {
+			return pkts, src.Skipped, err
+		}
+		pkts = append(pkts, p)
+	}
+}
+
+// errClass is the sentinel an error wraps, if any: the identity ReadPcap
+// and PcapSource must share beside the error text.
+func errClass(err error) error {
+	for _, class := range []error{pcap.ErrBadMagic, pcap.ErrSnapLen, pcap.ErrCorruptHdr, io.ErrUnexpectedEOF, io.EOF, errInjected} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return nil
+}
+
+// matchSource fails t unless readPcap at the given decoder count, reading
+// capture through wrap, returns exactly what drainSource does: the same
+// packets in order and the same skip count, or an error of the same class
+// (and the same text) when the source ends in one.
+func matchSource(t testing.TB, capture []byte, decoders int, wrap func(io.Reader) io.Reader) {
+	t.Helper()
+	want, wantSkipped, wantErr := drainSource(wrap(bytes.NewReader(capture)))
+	got, err := readPcap(wrap(bytes.NewReader(capture)), decoders)
+	if (err != nil) != (wantErr != nil) || errClass(err) != errClass(wantErr) ||
+		(err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("%d decoders: ReadPcap error %v, source error %v", decoders, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(got.Packets) != len(want) || got.Skipped != wantSkipped {
+		t.Fatalf("%d decoders: ReadPcap returned %d packets, %d skipped; source %d, %d",
+			decoders, len(got.Packets), got.Skipped, len(want), wantSkipped)
+	}
+	for i := range want {
+		if got.Packets[i] != want[i] {
+			t.Fatalf("%d decoders: packet %d = %+v, want %+v", decoders, i, got.Packets[i], want[i])
+		}
+	}
+}
+
+func whole(r io.Reader) io.Reader { return r }
+
+// trickle hands out at most n bytes per Read, so the reader's blocks are
+// as small as a slow pipe's and a capture crosses many block seams.
+type trickle struct {
+	r io.Reader
+	n int
+}
+
+func (t *trickle) Read(p []byte) (int, error) { return t.r.Read(p[:min(len(p), t.n)]) }
+
+func trickled(n int) func(io.Reader) io.Reader {
+	return func(r io.Reader) io.Reader { return &trickle{r: r, n: n} }
+}
+
+// blockSeams returns the stream offsets at which pcap.Reader.NextBlock
+// ends its blocks over capture: each block's Data starts at the first byte
+// the previous one did not return.
+func blockSeams(t testing.TB, capture []byte) []int {
+	t.Helper()
+	pr, err := pcap.NewReader(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seams []int
+	var b pcap.Block
+	for at := 0; ; {
+		if err := pr.NextBlock(&b); err != nil {
+			if !errors.Is(err, io.EOF) {
 				t.Fatal(err)
 			}
-			want = append(want, p)
+			return seams
 		}
-		if len(want) != n {
-			t.Fatalf("source yielded %d packets from a %d-packet capture", len(want), n)
+		at += len(b.Data)
+		seams = append(seams, at)
+	}
+}
+
+// TestReadPcapMatchesSource checks the parallel materialisation around its
+// seams: a capture ending just before, on and just after the reader's
+// first two block boundaries and its last full-sized one, whole or
+// trickled in small reads (hundreds of blocks), at 1, 2 and 4 decoders,
+// returns exactly what draining PcapSource.Next yields, in order.
+func TestReadPcapMatchesSource(t *testing.T) {
+	raw, ends, _ := wireCapture(t, 33_000)
+	seams := blockSeams(t, raw)
+	if len(seams) < 6 {
+		t.Fatalf("capture of %d bytes spans %d blocks, want at least 6", len(raw), len(seams))
+	}
+	counts := []int{0, 1, 2, len(ends) - 1}
+	for _, seam := range []int{seams[0], seams[1], seams[len(seams)-2]} {
+		k := sort.SearchInts(ends, seam) // ends[k] is the first IP frame end at or past the seam
+		counts = append(counts, k-1, k, min(k+1, len(ends)-1))
+	}
+	for _, n := range counts {
+		capture := raw[:ends[n]]
+		for _, decoders := range []int{1, 2, 4} {
+			matchSource(t, capture, decoders, whole)
 		}
-		got, err := ReadPcap(bytes.NewReader(capture))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Packets) != n || got.Skipped != src.Skipped {
-			t.Fatalf("n=%d: ReadPcap returned %d packets, %d skipped; source %d, %d",
-				n, len(got.Packets), got.Skipped, len(want), src.Skipped)
-		}
-		for i := range want {
-			if got.Packets[i] != want[i] {
-				t.Fatalf("n=%d: packet %d = %+v, want %+v", n, i, got.Packets[i], want[i])
+	}
+	for _, decoders := range []int{1, 2, 4} {
+		matchSource(t, raw, decoders, trickled(4099))
+	}
+}
+
+// errInjected is the non-EOF failure errAfter's reader returns.
+var errInjected = errors.New("injected read failure")
+
+// errAfter reads n bytes of r, then fails with errInjected.
+type errAfter struct {
+	r io.Reader
+	n int
+}
+
+func (e *errAfter) Read(p []byte) (int, error) {
+	if e.n <= 0 {
+		return 0, errInjected
+	}
+	m, err := e.r.Read(p[:min(len(p), e.n)])
+	e.n -= m
+	return m, err
+}
+
+// TestReadPcapErrorsMidCapture injects each kind of failure several blocks
+// into a trickled capture — a torn tail, a record header breaking the
+// snap length, and a reader failing with a non-EOF error — and checks that
+// ReadPcap returns the streamed path's error at every decoder count and
+// leaves no goroutine behind.
+func TestReadPcapErrorsMidCapture(t *testing.T) {
+	raw, ends, _ := wireCapture(t, 3000)
+	cut := ends[2500]
+	badSnap := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(badSnap[cut+8:], 97) // incl above the 96-byte snap
+	cases := []struct {
+		name    string
+		capture []byte
+		wrap    func(io.Reader) io.Reader
+		class   error
+	}{
+		{"torn tail", raw[:cut+30], trickled(4099), io.ErrUnexpectedEOF},
+		{"bad snap length", badSnap, trickled(4099), pcap.ErrSnapLen},
+		{"read error", raw, func(r io.Reader) io.Reader { return &errAfter{r: trickled(4099)(r), n: cut + 7} }, errInjected},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			for _, decoders := range []int{1, 2, 4} {
+				tr, err := readPcap(c.wrap(bytes.NewReader(c.capture)), decoders)
+				if tr != nil || !errors.Is(err, c.class) {
+					t.Fatalf("%d decoders: ReadPcap = %v, %v; want %v", decoders, tr, err, c.class)
+				}
+				matchSource(t, c.capture, decoders, c.wrap)
+				// A decoder that has signalled done may still be on its way
+				// out (as may the last test's); one that is stuck never leaves.
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d decoders: %d goroutines after ReadPcap, %d before", decoders, runtime.NumGoroutine(), base)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -239,4 +381,91 @@ func TestReadPcapAllocs(t *testing.T) {
 	if perFrame := allocs / frames; perFrame > 0.05 {
 		t.Errorf("ReadPcap: %.0f allocations for %d frames (%.3f per frame), want <= 0.05 per frame", allocs, frames, perFrame)
 	}
+}
+
+// FuzzReadPcap is the differential target for the parallel load: for any
+// bytes, read whole or in reads of chunk bytes (many small blocks),
+// ReadPcap at 1 and at 4 decoders returns exactly what draining
+// NewPcapSource(pcap.NewReader(...)) does — the same packets, the same
+// skip count, or the same error.
+func FuzzReadPcap(f *testing.F) {
+	raw, ends, _ := wireCapture(f, 300)
+	valid := raw[:ends[5]]
+	f.Add(valid[:ends[3]+9], uint16(0))  // truncated header
+	f.Add(valid[:ends[3]+40], uint16(0)) // truncated body
+	snap := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(snap[ends[2]+8:], 200) // incl above the 96-byte snap
+	f.Add(snap, uint16(0))
+	huge := append([]byte(nil), valid[:ends[1]]...)
+	binary.LittleEndian.PutUint32(huge[16:], 0) // no snap length: only the cap bounds incl
+	var rec [16]byte
+	binary.LittleEndian.PutUint32(rec[8:], 1<<27)
+	binary.LittleEndian.PutUint32(rec[12:], 1<<27)
+	f.Add(append(huge, append(rec[:], 1, 2, 3)...), uint16(0))
+	f.Add(bigEndianMicros(f, valid), uint16(0))
+	f.Add(rawIP(f, valid), uint16(0))
+	f.Add(raw, uint16(613)) // ~50 blocks: the decoders run in parallel
+
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
+		wrap := whole
+		if chunk > 0 {
+			wrap = trickled(int(chunk))
+		}
+		for _, decoders := range []int{1, 4} {
+			matchSource(t, data, decoders, wrap)
+		}
+	})
+}
+
+// bigEndianMicros re-encodes a little-endian nanosecond capture the way a
+// big-endian host's tcpdump writes it: byte-swapped headers, microsecond
+// timestamps.
+func bigEndianMicros(t testing.TB, capture []byte) []byte {
+	t.Helper()
+	le, be := binary.LittleEndian, binary.BigEndian
+	out := make([]byte, 24, len(capture))
+	be.PutUint32(out[0:], 0xA1B2C3D4)
+	be.PutUint16(out[4:], 2)
+	be.PutUint16(out[6:], 4)
+	be.PutUint32(out[16:], le.Uint32(capture[16:]))
+	be.PutUint32(out[20:], le.Uint32(capture[20:]))
+	for at := 24; at < len(capture); {
+		incl := le.Uint32(capture[at+8:])
+		var hdr [16]byte
+		be.PutUint32(hdr[0:], le.Uint32(capture[at:]))
+		be.PutUint32(hdr[4:], le.Uint32(capture[at+4:])/1000)
+		be.PutUint32(hdr[8:], incl)
+		be.PutUint32(hdr[12:], le.Uint32(capture[at+12:]))
+		out = append(append(out, hdr[:]...), capture[at+16:at+16+int(incl)]...)
+		at += 16 + int(incl)
+	}
+	return out
+}
+
+// rawIP re-encodes an Ethernet capture as a raw-IP one (DLT_RAW): the
+// 14-byte Ethernet header goes, the IP packet stays.
+func rawIP(t testing.TB, capture []byte) []byte {
+	t.Helper()
+	pr, err := pcap.NewReader(bytes.NewReader(capture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := pcap.NewWriter(&buf, pcap.LinkRaw, 0)
+	for {
+		rec, err := pr.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(rec.TS, rec.WireLen-14, rec.Data[14:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

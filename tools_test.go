@@ -1,6 +1,7 @@
 package instameasure_test
 
 import (
+	"encoding/binary"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -70,6 +71,42 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	if !strings.Contains(string(streamOut), "epoch 1:") {
 		t.Errorf("streaming mode printed no epochs:\n%s", streamOut)
+	}
+
+	// Non-IP frames are counted on every path: materialised, streamed
+	// from a file (single meter and cluster), and streamed from stdin.
+	capture, err := os.ReadFile(pcapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arp := make([]byte, 16+60)
+	binary.LittleEndian.PutUint32(arp[8:], 60)  // captured length
+	binary.LittleEndian.PutUint32(arp[12:], 60) // wire length
+	arp[16+12], arp[16+13] = 0x08, 0x06         // EtherType ARP
+	for range 3 {
+		capture = append(capture, arp...)
+	}
+	arpPath := filepath.Join(work, "arp.pcap")
+	if err := os.WriteFile(arpPath, capture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const skipped = "3 frames skipped (not IP, no L4 ports, or truncated)"
+	for _, args := range [][]string{{}, {"-stream"}, {"-stream", "-workers", "2"}} {
+		out := runTool(instameasure, append([]string{"-pcap", arpPath, "-top", "1"}, args...)...)
+		if !strings.Contains(out, arpPath+": ") || !strings.Contains(out, skipped) {
+			t.Errorf("instameasure -pcap %v does not report %q:\n%s", args, skipped, out)
+		}
+	}
+	f, err = os.Open(arpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd = exec.Command(instameasure, "-pcap", "-", "-top", "1")
+	cmd.Stdin = f
+	streamOut, err = cmd.CombinedOutput()
+	f.Close()
+	if err != nil || !strings.Contains(string(streamOut), "streamed -: "+skipped) {
+		t.Errorf("instameasure -pcap - does not report %q (%v):\n%s", skipped, err, streamOut)
 	}
 
 	out = runTool(wsafdump, "-top", "2", snapPath)

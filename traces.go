@@ -128,10 +128,15 @@ func GenerateSuperSpreaderTrace(cfg SuperSpreaderConfig) (*Trace, AttackTruth, e
 	return tr, truth, nil
 }
 
-// OpenPcapStream returns a PacketSource that decodes a classic-libpcap
-// stream incrementally — constant memory regardless of capture size, for
-// live pipes and very large files. Non-IP frames are skipped.
-func OpenPcapStream(r io.Reader) (PacketSource, error) {
+// PcapStream is a PacketSource decoding a capture incrementally. Its
+// Skipped field counts the frames left out so far (not IP, no L4 ports, or
+// truncated); read it once the stream has been drained.
+type PcapStream = trace.PcapSource
+
+// OpenPcapStream returns a PcapStream over a classic-libpcap stream —
+// constant memory regardless of capture size, for live pipes and very
+// large files. Each packet is returned as soon as its record has arrived.
+func OpenPcapStream(r io.Reader) (*PcapStream, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("instameasure: %w", err)
