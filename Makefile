@@ -77,10 +77,13 @@ fleet-smoke:
 # path + collector callback seams), fleet (aggregator/detector callbacks),
 # store (WAL lock scope), and trace (ground truth built on first use, from
 # whichever goroutine asks first; the shared source the pipeline's workers
-# take turns on).
+# take turns on) — plus the root package's concurrent surface: heavy-hitter
+# callbacks firing on four workers at once, and the epoch-bounded runs
+# (consecutive Runs over one meter, striped and shared).
 vet-race: lint
 	$(GO) vet ./...
 	$(GO) test -race ./internal/telemetry/... ./internal/pipeline/... ./internal/flight/... ./internal/export/... ./internal/fleet/... ./internal/store/... ./internal/trace/...
+	$(GO) test -race -run 'TestHeavyHitterOncePerFlowOnWorkers|TestConsecutiveRunsMatchOneRun|TestPushRoutesToOwner' .
 
 # fuzz-smoke gives each native fuzz target a short budget against its
 # committed seed corpus (testdata/fuzz/). go test accepts one -fuzz

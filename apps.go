@@ -124,12 +124,12 @@ func (d *DDoSDetector) Victims() []SpreadReport { return d.reports() }
 // flow-size distribution. Sudden drops indicate traffic concentration
 // (DDoS, elephant bursts); rises indicate dispersion (scans).
 func (m *Meter) FlowEntropy() float64 {
-	return apps.FlowSizeEntropy(m.eng.Snapshot())
+	return apps.FlowSizeEntropy(m.sys.MergedSnapshot())
 }
 
 // NormalizedFlowEntropy scales FlowEntropy into [0,1].
 func (m *Meter) NormalizedFlowEntropy() float64 {
-	return apps.NormalizedFlowSizeEntropy(m.eng.Snapshot())
+	return apps.NormalizedFlowSizeEntropy(m.sys.MergedSnapshot())
 }
 
 // PersistConfig parameterizes long-term persistence tracking.

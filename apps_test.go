@@ -89,7 +89,7 @@ func TestMeterFlowEntropy(t *testing.T) {
 		t.Error("empty meter entropy must be 0")
 	}
 	tr := testTrace(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	h := m.FlowEntropy()
@@ -120,7 +120,7 @@ func TestPublicCollectorExporter(t *testing.T) {
 
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,7 +193,7 @@ func TestPublicPersistenceTracker(t *testing.T) {
 func TestTrafficSummary(t *testing.T) {
 	tr := testTrace(t) // 10k flows, Zipf
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	sum := m.TrafficSummary()

@@ -288,22 +288,26 @@ func ageTable(tab *wsaf.Table) {
 	tab.Reset()
 }
 
-// sparseEngine is an engine whose aged table holds live flows: the bench
+// sparseMeter is a meter whose aged table holds live flows: the bench
 // trace first, so a hot cache (when on) is populated the way traffic
 // populates it, then synthetic flows up to the load.
-func sparseEngine(b *testing.B, tr *trace.Trace, live, hotCache int) *core.Engine {
+func sparseMeter(b *testing.B, tr *trace.Trace, live, hotCache int) *Meter {
 	b.Helper()
-	eng := core.MustNew(core.Config{HotCacheEntries: hotCache, Seed: 1})
+	m, err := New(Config{HotCacheEntries: hotCache, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := m.sys.Engines()[0]
 	ageTable(eng.Table())
 	const burst = 256
 	for i := 0; i < len(tr.Packets); i += burst {
-		eng.ProcessBatch(tr.Packets[i:min(i+burst, len(tr.Packets))])
+		m.ProcessBatch(tr.Packets[i:min(i+burst, len(tr.Packets))])
 	}
 	if eng.Table().Len() > live {
 		b.Fatalf("bench trace alone leaves %d live flows, above the %d-flow load", eng.Table().Len(), live)
 	}
 	fillSparse(eng.Table(), live, eng.LastTS())
-	return eng
+	return m
 }
 
 // reportMentries adds live entries visited per second in the unit
@@ -312,18 +316,18 @@ func reportMentries(b *testing.B, live int) {
 	b.ReportMetric(float64(b.N)*float64(live)*1e3/float64(b.Elapsed().Nanoseconds()), "Mpps")
 }
 
-// forSparseEngines runs fn once per load, with and without the hot cache.
-func forSparseEngines(b *testing.B, fn func(b *testing.B, eng *core.Engine)) {
+// forSparseMeters runs fn once per load, with and without the hot cache.
+func forSparseMeters(b *testing.B, fn func(b *testing.B, m *Meter)) {
 	tr := benchTrace(b)
 	for _, load := range sparseLoads {
 		for _, cache := range []struct {
 			name    string
 			entries int
 		}{{"uncached", 0}, {"cached", 4096}} {
-			eng := sparseEngine(b, tr, load.live, cache.entries)
+			m := sparseMeter(b, tr, load.live, cache.entries)
 			b.Run(load.name+"/"+cache.name, func(b *testing.B) {
 				b.ReportAllocs()
-				fn(b, eng)
+				fn(b, m)
 				reportMentries(b, load.live)
 			})
 		}
@@ -352,9 +356,9 @@ func BenchmarkWSAFSnapshotSparse(b *testing.B) {
 // BenchmarkEngineTopK1k is the query: the 1 000 largest flows by packets,
 // hot-cache deltas merged in when the cache is on.
 func BenchmarkEngineTopK1k(b *testing.B) {
-	forSparseEngines(b, func(b *testing.B, eng *core.Engine) {
+	forSparseMeters(b, func(b *testing.B, m *Meter) {
 		for i := 0; i < b.N; i++ {
-			if top := eng.TopKPackets(1000); len(top) != 1000 {
+			if top := m.TopKPackets(1000); len(top) != 1000 {
 				b.Fatalf("top-k holds %d entries", len(top))
 			}
 		}
@@ -364,8 +368,7 @@ func BenchmarkEngineTopK1k(b *testing.B) {
 // BenchmarkExportSnapshot is the epoch cut: walk, convert to export
 // records and encode the snapshot file to a writer that discards.
 func BenchmarkExportSnapshot(b *testing.B) {
-	forSparseEngines(b, func(b *testing.B, eng *core.Engine) {
-		m := &Meter{eng: eng}
+	forSparseMeters(b, func(b *testing.B, m *Meter) {
 		for i := 0; i < b.N; i++ {
 			if err := m.ExportSnapshot(io.Discard, int64(i)); err != nil {
 				b.Fatal(err)

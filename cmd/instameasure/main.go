@@ -34,37 +34,39 @@ func main() {
 	}
 }
 
+// The command's flags; run parses them.
+var (
+	pcapPath  = flag.String("pcap", "", "pcap capture file to measure")
+	synth     = flag.Bool("synth", false, "measure a synthetic Zipf workload instead of a capture")
+	flows     = flag.Int("flows", 100_000, "synthetic workload: number of flows")
+	packets   = flag.Int("packets", 2_000_000, "synthetic workload: number of packets")
+	seed      = flag.Uint64("seed", 0, "measurement and workload seed (0 = random per run; the chosen seed is printed)")
+	sketchKB  = flag.Int("sketch-kb", 32, "L1 sketch memory in KB (total FlowRegulator = 4x)")
+	wsafExp   = flag.Int("wsaf-exp", 20, "WSAF size as a power of two (20 = paper default)")
+	hotCache  = flag.Int("hotcache", 0, "exact hot-flow cache entries in front of the WSAF (0 = off, 4096 typical)")
+	workers   = flag.Int("workers", 1, "worker cores, each with its own engine over its share of -wsaf-exp")
+	batch     = flag.Int("batch", 256, "burst size packets are read, exchanged and processed in")
+	topK      = flag.Int("top", 10, "print the K largest flows by packets and bytes")
+	hhPkts    = flag.Float64("hh-pkts", 0, "heavy-hitter packet threshold (0 = off)")
+	hhBytes   = flag.Float64("hh-bytes", 0, "heavy-hitter byte threshold (0 = off)")
+	stream    = flag.Bool("stream", false, "decode the pcap incrementally (constant memory; '-' reads stdin)")
+	epoch     = flag.Int("epoch", 0, "cut an epoch every N packets (0 = off): print interim stats, export, commit to -store")
+	interval  = flag.Duration("epoch-interval", 0, "cut an epoch every D of trace time (capture timestamps), e.g. 500ms; combines with -epoch — whichever fires first cuts")
+	snapshot  = flag.String("snapshot", "", "write the final flow table to this snapshot file")
+	exportTo  = flag.String("export", "", "export each epoch's flow table to a collector at host:port")
+	site      = flag.String("site", "", "site ID stamped on exported batches (1-64 printable ASCII; requires -export)")
+	collect   = flag.String("collect", "", "run a fleet collector on host:port instead of measuring (see -ddos-sources, -spread-dsts, -scan-ports, -metrics)")
+	ddosSrc   = flag.Float64("ddos-sources", 0, "collector: alert when one destination sees this many distinct sources per window (0 = off)")
+	spread    = flag.Float64("spread-dsts", 0, "collector: alert when one source contacts this many distinct destinations per window (0 = off)")
+	scan      = flag.Float64("scan-ports", 0, "collector: alert when one source probes this many distinct ports per window (0 = off)")
+	metrics   = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/flight, /healthz and /readyz on host:port")
+	storeDir  = flag.String("store", "", "append each epoch's flow table to the epoch store in this directory (query with /flows or wsafdump -store)")
+	storeSyn  = flag.Bool("store-sync", false, "fsync the store after every epoch append")
+	sloBudget = flag.Duration("slo-budget", 0, "detection-delay budget: p99 epoch cut-to-commit latency the run promises (0 = no SLO); burn state is the instameasure_slo_burn gauge")
+	flightOut = flag.String("flight-dump", "", "write the flight recorder's JSON dump to this file at exit (re-render with wsafdump -flight)")
+)
+
 func run() error {
-	var (
-		pcapPath  = flag.String("pcap", "", "pcap capture file to measure")
-		synth     = flag.Bool("synth", false, "measure a synthetic Zipf workload instead of a capture")
-		flows     = flag.Int("flows", 100_000, "synthetic workload: number of flows")
-		packets   = flag.Int("packets", 2_000_000, "synthetic workload: number of packets")
-		seed      = flag.Uint64("seed", 0, "measurement and workload seed (0 = random per run; the chosen seed is printed)")
-		sketchKB  = flag.Int("sketch-kb", 32, "L1 sketch memory in KB (total FlowRegulator = 4x)")
-		wsafExp   = flag.Int("wsaf-exp", 20, "WSAF size as a power of two (20 = paper default)")
-		hotCache  = flag.Int("hotcache", 0, "exact hot-flow cache entries in front of the WSAF (0 = off, 4096 typical)")
-		workers   = flag.Int("workers", 1, "worker cores (1 = single-core meter)")
-		batch     = flag.Int("batch", 256, "burst size packets are read, exchanged and processed in")
-		topK      = flag.Int("top", 10, "print the K largest flows by packets and bytes")
-		hhPkts    = flag.Float64("hh-pkts", 0, "heavy-hitter packet threshold (0 = off)")
-		hhBytes   = flag.Float64("hh-bytes", 0, "heavy-hitter byte threshold (0 = off)")
-		stream    = flag.Bool("stream", false, "decode the pcap incrementally (constant memory; '-' reads stdin)")
-		epoch     = flag.Int("epoch", 0, "cut an epoch every N packets (0 = off): print interim stats, export, commit to -store")
-		interval  = flag.Duration("epoch-interval", 0, "cut an epoch every D of trace time (capture timestamps), e.g. 500ms; combines with -epoch — whichever fires first cuts")
-		snapshot  = flag.String("snapshot", "", "write the final flow table to this snapshot file")
-		exportTo  = flag.String("export", "", "export each epoch's flow table to a collector at host:port")
-		site      = flag.String("site", "", "site ID stamped on exported batches (1-64 printable ASCII; requires -export)")
-		collect   = flag.String("collect", "", "run a fleet collector on host:port instead of measuring (see -ddos-sources, -spread-dsts, -scan-ports, -metrics)")
-		ddosSrc   = flag.Float64("ddos-sources", 0, "collector: alert when one destination sees this many distinct sources per window (0 = off)")
-		spread    = flag.Float64("spread-dsts", 0, "collector: alert when one source contacts this many distinct destinations per window (0 = off)")
-		scan      = flag.Float64("scan-ports", 0, "collector: alert when one source probes this many distinct ports per window (0 = off)")
-		metrics   = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/flight, /healthz and /readyz on host:port")
-		storeDir  = flag.String("store", "", "append each epoch's flow table to the epoch store in this directory (query with /flows or wsafdump -store)")
-		storeSyn  = flag.Bool("store-sync", false, "fsync the store after every epoch append")
-		sloBudget = flag.Duration("slo-budget", 0, "detection-delay budget: p99 epoch cut-to-commit latency the run promises (0 = no SLO); burn state is the instameasure_slo_burn gauge")
-		flightOut = flag.String("flight-dump", "", "write the flight recorder's JSON dump to this file at exit (re-render with wsafdump -flight)")
-	)
 	flag.Parse()
 
 	if *sloBudget > 0 {
@@ -90,15 +92,26 @@ func run() error {
 		fmt.Printf("seed %d (pass -seed %d to reproduce this run)\n", *seed, *seed)
 	}
 
-	cfg := instameasure.Config{
-		SketchMemoryBytes: *sketchKB << 10,
-		WSAFEntries:       1 << *wsafExp,
-		HotCacheEntries:   *hotCache,
-		Seed:              *seed,
+	// Split the WSAF budget across workers to keep total memory within it:
+	// each worker's share rounds down to a power of two, 1024 at least.
+	*workers = max(*workers, 1)
+	entries := 1 << *wsafExp
+	for entries > 1024 && entries > (1<<*wsafExp) / *workers {
+		entries >>= 1
+	}
+	cfg := instameasure.ClusterConfig{
+		Meter: instameasure.Config{
+			SketchMemoryBytes: *sketchKB << 10,
+			WSAFEntries:       entries,
+			HotCacheEntries:   *hotCache,
+			Seed:              *seed,
+		},
+		Workers:   *workers,
+		BatchSize: *batch,
 	}
 
 	var (
-		src      instameasure.PacketSource
+		src      batchSource
 		streamed *instameasure.PcapStream
 	)
 	switch {
@@ -131,7 +144,7 @@ func run() error {
 		// never reads; the report below prints the active flows.
 		fmt.Printf("loaded %s: %d packets, %d frames skipped (not IP, no L4 ports, or truncated)\n",
 			*pcapPath, len(tr.Packets), tr.Skipped)
-		src = tr.Source()
+		src = tr.Source().(batchSource)
 	case *synth:
 		tr, err := instameasure.GenerateZipfTrace(instameasure.ZipfTraceConfig{
 			Flows:        *flows,
@@ -142,31 +155,12 @@ func run() error {
 			return err
 		}
 		fmt.Printf("generated synthetic trace: %d packets, %d flows\n", len(tr.Packets), tr.Flows())
-		src = tr.Source()
+		src = tr.Source().(batchSource)
 	default:
 		return errors.New("need -pcap FILE or -synth (see -h)")
 	}
 
-	opts := meterOpts{
-		topK:      *topK,
-		hhPkts:    *hhPkts,
-		hhBytes:   *hhBytes,
-		epoch:     *epoch,
-		interval:  *interval,
-		snapshot:  *snapshot,
-		exportTo:  *exportTo,
-		site:      *site,
-		metrics:   *metrics,
-		store:     *storeDir,
-		storeSync: *storeSyn,
-	}
-	var err error
-	if *workers > 1 {
-		err = runCluster(cfg, *workers, *batch, src, opts)
-	} else {
-		err = runMeter(cfg, src, opts)
-	}
-	if err != nil {
+	if err := runMeter(cfg, src); err != nil {
 		return err
 	}
 	if streamed != nil {
@@ -239,49 +233,17 @@ func writeFlightDump(path string) error {
 	return nil
 }
 
-type meterOpts struct {
-	topK      int
-	hhPkts    float64
-	hhBytes   float64
-	epoch     int           // cut every N packets (0 = off)
-	interval  time.Duration // cut every D of trace time (0 = off)
-	snapshot  string
-	exportTo  string
-	site      string
-	metrics   string
-	store     string
-	storeSync bool
-}
-
-// storeOptions maps the CLI flags to StoreOptions.
-func (o meterOpts) storeOptions() instameasure.StoreOptions {
-	opt := instameasure.StoreOptions{}
-	if o.storeSync {
-		opt.Sync = instameasure.StoreSyncEach
-	}
-	return opt
-}
-
-// serveMetrics starts the observability endpoint when addr is non-empty.
-func serveMetrics(t *instameasure.Telemetry, addr string) (*instameasure.TelemetryServer, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	srv, err := t.Serve(addr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("metrics at %s/metrics (expvar at /debug/vars, pprof at /debug/pprof/, flight at /debug/flight, health at /healthz and /readyz)\n", srv.URL())
-	return srv, nil
-}
-
-func runMeter(cfg instameasure.Config, src instameasure.PacketSource, opts meterOpts) error {
-	meter, err := instameasure.New(cfg)
+// runMeter measures src on a meter of cfg.Workers workers, cutting epochs,
+// exporting and committing as the flags ask, and prints the final report.
+func runMeter(cfg instameasure.ClusterConfig, src batchSource) error {
+	meter, err := instameasure.NewCluster(cfg)
 	if err != nil {
 		return err
 	}
-	if opts.hhPkts > 0 || opts.hhBytes > 0 {
-		err := meter.OnHeavyHitter(opts.hhPkts, opts.hhBytes, func(ev instameasure.HeavyHitterEvent) {
+	if *hhPkts > 0 || *hhBytes > 0 {
+		// With several workers the callback runs on each flow's worker,
+		// concurrently; every line is one write.
+		err := meter.OnHeavyHitter(*hhPkts, *hhBytes, func(ev instameasure.HeavyHitterEvent) {
 			kind := "packet"
 			if ev.ByBytes {
 				kind = "byte"
@@ -294,16 +256,22 @@ func runMeter(cfg instameasure.Config, src instameasure.PacketSource, opts meter
 		}
 	}
 
-	srv, err := serveMetrics(meter.Telemetry(), opts.metrics)
-	if err != nil {
-		return err
-	}
-	if srv != nil {
+	var srv *instameasure.TelemetryServer
+	if *metrics != "" {
+		if srv, err = meter.Telemetry().Serve(*metrics); err != nil {
+			return err
+		}
 		defer srv.Close()
+		srv.RegisterHealth("pipeline", meter.Saturated)
+		fmt.Printf("metrics at %s/metrics (expvar at /debug/vars, pprof at /debug/pprof/, flight at /debug/flight, health at /healthz and /readyz)\n", srv.URL())
 	}
 
-	if opts.store != "" {
-		fs, err := instameasure.OpenFlowStore(opts.store, opts.storeOptions())
+	if *storeDir != "" {
+		opt := instameasure.StoreOptions{}
+		if *storeSyn {
+			opt.Sync = instameasure.StoreSyncEach
+		}
+		fs, err := instameasure.OpenFlowStore(*storeDir, opt)
 		if err != nil {
 			return err
 		}
@@ -315,18 +283,18 @@ func runMeter(cfg instameasure.Config, src instameasure.PacketSource, opts meter
 		} else {
 			fs.Instrument(meter.Telemetry())
 		}
-		fmt.Printf("committing epochs to store %s\n", opts.store)
+		fmt.Printf("committing epochs to store %s\n", *storeDir)
 	}
 
 	var exporter *instameasure.Exporter
-	if opts.exportTo != "" {
-		exporter, err = instameasure.DialCollector(opts.exportTo)
+	if *exportTo != "" {
+		exporter, err = instameasure.DialCollector(*exportTo)
 		if err != nil {
 			return err
 		}
 		defer exporter.Close()
-		if opts.site != "" {
-			if err := exporter.WithSite(opts.site); err != nil {
+		if *site != "" {
+			if err := exporter.WithSite(*site); err != nil {
 				return err
 			}
 		}
@@ -342,12 +310,20 @@ func runMeter(cfg instameasure.Config, src instameasure.PacketSource, opts meter
 		}
 	}
 
-	n, err := drain(meter, src, opts, exporter)
+	start := time.Now()
+	perWorker, err := drain(meter, src, exporter)
 	if err != nil {
 		return err
 	}
+	elapsed := time.Since(start)
 	st := meter.Stats()
-	fmt.Printf("\nprocessed %d packets (%.2f GB)\n", n, float64(st.Bytes)/1e9)
+	fmt.Printf("\nprocessed %d packets (%.2f GB) at %.2f Mpps\n",
+		st.Packets, float64(st.Bytes)/1e9, float64(st.Packets)/elapsed.Seconds()/1e6)
+	if len(perWorker) > 1 {
+		for w, n := range perWorker {
+			fmt.Printf("  worker %d: %d packets\n", w, n)
+		}
+	}
 	fmt.Printf("regulation rate %.3f%% | active flows %d | WSAF load %.2f%%\n",
 		st.RegulationRate*100, st.ActiveFlows, st.WSAFLoadFactor*100)
 	fmt.Printf("WSAF churn: %d evictions, %d expirations, %d drops\n",
@@ -359,15 +335,15 @@ func runMeter(cfg instameasure.Config, src instameasure.PacketSource, opts meter
 	fmt.Printf("memory: %d KB sketch + %d MB WSAF\n\n",
 		st.SketchMemoryBytes>>10, st.WSAFMemoryBytes>>20)
 
-	printTop(os.Stdout, "packets", meter.TopKPackets(opts.topK))
-	printTop(os.Stdout, "bytes", meter.TopKBytes(opts.topK))
+	printTop(os.Stdout, "packets", meter.TopKPackets(*topK))
+	printTop(os.Stdout, "bytes", meter.TopKBytes(*topK))
 
-	if opts.snapshot != "" {
-		f, err := os.Create(opts.snapshot)
+	if *snapshot != "" {
+		f, err := os.Create(*snapshot)
 		if err != nil {
 			return err
 		}
-		if err := meter.ExportSnapshot(f, int64(n)); err != nil {
+		if err := meter.ExportSnapshot(f, int64(st.Packets)); err != nil {
 			f.Close()
 			return err
 		}
@@ -375,37 +351,51 @@ func runMeter(cfg instameasure.Config, src instameasure.PacketSource, opts meter
 			return err
 		}
 		fmt.Printf("wrote flow table snapshot to %s (%d flows)\n",
-			opts.snapshot, st.ActiveFlows)
+			*snapshot, st.ActiveFlows)
 	}
 	if exporter != nil {
 		if err := exporter.ExportMeter(meter, -1); err != nil {
 			return err
 		}
-		fmt.Printf("exported final flow table to %s\n", opts.exportTo)
+		fmt.Printf("exported final flow table to %s\n", *exportTo)
 	}
 	return nil
 }
 
-// drain feeds the source through the meter, cutting epochs on either
-// trigger — every opts.epoch packets and/or every opts.interval of trace
-// time (capture timestamps), whichever fires first; both counters then
-// restart from the cut. Each cut prints interim stats, exports to the
-// collector, and commits a snapshot to the attached store. With a store
-// attached, the final table is committed as one last epoch on EOF so a
-// run's tail is never lost.
-func drain(meter *instameasure.Meter, src instameasure.PacketSource, opts meterOpts, exporter *instameasure.Exporter) (uint64, error) {
-	hasStore := meter.Store() != nil
-	if opts.epoch <= 0 && opts.interval <= 0 && !hasStore {
-		return meter.ProcessSource(src)
+// drain runs the source through the meter an epoch at a time, at any
+// worker count, and returns the packets each worker processed. Each Run
+// reads a view of the source that ends at the next cut, and the end of
+// the Run is the barrier at which every worker's table is cut together.
+// Each cut prints interim stats, exports to the collector, and commits to
+// the attached store. With a store attached, the table is committed once
+// more on EOF, as a final epoch, so a run's tail is never lost. Without
+// cut triggers the whole source is one Run.
+func drain(meter *instameasure.Meter, src batchSource, exporter *instameasure.Exporter) ([]uint64, error) {
+	view := &epochView{src: src, every: uint64(max(*epoch, 0)), interval: int64(*interval)}
+	var in instameasure.PacketSource = src
+	if *epoch > 0 || *interval > 0 {
+		in = view
 	}
-	var n uint64
-	var sincePkts uint64 // packets since the last cut
-	var nextCut int64    // trace-time ns of the next interval cut (0 = unarmed)
-	epochID := int64(0)
-
-	cut := func() error {
-		epochID++
-		sincePkts = 0
+	var perWorker []uint64
+	for epochID := int64(1); ; epochID++ {
+		rep, err := meter.Run(in)
+		if err != nil {
+			return perWorker, err
+		}
+		if perWorker == nil {
+			perWorker = make([]uint64, len(rep.PerWorker))
+		}
+		for w, k := range rep.PerWorker {
+			perWorker[w] += k
+		}
+		if !view.cut {
+			if meter.Store() == nil || rep.Packets == 0 {
+				return perWorker, nil
+			}
+			meter.MarkEpochCut(epochID)
+			return perWorker, meter.CommitEpoch(epochID)
+		}
+		view.cut = false
 		// Open the epoch's detection-delay interval in the flight recorder
 		// before the export/commit pipeline starts.
 		meter.MarkEpochCut(epochID)
@@ -423,133 +413,96 @@ func drain(meter *instameasure.Meter, src instameasure.PacketSource, opts meterO
 			occupancy = tm.Value("instameasure_wsaf_occupancy") / capacity
 		}
 		fmt.Printf("epoch %d: %d packets, %d flows, regulation %.3f%%, WSAF occupancy %.2f%%\n",
-			epochID, n, st.ActiveFlows, regulation*100, occupancy*100)
+			epochID, st.Packets, st.ActiveFlows, regulation*100, occupancy*100)
 		if exporter != nil {
 			if err := exporter.ExportMeter(meter, epochID); err != nil {
-				return err
+				return perWorker, err
 			}
 		}
-		if hasStore {
+		if meter.Store() != nil {
 			if err := meter.CommitEpoch(epochID); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for {
-		p, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			// Commit whatever accumulated since the last cut as a final
-			// epoch, so the stored history covers the whole run.
-			if hasStore && sincePkts > 0 {
-				meter.MarkEpochCut(epochID + 1)
-				if err := meter.CommitEpoch(epochID + 1); err != nil {
-					return n, err
-				}
-			}
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if opts.interval > 0 && nextCut == 0 {
-			nextCut = p.TS + int64(opts.interval)
-		}
-		meter.Process(p)
-		n++
-		sincePkts++
-		switch {
-		case opts.epoch > 0 && sincePkts >= uint64(opts.epoch):
-			if err := cut(); err != nil {
-				return n, err
-			}
-			if opts.interval > 0 {
-				nextCut = p.TS + int64(opts.interval)
-			}
-		case opts.interval > 0 && p.TS >= nextCut:
-			if err := cut(); err != nil {
-				return n, err
-			}
-			// Skip over idle gaps instead of cutting empty epochs.
-			for nextCut <= p.TS {
-				nextCut += int64(opts.interval)
+				return perWorker, err
 			}
 		}
 	}
 }
 
-func runCluster(cfg instameasure.Config, workers, batch int, src instameasure.PacketSource, opts meterOpts) error {
-	// Split the WSAF budget across workers to keep total memory fixed.
-	cfg.WSAFEntries /= workers
-	if cfg.WSAFEntries < 1024 {
-		cfg.WSAFEntries = 1024
-	}
-	cluster, err := instameasure.NewCluster(instameasure.ClusterConfig{
-		Meter:     cfg,
-		Workers:   workers,
-		BatchSize: batch,
-	})
-	if err != nil {
-		return err
-	}
-	srv, err := serveMetrics(cluster.Telemetry(), opts.metrics)
-	if err != nil {
-		return err
-	}
-	if srv != nil {
-		defer srv.Close()
-		srv.RegisterHealth("pipeline", cluster.Saturated)
-	}
-	if opts.store != "" {
-		fs, err := instameasure.OpenFlowStore(opts.store, opts.storeOptions())
-		if err != nil {
-			return err
-		}
-		defer fs.Close()
-		cluster.AttachStore(fs)
-		if srv != nil {
-			srv.ServeFlows(fs)
-			fmt.Printf("flow history at %s/flows/topk (timeline, changers, stats)\n", srv.URL())
-		}
-	}
-	rep, err := cluster.Run(src)
-	if err != nil {
-		return err
-	}
-	if cluster.Store() != nil {
-		// The cluster drains the whole source in one go; its history is a
-		// single epoch holding the merged final table.
-		cluster.MarkEpochCut(1)
-		if err := cluster.CommitEpoch(1); err != nil {
-			return err
-		}
-		fmt.Printf("committed merged flow table to store %s\n", opts.store)
-	}
-	fmt.Printf("\nprocessed %d packets at %.2f Mpps with %d workers\n",
-		rep.Packets, rep.MPPS, workers)
-	for w, n := range rep.PerWorker {
-		fmt.Printf("  worker %d: %d packets\n", w, n)
-	}
-	fmt.Printf("cluster regulation rate %.3f%%\n\n", rep.RegulationRate*100)
-	printTop(os.Stdout, "packets", cluster.TopKPackets(opts.topK))
-	printTop(os.Stdout, "bytes", cluster.TopKBytes(opts.topK))
+// batchSource is what the CLI's sources — a trace replay, a pcap stream —
+// are: packets by the burst.
+type batchSource interface {
+	instameasure.PacketSource
+	NextBatch(buf []instameasure.Packet) (int, error)
+}
 
-	if opts.snapshot != "" {
-		f, err := os.Create(opts.snapshot)
-		if err != nil {
-			return err
-		}
-		if err := cluster.ExportSnapshot(f, int64(rep.Packets)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote merged flow table snapshot to %s\n", opts.snapshot)
+// epochView is src up to the next epoch cut: it hands out src's packets up
+// to and including the one that closes the epoch — the every-th packet
+// since the last cut, or the first at or past the next interval boundary
+// of trace time, whichever comes first — and then reports io.EOF until cut
+// is cleared. Both triggers restart from the cut, and an interval cut
+// skips idle gaps rather than cutting empty epochs. The tail of a burst
+// read across the cut is held for the next epoch.
+type epochView struct {
+	src      batchSource
+	every    uint64 // cut after this many packets (0 = off)
+	interval int64  // cut every interval ns of trace time (0 = off)
+	since    uint64 // packets since the last cut
+	nextCut  int64  // trace time of the next interval cut (0 = unarmed)
+	cut      bool   // the view ended at a cut, not at src's end
+	buf      []instameasure.Packet
+	held     []instameasure.Packet // read from src, not yet handed out
+}
+
+func (v *epochView) Next() (instameasure.Packet, error) {
+	var one [1]instameasure.Packet
+	_, err := v.NextBatch(one[:])
+	return one[0], err
+}
+
+func (v *epochView) NextBatch(out []instameasure.Packet) (int, error) {
+	if v.cut {
+		return 0, io.EOF
 	}
-	return nil
+	if len(v.held) == 0 {
+		if len(v.buf) < len(out) {
+			v.buf = make([]instameasure.Packet, len(out))
+		}
+		k, err := v.src.NextBatch(v.buf[:len(out)])
+		if k == 0 {
+			return 0, err
+		}
+		v.held = v.buf[:k]
+	}
+	n := 0
+	for n < len(out) && n < len(v.held) && !v.cut {
+		out[n] = v.held[n]
+		v.cut = v.closes(out[n].TS)
+		n++
+	}
+	v.held = v.held[n:]
+	return n, nil
+}
+
+// closes counts a packet stamped ts into the epoch and reports whether it
+// is the one that closes it.
+func (v *epochView) closes(ts int64) bool {
+	if v.interval > 0 && v.nextCut == 0 {
+		v.nextCut = ts + v.interval
+	}
+	v.since++
+	switch {
+	case v.every > 0 && v.since >= v.every:
+		if v.interval > 0 {
+			v.nextCut = ts + v.interval
+		}
+	case v.interval > 0 && ts >= v.nextCut:
+		for v.nextCut <= ts {
+			v.nextCut += v.interval
+		}
+	default:
+		return false
+	}
+	v.since = 0
+	return true
 }
 
 func printTop(w io.Writer, metric string, recs []instameasure.FlowRecord) {

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
+
+	"instameasure/internal/wsaf"
 )
 
 // TestExportSnapshotGolden pins the snapshot file, byte for byte, to what
@@ -33,9 +37,9 @@ func TestExportSnapshotGolden(t *testing.T) {
 		export func(*bytes.Buffer) error
 		want   string
 	}{
-		{"meter", meterCut(t, base, tr), "55bce9b97a9453b0ffc6ce4fc26f91294108f2ddb7169109a1da53f3b048500a"},
-		{"meter_cached", meterCut(t, cached, tr), "0964420c6d755683ab3d53c5e23e3be2dc1a1a70a3f8de6783360236195efbd9"},
-		{"meter_cached_ttl", meterCut(t, ttl, tr), "5eb8103eca44746d3f7a425934afc8cfd9e59eeb8c24b6fa2cd907157ea176c4"},
+		{"meter", clusterCut(t, ClusterConfig{Meter: base}, tr), "55bce9b97a9453b0ffc6ce4fc26f91294108f2ddb7169109a1da53f3b048500a"},
+		{"meter_cached", clusterCut(t, ClusterConfig{Meter: cached}, tr), "0964420c6d755683ab3d53c5e23e3be2dc1a1a70a3f8de6783360236195efbd9"},
+		{"meter_cached_ttl", clusterCut(t, ClusterConfig{Meter: ttl}, tr), "5eb8103eca44746d3f7a425934afc8cfd9e59eeb8c24b6fa2cd907157ea176c4"},
 		{"cluster_w1", clusterCut(t, ClusterConfig{Workers: 1, Meter: cached}, tr), "0964420c6d755683ab3d53c5e23e3be2dc1a1a70a3f8de6783360236195efbd9"},
 	}
 	for _, c := range cases {
@@ -50,18 +54,6 @@ func TestExportSnapshotGolden(t *testing.T) {
 	}
 }
 
-func meterCut(t *testing.T, cfg Config, tr *Trace) func(*bytes.Buffer) error {
-	t.Helper()
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
-		t.Fatal(err)
-	}
-	return func(buf *bytes.Buffer) error { return m.ExportSnapshot(buf, 42) }
-}
-
 func clusterCut(t *testing.T, cfg ClusterConfig, tr *Trace) func(*bytes.Buffer) error {
 	t.Helper()
 	c, err := NewCluster(cfg)
@@ -74,18 +66,33 @@ func clusterCut(t *testing.T, cfg ClusterConfig, tr *Trace) func(*bytes.Buffer) 
 	return func(buf *bytes.Buffer) error { return c.ExportSnapshot(buf, 42) }
 }
 
-// TestClusterTopKMatchesFlowsSort: the cluster's selection across its
-// workers' walks is the first k rows of a stable descending sort of Flows
-// (equal metric: lower worker, then that worker's walk order).
+// TestClusterTopKMatchesFlowsSort: the selection across the workers'
+// walks is the first k rows of a stable descending sort of Flows (equal
+// metric: lower worker, then that worker's walk order), with the hot cache
+// on and off and the TTL on and off — so merged and cache-only flows are
+// in the walk — on one worker and on three.
 func TestClusterTopKMatchesFlowsSort(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Workers: 3,
-		Meter: Config{SketchMemoryBytes: 16 << 10, WSAFEntries: 1 << 12, HotCacheEntries: 64, Seed: 9}})
-	if err != nil {
-		t.Fatal(err)
+	tr := testTrace(t)
+	for _, workers := range []int{1, 3} {
+		for _, cache := range []int{0, 64} {
+			// The trace spans ~0.3 s; 40 ms expires most of the table.
+			for _, ttl := range []int64{0, 40e6} {
+				c, err := NewCluster(ClusterConfig{Workers: workers, Meter: Config{SketchMemoryBytes: 16 << 10,
+					WSAFEntries: 1 << 12, HotCacheEntries: cache, WSAFTTLNanos: ttl, Seed: 9}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Run(tr.Source()); err != nil {
+					t.Fatal(err)
+				}
+				checkTopK(t, c)
+			}
+		}
 	}
-	if _, err := c.Run(testTrace(t).Source()); err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkTopK(t *testing.T, c *Cluster) {
+	t.Helper()
 	flows := c.Flows()
 	for _, k := range []int{-1, 0, 1, 50, len(flows), len(flows) + 1} {
 		for name, top := range map[string]struct {
@@ -102,5 +109,44 @@ func TestClusterTopKMatchesFlowsSort(t *testing.T) {
 				t.Fatalf("top-%d by %s differs from the stable sort of Flows (%d flows)", k, name, len(flows))
 			}
 		}
+	}
+}
+
+// TestTopKAllocatesForKNotLive: without the cache a top-k selects during
+// the walk, so what it allocates is a function of k alone — ten times the
+// live flows cost not one byte more.
+func TestTopKAllocatesForKNotLive(t *testing.T) {
+	const k = 1000
+	measure := func(live int) (allocs float64, bytes uint64) {
+		m, err := New(Config{WSAFEntries: 1 << 18, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := m.sys.Engines()[0].Table()
+		for i := 0; tab.Len() < live; i++ {
+			key := V4Key(uint32(i), 9, uint16(i), 443, ProtoTCP)
+			tab.Accumulate(key, float64(1+i%613), float64(i), 1)
+		}
+		query := func() {
+			if top := m.TopKPackets(k); len(top) != k {
+				t.Fatalf("top-k of %d live flows holds %d", live, len(top))
+			}
+		}
+		allocs = testing.AllocsPerRun(5, query)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		query()
+		runtime.ReadMemStats(&m1)
+		return allocs, m1.TotalAlloc - m0.TotalAlloc
+	}
+	allocsSmall, bytesSmall := measure(5_000)
+	allocsLarge, bytesLarge := measure(50_000)
+	if allocsLarge != allocsSmall || bytesLarge != bytesSmall {
+		t.Errorf("top-%d allocated %v times / %d B over 5k live flows, %v times / %d B over 50k", k,
+			allocsSmall, bytesSmall, allocsLarge, bytesLarge)
+	}
+	// The selection's entries, then the k records handed out.
+	if limit := uint64(k) * uint64(8*unsafe.Sizeof(wsaf.Entry{})+unsafe.Sizeof(FlowRecord{})); bytesLarge > limit {
+		t.Errorf("top-%d allocated %d B, above %d (8 entries and one record per row)", k, bytesLarge, limit)
 	}
 }

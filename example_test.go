@@ -21,12 +21,12 @@ func ExampleNew() {
 		fmt.Println(err)
 		return
 	}
-	n, err := meter.ProcessSource(tr.Source())
+	rep, err := meter.Run(tr.Source())
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("packets: %d\n", n)
+	fmt.Printf("packets: %d\n", rep.Packets)
 	fmt.Printf("flows in trace: %d\n", tr.Flows())
 	// Output:
 	// packets: 50000
@@ -52,7 +52,7 @@ func ExampleMeter_OnHeavyHitter() {
 		fmt.Println(err)
 		return
 	}
-	if _, err := meter.ProcessSource(tr.Source()); err != nil {
+	if _, err := meter.Run(tr.Source()); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -74,7 +74,7 @@ func ExampleMeter_ExportSnapshot() {
 		fmt.Println(err)
 		return
 	}
-	if _, err := meter.ProcessSource(tr.Source()); err != nil {
+	if _, err := meter.Run(tr.Source()); err != nil {
 		fmt.Println(err)
 		return
 	}

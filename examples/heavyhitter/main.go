@@ -58,7 +58,7 @@ func run() error {
 		return err
 	}
 
-	if _, err := meter.ProcessSource(tr.Source()); err != nil {
+	if _, err := meter.Run(tr.Source()); err != nil {
 		return err
 	}
 

@@ -1,4 +1,4 @@
-// Multicore: run the paper's multi-core measurement system with four
+// Multicore: run the paper's multi-core measurement system — a Meter on four
 // workers sharded by source-IP popcount, then merge per-worker results
 // into a global Top-K and compare against ground truth.
 package main
@@ -26,8 +26,9 @@ func run() error {
 		return err
 	}
 
-	cluster, err := instameasure.NewCluster(instameasure.ClusterConfig{
+	meter, err := instameasure.NewCluster(instameasure.ClusterConfig{
 		Workers: 4,
+		Shard:   instameasure.ShardByPopcount,
 		Meter: instameasure.Config{
 			SketchMemoryBytes: 32 << 10,
 			WSAFEntries:       1 << 18, // per worker: 4×2^18 = 2^20 total
@@ -38,7 +39,7 @@ func run() error {
 		return err
 	}
 
-	rep, err := cluster.Run(tr.Source())
+	rep, err := meter.Run(tr.Source())
 	if err != nil {
 		return err
 	}
@@ -55,7 +56,7 @@ func run() error {
 	fmt.Println("cluster-wide top 10 flows by bytes:")
 	hits := 0
 	truthTop := topTruthKeys(tr, 10)
-	for i, rec := range cluster.TopKBytes(10) {
+	for i, rec := range meter.TopKBytes(10) {
 		inTruth := ""
 		if truthTop[rec.Key] {
 			inTruth = "(true top-10)"

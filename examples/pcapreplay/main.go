@@ -67,7 +67,7 @@ func run() error {
 		if err != nil {
 			return nil, err
 		}
-		_, err = m.ProcessSource(t.Source())
+		_, err = m.Run(t.Source())
 		return m, err
 	}
 	direct, err := measure(tr)

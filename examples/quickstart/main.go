@@ -33,7 +33,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := meter.ProcessSource(tr.Source()); err != nil {
+	if _, err := meter.Run(tr.Source()); err != nil {
 		return err
 	}
 

@@ -64,14 +64,14 @@ func DialCollector(addr string) (*Exporter, error) {
 	return &Exporter{e: e}, nil
 }
 
-// ExportMeter sends the meter's current flow table tagged with epoch.
-// The snapshot walk and wire encoding are recorded as the epoch's encode
-// stage; the send itself (and any reconnect/backoff) records separately
-// inside the exporter.
+// ExportMeter sends the meter's current flow table, merged across
+// workers, tagged with epoch. The snapshot walk and wire encoding are
+// recorded as the epoch's encode stage; the send itself (and any
+// reconnect/backoff) records separately inside the exporter.
 func (e *Exporter) ExportMeter(m *Meter, epoch int64) error {
 	start := time.Now()
-	records, _ := cut(m.eng)
-	m.eng.Flight().EventAt(start, flight.StageEncode, epoch,
+	records, _ := m.cut()
+	m.sys.Flight().Control().EventAt(start, flight.StageEncode, epoch,
 		uint32(len(records)), 0, uint64(time.Since(start)))
 	if err := e.e.Export(export.Batch{Epoch: epoch, Records: records}); err != nil {
 		return fmt.Errorf("instameasure: %w", err)

@@ -138,7 +138,7 @@ func (e *Exporter) WithSite(site string) error {
 func (e *Exporter) Site() string { return e.e.Site() }
 
 // NewTelemetry builds a standalone metrics registry for processes that
-// run no Meter or Cluster — a fleet collector, for instance — so they
+// run no Meter — a fleet collector, for instance — so they
 // can still serve /metrics and mount the fleet's JSON API.
 func NewTelemetry() *Telemetry {
 	return &Telemetry{reg: telemetry.NewRegistry("instameasure", 1)}

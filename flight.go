@@ -9,7 +9,7 @@ import (
 )
 
 // Flight-recorder aliases: the dump vocabulary of /debug/flight. The
-// recorder itself is always on — every Meter, Cluster, Exporter,
+// recorder itself is always on — every Meter, Exporter,
 // Collector, and FlowStore records into the process-wide recorder, and
 // the cost is a few atomic stores on sampled or per-epoch paths.
 type (
@@ -57,26 +57,14 @@ func SetDetectionDelayBudget(d time.Duration) {
 // MarkEpochCut records the epoch-cut event that opens epoch's
 // detection-delay interval: call it at the moment the epoch boundary is
 // decided, before exporting or committing the snapshot. The flow count
-// recorded is the WSAF population at the cut.
+// recorded is the WSAF population at the cut, summed across workers.
 func (m *Meter) MarkEpochCut(epoch int64) {
-	m.eng.Flight().Event(flight.StageCut, epoch, uint32(m.eng.Table().Len()), 0, 0)
-}
-
-// MarkEpochCut records the epoch-cut event for the cluster, with the
-// WSAF population summed across workers.
-func (c *Cluster) MarkEpochCut(epoch int64) {
 	var flows int
-	for _, eng := range c.sys.Engines() {
+	for _, eng := range m.sys.Engines() {
 		flows += eng.Table().Len()
 	}
-	c.sys.Flight().Control().Event(flight.StageCut, epoch, uint32(flows), 0, 0)
+	m.sys.Flight().Control().Event(flight.StageCut, epoch, uint32(flows), 0, 0)
 }
-
-// Saturated is the cluster's readiness probe: non-nil while any
-// worker-to-worker exchange ring sits at or above 90% of QueueDepth
-// (sustained saturation adds queueing delay the per-stage timers cannot
-// see).
-func (c *Cluster) Saturated() error { return c.sys.Saturated() }
 
 // Connected reports whether the exporter currently holds a live
 // connection to its collector — false between a torn-down send and the

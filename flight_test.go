@@ -57,7 +57,7 @@ func TestConcurrentTelemetryServer(t *testing.T) {
 		}(path)
 	}
 
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -87,7 +87,7 @@ func TestFlightSmoke(t *testing.T) {
 
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"instameasure/internal/core"
 	"instameasure/internal/export"
 	"instameasure/internal/flight"
 	"instameasure/internal/store"
@@ -135,7 +134,8 @@ func (f *FlowStore) Close() error { return f.st.Close() }
 
 // WithStore opens the store in dir with default options and attaches it
 // as the meter's history sink: each CommitEpoch call appends the live
-// snapshot. The meter owns nothing — close the returned store when done.
+// snapshot, merged across workers. The meter owns nothing — close the
+// returned store when done.
 func (m *Meter) WithStore(dir string) (*FlowStore, error) {
 	fs, err := OpenFlowStore(dir, StoreOptions{})
 	if err != nil {
@@ -152,46 +152,19 @@ func (m *Meter) AttachStore(fs *FlowStore) { m.store = fs }
 // Store returns the attached store, or nil.
 func (m *Meter) Store() *FlowStore { return m.store }
 
-// CommitEpoch appends the meter's current flow table and WSAF activity to
-// the attached store as epoch's snapshot. Counters are cumulative, so a
-// committed epoch carries totals since start — the store's windowed
-// queries difference them.
-func (m *Meter) CommitEpoch(epoch int64) error { return m.store.commit(epoch, m.eng) }
-
-// commit appends the engines' cut as epoch's snapshot; f is the attached
-// store and may be nil.
-func (f *FlowStore) commit(epoch int64, engines ...*core.Engine) error {
-	if f == nil {
+// CommitEpoch appends the meter's current flow table and WSAF activity,
+// merged across workers, to the attached store as epoch's snapshot.
+// Counters are cumulative, so a committed epoch carries totals since
+// start — the store's windowed queries difference them.
+func (m *Meter) CommitEpoch(epoch int64) error {
+	if m.store == nil {
 		return fmt.Errorf("instameasure: no store attached (use WithStore)")
 	}
-	records, stats := cut(engines...)
-	if err := f.st.Append(epoch, records, stats); err != nil {
+	records, stats := m.cut()
+	if err := m.store.st.Append(epoch, records, stats); err != nil {
 		return fmt.Errorf("instameasure: %w", err)
 	}
 	return nil
-}
-
-// WithStore opens the store in dir with default options and attaches it
-// as the cluster's history sink, exactly like Meter.WithStore.
-func (c *Cluster) WithStore(dir string) (*FlowStore, error) {
-	fs, err := OpenFlowStore(dir, StoreOptions{})
-	if err != nil {
-		return nil, err
-	}
-	c.store = fs
-	return fs, nil
-}
-
-// AttachStore attaches an already-open store (pass nil to detach).
-func (c *Cluster) AttachStore(fs *FlowStore) { c.store = fs }
-
-// Store returns the attached store, or nil.
-func (c *Cluster) Store() *FlowStore { return c.store }
-
-// CommitEpoch appends the cluster's merged flow table (and activity
-// summed across workers) to the attached store as epoch's snapshot.
-func (c *Cluster) CommitEpoch(epoch int64) error {
-	return c.store.commit(epoch, c.sys.Engines()...)
 }
 
 // WithStore attaches an open store as the collector's sink: every batch

@@ -100,7 +100,7 @@ func TestServeFlowsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	for e := int64(1); e <= 2; e++ {
@@ -173,7 +173,7 @@ func TestCollectorStoreSink(t *testing.T) {
 
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	exp, err := DialCollector(coll.Addr())

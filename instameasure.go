@@ -19,13 +19,12 @@
 //		fmt.Println(rec.Key, rec.Pkts, rec.Bytes)
 //	}
 //
-// Multi-worker measurement (the paper's multi-core system) is available
-// through NewCluster; synthetic workloads, pcap replay, and the paper's
+// The same Meter runs the paper's multi-core system on any number of
+// workers (NewCluster); synthetic workloads, pcap replay, and the paper's
 // experiment harness live in the trace helpers below and cmd/instabench.
 package instameasure
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -97,7 +96,7 @@ type Config struct {
 	// and equal non-zero seeds produce identical estimates for identical
 	// input. 0 (the zero value) draws a fresh random seed for this run —
 	// a fixed default would let an attacker craft hash-collision floods —
-	// retrievable via Meter.Seed / Cluster.Seed for reproducing the run.
+	// retrievable via Meter.Seed for reproducing the run.
 	Seed uint64
 }
 
@@ -180,206 +179,219 @@ type Stats struct {
 	HotCacheFoldDrops uint64
 }
 
-// Meter is a single-worker measurement engine (one "core" in the paper's
-// architecture). It is not safe for concurrent use; see NewCluster for the
-// multi-worker system.
+// Meter is the measurement system of the paper: one FlowRegulator + WSAF
+// engine per worker (a worker core), with flows sharded across the
+// workers so each flow lives on exactly one engine. New builds the
+// one-worker Meter; NewCluster builds one on any number of workers. Every
+// method works at any worker count. A Meter is not safe for concurrent
+// use: push calls, Run and queries come from one goroutine at a time.
 type Meter struct {
-	eng      *core.Engine
-	seed     uint64
-	detector *detect.HeavyHitterDetector
-	onHH     func(HeavyHitterEvent)
-	store    *FlowStore
+	sys   *pipeline.System
+	seed  uint64
+	store *FlowStore
 }
 
-// New builds a Meter from cfg. A zero cfg.Seed is replaced with a random
-// per-run seed (see Config.Seed); Seed reports the value in use.
-func New(cfg Config) (*Meter, error) {
-	if cfg.Seed == 0 {
-		cfg.Seed = RandomSeed()
-	}
-	eng, err := core.New(cfg.engineConfig())
-	if err != nil {
-		return nil, fmt.Errorf("instameasure: %w", err)
-	}
-	return &Meter{eng: eng, seed: cfg.Seed}, nil
-}
+// Cluster is the Meter's former multi-worker name, kept as an alias.
+type Cluster = Meter
+
+// New builds a one-worker Meter from cfg: NewCluster with cfg as the
+// worker configuration. A zero cfg.Seed is replaced with a random per-run
+// seed (see Config.Seed); Seed reports the value in use.
+func New(cfg Config) (*Meter, error) { return NewCluster(ClusterConfig{Meter: cfg}) }
 
 // Seed returns the seed the meter runs under — the value to pass as
 // Config.Seed to reproduce this run bit-for-bit.
 func (m *Meter) Seed() uint64 { return m.seed }
 
-// Process records one packet.
-func (m *Meter) Process(p Packet) {
-	m.eng.Process(p)
-}
+// Process records one packet on the caller's goroutine, in the engine of
+// the worker owning its flow.
+func (m *Meter) Process(p Packet) { m.sys.Process(p) }
 
-// ProcessBatch records a burst of packets through the batched hot path:
-// the whole batch is hashed up front and per-packet bookkeeping is
-// amortized across the burst. Without a hot cache it is equivalent to
-// calling Process on each packet in order, only faster. With
-// HotCacheEntries > 0, every packet of the burst is probed against the
-// cache before any promotion, so a flow promoted mid-burst is counted
-// exactly only from the next burst; totals are the same, and a burst of
-// one is exactly Process.
-func (m *Meter) ProcessBatch(batch []Packet) {
-	m.eng.ProcessBatch(batch)
-}
+// ProcessBatch records a burst of packets on the caller's goroutine
+// through the batched hot path: the whole batch is hashed up front and
+// per-packet bookkeeping is amortized across the burst (with several
+// workers, each engine takes its shard's packets in order). Without a hot
+// cache it is equivalent to calling Process on each packet in order, only
+// faster. With HotCacheEntries > 0, every packet of the burst is probed
+// against the cache before any promotion, so a flow promoted mid-burst is
+// counted exactly only from the next burst; totals are the same, and a
+// burst of one is exactly Process.
+func (m *Meter) ProcessBatch(batch []Packet) { m.sys.ProcessBatch(batch) }
 
-// processBatchSize is the burst size ProcessSource reads through a
-// trace.BatchSource — the pipeline's default batch, which keeps the
-// per-packet interface-dispatch and bookkeeping cost negligible.
-const processBatchSize = 256
-
-// ProcessSource drains a PacketSource through the meter, returning the
-// number of packets consumed. Sources that support batch reads (all of
-// this package's trace and pcap sources do) are drained through the
-// batched hot path.
-func (m *Meter) ProcessSource(src PacketSource) (uint64, error) {
-	var n uint64
-	if bs, ok := src.(trace.BatchSource); ok {
-		buf := make([]Packet, processBatchSize)
-		for {
-			k, err := bs.NextBatch(buf)
-			if k > 0 {
-				m.eng.ProcessBatch(buf[:k])
-				n += uint64(k)
-			}
-			if errors.Is(err, io.EOF) {
-				return n, nil
-			}
-			if err != nil {
-				return n, fmt.Errorf("instameasure: source: %w", err)
-			}
-		}
+// Run drains src through the workers and blocks until every worker has
+// finished; the meter's state carries over from, and into, any other
+// runs and push calls. With one worker the engine sees exactly
+// ProcessBatch over consecutive BatchSize slices of src.
+func (m *Meter) Run(src PacketSource) (ClusterReport, error) {
+	rep, err := m.sys.Run(src)
+	if err != nil {
+		return ClusterReport{}, fmt.Errorf("instameasure: %w", err)
 	}
-	for {
-		p, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, fmt.Errorf("instameasure: source: %w", err)
-		}
-		m.eng.Process(p)
-		n++
-	}
+	pkts, emissions := m.sys.TotalRegulation()
+	return ClusterReport{
+		Packets:        rep.Packets,
+		Bytes:          rep.Bytes,
+		MPPS:           rep.MPPS(),
+		PerWorker:      rep.PerWorker,
+		RegulationRate: ratio(emissions, pkts),
+	}, nil
 }
 
 // OnHeavyHitter arms inline heavy-hitter detection: fn fires the first
 // time a flow's estimate crosses thresholdPkts packets or thresholdBytes
 // bytes (either may be 0 to disable that dimension). Must be called before
 // processing begins.
+//
+// Each worker's engine gets its own detector, and a flow's packets all
+// land on one worker, so each crossing fires once. fn runs on the
+// goroutine that processed the packet — the caller's for Process and
+// ProcessBatch, the owning worker's during Run — so with several workers
+// calls may be concurrent.
 func (m *Meter) OnHeavyHitter(thresholdPkts, thresholdBytes float64, fn func(HeavyHitterEvent)) error {
-	d, err := detect.NewHeavyHitterDetector(thresholdPkts, thresholdBytes)
-	if err != nil {
-		return fmt.Errorf("instameasure: %w", err)
+	for _, eng := range m.sys.Engines() {
+		d, err := detect.NewHeavyHitterDetector(thresholdPkts, thresholdBytes)
+		if err != nil {
+			return fmt.Errorf("instameasure: %w", err)
+		}
+		eng.OnPass(func(ev core.PassEvent) {
+			_, pktSeen := d.DetectionTS(ev.Key)
+			_, byteSeen := d.ByteDetectionTS(ev.Key)
+			d.Observe(ev)
+			if fn == nil {
+				return
+			}
+			if _, now := d.DetectionTS(ev.Key); now && !pktSeen {
+				fn(HeavyHitterEvent{Key: ev.Key, TS: ev.TS, Pkts: ev.Pkts, Bytes: ev.Bytes})
+			}
+			if _, now := d.ByteDetectionTS(ev.Key); now && !byteSeen {
+				fn(HeavyHitterEvent{Key: ev.Key, TS: ev.TS, Pkts: ev.Pkts, Bytes: ev.Bytes, ByBytes: true})
+			}
+		})
+		// With the hot cache enabled, promoted flows bypass per-packet pass
+		// events; arming the thresholds keeps them detection-visible via
+		// synthetic crossing events.
+		eng.SetDetectThresholds(thresholdPkts, thresholdBytes)
 	}
-	m.detector = d
-	m.onHH = fn
-	m.eng.OnPass(func(ev core.PassEvent) {
-		_, pktSeen := d.DetectionTS(ev.Key)
-		_, byteSeen := d.ByteDetectionTS(ev.Key)
-		d.Observe(ev)
-		if fn == nil {
-			return
-		}
-		if _, now := d.DetectionTS(ev.Key); now && !pktSeen {
-			fn(HeavyHitterEvent{Key: ev.Key, TS: ev.TS, Pkts: ev.Pkts, Bytes: ev.Bytes})
-		}
-		if _, now := d.ByteDetectionTS(ev.Key); now && !byteSeen {
-			fn(HeavyHitterEvent{Key: ev.Key, TS: ev.TS, Pkts: ev.Pkts, Bytes: ev.Bytes, ByBytes: true})
-		}
-	})
-	// With the hot cache enabled, promoted flows bypass per-packet pass
-	// events; arming the thresholds keeps them detection-visible via
-	// synthetic crossing events.
-	m.eng.SetDetectThresholds(thresholdPkts, thresholdBytes)
 	return nil
 }
 
+// owner returns the engine of the worker that owns key's flow.
+func (m *Meter) owner(key FlowKey) *core.Engine { return m.sys.Engines()[m.sys.ShardOf(key)] }
+
 // Estimate returns the meter's current estimate of a flow's packet and
 // byte totals, including the fraction still retained inside the sketch.
-func (m *Meter) Estimate(key FlowKey) (pkts, bytes float64) {
-	return m.eng.Estimate(key)
-}
+func (m *Meter) Estimate(key FlowKey) (pkts, bytes float64) { return m.owner(key).Estimate(key) }
 
 // Lookup returns the flow's WSAF record, if present.
 func (m *Meter) Lookup(key FlowKey) (FlowRecord, bool) {
-	e, ok := m.eng.Lookup(key)
+	e, ok := m.owner(key).Lookup(key)
 	if !ok {
 		return FlowRecord{}, false
 	}
 	return toRecord(e), true
 }
 
-// Flows returns all measured flows currently resident in the WSAF.
-func (m *Meter) Flows() []FlowRecord { return records(m.eng.Snapshot()) }
+// Flows returns all measured flows currently resident in the WSAF, worker
+// by worker.
+func (m *Meter) Flows() []FlowRecord { return records(m.sys.MergedSnapshot()) }
 
 // TopKPackets returns the k largest flows by packet count, largest first.
 func (m *Meter) TopKPackets(k int) []FlowRecord {
-	return records(m.eng.TopKPackets(k))
+	return m.topK(k, func(e *wsaf.Entry) float64 { return e.Pkts })
 }
 
 // TopKBytes returns the k largest flows by byte volume, largest first.
 func (m *Meter) TopKBytes(k int) []FlowRecord {
-	return records(m.eng.TopKBytes(k))
+	return m.topK(k, func(e *wsaf.Entry) float64 { return e.Bytes })
 }
 
-// Stats returns current activity counters.
+// topK selects across the workers' walks: only the k survivors are copied.
+// Flows of equal metric come lower worker, then that engine's order, first.
+func (m *Meter) topK(k int, metric func(*wsaf.Entry) float64) []FlowRecord {
+	sel := topk.New[wsaf.Entry](k)
+	m.sys.Each(func(e *wsaf.Entry) { sel.Offer(metric(e), e) })
+	return records(sel.Sorted())
+}
+
+// Stats returns current activity counters, summed across workers; the
+// ratios are recomputed from the sums.
 func (m *Meter) Stats() Stats {
-	reg := m.eng.Regulator()
-	table := m.eng.Table()
-	ts := table.Stats()
-	out := Stats{
-		Packets:           m.eng.Packets(),
-		Bytes:             m.eng.Bytes(),
-		WSAFInsertions:    reg.Emissions(),
-		RegulationRate:    reg.RegulationRate(),
-		WSAFEvictions:     ts.Evictions,
-		WSAFExpirations:   ts.Reclaims,
-		WSAFDrops:         ts.Drops,
-		ActiveFlows:       table.Len(),
-		WSAFLoadFactor:    table.LoadFactor(),
-		DistinctFlowsEst:  m.eng.DistinctFlows(),
-		SketchMemoryBytes: m.eng.SketchMemoryBytes(),
-		WSAFMemoryBytes:   table.MemoryBytes(),
-	}
-	if cache := m.eng.HotCache(); cache != nil {
-		cs := cache.Stats()
-		out.HotCacheHits = cs.Hits
-		out.HotCachePromotions = cs.Promotions
-		out.HotCacheDemotions = cs.Demotions
-		out.HotCacheFoldDrops = m.eng.CacheFoldDrops()
-		if out.Packets > 0 {
-			out.HotCacheHitRate = float64(cs.Hits) / float64(out.Packets)
+	var out Stats
+	var capacity int
+	for _, eng := range m.sys.Engines() {
+		table := eng.Table()
+		ts := table.Stats()
+		out.Packets += eng.Packets()
+		out.Bytes += eng.Bytes()
+		out.WSAFEvictions += ts.Evictions
+		out.WSAFExpirations += ts.Reclaims
+		out.WSAFDrops += ts.Drops
+		out.ActiveFlows += table.Len()
+		capacity += table.Capacity()
+		out.DistinctFlowsEst += eng.DistinctFlows()
+		out.SketchMemoryBytes += eng.SketchMemoryBytes()
+		out.WSAFMemoryBytes += table.MemoryBytes()
+		if cache := eng.HotCache(); cache != nil {
+			cs := cache.Stats()
+			out.HotCacheHits += cs.Hits
+			out.HotCachePromotions += cs.Promotions
+			out.HotCacheDemotions += cs.Demotions
+			out.HotCacheFoldDrops += eng.CacheFoldDrops()
 		}
 	}
+	regPkts, emissions := m.sys.TotalRegulation()
+	out.WSAFInsertions = emissions
+	out.RegulationRate = ratio(emissions, regPkts)
+	out.WSAFLoadFactor = float64(out.ActiveFlows) / float64(capacity)
+	out.HotCacheHitRate = ratio(out.HotCacheHits, out.Packets)
 	return out
 }
 
-// Reset clears all measurement state for a new window.
-func (m *Meter) Reset() { m.eng.Reset() }
+// ratio is a/b, 0 when b is.
+func ratio(a, b uint64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}
+
+// Reset clears all measurement state, on every worker, for a new window.
+func (m *Meter) Reset() {
+	for _, eng := range m.sys.Engines() {
+		eng.Reset()
+	}
+}
+
+// Saturated is the meter's readiness probe: non-nil while any
+// worker-to-worker exchange ring sits at or above 90% of QueueDepth
+// (sustained saturation adds queueing delay the per-stage timers cannot
+// see). Always nil with one worker.
+func (m *Meter) Saturated() error { return m.sys.Saturated() }
 
 // ExportSnapshot writes the meter's current flow table to w as a compact,
 // checksummed binary snapshot tagged with epoch — the archival path for
 // long-term measurement windows. The snapshot carries a stats trailer
-// recording the table's update/insert/expiration/eviction activity;
-// pre-trailer readers simply stop at the flow records.
+// recording the table's update/insert/expiration/eviction activity, summed
+// across workers; pre-trailer readers simply stop at the flow records.
 func (m *Meter) ExportSnapshot(w io.Writer, epoch int64) error {
-	return writeSnapshot(w, epoch, m.eng)
+	records, stats := m.cut()
+	if err := export.WriteSnapshotStats(w, epoch, records, stats); err != nil {
+		return fmt.Errorf("instameasure: %w", err)
+	}
+	return nil
 }
 
-// cut walks the engines' live flows once into export records and sums
+// cut walks the workers' live flows once into export records and sums
 // their WSAF activity: the body of every epoch cut — snapshot file, store
-// commit, collector export — for a Meter (one engine) and a Cluster alike.
-func cut(engines ...*core.Engine) ([]export.Record, export.TableStats) {
+// commit, collector export.
+func (m *Meter) cut() ([]export.Record, export.TableStats) {
 	live := 0
-	for _, eng := range engines {
+	for _, eng := range m.sys.Engines() {
 		live += eng.Table().Len()
 	}
 	records := make([]export.Record, 0, live)
 	var stats export.TableStats
-	for _, eng := range engines {
+	for _, eng := range m.sys.Engines() {
 		eng.Each(func(e *wsaf.Entry) { records = append(records, export.FromEntry(*e)) })
 		ts := eng.Table().Stats()
 		stats.Updates += ts.Updates
@@ -389,14 +401,6 @@ func cut(engines ...*core.Engine) ([]export.Record, export.TableStats) {
 		stats.Drops += ts.Drops
 	}
 	return records, stats
-}
-
-func writeSnapshot(w io.Writer, epoch int64, engines ...*core.Engine) error {
-	records, stats := cut(engines...)
-	if err := export.WriteSnapshotStats(w, epoch, records, stats); err != nil {
-		return fmt.Errorf("instameasure: %w", err)
-	}
-	return nil
 }
 
 // WSAFActivity summarizes how a snapshot's table churned, splitting the
@@ -462,7 +466,7 @@ func records(entries []wsaf.Entry) []FlowRecord {
 	return out
 }
 
-// ClusterConfig parameterizes the multi-worker system.
+// ClusterConfig parameterizes a Meter on any number of workers.
 type ClusterConfig struct {
 	// Meter is the per-worker configuration. WSAFEntries applies per
 	// worker.
@@ -481,7 +485,7 @@ type ClusterConfig struct {
 	Shard ShardPolicy
 }
 
-// ShardPolicy names a flow-to-worker mapping for a Cluster.
+// ShardPolicy names a flow-to-worker mapping.
 type ShardPolicy int
 
 const (
@@ -495,7 +499,8 @@ const (
 	ShardByPopcount
 )
 
-// ClusterReport summarizes a cluster run.
+// ClusterReport summarizes one Run. RegulationRate is cumulative: the
+// meter's regulator emissions over regulated packets since its last Reset.
 type ClusterReport struct {
 	Packets        uint64
 	Bytes          uint64
@@ -504,27 +509,10 @@ type ClusterReport struct {
 	RegulationRate float64
 }
 
-// Cluster is the multi-worker measurement system. Each worker runs an
-// independent Meter engine over exclusive memory and ingest is
-// shared-nothing: every worker reads bursts from the source — its own
-// stripe of a trace source, a turn at a time on a streamed one — hashes
-// them, and exchanges cross-shard packets over lock-free rings, so no
-// goroutine touches every packet and ingest capacity scales with workers.
-// Per-worker packet order depends on scheduling; a run with Workers: 1 is
-// bit-reproducible.
-type Cluster struct {
-	sys   *pipeline.System
-	seed  uint64
-	store *FlowStore
-}
-
-// Seed returns the seed the cluster runs under — the value to pass as
-// Config.Seed to reproduce this run.
-func (c *Cluster) Seed() uint64 { return c.seed }
-
-// NewCluster builds a Cluster from cfg. A zero cfg.Meter.Seed is replaced
-// with a random per-run seed (see Config.Seed); Cluster.Seed reports it.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+// NewCluster builds a Meter on cfg.Workers workers. A zero cfg.Meter.Seed
+// is replaced with a random per-run seed (see Config.Seed); Seed reports
+// it.
+func NewCluster(cfg ClusterConfig) (*Meter, error) {
 	if cfg.Meter.Seed == 0 {
 		cfg.Meter.Seed = RandomSeed()
 	}
@@ -542,56 +530,5 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("instameasure: %w", err)
 	}
-	return &Cluster{sys: sys, seed: cfg.Meter.Seed}, nil
-}
-
-// Run drains src through the cluster and blocks until every worker has
-// finished.
-func (c *Cluster) Run(src PacketSource) (ClusterReport, error) {
-	rep, err := c.sys.Run(src)
-	if err != nil {
-		return ClusterReport{}, fmt.Errorf("instameasure: %w", err)
-	}
-	pkts, emissions := c.sys.TotalRegulation()
-	out := ClusterReport{
-		Packets:   rep.Packets,
-		Bytes:     rep.Bytes,
-		MPPS:      rep.MPPS(),
-		PerWorker: rep.PerWorker,
-	}
-	if pkts > 0 {
-		out.RegulationRate = float64(emissions) / float64(pkts)
-	}
-	return out, nil
-}
-
-// Flows returns measured flows merged across all workers.
-func (c *Cluster) Flows() []FlowRecord {
-	return records(c.sys.MergedSnapshot())
-}
-
-// TopKPackets returns the cluster-wide k largest flows by packets.
-func (c *Cluster) TopKPackets(k int) []FlowRecord {
-	return c.topK(k, func(e *wsaf.Entry) float64 { return e.Pkts })
-}
-
-// TopKBytes returns the cluster-wide k largest flows by bytes.
-func (c *Cluster) TopKBytes(k int) []FlowRecord {
-	return c.topK(k, func(e *wsaf.Entry) float64 { return e.Bytes })
-}
-
-// ExportSnapshot writes the cluster's merged flow table as a snapshot
-// file — the same format Meter.ExportSnapshot produces, with the stats
-// trailer summed across workers — readable by wsafdump and
-// ReadSnapshotDetail.
-func (c *Cluster) ExportSnapshot(w io.Writer, epoch int64) error {
-	return writeSnapshot(w, epoch, c.sys.Engines()...)
-}
-
-// topK selects across the workers' walks: only the k survivors are copied.
-// Flows of equal metric come lower worker, then that engine's order, first.
-func (c *Cluster) topK(k int, metric func(*wsaf.Entry) float64) []FlowRecord {
-	sel := topk.New[wsaf.Entry](k)
-	c.sys.Each(func(e *wsaf.Entry) { sel.Offer(metric(e), e) })
-	return records(sel.Sorted())
+	return &Meter{sys: sys, seed: cfg.Meter.Seed}, nil
 }

@@ -41,10 +41,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 func TestMeterEndToEnd(t *testing.T) {
 	tr := testTrace(t)
 	m := testMeter(t)
-	n, err := m.ProcessSource(tr.Source())
+	rep, err := m.Run(tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := rep.Packets
 	if n != uint64(len(tr.Packets)) {
 		t.Fatalf("processed %d packets, want %d", n, len(tr.Packets))
 	}
@@ -80,7 +81,7 @@ func TestMeterEndToEnd(t *testing.T) {
 func TestMeterTopKOrdering(t *testing.T) {
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	top := m.TopKPackets(20)
@@ -100,7 +101,7 @@ func TestMeterTopKOrdering(t *testing.T) {
 func TestMeterLookupAndFlows(t *testing.T) {
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	biggest := tr.TopTruth(1, func(ft *FlowTruth) float64 { return float64(ft.Pkts) })[0]
@@ -129,7 +130,7 @@ func TestMeterHeavyHitterCallback(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 1 {
@@ -162,7 +163,7 @@ func TestMeterHeavyHitterWithHotCache(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
@@ -187,7 +188,7 @@ func TestMeterHeavyHitterValidation(t *testing.T) {
 func TestMeterReset(t *testing.T) {
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	m.Reset()
@@ -365,7 +366,7 @@ func TestDeterminism(t *testing.T) {
 	tr := testTrace(t)
 	run := func() []FlowRecord {
 		m := testMeter(t)
-		if _, err := m.ProcessSource(tr.Source()); err != nil {
+		if _, err := m.Run(tr.Source()); err != nil {
 			t.Fatal(err)
 		}
 		return m.TopKPackets(10)
@@ -381,7 +382,7 @@ func TestDeterminism(t *testing.T) {
 func TestDistinctFlowsEstimate(t *testing.T) {
 	tr := testTrace(t) // 10k flows
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	est := m.Stats().DistinctFlowsEst

@@ -1,7 +1,7 @@
 // Package core assembles the paper's measurement engine: a FlowRegulator
 // front-end feeding an In-DRAM WSAF table, with saturation-based byte
 // counting and a passthrough hook that applications (heavy-hitter
-// detection, Top-K) subscribe to.
+// detection) subscribe to.
 //
 // One Engine corresponds to one worker core in the paper's architecture; it
 // is deliberately not safe for concurrent use. The pipeline package runs
@@ -22,7 +22,6 @@ import (
 	"instameasure/internal/packet"
 	"instameasure/internal/rcc"
 	"instameasure/internal/telemetry"
-	"instameasure/internal/topk"
 	"instameasure/internal/wsaf"
 )
 
@@ -340,9 +339,6 @@ func (e *Engine) instrument() {
 
 // Telemetry returns the registry the engine publishes into.
 func (e *Engine) Telemetry() *telemetry.Registry { return e.telemetry }
-
-// Flight returns the engine's flight-recorder handle (its span ring).
-func (e *Engine) Flight() flight.Handle { return e.fl }
 
 // MustNew is New for statically-known-good configs; it panics on error.
 func MustNew(cfg Config) *Engine {
@@ -729,25 +725,6 @@ func (e *Engine) Snapshot() []wsaf.Entry {
 	out := make([]wsaf.Entry, 0, e.table.Len())
 	e.Each(func(en *wsaf.Entry) { out = append(out, *en) })
 	return out
-}
-
-// TopKPackets returns the k largest flows by packet count, cache deltas
-// included; flows of equal count come in Each's order.
-func (e *Engine) TopKPackets(k int) []wsaf.Entry {
-	return e.topK(k, func(en *wsaf.Entry) float64 { return en.Pkts })
-}
-
-// TopKBytes returns the k largest flows by byte volume, cache deltas
-// included; flows of equal volume come in Each's order.
-func (e *Engine) TopKBytes(k int) []wsaf.Entry {
-	return e.topK(k, func(en *wsaf.Entry) float64 { return en.Bytes })
-}
-
-// topK selects during the walk: nothing but the k survivors is copied.
-func (e *Engine) topK(k int, metric func(*wsaf.Entry) float64) []wsaf.Entry {
-	sel := topk.New[wsaf.Entry](k)
-	e.Each(func(en *wsaf.Entry) { sel.Offer(metric(en), en) })
-	return sel.Sorted()
 }
 
 // DistinctFlows estimates the number of distinct flows observed since the

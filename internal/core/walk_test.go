@@ -1,11 +1,8 @@
 package core
 
 import (
-	"runtime"
 	"slices"
-	"sort"
 	"testing"
-	"unsafe"
 
 	"instameasure/internal/hotcache"
 	"instameasure/internal/packet"
@@ -46,17 +43,8 @@ func refSnapshot(e *Engine) (snap []wsaf.Entry, merged, orphans int) {
 	return snap, merged, orphans
 }
 
-// refTopK is a stable full sort of the reference snapshot (equal metric:
-// snapshot order) cut at k.
-func refTopK(snap []wsaf.Entry, k int, metric func(*wsaf.Entry) float64) []wsaf.Entry {
-	snap = slices.Clone(snap)
-	sort.SliceStable(snap, func(i, j int) bool { return metric(&snap[i]) > metric(&snap[j]) })
-	return snap[:max(0, min(k, len(snap)))]
-}
-
-// TestSnapshotMatchesMapMerge: Snapshot and both top-k, with the cache on
-// and off and the TTL on and off, equal the reference element for element
-// and in order. The cached runs hold merged flows and, under the TTL,
+// TestSnapshotMatchesMapMerge: Snapshot, with the cache on and off and the
+// TTL on and off, equals the reference element for element and in order. The cached runs hold merged flows and, under the TTL,
 // cache-only ones.
 func TestSnapshotMatchesMapMerge(t *testing.T) {
 	tr := batchTrace(t, 20_000, 300_000, 23)
@@ -84,50 +72,6 @@ func TestSnapshotMatchesMapMerge(t *testing.T) {
 				t.Fatalf("cache %d ttl %d: Snapshot differs from the map merge (%d vs %d flows)",
 					cacheEntries, ttl, len(got), len(want))
 			}
-			for _, k := range []int{-1, 0, 1, 100, len(want), len(want) + 5} {
-				byPkts := func(en *wsaf.Entry) float64 { return en.Pkts }
-				if got := e.TopKPackets(k); !slices.Equal(got, refTopK(want, k, byPkts)) {
-					t.Fatalf("cache %d ttl %d: TopKPackets(%d) differs from the full stable sort", cacheEntries, ttl, k)
-				}
-				byBytes := func(en *wsaf.Entry) float64 { return en.Bytes }
-				if got := e.TopKBytes(k); !slices.Equal(got, refTopK(want, k, byBytes)) {
-					t.Fatalf("cache %d ttl %d: TopKBytes(%d) differs from the full stable sort", cacheEntries, ttl, k)
-				}
-			}
 		}
-	}
-}
-
-// TestTopKAllocatesForKNotLive: without the cache a top-k selects during
-// the walk, so what it allocates is a function of k alone — ten times the
-// live flows cost not one byte more.
-func TestTopKAllocatesForKNotLive(t *testing.T) {
-	const k = 1000
-	measure := func(live int) (allocs float64, bytes uint64) {
-		e := testEngine(t, Config{WSAFEntries: 1 << 18, Seed: 3})
-		for i := 0; e.table.Len() < live; i++ {
-			key := packet.V4Key(uint32(i), 9, uint16(i), 443, packet.ProtoTCP)
-			e.table.Accumulate(key, float64(1+i%613), float64(i), 1)
-		}
-		query := func() {
-			if top := e.TopKPackets(k); len(top) != k {
-				t.Fatalf("top-k of %d live flows holds %d", live, len(top))
-			}
-		}
-		allocs = testing.AllocsPerRun(5, query)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		query()
-		runtime.ReadMemStats(&m1)
-		return allocs, m1.TotalAlloc - m0.TotalAlloc
-	}
-	allocsSmall, bytesSmall := measure(5_000)
-	allocsLarge, bytesLarge := measure(50_000)
-	if allocsLarge != allocsSmall || bytesLarge != bytesSmall {
-		t.Errorf("top-%d allocated %v times / %d B over 5k live flows, %v times / %d B over 50k", k,
-			allocsSmall, bytesSmall, allocsLarge, bytesLarge)
-	}
-	if limit := uint64(8 * k * unsafe.Sizeof(wsaf.Entry{})); bytesLarge > limit {
-		t.Errorf("top-%d allocated %d B, above %d (8 entries' worth per row)", k, bytesLarge, limit)
 	}
 }

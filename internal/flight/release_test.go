@@ -26,7 +26,7 @@ func TestDroppedSystemsReleaseRegistries(t *testing.T) {
 		{"meter", func() error {
 			m, err := instameasure.New(cfg)
 			if err == nil {
-				_, err = m.ProcessSource(tr.Source())
+				_, err = m.Run(tr.Source())
 			}
 			return err
 		}},

@@ -187,10 +187,15 @@ type workBatch struct {
 	hashes []uint64
 }
 
-// System is a multi-core measurement pipeline. Build one per run.
+// System is a multi-core measurement pipeline. It serves any number of
+// consecutive runs, and push calls between them, over the same engines.
 type System struct {
 	cfg     Config
 	engines []*core.Engine
+	// push[w] stages the packets of a pushed burst that worker w owns, and
+	// one is Process's burst of one (see ProcessBatch).
+	push []workBatch
+	one  [1]packet.Packet
 	// rings[f][t] carries packets ingested by worker f but owned by worker
 	// t (nil for f == t), QueueDepth packets per lane. They hang here, not
 	// in the run, so Saturated and the queue-depth gauge can read them; a
@@ -247,6 +252,7 @@ func New(cfg Config) (*System, error) {
 		cfg:           cfg,
 		flight:        rec,
 		engines:       make([]*core.Engine, cfg.Workers),
+		push:          make([]workBatch, cfg.Workers),
 		rings:         make([][]*ring, cfg.Workers),
 		policy:        cfg.HashPolicy,
 		hashSeed:      hashSeed,
@@ -360,8 +366,45 @@ func (s *System) Workers() int { return len(s.engines) }
 // flow key k, over the shared hash seed. Callers use it to locate the
 // engine owning a flow.
 func (s *System) ShardOf(k packet.FlowKey) int {
+	if len(s.engines) == 1 {
+		return 0
+	}
 	p := packet.Packet{Key: k}
 	return s.policy(k.Hash64(s.hashSeed), &p, len(s.engines))
+}
+
+// Process measures one packet on the caller's goroutine: ProcessBatch of a
+// burst of one.
+func (s *System) Process(p packet.Packet) {
+	if len(s.engines) == 1 {
+		s.engines[0].Process(p)
+		return
+	}
+	s.one[0] = p
+	s.ProcessBatch(s.one[:])
+}
+
+// ProcessBatch measures a burst on the caller's goroutine, without the
+// workers: one worker's engine takes it whole; with more, each packet is
+// hashed once and handed, in order, to its shard's engine. Not safe for
+// concurrent use, nor while Run is in flight.
+func (s *System) ProcessBatch(batch []packet.Packet) {
+	if len(s.engines) == 1 {
+		s.engines[0].ProcessBatch(batch)
+		return
+	}
+	for i := range batch {
+		p := &batch[i]
+		h := p.Key.Hash64(s.hashSeed)
+		b := &s.push[s.policy(h, p, len(s.engines))]
+		b.pkts, b.hashes = append(b.pkts, *p), append(b.hashes, h)
+	}
+	for w := range s.push {
+		if b := &s.push[w]; len(b.pkts) > 0 {
+			s.engines[w].ProcessBatchHashed(b.pkts, b.hashes)
+			b.pkts, b.hashes = b.pkts[:0], b.hashes[:0]
+		}
+	}
 }
 
 // Engines exposes the per-worker engines for post-run inspection. Do not

@@ -16,7 +16,11 @@ import (
 )
 
 // Run drains src through the pipeline and returns once every packet has
-// been processed and all workers have exited. A System serves one run.
+// been processed and all workers have exited. Runs may repeat: each starts
+// on the state the last one left, so consecutive runs over consecutive
+// slices of a trace measure what one run over the whole trace would (to
+// the bit with Workers: 1 and no hot cache), and the end of a run is a
+// barrier at which the engines may be read, cut and committed.
 func (s *System) Run(src trace.Source) (Report, error) {
 	return s.RunContext(context.Background(), src)
 }

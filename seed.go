@@ -11,5 +11,5 @@ import "instameasure/internal/flowhash"
 // for the attack this defeats.
 //
 // Callers wanting a reproducible run set Config.Seed explicitly (and can
-// read back a randomly drawn one via Meter.Seed / Cluster.Seed).
+// read back a randomly drawn one via Meter.Seed).
 func RandomSeed() uint64 { return flowhash.RandomSeed() }

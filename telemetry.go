@@ -10,7 +10,7 @@ import (
 	"instameasure/internal/telemetry"
 )
 
-// Telemetry is the live metrics registry of a Meter or Cluster: lock-free
+// Telemetry is the live metrics registry of a Meter: lock-free
 // counters, gauges, and histograms updated on the measurement hot path
 // and scrapeable at any time, including while traffic is flowing.
 //
@@ -77,7 +77,7 @@ type TelemetryServer struct {
 //		if !exp.Connected() { return errors.New("collector connection down") }
 //		return nil
 //	})
-//	srv.RegisterHealth("pipeline", cluster.Saturated)
+//	srv.RegisterHealth("pipeline", meter.Saturated)
 func (s *TelemetryServer) RegisterHealth(name string, probe func() error) {
 	s.health.Register(name, probe)
 }
@@ -102,16 +102,11 @@ func (s *TelemetryServer) URL() string { return "http://" + s.s.Addr() }
 // Close stops the listener and any in-flight scrapes.
 func (s *TelemetryServer) Close() error { return s.s.Close() }
 
-// Telemetry returns the meter's metrics registry. The registry is safe
-// to scrape from any goroutine while the meter processes packets.
+// Telemetry returns the meter's metrics registry, shared by every worker;
+// per-worker series carry a worker label. The registry is safe to scrape
+// from any goroutine while the meter processes packets.
 func (m *Meter) Telemetry() *Telemetry {
-	return &Telemetry{reg: m.eng.Telemetry()}
-}
-
-// Telemetry returns the cluster-wide metrics registry shared by every
-// worker; per-worker series carry a worker label.
-func (c *Cluster) Telemetry() *Telemetry {
-	return &Telemetry{reg: c.sys.Telemetry()}
+	return &Telemetry{reg: m.sys.Telemetry()}
 }
 
 // Instrument registers the collector's connection-drop counters

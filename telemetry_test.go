@@ -14,7 +14,7 @@ import (
 func TestMeterTelemetryRendering(t *testing.T) {
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	tm := m.Telemetry()
@@ -67,7 +67,7 @@ func TestMeterTelemetryRendering(t *testing.T) {
 func TestTelemetryServeEndToEnd(t *testing.T) {
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := m.Telemetry().Serve("127.0.0.1:0")
@@ -134,7 +134,7 @@ func TestStatsSplitsEvictionsAndExpirations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
@@ -146,7 +146,7 @@ func TestStatsSplitsEvictionsAndExpirations(t *testing.T) {
 func TestSnapshotDetailRoundTrip(t *testing.T) {
 	tr := testTrace(t)
 	m := testMeter(t)
-	if _, err := m.ProcessSource(tr.Source()); err != nil {
+	if _, err := m.Run(tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -107,6 +108,49 @@ func TestCommandLineTools(t *testing.T) {
 	f.Close()
 	if err != nil || !strings.Contains(string(streamOut), "streamed -: "+skipped) {
 		t.Errorf("instameasure -pcap - does not report %q (%v):\n%s", skipped, err, streamOut)
+	}
+
+	// Every flag works at any worker count, 3 (not a power of two: each
+	// worker's WSAF share rounds down) included: the same epoch cuts, each
+	// heavy hitter printed once, the same epochs in the store.
+	var epochs []string
+	var stored string
+	for _, w := range []string{"1", "2", "3"} {
+		dir := filepath.Join(work, "store-w"+w)
+		out := runTool(instameasure, "-pcap", pcapPath, "-workers", w, "-wsaf-exp", "16", "-top", "1",
+			"-epoch", "6500", "-epoch-interval", "7ms", "-hh-pkts", "300", "-store", dir)
+		var cuts []string
+		hitters := map[string]int{}
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "epoch ") {
+				cuts = append(cuts, strings.SplitN(line, ",", 2)[0]) // "epoch k: N packets"
+			}
+			if strings.HasPrefix(line, "HEAVY HITTER") {
+				hitters[strings.Fields(line)[5]]++ // the flow key
+			}
+		}
+		if epochs == nil {
+			epochs = cuts
+		}
+		if len(cuts) < 4 || !slices.Equal(cuts, epochs) {
+			t.Errorf("-workers %s cut epochs %q, want %q (-workers 1)", w, cuts, epochs)
+		}
+		if len(hitters) == 0 {
+			t.Errorf("-workers %s reported no heavy hitters:\n%s", w, out)
+		}
+		for key, n := range hitters {
+			if n != 1 {
+				t.Errorf("-workers %s reported heavy hitter %s %d times", w, key, n)
+			}
+		}
+		// "DIR: 1 segments, N records, E epochs [a..b], F flows, …"
+		dump := strings.SplitN(runTool(wsafdump, "-store", dir), ", ", 4)
+		if stored == "" {
+			stored = strings.Join(dump[1:3], ", ")
+		}
+		if len(dump) < 4 || strings.Join(dump[1:3], ", ") != stored {
+			t.Errorf("-workers %s stored %q, want %q (-workers 1)", w, dump, stored)
+		}
 	}
 
 	out = runTool(wsafdump, "-top", "2", snapPath)
