@@ -111,7 +111,7 @@ func run() error {
 	}
 
 	var (
-		src      batchSource
+		src      instameasure.PacketSource
 		streamed *instameasure.PcapStream
 	)
 	switch {
@@ -144,7 +144,7 @@ func run() error {
 		// never reads; the report below prints the active flows.
 		fmt.Printf("loaded %s: %d packets, %d frames skipped (not IP, no L4 ports, or truncated)\n",
 			*pcapPath, len(tr.Packets), tr.Skipped)
-		src = tr.Source().(batchSource)
+		src = tr.Source()
 	case *synth:
 		tr, err := instameasure.GenerateZipfTrace(instameasure.ZipfTraceConfig{
 			Flows:        *flows,
@@ -155,7 +155,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("generated synthetic trace: %d packets, %d flows\n", len(tr.Packets), tr.Flows())
-		src = tr.Source().(batchSource)
+		src = tr.Source()
 	default:
 		return errors.New("need -pcap FILE or -synth (see -h)")
 	}
@@ -235,7 +235,7 @@ func writeFlightDump(path string) error {
 
 // runMeter measures src on a meter of cfg.Workers workers, cutting epochs,
 // exporting and committing as the flags ask, and prints the final report.
-func runMeter(cfg instameasure.ClusterConfig, src batchSource) error {
+func runMeter(cfg instameasure.ClusterConfig, src instameasure.PacketSource) error {
 	meter, err := instameasure.NewCluster(cfg)
 	if err != nil {
 		return err
@@ -370,9 +370,9 @@ func runMeter(cfg instameasure.ClusterConfig, src batchSource) error {
 // the attached store. With a store attached, the table is committed once
 // more on EOF, as a final epoch, so a run's tail is never lost. Without
 // cut triggers the whole source is one Run.
-func drain(meter *instameasure.Meter, src batchSource, exporter *instameasure.Exporter) ([]uint64, error) {
+func drain(meter *instameasure.Meter, src instameasure.PacketSource, exporter *instameasure.Exporter) ([]uint64, error) {
 	view := &epochView{src: src, every: uint64(max(*epoch, 0)), interval: int64(*interval)}
-	var in instameasure.PacketSource = src
+	in := src
 	if *epoch > 0 || *interval > 0 {
 		in = view
 	}
@@ -427,13 +427,6 @@ func drain(meter *instameasure.Meter, src batchSource, exporter *instameasure.Ex
 	}
 }
 
-// batchSource is what the CLI's sources — a trace replay, a pcap stream —
-// are: packets by the burst.
-type batchSource interface {
-	instameasure.PacketSource
-	NextBatch(buf []instameasure.Packet) (int, error)
-}
-
 // epochView is src up to the next epoch cut: it hands out src's packets up
 // to and including the one that closes the epoch — the every-th packet
 // since the last cut, or the first at or past the next interval boundary
@@ -442,7 +435,7 @@ type batchSource interface {
 // skips idle gaps rather than cutting empty epochs. The tail of a burst
 // read across the cut is held for the next epoch.
 type epochView struct {
-	src      batchSource
+	src      instameasure.PacketSource
 	every    uint64 // cut after this many packets (0 = off)
 	interval int64  // cut every interval ns of trace time (0 = off)
 	since    uint64 // packets since the last cut
@@ -450,12 +443,6 @@ type epochView struct {
 	cut      bool   // the view ended at a cut, not at src's end
 	buf      []instameasure.Packet
 	held     []instameasure.Packet // read from src, not yet handed out
-}
-
-func (v *epochView) Next() (instameasure.Packet, error) {
-	var one [1]instameasure.Packet
-	_, err := v.NextBatch(one[:])
-	return one[0], err
 }
 
 func (v *epochView) NextBatch(out []instameasure.Packet) (int, error) {

@@ -2,7 +2,6 @@ package instameasure
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -21,17 +20,9 @@ func TestMeterStoreCommitAndQuery(t *testing.T) {
 	}
 	defer fs.Close()
 
-	src := tr.Source()
 	epoch := int64(0)
 	var n int
-	for {
-		p, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, p := range tr.Packets {
 		m.Process(p)
 		if n++; n%60_000 == 0 {
 			epoch++

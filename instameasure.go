@@ -45,8 +45,11 @@ type (
 	FlowKey = packet.FlowKey
 	// Packet is one packet observation: flow key, wire length, timestamp.
 	Packet = packet.Packet
-	// PacketSource streams packets in timestamp order; Next returns
-	// io.EOF after the last packet.
+	// PacketSource streams packets in timestamp order, by the burst:
+	// NextBatch(buf) fills buf from the front and returns how many
+	// packets it wrote. A short read is legal; an error (io.EOF after the
+	// last packet) comes only with 0 packets; an empty buf consumes
+	// nothing. A source written outside this package implements NextBatch.
 	PacketSource = trace.Source
 	// Trace is a materialized packet trace with exact ground truth.
 	Trace = trace.Trace
@@ -363,7 +366,7 @@ func (m *Meter) Reset() {
 }
 
 // Saturated is the meter's readiness probe: non-nil while any
-// worker-to-worker exchange ring sits at or above 90% of QueueDepth
+// worker-to-worker exchange ring sits at or above 90% of its capacity
 // (sustained saturation adds queueing delay the per-stage timers cannot
 // see). Always nil with one worker.
 func (m *Meter) Saturated() error { return m.sys.Saturated() }
@@ -474,9 +477,6 @@ type ClusterConfig struct {
 	// Workers is the number of worker goroutines (paper: worker cores);
 	// 0 means 1.
 	Workers int
-	// QueueDepth is the capacity in packets of each worker-to-worker
-	// exchange ring (default 4096).
-	QueueDepth int
 	// BatchSize is the burst size packets are read, exchanged and
 	// processed in (default 256). Larger batches amortize handoff and
 	// hashing further at the cost of detection granularity.
@@ -522,7 +522,6 @@ func NewCluster(cfg ClusterConfig) (*Meter, error) {
 	}
 	sys, err := pipeline.New(pipeline.Config{
 		Workers:    cfg.Workers,
-		QueueDepth: cfg.QueueDepth,
 		BatchSize:  cfg.BatchSize,
 		HashPolicy: policy,
 		Engine:     cfg.Meter.engineConfig(),

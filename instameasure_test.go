@@ -316,8 +316,9 @@ func TestPcapRoundTripThroughPublicAPI(t *testing.T) {
 }
 
 // TestOpenPcapStreamLiveness: a live capture's first packet comes back as
-// soon as its record has arrived, while the writer keeps the pipe open —
-// a reader that waited for a whole block of bytes would hang here.
+// soon as its record has arrived, while the writer keeps the pipe open,
+// from a read with room for the pipeline's whole burst — a reader that
+// waited for a whole block of bytes, or for a full burst, would hang here.
 func TestOpenPcapStreamLiveness(t *testing.T) {
 	tr, err := GenerateZipfTrace(ZipfTraceConfig{Flows: 10, TotalPackets: 100, Seed: 3})
 	if err != nil {
@@ -335,9 +336,10 @@ func TestOpenPcapStreamLiveness(t *testing.T) {
 	go func() {
 		s, err := OpenPcapStream(pr)
 		if err == nil {
-			var p Packet
-			if p, err = s.Next(); err == nil && p != tr.Packets[0] {
-				err = fmt.Errorf("packet %+v, want %+v", p, tr.Packets[0])
+			buf := make([]Packet, 256)
+			var n int
+			if n, err = s.NextBatch(buf); err == nil && (n != 1 || buf[0] != tr.Packets[0]) {
+				err = fmt.Errorf("%d packets, first %+v; want 1, %+v", n, buf[0], tr.Packets[0])
 			}
 		}
 		got <- err

@@ -45,19 +45,8 @@ func TestPopcountShardStable(t *testing.T) {
 	}
 }
 
-// scalarOnlySource hides NextBatch and Split, leaving the plain Source a
-// caller might hand in: the pipeline shares it and reads it through Next.
-type scalarOnlySource struct{ inner trace.Source }
-
-func (s scalarOnlySource) Next() (packet.Packet, error) { return s.inner.Next() }
-
-// batchOnlySource hides Split alone: a BatchSource the pipeline must share.
-type batchOnlySource struct{ inner trace.BatchSource }
-
-func (s batchOnlySource) Next() (packet.Packet, error) { return s.inner.Next() }
-func (s batchOnlySource) NextBatch(buf []packet.Packet) (int, error) {
-	return s.inner.NextBatch(buf)
-}
+// unsplittable hides Split: a Source the pipeline must share.
+type unsplittable struct{ trace.Source }
 
 // streamed writes tr out as a capture and hands back the stream source over
 // it — the non-splittable source the CLI's -pcap streaming path uses.
@@ -81,10 +70,9 @@ func sprayShard(h uint64, p *packet.Packet, workers int) int {
 }
 
 // TestSharedSourceMatchesStriped: whether the workers stripe the source or
-// take turns on a shared handle (batch reads, or the Next loop of a plain
-// Source), every packet reaches the worker its shard names — same totals,
-// per-worker loads equal to the shard truth, same flows in the merged
-// table.
+// take turns on a shared handle (a replay or a pcap stream), every packet
+// reaches the worker its shard names — same totals, per-worker loads equal
+// to the shard truth, same flows in the merged table.
 func TestSharedSourceMatchesStriped(t *testing.T) {
 	tr := testTrace(t, 1200, 60_000)
 	if _, ok := tr.Source().(trace.SplittableSource); !ok {
@@ -109,8 +97,7 @@ func TestSharedSourceMatchesStriped(t *testing.T) {
 		flows[e.Key] = true
 	}
 	for name, src := range map[string]trace.Source{
-		"shared batch":  batchOnlySource{inner: tr.Source().(trace.BatchSource)},
-		"shared scalar": scalarOnlySource{inner: tr.Source()},
+		"shared":        unsplittable{tr.Source()},
 		"streamed pcap": streamed(t, tr),
 	} {
 		sys, rep := run(src)
@@ -348,7 +335,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel via a source wrapper after 10k packets, mid-run. The wrapper
-	// is a plain Source, so the workers share it.
+	// cannot be split, so the workers share it.
 	src := &cancellingSource{inner: tr.Source(), after: 10_000, cancel: cancel}
 	rep, err := sys.RunContext(ctx, src)
 	if err == nil || !errors.Is(err, context.Canceled) {
@@ -374,21 +361,21 @@ type cancellingSource struct {
 	cancel func()
 }
 
-func (s *cancellingSource) Next() (packet.Packet, error) {
-	s.n++
-	if s.n == s.after {
+func (s *cancellingSource) NextBatch(buf []packet.Packet) (int, error) {
+	n, err := s.inner.NextBatch(buf)
+	if s.n < s.after && s.n+n >= s.after {
 		s.cancel()
 	}
-	return s.inner.Next()
+	s.n += n
+	return n, err
 }
 
 // sleepySource blocks in every read, as a paced or a live source does.
 type sleepySource struct {
-	inner trace.BatchSource
+	inner trace.Source
 	nap   time.Duration
 }
 
-func (s sleepySource) Next() (packet.Packet, error) { return s.inner.Next() }
 func (s sleepySource) NextBatch(buf []packet.Packet) (int, error) {
 	time.Sleep(s.nap)
 	return s.inner.NextBatch(buf)
@@ -400,7 +387,7 @@ func (s sleepySource) NextBatch(buf []packet.Packet) (int, error) {
 func TestBusyTimeExcludesSourceRead(t *testing.T) {
 	tr := testTrace(t, 200, 30*256)
 	sys := mustSystem(t, testConfig(1))
-	rep, err := sys.Run(sleepySource{inner: tr.Source().(trace.BatchSource), nap: time.Millisecond})
+	rep, err := sys.Run(sleepySource{inner: tr.Source(), nap: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func (s *System) Run(src trace.Source) (Report, error) {
 // Workers: 1 (see the package doc).
 func (s *System) RunContext(ctx context.Context, src trace.Source) (Report, error) {
 	nw := len(s.engines)
-	var parts []trace.BatchSource
+	var parts []trace.Source
 	if sp, ok := src.(trace.SplittableSource); ok {
 		parts = sp.Split(nw)
 	} else {
@@ -148,7 +148,7 @@ type shardWorker struct {
 	id   int
 	sys  *System
 	eng  *core.Engine
-	part trace.BatchSource
+	part trace.Source
 
 	in     []*ring  // inbound lanes: packets the other workers ingested for us
 	out    []*ring  // out[t]: our lane to worker t (nil for t==id)

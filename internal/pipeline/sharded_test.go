@@ -265,12 +265,13 @@ type failingSource struct {
 	err   error
 }
 
-func (s *failingSource) Next() (packet.Packet, error) {
+func (s *failingSource) NextBatch(buf []packet.Packet) (int, error) {
 	if s.n == 0 {
-		return packet.Packet{}, s.err
+		return 0, s.err
 	}
-	s.n--
-	return s.inner.Next()
+	n, err := s.inner.NextBatch(buf[:min(len(buf), s.n)])
+	s.n -= n
+	return n, err
 }
 
 // TestSourceErrorReachesRun: a source that fails mid-stream ends the run

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,29 +13,41 @@ import (
 	"instameasure/internal/pcap"
 )
 
-// drainBatches reads src to exhaustion through NextBatch with the given
-// buffer size, checking the contract as it goes: errors only with n == 0,
-// buffer filled from the front.
-func drainBatches(t *testing.T, src BatchSource, bufSize int) []packet.Packet {
-	t.Helper()
-	var out []packet.Packet
-	buf := make([]packet.Packet, bufSize)
-	for {
-		n, err := src.NextBatch(buf)
-		if err != nil {
-			if n != 0 {
-				t.Fatalf("NextBatch returned n=%d with err=%v; errors must come alone", n, err)
-			}
-			if !errors.Is(err, io.EOF) {
-				t.Fatalf("NextBatch err = %v, want EOF", err)
-			}
-			return out
-		}
-		if n <= 0 || n > bufSize {
-			t.Fatalf("NextBatch n = %d with nil error, want 1..%d", n, bufSize)
-		}
-		out = append(out, buf[:n]...)
+// readAll reads src to its terminating error, cycling through the buffer
+// sizes given (a burst of 1024 if none), and returns what it delivered, in
+// order, and that error. broken reports the first read that breaks the
+// Source contract: packets with an error, more packets than slots, or
+// none and no error from a buffer with room.
+func readAll(src Source, sizes []int) (pkts []packet.Packet, end, broken error) {
+	if len(sizes) == 0 {
+		sizes = []int{1024}
 	}
+	buf := make([]packet.Packet, slices.Max(sizes))
+	for i := 0; ; i++ {
+		sz := sizes[i%len(sizes)]
+		n, err := src.NextBatch(buf[:sz])
+		switch {
+		case n < 0 || n > sz || (n > 0 && err != nil) || (n == 0 && err == nil && sz > 0):
+			return pkts, err, fmt.Errorf("NextBatch with %d slots returned n=%d err=%v", sz, n, err)
+		case err != nil:
+			return pkts, err, nil
+		}
+		pkts = append(pkts, buf[:n]...)
+	}
+}
+
+// drain is readAll for a source that must keep the contract and end in
+// io.EOF.
+func drain(t testing.TB, src Source, sizes ...int) []packet.Packet {
+	t.Helper()
+	pkts, end, broken := readAll(src, sizes)
+	if broken != nil {
+		t.Fatal(broken)
+	}
+	if !errors.Is(end, io.EOF) {
+		t.Fatalf("source ended with %v, want EOF", end)
+	}
+	return pkts
 }
 
 func TestSliceSourceNextBatch(t *testing.T) {
@@ -44,8 +58,8 @@ func TestSliceSourceNextBatch(t *testing.T) {
 	tr := NewTrace(pkts)
 
 	for _, bufSize := range []int{1, 7, 256, 999, 1000, 4096} {
-		src := tr.Source().(BatchSource)
-		got := drainBatches(t, src, bufSize)
+		src := tr.Source()
+		got := drain(t, src, bufSize)
 		if len(got) != len(tr.Packets) {
 			t.Fatalf("bufSize %d: read %d packets, want %d", bufSize, len(got), len(tr.Packets))
 		}
@@ -74,10 +88,11 @@ func TestPcapSourceNextBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 530 packets through 64-packet batches: the tail is a 18-packet short
-	// read with nil error, EOF arrives on the call after.
+	// 530 packets through 64-packet batches: a block's last packets and
+	// the capture's tail are short reads with nil error, EOF arrives on the
+	// call after.
 	src := NewPcapSource(r)
-	got := drainBatches(t, src, 64)
+	got := drain(t, src, 64)
 	if len(got) != len(tr.Packets) {
 		t.Fatalf("read %d packets, want %d", len(got), len(tr.Packets))
 	}
@@ -89,9 +104,9 @@ func TestPcapSourceNextBatch(t *testing.T) {
 }
 
 func TestPcapSourceDeferredErrorDelivery(t *testing.T) {
-	// Truncate a capture mid-frame: NextBatch must deliver the packets it
-	// parsed with a nil error and surface the parse failure on the next
-	// read, never both at once.
+	// Truncate a capture mid-frame: NextBatch must deliver the packets
+	// before the torn record with a nil error and surface the failure on
+	// the next read, never both at once.
 	tr, err := GenerateZipf(ZipfConfig{Flows: 10, TotalPackets: 100, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -109,13 +124,13 @@ func TestPcapSourceDeferredErrorDelivery(t *testing.T) {
 	batch := make([]packet.Packet, 4096)
 	n, err := src.NextBatch(batch)
 	if err != nil {
-		t.Fatalf("first NextBatch: n=%d err=%v; the error must be deferred past the partial read", n, err)
+		t.Fatalf("first NextBatch: n=%d err=%v; the error must wait for the read after the packets", n, err)
 	}
 	if n == 0 || n >= len(tr.Packets) {
 		t.Fatalf("first NextBatch n = %d, want a partial read of <%d packets", n, len(tr.Packets))
 	}
 	if n2, err2 := src.NextBatch(batch); n2 != 0 || err2 == nil {
-		t.Fatalf("second NextBatch: n=%d err=%v, want the deferred truncation error", n2, err2)
+		t.Fatalf("second NextBatch: n=%d err=%v, want the truncation error", n2, err2)
 	}
 }
 
@@ -143,7 +158,7 @@ func TestPacedSourceNextBatchSchedule(t *testing.T) {
 	ps.now = clock.now
 	ps.sleep = clock.sleep
 
-	got := drainBatches(t, ps, 4096)
+	got := drain(t, ps, 4096)
 	if len(got) != len(pkts) {
 		t.Fatalf("read %d packets, want %d", len(got), len(pkts))
 	}
@@ -170,22 +185,3 @@ func TestPacedSourceNextBatchCapsBurst(t *testing.T) {
 		t.Errorf("burst = %d packets, want capped at one pacing chunk (%d)", n, ps.chunk)
 	}
 }
-
-func TestPacedSourceNextBatchScalarFallback(t *testing.T) {
-	// A scalar-only inner source still works through the paced batch path,
-	// including partial-read-then-EOF at the tail.
-	pkts := []packet.Packet{mkPkt(1, 10, 1), mkPkt(2, 10, 2), mkPkt(3, 10, 3)}
-	clock := &fakeClock{t: time.Unix(0, 0)}
-	inner := NewTrace(pkts).Source()
-	ps := NewPacedSource(scalarOnly{inner}, 1e6).(*pacedSource)
-	ps.now = clock.now
-	ps.sleep = clock.sleep
-	got := drainBatches(t, ps, 2)
-	if len(got) != len(pkts) {
-		t.Fatalf("read %d packets, want %d", len(got), len(pkts))
-	}
-}
-
-type scalarOnly struct{ inner Source }
-
-func (s scalarOnly) Next() (packet.Packet, error) { return s.inner.Next() }

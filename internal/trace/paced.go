@@ -33,23 +33,9 @@ func NewPacedSource(src Source, ratePPS float64) Source {
 	}
 }
 
-func (p *pacedSource) Next() (packet.Packet, error) {
-	if p.count == 0 {
-		p.start = p.now()
-	}
-	if p.count > 0 && p.count%p.chunk == 0 {
-		expected := p.start.Add(time.Duration(p.count/p.chunk) * p.perChunk)
-		if d := expected.Sub(p.now()); d > 0 {
-			p.sleep(d)
-		}
-	}
-	p.count++
-	return p.src.Next()
-}
-
-// NextBatch reads a burst from the underlying source and applies the same
-// chunked pacing schedule: delivery never runs ahead of the configured
-// rate by more than one chunk, exactly as the scalar path behaves.
+// NextBatch reads a burst from the underlying source on a chunked pacing
+// schedule: delivery never runs ahead of the configured rate by more than
+// one chunk.
 func (p *pacedSource) NextBatch(buf []packet.Packet) (int, error) {
 	if p.count == 0 {
 		p.start = p.now()
@@ -65,10 +51,7 @@ func (p *pacedSource) NextBatch(buf []packet.Packet) (int, error) {
 	if len(buf) > p.chunk {
 		buf = buf[:p.chunk]
 	}
-	n, err := readBatch(p.src, buf)
-	if n > 0 {
-		err = nil // deliver the partial read; the source re-errors next call
-	}
+	n, err := p.src.NextBatch(buf)
 	p.count += n
 	return n, err
 }

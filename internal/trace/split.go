@@ -15,28 +15,28 @@ import (
 // packets in rough timestamp order (within one chunk-round of skew).
 const SplitChunk = 256
 
-// SplittableSource is a BatchSource that can be divided into independent
+// SplittableSource is a Source that can be divided into independent
 // per-worker sub-sources — the shared-nothing pipeline's ingest contract.
 // Split consumes the receiver: after the call only the returned parts may
 // be read, each from its own goroutine (the parts themselves are not
 // individually concurrency-safe). Every packet of the underlying stream
 // appears in exactly one part, exactly once (FuzzSplitConservation).
 type SplittableSource interface {
-	BatchSource
-	Split(parts int) []BatchSource
+	Source
+	Split(parts int) []Source
 }
 
 // Split divides the replay source's remaining packets into parts by
 // striping SplitChunk-sized runs round-robin. sliceSource implements
 // SplittableSource; pcap streams do not (one decoder owns the file) and
 // are shared instead (Share).
-func (s *sliceSource) Split(parts int) []BatchSource {
+func (s *sliceSource) Split(parts int) []Source {
 	if parts < 1 {
 		parts = 1
 	}
 	rem := s.pkts[s.i:] // rebase so part offsets stay chunk-aligned
 	s.i = len(s.pkts)   // the receiver is consumed
-	out := make([]BatchSource, parts)
+	out := make([]Source, parts)
 	for i := range out {
 		out[i] = &stripeSource{pkts: rem, next: i * SplitChunk, stride: parts * SplitChunk}
 	}
@@ -50,8 +50,8 @@ func (s *sliceSource) Split(parts int) []BatchSource {
 // them. Only the read is serialized — the lock is released before the
 // caller touches the burst. Once src errors, every later read by any
 // worker returns that error.
-func Share(src Source, parts int) []BatchSource {
-	out := make([]BatchSource, max(parts, 1))
+func Share(src Source, parts int) []Source {
+	out := make([]Source, max(parts, 1))
 	shared := &sharedSource{src: src}
 	for i := range out {
 		out[i] = shared
@@ -63,12 +63,6 @@ type sharedSource struct {
 	mu  sync.Mutex
 	src Source
 	err error // the error that ended src; sticky
-}
-
-func (s *sharedSource) Next() (packet.Packet, error) {
-	var one [1]packet.Packet
-	_, err := s.NextBatch(one[:])
-	return one[0], err
 }
 
 func (s *sharedSource) NextBatch(buf []packet.Packet) (int, error) {
@@ -88,28 +82,8 @@ func (s *sharedSource) NextBatch(buf []packet.Packet) (int, error) {
 	// sleeps); the other workers then wait their turn, which is the pacing
 	// — polling, so a long block costs them their cores, as idling does
 	// everywhere in the pipeline.
-	n, err := readBatch(s.src, buf)
+	n, err := s.src.NextBatch(buf)
 	s.err = err
-	if n > 0 {
-		return n, nil // packets first; the error follows on the next read
-	}
-	return 0, err
-}
-
-// readBatch fills buf with one burst from src: a single NextBatch call for
-// a BatchSource, a Next loop otherwise. The loop hands back the packets it
-// read together with the error that ended it; the caller holds the error
-// back, as the BatchSource contract requires.
-func readBatch(src Source, buf []packet.Packet) (n int, err error) {
-	if bs, ok := src.(BatchSource); ok {
-		return bs.NextBatch(buf)
-	}
-	for n < len(buf) {
-		if buf[n], err = src.Next(); err != nil {
-			break
-		}
-		n++
-	}
 	return n, err
 }
 
@@ -129,32 +103,18 @@ func (s *stripeSource) chunkEnd() int {
 	return min(base+SplitChunk, len(s.pkts))
 }
 
-func (s *stripeSource) Next() (packet.Packet, error) {
-	if s.next >= len(s.pkts) {
-		return packet.Packet{}, io.EOF
-	}
-	p := s.pkts[s.next]
-	s.advance(1)
-	return p, nil
-}
-
 // NextBatch copies from the current owned chunk — at most one chunk per
 // call, so reads are one memmove and short reads mark chunk boundaries
-// (the BatchSource contract allows both).
+// (the Source contract allows both) — and hops to the next owned chunk
+// once it has delivered the last packet of this one.
 func (s *stripeSource) NextBatch(buf []packet.Packet) (int, error) {
 	if s.next >= len(s.pkts) {
 		return 0, io.EOF
 	}
 	n := copy(buf, s.pkts[s.next:s.chunkEnd()])
-	s.advance(n)
-	return n, nil
-}
-
-// advance moves past n delivered packets, hopping to the next owned chunk
-// when the current one is exhausted.
-func (s *stripeSource) advance(n int) {
 	s.next += n
-	if s.next%SplitChunk == 0 { // crossed into the next (unowned) chunk
+	if n > 0 && s.next%SplitChunk == 0 { // crossed into the next (unowned) chunk
 		s.next += s.stride - SplitChunk
 	}
+	return n, nil
 }

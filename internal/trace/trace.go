@@ -23,21 +23,15 @@ import (
 	"instameasure/internal/pcap"
 )
 
-// Source is a stream of packets in timestamp order. Next returns io.EOF
-// after the last packet.
+// Source is a stream of packets in timestamp order, read by the burst:
+// the pipeline's workers pay one interface call per burst, not per packet.
+// NextBatch fills buf from the front and returns how many packets it
+// wrote. A short count with a nil error is a partial read (what has
+// arrived, the tail of a stripe or of the stream); errors — io.EOF after
+// the last packet included — come only with n == 0, so a caller never has
+// to process packets and handle an error from the same call. A zero-length
+// buf consumes nothing.
 type Source interface {
-	Next() (packet.Packet, error)
-}
-
-// BatchSource is an optional Source extension for bulk consumers: the
-// pipeline workers read whole bursts through it, paying one interface
-// call per batch instead of one per packet. NextBatch fills buf from the
-// front, returning how many packets were written. A short count with a nil
-// error is a partial read (e.g. the tail of the stream); errors — io.EOF
-// included — are only returned with n == 0, so callers never have to
-// process packets and handle an error from the same call.
-type BatchSource interface {
-	Source
 	NextBatch(buf []packet.Packet) (int, error)
 }
 
@@ -175,15 +169,6 @@ type sliceSource struct {
 	i    int
 }
 
-func (s *sliceSource) Next() (packet.Packet, error) {
-	if s.i >= len(s.pkts) {
-		return packet.Packet{}, io.EOF
-	}
-	p := s.pkts[s.i]
-	s.i++
-	return p, nil
-}
-
 // NextBatch copies up to len(buf) packets into buf — one memmove instead
 // of per-packet interface calls.
 func (s *sliceSource) NextBatch(buf []packet.Packet) (int, error) {
@@ -201,9 +186,8 @@ func (s *sliceSource) NextBatch(buf []packet.Packet) (int, error) {
 type PcapSource struct {
 	r       *pcap.Reader
 	Skipped int
-	// deferred holds an error encountered mid-NextBatch, delivered on the
-	// next read so partial batches are never paired with an error.
-	deferred error
+	block   pcap.Block // the records the reader last handed over
+	next    int        // block.Frames[next:] are not yet decoded
 }
 
 // NewPcapSource wraps an open pcap reader.
@@ -211,51 +195,62 @@ func NewPcapSource(r *pcap.Reader) *PcapSource {
 	return &PcapSource{r: r}
 }
 
-// Next returns the next parseable packet, io.EOF at end of stream.
-func (s *PcapSource) Next() (packet.Packet, error) {
-	var one [1]packet.Packet
-	if _, err := s.NextBatch(one[:]); err != nil {
-		return packet.Packet{}, err
-	}
-	return one[0], nil
-}
-
-// NextBatch parses up to len(buf) frames straight into buf's slots. The
-// tail of the capture is delivered as a short read; the terminating error
-// (io.EOF or a read failure) follows on the next call.
+// NextBatch parses frames straight into buf's slots. It reads a new block
+// — every whole record the reader holds, or the next one to arrive — only
+// when the last is used up and buf is still empty, so a packet is returned
+// as soon as its record has arrived and the end of a block is a short
+// read. The reader's error (io.EOF at the end) is returned on the read
+// after the last packet.
 func (s *PcapSource) NextBatch(buf []packet.Packet) (int, error) {
-	if s.deferred != nil {
-		err := s.deferred
-		s.deferred = nil
-		return 0, err
-	}
-	link := s.r.LinkType()
-	if link != pcap.LinkEthernet && link != pcap.LinkRaw {
-		return 0, fmt.Errorf("trace: unsupported link type %d", link)
-	}
 	n := 0
 	for n < len(buf) {
-		rec, err := s.r.Next()
-		if err != nil {
+		if s.next == len(s.block.Frames) {
 			if n > 0 {
-				s.deferred = err
-				return n, nil
+				break
 			}
-			return 0, err
+			if err := checkLink(s.r.LinkType()); err != nil {
+				return 0, err
+			}
+			if err := s.r.NextBlock(&s.block); err != nil {
+				return 0, err
+			}
+			s.next = 0
 		}
-		if link == pcap.LinkEthernet {
-			err = buf[n].DecodeEthernet(rec.Data, rec.WireLen, rec.TS)
-		} else {
-			err = buf[n].DecodeIP(rec.Data, rec.WireLen, rec.TS)
-		}
-		if err != nil {
-			// The parsers' only errors mark frames the meter leaves out.
-			s.Skipped++
-			continue
-		}
-		n++
+		k, used := decodeFrames(s.r.LinkType(), s.block.Data, s.block.Frames[s.next:], buf[n:])
+		n, s.next, s.Skipped = n+k, s.next+used, s.Skipped+used-k
 	}
 	return n, nil
+}
+
+// checkLink rejects the link types the parsers cannot read.
+func checkLink(link pcap.LinkType) error {
+	if link != pcap.LinkEthernet && link != pcap.LinkRaw {
+		return fmt.Errorf("trace: unsupported link type %d", link)
+	}
+	return nil
+}
+
+// decodeFrames parses frames, whose bytes are in block, straight into the
+// slots of out until either runs out, leaving out the frames the meter
+// skips: n packets written, used frames consumed. It is the one decode
+// loop of ReadPcap and PcapSource.
+//
+//im:hotpath
+func decodeFrames(link pcap.LinkType, block []byte, frames []pcap.Frame, out []packet.Packet) (n, used int) {
+	for ; used < len(frames) && n < len(out); used++ {
+		f := &frames[used]
+		data := block[f.Off : f.Off+f.Incl]
+		var err error
+		if link == pcap.LinkEthernet {
+			err = out[n].DecodeEthernet(data, int(f.WireLen), f.TS)
+		} else {
+			err = out[n].DecodeIP(data, int(f.WireLen), f.TS)
+		}
+		if err == nil {
+			n++
+		}
+	}
+	return n, used
 }
 
 // WritePcap writes the trace to w as an Ethernet pcap capture with the
@@ -291,25 +286,6 @@ type rawBlock struct {
 	pkts []packet.Packet
 }
 
-// decodeBlock parses every frame of b straight into its slot of a packet
-// block of its own, leaving out the frames the meter skips.
-func decodeBlock(link pcap.LinkType, b *pcap.Block) []packet.Packet {
-	pkts, n := make([]packet.Packet, len(b.Frames)), 0
-	for _, f := range b.Frames {
-		data := b.Data[f.Off : f.Off+f.Incl]
-		var err error
-		if link == pcap.LinkEthernet {
-			err = pkts[n].DecodeEthernet(data, int(f.WireLen), f.TS)
-		} else {
-			err = pkts[n].DecodeIP(data, int(f.WireLen), f.TS)
-		}
-		if err == nil {
-			n++
-		}
-	}
-	return pkts[:n]
-}
-
 // readPcap is ReadPcap on the given number of decoders.
 func readPcap(r io.Reader, decoders int) (*Trace, error) {
 	pr, err := pcap.NewReader(r)
@@ -317,8 +293,8 @@ func readPcap(r io.Reader, decoders int) (*Trace, error) {
 		return nil, err
 	}
 	link := pr.LinkType()
-	if link != pcap.LinkEthernet && link != pcap.LinkRaw {
-		return nil, fmt.Errorf("trace: unsupported link type %d", link)
+	if err := checkLink(link); err != nil {
+		return nil, err
 	}
 	// Beside the Reader's own buffer, two raw blocks per decoder are being
 	// read into, queued or decoded: raw memory is O(decoders × block).
@@ -327,7 +303,9 @@ func readPcap(r io.Reader, decoders int) (*Trace, error) {
 		free <- new(pcap.Block)
 	}
 	decode := func(b *rawBlock) {
-		b.pkts = decodeBlock(link, b.raw)
+		b.pkts = make([]packet.Packet, len(b.raw.Frames))
+		n, _ := decodeFrames(link, b.raw.Data, b.raw.Frames, b.pkts)
+		b.pkts = b.pkts[:n]
 		free <- b.raw
 	}
 	var (

@@ -43,17 +43,17 @@ func TestNewTraceTruthAccounting(t *testing.T) {
 func TestTraceSource(t *testing.T) {
 	pkts := []packet.Packet{mkPkt(1, 100, 1), mkPkt(2, 100, 2)}
 	src := NewTrace(pkts).Source()
+	buf := make([]packet.Packet, 1)
 	for i := range pkts {
-		p, err := src.Next()
-		if err != nil {
-			t.Fatalf("Next %d: %v", i, err)
+		if n, err := src.NextBatch(buf); n != 1 || err != nil {
+			t.Fatalf("read %d: n=%d err=%v", i, n, err)
 		}
-		if p != pkts[i] {
+		if buf[0] != pkts[i] {
 			t.Errorf("packet %d mismatch", i)
 		}
 	}
-	if _, err := src.Next(); !errors.Is(err, io.EOF) {
-		t.Errorf("exhausted source err = %v, want EOF", err)
+	if n, err := src.NextBatch(buf); n != 0 || !errors.Is(err, io.EOF) {
+		t.Errorf("exhausted source: n=%d err=%v, want EOF", n, err)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestPcapSourceSkipsNonIP(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := NewPcapSource(pr)
-	got := drainBatches(t, src, 64)
+	got := drain(t, src, 64)
 	if len(got) != len(ends)-1 || src.Skipped != nonIP || nonIP != 10 {
 		t.Fatalf("parsed %d packets, skipped %d; want %d and %d", len(got), src.Skipped, len(ends)-1, nonIP)
 	}

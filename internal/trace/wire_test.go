@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"sort"
@@ -181,28 +182,42 @@ func TestLazyTruthConcurrentFirstUse(t *testing.T) {
 	wg.Wait()
 }
 
-// drainSource is the reference ReadPcap must match: NewPcapSource over
-// pcap.NewReader, drained with Next to its terminating error.
-func drainSource(r io.Reader) (pkts []packet.Packet, skipped int, err error) {
+// reference is what ReadPcap and PcapSource must both return: the capture
+// read one record at a time with pcap.Reader.Next and each frame parsed,
+// to the reader's terminating error.
+func reference(r io.Reader) (pkts []packet.Packet, skipped int, err error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
 		return nil, 0, err
 	}
-	src := NewPcapSource(pr)
+	link := pr.LinkType()
+	if link != pcap.LinkEthernet && link != pcap.LinkRaw {
+		return nil, 0, fmt.Errorf("trace: unsupported link type %d", link)
+	}
 	for {
-		p, err := src.Next()
+		rec, err := pr.Next()
 		if errors.Is(err, io.EOF) {
-			return pkts, src.Skipped, nil
+			return pkts, skipped, nil
 		}
 		if err != nil {
-			return pkts, src.Skipped, err
+			return pkts, skipped, err
+		}
+		var p packet.Packet
+		if link == pcap.LinkEthernet {
+			err = p.DecodeEthernet(rec.Data, rec.WireLen, rec.TS)
+		} else {
+			err = p.DecodeIP(rec.Data, rec.WireLen, rec.TS)
+		}
+		if err != nil {
+			skipped++
+			continue
 		}
 		pkts = append(pkts, p)
 	}
 }
 
-// errClass is the sentinel an error wraps, if any: the identity ReadPcap
-// and PcapSource must share beside the error text.
+// errClass is the sentinel an error wraps, if any: the identity ReadPcap,
+// PcapSource and the reference must share beside the error text.
 func errClass(err error) error {
 	for _, class := range []error{pcap.ErrBadMagic, pcap.ErrSnapLen, pcap.ErrCorruptHdr, io.ErrUnexpectedEOF, io.EOF, errInjected} {
 		if errors.Is(err, class) {
@@ -212,29 +227,57 @@ func errClass(err error) error {
 	return nil
 }
 
-// matchSource fails t unless readPcap at the given decoder count, reading
-// capture through wrap, returns exactly what drainSource does: the same
-// packets in order and the same skip count, or an error of the same class
-// (and the same text) when the source ends in one.
-func matchSource(t testing.TB, capture []byte, decoders int, wrap func(io.Reader) io.Reader) {
+// matchSource fails t unless ReadPcap at 1, 2 and 4 decoders and
+// PcapSource drained 1, 7 and 256 slots at a time, each reading capture
+// through wrap, return exactly what the reference does: the same error,
+// class and text, and — ReadPcap only when there is none — the same
+// packets in order and the same skip count.
+func matchSource(t testing.TB, capture []byte, wrap func(io.Reader) io.Reader) {
 	t.Helper()
-	want, wantSkipped, wantErr := drainSource(wrap(bytes.NewReader(capture)))
-	got, err := readPcap(wrap(bytes.NewReader(capture)), decoders)
-	if (err != nil) != (wantErr != nil) || errClass(err) != errClass(wantErr) ||
-		(err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("%d decoders: ReadPcap error %v, source error %v", decoders, err, wantErr)
-	}
-	if err != nil {
-		return
-	}
-	if len(got.Packets) != len(want) || got.Skipped != wantSkipped {
-		t.Fatalf("%d decoders: ReadPcap returned %d packets, %d skipped; source %d, %d",
-			decoders, len(got.Packets), got.Skipped, len(want), wantSkipped)
-	}
-	for i := range want {
-		if got.Packets[i] != want[i] {
-			t.Fatalf("%d decoders: packet %d = %+v, want %+v", decoders, i, got.Packets[i], want[i])
+	want, wantSkipped, wantErr := reference(wrap(bytes.NewReader(capture)))
+	matchErr := func(what string, err error) {
+		t.Helper()
+		if (err != nil) != (wantErr != nil) || errClass(err) != errClass(wantErr) ||
+			(err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("%s: error %v, reference error %v", what, err, wantErr)
 		}
+	}
+	matchPkts := func(what string, got []packet.Packet, skipped int) {
+		t.Helper()
+		if len(got) != len(want) || skipped != wantSkipped {
+			t.Fatalf("%s: %d packets, %d skipped; reference %d, %d", what, len(got), skipped, len(want), wantSkipped)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: packet %d = %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, decoders := range []int{1, 2, 4} {
+		what := fmt.Sprintf("ReadPcap, %d decoders", decoders)
+		tr, err := readPcap(wrap(bytes.NewReader(capture)), decoders)
+		matchErr(what, err)
+		if err == nil {
+			matchPkts(what, tr.Packets, tr.Skipped)
+		}
+	}
+	for _, slots := range []int{1, 7, 256} {
+		what := fmt.Sprintf("PcapSource, %d slots", slots)
+		pr, err := pcap.NewReader(wrap(bytes.NewReader(capture)))
+		if err != nil {
+			matchErr(what, err)
+			continue
+		}
+		src := NewPcapSource(pr)
+		got, end, broken := readAll(src, []int{slots})
+		if broken != nil {
+			t.Fatalf("%s: %v", what, broken)
+		}
+		if errors.Is(end, io.EOF) {
+			end = nil
+		}
+		matchErr(what, end)
+		matchPkts(what, got, src.Skipped)
 	}
 }
 
@@ -280,7 +323,8 @@ func blockSeams(t testing.TB, capture []byte) []int {
 // seams: a capture ending just before, on and just after the reader's
 // first two block boundaries and its last full-sized one, whole or
 // trickled in small reads (hundreds of blocks), at 1, 2 and 4 decoders,
-// returns exactly what draining PcapSource.Next yields, in order.
+// returns exactly what the record-by-record reference does, in order — and
+// so does PcapSource, whatever its read size.
 func TestReadPcapMatchesSource(t *testing.T) {
 	raw, ends, _ := wireCapture(t, 33_000)
 	seams := blockSeams(t, raw)
@@ -293,14 +337,9 @@ func TestReadPcapMatchesSource(t *testing.T) {
 		counts = append(counts, k-1, k, min(k+1, len(ends)-1))
 	}
 	for _, n := range counts {
-		capture := raw[:ends[n]]
-		for _, decoders := range []int{1, 2, 4} {
-			matchSource(t, capture, decoders, whole)
-		}
+		matchSource(t, raw[:ends[n]], whole)
 	}
-	for _, decoders := range []int{1, 2, 4} {
-		matchSource(t, raw, decoders, trickled(4099))
-	}
+	matchSource(t, raw, trickled(4099))
 }
 
 // errInjected is the non-EOF failure errAfter's reader returns.
@@ -324,8 +363,8 @@ func (e *errAfter) Read(p []byte) (int, error) {
 // TestReadPcapErrorsMidCapture injects each kind of failure several blocks
 // into a trickled capture — a torn tail, a record header breaking the
 // snap length, and a reader failing with a non-EOF error — and checks that
-// ReadPcap returns the streamed path's error at every decoder count and
-// leaves no goroutine behind.
+// ReadPcap and PcapSource return the reference's error (ReadPcap at every
+// decoder count) and that ReadPcap leaves no goroutine behind.
 func TestReadPcapErrorsMidCapture(t *testing.T) {
 	raw, ends, _ := wireCapture(t, 3000)
 	cut := ends[2500]
@@ -343,13 +382,13 @@ func TestReadPcapErrorsMidCapture(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			matchSource(t, c.capture, c.wrap)
 			base := runtime.NumGoroutine()
 			for _, decoders := range []int{1, 2, 4} {
 				tr, err := readPcap(c.wrap(bytes.NewReader(c.capture)), decoders)
 				if tr != nil || !errors.Is(err, c.class) {
 					t.Fatalf("%d decoders: ReadPcap = %v, %v; want %v", decoders, tr, err, c.class)
 				}
-				matchSource(t, c.capture, decoders, c.wrap)
 				// A decoder that has signalled done may still be on its way
 				// out (as may the last test's); one that is stuck never leaves.
 				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
@@ -383,11 +422,11 @@ func TestReadPcapAllocs(t *testing.T) {
 	}
 }
 
-// FuzzReadPcap is the differential target for the parallel load: for any
-// bytes, read whole or in reads of chunk bytes (many small blocks),
-// ReadPcap at 1 and at 4 decoders returns exactly what draining
-// NewPcapSource(pcap.NewReader(...)) does — the same packets, the same
-// skip count, or the same error.
+// FuzzReadPcap is the differential target for the parallel load and the
+// stream: for any bytes, read whole or in reads of chunk bytes (many small
+// blocks), ReadPcap at 1, 2 and 4 decoders and PcapSource at 1, 7 and 256
+// slots return exactly what the record-by-record reference does — the
+// same packets, the same skip count, the same error (matchSource).
 func FuzzReadPcap(f *testing.F) {
 	raw, ends, _ := wireCapture(f, 300)
 	valid := raw[:ends[5]]
@@ -411,9 +450,7 @@ func FuzzReadPcap(f *testing.F) {
 		if chunk > 0 {
 			wrap = trickled(int(chunk))
 		}
-		for _, decoders := range []int{1, 4} {
-			matchSource(t, data, decoders, wrap)
-		}
+		matchSource(t, data, wrap)
 	})
 }
 

@@ -111,45 +111,53 @@ func TestCommandLineTools(t *testing.T) {
 	}
 
 	// Every flag works at any worker count, 3 (not a power of two: each
-	// worker's WSAF share rounds down) included: the same epoch cuts, each
-	// heavy hitter printed once, the same epochs in the store.
+	// worker's WSAF share rounds down) included, on the loaded capture and
+	// on the stream: the same epoch cuts, each heavy hitter printed once,
+	// the same epochs in the store.
 	var epochs []string
 	var stored string
-	for _, w := range []string{"1", "2", "3"} {
-		dir := filepath.Join(work, "store-w"+w)
-		out := runTool(instameasure, "-pcap", pcapPath, "-workers", w, "-wsaf-exp", "16", "-top", "1",
-			"-epoch", "6500", "-epoch-interval", "7ms", "-hh-pkts", "300", "-store", dir)
-		var cuts []string
-		hitters := map[string]int{}
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "epoch ") {
-				cuts = append(cuts, strings.SplitN(line, ",", 2)[0]) // "epoch k: N packets"
+	for _, stream := range []bool{false, true} {
+		for _, w := range []string{"1", "2", "3"} {
+			run := "-workers " + w
+			args := []string{"-pcap", pcapPath, "-workers", w, "-wsaf-exp", "16", "-top", "1",
+				"-epoch", "6500", "-epoch-interval", "7ms", "-hh-pkts", "300"}
+			if stream {
+				run, args = "-stream "+run, append(args, "-stream")
 			}
-			if strings.HasPrefix(line, "HEAVY HITTER") {
-				hitters[strings.Fields(line)[5]]++ // the flow key
+			dir := filepath.Join(work, "store"+strings.ReplaceAll(run, " ", ""))
+			out := runTool(instameasure, append(args, "-store", dir)...)
+			var cuts []string
+			hitters := map[string]int{}
+			for _, line := range strings.Split(out, "\n") {
+				if strings.HasPrefix(line, "epoch ") {
+					cuts = append(cuts, strings.SplitN(line, ",", 2)[0]) // "epoch k: N packets"
+				}
+				if strings.HasPrefix(line, "HEAVY HITTER") {
+					hitters[strings.Fields(line)[5]]++ // the flow key
+				}
 			}
-		}
-		if epochs == nil {
-			epochs = cuts
-		}
-		if len(cuts) < 4 || !slices.Equal(cuts, epochs) {
-			t.Errorf("-workers %s cut epochs %q, want %q (-workers 1)", w, cuts, epochs)
-		}
-		if len(hitters) == 0 {
-			t.Errorf("-workers %s reported no heavy hitters:\n%s", w, out)
-		}
-		for key, n := range hitters {
-			if n != 1 {
-				t.Errorf("-workers %s reported heavy hitter %s %d times", w, key, n)
+			if epochs == nil {
+				epochs = cuts
 			}
-		}
-		// "DIR: 1 segments, N records, E epochs [a..b], F flows, …"
-		dump := strings.SplitN(runTool(wsafdump, "-store", dir), ", ", 4)
-		if stored == "" {
-			stored = strings.Join(dump[1:3], ", ")
-		}
-		if len(dump) < 4 || strings.Join(dump[1:3], ", ") != stored {
-			t.Errorf("-workers %s stored %q, want %q (-workers 1)", w, dump, stored)
+			if len(cuts) < 4 || !slices.Equal(cuts, epochs) {
+				t.Errorf("%s cut epochs %q, want %q (-workers 1)", run, cuts, epochs)
+			}
+			if len(hitters) == 0 {
+				t.Errorf("%s reported no heavy hitters:\n%s", run, out)
+			}
+			for key, n := range hitters {
+				if n != 1 {
+					t.Errorf("%s reported heavy hitter %s %d times", run, key, n)
+				}
+			}
+			// "DIR: 1 segments, N records, E epochs [a..b], F flows, …"
+			dump := strings.SplitN(runTool(wsafdump, "-store", dir), ", ", 4)
+			if stored == "" {
+				stored = strings.Join(dump[1:3], ", ")
+			}
+			if len(dump) < 4 || strings.Join(dump[1:3], ", ") != stored {
+				t.Errorf("%s stored %q, want %q (-workers 1)", run, dump, stored)
+			}
 		}
 	}
 

@@ -135,7 +135,9 @@ type PcapStream = trace.PcapSource
 
 // OpenPcapStream returns a PcapStream over a classic-libpcap stream —
 // constant memory regardless of capture size, for live pipes and very
-// large files. Each packet is returned as soon as its record has arrived.
+// large files. Each packet is returned as soon as its record has arrived:
+// NextBatch decodes the records already read and returns a short read
+// rather than wait for more.
 func OpenPcapStream(r io.Reader) (*PcapStream, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {

@@ -9,9 +9,9 @@ import (
 	"instameasure/internal/wsaf"
 )
 
-// plainSource hides NextBatch and Split: the workers share it, taking
-// turns to read, as they do a pcap stream.
-type plainSource struct{ PacketSource }
+// unsplittable hides Split: the workers share it, taking turns to read, as
+// they do a pcap stream.
+type unsplittable struct{ PacketSource }
 
 func workersTrace(t *testing.T) *Trace {
 	t.Helper()
@@ -48,7 +48,7 @@ func TestConsecutiveRunsMatchOneRun(t *testing.T) {
 			source := func(pkts []Packet) PacketSource {
 				src := NewTraceFromPackets(pkts).Source()
 				if shared {
-					return plainSource{src}
+					return unsplittable{src}
 				}
 				return src
 			}
