@@ -205,9 +205,8 @@ func runStore(dir string, topK int, byBytes bool, win instameasure.EpochWindow, 
 		st := fs.Stats()
 		fmt.Printf("%s: %d segments, %d records, %d epochs [%d..%d], %d flows, %.2f MB\n",
 			dir, st.Segments, st.Records, st.Epochs, st.MinEpoch, st.MaxEpoch, st.Flows, float64(st.Bytes)/1e6)
-		if st.Truncations > 0 || st.Compactions > 0 {
-			fmt.Printf("recovered %d torn tails; %d compactions, %d segments retired\n",
-				st.Truncations, st.Compactions, st.Retired)
+		if st.Truncations > 0 {
+			fmt.Printf("recovered %d torn tails\n", st.Truncations)
 		}
 		by := "packets"
 		if byBytes {

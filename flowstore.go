@@ -23,8 +23,8 @@ type (
 	FlowChange = store.FlowChange
 	// FlowStoreStats summarizes a store's contents and activity.
 	FlowStoreStats = store.StoreStats
-	// StoreOptions parameterizes OpenFlowStore; the zero value is a sane
-	// default (64 MB segments, no fsync, unlimited retention).
+	// StoreOptions parameterizes OpenFlowStore: its one field, Sync, is the
+	// fsync policy, and the zero value leaves flushing to the OS.
 	StoreOptions = store.Options
 )
 
@@ -42,7 +42,8 @@ const (
 // the query engine over it: per-flow timelines, windowed top-k, and
 // heavy-changer detection. One store directory belongs to one writing
 // process at a time; queries are safe from any goroutine while appends
-// and background compaction run.
+// run. The store keeps every epoch it is given: nothing is deleted or
+// rewritten, and no goroutine of its own runs.
 type FlowStore struct {
 	st *store.Store
 }
@@ -55,7 +56,7 @@ func OpenFlowStore(dir string, opt StoreOptions) (*FlowStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("instameasure: %w", err)
 	}
-	// Commits, compactions, and queries land in the flight recorder;
+	// Commits and queries land in the flight recorder;
 	// commits carry the epoch id that closes the cut→commit interval.
 	st.SetFlight(flight.Default().Control())
 	return &FlowStore{st: st}, nil
@@ -65,7 +66,7 @@ func OpenFlowStore(dir string, opt StoreOptions) (*FlowStore, error) {
 func (f *FlowStore) Dir() string { return f.st.Dir() }
 
 // Stats summarizes the store: segments, records, epoch range, appends,
-// truncations, compactions.
+// failed appends, truncations.
 func (f *FlowStore) Stats() FlowStoreStats { return f.st.Stats() }
 
 // Epochs returns every epoch the store can answer for, ascending.
@@ -104,9 +105,8 @@ func (f *FlowStore) DefaultChangerWindows() (older, newer EpochWindow, ok bool) 
 }
 
 // EpochFlows returns the flow table stored for exactly that epoch, with
-// the WSAF activity counters captured alongside it. ok is false if the
-// epoch is not stored at per-epoch granularity (never written, retired by
-// retention, or folded into a rollup by compaction).
+// the WSAF activity counters captured alongside it. ok is false if no
+// append carried that epoch.
 func (f *FlowStore) EpochFlows(epoch int64) (flows []FlowRecord, activity WSAFActivity, ok bool, err error) {
 	recs, stats, ok, err := f.st.EpochRecords(epoch)
 	if err != nil || !ok {
@@ -118,7 +118,7 @@ func (f *FlowStore) EpochFlows(epoch int64) (flows []FlowRecord, activity WSAFAc
 // Sync flushes the active segment to stable storage.
 func (f *FlowStore) Sync() error { return f.st.Sync() }
 
-// Instrument registers the store's metrics (appends, compactions, query
+// Instrument registers the store's metrics (appends, failed appends, query
 // latencies, size gauges) on t's registry.
 func (f *FlowStore) Instrument(t *Telemetry) { f.st.Instrument(t.reg) }
 
@@ -128,8 +128,8 @@ func (f *FlowStore) Instrument(t *Telemetry) { f.st.Instrument(t.reg) }
 // TelemetryServer.ServeFlows mounts it for you.
 func (f *FlowStore) Handler() http.Handler { return store.NewQueryAPI(f.st) }
 
-// Close seals the store: background maintenance stops, the active segment
-// is flushed and closed. Queries and appends fail afterwards.
+// Close seals the store: the active segment is flushed and closed.
+// Queries and appends fail afterwards.
 func (f *FlowStore) Close() error { return f.st.Close() }
 
 // WithStore opens the store in dir with default options and attaches it
@@ -171,7 +171,9 @@ func (m *Meter) CommitEpoch(epoch int64) error {
 // received from remote meters is appended under the batch's epoch (with
 // no WSAF activity — batches don't carry it). Batches from multiple
 // exporters tagged with the same epoch union in queries, later appends
-// winning per flow. Pass nil to detach.
+// winning per flow. An append that fails loses its batch; the store
+// counts it in Stats().AppendErrors (store_append_errors_total). Pass nil
+// to detach.
 func (c *Collector) WithStore(fs *FlowStore) {
 	if fs == nil {
 		c.c.SetSink(nil)
@@ -179,6 +181,6 @@ func (c *Collector) WithStore(fs *FlowStore) {
 	}
 	st := fs.st
 	c.c.SetSink(func(b export.Batch) {
-		st.Append(b.Epoch, b.Records, export.TableStats{}) //nolint:errcheck // sink is best-effort; store errors surface in its stats
+		st.Append(b.Epoch, b.Records, export.TableStats{}) //nolint:errcheck // Append counts its own failures in StoreStats.AppendErrors
 	})
 }

@@ -137,6 +137,7 @@ func TestServeFlowsEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		"instameasure_store_appends_total",
+		"instameasure_store_append_errors_total",
 		"instameasure_store_query_nanos",
 		"instameasure_store_segments",
 	} {
@@ -190,5 +191,48 @@ func TestCollectorStoreSink(t *testing.T) {
 	live := m.TopKPackets(3)
 	if len(top) != 3 || top[0].Key != live[0].Key {
 		t.Fatalf("sinked store top-k diverges: %+v vs %+v", top, live)
+	}
+}
+
+// TestCollectorStoreSinkCountsFailedAppends: a batch the collector cannot
+// append (here: its store is closed) is not lost without a trace — the
+// store counts it in AppendErrors.
+func TestCollectorStoreSinkCountsFailedAppends(t *testing.T) {
+	fs, err := OpenFlowStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll, err := NewCollector("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	coll.WithStore(fs)
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m := testMeter(t)
+	if _, err := m.Run(testTrace(t).Source()); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := DialCollector(coll.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	if err := exp.ExportMeter(m, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for fs.Stats().AppendErrors == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed append was never counted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := fs.Stats(); st.AppendErrors != 1 || st.Appends != 0 {
+		t.Fatalf("one batch into a closed store: %d append errors, %d appends; want 1, 0", st.AppendErrors, st.Appends)
 	}
 }

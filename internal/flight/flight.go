@@ -2,7 +2,7 @@
 // fixed-size, lock-free per-worker ring buffers of compact structured
 // events covering the full epoch lifecycle — epoch cut, snapshot encode,
 // exporter send/reconnect/backoff, collector frame receive, store
-// commit/compaction, query — plus sampled hot-path packet spans. The
+// commit, query — plus sampled hot-path packet spans. The
 // epoch id recorded with every lifecycle event is the same id the export
 // wire format carries in its batch header, so one epoch's journey is
 // reconstructable across the exporter→collector process boundary by
@@ -64,8 +64,6 @@ const (
 	StageReceive
 	// StageCommit is one epoch appended to the flow store.
 	StageCommit
-	// StageCompact is one background compaction of sealed segments.
-	StageCompact
 	// StageQuery is one store query (top-k, timeline, changers).
 	StageQuery
 	// StagePacketSpan is a sampled hot-path span: Count packets measured,
@@ -93,7 +91,6 @@ var stageNames = [numStages]string{
 	StageReconnect:  "reconnect",
 	StageReceive:    "receive",
 	StageCommit:     "commit",
-	StageCompact:    "compact",
 	StageQuery:      "query",
 	StagePacketSpan: "packet_span",
 	StageAggregate:  "aggregate",
@@ -126,7 +123,7 @@ type Event struct {
 	// from different processes on one host line up.
 	At int64 `json:"at_unix_ns"`
 	// Epoch is the lifecycle id the event belongs to (0 for events with
-	// no epoch: packet spans, queries, compactions).
+	// no epoch: packet spans, queries).
 	Epoch int64 `json:"epoch,omitempty"`
 	// Stage is the lifecycle step.
 	Stage Stage `json:"-"`
@@ -136,7 +133,7 @@ type Event struct {
 	// the control ring records as the highest index).
 	Worker int `json:"worker"`
 	// Count is the stage's unit count: flows in a snapshot/batch/commit,
-	// packets in a span, records merged by a compaction.
+	// packets in a span.
 	Count uint32 `json:"count,omitempty"`
 	// Bytes is the stage's byte volume, when meaningful.
 	Bytes uint64 `json:"bytes,omitempty"`

@@ -85,7 +85,7 @@ func sortEvents(events []Event) {
 
 // Reconstruct groups lifecycle events by epoch id into ordered timelines,
 // newest-epoch-last, keeping at most maxDumpEpochs epochs. Events with no
-// epoch (spans, queries, compactions) are left out — they live in the raw
+// epoch (spans, queries) are left out — they live in the raw
 // event list.
 func Reconstruct(events []Event) []EpochTimeline {
 	byEpoch := make(map[int64]*EpochTimeline)

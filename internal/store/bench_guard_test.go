@@ -26,11 +26,12 @@ func openBenchStore(tb testing.TB) *Store {
 			benchStore.err = err
 			return
 		}
-		s, err := Open(dir, Options{SegmentBytes: 16 << 20})
+		s, err := Open(dir, Options{})
 		if err != nil {
 			benchStore.err = err
 			return
 		}
+		s.segBytes = 16 << 20
 		const epochs, flows = 500, 2000
 		recs := make([]export.Record, flows)
 		for e := int64(1); e <= epochs; e++ {

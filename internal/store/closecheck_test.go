@@ -54,7 +54,7 @@ func TestQueryPropagatesCloseError(t *testing.T) {
 	if !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("query() = %v; want os.ErrClosed", err)
 	}
-	if calls != 2 {
-		t.Fatalf("query ran the callback %d times; want 2 (close failure consumes the retry)", calls)
+	if calls != 1 {
+		t.Fatalf("query ran the callback %d times; want 1", calls)
 	}
 }

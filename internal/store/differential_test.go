@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"instameasure/internal/export"
 	"instameasure/internal/packet"
@@ -148,17 +147,21 @@ func refHeavyChangers(t *testing.T, s *Store, refs []recordRef, older, newer Win
 	return out
 }
 
-// diffStore fills a store with a seeded random history that has every
+// diffStore fills a store (rolling segments at segBytes, 0 for the
+// default) with a seeded random history that has every
 // shape the queries must agree on: two exporters appending under each
 // epoch with overlapping flows (the same key at two sites, the later
 // append winning), many flows sharing a value (ties fall to key order),
 // flows that first appear late (absent from a base) or stop being reported
 // (absent from an end), counters that move backward (a meter restart),
 // and epochs that are skipped altogether.
-func diffStore(t *testing.T, seed int64, opt Options) (*Store, int64) {
+func diffStore(t *testing.T, seed int64, segBytes int64) (*Store, int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	s := openTestStore(t, t.TempDir(), opt)
+	s := openTestStore(t, t.TempDir(), Options{})
+	if segBytes > 0 {
+		s.segBytes = segBytes
+	}
 	const flows = 300
 	pkts := make([]float64, flows)
 	epoch := int64(0)
@@ -201,11 +204,6 @@ func checkQueries(t *testing.T, s *Store, last int64) {
 		{}, {From: 1}, {From: 0, To: last}, {From: 1, To: 1}, {From: -3, To: 4},
 		{From: 2, To: last}, {From: last, To: last}, {From: 3, To: 7}, {From: 5, To: 5},
 		{From: last + 4}, {To: last + 9}, {From: 6, To: 2},
-	}
-	if rolled := refs[0]; rolled.rollup {
-		// Windows that begin, end and straddle inside the rollup's range.
-		windows = append(windows, Window{From: rolled.loEpoch + 1, To: rolled.epoch},
-			Window{From: rolled.epoch, To: rolled.epoch + 2}, Window{To: rolled.epoch - 1})
 	}
 	for _, w := range windows {
 		for _, k := range []int{0, -1, 1, 7, 100, 10_000} {
@@ -260,31 +258,17 @@ func checkQueries(t *testing.T, s *Store, last int64) {
 }
 
 // TestQueriesMatchMapReference: windowed top-k, heavy changers and epoch
-// read-back equal the map-based reference over seeded random stores.
+// read-back equal the map-based reference over seeded random stores — one
+// of them in 16 KiB segments, so windows start, end and span across rolled
+// segment files.
 func TestQueriesMatchMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		s, last := diffStore(t, seed, Options{})
+		s, last := diffStore(t, seed, 0)
 		checkQueries(t, s, last)
 	}
-}
-
-// TestQueriesMatchMapReferenceOverRollup is the same over a store whose
-// oldest history has been compacted into a rollup record (written by the
-// table-based merge, read back by both decoders).
-func TestQueriesMatchMapReferenceOverRollup(t *testing.T) {
-	s, last := diffStore(t, 9, Options{SegmentBytes: 16 << 10, CompactSegments: 2})
-	for deadline := time.Now().Add(5 * time.Second); s.Stats().Compactions == 0; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("compaction never ran")
-		}
-	}
-	// Reopen without compaction so the index holds still under the queries.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s = openTestStore(t, s.dir, Options{SegmentBytes: 16 << 10})
-	if refs, _ := s.snapshotRefs(); len(refs) == 0 || !refs[0].rollup {
-		t.Fatalf("store holds no rollup record after compaction")
+	s, last := diffStore(t, 9, 16<<10)
+	if st := s.Stats(); st.Segments < 4 {
+		t.Fatalf("small-segment store spans %d segments, want several", st.Segments)
 	}
 	checkQueries(t, s, last)
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,37 +31,52 @@ func buildSegment(tb testing.TB, n int) []byte {
 	return seg
 }
 
+// fuzzSeeds are FuzzStoreSegment's seeds, and the committed corpus
+// TestWriteFuzzCorpus writes.
+func fuzzSeeds(tb testing.TB) map[string][]byte {
+	valid := buildSegment(tb, 2)
+	badCRC := bytes.Clone(valid)
+	badCRC[len(badCRC)/2] ^= 0x40 // corrupt the second record's payload
+	lying := bytes.Clone(valid)
+	lying[26] ^= 0x01 // first record's payloadLen no longer matches count
+	return map[string][]byte{
+		"seed_valid_segment": valid,
+		"seed_torn_tail":     valid[:len(valid)-9],
+		"seed_bad_crc":       badCRC,
+		"seed_lying_length":  lying,
+		"seed_rollup_frame":  withRollup(tb, valid), // the second frame is a rollup
+	}
+}
+
 // FuzzStoreSegment throws arbitrary bytes at the segment scanner. Whatever
 // the input — torn tails, lying length fields, corrupted CRCs — the scan
 // must not panic, must index only a structurally valid prefix, and that
 // prefix must be a fixed point: rescanning it reproduces the same index.
+// A rollup frame stops the scan with ErrRollup instead, and then Open must
+// refuse the file without changing a byte of it.
 func FuzzStoreSegment(f *testing.F) {
-	valid := buildSegment(f, 2)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-9]) // torn tail
+	for _, data := range fuzzSeeds(f) {
+		f.Add(data)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("IMR1"))
 
-	badCRC := bytes.Clone(valid)
-	badCRC[len(badCRC)/2] ^= 0x40 // corrupt the second record's payload
-	f.Add(badCRC)
-
-	lying := bytes.Clone(valid)
-	lying[26] ^= 0x01 // first record's payloadLen no longer matches count
-	f.Add(lying)
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		refs, validLen := parseSegment(1, data)
+		refs, validLen, scanErr := parseSegment(1, data)
+		if scanErr != nil && !errors.Is(scanErr, ErrRollup) {
+			t.Fatalf("scan error %v: only a rollup frame may stop the scan with one", scanErr)
+		}
 		if validLen < 0 || validLen > int64(len(data)) {
 			t.Fatalf("validLen %d out of range (input %d)", validLen, len(data))
+		}
+		if rest := data[validLen:]; scanErr == nil && len(rest) >= headerLen &&
+			binary.BigEndian.Uint32(rest) == recordMagic && rest[4] == segVersion && rest[5] == flagRollup {
+			t.Fatalf("scan stopped at a rollup frame (offset %d) as if it were a torn tail", validLen)
 		}
 		off := int64(0)
 		for i, r := range refs {
 			if r.off != off || r.size < headerLen+snapOverhead+4 {
 				t.Fatalf("ref %d malformed: off=%d size=%d (want off %d)", i, r.off, r.size, off)
-			}
-			if r.loEpoch > r.epoch {
-				t.Fatalf("ref %d: loEpoch %d above epoch %d", i, r.loEpoch, r.epoch)
 			}
 			off += r.size
 		}
@@ -68,9 +85,9 @@ func FuzzStoreSegment(f *testing.F) {
 		}
 
 		// Rescanning the valid prefix must be a no-op.
-		refs2, len2 := parseSegment(1, data[:validLen])
-		if len2 != validLen || len(refs2) != len(refs) {
-			t.Fatalf("rescan: %d refs/%d bytes, want %d/%d", len(refs2), len2, len(refs), validLen)
+		refs2, len2, err := parseSegment(1, data[:validLen])
+		if err != nil || len2 != validLen || len(refs2) != len(refs) {
+			t.Fatalf("rescan: %d refs/%d bytes (%v), want %d/%d", len(refs2), len2, err, len(refs), validLen)
 		}
 
 		// Every indexed payload passed the outer CRC; decoding it through
@@ -87,7 +104,26 @@ func FuzzStoreSegment(f *testing.F) {
 			}
 		}
 
-		// And a store opened over the prefix must come up clean.
+		// A rollup frame: Open refuses the whole file and leaves it as it is.
+		if scanErr != nil {
+			dir := t.TempDir()
+			path := filepath.Join(dir, segName(1))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Open(dir, Options{}); !errors.Is(err, ErrRollup) {
+				if err == nil {
+					s.Close()
+				}
+				t.Fatalf("open over a rollup frame: %v, want ErrRollup", err)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+				t.Fatalf("refused open changed the segment: %d bytes, was %d (%v)", len(after), len(data), err)
+			}
+			return
+		}
+
+		// Otherwise a store opened over the prefix must come up clean.
 		if validLen > 0 {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, segName(1)), data[:validLen], 0o644); err != nil {
@@ -116,18 +152,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	valid := buildSegment(t, 2)
-	badCRC := bytes.Clone(valid)
-	badCRC[len(badCRC)/2] ^= 0x40
-	lying := bytes.Clone(valid)
-	lying[26] ^= 0x01
-	seeds := map[string][]byte{
-		"seed_valid_segment": valid,
-		"seed_torn_tail":     valid[:len(valid)-9],
-		"seed_bad_crc":       badCRC,
-		"seed_lying_length":  lying,
-	}
-	for name, data := range seeds {
+	for name, data := range fuzzSeeds(t) {
 		body := []byte("go test fuzz v1\n[]byte(" + quoteBytes(data) + ")\n")
 		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
 			t.Fatal(err)

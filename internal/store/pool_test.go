@@ -78,7 +78,7 @@ func TestWarmQueriesAllocateForTheAnswer(t *testing.T) {
 // top-k and heavy-changer answers computed concurrently equal the serial
 // ones (run under -race).
 func TestConcurrentQueriesMatchSerial(t *testing.T) {
-	s, last := diffStore(t, 7, Options{})
+	s, last := diffStore(t, 7, 0)
 	windows := []Window{{}, {From: 2, To: last}, {From: 3, To: 7}, {From: last, To: last}}
 	older, newer, _ := s.DefaultChangerWindows()
 	type answer struct {
@@ -114,4 +114,60 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestQueriesDuringAppends: a query reads the index as it stood when it
+// began, without a copy, while appends add records past its end and roll
+// segments under it; answers over windows the appends do not reach equal
+// the answers from before the appends (run under -race).
+func TestQueriesDuringAppends(t *testing.T) {
+	s, last := diffStore(t, 7, 16<<10)
+	windows := []Window{{From: 2, To: last}, {From: 3, To: 7}, {From: last, To: last}}
+	want := make([][]FlowDelta, len(windows))
+	for i, w := range windows {
+		var err error
+		if want[i], err = s.TopK(w, 10, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for e := last + 1; e <= last+40; e++ {
+			if err := s.Append(e, epochRecords(e, 100), epochStats(e)); err != nil {
+				t.Errorf("append epoch %d: %v", e, err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				w := windows[(g+i)%len(windows)]
+				got, err := s.TopK(w, 10, false)
+				if err != nil || !reflect.DeepEqual(got, want[(g+i)%len(windows)]) {
+					t.Errorf("goroutine %d: window %+v answered differently during appends (%v)", g, w, err)
+					return
+				}
+				if _, err := s.TopK(Window{}, 10, false); err != nil {
+					t.Errorf("goroutine %d: latest-epoch top-k during appends: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.MaxEpoch != last+40 || st.AppendErrors != 0 {
+		t.Fatalf("after the appends: max epoch %d (want %d), %d append errors", st.MaxEpoch, last+40, st.AppendErrors)
+	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,17 +55,16 @@ type FlowChange struct {
 
 // StoreStats summarizes the store's on-disk state.
 type StoreStats struct {
-	Segments    int    `json:"segments"`
-	Records     uint64 `json:"records"` // indexed epoch records (rollups count as one)
-	Flows       uint64 `json:"flows"`   // flow rows across all records
-	Bytes       int64  `json:"bytes"`
-	Epochs      int    `json:"epochs"` // distinct outer epochs
-	MinEpoch    int64  `json:"min_epoch"`
-	MaxEpoch    int64  `json:"max_epoch"`
-	Appends     uint64 `json:"appends"`
-	Truncations uint64 `json:"truncations"`
-	Compactions uint64 `json:"compactions"`
-	Retired     uint64 `json:"retired"`
+	Segments     int    `json:"segments"`
+	Records      uint64 `json:"records"` // indexed epoch records
+	Flows        uint64 `json:"flows"`   // flow rows across all records
+	Bytes        int64  `json:"bytes"`
+	Epochs       int    `json:"epochs"` // distinct epochs
+	MinEpoch     int64  `json:"min_epoch"`
+	MaxEpoch     int64  `json:"max_epoch"`
+	Appends      uint64 `json:"appends"`
+	AppendErrors uint64 `json:"append_errors"` // Append calls that failed: each lost its epoch
+	Truncations  uint64 `json:"truncations"`
 }
 
 // Stats returns the store's current summary.
@@ -72,11 +72,10 @@ func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := StoreStats{
-		Segments:    len(s.segs),
-		Appends:     s.stats.appends,
-		Truncations: s.stats.truncations,
-		Compactions: s.stats.compactions,
-		Retired:     s.stats.retired,
+		Segments:     len(s.segs),
+		Appends:      s.stats.appends,
+		AppendErrors: s.stats.appendErrors,
+		Truncations:  s.stats.truncations,
 	}
 	for _, seg := range s.segs {
 		st.Bytes += seg.size
@@ -97,7 +96,7 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
-// Epochs returns the distinct outer epochs present, ascending.
+// Epochs returns the distinct epochs present, ascending.
 func (s *Store) Epochs() []int64 {
 	s.mu.Lock()
 	seen := make(map[int64]struct{}, len(s.refs))
@@ -113,18 +112,15 @@ func (s *Store) Epochs() []int64 {
 	return out
 }
 
-// snapshotRefs copies the current index.
+// snapshotRefs returns the index as it stands. Appends only ever add refs
+// past its end, so the slice stays valid without a copy.
 func (s *Store) snapshotRefs() ([]recordRef, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	select {
-	case <-s.closed:
+	if s.act == nil {
 		return nil, ErrClosed
-	default:
 	}
-	out := make([]recordRef, len(s.refs))
-	copy(out, s.refs)
-	return out, nil
+	return s.refs[:len(s.refs):len(s.refs)], nil
 }
 
 // segReader is a query's state — segment files opened at most once, one
@@ -209,36 +205,25 @@ func (sr *segReader) close() error {
 	return first
 }
 
-// query runs fn against a consistent index snapshot, retrying once if a
-// concurrent compaction or retention pass invalidated the snapshot's refs
-// mid-read (the segment files a query touches can be renamed over or
-// deleted under it).
+// query runs fn once against the index as it stands: records are never
+// rewritten or deleted, so every ref fn is handed stays readable.
 func (s *Store) query(fn func(refs []recordRef, sr *segReader) error) error {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		refs, err := s.snapshotRefs()
-		if err != nil {
-			return err
-		}
-		sr := newSegReader(s.dir)
-		err = fn(refs, sr)
-		if cerr := sr.close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			return nil
-		}
-		lastErr = err
+	refs, err := s.snapshotRefs()
+	if err != nil {
+		return err
 	}
-	return lastErr
+	sr := newSegReader(s.dir)
+	err = fn(refs, sr)
+	if cerr := sr.close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // EpochRecords returns the exact flow records and stats trailer of the
 // most recent append tagged with precisely this epoch — the archival
 // read-back path (the differential oracle asserts it is bit-identical to
-// what was appended). ok is false when no such epoch exists. Rollups do
-// not answer for their compacted range here; only a record whose outer
-// epoch matches exactly is returned.
+// what was appended). ok is false when no such epoch exists.
 func (s *Store) EpochRecords(epoch int64) (records []export.Record, stats export.TableStats, ok bool, err error) {
 	err = s.query(func(refs []recordRef, sr *segReader) error {
 		var match *recordRef
@@ -261,7 +246,7 @@ func (s *Store) EpochRecords(epoch int64) (records []export.Record, stats export
 	return records, stats, ok, err
 }
 
-// latestAt finds the latest outer epoch ≤ e (e ≤ 0: the latest of all) and
+// latestAt finds the latest epoch ≤ e (e ≤ 0: the latest of all) and
 // how many flow rows its records hold together. found is false when no
 // record is that old.
 func latestAt(refs []recordRef, e int64) (epoch int64, rows int, found bool) {
@@ -279,7 +264,7 @@ func latestAt(refs []recordRef, e int64) (epoch int64, rows int, found bool) {
 	return epoch, rows, found
 }
 
-// eachAt streams the cumulative table as of one outer epoch into t: every
+// eachAt streams the cumulative table as of one epoch into t: every
 // record carrying that epoch, in append order, so the last value fn sees
 // for a flow is the one that counts (later appends win per flow).
 func eachAt(refs []recordRef, sr *segReader, epoch int64, t *flowtable.Table[flowWindow], fn func(h uint64, rec *export.Record)) error {
@@ -356,6 +341,27 @@ func NewRanking[T any](k, n int, key func(*T) *packet.FlowKey) *topk.Selector[T]
 	return topk.NewTied(k, func(a, b *T) bool { return keyLess(key(a), key(b)) })
 }
 
+// keyLess is a deterministic total order over flow keys, the rankings'
+// tie-break.
+func keyLess(a, b *packet.FlowKey) bool {
+	if a.IsV6 != b.IsV6 {
+		return !a.IsV6
+	}
+	if c := bytes.Compare(a.SrcIP[:], b.SrcIP[:]); c != 0 {
+		return c < 0
+	}
+	if c := bytes.Compare(a.DstIP[:], b.DstIP[:]); c != 0 {
+		return c < 0
+	}
+	if a.SrcPort != b.SrcPort {
+		return a.SrcPort < b.SrcPort
+	}
+	if a.DstPort != b.DstPort {
+		return a.DstPort < b.DstPort
+	}
+	return a.Proto < b.Proto
+}
+
 // DeltaKey is NewRanking's key accessor for FlowDelta rows.
 func DeltaKey(d *FlowDelta) *packet.FlowKey { return &d.Key }
 
@@ -395,9 +401,7 @@ func (s *Store) TopK(w Window, k int, byBytes bool) ([]FlowDelta, error) {
 }
 
 // Timeline returns the flow's per-epoch series within the window,
-// ascending by epoch. Epochs where the flow is absent yield no point;
-// over compacted history a whole rollup window collapses to one point at
-// its high epoch.
+// ascending by epoch. Epochs where the flow is absent yield no point.
 func (s *Store) Timeline(key packet.FlowKey, w Window) ([]TimelinePoint, error) {
 	pts, _, err := s.timeline(w, func(k *packet.FlowKey) bool { return *k == key })
 	return pts, err
@@ -417,7 +421,6 @@ func (s *Store) timeline(w Window, match func(*packet.FlowKey) bool) ([]Timeline
 	byEpoch := make(map[int64]TimelinePoint)
 	var matched packet.FlowKey
 	err := s.query(func(refs []recordRef, sr *segReader) error {
-		clear(byEpoch)
 		for _, r := range refs {
 			if w.From > 0 && r.epoch < w.From {
 				continue

@@ -14,7 +14,9 @@
 // is scanned front to back; the scan stops at the first record that fails
 // any check and the file is truncated to the valid prefix — a torn tail
 // from a crash mid-append is recovered, never fatal, with data loss
-// bounded to the record being written when the process died.
+// bounded to the record being written when the process died. The one
+// exception is a rollup record, which earlier versions' compaction wrote:
+// it is whole data this version cannot read, so the open fails instead.
 package store
 
 import (
@@ -31,11 +33,10 @@ const (
 	recordMagic = 0x494D5231 // "IMR1"
 	segVersion  = 1
 
-	// flagRollup marks a compacted record: per-flow cumulative values at
-	// the record's (outer) high epoch, covering every epoch from the inner
-	// snapshot epoch (the low bound) upward.
+	// flagRollup marked a compacted record in earlier versions, which
+	// merged old segments into per-flow rollups. None is written now, and
+	// a segment holding one is refused rather than read or truncated.
 	flagRollup = 1 << 0
-	flagsKnown = flagRollup
 
 	// headerLen is the outer record header:
 	// magic(4) ver(1) flags(1) epoch(8) unixNano(8) count(4) payloadLen(4).
@@ -64,18 +65,16 @@ var (
 	ErrChecksum    = errors.New("store: record checksum mismatch")
 	ErrFrameLength = errors.New("store: payload length inconsistent with record count")
 	ErrCrossCheck  = errors.New("store: outer frame disagrees with inner snapshot")
+	ErrRollup      = errors.New("store: rollup record from a compacted store, which this version does not read")
 )
 
 // recordHeader is a decoded outer frame header.
 type recordHeader struct {
-	flags      byte
-	epoch      int64 // for rollups: the high (newest) epoch covered
-	unixNano   int64 // wall clock at append, for age-based retention
+	epoch      int64
+	unixNano   int64 // wall clock at append; written, not indexed
 	count      uint32
 	payloadLen uint32
 }
-
-func (h recordHeader) rollup() bool { return h.flags&flagRollup != 0 }
 
 // frameLen is the record's total on-disk length.
 func (h recordHeader) frameLen() int64 {
@@ -85,7 +84,7 @@ func (h recordHeader) frameLen() int64 {
 // appendHeader encodes h onto dst.
 func appendHeader(dst []byte, h recordHeader) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, recordMagic)
-	dst = append(dst, segVersion, h.flags)
+	dst = append(dst, segVersion, 0) // flags: none are written
 	dst = binary.BigEndian.AppendUint64(dst, uint64(h.epoch))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(h.unixNano))
 	dst = binary.BigEndian.AppendUint32(dst, h.count)
@@ -94,8 +93,9 @@ func appendHeader(dst []byte, h recordHeader) []byte {
 }
 
 // parseHeader decodes and sanity-checks an outer header: magic, version,
-// known flags, count bound, and the count/payloadLen cross-check — all
-// before a single payload byte is read.
+// flags, count bound, and the count/payloadLen cross-check — all before a
+// single payload byte is read. A rollup flag is ErrRollup, not a framing
+// error: the record is whole, just not one this version reads.
 func parseHeader(b []byte) (recordHeader, error) {
 	var h recordHeader
 	if len(b) < headerLen {
@@ -107,10 +107,12 @@ func parseHeader(b []byte) (recordHeader, error) {
 	if b[4] != segVersion {
 		return h, fmt.Errorf("%w: %d", ErrBadVersion, b[4])
 	}
-	if b[5]&^byte(flagsKnown) != 0 {
+	if b[5] == flagRollup {
+		return h, ErrRollup
+	}
+	if b[5] != 0 {
 		return h, fmt.Errorf("%w: 0x%02x", ErrBadFlags, b[5])
 	}
-	h.flags = b[5]
 	h.epoch = int64(binary.BigEndian.Uint64(b[6:14]))
 	h.unixNano = int64(binary.BigEndian.Uint64(b[14:22]))
 	h.count = binary.BigEndian.Uint32(b[22:26])
@@ -134,26 +136,20 @@ const (
 )
 
 // innerCrossCheck verifies the payload's snapshot framing agrees with the
-// outer header: the inner record count must match, and for plain records
-// the inner epoch must equal the outer epoch (for rollups the inner epoch
-// carries the window's low bound instead, and must not exceed the outer).
-func innerCrossCheck(h recordHeader, payload []byte) (loEpoch int64, err error) {
+// outer header: the inner record count and epoch must both match.
+func innerCrossCheck(h recordHeader, payload []byte) error {
 	if len(payload) < snapOverhead {
-		return 0, fmt.Errorf("store: inner snapshot: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("store: inner snapshot: %w", io.ErrUnexpectedEOF)
 	}
 	inner := int64(binary.BigEndian.Uint64(payload[innerEpochOff:]))
 	innerCount := binary.BigEndian.Uint32(payload[innerCountOff:])
 	if innerCount != h.count {
-		return 0, fmt.Errorf("%w: outer count %d, inner %d", ErrCrossCheck, h.count, innerCount)
+		return fmt.Errorf("%w: outer count %d, inner %d", ErrCrossCheck, h.count, innerCount)
 	}
-	if h.rollup() {
-		if inner > h.epoch {
-			return 0, fmt.Errorf("%w: rollup low epoch %d above high %d", ErrCrossCheck, inner, h.epoch)
-		}
-	} else if inner != h.epoch {
-		return 0, fmt.Errorf("%w: outer epoch %d, inner %d", ErrCrossCheck, h.epoch, inner)
+	if inner != h.epoch {
+		return fmt.Errorf("%w: outer epoch %d, inner %d", ErrCrossCheck, h.epoch, inner)
 	}
-	return inner, nil
+	return nil
 }
 
 // appendFrame encodes one complete record frame (header, payload, CRC)
@@ -168,52 +164,44 @@ func appendFrame(dst []byte, h recordHeader, payload []byte) []byte {
 // recordRef is one indexed record: enough to locate, order, and skip it
 // without touching the payload.
 type recordRef struct {
-	seg      int   // segment id
-	off      int64 // offset of the outer header within the segment
-	size     int64 // total frame length
-	epoch    int64 // outer (high) epoch
-	loEpoch  int64 // inner epoch: == epoch for plain records, low bound for rollups
-	unixNano int64
-	count    uint32
-	rollup   bool
+	seg   int   // segment id
+	off   int64 // offset of the outer header within the segment
+	size  int64 // total frame length
+	epoch int64
+	count uint32
 }
 
 // parseSegment indexes the record frames in data (one whole segment file),
 // returning the refs of every valid record and the length of the valid
-// prefix. Scanning stops — without error — at the first frame that fails
-// any structural check; the caller truncates the file there.
-func parseSegment(segID int, data []byte) (refs []recordRef, validLen int64) {
+// prefix. Scanning stops at the first frame that fails any structural
+// check, without error: the caller truncates the file there. A rollup
+// record stops it with ErrRollup instead, and the file must be left as it
+// is.
+func parseSegment(segID int, data []byte) (refs []recordRef, validLen int64, err error) {
 	off := int64(0)
 	for {
 		rest := data[off:]
 		if len(rest) == 0 {
-			return refs, off
+			return refs, off, nil
 		}
-		h, err := parseHeader(rest)
-		if err != nil {
-			return refs, off
+		h, herr := parseHeader(rest)
+		if errors.Is(herr, ErrRollup) {
+			return refs, off, herr
 		}
-		if int64(len(rest)) < h.frameLen() {
-			return refs, off
+		if herr != nil || int64(len(rest)) < h.frameLen() {
+			return refs, off, nil
 		}
 		payload := rest[headerLen : headerLen+int64(h.payloadLen)]
 		crc := binary.BigEndian.Uint32(rest[headerLen+int64(h.payloadLen):])
-		if crc32.ChecksumIEEE(payload) != crc {
-			return refs, off
-		}
-		lo, err := innerCrossCheck(h, payload)
-		if err != nil {
-			return refs, off
+		if crc32.ChecksumIEEE(payload) != crc || innerCrossCheck(h, payload) != nil {
+			return refs, off, nil
 		}
 		refs = append(refs, recordRef{
-			seg:      segID,
-			off:      off,
-			size:     h.frameLen(),
-			epoch:    h.epoch,
-			loEpoch:  lo,
-			unixNano: h.unixNano,
-			count:    h.count,
-			rollup:   h.rollup(),
+			seg:   segID,
+			off:   off,
+			size:  h.frameLen(),
+			epoch: h.epoch,
+			count: h.count,
 		})
 		off += h.frameLen()
 	}

@@ -2,11 +2,13 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"instameasure/internal/export"
 	"instameasure/internal/packet"
@@ -149,7 +151,8 @@ func TestAppendReadBack(t *testing.T) {
 // span several files, and verifies the index covers them all.
 func TestSegmentRolling(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, Options{SegmentBytes: 4 << 10})
+	s := openTestStore(t, dir, Options{})
+	s.segBytes = 4 << 10
 	const epochs = 20
 	for e := int64(1); e <= epochs; e++ {
 		mustAppend(t, s, e, epochRecords(e, 20), epochStats(e))
@@ -164,87 +167,79 @@ func TestSegmentRolling(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openTestStore(t, dir, Options{SegmentBytes: 4 << 10})
+	s2 := openTestStore(t, dir, Options{})
 	if got := s2.Epochs(); len(got) != epochs {
 		t.Fatalf("after reopen: expected %d epochs, got %d", epochs, len(got))
 	}
 }
 
-// TestRetention caps the store at MaxSegments and checks the oldest
-// sealed segments (and their epochs) are retired.
-func TestRetention(t *testing.T) {
+// TestOpenStartsNoGoroutine: the store does all its work on its callers'
+// goroutines, so opening one (over existing segments too) leaves the
+// goroutine count where it was.
+func TestOpenStartsNoGoroutine(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, Options{SegmentBytes: 4 << 10, MaxSegments: 3})
-	for e := int64(1); e <= 40; e++ {
-		mustAppend(t, s, e, epochRecords(e, 20), epochStats(e))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if st := s.Stats(); st.Segments <= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retention never trimmed to 3 segments: %+v", s.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	epochs := s.Epochs()
-	if len(epochs) == 0 || epochs[len(epochs)-1] != 40 {
-		t.Fatalf("latest epoch lost by retention: %v", epochs)
-	}
-	if epochs[0] == 1 {
-		t.Fatalf("oldest epoch survived retention that should have retired it")
-	}
-	if s.Stats().Retired == 0 {
-		t.Fatal("no segments reported retired")
-	}
-}
-
-// TestCompaction rolls old segments into a per-flow rollup and verifies
-// windowed queries still answer over the compacted history.
-func TestCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := openTestStore(t, dir, Options{SegmentBytes: 4 << 10, CompactSegments: 2})
-	const epochs = 30
-	for e := int64(1); e <= epochs; e++ {
-		mustAppend(t, s, e, epochRecords(e, 20), epochStats(e))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().Compactions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("compaction never ran")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The newest epoch's exact read-back must be unaffected.
-	got, _, ok, err := s.EpochRecords(epochs)
-	if err != nil || !ok {
-		t.Fatalf("epoch %d after compaction: ok=%v err=%v", epochs, ok, err)
-	}
-	if !sameRecords(got, epochRecords(epochs, 20)) {
-		t.Fatal("newest epoch corrupted by compaction")
-	}
-	// Absolute top-k still sees cumulative totals at the latest epoch.
-	top, err := s.TopK(Window{}, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 1 || top[0].Pkts != float64(10*20*epochs) {
-		t.Fatalf("topk over compacted store: %+v", top)
-	}
-	// And the compacted region still resolves "table at epoch ≤ X" at
-	// rollup granularity: a window ending inside history answers.
-	if _, err := s.TopK(Window{From: 1, To: epochs / 2}, 5, true); err != nil {
-		t.Fatalf("windowed topk over rollup: %v", err)
-	}
-
-	// Reopen after compaction: the rollup segment must scan cleanly.
+	s := openTestStore(t, dir, Options{})
+	mustAppend(t, s, 1, epochRecords(1, 5), epochStats(1))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openTestStore(t, dir, Options{SegmentBytes: 4 << 10, CompactSegments: 2})
-	if got := s2.Epochs(); got[len(got)-1] != epochs {
-		t.Fatalf("epochs after reopen: %v", got)
+	before := runtime.NumGoroutine()
+	s2 := openTestStore(t, dir, Options{})
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("Open went from %d goroutines to %d", before, after)
+	}
+	mustAppend(t, s2, 2, epochRecords(2, 5), epochStats(2))
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("Append went from %d goroutines to %d", before, after)
+	}
+}
+
+// withRollup returns a copy of a two-frame segment whose second frame
+// carries the rollup flag, as compaction in earlier versions wrote it.
+func withRollup(tb testing.TB, seg []byte) []byte {
+	tb.Helper()
+	refs, _, err := parseSegment(1, seg)
+	if err != nil || len(refs) != 2 {
+		tb.Fatalf("want a two-frame segment, got %d frames (%v)", len(refs), err)
+	}
+	out := bytes.Clone(seg)
+	out[refs[1].off+5] = flagRollup
+	return out
+}
+
+// TestRollupSegmentRefused: a store holding a rollup record is refused
+// with an error naming the segment, and Open changes no byte on disk — not
+// the rollup's segment, which must never be truncated as a torn tail, and
+// not a torn tail elsewhere either.
+func TestRollupSegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	torn := append(buildSegment(t, 1), "IMR1 torn"...)
+	rolled := append(withRollup(t, buildSegment(t, 2)), "after the rollup"...)
+	files := map[string][]byte{segName(1): torn, segName(2): rolled}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, Options{})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open indexed a store holding a rollup record")
+	}
+	if !errors.Is(err, ErrRollup) || !strings.Contains(err.Error(), segName(2)) {
+		t.Fatalf("Open error %q: want ErrRollup naming %s", err, segName(2))
+	}
+	for name, data := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s changed by a refused Open: %d bytes, was %d", name, len(got), len(data))
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != len(files) {
+		t.Fatalf("refused Open left %d files, want %d", len(entries), len(files))
 	}
 }
 
@@ -256,8 +251,11 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(2, epochRecords(2, 3), epochStats(2)); err == nil {
-		t.Fatal("append after close succeeded")
+	if err := s.Append(2, epochRecords(2, 3), epochStats(2)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after close: %v, want ErrClosed", err)
+	}
+	if got := s.Stats().AppendErrors; got != 1 {
+		t.Fatalf("AppendErrors = %d after one failed append, want 1", got)
 	}
 	if _, err := s.TopK(Window{}, 1, false); err == nil {
 		t.Fatal("query after close succeeded")
@@ -304,6 +302,9 @@ func TestSyncFailureDoesNotDesyncIndex(t *testing.T) {
 	}
 	if err := s.Append(3, epochRecords(3, 5), epochStats(3)); err == nil {
 		t.Fatal("append after wedge succeeded")
+	}
+	if got := s.Stats().AppendErrors; got != 2 {
+		t.Fatalf("AppendErrors = %d after the failed sync and the wedged append, want 2", got)
 	}
 }
 

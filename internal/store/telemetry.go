@@ -19,29 +19,26 @@ const (
 
 // storeMetrics holds the store's registered metric handles.
 type storeMetrics struct {
-	appends     telemetry.CounterShard
-	appendBytes telemetry.CounterShard
-	appendNanos telemetry.HistogramShard
-	compactions telemetry.CounterShard
-	retired     telemetry.CounterShard
-	queryNanos  [queryKinds]telemetry.HistogramShard
+	appends      telemetry.CounterShard
+	appendBytes  telemetry.CounterShard
+	appendErrors telemetry.CounterShard
+	appendNanos  telemetry.HistogramShard
+	queryNanos   [queryKinds]telemetry.HistogramShard
 }
 
 // Instrument registers the store metric family on reg: append counts,
-// bytes, and latency, compaction/retention activity, on-disk gauges, and
-// per-query latency histograms. Safe to call once per store.
+// bytes, failures and latency, on-disk gauges, and per-query latency
+// histograms. Safe to call once per store.
 func (s *Store) Instrument(reg *telemetry.Registry) {
 	tm := &storeMetrics{
 		appends: reg.Counter("store_appends_total",
 			"Epoch records appended to the history store.").Shard(0),
 		appendBytes: reg.Counter("store_append_bytes_total",
 			"Bytes written to the history store (framing included).").Shard(0),
+		appendErrors: reg.Counter("store_append_errors_total",
+			"Epoch appends that failed; each failed epoch is missing from the store.").Shard(0),
 		appendNanos: reg.Histogram("store_append_nanos",
 			"Append latency in nanoseconds (encode, write, and fsync when enabled).", 0).Shard(0),
-		compactions: reg.Counter("store_compactions_total",
-			"Background merges of sealed segments into rollup records.").Shard(0),
-		retired: reg.Counter("store_retired_segments_total",
-			"Segments deleted by size/age retention.").Shard(0),
 	}
 	for kind, name := range map[queryKind]string{
 		queryTopK:     "topk",

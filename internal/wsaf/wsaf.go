@@ -18,7 +18,6 @@ import (
 
 	"instameasure/internal/packet"
 	"instameasure/internal/telemetry"
-	"instameasure/internal/topk"
 )
 
 // Probing selects the probe sequence.
@@ -435,15 +434,6 @@ func (t *Table) Snapshot(now int64) []Entry {
 	out := make([]Entry, 0, t.size)
 	t.Each(now, func(_ int, e *Entry) { out = append(out, *e) })
 	return out
-}
-
-// TopK returns the k largest live entries by the given metric function
-// (e.g. packets or bytes), largest first; entries of equal metric come
-// lower slot first. k <= 0 returns none, k past the live count all of them.
-func (t *Table) TopK(k int, now int64, metric func(*Entry) float64) []Entry {
-	sel := topk.New[Entry](k)
-	t.Each(now, func(_ int, e *Entry) { sel.Offer(metric(e), e) })
-	return sel.Sorted()
 }
 
 // Len returns the number of occupied slots (including expired-but-not-yet-

@@ -325,25 +325,6 @@ func TestSnapshotCopies(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	tab := MustNew(Config{Entries: 256})
-	for i := 0; i < 20; i++ {
-		tab.Accumulate(key(i), float64(i), float64(100-i), int64(i))
-	}
-	topPkts := tab.TopK(3, 0, func(e *Entry) float64 { return e.Pkts })
-	if len(topPkts) != 3 || topPkts[0].Pkts != 19 || topPkts[1].Pkts != 18 {
-		t.Errorf("TopK by packets wrong: %v", topPkts)
-	}
-	topBytes := tab.TopK(2, 0, func(e *Entry) float64 { return e.Bytes })
-	if len(topBytes) != 2 || topBytes[0].Bytes != 100 {
-		t.Errorf("TopK by bytes wrong: %v", topBytes)
-	}
-	all := tab.TopK(100, 0, func(e *Entry) float64 { return e.Pkts })
-	if len(all) != 20 {
-		t.Errorf("TopK(100) returned %d entries, want all 20", len(all))
-	}
-}
-
 func TestLoadFactorAndMemory(t *testing.T) {
 	tab := MustNew(Config{Entries: 128})
 	if tab.LoadFactor() != 0 {
@@ -554,7 +535,7 @@ func TestExpiredSelfEntryRestarts(t *testing.T) {
 }
 
 // TestExpiredEntriesNeverLeak drives a TTL table with two generations of
-// flows and checks that no API — Lookup, LookupHashed, Snapshot, TopK —
+// flows and checks that no API — Lookup, LookupHashed, Snapshot —
 // ever reports an entry whose last update is older than the TTL.
 func TestExpiredEntriesNeverLeak(t *testing.T) {
 	const ttl = 1000
@@ -580,11 +561,6 @@ func TestExpiredEntriesNeverLeak(t *testing.T) {
 	for _, e := range tab.Snapshot(now) {
 		if now-e.LastUpdate > ttl {
 			t.Fatalf("Snapshot leaked expired entry %+v at now=%d", e, now)
-		}
-	}
-	for _, e := range tab.TopK(1000, now, func(en *Entry) float64 { return en.Pkts }) {
-		if now-e.LastUpdate > ttl {
-			t.Fatalf("TopK leaked expired entry %+v at now=%d", e, now)
 		}
 	}
 }
