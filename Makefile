@@ -138,8 +138,9 @@ bench-json:
 # — table snapshot, engine top-1k and snapshot export on a 2^20-slot table
 # at ~0.3 % and ~3 % load, one whole walk per op (their Mpps is live
 # entries visited per second); and past the meter, the control plane on
-# the epoch_fleet shape (bench_collect_test.go) — collector merge, fleet
-# ingest, the store's windowed top-k and heavy changers over 80 000 flows
+# the epoch_fleet shape (bench_collect_test.go) — the exporter's frame
+# encode, collector merge, the store's append, fleet ingest, the store's
+# windowed top-k and heavy changers over 80 000 flows
 # (Mpps is records or ranked flows per second), and one flow-table upsert
 # at 80 000 flows (scalar) and at 2^20 (FlowtableUpsert1M: beyond what the
 # 80 000-flow rows leave in cache, so each probe is a DRAM miss — the case
@@ -149,7 +150,7 @@ bench-json:
 # bench-json's: the archived baseline section (each row measured on the
 # parent commit of the PR that added it, on the same host) carries over,
 # and a >10% Mpps drop against it fails the target.
-BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot|CollectorMerge|FleetIngest|StoreTopK80k|StoreHeavyChangers80k|FlowtableUpsert|FlowtableUpsert1M
+BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot|ExportBatch|CollectorMerge|StoreAppend80k|FleetIngest|StoreTopK80k|StoreHeavyChangers80k|FlowtableUpsert|FlowtableUpsert1M
 bench-layers:
 	$(GO) test -bench '^Benchmark($(BENCH_LAYERS))$$' -benchmem -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -guard -o BENCH_layers.json \

@@ -9,7 +9,10 @@ package instameasure
 
 import (
 	"bytes"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"instameasure/internal/detect"
@@ -77,6 +80,64 @@ func BenchmarkCollectorMerge(b *testing.B) {
 			b.Fatal(err)
 		}
 		<-merged
+	}
+	reportMrecords(b, tierRecords)
+}
+
+// BenchmarkExportBatch is one site's 40 000-record epoch framed and
+// written to io.Discard per op: the exporter's half of a send.
+func BenchmarkExportBatch(b *testing.B) {
+	batch := export.Batch{Epoch: 1, Site: "edge-1", Records: tierBatch(0, 1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := export.WriteBatch(io.Discard, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportMrecords(b, tierRecords)
+}
+
+// BenchmarkStoreAppend80k is one 40 000-record epoch appended per op, the
+// two sites in turn: encode, write and index. Every storeAppends ops the
+// full store is replaced by an empty one off the clock, before its 64 MB
+// segment would seal, so no op pays the seal's fsync and the disk holds
+// one store at a time.
+func BenchmarkStoreAppend80k(b *testing.B) {
+	const storeAppends = 32 // ~59 MB of frames
+	recs := [tierSites][]export.Record{tierBatch(0, 1), tierBatch(1, 1)}
+	dir := filepath.Join(b.TempDir(), "store")
+	var st *store.Store
+	fresh := func() {
+		if st != nil {
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		var err error
+		if st, err = store.Open(dir, store.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%storeAppends == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		if err := st.Append(int64(i/tierSites+1), recs[i%tierSites], export.TableStats{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
 	}
 	reportMrecords(b, tierRecords)
 }

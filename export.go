@@ -17,7 +17,7 @@ type Collector struct {
 
 // NewCollector listens on addr ("host:port"; use ":0" for an ephemeral
 // port). onBatch, if non-nil, fires after each merged batch with the epoch
-// and the batch's flows.
+// and a copy of the batch's flows, which it may keep.
 func NewCollector(addr string, onBatch func(epoch int64, flows []FlowRecord)) (*Collector, error) {
 	var hook func(export.Batch)
 	if onBatch != nil {

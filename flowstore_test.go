@@ -1,12 +1,17 @@
 package instameasure
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"instameasure/internal/export"
+	"instameasure/internal/packet"
 )
 
 // TestMeterStoreCommitAndQuery drives the public history path: a meter
@@ -235,4 +240,104 @@ func TestCollectorStoreSinkCountsFailedAppends(t *testing.T) {
 	if st := fs.Stats(); st.AppendErrors != 1 || st.Appends != 0 {
 		t.Fatalf("one batch into a closed store: %d append errors, %d appends; want 1, 0", st.AppendErrors, st.Appends)
 	}
+}
+
+// TestCollectorConsumersCopyBatches: the collector decodes a connection's
+// frames into one reused record array, so whatever a consumer keeps it
+// must copy. After two same-sized frames on one connection, what the
+// onBatch callback, the attached store and the fleet tier kept of the
+// first still holds the first frame's values.
+func TestCollectorConsumersCopyBatches(t *testing.T) {
+	fs, err := OpenFlowStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	delivered := make(chan []FlowRecord, 2) // one per frame sent
+	coll, err := NewCollector("127.0.0.1:0", func(_ int64, flows []FlowRecord) { delivered <- flows })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	coll.WithStore(fs)
+	fl, err := coll.EnableFleet(FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	frame := func(epoch int64, site string, base uint32) export.Batch {
+		recs := make([]export.Record, 64)
+		for i := range recs {
+			pkts := float64(base) + float64(i)
+			recs[i] = export.Record{
+				Key:  packet.V4Key(base<<8|uint32(i), 0xC0A80001, uint16(1000+i), 443, packet.ProtoTCP),
+				Pkts: pkts, Bytes: 100 * pkts, FirstSeen: 1, LastUpdate: epoch,
+			}
+		}
+		return export.Batch{Epoch: epoch, Site: site, Records: recs}
+	}
+	first, second := frame(1, "edge-1", 10), frame(2, "edge-2", 5000)
+	var wire bytes.Buffer
+	for _, b := range []export.Batch{first, second} {
+		if err := export.WriteBatch(&wire, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := net.Dial("tcp", coll.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	var kept []FlowRecord
+	for i := 0; i < 2; i++ {
+		select {
+		case flows := <-delivered:
+			if i == 0 {
+				kept = flows
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d never reached onBatch", i+1)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for fl.Stats().Batches < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the fleet tier never ingested both frames")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	want := make(map[FlowKey]FlowRecord, len(first.Records))
+	for _, r := range first.Records {
+		want[r.Key] = FlowRecord(r)
+	}
+	same := func(what string, got []FlowRecord) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records kept of the first frame, want %d", what, len(got), len(want))
+		}
+		for _, r := range got {
+			if w, ok := want[r.Key]; !ok || r != w {
+				t.Fatalf("%s: kept %+v, the first frame sent %+v", what, r, w)
+			}
+		}
+	}
+	same("onBatch", kept)
+	stored, _, ok, err := fs.EpochFlows(1)
+	if err != nil || !ok {
+		t.Fatalf("store epoch 1: ok=%v, %v", ok, err)
+	}
+	same("store", stored)
+	top := fl.TopKPackets(2 * len(first.Records))
+	var fleetFirst []FlowRecord
+	for _, f := range top {
+		if _, ok := want[f.Key]; ok {
+			fleetFirst = append(fleetFirst, FlowRecord{Key: f.Key, Pkts: f.Pkts, Bytes: f.Bytes, FirstSeen: 1, LastUpdate: 1})
+		}
+	}
+	same("fleet", fleetFirst)
 }

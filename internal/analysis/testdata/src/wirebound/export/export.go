@@ -5,6 +5,7 @@ package export
 import (
 	"encoding/binary"
 	"io"
+	"slices"
 )
 
 const maxRecords = 1 << 20
@@ -44,6 +45,29 @@ func DecodeClamped(r io.Reader) ([]uint64, error) {
 	count := int(binary.BigEndian.Uint32(hdr[0:4]))
 	out := make([]uint64, min(count, maxRecords))
 	return out, nil
+}
+
+// GrowUnchecked sizes a reused array by a wire count it never compared.
+func GrowUnchecked(r io.Reader, dst []uint64) ([]uint64, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	count := binary.BigEndian.Uint32(hdr[:])
+	return slices.Grow(dst[:0], int(count)), nil // want `wire-derived length count \(from binary\.BigEndian\.Uint32\(hdr\[:\]\)\) reaches slices\.Grow without a bounds comparison`
+}
+
+// GrowChecked compares the count against the protocol limit first.
+func GrowChecked(r io.Reader, dst []uint64) ([]uint64, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	count := binary.BigEndian.Uint32(hdr[:])
+	if count > maxRecords {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return slices.Grow(dst[:0], int(count)), nil
 }
 
 // PayloadByte indexes with a wire-derived offset, unchecked.

@@ -28,10 +28,11 @@ var wireboundScopes = []string{"export", "store", "pcap"}
 // shape, not its constant), at min/max (which clamp), and at function
 // results (a decode helper is responsible for its own inputs).
 //
-// SINKS: make() sizes and capacities, slice/array index expressions,
-// slice bounds, and io.ReadFull/ReadAtLeast/CopyN arguments. A tainted
-// value reaching a sink unchecked is exactly how IMB1's count field
-// became a 2^32-record allocation before PR 3 capped it.
+// SINKS: make() sizes and capacities, slices.Grow's element count,
+// slice/array index expressions, slice bounds, and
+// io.ReadFull/ReadAtLeast/CopyN arguments. A tainted value reaching a
+// sink unchecked is exactly how IMB1's count field became a
+// 2^32-record allocation before the codec capped it.
 //
 // The analysis is intraprocedural and scoped to internal/export,
 // internal/store, and internal/pcap (plus same-named fixture packages).
@@ -122,6 +123,9 @@ func checkWirebound(prog *Program, body *ast.BlockStmt, report func(token.Pos, s
 					events = append(events, wireEvent{pos: n.Pos(), kind: evSink, sinkExprs: n.Args[1:], desc: "io." + name})
 				case pkgPath == "io" && name == "CopyN":
 					events = append(events, wireEvent{pos: n.Pos(), kind: evSink, sinkExprs: n.Args, desc: "io.CopyN"})
+				case pkgPath == "slices" && name == "Grow":
+					// slices.Grow(s, n) allocates room for n more elements.
+					events = append(events, wireEvent{pos: n.Pos(), kind: evSink, sinkExprs: n.Args[1:], desc: "slices.Grow"})
 				case (pkgPath == "io" || pkgPath == "net" || pkgPath == "bufio") && name == "Read":
 					// r.Read(buf): buf carries wire bytes afterwards.
 					if len(n.Args) == 1 {

@@ -15,6 +15,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"instameasure/internal/packet"
 	"instameasure/internal/wsaf"
@@ -109,36 +111,48 @@ func FromEntry(e wsaf.Entry) Record {
 // Site, when non-empty, identifies the exporting meter (the fleet
 // extension); it must satisfy ValidateSite and bumps the frame to wire
 // version 2.
+//
+// A Collector lends the Records of the Batch it hands its callbacks: the
+// next frame's decode overwrites them, so they are valid only until the
+// callback returns, and a consumer that keeps a record copies it.
 type Batch struct {
 	Epoch   int64
 	Site    string
 	Records []Record
 }
 
-// appendRecord encodes r onto dst: 1 flag byte, addresses (4+4 or 16+16),
-// ports, proto, then the four fixed counters.
-func appendRecord(dst []byte, r *Record) []byte {
-	flag := byte(0)
-	n := 4
-	if r.Key.IsV6 {
-		flag = 1
-		n = 16
+// tailBytes is a record past its addresses: ports, proto, 4 counters.
+const tailBytes = 4 + 1 + 4*8
+
+// putRecord encodes r at the front of b and returns its length: 1 flag
+// byte, addresses (4+4 or 16+16), ports, proto, then the four fixed
+// counters. Every field sits at a fixed offset, so a v4 address is one
+// 4-byte load and store. b must have room for the record.
+func putRecord(b []byte, r *Record) int {
+	k, n := &r.Key, recordMinBytes
+	if !k.IsV6 {
+		b[0] = 0
+		*(*[4]byte)(b[1:5]) = [4]byte(k.SrcIP[:4])
+		*(*[4]byte)(b[5:9]) = [4]byte(k.DstIP[:4])
+	} else {
+		n = recordMaxBytes
+		b[0] = 1
+		*(*[16]byte)(b[1:17]) = k.SrcIP
+		*(*[16]byte)(b[17:33]) = k.DstIP
 	}
-	dst = append(dst, flag)
-	dst = append(dst, r.Key.SrcIP[:n]...)
-	dst = append(dst, r.Key.DstIP[:n]...)
-	dst = binary.BigEndian.AppendUint16(dst, r.Key.SrcPort)
-	dst = binary.BigEndian.AppendUint16(dst, r.Key.DstPort)
-	dst = append(dst, r.Key.Proto)
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Pkts))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Bytes))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.FirstSeen))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.LastUpdate))
-	return dst
+	t := b[n-tailBytes:][:tailBytes]
+	binary.BigEndian.PutUint16(t[0:2], k.SrcPort)
+	binary.BigEndian.PutUint16(t[2:4], k.DstPort)
+	t[4] = k.Proto
+	binary.BigEndian.PutUint64(t[5:13], math.Float64bits(r.Pkts))
+	binary.BigEndian.PutUint64(t[13:21], math.Float64bits(r.Bytes))
+	binary.BigEndian.PutUint64(t[21:29], uint64(r.FirstSeen))
+	binary.BigEndian.PutUint64(t[29:37], uint64(r.LastUpdate))
+	return n
 }
 
 // decodeRecord decodes one record from b into r, overwriting all of it,
-// and returns the remainder.
+// and returns the remainder. It reads the fixed offsets putRecord writes.
 func decodeRecord(r *Record, b []byte) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("export: record flag: %w", io.ErrUnexpectedEOF)
@@ -146,29 +160,27 @@ func decodeRecord(r *Record, b []byte) ([]byte, error) {
 	if b[0] > 1 {
 		return nil, fmt.Errorf("%w: flag 0x%02x", ErrBadRecord, b[0])
 	}
-	isV6 := b[0] == 1
-	b = b[1:]
-	n := 4
-	if isV6 {
-		n = 16
-	}
-	need := 2*n + 2 + 2 + 1 + 4*8
-	if len(b) < need {
+	n := recordMinBytes + int(b[0])*(recordMaxBytes-recordMinBytes) // flag 1: v6 addresses
+	if len(b) < n {
 		return nil, fmt.Errorf("export: record body: %w", io.ErrUnexpectedEOF)
 	}
-	r.Key = packet.FlowKey{IsV6: isV6}
-	copy(r.Key.SrcIP[:n], b[:n])
-	copy(r.Key.DstIP[:n], b[n:2*n])
-	b = b[2*n:]
-	r.Key.SrcPort = binary.BigEndian.Uint16(b[0:2])
-	r.Key.DstPort = binary.BigEndian.Uint16(b[2:4])
-	r.Key.Proto = b[4]
-	b = b[5:]
-	r.Pkts = math.Float64frombits(binary.BigEndian.Uint64(b[0:8]))
-	r.Bytes = math.Float64frombits(binary.BigEndian.Uint64(b[8:16]))
-	r.FirstSeen = int64(binary.BigEndian.Uint64(b[16:24]))
-	r.LastUpdate = int64(binary.BigEndian.Uint64(b[24:32]))
-	return b[32:], nil
+	r.Key = packet.FlowKey{IsV6: b[0] == 1}
+	if !r.Key.IsV6 {
+		*(*[4]byte)(r.Key.SrcIP[:4]) = [4]byte(b[1:5])
+		*(*[4]byte)(r.Key.DstIP[:4]) = [4]byte(b[5:9])
+	} else {
+		r.Key.SrcIP = [16]byte(b[1:17])
+		r.Key.DstIP = [16]byte(b[17:33])
+	}
+	t := b[n-tailBytes:][:tailBytes]
+	r.Key.SrcPort = binary.BigEndian.Uint16(t[0:2])
+	r.Key.DstPort = binary.BigEndian.Uint16(t[2:4])
+	r.Key.Proto = t[4]
+	r.Pkts = math.Float64frombits(binary.BigEndian.Uint64(t[5:13]))
+	r.Bytes = math.Float64frombits(binary.BigEndian.Uint64(t[13:21]))
+	r.FirstSeen = int64(binary.BigEndian.Uint64(t[21:29]))
+	r.LastUpdate = int64(binary.BigEndian.Uint64(t[29:37]))
+	return b[n:], nil
 }
 
 // decodeRecords decodes the count records that must fill payload exactly,
@@ -189,51 +201,69 @@ func decodeRecords(payload []byte, count uint32, fn func(*Record)) error {
 	return nil
 }
 
-// WriteBatch frames and writes one batch:
+// AppendBatch appends b's frame to dst and returns the extended buffer:
 //
 //	v1: magic(4) version(1) epoch(8) count(4) payloadLen(4) payload crc32(4)
 //	v2: magic(4) version(1) siteLen(1) site epoch(8) count(4) payloadLen(4) payload crc32(4)
 //
 // Version 2 is emitted only when the batch carries a site ID; its CRC
 // covers the site bytes as well as the payload, so a corrupted site
-// cannot silently misattribute a frame.
-func WriteBatch(w io.Writer, b Batch) error {
+// cannot silently misattribute a frame. On error dst is returned as it
+// was.
+func AppendBatch(dst []byte, b Batch) ([]byte, error) {
 	if len(b.Records) > maxBatchRecords {
-		return fmt.Errorf("%w (%d records)", ErrOversized, len(b.Records))
+		return dst, fmt.Errorf("%w (%d records)", ErrOversized, len(b.Records))
 	}
 	if err := ValidateSite(b.Site); err != nil {
-		return err
+		return dst, err
 	}
-	payload := make([]byte, 0, len(b.Records)*46)
+	payloadLen := len(b.Records) * recordMinBytes
 	for i := range b.Records {
-		payload = appendRecord(payload, &b.Records[i])
+		if b.Records[i].Key.IsV6 {
+			payloadLen += recordMaxBytes - recordMinBytes
+		}
 	}
-
-	hdr := make([]byte, 0, 22+len(b.Site))
-	hdr = binary.BigEndian.AppendUint32(hdr, batchMagic)
+	// 64 spare bytes take what a snapshot or a store record appends after.
+	dst = slices.Grow(dst, 22+len(b.Site)+payloadLen+4+64)
+	dst = binary.BigEndian.AppendUint32(dst, batchMagic)
 	crc := uint32(0)
 	if b.Site == "" {
-		hdr = append(hdr, version)
+		dst = append(dst, version)
 	} else {
-		hdr = append(hdr, versionSited, byte(len(b.Site)))
-		hdr = append(hdr, b.Site...)
-		crc = crc32.Update(crc, crc32.IEEETable, hdr[5:])
+		dst = append(dst, versionSited, byte(len(b.Site)))
+		dst = append(dst, b.Site...)
+		crc = crc32.Update(crc, crc32.IEEETable, dst[len(dst)-1-len(b.Site):])
 	}
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(b.Epoch))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(b.Records)))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("batch header: %w", err)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(b.Epoch))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Records)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(payloadLen))
+	off := len(dst)
+	dst = dst[:off+payloadLen]
+	payload := dst[off:]
+	for i := range b.Records {
+		off += putRecord(dst[off:], &b.Records[i])
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("batch payload: %w", err)
+	return binary.BigEndian.AppendUint32(dst, crc32.Update(crc, crc32.IEEETable, payload)), nil
+}
+
+// framePool holds the buffers WriteBatch and the snapshot writers encode
+// into, so a frame costs no allocation once a buffer of its size exists.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeFrame encodes a frame with enc into a pooled buffer and writes it.
+func writeFrame(w io.Writer, enc func([]byte) ([]byte, error)) error {
+	buf := framePool.Get().(*[]byte)
+	defer framePool.Put(buf)
+	var err error
+	if *buf, err = enc((*buf)[:0]); err == nil {
+		_, err = w.Write(*buf)
 	}
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc32.Update(crc, crc32.IEEETable, payload))
-	if _, err := w.Write(tail[:]); err != nil {
-		return fmt.Errorf("batch checksum: %w", err)
-	}
-	return nil
+	return err
+}
+
+// WriteBatch frames b as AppendBatch does and writes it with one Write.
+func WriteBatch(w io.Writer, b Batch) error {
+	return writeFrame(w, func(dst []byte) ([]byte, error) { return AppendBatch(dst, b) })
 }
 
 // eofToUnexpected maps a clean EOF hit mid-frame to io.ErrUnexpectedEOF:
@@ -246,32 +276,6 @@ func eofToUnexpected(err error) error {
 	return err
 }
 
-// readPayload reads exactly n bytes, growing the buffer in readChunk
-// steps so memory tracks bytes actually delivered rather than the claimed
-// length. A stream that ends early fails with io.ErrUnexpectedEOF.
-func readPayload(r io.Reader, n uint32) ([]byte, error) {
-	buf := make([]byte, 0, min(int(n), readChunk))
-	for remaining := int(n); remaining > 0; {
-		step := min(remaining, readChunk)
-		off := len(buf)
-		if cap(buf) < off+step {
-			grown := make([]byte, off+step, max(off+step, 2*cap(buf)))
-			copy(grown, buf)
-			buf = grown
-		} else {
-			buf = buf[:off+step]
-		}
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		remaining -= step
-	}
-	return buf, nil
-}
-
 // batchHeader is a frame's header, decoded and bounds-checked.
 type batchHeader struct {
 	epoch      int64
@@ -281,47 +285,95 @@ type batchHeader struct {
 	crc        uint32 // CRC state the payload continues: the v2 site bytes, 0 for v1
 }
 
-// readBatchHeader reads a frame up to its payload, accepting both wire
+// BatchReader reads framed batches into a body buffer and a record array
+// it keeps from frame to frame, so a warm read allocates nothing.
+type BatchReader struct {
+	hdr     [4 + 1 + 1 + MaxSiteLen + 16]byte // magic version [siteLen site] epoch count payloadLen
+	site    string                            // the last v2 frame's site
+	body    []byte                            // payload + CRC
+	records []Record
+}
+
+// ReadBatch reads one framed batch, version 1 or the fleet's site-carrying
+// version 2, through a one-shot BatchReader, so the batch owns its
+// records. io.EOF is returned verbatim at a clean stream end.
+func ReadBatch(r io.Reader) (Batch, error) {
+	var br BatchReader
+	return br.Read(r)
+}
+
+// Read reads and checks one framed batch from r, as ReadBatch does. The
+// batch's Records live in br's array: they are valid until the next Read.
+func (br *BatchReader) Read(r io.Reader) (Batch, error) {
+	h, err := br.readHeader(r)
+	if err != nil {
+		return Batch{}, err
+	}
+	body, err := br.readBody(r, int(h.payloadLen)+4)
+	if err != nil {
+		return Batch{}, fmt.Errorf("batch body: %w", err)
+	}
+	payload := body[:h.payloadLen]
+	if crc32.Update(h.crc, crc32.IEEETable, payload) != binary.BigEndian.Uint32(body[h.payloadLen:]) {
+		return Batch{}, ErrChecksum
+	}
+	br.records = slices.Grow(br.records[:0], int(h.count))[:h.count]
+	for i := range br.records {
+		if payload, err = decodeRecord(&br.records[i], payload); err != nil {
+			return Batch{}, fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	if len(payload) != 0 {
+		return Batch{}, fmt.Errorf("export: %d trailing payload bytes", len(payload))
+	}
+	return Batch{Epoch: h.epoch, Site: h.site, Records: br.records}, nil
+}
+
+// readHeader reads a frame up to its payload, accepting both wire
 // versions, and rejects a count over the batch limit or a payload length
 // the count cannot produce. io.EOF is returned verbatim at a clean stream
 // end.
-func readBatchHeader(r io.Reader) (batchHeader, error) {
+func (br *BatchReader) readHeader(r io.Reader) (batchHeader, error) {
 	var h batchHeader
-	var pre [5]byte // magic + version
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	buf := &br.hdr
+	if _, err := io.ReadFull(r, buf[:5]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return h, io.EOF
 		}
 		return h, fmt.Errorf("batch header: %w", err)
 	}
-	if binary.BigEndian.Uint32(pre[0:4]) != batchMagic {
+	if binary.BigEndian.Uint32(buf[0:4]) != batchMagic {
 		return h, ErrBadMagic
 	}
-	switch pre[4] {
+	off := 5 // where epoch, count and payloadLen start
+	switch buf[4] {
 	case version:
 	case versionSited:
-		var siteLen [1]byte
-		if _, err := io.ReadFull(r, siteLen[:]); err != nil {
+		if _, err := io.ReadFull(r, buf[5:6]); err != nil {
 			return h, fmt.Errorf("batch site length: %w", eofToUnexpected(err))
 		}
-		if siteLen[0] == 0 || int(siteLen[0]) > MaxSiteLen {
-			return h, fmt.Errorf("%w: length %d", ErrBadSite, siteLen[0])
+		siteLen := int(buf[5])
+		if siteLen == 0 || siteLen > MaxSiteLen {
+			return h, fmt.Errorf("%w: length %d", ErrBadSite, siteLen)
 		}
-		siteBytes := make([]byte, siteLen[0])
-		if _, err := io.ReadFull(r, siteBytes); err != nil {
+		site := buf[6 : 6+siteLen]
+		if _, err := io.ReadFull(r, site); err != nil {
 			return h, fmt.Errorf("batch site: %w", eofToUnexpected(err))
 		}
-		h.site = string(siteBytes)
+		if string(site) != br.site { // a connection's frames repeat one site
+			br.site = string(site)
+		}
+		h.site = br.site
 		if err := ValidateSite(h.site); err != nil {
 			return h, err
 		}
-		h.crc = crc32.Update(h.crc, crc32.IEEETable, siteLen[:])
-		h.crc = crc32.Update(h.crc, crc32.IEEETable, siteBytes)
+		h.crc = crc32.Update(h.crc, crc32.IEEETable, buf[5:6+siteLen])
+		off = 6 + siteLen
 	default:
-		return h, fmt.Errorf("%w: %d", ErrBadVersion, pre[4])
+		return h, fmt.Errorf("%w: %d", ErrBadVersion, buf[4])
 	}
-	var hdr [16]byte // epoch + count + payloadLen
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := buf[off : off+16]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return h, fmt.Errorf("batch header: %w", eofToUnexpected(err))
 	}
 	h.epoch = int64(binary.BigEndian.Uint64(hdr[0:8]))
@@ -337,32 +389,25 @@ func readBatchHeader(r io.Reader) (batchHeader, error) {
 	return h, nil
 }
 
-// ReadBatch reads one framed batch, accepting both wire versions: the
-// original version-1 frame and the fleet version-2 frame carrying a site
-// ID. io.EOF is returned verbatim at a clean stream end.
-func ReadBatch(r io.Reader) (Batch, error) {
-	h, err := readBatchHeader(r)
-	if err != nil {
-		return Batch{}, err
+// readBody reads exactly n bytes into br's body buffer, what fits its
+// capacity in one go. Past that it grows only when full, doubling (by
+// readChunk at least, never past n): memory tracks the bytes delivered,
+// not a header's claim. An early end is io.ErrUnexpectedEOF.
+func (br *BatchReader) readBody(r io.Reader, n int) ([]byte, error) {
+	buf := br.body[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, len(buf)+min(n-len(buf), max(readChunk, cap(buf)))), buf...)
+		}
+		off := len(buf)
+		buf = buf[:min(n, cap(buf))]
+		_, err := io.ReadFull(r, buf[off:])
+		br.body = buf
+		if err != nil {
+			return nil, eofToUnexpected(err)
+		}
 	}
-	payload, err := readPayload(r, h.payloadLen)
-	if err != nil {
-		return Batch{}, fmt.Errorf("batch payload: %w", err)
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return Batch{}, fmt.Errorf("batch checksum: %w", eofToUnexpected(err))
-	}
-	if crc32.Update(h.crc, crc32.IEEETable, payload) != binary.BigEndian.Uint32(crc[:]) {
-		return Batch{}, ErrChecksum
-	}
-	b := Batch{Epoch: h.epoch, Site: h.site, Records: make([]Record, 0, h.count)}
-	if err := decodeRecords(payload, h.count, func(rec *Record) {
-		b.Records = append(b.Records, *rec)
-	}); err != nil {
-		return Batch{}, err
-	}
-	return b, nil
+	return buf, nil
 }
 
 // TableStats is the WSAF activity summary a snapshot may carry in its
@@ -380,41 +425,37 @@ type TableStats struct {
 // WriteSnapshot persists records as a snapshot file (same record codec,
 // snapshot magic) for long-term archival of a measurement window.
 func WriteSnapshot(w io.Writer, epoch int64, records []Record) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], snapshotMagic)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("snapshot magic: %w", err)
-	}
-	return WriteBatch(w, Batch{Epoch: epoch, Records: records})
+	return writeFrame(w, func(dst []byte) ([]byte, error) {
+		return AppendBatch(binary.BigEndian.AppendUint32(dst, snapshotMagic), Batch{Epoch: epoch, Records: records})
+	})
 }
 
-// WriteSnapshotStats is WriteSnapshot plus a CRC-protected stats trailer:
+// AppendSnapshotStats appends a snapshot file with a CRC-protected stats
+// trailer after the batch:
 //
 //	magic(4) updates(8) inserts(8) expirations(8) evictions(8) drops(8) crc32(4)
 //
 // Readers that predate the trailer stop at the batch and are unaffected.
+// On error dst is returned as it was.
+func AppendSnapshotStats(dst []byte, epoch int64, records []Record, stats TableStats) ([]byte, error) {
+	out, err := AppendBatch(binary.BigEndian.AppendUint32(dst, snapshotMagic), Batch{Epoch: epoch, Records: records})
+	if err != nil {
+		return dst, err
+	}
+	out = binary.BigEndian.AppendUint32(out, trailerMagic)
+	start := len(out)
+	for _, v := range [...]uint64{stats.Updates, stats.Inserts, stats.Expirations, stats.Evictions, stats.Drops} {
+		out = binary.BigEndian.AppendUint64(out, v)
+	}
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:])), nil
+}
+
+// WriteSnapshotStats writes the snapshot AppendSnapshotStats encodes with
+// one Write.
 func WriteSnapshotStats(w io.Writer, epoch int64, records []Record, stats TableStats) error {
-	if err := WriteSnapshot(w, epoch, records); err != nil {
-		return err
-	}
-	payload := make([]byte, 0, 40)
-	for _, v := range []uint64{stats.Updates, stats.Inserts, stats.Expirations, stats.Evictions, stats.Drops} {
-		payload = binary.BigEndian.AppendUint64(payload, v)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], trailerMagic)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("snapshot trailer magic: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("snapshot trailer: %w", err)
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(crc[:]); err != nil {
-		return fmt.Errorf("snapshot trailer checksum: %w", err)
-	}
-	return nil
+	return writeFrame(w, func(dst []byte) ([]byte, error) {
+		return AppendSnapshotStats(dst, epoch, records, stats)
+	})
 }
 
 // readSnapshotMagic consumes and checks a snapshot's leading magic.
@@ -466,7 +507,7 @@ func DecodeSnapshotStats(snap []byte, fn func(*Record)) (epoch int64, stats Tabl
 	if err := readSnapshotMagic(r); err != nil {
 		return 0, TableStats{}, false, err
 	}
-	h, err := readBatchHeader(r)
+	h, err := new(BatchReader).readHeader(r)
 	if err != nil {
 		return 0, TableStats{}, false, err
 	}

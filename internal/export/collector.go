@@ -1,6 +1,7 @@
 package export
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -48,18 +49,6 @@ func NewTelemetry(reg *telemetry.Registry, w int) *Telemetry {
 	}
 }
 
-// countingWriter counts bytes passed through to the underlying writer.
-type countingWriter struct {
-	w io.Writer
-	n uint64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += uint64(n)
-	return n, err
-}
-
 // Exporter reconnect backoff defaults.
 const (
 	defaultBackoffBase = 50 * time.Millisecond
@@ -88,7 +77,7 @@ type Exporter struct {
 	// work — probes (Connected, Site) take mu alone and stay responsive
 	// while a send is stalled on a full TCP buffer.
 	sendMu sync.Mutex
-	cw     countingWriter // guarded by sendMu
+	frame  []byte // the frame being sent, reused; guarded by sendMu
 
 	mu       sync.Mutex
 	conn     net.Conn  // nil while disconnected
@@ -110,9 +99,7 @@ func Dial(addr string) (*Exporter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("export: dial %s: %w", addr, err)
 	}
-	e := &Exporter{addr: addr, conn: conn, base: defaultBackoffBase, max: defaultBackoffMax}
-	e.cw.w = conn
-	return e, nil
+	return &Exporter{addr: addr, conn: conn, base: defaultBackoffBase, max: defaultBackoffMax}, nil
 }
 
 // SetTelemetry attaches metric handles updated per exported batch. Pass
@@ -244,15 +231,18 @@ func (e *Exporter) Export(b Batch) error {
 		e.conn = nc
 		e.attempts = 0
 		e.mu.Unlock()
-		e.cw.w = nc
 		conn = nc
 		fl.Event(flight.StageReconnect, b.Epoch, 0, 0, 0)
 	}
 
 	start := time.Now()
-	before := e.cw.n
-	//im:allow locksafe sendMu is the wire-order lock; its entire purpose is to be held across this frame write, and Close unblocks it via conn.Close under e.mu
-	err := WriteBatch(&e.cw, b)
+	sent := 0
+	frame, err := AppendBatch(e.frame[:0], b)
+	if err == nil {
+		e.frame = frame
+		//im:allow locksafe sendMu is the wire-order lock; its entire purpose is to be held across this frame write, and Close unblocks it via conn.Close under e.mu
+		sent, err = conn.Write(frame)
+	}
 	if err != nil {
 		// The write already failed; a close error adds nothing.
 		_ = conn.Close()
@@ -263,11 +253,11 @@ func (e *Exporter) Export(b Batch) error {
 		}
 		if e.tm != nil {
 			e.tm.Errors.Inc()
-			e.tm.Bytes.Add(e.cw.n - before)
+			e.tm.Bytes.Add(uint64(sent))
 		}
 		e.mu.Unlock()
 		fl.EventAt(start, flight.StageSendError, b.Epoch,
-			uint32(len(b.Records)), e.cw.n-before, uint64(time.Since(start)))
+			uint32(len(b.Records)), uint64(sent), uint64(time.Since(start)))
 		return fmt.Errorf("export: %w", err)
 	}
 	e.mu.Lock()
@@ -275,11 +265,11 @@ func (e *Exporter) Export(b Batch) error {
 	if e.tm != nil {
 		e.tm.Batches.Inc()
 		e.tm.Records.Add(uint64(len(b.Records)))
-		e.tm.Bytes.Add(e.cw.n - before)
+		e.tm.Bytes.Add(uint64(sent))
 	}
 	e.mu.Unlock()
 	fl.EventAt(start, flight.StageSend, b.Epoch,
-		uint32(len(b.Records)), e.cw.n-before, uint64(time.Since(start)))
+		uint32(len(b.Records)), uint64(sent), uint64(time.Since(start)))
 	return nil
 }
 
@@ -303,7 +293,7 @@ type Collector struct {
 	ln net.Listener
 
 	// frameTimeout bounds how long a connection may sit inside one frame:
-	// the read deadline is re-armed before every ReadBatch, so an exporter
+	// the read deadline is re-armed before every frame, so an exporter
 	// that opens a connection and trickles bytes (or goes silent mid-frame)
 	// is dropped instead of pinning a goroutine forever. Nanoseconds;
 	// 0 disables the deadline.
@@ -358,7 +348,8 @@ const DefaultFrameTimeout = 30 * time.Second
 
 // NewCollector starts a collector listening on addr (use "127.0.0.1:0"
 // for an ephemeral test port). onBatch, if non-nil, fires after each batch
-// merge — detection pipelines hang off this hook.
+// merge — detection pipelines hang off this hook. The batch's Records are
+// valid only until onBatch returns (see Batch).
 func NewCollector(addr string, onBatch func(Batch)) (*Collector, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -386,7 +377,8 @@ func (c *Collector) SetFrameTimeout(d time.Duration) {
 
 // SetSink attaches fn, called with every merged batch — the epoch store
 // hangs off this to persist what remote meters report. Unlike onBatch it
-// can be attached after construction; pass nil to detach.
+// can be attached after construction; pass nil to detach. The batch's
+// Records are valid only until fn returns (see Batch).
 func (c *Collector) SetSink(fn func(Batch)) {
 	c.mu.Lock()
 	c.sink = fn
@@ -398,7 +390,8 @@ func (c *Collector) SetSink(fn func(Batch)) {
 // here. Hooks obey the same contract as the sink: they run OUTSIDE the
 // collector's lock (a slow hook never blocks Lookup/Flows/Stats) and may
 // be invoked concurrently from different exporter connections, so a hook
-// that keeps state must do its own locking.
+// that keeps state must do its own locking, and one that keeps records
+// must copy them: they are valid only until it returns (see Batch).
 func (c *Collector) AddHook(fn func(Batch)) {
 	if fn == nil {
 		return
@@ -499,6 +492,7 @@ func (c *Collector) serve(conn net.Conn) {
 		}
 	}()
 
+	rd := bufio.NewReader(conn)
 	for {
 		// Arm the per-frame deadline, then re-check closing: if Close's
 		// immediate deadline fired before the re-arm, the check catches
@@ -518,16 +512,27 @@ func (c *Collector) serve(conn net.Conn) {
 			return
 		default:
 		}
-		b, err := ReadBatch(conn)
+		_, err := rd.Peek(1) // an idle connection waits holding no decode buffers
+		if err == nil {
+			br := readerPool.Get().(*BatchReader)
+			var b Batch
+			if b, err = br.Read(rd); err == nil {
+				c.merge(b)
+			}
+			readerPool.Put(br)
+		}
 		if err != nil {
 			// Stream end, frame deadline or protocol error: drop the
 			// connection either way; the exporter re-dials.
 			c.dropped(err)
 			return
 		}
-		c.merge(b)
 	}
 }
+
+// readerPool holds decode buffers between frames: a connection holds one
+// only while a frame is read and its callbacks run.
+var readerPool = sync.Pool{New: func() any { return new(BatchReader) }}
 
 func (c *Collector) merge(b Batch) {
 	start := time.Now()

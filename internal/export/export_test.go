@@ -89,7 +89,8 @@ func TestRecordRoundTripProperty(t *testing.T) {
 			FirstSeen:  first,
 			LastUpdate: last,
 		}
-		buf := appendRecord(nil, &r)
+		buf := make([]byte, recordMaxBytes)
+		buf = buf[:putRecord(buf, &r)]
 		got := Record{Key: seedKeyV6()} // stale v6 bytes the decode must overwrite
 		rest, err := decodeRecord(&got, buf)
 		if err != nil || len(rest) != 0 {

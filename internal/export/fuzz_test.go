@@ -2,6 +2,7 @@ package export
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -28,18 +29,51 @@ func fuzzSeedBatch() []byte {
 	return buf.Bytes()
 }
 
+// sameBatch reports whether two decoded batches are bit-identical.
+func sameBatch(a, b Batch) bool {
+	if a.Epoch != b.Epoch || a.Site != b.Site || len(a.Records) != len(b.Records) {
+		return false
+	}
+	for i := range a.Records {
+		x, z := a.Records[i], b.Records[i]
+		// Compare counter bit patterns, not float values: a decoded NaN is
+		// legal and must survive unchanged.
+		if x.Key != z.Key || !sameBits(x.Pkts, z.Pkts) || !sameBits(x.Bytes, z.Bytes) ||
+			x.FirstSeen != z.FirstSeen || x.LastUpdate != z.LastUpdate {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzReadBatch throws arbitrary frames at the batch decoder. The
 // contract: never panic, never over-allocate, and any frame that decodes
-// must round-trip bit-exactly through WriteBatch → ReadBatch.
+// must round-trip bit-exactly through WriteBatch → ReadBatch. A reused
+// BatchReader, already holding a larger frame, must read each input
+// twice exactly as a fresh ReadBatch does, error included.
 func FuzzReadBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(fuzzSeedBatch())
 	corrupt := fuzzSeedBatch()
 	corrupt[17] ^= 0x80 // payload length high byte
 	f.Add(corrupt)
+	warm, err := AppendBatch(nil, Batch{Epoch: 9, Site: "edge-9", Records: mixedRecords(64)})
+	if err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := ReadBatch(bytes.NewReader(data))
+		var br BatchReader
+		if _, err := br.Read(bytes.NewReader(warm)); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 1; pass <= 2; pass++ {
+			got, gotErr := br.Read(bytes.NewReader(data))
+			if fmt.Sprint(gotErr) != fmt.Sprint(err) || (err == nil && !sameBatch(got, b)) {
+				t.Fatalf("reused reader, pass %d: %+v, %v; fresh ReadBatch: %+v, %v", pass, got, gotErr, b, err)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -51,17 +85,8 @@ func FuzzReadBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if b2.Epoch != b.Epoch || len(b2.Records) != len(b.Records) {
-			t.Fatalf("round trip changed batch shape: %+v vs %+v", b2, b)
-		}
-		for i := range b.Records {
-			a, z := b.Records[i], b2.Records[i]
-			// Compare counter bit patterns, not float values: a decoded
-			// NaN is legal and must survive unchanged.
-			if a.Key != z.Key || !sameBits(a.Pkts, z.Pkts) || !sameBits(a.Bytes, z.Bytes) ||
-				a.FirstSeen != z.FirstSeen || a.LastUpdate != z.LastUpdate {
-				t.Fatalf("record %d changed in round trip:\n  %+v\n  %+v", i, a, z)
-			}
+		if !sameBatch(b, b2) {
+			t.Fatalf("round trip changed the batch:\n  %+v\n  %+v", b, b2)
 		}
 	})
 }

@@ -17,16 +17,11 @@ func buildSegment(tb testing.TB, n int) []byte {
 	tb.Helper()
 	var seg []byte
 	for e := int64(1); e <= int64(n); e++ {
-		recs := epochRecords(e, 3)
-		var buf bytes.Buffer
-		if err := export.WriteSnapshotStats(&buf, e, recs, epochStats(e)); err != nil {
+		var err error
+		seg, err = appendFrame(seg, recordHeader{epoch: e, unixNano: e * 1_000}, epochRecords(e, 3), epochStats(e))
+		if err != nil {
 			tb.Fatal(err)
 		}
-		seg = appendFrame(seg, recordHeader{
-			epoch:    e,
-			unixNano: e * 1_000,
-			count:    uint32(len(recs)),
-		}, buf.Bytes())
 	}
 	return seg
 }

@@ -26,6 +26,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"instameasure/internal/export"
 )
 
 // Outer-frame wire constants.
@@ -152,13 +154,19 @@ func innerCrossCheck(h recordHeader, payload []byte) error {
 	return nil
 }
 
-// appendFrame encodes one complete record frame (header, payload, CRC)
-// onto dst. The payload must already be a framed snapshot.
-func appendFrame(dst []byte, h recordHeader, payload []byte) []byte {
-	h.payloadLen = uint32(len(payload))
-	dst = appendHeader(dst, h)
-	dst = append(dst, payload...)
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+// appendFrame encodes one epoch as a complete record frame onto dst: the
+// outer header, the records and stats as a snapshot payload, and the
+// payload CRC. On error dst is returned as it was.
+func appendFrame(dst []byte, h recordHeader, records []export.Record, stats export.TableStats) ([]byte, error) {
+	start := len(dst)
+	h.count = uint32(len(records))
+	out, err := export.AppendSnapshotStats(appendHeader(dst, h), h.epoch, records, stats)
+	if err != nil {
+		return dst, err
+	}
+	payload := out[start+headerLen:]
+	binary.BigEndian.PutUint32(out[start+headerLen-4:], uint32(len(payload)))
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload)), nil
 }
 
 // recordRef is one indexed record: enough to locate, order, and skip it

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -58,8 +57,7 @@ type Store struct {
 	refs  []recordRef   // append order within each segment, segments ascending
 	act   *os.File      // active segment, opened for append; nil once closed
 	actID int
-	enc   []byte // reusable frame-encoding buffer
-	err   error  // sticky append-path failure
+	err   error // sticky append-path failure
 	stats storeCounters
 
 	tm *storeMetrics // nil until Instrument
@@ -191,19 +189,21 @@ func (s *Store) Healthy() error {
 // are legal (multi-exporter stores); queries union them with later
 // appends winning per flow. Every call that returns an error is counted
 // in StoreStats.AppendErrors.
+// Appends encode in parallel, outside mu, and hold it to write and index.
 func (s *Store) Append(epoch int64, records []export.Record, stats export.TableStats) error {
 	//im:allow wallclock — latency telemetry seam: append timing, not record content
 	start := time.Now()
-	var payload bytes.Buffer
-	payload.Grow(snapOverhead + len(records)*50)
-	err := export.WriteSnapshotStats(&payload, epoch, records, stats)
+	buf := framePool.Get().(*[]byte)
+	defer framePool.Put(buf) // after the deferred unlock: the write is done
+	var err error
+	*buf, err = appendFrame((*buf)[:0], recordHeader{epoch: epoch, unixNano: start.UnixNano()}, records, stats)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("store: encode epoch %d: %w", epoch, err)
 	} else {
-		err = s.appendLocked(start, epoch, uint32(len(records)), payload.Bytes())
+		err = s.appendLocked(start, epoch, uint32(len(records)), *buf)
 	}
 	if err != nil {
 		s.stats.appendErrors++
@@ -214,24 +214,20 @@ func (s *Store) Append(epoch int64, records []export.Record, stats export.TableS
 	return err
 }
 
-// appendLocked writes one encoded epoch as a frame and indexes it.
-// Callers hold mu.
-func (s *Store) appendLocked(start time.Time, epoch int64, count uint32, payload []byte) error {
+// framePool holds Append's frame buffers across appends.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendLocked writes one encoded frame and indexes it. Callers hold mu.
+func (s *Store) appendLocked(start time.Time, epoch int64, count uint32, enc []byte) error {
 	if s.act == nil {
 		return ErrClosed
 	}
 	if s.err != nil {
 		return s.err
 	}
-	h := recordHeader{
-		epoch:    epoch,
-		unixNano: start.UnixNano(),
-		count:    count,
-	}
-	s.enc = appendFrame(s.enc[:0], h, payload)
 	seg := &s.segs[len(s.segs)-1]
 	prevSize := seg.size
-	if _, err := s.act.Write(s.enc); err != nil {
+	if _, err := s.act.Write(enc); err != nil {
 		// A partial write leaves a torn tail; roll it back so the next
 		// append cannot interleave with garbage. If even that fails the
 		// store is wedged and stays failed.
@@ -255,7 +251,7 @@ func (s *Store) appendLocked(start time.Time, epoch int64, count uint32, payload
 			return fmt.Errorf("store: sync: %w", err)
 		}
 	}
-	frame := int64(len(s.enc))
+	frame := int64(len(enc))
 	seg.size = prevSize + frame
 	s.refs = append(s.refs, recordRef{
 		seg:   s.actID,

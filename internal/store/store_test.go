@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -144,6 +145,39 @@ func TestAppendReadBack(t *testing.T) {
 	mustAppend(t, s2, epochs+1, epochRecords(epochs+1, 50), epochStats(epochs+1))
 	if _, _, ok, _ := s2.EpochRecords(epochs + 1); !ok {
 		t.Fatal("append after reopen not visible")
+	}
+}
+
+// TestAppendAllocsDoNotScale: Append encodes each epoch into a pooled
+// buffer, so a warm Append allocates the same small count at 1 000 and at
+// 40 000 records, and bytes that do not grow with the records.
+func TestAppendAllocsDoNotScale(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the race detector off")
+	}
+	// A GC would empty the pool, and so would a move to another P
+	// between the warm-up and the measured runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs, maxBytes = 20, 1 << 10
+	s := openTestStore(t, t.TempDir(), Options{})
+	epoch := int64(0)
+	for _, n := range []int{1000, 40000} {
+		recs := epochRecords(1, n)
+		appendOne := func() {
+			epoch++
+			mustAppend(t, s, epoch, recs, epochStats(epoch))
+		}
+		appendOne()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, appendOne)
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		t.Logf("%d records: %.0f allocs, %d B per Append", n, allocs, perRun)
+		if allocs != 0 || perRun > maxBytes {
+			t.Errorf("%d records: a warm Append allocates %.0f times, %d B; want 0 and at most %d B", n, allocs, perRun, maxBytes)
+		}
 	}
 }
 
