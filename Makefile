@@ -139,7 +139,10 @@ bench-json:
 # at ~0.3 % and ~3 % load, one whole walk per op (their Mpps is live
 # entries visited per second); and past the meter, the control plane on
 # the epoch_fleet shape (bench_collect_test.go) — the exporter's frame
-# encode, collector merge, the store's append, fleet ingest, the store's
+# encode, a frame through a bare collector (CollectorServe, the fleet
+# tier's) and through a delegation collector's additive merge
+# (CollectorMerge), the store's append, fleet ingest and its DDoS
+# detector's share (StreamObserve), the store's
 # windowed top-k and heavy changers over 80 000 flows
 # (Mpps is records or ranked flows per second), and one flow-table upsert
 # at 80 000 flows (scalar) and at 2^20 (FlowtableUpsert1M: beyond what the
@@ -150,7 +153,7 @@ bench-json:
 # bench-json's: the archived baseline section (each row measured on the
 # parent commit of the PR that added it, on the same host) carries over,
 # and a >10% Mpps drop against it fails the target.
-BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot|ExportBatch|CollectorMerge|StoreAppend80k|FleetIngest|StoreTopK80k|StoreHeavyChangers80k|FlowtableUpsert|FlowtableUpsert1M
+BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot|ExportBatch|CollectorServe|CollectorMerge|StoreAppend80k|FleetIngest|StreamObserve|StoreTopK80k|StoreHeavyChangers80k|FlowtableUpsert|FlowtableUpsert1M
 bench-layers:
 	$(GO) test -bench '^Benchmark($(BENCH_LAYERS))$$' -benchmem -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -guard -o BENCH_layers.json \

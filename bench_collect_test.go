@@ -1,9 +1,9 @@
 package instameasure
 
 // Control-plane rows of the layered ledger (make bench-layers): what a
-// record costs after it has left the meter — collector merge, fleet
-// aggregate + detect, and the store's windowed queries — on the shape the
-// repository benchmark's epoch_fleet workload runs (two sites, 40 000
+// record costs after it has left the meter — collector serve and merge,
+// fleet aggregate + detect, and the store's windowed queries — on the
+// shape the repository benchmark's epoch_fleet workload runs (two sites, 40 000
 // cumulative records each, every flow moving every epoch), plus the flow
 // table's unit of work at that size and at 2^20 flows.
 
@@ -53,22 +53,14 @@ func reportMrecords(b *testing.B, perOp int) {
 	b.ReportMetric(float64(b.N)*float64(perOp)*1e3/float64(b.Elapsed().Nanoseconds()), "Mpps")
 }
 
-// BenchmarkCollectorMerge is one 40 000-record frame through a collector
-// connection per op: read off loopback TCP, CRC, decode, merge into the
-// global table (every key already present after the first op).
-func BenchmarkCollectorMerge(b *testing.B) {
-	coll, err := export.NewCollector("127.0.0.1:0", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer coll.Close()
-	merged := make(chan struct{}, 1) // one frame in flight
-	coll.AddHook(func(export.Batch) { merged <- struct{}{} })
+// serveFrames writes one site's 40 000-record frame to a collector at
+// addr per op, over loopback TCP, and waits on done for it to be through.
+func serveFrames(b *testing.B, addr string, done <-chan struct{}) {
 	var frame bytes.Buffer
 	if err := export.WriteBatch(&frame, export.Batch{Epoch: 1, Site: "edge-1", Records: tierBatch(0, 1)}); err != nil {
 		b.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", coll.Addr())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,7 +71,59 @@ func BenchmarkCollectorMerge(b *testing.B) {
 		if _, err := conn.Write(frame.Bytes()); err != nil {
 			b.Fatal(err)
 		}
-		<-merged
+		<-done
+	}
+	reportMrecords(b, tierRecords)
+}
+
+// BenchmarkCollectorMerge is one frame through a delegation collector per
+// op: read off loopback TCP, CRC, decode, and the additive merge into its
+// global table (every key already present after the first op).
+func BenchmarkCollectorMerge(b *testing.B) {
+	coll, err := NewCollector("127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coll.Close()
+	merged := make(chan struct{}, 1) // one frame in flight
+	coll.c.AddHook(func(export.Batch) { merged <- struct{}{} })
+	serveFrames(b, coll.Addr(), merged)
+}
+
+// BenchmarkCollectorServe is the same frame through a bare collector, the
+// fleet tier's: read, CRC and decode, handed to one hook that signals it.
+func BenchmarkCollectorServe(b *testing.B) {
+	coll, err := export.NewCollector("127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer coll.Close()
+	served := make(chan struct{}, 1)
+	coll.AddHook(func(export.Batch) { served <- struct{}{} })
+	serveFrames(b, coll.Addr(), served)
+}
+
+// BenchmarkStreamObserve is one 40 000-record batch per op through a
+// DDoS-victim detector's Observe, the records spread over 1 000
+// destinations, and the window rotated after it as the fleet tier rotates
+// it once per epoch: the tier's per-record detection cost.
+func BenchmarkStreamObserve(b *testing.B) {
+	det, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindDDoSVictim, Threshold: 300})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := tierBatch(0, 1)
+	for i := range recs {
+		recs[i].Key.DstIP = packet.V4Key(0, 0xC0A80000|uint32(i%1000), 0, 0, packet.ProtoTCP).DstIP
+	}
+	var alerts []detect.Alert
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range recs {
+			alerts = det.Observe("edge-1", &recs[j], recs[j].Pkts, int64(i+1), alerts[:0])
+		}
+		det.Rotate()
 	}
 	reportMrecords(b, tierRecords)
 }

@@ -57,9 +57,9 @@ type Fleet struct {
 	agg *fleet.Aggregator
 }
 
-// EnableFleet attaches the fleet tier to this collector: every merged
-// batch also feeds the per-site/network views and the configured
-// detectors. Call once, before traffic arrives.
+// EnableFleet makes every batch feed the per-site/network views and the
+// configured detectors instead of the additive table, whose place in
+// Flows the network view takes. Call once, before traffic arrives.
 func (c *Collector) EnableFleet(cfg FleetConfig) (*Fleet, error) {
 	var dets []*detect.StreamDetector
 	add := func(kind detect.StreamKind, threshold float64) error {
@@ -92,6 +92,7 @@ func (c *Collector) EnableFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("instameasure: %w", err)
 	}
 	agg.SetFlight(flight.Default().Control())
+	c.fleet.Store(agg)
 	c.c.AddHook(agg.Ingest)
 	return &Fleet{agg: agg}, nil
 }

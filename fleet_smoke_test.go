@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"instameasure/internal/export"
 )
 
 // fleetMeter processes a trace in two epoch cuts, exporting the full
@@ -248,6 +250,59 @@ func TestFleetSilentOnBenign(t *testing.T) {
 	for _, d := range st.Detectors {
 		if d.Fired != 0 {
 			t.Errorf("detector %s fired %d times on benign traffic", d.Kind, d.Fired)
+		}
+	}
+}
+
+// TestFleetCollectorDoesNotDoubleCount: a fleet collector's Flows is the
+// network view under the cumulative-counter model. One site re-sending
+// the same 3-flow snapshot at two epochs reports each flow once, at its
+// snapshot value — an additive merge would report it doubled.
+func TestFleetCollectorDoesNotDoubleCount(t *testing.T) {
+	coll, err := NewCollector("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	fl, err := coll.EnableFleet(FleetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := export.Dial(coll.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	if err := exp.WithSite("edge-1"); err != nil {
+		t.Fatal(err)
+	}
+	snap := map[FlowKey]FlowRecord{}
+	var recs []export.Record
+	for i := range 3 {
+		r := FlowRecord{Key: V4Key(uint32(10+i), 99, uint16(1000+i), 443, ProtoTCP),
+			Pkts: float64(10 * (i + 1)), Bytes: float64(1500 * (i + 1)), FirstSeen: 1, LastUpdate: 2}
+		snap[r.Key] = r
+		recs = append(recs, export.Record(r))
+	}
+	for epoch := int64(1); epoch <= 2; epoch++ {
+		if err := exp.Export(export.Batch{Epoch: epoch, Records: recs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFleet(t, func() bool { return fl.Stats().Batches == 2 }, "2 batches ingested")
+
+	flows := coll.Flows()
+	if len(flows) != len(snap) {
+		t.Fatalf("Flows() = %d flows, want %d", len(flows), len(snap))
+	}
+	for _, f := range flows {
+		want, ok := snap[f.Key]
+		if !ok {
+			t.Fatalf("Flows() reports unknown flow %v", f.Key)
+		}
+		if f.Pkts != want.Pkts || f.Bytes != want.Bytes {
+			t.Errorf("flow %v = %v pkts / %v bytes, want the snapshot's %v / %v",
+				f.Key, f.Pkts, f.Bytes, want.Pkts, want.Bytes)
 		}
 	}
 }

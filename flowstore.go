@@ -112,7 +112,7 @@ func (f *FlowStore) EpochFlows(epoch int64) (flows []FlowRecord, activity WSAFAc
 	if err != nil || !ok {
 		return nil, WSAFActivity{}, ok, err
 	}
-	return fromExport(recs), WSAFActivity(stats), true, nil
+	return recs, stats, true, nil
 }
 
 // Sync flushes the active segment to stable storage.

@@ -116,16 +116,9 @@ func (c Config) engineConfig() core.Config {
 	}
 }
 
-// FlowRecord is one measured flow.
-type FlowRecord struct {
-	Key        FlowKey
-	Pkts       float64
-	Bytes      float64
-	FirstSeen  int64
-	LastUpdate int64
-}
-
-func toRecord(e wsaf.Entry) FlowRecord { return FlowRecord(export.FromEntry(e)) }
+// FlowRecord is one measured flow: Key, Pkts, Bytes, FirstSeen and
+// LastUpdate — the record a cut exports.
+type FlowRecord = export.Record
 
 // HeavyHitterEvent reports a flow crossing a detection threshold.
 type HeavyHitterEvent struct {
@@ -291,7 +284,7 @@ func (m *Meter) Lookup(key FlowKey) (FlowRecord, bool) {
 	if !ok {
 		return FlowRecord{}, false
 	}
-	return toRecord(e), true
+	return export.FromEntry(e), true
 }
 
 // Flows returns all measured flows currently resident in the WSAF, worker
@@ -409,13 +402,7 @@ func (m *Meter) cut() ([]export.Record, export.TableStats) {
 // WSAFActivity summarizes how a snapshot's table churned, splitting the
 // two ways an entry leaves the WSAF: second-chance evictions of live
 // flows versus inline TTL expirations.
-type WSAFActivity struct {
-	Updates     uint64
-	Inserts     uint64
-	Expirations uint64
-	Evictions   uint64
-	Drops       uint64
-}
+type WSAFActivity = export.TableStats
 
 // SnapshotInfo is a fully decoded snapshot file.
 type SnapshotInfo struct {
@@ -444,27 +431,17 @@ func ReadSnapshotDetail(r io.Reader) (SnapshotInfo, error) {
 		return SnapshotInfo{}, fmt.Errorf("instameasure: %w", err)
 	}
 	return SnapshotInfo{
-		Records:  fromExport(b.Records),
+		Records:  b.Records,
 		Epoch:    b.Epoch,
 		HasStats: hasStats,
-		Stats:    WSAFActivity(stats),
+		Stats:    stats,
 	}, nil
-}
-
-// fromExport converts wire records; a FlowRecord is an export.Record field
-// for field.
-func fromExport(recs []export.Record) []FlowRecord {
-	out := make([]FlowRecord, len(recs))
-	for i, rec := range recs {
-		out[i] = FlowRecord(rec)
-	}
-	return out
 }
 
 func records(entries []wsaf.Entry) []FlowRecord {
 	out := make([]FlowRecord, len(entries))
 	for i, e := range entries {
-		out[i] = toRecord(e)
+		out[i] = export.FromEntry(e)
 	}
 	return out
 }

@@ -3,8 +3,9 @@
 // needs for archival: periodically shipping WSAF flow records to a remote
 // collector. It provides a compact length-prefixed, CRC-protected binary
 // codec for flow records, snapshot files for long-term storage (the
-// paper's "analyze flow behavior for long-term measurement"), and a TCP
-// exporter/collector pair used to measure real delegation latency.
+// paper's "analyze flow behavior for long-term measurement"), a TCP
+// exporter/collector pair used to measure real delegation latency, and
+// Merge, the delegation side's additive flow table.
 package export
 
 import (
@@ -246,7 +247,7 @@ func AppendBatch(dst []byte, b Batch) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(dst, crc32.Update(crc, crc32.IEEETable, payload)), nil
 }
 
-// framePool holds the buffers WriteBatch and the snapshot writers encode
+// framePool holds the buffers WriteBatch and the snapshot writer encode
 // into, so a frame costs no allocation once a buffer of its size exists.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -422,14 +423,6 @@ type TableStats struct {
 	Drops       uint64
 }
 
-// WriteSnapshot persists records as a snapshot file (same record codec,
-// snapshot magic) for long-term archival of a measurement window.
-func WriteSnapshot(w io.Writer, epoch int64, records []Record) error {
-	return writeFrame(w, func(dst []byte) ([]byte, error) {
-		return AppendBatch(binary.BigEndian.AppendUint32(dst, snapshotMagic), Batch{Epoch: epoch, Records: records})
-	})
-}
-
 // AppendSnapshotStats appends a snapshot file with a CRC-protected stats
 // trailer after the batch:
 //
@@ -470,8 +463,8 @@ func readSnapshotMagic(r io.Reader) error {
 	return nil
 }
 
-// ReadSnapshot loads a snapshot file written by WriteSnapshot (any stats
-// trailer is left unread).
+// ReadSnapshot loads a snapshot file's batch (any stats trailer is left
+// unread).
 func ReadSnapshot(r io.Reader) (Batch, error) {
 	if err := readSnapshotMagic(r); err != nil {
 		return Batch{}, err

@@ -17,10 +17,6 @@ import (
 	"instameasure/internal/telemetry"
 )
 
-func immediateDeadline() time.Time {
-	return time.Now().Add(-time.Second)
-}
-
 // Telemetry carries the exporter's metric handles, updated once per
 // exported batch.
 type Telemetry struct {
@@ -286,9 +282,12 @@ func (e *Exporter) Close() error {
 	return err
 }
 
-// Collector accepts exporter connections and merges their batches into a
-// global flow table. Every accepted connection is served by a managed
-// goroutine; Close stops the listener and waits for all of them to exit.
+// Collector accepts exporter connections and serves their frames: each
+// is read, verified, decoded and handed to onBatch, counted, then handed
+// to the sink and the hooks. It keeps no flow state: an additive Merge,
+// the fleet tier's views and a store are consumers. Every connection is
+// served by a managed goroutine; Close stops the listener and waits for
+// all of them to exit.
 type Collector struct {
 	ln net.Listener
 
@@ -304,24 +303,16 @@ type Collector struct {
 	drops [dropReasons]atomic.Uint64
 	met   atomic.Pointer[[dropReasons]*telemetry.Counter]
 
+	onBatch func(Batch) // fixed at construction
 	mu      sync.Mutex
-	flows   flowtable.Table[flowTotals]
 	batches uint64
 	records uint64
-	onBatch func(Batch)
 	sink    func(Batch)
 	hooks   []func(Batch)
 	fl      flight.Handle
 
 	closing chan struct{}
 	wg      sync.WaitGroup
-}
-
-// flowTotals is a merged flow's value in the collector's table: the
-// Record fields beside the key.
-type flowTotals struct {
-	Pkts, Bytes           float64
-	FirstSeen, LastUpdate int64
 }
 
 // DropReason says why the collector stopped serving a connection.
@@ -347,8 +338,9 @@ func (r DropReason) String() string {
 const DefaultFrameTimeout = 30 * time.Second
 
 // NewCollector starts a collector listening on addr (use "127.0.0.1:0"
-// for an ephemeral test port). onBatch, if non-nil, fires after each batch
-// merge — detection pipelines hang off this hook. The batch's Records are
+// for an ephemeral test port). onBatch, if non-nil, fires first for each
+// decoded batch, before the sink and the hooks — a Merge's Add wired here
+// is the delegation collector's global table. The batch's Records are
 // valid only until onBatch returns (see Batch).
 func NewCollector(addr string, onBatch func(Batch)) (*Collector, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -369,26 +361,20 @@ func NewCollector(addr string, onBatch func(Batch)) (*Collector, error) {
 // Addr returns the listener's address.
 func (c *Collector) Addr() string { return c.ln.Addr().String() }
 
-// SetFrameTimeout overrides the per-frame read deadline on accepted
-// connections (0 disables it). Applies to frames read after the call.
-func (c *Collector) SetFrameTimeout(d time.Duration) {
-	c.frameTimeout.Store(int64(d))
-}
-
-// SetSink attaches fn, called with every merged batch — the epoch store
-// hangs off this to persist what remote meters report. Unlike onBatch it
-// can be attached after construction; pass nil to detach. The batch's
-// Records are valid only until fn returns (see Batch).
+// SetSink attaches fn, called with every batch after onBatch — the epoch
+// store hangs off this to persist what remote meters report. Unlike
+// onBatch it can be attached after construction; pass nil to detach. The
+// batch's Records are valid only until fn returns (see Batch).
 func (c *Collector) SetSink(fn func(Batch)) {
 	c.mu.Lock()
 	c.sink = fn
 	c.mu.Unlock()
 }
 
-// AddHook appends a batch hook fired after every merge, alongside
-// onBatch and the sink — the fleet aggregation tier attaches its ingest
-// here. Hooks obey the same contract as the sink: they run OUTSIDE the
-// collector's lock (a slow hook never blocks Lookup/Flows/Stats) and may
+// AddHook appends a batch hook fired for every batch after onBatch and
+// the sink — the fleet aggregation tier attaches its ingest here. Hooks
+// obey the same contract as the sink: they run OUTSIDE the collector's
+// lock (a slow hook never blocks Stats or another connection) and may
 // be invoked concurrently from different exporter connections, so a hook
 // that keeps state must do its own locking, and one that keeps records
 // must copy them: they are valid only until it returns (see Batch).
@@ -401,10 +387,10 @@ func (c *Collector) AddHook(fn func(Batch)) {
 	c.mu.Unlock()
 }
 
-// SetFlight attaches a flight-recorder handle; every merged frame is
-// recorded as a receive event carrying the batch's epoch id — the same
-// trace id the sending exporter recorded, which is what lets a dump
-// stitch one epoch's journey across the process boundary.
+// SetFlight attaches a flight-recorder handle; every decoded frame is
+// recorded as a receive event, timed from its first byte to decoded,
+// under the batch's epoch id — the trace id the sending exporter recorded,
+// which lets a dump stitch one epoch's journey across the process boundary.
 func (c *Collector) SetFlight(h flight.Handle) {
 	c.mu.Lock()
 	c.fl = h
@@ -462,13 +448,10 @@ func (c *Collector) acceptLoop() {
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			select {
-			case <-c.closing:
+			if !c.Listening() {
 				return
-			default:
 			}
-			// Transient accept error: keep serving unless closing.
-			continue
+			continue // transient accept error
 		}
 		c.wg.Add(1)
 		go c.serve(conn)
@@ -487,7 +470,7 @@ func (c *Collector) serve(conn net.Conn) {
 		case <-c.closing:
 			// Best effort: a conn that cannot take the deadline is dying
 			// anyway, which unblocks the read just the same.
-			_ = conn.SetDeadline(immediateDeadline())
+			_ = conn.SetDeadline(time.Now().Add(-time.Second))
 		case <-done:
 		}
 	}()
@@ -507,17 +490,16 @@ func (c *Collector) serve(conn net.Conn) {
 			c.dropped(err)
 			return
 		}
-		select {
-		case <-c.closing:
+		if !c.Listening() {
 			return
-		default:
 		}
 		_, err := rd.Peek(1) // an idle connection waits holding no decode buffers
 		if err == nil {
+			start := time.Now()
 			br := readerPool.Get().(*BatchReader)
 			var b Batch
 			if b, err = br.Read(rd); err == nil {
-				c.merge(b)
+				c.deliver(start, b)
 			}
 			readerPool.Put(br)
 		}
@@ -534,44 +516,22 @@ func (c *Collector) serve(conn net.Conn) {
 // only while a frame is read and its callbacks run.
 var readerPool = sync.Pool{New: func() any { return new(BatchReader) }}
 
-func (c *Collector) merge(b Batch) {
-	start := time.Now()
-	c.mu.Lock()
-	// A burst of records is hashed and hinted before any is merged, in order.
-	var hs [flowtable.Burst]uint64
-	for i := range b.Records {
-		if i%flowtable.Burst == 0 {
-			for k := range min(flowtable.Burst, len(b.Records)-i) {
-				hs[k] = flowtable.Hash(&b.Records[i+k].Key)
-				c.flows.Prefetch(hs[k])
-			}
-		}
-		rec := &b.Records[i]
-		cur, fresh := c.flows.Upsert(hs[i%flowtable.Burst], &rec.Key)
-		if fresh {
-			*cur = flowTotals{rec.Pkts, rec.Bytes, rec.FirstSeen, rec.LastUpdate}
-			continue
-		}
-		cur.Pkts += rec.Pkts
-		cur.Bytes += rec.Bytes
-		cur.FirstSeen = min(cur.FirstSeen, rec.FirstSeen)
-		cur.LastUpdate = max(cur.LastUpdate, rec.LastUpdate)
+// deliver hands b to onBatch, counts it, then hands it to the sink and
+// the hooks; start is when the frame's first byte arrived.
+func (c *Collector) deliver(start time.Time, b Batch) {
+	decoded := time.Since(start)
+	if c.onBatch != nil { // before counting: a batch Stats reports, it has seen
+		c.onBatch(b)
 	}
+	c.mu.Lock()
 	c.batches++
 	c.records += uint64(len(b.Records))
-	// Snapshot the callback set under the lock, then release it BEFORE
-	// invoking anything user-supplied: Lookup/Flows/Stats share c.mu, so
-	// a slow sink or hook held under it would stall every concurrent
-	// query (and, transitively, every other connection's merge). The
-	// lock-free-sink contract is pinned by TestCollectorSlowSinkDoesNotBlockQueries.
-	onBatch, sink, hooks, fl := c.onBatch, c.sink, c.hooks, c.fl
+	// Callbacks run unlocked, or a slow one would stall Stats and every
+	// other connection (TestCollectorSlowSinkDoesNotBlockQueries).
+	sink, hooks, fl := c.sink, c.hooks, c.fl
 	c.mu.Unlock()
 
-	fl.EventAt(start, flight.StageReceive, b.Epoch,
-		uint32(len(b.Records)), 0, uint64(time.Since(start)))
-	if onBatch != nil {
-		onBatch(b)
-	}
+	fl.EventAt(start, flight.StageReceive, b.Epoch, uint32(len(b.Records)), 0, uint64(decoded))
 	if sink != nil {
 		sink(b)
 	}
@@ -580,30 +540,8 @@ func (c *Collector) merge(b Batch) {
 	}
 }
 
-// Lookup returns the merged record for key.
-func (c *Collector) Lookup(key packet.FlowKey) (Record, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v := c.flows.Get(flowtable.Hash(&key), &key)
-	if v == nil {
-		return Record{}, false
-	}
-	return Record{key, v.Pkts, v.Bytes, v.FirstSeen, v.LastUpdate}, true
-}
-
-// Flows returns a copy of the merged flow table, one record per flow in
-// the order the flows were first reported.
-func (c *Collector) Flows() []Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Record, 0, c.flows.Len())
-	c.flows.Each(func(_ uint64, key *packet.FlowKey, v *flowTotals) {
-		out = append(out, Record{*key, v.Pkts, v.Bytes, v.FirstSeen, v.LastUpdate})
-	})
-	return out
-}
-
-// Stats returns batches and records merged so far.
+// Stats returns batches and records received so far. A batch is counted
+// once onBatch has returned, before the sink and the hooks see it.
 func (c *Collector) Stats() (batches, records uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -617,4 +555,68 @@ func (c *Collector) Close() error {
 	err := c.ln.Close()
 	c.wg.Wait()
 	return err
+}
+
+// Merge is the delegation architecture's global flow table: Add folds
+// each record into one per flow — packets and bytes summed, FirstSeen the
+// earliest, LastUpdate the latest — copying what it keeps. Wire it as a
+// Collector's onBatch. Safe for concurrent use; the zero value is empty.
+type Merge struct {
+	mu    sync.Mutex
+	flows flowtable.Table[flowTotals]
+}
+
+// flowTotals is a merged flow's value: the Record fields beside the key.
+type flowTotals struct {
+	Pkts, Bytes           float64
+	FirstSeen, LastUpdate int64
+}
+
+// Add folds b's records into the table.
+func (m *Merge) Add(b Batch) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// A burst of records is hashed and hinted before any is merged, in order.
+	var hs [flowtable.Burst]uint64
+	for i := range b.Records {
+		if i%flowtable.Burst == 0 {
+			for k := range min(flowtable.Burst, len(b.Records)-i) {
+				hs[k] = flowtable.Hash(&b.Records[i+k].Key)
+				m.flows.Prefetch(hs[k])
+			}
+		}
+		rec := &b.Records[i]
+		cur, fresh := m.flows.Upsert(hs[i%flowtable.Burst], &rec.Key)
+		if fresh {
+			*cur = flowTotals{rec.Pkts, rec.Bytes, rec.FirstSeen, rec.LastUpdate}
+			continue
+		}
+		cur.Pkts += rec.Pkts
+		cur.Bytes += rec.Bytes
+		cur.FirstSeen = min(cur.FirstSeen, rec.FirstSeen)
+		cur.LastUpdate = max(cur.LastUpdate, rec.LastUpdate)
+	}
+}
+
+// Lookup returns the merged record for key.
+func (m *Merge) Lookup(key packet.FlowKey) (Record, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v := m.flows.Get(flowtable.Hash(&key), &key)
+	if v == nil {
+		return Record{}, false
+	}
+	return Record{key, v.Pkts, v.Bytes, v.FirstSeen, v.LastUpdate}, true
+}
+
+// Flows returns a copy of the merged table, one record per flow in the
+// order the flows were first added.
+func (m *Merge) Flows() []Record {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]Record, 0, m.flows.Len())
+	m.flows.Each(func(_ uint64, key *packet.FlowKey, v *flowTotals) {
+		out = append(out, Record{*key, v.Pkts, v.Bytes, v.FirstSeen, v.LastUpdate})
+	})
+	return out
 }

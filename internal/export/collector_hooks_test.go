@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,14 +13,16 @@ import (
 )
 
 // TestCollectorSlowSinkDoesNotBlockQueries pins the lock-free-callback
-// contract of Collector.merge: sinks and hooks run OUTSIDE the collector
+// contract of Collector.deliver: sinks and hooks run OUTSIDE the collector
 // lock, so a stalled downstream (a wedged epoch store, a slow fleet
-// aggregator) must not block Lookup/Flows/Stats — or, transitively, other
-// connections' merges. Run under -race by the fleet-smoke target.
+// aggregator) must not block Stats or a Merge fed by onBatch — or,
+// transitively, other connections' batches. Run under -race by the
+// fleet-smoke target.
 func TestCollectorSlowSinkDoesNotBlockQueries(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	coll, err := NewCollector("127.0.0.1:0", nil)
+	var merged Merge
+	coll, err := NewCollector("127.0.0.1:0", merged.Add)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +51,10 @@ func TestCollectorSlowSinkDoesNotBlockQueries(t *testing.T) {
 	queries := make(chan struct{})
 	go func() {
 		defer close(queries)
-		if _, ok := coll.Lookup(rec(1).Key); !ok {
+		if _, ok := merged.Lookup(rec(1).Key); !ok {
 			t.Error("merged flow not visible while sink blocked")
 		}
-		if n := len(coll.Flows()); n != 1 {
+		if n := len(merged.Flows()); n != 1 {
 			t.Errorf("Flows() = %d flows while sink blocked, want 1", n)
 		}
 		if b, _ := coll.Stats(); b != 1 {
@@ -62,11 +65,11 @@ func TestCollectorSlowSinkDoesNotBlockQueries(t *testing.T) {
 	case <-queries:
 	case <-time.After(5 * time.Second):
 		close(release)
-		t.Fatal("queries blocked behind a slow sink: merge is holding c.mu across callbacks")
+		t.Fatal("queries blocked behind a slow sink: deliver is holding c.mu across callbacks")
 	}
 
-	// A second exporter's merge must also get through: the wedged sink
-	// pins only its own connection goroutine, not the flow table.
+	// A second exporter's batch must also reach the merge: the wedged
+	// sink pins only its own connection goroutine.
 	exp2, err := Dial(coll.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -75,10 +78,55 @@ func TestCollectorSlowSinkDoesNotBlockQueries(t *testing.T) {
 	if err := exp2.Export(Batch{Epoch: 2, Records: []Record{rec(2)}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { _, ok := coll.Lookup(rec(2).Key); return ok })
+	waitFor(t, func() bool { _, ok := merged.Lookup(rec(2).Key); return ok })
 
 	close(release)
 	waitFor(t, func() bool { return hookCalls.Load() == 2 })
+}
+
+// TestCollectorKeepsNoFlowState: a collector serves frames and keeps
+// nothing of their flows — 32 frames of 4 096 fresh flows each through a
+// collector with only a counting hook leave the live heap where one frame
+// left it. A per-flow table kept across frames grows it by ~14 MB.
+func TestCollectorKeepsNoFlowState(t *testing.T) {
+	const frames, perFrame = 32, 4096
+	var served atomic.Int64
+	coll, err := NewCollector("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	coll.AddHook(func(Batch) { served.Add(1) })
+	exp, err := Dial(coll.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	recs := make([]Record, perFrame)
+	send := func(f int) {
+		for i := range recs {
+			recs[i] = rec(f*perFrame + i)
+		}
+		if err := exp.Export(Batch{Epoch: int64(f), Records: recs}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return served.Load() == int64(f+1) })
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+
+	send(0) // warms the exporter's frame buffer and the decode pool
+	before := heap()
+	for f := 1; f <= frames; f++ {
+		send(f)
+	}
+	if grew := int64(heap()) - int64(before); grew >= 1<<20 {
+		t.Errorf("heap in use grew by %d KB over %d frames of fresh flows; want < 1 MB", grew>>10, frames)
+	}
 }
 
 // TestCollectorHookSeesSite checks that batch hooks observe the decoded
@@ -129,7 +177,7 @@ func TestCollectorCountsConnDrops(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry("im", 1)
 	coll.Instrument(reg)
-	coll.SetFrameTimeout(100 * time.Millisecond)
+	coll.frameTimeout.Store(int64(100 * time.Millisecond))
 
 	var frame bytes.Buffer
 	if err := WriteBatch(&frame, Batch{Epoch: 1, Records: []Record{rec(1)}}); err != nil {
@@ -181,7 +229,7 @@ func TestCollectorCountsConnDrops(t *testing.T) {
 	// An idle connection interrupted by Close is a shutdown, not a drop.
 	idle := dial()
 	defer idle.Close()
-	coll.SetFrameTimeout(0)
+	coll.frameTimeout.Store(0)
 	if b, _ := coll.Stats(); b != 1 {
 		t.Fatalf("merged %d batches, want 1", b)
 	}

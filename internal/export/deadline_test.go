@@ -53,7 +53,7 @@ func TestServeDropsConnWhenDeadlineClearFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetFrameTimeout(0)
+	c.frameTimeout.Store(0)
 
 	client, server := net.Pipe()
 	defer client.Close()

@@ -96,7 +96,7 @@ func FuzzReadBatch(f *testing.F) {
 func FuzzReadSnapshotStats(f *testing.F) {
 	var plain, full bytes.Buffer
 	recs := []Record{{Key: rec(2).Key, Pkts: 7, Bytes: 700, FirstSeen: 3, LastUpdate: 5}}
-	_ = WriteSnapshot(&plain, 7, recs)
+	_ = writeSnapshot(&plain, 7, recs)
 	_ = WriteSnapshotStats(&full, 7, recs, TableStats{Updates: 6, Inserts: 1, Expirations: 2, Evictions: 3, Drops: 4})
 	f.Add(plain.Bytes())
 	f.Add(full.Bytes())
@@ -131,7 +131,7 @@ func FuzzReadSnapshotStats(f *testing.F) {
 		if hasStats {
 			err = WriteSnapshotStats(&re, b.Epoch, b.Records, stats)
 		} else {
-			err = WriteSnapshot(&re, b.Epoch, b.Records)
+			err = writeSnapshot(&re, b.Epoch, b.Records)
 		}
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)

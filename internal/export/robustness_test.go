@@ -29,7 +29,7 @@ func TestCollectorFrameDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetFrameTimeout(50 * time.Millisecond)
+	c.frameTimeout.Store(int64(50 * time.Millisecond))
 
 	loris, err := net.Dial("tcp", c.Addr())
 	if err != nil {
@@ -62,17 +62,17 @@ func TestCollectorFrameDeadline(t *testing.T) {
 	waitOn(t, "batch merge", func() bool { b, _ := c.Stats(); return b == 1 })
 }
 
-// TestFrameTimeoutDisableClearsDeadline verifies SetFrameTimeout(0)
+// TestFrameTimeoutDisableClearsDeadline verifies a frame timeout of 0
 // actually disables the deadline on connections that already had one
 // armed: a frame arriving long after the previously armed deadline would
-// have fired must still be merged, not dropped.
+// have fired must still be served, not dropped.
 func TestFrameTimeoutDisableClearsDeadline(t *testing.T) {
 	c, err := NewCollector("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetFrameTimeout(200 * time.Millisecond)
+	c.frameTimeout.Store(int64(200 * time.Millisecond))
 
 	e, err := Dial(c.Addr())
 	if err != nil {
@@ -88,7 +88,7 @@ func TestFrameTimeoutDisableClearsDeadline(t *testing.T) {
 	// Disable, then send another frame so the serve loop's next iteration
 	// observes the zero timeout and clears the deadline it armed after the
 	// first frame.
-	c.SetFrameTimeout(0)
+	c.frameTimeout.Store(0)
 	if err := e.Export(batch); err != nil {
 		t.Fatal(err)
 	}

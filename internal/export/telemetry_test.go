@@ -32,10 +32,10 @@ func TestSnapshotStatsRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotStatsLegacyFileNoTrailer(t *testing.T) {
-	// A plain WriteSnapshot file (pre-trailer format) must read back with
+	// A plain writeSnapshot file (pre-trailer format) must read back with
 	// hasStats=false and zero stats.
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, 7, []Record{rec(1)}); err != nil {
+	if err := writeSnapshot(&buf, 7, []Record{rec(1)}); err != nil {
 		t.Fatal(err)
 	}
 	b, stats, hasStats, err := ReadSnapshotStats(&buf)
