@@ -128,6 +128,30 @@ func BenchmarkStreamObserve(b *testing.B) {
 	reportMrecords(b, tierRecords)
 }
 
+// BenchmarkStreamObserveBusy is BenchmarkStreamObserve without the
+// per-op Rotate: the window never closes, so every destination's pane
+// passes the estimate floor within a few ops while holding only its 40
+// distinct sources — a group that is busy but not wide.
+func BenchmarkStreamObserveBusy(b *testing.B) {
+	det, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindDDoSVictim, Threshold: 300})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := tierBatch(0, 1)
+	for i := range recs {
+		recs[i].Key.DstIP = packet.V4Key(0, 0xC0A80000|uint32(i%1000), 0, 0, packet.ProtoTCP).DstIP
+	}
+	var alerts []detect.Alert
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range recs {
+			alerts = det.Observe("edge-1", &recs[j], recs[j].Pkts, int64(i+1), alerts[:0])
+		}
+	}
+	reportMrecords(b, tierRecords)
+}
+
 // BenchmarkExportBatch is one site's 40 000-record epoch framed and
 // written to io.Discard per op: the exporter's half of a send.
 func BenchmarkExportBatch(b *testing.B) {

@@ -5,6 +5,10 @@
 //
 //	go test -bench . -benchmem -run '^$' . | benchjson -o BENCH_hotpath.json
 //
+// A benchmark that appears on several lines (go test -count N) is archived
+// as its median run by ns/op — the whole line of that run, so its metrics
+// stay consistent — and the guard holds that run, not whichever came last.
+//
 // With -baseline FILE, the "baseline" section of an earlier benchjson
 // document is carried over verbatim — and if FILE has no baseline section,
 // its results become the baseline — so a single output file records the
@@ -22,10 +26,13 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,34 +86,9 @@ func run() error {
 	)
 	flag.Parse()
 
-	doc := Document{Results: map[string]Result{}}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			doc.GoOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			doc.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "cpu:"):
-			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			name, res, err := parseLine(line)
-			if err != nil {
-				return fmt.Errorf("parse %q: %w", line, err)
-			}
-			doc.Results[name] = res
-		}
-		// Echo everything through so the tool can sit inside a pipe
-		// without hiding failures or PASS/FAIL trailers.
-		fmt.Println(line)
-	}
-	if err := sc.Err(); err != nil {
+	doc, err := read(os.Stdin, os.Stdout)
+	if err != nil {
 		return err
-	}
-	if len(doc.Results) == 0 {
-		return fmt.Errorf("no benchmark lines on stdin")
 	}
 
 	if *baseline != "" {
@@ -133,6 +115,46 @@ func run() error {
 		return checkGuard(doc, *mppsDrop, *effFloor, *nsRise)
 	}
 	return nil
+}
+
+// read parses `go test -bench` output from r into a document, one median
+// run per benchmark name, echoing every line to echo so the tool can sit
+// inside a pipe without hiding failures or PASS/FAIL trailers.
+func read(r io.Reader, echo io.Writer) (Document, error) {
+	doc := Document{Results: map[string]Result{}}
+	runs := map[string][]Result{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			doc.GoOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			doc.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "cpu:"):
+			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			name, res, err := parseLine(line)
+			if err != nil {
+				return doc, fmt.Errorf("parse %q: %w", line, err)
+			}
+			runs[name] = append(runs[name], res)
+		}
+		fmt.Fprintln(echo, line)
+	}
+	if err := sc.Err(); err != nil {
+		return doc, err
+	}
+	if len(runs) == 0 {
+		return doc, fmt.Errorf("no benchmark lines on stdin")
+	}
+	for name, rs := range runs {
+		// The median by ns/op; of an even count, the slower middle run.
+		slices.SortStableFunc(rs, func(a, b Result) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		doc.Results[name] = rs[len(rs)/2]
+	}
+	return doc, nil
 }
 
 // checkGuard enforces the throughput gate: every benchmark with an Mpps

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -133,5 +134,36 @@ func TestGuardEffFloorUpToGOMAXPROCS(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "below floor") {
 			t.Errorf("%q: want an efficiency guard failure, got %v", lines, err)
 		}
+	}
+}
+
+// TestGuardHoldsTheMedianRun: of three runs of a row (go test -count 3),
+// the guard holds the median by ns/op. One slow outlier among three no
+// longer fails it; a median below the band still does.
+func TestGuardHoldsTheMedianRun(t *testing.T) {
+	base := map[string]Result{"BenchmarkExportSnapshot": {MPPS: fp(10)}}
+	guard := func(lines ...string) error {
+		t.Helper()
+		doc, err := read(strings.NewReader(strings.Join(lines, "\n")), io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Baseline = base
+		return checkGuard(doc, 0.10, 0.60, 0.10)
+	}
+	if err := guard(
+		"BenchmarkExportSnapshot-2 	 1000	 100000 ns/op	 10.0 Mpps",
+		"BenchmarkExportSnapshot-2 	 1000	 250000 ns/op	 4.0 Mpps",
+		"BenchmarkExportSnapshot-2 	 1000	 98000 ns/op	 10.2 Mpps",
+	); err != nil {
+		t.Fatalf("one outlier among three runs failed the guard: %v", err)
+	}
+	err := guard(
+		"BenchmarkExportSnapshot-2 	 1000	 100000 ns/op	 10.0 Mpps",
+		"BenchmarkExportSnapshot-2 	 1000	 125000 ns/op	 8.0 Mpps",
+		"BenchmarkExportSnapshot-2 	 1000	 130000 ns/op	 7.7 Mpps",
+	)
+	if err == nil || !strings.Contains(err.Error(), "8.00 Mpps below guard") {
+		t.Fatalf("want the median run (8.00 Mpps) to fail the guard, got %v", err)
 	}
 }

@@ -13,7 +13,7 @@ import (
 func promote(t *testing.T, e *Engine, key packet.FlowKey, basePkts, baseBytes float64) {
 	t.Helper()
 	h := key.Hash64(e.HashSeed())
-	if res := e.cache.Admit(h, &key, 0, basePkts, baseBytes, &e.victim); res != hotcache.AdmittedFree {
+	if res := e.cache.Admit(h, &key, 0, 0, basePkts, baseBytes, &e.victim); res != hotcache.AdmittedFree {
 		t.Fatalf("Admit = %v, want AdmittedFree", res)
 	}
 }

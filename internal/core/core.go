@@ -10,9 +10,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 	"time"
 
 	"instameasure/internal/flight"
@@ -179,6 +178,10 @@ type Engine struct {
 	// cached flow; the delta is folded into the WSAF immediately, so the
 	// scratch never outlives one admission.
 	victim hotcache.Entry
+	// Each's merge scratch, sized to the cache: packed slot<<32|index
+	// words, the radix pass's buffer, one bit per cache index merged.
+	cand, candTmp, matched []uint64
+	merged                 wsaf.Entry
 	// foldDrops counts demotion folds the WSAF dropped (probe-limit
 	// exhaustion): the victim's exact delta was lost, a hole in the
 	// cache tier's conservation identity that must stay observable.
@@ -235,6 +238,8 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("hot cache: %w", err)
 		}
 		e.cache = cache
+		n := cache.Capacity()
+		e.cand, e.candTmp, e.matched = make([]uint64, 0, n), make([]uint64, n), make([]uint64, (n+63)/64)
 	}
 	e.instrument()
 	rec := cfg.Flight
@@ -520,7 +525,8 @@ func (e *Engine) ProcessBatchHashed(batch []packet.Packet, hashes []uint64) {
 				// passthrough costs exactly one probe sequence.
 				evPkts, evBytes = entry.Pkts, entry.Bytes
 				if cache != nil {
-					e.admit(mh[j], &p.Key, p.TS, evPkts, evBytes)
+					// The slot is read before admission for the same reason.
+					e.admit(mh[j], &p.Key, uint32(e.table.SlotOf(entry)), p.TS, evPkts, evBytes)
 				}
 			}
 			if e.onPass != nil {
@@ -566,11 +572,12 @@ func (e *Engine) growScratch(n int) {
 // fold's timestamp is the victim's own LastUpdate, so TTL semantics see
 // the flow's true idle time, not the demotion instant. pkts/bytes are
 // the flow's WSAF totals after the accumulate that triggered admission —
-// the pre-promotion base recorded on the cache entry.
+// the pre-promotion base recorded on the cache entry — and slot is where
+// that accumulate wrote them.
 //
 //im:hotpath
-func (e *Engine) admit(h uint64, key *packet.FlowKey, ts int64, pkts, bytes float64) {
-	if e.cache.Admit(h, key, ts, pkts, bytes, &e.victim) == hotcache.AdmittedReplaced {
+func (e *Engine) admit(h uint64, key *packet.FlowKey, slot uint32, ts int64, pkts, bytes float64) {
+	if e.cache.Admit(h, key, slot, ts, pkts, bytes, &e.victim) == hotcache.AdmittedReplaced {
 		v := &e.victim
 		if v.Pkts > 0 || v.Bytes > 0 {
 			// A zero-delta victim (promoted, never hit) has nothing to
@@ -659,65 +666,79 @@ func (e *Engine) Lookup(key packet.FlowKey) (wsaf.Entry, bool) {
 
 // Each calls fn for every live flow as one coherent table: the WSAF
 // entries in ascending slot order, each promoted flow's exact cache delta
-// merged in, then the cached flows whose WSAF entry is gone. Epoch export,
-// the store and top-k all read this merged view, so the cache tier is
-// invisible downstream. The pointer is valid only during the call.
+// merged in, then the cached flows whose WSAF entry is gone, in cache
+// order. Epoch export, the store and top-k all read this merged view, so
+// the cache tier is invisible downstream. The pointer is valid only during
+// the call.
 //
-// The merge costs the cache, not the table: each cached flow is resolved
-// to its slot with its stored hash (one probe, no rehash), the resolved
-// deltas are sorted by slot, and the table walk — itself in slot order —
-// consumes them as a merge join.
+// The merge is one pass over the cache, not a probe per cached flow: a
+// radix pass puts the entries in the order of their recorded WSAF slots
+// (hotcache.Entry.Slot), and the slot-order table walk merges a cached
+// flow at its slot when the key there is still its own. A flow whose slot
+// another key took, or whose entry expired, follows with its delta alone.
 func (e *Engine) Each(fn func(*wsaf.Entry)) {
 	if e.cache == nil || e.cache.Len() == 0 {
 		e.table.Each(e.lastTS, func(_ int, en *wsaf.Entry) { fn(en) })
 		return
 	}
-	type delta struct {
-		slot       int
-		pkts       float64
-		bytes      float64
-		lastUpdate int64
-	}
-	deltas := make([]delta, 0, e.cache.Len())
-	var orphans []wsaf.Entry
-	// Each cached flow's probe is a DRAM miss; hinting them all first lets
-	// the misses overlap instead of serializing behind the probe loop.
-	e.cache.Each(func(ce *hotcache.Entry) { e.table.PrefetchHashed(ce.Hash) })
-	e.cache.Each(func(ce *hotcache.Entry) {
-		if slot := e.table.SlotHashed(ce.Hash, ce.Key, e.lastTS); slot >= 0 {
-			deltas = append(deltas, delta{slot, float64(ce.Pkts), float64(ce.Bytes), ce.LastUpdate})
-			return
+	cand := e.cand[:0]
+	e.cache.Each(func(i int, ce *hotcache.Entry) { cand = append(cand, uint64(ce.Slot)<<32|uint64(i)) })
+	cand = radixSortSlots(cand, e.candTmp, bits.Len(uint(e.table.Capacity()-1)))
+	matched := e.matched
+	clear(matched)
+	e.table.Each(e.lastTS, func(slot int, en *wsaf.Entry) {
+		for len(cand) > 0 && int(cand[0]>>32) < slot {
+			cand = cand[1:] // an expired entry's slot: the walk skipped it
 		}
-		if ce.Pkts == 0 && ce.Bytes == 0 {
+		out := en
+		for ; len(cand) > 0 && int(cand[0]>>32) == slot; cand = cand[1:] {
+			i := uint32(cand[0])
+			if ce := e.cache.At(int(i)); ce.Key == en.Key {
+				matched[i>>6] |= 1 << (i & 63)
+				e.merged = *en
+				e.merged.Pkts += float64(ce.Pkts)
+				e.merged.Bytes += float64(ce.Bytes)
+				e.merged.LastUpdate = max(en.LastUpdate, ce.LastUpdate)
+				out = &e.merged
+			}
+		}
+		fn(out)
+	})
+	e.cache.Each(func(i int, ce *hotcache.Entry) {
+		if matched[i>>6]>>(i&63)&1 != 0 || ce.Pkts == 0 && ce.Bytes == 0 {
 			return
 		}
 		// The pre-promotion WSAF entry expired (TTL) or was evicted;
 		// the exact cached segment still represents a live flow.
-		orphans = append(orphans, wsaf.Entry{
-			FlowID: uint32(ce.Hash ^ (ce.Hash >> 32)), Key: ce.Key,
+		e.merged = wsaf.Entry{FlowID: uint32(ce.Hash ^ (ce.Hash >> 32)), Key: ce.Key,
 			Pkts: float64(ce.Pkts), Bytes: float64(ce.Bytes),
-			FirstSeen: ce.FirstSeen, LastUpdate: ce.LastUpdate,
-		})
+			FirstSeen: ce.FirstSeen, LastUpdate: ce.LastUpdate}
+		fn(&e.merged)
 	})
-	slices.SortFunc(deltas, func(a, b delta) int { return cmp.Compare(a.slot, b.slot) })
-	var merged wsaf.Entry
-	e.table.Each(e.lastTS, func(slot int, en *wsaf.Entry) {
-		if len(deltas) == 0 || deltas[0].slot != slot {
-			fn(en)
-			return
+}
+
+// radixSortSlots sorts slot<<32|index words by slot, stably, in 8-bit LSD
+// passes between a and tmp, and returns whichever holds the result: a
+// comparison sort costs more than the walk it feeds, in mispredictions.
+func radixSortSlots(a, tmp []uint64, slotBits int) []uint64 {
+	for shift := 32; shift < 32+slotBits; shift += 8 {
+		var off [256]int
+		for _, v := range a {
+			off[byte(v>>shift)]++
 		}
-		merged = *en
-		for ; len(deltas) > 0 && deltas[0].slot == slot; deltas = deltas[1:] {
-			d := &deltas[0]
-			merged.Pkts += d.pkts
-			merged.Bytes += d.bytes
-			merged.LastUpdate = max(merged.LastUpdate, d.lastUpdate)
+		sum := 0
+		for d, n := range off {
+			off[d], sum = sum, sum+n
 		}
-		fn(&merged)
-	})
-	for i := range orphans {
-		fn(&orphans[i])
+		tmp = tmp[:len(a)]
+		for _, v := range a {
+			d := byte(v >> shift)
+			tmp[off[d]] = v
+			off[d]++
+		}
+		a, tmp = tmp, a
 	}
+	return a
 }
 
 // Snapshot returns a copy of every live flow, in Each's order.

@@ -113,6 +113,7 @@ type streamEntry struct {
 	lastTS  int64    // newest trace timestamp observed
 	touched uint64   // pane sequence of the last observation
 	alerted bool     // latched: fired this episode, waiting to clear
+	rose    bool     // a register rose since the last estimate scan
 	sites   []string // bounded attribution: sites that touched the group
 }
 
@@ -145,6 +146,7 @@ type StreamDetector struct {
 	fired     uint64
 	drops     uint64
 	evictions uint64
+	scans     uint64 // register scans bump ran
 }
 
 // StreamStats is a point-in-time summary of a detector's state.
@@ -326,20 +328,27 @@ func (d *StreamDetector) displace() *streamEntry {
 // bump folds one element observation into a group's pane and reports a
 // threshold crossing. This is the detector's per-record seam on the
 // collector ingest path: register max, scalar bumps, and — only for
-// groups already near the threshold — a register scan. No allocation.
+// groups already near the threshold, and only when a register rose since
+// the last scan — a register scan. The estimate is a function of the
+// registers alone, so a scan without a rise would repeat the last one's
+// below-threshold answer. No allocation.
 //
 //im:hotpath
 func (d *StreamDetector) bump(e *streamEntry, elem uint64, dPkts float64, ts int64) (crossed bool, est float64) {
-	e.sk.Add(elem)
+	if e.sk.Add(elem) {
+		e.rose = true
+	}
 	e.pkts += dPkts
 	e.adds++
 	e.touched = d.pane
 	if ts > e.lastTS {
 		e.lastTS = ts
 	}
-	if e.alerted || e.adds < d.estFloor {
+	if e.alerted || e.adds < d.estFloor || !e.rose {
 		return false, 0
 	}
+	e.rose = false
+	d.scans++
 	est = e.sk.Estimate()
 	if est >= d.cfg.Threshold {
 		e.alerted = true

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"instameasure/internal/export"
+	"instameasure/internal/hll"
 	"instameasure/internal/packet"
 	"instameasure/internal/trace"
 )
@@ -326,6 +327,37 @@ func TestStreamNarrowGroupDoesNotFlag(t *testing.T) {
 	}
 	if est := d.Estimate(netip.MustParseAddr("0.0.0.1")); est > 10 {
 		t.Errorf("narrow source estimate %.0f, want ≈5", est)
+	}
+}
+
+// TestStreamScansOnlyOnRise: a group that is busy but not wide — 40
+// distinct sources, each seen 1 000 times, far past the estimate floor —
+// scans its registers at most once per register rise, not once per record.
+func TestStreamScansOnlyOnRise(t *testing.T) {
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := hll.MustNew(d.cfg.Precision)
+	rises := 0
+	var alerts []Alert
+	for round := 0; round < 1000; round++ {
+		for src := uint32(1); src <= 40; src++ {
+			p := pkt(src, 0xC0A80001, 80, int64(round+1))
+			if shadow.Add(hashAddr(&p.Key.SrcIP, false, saltDDoS)) {
+				rises++
+			}
+			alerts = d.ObservePacket(&p, alerts)
+		}
+	}
+	if len(alerts) != 0 {
+		t.Fatalf("40 sources flagged at threshold 300: %+v", alerts)
+	}
+	if rises == 0 || rises > 40 {
+		t.Fatalf("%d register rises from 40 distinct sources", rises)
+	}
+	if d.scans > uint64(rises) {
+		t.Errorf("%d register scans for %d register rises over 40 000 records", d.scans, rises)
 	}
 }
 

@@ -51,15 +51,18 @@ func MustNew(precision int) *Sketch {
 	return s
 }
 
-// Add records one element by its 64-bit hash.
-func (s *Sketch) Add(h uint64) {
+// Add records one element by its 64-bit hash and reports whether a
+// register rose — the only way Estimate's answer can change.
+func (s *Sketch) Add(h uint64) bool {
 	p := s.precision
 	idx := h >> (64 - p)
 	w := h<<p | 1<<(p-1) // guard bit keeps rank bounded without branching
 	rank := uint8(bits.LeadingZeros64(w)) + 1
 	if rank > s.registers[idx] {
 		s.registers[idx] = rank
+		return true
 	}
+	return false
 }
 
 // Estimate returns the estimated number of distinct elements added.

@@ -91,6 +91,10 @@ type Entry struct {
 	// DRAM path while the flow is cached.
 	BasePkts  float64
 	BaseBytes float64
+	// Slot is the WSAF slot the admitting (or last AlreadyCached)
+	// accumulate wrote: the only writes of the flow's key into the table,
+	// so its entry is at Slot or nowhere.
+	Slot uint32
 	// Notified records which armed crossing thresholds already fired
 	// for this residency (bit 0 packets, bit 1 bytes), so each
 	// dimension reports at most once per promotion.
@@ -296,17 +300,18 @@ func (c *Cache) Bump(h uint64, key *packet.FlowKey, length uint16, ts int64) boo
 // the packet that triggered admission was already accounted to the WSAF
 // by the caller. basePkts/baseBytes are the flow's WSAF totals after
 // that accumulate — the pre-promotion estimate recorded on the entry so
-// merged totals stay readable from the cache alone.
+// merged totals stay readable from the cache alone, and slot is the WSAF
+// slot that accumulate wrote (see Entry.Slot).
 //
 // h must be the flow's Hash64 under the engine's hash seed. A flow that
 // is already cached — a batched burst probes every packet before any
 // admission, so a second same-burst passthrough can arrive for a flow
 // promoted moments earlier — is detected on the tag line and returns
-// AlreadyCached with only its base refreshed: no duplicate way, no
-// promotion count, no delta reset.
+// AlreadyCached with only its base and slot refreshed: no duplicate way,
+// no promotion count, no delta reset.
 //
 //im:hotpath
-func (c *Cache) Admit(h uint64, key *packet.FlowKey, ts int64, basePkts, baseBytes float64, victim *Entry) AdmitResult {
+func (c *Cache) Admit(h uint64, key *packet.FlowKey, slot uint32, ts int64, basePkts, baseBytes float64, victim *Entry) AdmitResult {
 	if h == 0 {
 		// Tag 0 marks an empty way; the one-in-2^64 flow hashing to 0
 		// simply never promotes.
@@ -326,8 +331,9 @@ func (c *Cache) Admit(h uint64, key *packet.FlowKey, ts int64, basePkts, baseByt
 		if e := &c.ents[base+w]; e.Key == *key {
 			// The WSAF totals just grew past the recorded base; refresh
 			// it (the live delta counts only cache hits, which the WSAF
-			// never saw, so base+delta stays the merged truth).
-			e.BasePkts, e.BaseBytes = basePkts, baseBytes
+			// never saw, so base+delta stays the merged truth). The
+			// accumulate may have re-inserted the flow at a new slot.
+			e.BasePkts, e.BaseBytes, e.Slot = basePkts, baseBytes, slot
 			c.seedNotified(e)
 			return AlreadyCached
 		}
@@ -340,7 +346,7 @@ func (c *Cache) Admit(h uint64, key *packet.FlowKey, ts int64, basePkts, baseByt
 		var oldest int64
 		for w := 0; w < ways; w++ {
 			if tags[w] == 0 {
-				c.place(base+w, h, key, ts, basePkts, baseBytes)
+				c.place(base+w, h, key, slot, ts, basePkts, baseBytes)
 				return AdmittedFree
 			}
 			if e := &c.ents[base+w]; victimWay < 0 || e.LastUpdate < oldest {
@@ -355,7 +361,7 @@ func (c *Cache) Admit(h uint64, key *packet.FlowKey, ts int64, basePkts, baseByt
 		var minPkts uint64
 		for w := 0; w < ways; w++ {
 			if tags[w] == 0 {
-				c.place(base+w, h, key, ts, basePkts, baseBytes)
+				c.place(base+w, h, key, slot, ts, basePkts, baseBytes)
 				return AdmittedFree
 			}
 			if e := &c.ents[base+w]; victimWay < 0 || e.Pkts < minPkts {
@@ -376,15 +382,15 @@ func (c *Cache) Admit(h uint64, key *packet.FlowKey, ts int64, basePkts, baseByt
 	c.stats.DemotedPkts += v.Pkts
 	c.stats.DemotedBytes += v.Bytes
 	c.size--
-	c.place(base+victimWay, h, key, ts, basePkts, baseBytes)
+	c.place(base+victimWay, h, key, slot, ts, basePkts, baseBytes)
 	return AdmittedReplaced
 }
 
 // place installs a fresh zero-delta entry at index i.
-func (c *Cache) place(i int, h uint64, key *packet.FlowKey, ts int64, basePkts, baseBytes float64) {
+func (c *Cache) place(i int, h uint64, key *packet.FlowKey, slot uint32, ts int64, basePkts, baseBytes float64) {
 	c.tags[i] = h
 	c.ents[i] = Entry{Hash: h, Key: *key, BasePkts: basePkts, BaseBytes: baseBytes,
-		FirstSeen: ts, LastUpdate: ts}
+		FirstSeen: ts, LastUpdate: ts, Slot: slot}
 	c.seedNotified(&c.ents[i])
 	c.size++
 	c.stats.Promotions++
@@ -406,15 +412,18 @@ func (c *Cache) Lookup(h uint64, key packet.FlowKey) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Each calls fn for every live entry. The pointer is into cache storage
-// and valid only during the call.
-func (c *Cache) Each(fn func(*Entry)) {
+// Each calls fn for every live entry with its index, in index order. The
+// pointer is into cache storage and valid only during the call.
+func (c *Cache) Each(fn func(i int, e *Entry)) {
 	for i, tag := range c.tags {
 		if tag != 0 {
-			fn(&c.ents[i])
+			fn(i, &c.ents[i])
 		}
 	}
 }
+
+// At returns the entry at index i, as Each numbers them.
+func (c *Cache) At(i int) *Entry { return &c.ents[i] }
 
 // Len returns the number of promoted flows.
 func (c *Cache) Len() int { return c.size }
@@ -430,8 +439,8 @@ func (c *Cache) MemoryBytes() int {
 
 // entryBytes is the accounting size of one cache entry: 8 (hash) + 38
 // (key) + 8 + 8 (counters) + 8 + 8 (timestamps) + 8 + 8 (pre-promotion
-// base) + 1 (notified bits).
-const entryBytes = 95
+// base) + 4 (WSAF slot) + 1 (notified bits).
+const entryBytes = 99
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }

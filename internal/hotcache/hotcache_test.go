@@ -37,7 +37,7 @@ func TestBumpMissThenAdmitThenHit(t *testing.T) {
 		t.Fatal("Bump hit on an empty cache")
 	}
 	var v Entry
-	if res := c.Admit(h, &k, 10, 0, 0, &v); res != AdmittedFree {
+	if res := c.Admit(h, &k, 0, 10, 0, 0, &v); res != AdmittedFree {
 		t.Fatalf("Admit = %v, want AdmittedFree", res)
 	}
 	if !c.Bump(h, &k, 100, 11) || !c.Bump(h, &k, 50, 12) {
@@ -63,7 +63,7 @@ func TestTagCollisionConfirmsKey(t *testing.T) {
 	k1, k2 := key(1), key(2)
 	h := hash(&k1) // reuse k1's hash for k2: a deliberate tag collision
 	var v Entry
-	c.Admit(h, &k1, 1, 0, 0, &v)
+	c.Admit(h, &k1, 0, 1, 0, 0, &v)
 	if c.Bump(h, &k2, 10, 2) {
 		t.Fatal("Bump matched on tag alone; key confirm missing")
 	}
@@ -84,7 +84,7 @@ func TestAdmitAlwaysEvictsLRU(t *testing.T) {
 	}
 	var v Entry
 	for i := 0; i < 8; i++ {
-		if res := c.Admit(hs[i], &keys[i], int64(i), 0, 0, &v); res != AdmittedFree {
+		if res := c.Admit(hs[i], &keys[i], 0, int64(i), 0, 0, &v); res != AdmittedFree {
 			t.Fatalf("Admit %d = %v, want AdmittedFree", i, res)
 		}
 	}
@@ -94,7 +94,7 @@ func TestAdmitAlwaysEvictsLRU(t *testing.T) {
 			c.Bump(hs[i], &keys[i], 10, 100+int64(i))
 		}
 	}
-	if res := c.Admit(hs[8], &keys[8], 200, 0, 0, &v); res != AdmittedReplaced {
+	if res := c.Admit(hs[8], &keys[8], 0, 200, 0, 0, &v); res != AdmittedReplaced {
 		t.Fatalf("Admit on full set = %v, want AdmittedReplaced", res)
 	}
 	if v.Key != keys[3] {
@@ -119,7 +119,7 @@ func TestProbabilisticAdmissionFavorsReturningFlows(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		k := key(uint32(i))
 		h := hash(&k)
-		c.Admit(h, &k, 0, 0, 0, &v)
+		c.Admit(h, &k, 0, 0, 0, 0, &v)
 		// Grow each incumbent to 99 exact packets.
 		for j := 0; j < 99; j++ {
 			c.Bump(h, &k, 1, int64(j))
@@ -130,7 +130,7 @@ func TestProbabilisticAdmissionFavorsReturningFlows(t *testing.T) {
 	admitted := 0
 	attempts := 5000
 	for i := 0; i < attempts; i++ {
-		if res := c.Admit(nh, &newKey, int64(i), 0, 0, &v); res == AdmittedReplaced {
+		if res := c.Admit(nh, &newKey, 0, int64(i), 0, 0, &v); res == AdmittedReplaced {
 			admitted++
 			// Put the incumbent world back so every attempt sees size-99
 			// minimums: re-grow the newcomer's slot then demote it again
@@ -163,12 +163,12 @@ func TestConservationIdentity(t *testing.T) {
 			h := hash(&k)
 			ts++
 			if !c.Bump(h, &k, 100, ts) {
-				c.Admit(h, &k, ts, 0, 0, &v)
+				c.Admit(h, &k, 0, ts, 0, 0, &v)
 			}
 		}
 	}
 	var livePkts, liveBytes uint64
-	c.Each(func(e *Entry) {
+	c.Each(func(_ int, e *Entry) {
 		livePkts += e.Pkts
 		liveBytes += e.Bytes
 	})
@@ -188,7 +188,7 @@ func TestResetClears(t *testing.T) {
 	k := key(1)
 	h := hash(&k)
 	var v Entry
-	c.Admit(h, &k, 1, 0, 0, &v)
+	c.Admit(h, &k, 0, 1, 0, 0, &v)
 	c.Bump(h, &k, 10, 2)
 	c.Reset()
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
@@ -207,7 +207,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 	var v Entry
 	allocs := testing.AllocsPerRun(1000, func() {
 		if !c.Bump(h, &k, 100, 1) {
-			c.Admit(h, &k, 1, 0, 0, &v)
+			c.Admit(h, &k, 0, 1, 0, 0, &v)
 		}
 	})
 	if allocs != 0 {
@@ -225,12 +225,12 @@ func TestAdmitDuplicateReturnsAlreadyCached(t *testing.T) {
 	k := key(1)
 	h := hash(&k)
 	var v Entry
-	if res := c.Admit(h, &k, 10, 5, 500, &v); res != AdmittedFree {
+	if res := c.Admit(h, &k, 3, 10, 5, 500, &v); res != AdmittedFree {
 		t.Fatalf("first Admit = %v, want AdmittedFree", res)
 	}
 	c.Bump(h, &k, 100, 11) // live delta the duplicate must not clobber
 
-	if res := c.Admit(h, &k, 12, 9, 900, &v); res != AlreadyCached {
+	if res := c.Admit(h, &k, 7, 12, 9, 900, &v); res != AlreadyCached {
 		t.Fatalf("duplicate Admit = %v, want AlreadyCached", res)
 	}
 	if c.Len() != 1 {
@@ -247,12 +247,12 @@ func TestAdmitDuplicateReturnsAlreadyCached(t *testing.T) {
 	if e.Pkts != 1 || e.Bytes != 100 {
 		t.Fatalf("delta = (%d, %d), want (1, 100) — duplicate reset it", e.Pkts, e.Bytes)
 	}
-	if e.BasePkts != 9 || e.BaseBytes != 900 {
-		t.Fatalf("base = (%.0f, %.0f), want refreshed (9, 900)", e.BasePkts, e.BaseBytes)
+	if e.BasePkts != 9 || e.BaseBytes != 900 || e.Slot != 7 {
+		t.Fatalf("base = (%.0f, %.0f) at slot %d, want refreshed (9, 900) at 7", e.BasePkts, e.BaseBytes, e.Slot)
 	}
 	// The duplicate must not have installed a second way for the key.
 	seen := 0
-	c.Each(func(en *Entry) {
+	c.Each(func(_ int, en *Entry) {
 		if en.Key == k {
 			seen++
 		}
@@ -279,7 +279,7 @@ func TestCrossingFiresOncePerDimension(t *testing.T) {
 	h := hash(&k)
 	var v Entry
 	// Promoted with 4 pre-promotion packets: crossing lands on hit 6.
-	c.Admit(h, &k, 0, 4, 400, &v)
+	c.Admit(h, &k, 0, 0, 4, 400, &v)
 	for i := 1; i <= 20; i++ {
 		c.Bump(h, &k, 100, int64(i))
 	}
@@ -301,7 +301,7 @@ func TestCrossingSeededFromBase(t *testing.T) {
 	k := key(1)
 	h := hash(&k)
 	var v Entry
-	c.Admit(h, &k, 0, 50, 5000, &v) // base already past the threshold
+	c.Admit(h, &k, 0, 0, 50, 5000, &v) // base already past the threshold
 	for i := 1; i <= 20; i++ {
 		c.Bump(h, &k, 100, int64(i))
 	}

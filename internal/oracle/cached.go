@@ -124,7 +124,7 @@ func RunCached(tr *trace.Trace, cfg Config) (*CachedReport, error) {
 	if len(live) != cache.Len() {
 		rep.violatef("shadow tracks %d live flows, cache holds %d", len(live), cache.Len())
 	}
-	cache.Each(func(e *hotcache.Entry) {
+	cache.Each(func(_ int, e *hotcache.Entry) {
 		rep.Promoted++
 		d := shadow[e.Key]
 		if d == nil || !live[e.Key] {
@@ -159,7 +159,7 @@ func RunCached(tr *trace.Trace, cfg Config) (*CachedReport, error) {
 	// can never report less than its live delta. (A zero-delta entry
 	// whose WSAF record expired is the one legitimate miss — Lookup and
 	// Snapshot both treat it as not-live.)
-	cache.Each(func(e *hotcache.Entry) {
+	cache.Each(func(_ int, e *hotcache.Entry) {
 		entry, ok := scalar.Lookup(e.Key)
 		if !ok {
 			if e.Pkts == 0 && e.Bytes == 0 {
@@ -246,7 +246,7 @@ func checkCachedEngine(rep *CachedReport, label string, e *core.Engine) {
 	// Cache conservation: hits are either in a live delta or were handed
 	// back to the WSAF at demotion — no loss, no double count.
 	var livePkts, liveBytes uint64
-	cache.Each(func(en *hotcache.Entry) {
+	cache.Each(func(_ int, en *hotcache.Entry) {
 		livePkts += en.Pkts
 		liveBytes += en.Bytes
 	})

@@ -39,6 +39,14 @@ type Op struct {
 //im:hotpath
 func (t *Table) PrefetchHashed(h uint64) { t.prefetchSlot(int(h & t.mask)) }
 
+// SlotOf returns the slot of e, a live-entry pointer AccumulateHashed
+// returned, so a caller can find the entry again without probing.
+//
+//im:hotpath
+func (t *Table) SlotOf(e *Entry) int {
+	return int((uintptr(unsafe.Pointer(e)) - uintptr(unsafe.Pointer(&t.entries[0]))) / unsafe.Sizeof(*e))
+}
+
 //im:hotpath
 func (t *Table) prefetchSlot(slot int) {
 	e := &t.entries[slot]

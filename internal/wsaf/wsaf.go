@@ -374,8 +374,8 @@ func (t *Table) LookupHashed(h uint64, key packet.FlowKey, now int64) (Entry, bo
 }
 
 // SlotHashed returns the slot holding key's entry, or -1 if the key is
-// absent or its entry expired at now. Slots are what Each reports, so a
-// caller can join its own per-flow state against a walk without a map.
+// absent or its entry expired at now: the probe LookupHashed reads
+// through, and the reference SlotOf is tested against.
 //
 //im:hotpath
 func (t *Table) SlotHashed(h uint64, key packet.FlowKey, now int64) int {

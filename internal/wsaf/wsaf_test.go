@@ -2,6 +2,7 @@ package wsaf
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +114,33 @@ func TestAccumulateHashedLiveEntryTotals(t *testing.T) {
 	}
 	if live.FirstSeen != 10 || live.LastUpdate != 20 {
 		t.Errorf("live entry timestamps = %d/%d, want 10/20", live.FirstSeen, live.LastUpdate)
+	}
+}
+
+// TestSlotOfMatchesSlotHashed: the slot SlotOf reads off every live entry
+// AccumulateHashed returns — insert, update, reclaim or eviction — is the
+// slot a probe for the key finds right after.
+func TestSlotOfMatchesSlotHashed(t *testing.T) {
+	tab := MustNew(Config{Entries: 64, ProbeLimit: 4, TTL: 50})
+	rng := rand.New(rand.NewSource(5))
+	seen := map[Outcome]bool{}
+	for i, now := 0, int64(1); i < 5000; i++ {
+		now += int64(rng.Intn(3))
+		k := key(rng.Intn(256))
+		h := k.Hash64(tab.seed)
+		o, live := tab.AccumulateHashed(h, k, 1, 1, now)
+		if live == nil {
+			continue
+		}
+		seen[o] = true
+		if got, want := tab.SlotOf(live), tab.SlotHashed(h, k, now); got != want {
+			t.Fatalf("op %d (%v): SlotOf = %d, SlotHashed = %d", i, o, got, want)
+		}
+	}
+	for _, o := range []Outcome{Updated, Inserted, Reclaimed, Evicted} {
+		if !seen[o] {
+			t.Errorf("outcome %v never reached", o)
+		}
 	}
 }
 
