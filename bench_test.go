@@ -64,9 +64,6 @@ func BenchmarkFig13WildAccuracy(b *testing.B)     { benchFigure(b, "fig13") }
 func BenchmarkFig14HeavyHitterRates(b *testing.B) { benchFigure(b, "fig14") }
 func BenchmarkCSMComparison(b *testing.B)         { benchFigure(b, "csm") }
 func BenchmarkIBLTComparison(b *testing.B)        { benchFigure(b, "iblt") }
-func BenchmarkDelegationLoopback(b *testing.B)    { benchFigure(b, "deleg") }
-func BenchmarkAppsDetection(b *testing.B)         { benchFigure(b, "apps") }
-func BenchmarkAnomalyOnset(b *testing.B)          { benchFigure(b, "onset") }
 func BenchmarkAblationEviction(b *testing.B)      { benchFigure(b, "evict") }
 func BenchmarkAblationProbing(b *testing.B)       { benchFigure(b, "probe") }
 func BenchmarkLayersSweep(b *testing.B)           { benchFigure(b, "layers") }

@@ -12,14 +12,14 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"instameasure/internal/experiments"
-	"instameasure/internal/flight"
-	"instameasure/internal/telemetry"
 )
 
 func main() {
@@ -31,32 +31,11 @@ func main() {
 
 func run() error {
 	var (
-		fig = flag.String("fig", "", "figure id to run (1, 6, 7, 8a, 8b, 8c, 9a, 9b, 10, 11, 12, 13, 14, "+
-			"csm, iblt, deleg, evict, probe, shard, apps, onset, layers, hotcache, oracle, fleet); empty = all")
-		scale    = flag.String("scale", "default", "workload scale: small, default, large")
-		seed     = flag.Uint64("seed", 0, "override workload seed (0 = scale default)")
-		metrics  = flag.String("metrics", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/flight and /healthz on host:port while benchmarking")
-		flightTL = flag.Bool("flight", false, "print the flight recorder's text timeline after the run (sampled hot-path spans from every experiment engine)")
+		fig   = flag.String("fig", "", figHelp())
+		scale = flag.String("scale", "default", "workload scale: small, default, large")
+		seed  = flag.Uint64("seed", 0, "override workload seed (0 = scale default)")
 	)
 	flag.Parse()
-
-	if *metrics != "" {
-		// Runtime gauges plus pprof: profile a long experiment run live.
-		// The experiment engines record into the process-wide flight
-		// recorder, so /debug/flight shows their sampled spans too.
-		reg := telemetry.NewRegistry("instameasure", 1)
-		telemetry.RegisterRuntimeMetrics(reg)
-		srv, err := telemetry.NewServer(*metrics, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		health := flight.NewHealth()
-		srv.Handle("/debug/flight", flight.NewHandler(flight.Default()))
-		srv.Handle("/healthz", health.LiveHandler())
-		srv.Handle("/readyz", health.ReadyHandler())
-		fmt.Printf("metrics at http://%s/metrics (pprof at /debug/pprof/, flight at /debug/flight)\n", srv.Addr())
-	}
 
 	s, err := pickScale(*scale)
 	if err != nil {
@@ -86,13 +65,17 @@ func run() error {
 		}
 	}
 	fmt.Printf("total time: %s\n", time.Since(start).Round(time.Millisecond))
-	if *flightTL {
-		fmt.Println()
-		if err := flight.WriteTimeline(os.Stdout, flight.Snapshot(flight.Default())); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// figHelp lists the ids -fig accepts, each experiment by its short alias
+// where it has one.
+func figHelp() string {
+	ids := make([]string, len(experiments.Experiments))
+	for i, e := range experiments.Experiments {
+		ids[i] = cmp.Or(e.Alias, e.ID)
+	}
+	return "figure id to run (" + strings.Join(ids, ", ") + "); empty = all"
 }
 
 func pickScale(name string) (experiments.Scale, error) {

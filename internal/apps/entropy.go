@@ -1,8 +1,7 @@
-// Package apps holds the WSAF-consumer applications the paper names
-// (Section II) that are not distinct counts: flow-size entropy over a WSAF
-// snapshot and an EWMA change-point detector over any scalar signal.
-// SuperSpreader and DDoS-victim detection are distinct counts and run on
-// internal/detect's StreamDetector.
+// Package apps holds the WSAF-consumer application the paper names
+// (Section II) that is not a distinct count: flow-size entropy over a WSAF
+// snapshot. SuperSpreader and DDoS-victim detection are distinct counts
+// and run on internal/detect's StreamDetector.
 package apps
 
 import (

@@ -206,13 +206,6 @@ func NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) {
 	}, nil
 }
 
-// NewDDoSVictimDetector is a convenience constructor: alert when one
-// destination is contacted by ~minSources distinct source addresses
-// within a window.
-func NewDDoSVictimDetector(minSources float64) (*StreamDetector, error) {
-	return NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: minSources})
-}
-
 // Kind returns the configured pattern.
 func (d *StreamDetector) Kind() StreamKind { return d.cfg.Kind }
 

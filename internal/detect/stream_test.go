@@ -56,7 +56,7 @@ func TestNewStreamDetectorValidation(t *testing.T) {
 	if _, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 10, Precision: 3}); err == nil {
 		t.Error("precision 3 accepted")
 	}
-	d, err := NewDDoSVictimDetector(100)
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDDoSVictimOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDDoSVictimDetector(bots / 2)
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: bots / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDDoSVictimOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet, err := NewDDoSVictimDetector(bots / 2)
+	quiet, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: bots / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSuperSpreaderAndPortScanOracle(t *testing.T) {
 // the clear band re-arms the group, and a fresh episode fires again.
 func TestHysteresisEpisodes(t *testing.T) {
 	const bots = 1200
-	d, err := NewDDoSVictimDetector(bots / 2)
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: bots / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func pkt(src, dst uint32, dstPort uint16, ts int64) packet.Packet {
 }
 
 func TestStreamIdleEviction(t *testing.T) {
-	d, err := NewDDoSVictimDetector(10)
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,9 @@ type Report struct {
 	Rows   [][]string
 	Notes  []string
 	// Metrics carries machine-readable headline numbers alongside the
-	// formatted rows; the benchmark harness forwards them into the
-	// archived benchmark JSON via b.ReportMetric.
+	// formatted rows. Print does not show them; BenchmarkFig9aCores reads
+	// Fig. 9a's "mpps" and "scaling_eff", and the shape tests read
+	// "utilization" (Fig. 12) and "hit_rate" (hotcache).
 	Metrics map[string]float64
 }
 
@@ -175,103 +176,70 @@ var traceCache = map[string]*trace.Trace{}
 func pct(x float64) string  { return fmt.Sprintf("%.3f%%", x*100) }
 func pct2(x float64) string { return fmt.Sprintf("%.2f%%", x*100) }
 
+// Experiment is one runner of the suite: the id it is reported and
+// selected by, the short alias instabench -fig also accepts ("" for none),
+// and the function that regenerates it.
+type Experiment struct {
+	ID, Alias string
+	Run       func(Scale) (*Report, error)
+}
+
+// Experiments is the suite in figure order: the paper's figures, its
+// §V.C and §VI comparisons, then the ablations of its design choices and
+// the hot-cache tier. All, ByID and instabench's -fig help all read it.
+var Experiments = []Experiment{
+	{"fig1", "1", Fig1RCCSaturation},
+	{"fig6", "6", Fig6Distributions},
+	{"fig7", "7", Fig7Relaxation},
+	{"fig8a", "8a", Fig8aRetention},
+	{"fig8b", "8b", Fig8bSaturationFrequency},
+	{"fig8c", "8c", Fig8cAccuracy},
+	{"fig9a", "9a", Fig9aCoreScaling},
+	{"fig9b", "9b", Fig9bDetectionLatency},
+	{"fig10", "10", Fig10PacketAccuracy},
+	{"fig11", "11", Fig11ByteAccuracy},
+	{"fig12", "12", Fig12Monitoring},
+	{"fig13", "13", Fig13WildAccuracy},
+	{"fig14", "14", Fig14HeavyHitterRates},
+	{"csm", "", CSMComparison},
+	{"iblt", "", IBLTComparison},
+	{"evict", "", AblationEviction},
+	{"probe", "", AblationProbing},
+	{"shard", "", AblationShardingQuality},
+	{"layers", "", LayersSweep},
+	{"hotcache", "", HotCacheAccuracy},
+}
+
 // All runs every experiment at the given scale, in figure order.
 func All(s Scale) ([]*Report, error) {
-	runners := []struct {
-		name string
-		fn   func(Scale) (*Report, error)
-	}{
-		{"fig1", Fig1RCCSaturation},
-		{"fig6", Fig6Distributions},
-		{"fig7", Fig7Relaxation},
-		{"fig8a", Fig8aRetention},
-		{"fig8b", Fig8bSaturationFrequency},
-		{"fig8c", Fig8cAccuracy},
-		{"fig9a", Fig9aCoreScaling},
-		{"fig9b", Fig9bDetectionLatency},
-		{"fig10", Fig10PacketAccuracy},
-		{"fig11", Fig11ByteAccuracy},
-		{"fig12", Fig12Monitoring},
-		{"fig13", Fig13WildAccuracy},
-		{"fig14", Fig14HeavyHitterRates},
-		{"csm", CSMComparison},
-		{"iblt", IBLTComparison},
-		{"deleg", DelegationLoopback},
-		{"evict", AblationEviction},
-		{"probe", AblationProbing},
-		{"shard", AblationShardingQuality},
-		{"apps", AppsDetection},
-		{"onset", AnomalyOnset},
-		{"layers", LayersSweep},
-		{"hotcache", HotCacheAccuracy},
-		{"oracle", OracleDifferential},
-		{"fleet", FleetAggregation},
-	}
-	out := make([]*Report, 0, len(runners))
-	for _, r := range runners {
-		rep, err := r.fn(s)
+	out := make([]*Report, 0, len(Experiments))
+	for _, e := range Experiments {
+		rep, err := e.Run(s)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.name, err)
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		out = append(out, rep)
 	}
 	return out, nil
 }
 
-// ByID runs a single experiment by its figure id (e.g. "fig8a", "csm").
+// ByID runs a single experiment by its id or alias (e.g. "fig8a", "8a",
+// "csm").
 func ByID(id string, s Scale) (*Report, error) {
-	switch strings.ToLower(id) {
-	case "fig1", "1":
-		return Fig1RCCSaturation(s)
-	case "fig6", "6":
-		return Fig6Distributions(s)
-	case "fig7", "7":
-		return Fig7Relaxation(s)
-	case "fig8a", "8a":
-		return Fig8aRetention(s)
-	case "fig8b", "8b":
-		return Fig8bSaturationFrequency(s)
-	case "fig8c", "8c":
-		return Fig8cAccuracy(s)
-	case "fig9a", "9a":
-		return Fig9aCoreScaling(s)
-	case "fig9b", "9b":
-		return Fig9bDetectionLatency(s)
-	case "fig10", "10":
-		return Fig10PacketAccuracy(s)
-	case "fig11", "11":
-		return Fig11ByteAccuracy(s)
-	case "fig12", "12":
-		return Fig12Monitoring(s)
-	case "fig13", "13":
-		return Fig13WildAccuracy(s)
-	case "fig14", "14":
-		return Fig14HeavyHitterRates(s)
-	case "csm":
-		return CSMComparison(s)
-	case "iblt":
-		return IBLTComparison(s)
-	case "deleg":
-		return DelegationLoopback(s)
-	case "evict":
-		return AblationEviction(s)
-	case "probe":
-		return AblationProbing(s)
-	case "shard":
-		return AblationShardingQuality(s)
-	case "apps":
-		return AppsDetection(s)
-	case "onset":
-		return AnomalyOnset(s)
-	case "layers":
-		return LayersSweep(s)
-	case "hotcache":
-		return HotCacheAccuracy(s)
-	case "oracle":
-		return OracleDifferential(s)
-	case "fleet":
-		return FleetAggregation(s)
-	default:
+	e, ok := lookup(id)
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown figure id %q", id)
 	}
+	return e.Run(s)
+}
+
+// lookup finds the experiment whose id or alias is id, in any case.
+func lookup(id string) (Experiment, bool) {
+	id = strings.ToLower(id)
+	for _, e := range Experiments {
+		if id == e.ID || (e.Alias != "" && id == e.Alias) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -321,17 +325,104 @@ func TestCSMComparisonShape(t *testing.T) {
 	}
 }
 
+// TestByIDAndAll checks the one table All ranges over and ByID looks up,
+// and holds the docs to it: every experiment the docs name exists, and
+// every experiment has an EXPERIMENTS.md row.
 func TestByIDAndAll(t *testing.T) {
-	if _, err := ByID("nonsense", tinyScale); err == nil {
-		t.Error("unknown id must fail")
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		for _, name := range []string{e.ID, e.Alias} {
+			if name == "" {
+				continue
+			}
+			if seen[name] {
+				t.Errorf("%q names two experiments", name)
+			}
+			seen[name] = true
+			if got, ok := lookup(strings.ToUpper(name)); !ok || got.ID != e.ID {
+				t.Errorf("lookup(%q) = %q, %v; want %q", name, got.ID, ok, e.ID)
+			}
+		}
 	}
-	rep, err := ByID("8a", tinyScale)
+	for _, id := range []string{"nonsense", "deleg", "oracle"} {
+		if _, err := ByID(id, tinyScale); err == nil {
+			t.Errorf("ByID(%q) must fail", id)
+		}
+	}
+	if rep, err := ByID("8a", tinyScale); err != nil || rep.ID != "Fig.8a" {
+		t.Errorf("ByID(8a) = %v, %v; want the Fig.8a report", rep, err)
+	}
+
+	rowIDs := map[string][]string{}
+	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md"} {
+		text := readDoc(t, doc)
+		if doc == "DESIGN.md" {
+			// Its experiment tables are §4's; other sections tabulate
+			// other things.
+			text = section(t, text, "## 4. Per-experiment index", "## 5.")
+		}
+		rowIDs[doc] = tableRowIDs(text)
+		for _, id := range rowIDs[doc] {
+			if _, ok := lookup(id); !ok {
+				t.Errorf("%s has a row for experiment %q, which does not exist", doc, id)
+			}
+		}
+	}
+	fig := regexp.MustCompile("instabench -fig ([0-9A-Za-z]+)")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		for _, m := range fig.FindAllStringSubmatch(readDoc(t, doc), -1) {
+			if _, ok := lookup(m[1]); !ok {
+				t.Errorf("%s runs %q, which is no experiment", doc, m[0])
+			}
+		}
+	}
+	for _, e := range Experiments {
+		if !slices.Contains(rowIDs["EXPERIMENTS.md"], e.ID) {
+			t.Errorf("experiment %q has no EXPERIMENTS.md row", e.ID)
+		}
+	}
+}
+
+func readDoc(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ID != "Fig.8a" {
-		t.Errorf("ByID(8a) returned %s", rep.ID)
+	return string(b)
+}
+
+func section(t *testing.T, text, from, to string) string {
+	t.Helper()
+	_, rest, ok := strings.Cut(text, from)
+	if !ok {
+		t.Fatalf("no %q section", from)
 	}
+	body, _, _ := strings.Cut(rest, to)
+	return body
+}
+
+// tableRowIDs returns the experiment ids that the first cells of text's
+// markdown table rows name: "Fig. 8a" is fig8a, and a backticked word is
+// an id as it stands ("§V.C (`csm`)", "Abl.evict (`evict`)").
+func tableRowIDs(text string) []string {
+	figCell := regexp.MustCompile(`^Fig\. (\w+)$`)
+	ticked := regexp.MustCompile("`([0-9a-z]+)`")
+	var ids []string
+	for _, line := range strings.Split(text, "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if m := figCell.FindStringSubmatch(first); m != nil {
+			ids = append(ids, "fig"+strings.ToLower(m[1]))
+		}
+		for _, m := range ticked.FindAllStringSubmatch(first, -1) {
+			ids = append(ids, m[1])
+		}
+	}
+	return ids
 }
 
 func TestReportPrint(t *testing.T) {
@@ -375,22 +466,6 @@ func TestIBLTComparisonShape(t *testing.T) {
 	}
 }
 
-func TestDelegationLoopbackShape(t *testing.T) {
-	rep, err := DelegationLoopback(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	if rep.Rows[0][0] != "8" {
-		t.Errorf("epochs = %s, want 8", rep.Rows[0][0])
-	}
-	if rtt := parseFloat(t, rep.Rows[0][2]); rtt <= 0 || rtt > 1000 {
-		t.Errorf("mean RTT %v ms implausible", rtt)
-	}
-}
-
 func TestAblationEvictionShape(t *testing.T) {
 	rep, err := AblationEviction(tinyScale)
 	if err != nil {
@@ -430,41 +505,6 @@ func TestAblationShardingShape(t *testing.T) {
 	rr := parsePct(t, rep.Rows[1][2])
 	if pop > rr {
 		t.Errorf("popcount top-100 error %.3f above spray %.3f — affinity should win", pop, rr)
-	}
-}
-
-func TestAppsDetectionShape(t *testing.T) {
-	rep, err := AppsDetection(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	if rep.Rows[0][1] != rep.Rows[0][2] {
-		t.Errorf("superspreader flagged %s, expected %s", rep.Rows[0][1], rep.Rows[0][2])
-	}
-	if rep.Rows[1][1] != rep.Rows[1][2] {
-		t.Errorf("ddos flagged %s, expected %s", rep.Rows[1][1], rep.Rows[1][2])
-	}
-}
-
-func TestAnomalyOnsetShape(t *testing.T) {
-	rep, err := AnomalyOnset(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	if rep.Rows[0][1] == "-" {
-		t.Fatal("flood onset never alarmed")
-	}
-	if delay := parseFloat(t, rep.Rows[0][2]); delay < 0 || delay > 10 {
-		t.Errorf("onset delay %v windows outside [0,10]", delay)
-	}
-	if fa := parseFloat(t, rep.Rows[0][3]); fa > 6 {
-		t.Errorf("%v false alarms before onset", fa)
 	}
 }
 

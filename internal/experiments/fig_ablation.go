@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"instameasure/internal/baseline/iblt"
 	"instameasure/internal/core"
 	"instameasure/internal/detect"
-	"instameasure/internal/export"
 	"instameasure/internal/flowhash"
 	"instameasure/internal/flowreg"
 	"instameasure/internal/memmodel"
@@ -203,85 +201,6 @@ func IBLTComparison(s Scale) (*Report, error) {
 	}
 	rep.AddNote("IBLT: %d cells, k=3, peeling capacity ≈ %d flows; WSAF: 4096 entries", cells, capacity)
 	rep.AddNote("shape target: IBLT decode collapses past 1.0x; WSAF keeps elephants (recall high) at any load")
-	return rep, nil
-}
-
-// DelegationLoopback measures the real delegation path: WSAF snapshots
-// exported over TCP loopback to a collector every epoch, with detection
-// happening at the collector — the architecture whose latency the paper's
-// saturation-based decoding beats.
-func DelegationLoopback(s Scale) (*Report, error) {
-	tr, err := caidaTrace(s)
-	if err != nil {
-		return nil, err
-	}
-
-	// The collector merges every batch into a global table before it
-	// signals: the round trip includes the delegation side's merge.
-	received := make(chan int64, 64)
-	var merged export.Merge
-	coll, err := export.NewCollector("127.0.0.1:0", func(b export.Batch) {
-		merged.Add(b)
-		received <- b.Epoch
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer coll.Close()
-
-	exp, err := export.Dial(coll.Addr())
-	if err != nil {
-		return nil, err
-	}
-	defer exp.Close()
-
-	eng, err := core.New(core.Config{SketchMemoryBytes: 32 << 10, WSAFEntries: 1 << 18, Seed: s.Seed})
-	if err != nil {
-		return nil, err
-	}
-
-	// Export an epoch every eighth of the trace and time the round trip.
-	epochPkts := len(tr.Packets) / 8
-	var rtts []float64
-	epoch := int64(0)
-	for i := range tr.Packets {
-		eng.Process(tr.Packets[i])
-		if (i+1)%epochPkts == 0 {
-			epoch++
-			snap := eng.Snapshot()
-			records := make([]export.Record, len(snap))
-			for j, e := range snap {
-				records[j] = export.FromEntry(e)
-			}
-			start := time.Now()
-			if err := exp.Export(export.Batch{Epoch: epoch, Records: records}); err != nil {
-				return nil, err
-			}
-			// Wait for the collector to merge this epoch.
-			for got := range received {
-				if got == epoch {
-					break
-				}
-			}
-			rtts = append(rtts, float64(time.Since(start).Microseconds())/1e3)
-		}
-	}
-
-	batches, records := coll.Stats()
-	rep := &Report{
-		ID:     "Ext.deleg",
-		Title:  "Delegation over TCP loopback: export+merge round trip per epoch",
-		Header: []string{"epochs", "records", "mean RTT", "p99 RTT"},
-	}
-	rep.AddRow(
-		fmt.Sprintf("%d", batches),
-		fmt.Sprintf("%d", records),
-		fmt.Sprintf("%.3f ms", stats.Mean(rtts)),
-		fmt.Sprintf("%.3f ms", stats.Percentile(rtts, 99)),
-	)
-	rep.AddNote("collector's merged table: %d flows", len(merged.Flows()))
-	rep.AddNote("loopback only — a real deployment adds network RTT and decode queueing on top")
-	rep.AddNote("contrast with Fig. 9b: saturation-based detection needs no export round trip at all")
 	return rep, nil
 }
 

@@ -17,7 +17,7 @@ import (
 // only its own ingest goroutine; every fleet query and other sites'
 // ingests keep flowing. Run under -race by the vet-race target.
 func TestSlowOnAlertDoesNotBlockFleetQueries(t *testing.T) {
-	ddos, err := detect.NewDDoSVictimDetector(50)
+	ddos, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindDDoSVictim, Threshold: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -282,7 +282,7 @@ func TestMultiExporterStress(t *testing.T) {
 // TestDetectionThroughIngest drives a detector via the aggregator's
 // delta path: cumulative snapshots whose growth is the attack.
 func TestDetectionThroughIngest(t *testing.T) {
-	ddos, err := detect.NewDDoSVictimDetector(50)
+	ddos, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindDDoSVictim, Threshold: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestDetectionThroughIngest(t *testing.T) {
 }
 
 func TestFleetHTTPEndpoints(t *testing.T) {
-	ddos, err := detect.NewDDoSVictimDetector(30)
+	ddos, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindDDoSVictim, Threshold: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,30 +146,6 @@ func (c Confusion) Recall() float64 {
 	return float64(c.TP) / float64(c.TP+c.FN)
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation; it sorts a copy and returns 0 for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
 // Mean returns the arithmetic mean; 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRelErr(t *testing.T) {
@@ -97,52 +96,6 @@ func TestConfusionEdgeCases(t *testing.T) {
 	var c Confusion
 	if c.FPR() != 0 || c.FNR() != 0 || c.Precision() != 1 || c.Recall() != 1 {
 		t.Error("empty confusion rates wrong")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
-		t.Error("extremes wrong")
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("median = %v, want 3", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Errorf("p25 = %v, want 2", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile must be 0")
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 10 {
-			v := Percentile(xs, p)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

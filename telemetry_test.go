@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -175,5 +177,115 @@ func TestSnapshotDetailRoundTrip(t *testing.T) {
 	}
 	if epoch != 9 || len(records) != len(info.Records) {
 		t.Errorf("legacy reader: epoch %d, %d records; want 9, %d", epoch, len(records), len(info.Records))
+	}
+}
+
+// TestMetricCatalogListsEverySeries registers every series the process
+// can serve — a meter with a hot cache and a store, an instrumented
+// collector and exporter, a fleet that has alerted, the runtime gauges
+// Serve adds — renders /metrics, and holds README's metric catalog to
+// it: a registered series the catalog does not name fails, and so does a
+// catalog entry nothing registers.
+func TestMetricCatalogListsEverySeries(t *testing.T) {
+	const bots = 300
+	bg, err := GenerateZipfTrace(ZipfTraceConfig{Flows: 2000, TotalPackets: 40_000, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk, _, err := GenerateSpoofedDDoSTrace(SpoofedDDoSConfig{Sources: bots, PacketsPerSource: 48, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{SketchMemoryBytes: 32 << 10, WSAFEntries: 1 << 16, HotCacheEntries: 1024, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := m.Telemetry()
+	fs, err := m.WithStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	fs.Instrument(tel)
+
+	coll, err := NewCollector("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	coll.Instrument(tel)
+	fl, err := coll.EnableFleet(FleetConfig{DDoSSources: bots / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl.Instrument(tel)
+	exp, err := DialCollector(coll.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	exp.Instrument(tel)
+	if err := exp.WithSite("edge-1"); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := m.Run(MergeTraces(bg, atk).Source()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CommitEpoch(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.ExportMeter(m, 1); err != nil {
+		t.Fatal(err)
+	}
+	waitFleet(t, func() bool { return len(fl.Alerts(0, 1)) == 1 }, "the flood's alert")
+
+	srv, err := tel.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get(srv.URL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := map[string]bool{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			served[strings.TrimPrefix(f[2], "instameasure_")] = true
+		}
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalog, _ := strings.Cut(string(readme), "Metric catalog")
+	catalog, _, _ = strings.Cut(catalog, "\n#")
+	listed := map[string]bool{}
+	for _, line := range strings.Split(catalog, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		for _, sub := range regexp.MustCompile("`([a-z0-9_]+)[{`]").FindAllStringSubmatch(cells[1], -1) {
+			listed[sub[1]] = true
+		}
+	}
+
+	for name := range served {
+		if !listed[name] {
+			t.Errorf("/metrics serves instameasure_%s, which README's metric catalog does not list", name)
+		}
+	}
+	for name := range listed {
+		if !served[name] {
+			t.Errorf("README's metric catalog lists %s, which nothing registered", name)
+		}
 	}
 }

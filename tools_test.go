@@ -171,9 +171,12 @@ func TestCommandLineTools(t *testing.T) {
 		t.Errorf("instabench output unexpected:\n%s", out)
 	}
 
-	// Error paths: unknown figure, missing file.
-	if msg, err := exec.Command(instabench, "-fig", "nope").CombinedOutput(); err == nil {
-		t.Errorf("instabench -fig nope succeeded:\n%s", msg)
+	// Error paths: unknown figures (deleg is a deleted experiment's id),
+	// missing file.
+	for _, id := range []string{"nope", "deleg"} {
+		if msg, err := exec.Command(instabench, "-scale", "small", "-fig", id).CombinedOutput(); err == nil {
+			t.Errorf("instabench -fig %s succeeded:\n%s", id, msg)
+		}
 	}
 	if msg, err := exec.Command(wsafdump, filepath.Join(work, "missing.ims")).CombinedOutput(); err == nil {
 		t.Errorf("wsafdump on missing file succeeded:\n%s", msg)
