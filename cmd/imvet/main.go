@@ -1,7 +1,7 @@
-// Command imvet runs instameasure's five domain-specific static
-// analyzers — hotalloc, errclose, wallclock, locksafe, wirebound — over
-// the module and prints vet-style file:line:col diagnostics to stderr,
-// exiting non-zero if any invariant is violated.
+// Command imvet runs instameasure's three domain-specific static
+// analyzers — hotalloc, errclose, locksafe — over the module and prints
+// vet-style file:line:col: msg [analyzer] diagnostics to stderr, exiting
+// non-zero if any invariant is violated.
 //
 // The analyzers are whole-program by design (hot-path annotations
 // propagate through the cross-package call graph; lock scopes and lock
@@ -9,16 +9,9 @@
 // argument analyzes the entire enclosing module:
 //
 //	go run ./cmd/imvet ./...
-//
-// -json switches the diagnostic stream to NDJSON on stdout (one
-// {"file","line","col","analyzer","message"} object per finding) for
-// editor and CI integration; -v prints per-analyzer wall time and
-// finding counts to stderr.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,33 +20,13 @@ import (
 	"instameasure/internal/analysis"
 )
 
-// jsonDiag is the NDJSON shape emitted under -json, one object per line.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	asJSON := flag.Bool("json", false, "emit diagnostics as NDJSON on stdout instead of vet-style text on stderr")
-	verbose := flag.Bool("v", false, "print per-analyzer wall time and finding counts to stderr")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: imvet [-list] [-json] [-v] [packages]\n\nruns the module's invariant analyzers; any package pattern analyzes the whole module\n\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if *list {
-		for _, a := range analysis.Suite() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+	for _, arg := range os.Args[1:] {
+		if strings.HasPrefix(arg, "-") {
+			fmt.Fprintf(os.Stderr, "imvet: takes no flags (got %s)\nusage: imvet [packages]\n", arg)
+			os.Exit(2)
 		}
-		return
 	}
-
 	root, err := findModuleRoot()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "imvet:", err)
@@ -65,31 +38,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags, timings := analysis.RunAnalyzersTimed(prog, analysis.Suite()...)
-	if *verbose {
-		for _, tm := range timings {
-			fmt.Fprintf(os.Stderr, "imvet: %-12s %8.1fms  %d finding(s)\n",
-				tm.Name, float64(tm.Elapsed.Microseconds())/1000, tm.Count)
-		}
-	}
+	diags := analysis.RunAnalyzers(prog, analysis.Suite()...)
 	wd, _ := os.Getwd()
-	enc := json.NewEncoder(os.Stdout)
 	for _, d := range diags {
 		name := d.Pos.Filename
 		if wd != "" {
 			if rel, rerr := filepath.Rel(wd, name); rerr == nil && !strings.HasPrefix(rel, "..") {
 				name = rel
 			}
-		}
-		if *asJSON {
-			if err := enc.Encode(jsonDiag{
-				File: name, Line: d.Pos.Line, Col: d.Pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			}); err != nil {
-				fmt.Fprintln(os.Stderr, "imvet:", err)
-				os.Exit(2)
-			}
-			continue
 		}
 		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s [%s]\n", name, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 	}

@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Diagnostic is one analyzer finding, resolved to a file position.
@@ -122,33 +121,15 @@ func (prog *Program) HotpathRoots() []*types.Func {
 // the runner.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(prog *Program, report func(pos token.Pos, format string, args ...any))
-}
-
-// Timing is one analyzer's wall-clock cost over a program run.
-type Timing struct {
-	Name    string
-	Elapsed time.Duration
-	Count   int // surviving diagnostics
 }
 
 // RunAnalyzers runs the given analyzers over prog, applies //im:allow
 // suppressions, and returns the surviving diagnostics sorted by position.
 func RunAnalyzers(prog *Program, analyzers ...*Analyzer) []Diagnostic {
-	diags, _ := RunAnalyzersTimed(prog, analyzers...)
-	return diags
-}
-
-// RunAnalyzersTimed is RunAnalyzers plus a per-analyzer wall-time report,
-// in the order the analyzers ran (imvet -v surfaces it).
-func RunAnalyzersTimed(prog *Program, analyzers ...*Analyzer) ([]Diagnostic, []Timing) {
 	var out []Diagnostic
-	timings := make([]Timing, 0, len(analyzers))
 	for _, a := range analyzers {
 		name := a.Name
-		start := time.Now()
-		before := len(out)
 		a.Run(prog, func(pos token.Pos, format string, args ...any) {
 			p := prog.Fset.Position(pos)
 			if prog.allowed(name, p) {
@@ -156,7 +137,6 @@ func RunAnalyzersTimed(prog *Program, analyzers ...*Analyzer) ([]Diagnostic, []T
 			}
 			out = append(out, Diagnostic{Pos: p, Analyzer: name, Message: fmt.Sprintf(format, args...)})
 		})
-		timings = append(timings, Timing{Name: name, Elapsed: time.Since(start), Count: len(out) - before})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -171,7 +151,7 @@ func RunAnalyzersTimed(prog *Program, analyzers ...*Analyzer) ([]Diagnostic, []T
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return out, timings
+	return out
 }
 
 // allowed reports whether an //im:allow directive suppresses analyzer name
@@ -255,7 +235,7 @@ func hotpathAnnotated(decl *ast.FuncDecl) bool {
 
 // inScope reports whether a package path belongs to one of the named
 // scopes: the path's last element equals one of the names. Synthetic
-// testdata paths ("wallclock/core") land in scope the same way real module
+// testdata paths ("errclose/store") land in scope the same way real module
 // paths ("instameasure/internal/core") do.
 func inScope(pkgPath string, names ...string) bool {
 	last := pkgPath

@@ -24,7 +24,6 @@ import (
 // errors are documented to always be nil).
 var Errclose = &Analyzer{
 	Name: "errclose",
-	Doc:  "forbid implicitly discarded errors from Write/Sync/Close/Truncate/deadline methods in the store and export packages",
 	Run:  runErrclose,
 }
 

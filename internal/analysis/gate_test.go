@@ -5,11 +5,10 @@ import "testing"
 // TestModuleClean is the imvet self-gate: the full analyzer suite must be
 // diagnostic-free over the whole module. This is the test (alongside
 // `make lint`) that fails if an //im:hotpath function grows an
-// allocation, a store/export error check is dropped, a wall-clock read
-// sneaks into a deterministic package, a callback or blocking write moves
-// back under a lock (the collector's callback-under-lock bug class), a
-// package-level sync/atomic call replaces a typed atomic, or a
-// wire-derived length reaches an allocation unchecked.
+// allocation, a lock, a clock read or a fmt call (hotalloc), a
+// store/export Write/Sync/Close error is dropped (errclose), or a callback
+// or blocking write moves back under a lock, a lock-order cycle appears,
+// or a package-level sync/atomic call replaces a typed atomic (locksafe).
 func TestModuleClean(t *testing.T) {
 	prog, err := Load(repoRoot(t))
 	if err != nil {

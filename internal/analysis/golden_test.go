@@ -130,14 +130,6 @@ func TestErrcloseGolden(t *testing.T) {
 	runGolden(t, Errclose, "errclose/store", "errclose/free")
 }
 
-func TestWallclockGolden(t *testing.T) {
-	runGolden(t, Wallclock, "wallclock/core", "wallclock/free", "wallclock/fleet")
-}
-
 func TestLocksafeGolden(t *testing.T) {
 	runGolden(t, Locksafe, "locksafe")
-}
-
-func TestWireboundGolden(t *testing.T) {
-	runGolden(t, Wirebound, "wirebound/export", "wirebound/store", "wirebound/free")
 }

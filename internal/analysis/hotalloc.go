@@ -37,7 +37,6 @@ import (
 // boundary where the hot path hands off (e.g. the OnPass callback).
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "forbid allocation-prone and latency-hazard constructs in //im:hotpath functions and their static callees",
 	Run:  runHotalloc,
 }
 

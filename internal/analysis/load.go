@@ -247,8 +247,8 @@ func Load(moduleDir string) (*Program, error) {
 // LoadDirs typechecks standalone package directories (the golden-test
 // fixtures under testdata/src) against the module rooted at moduleDir.
 // Each directory becomes one package whose synthetic import path is its
-// path relative to base — so a fixture at testdata/src/wallclock/core gets
-// the path "wallclock/core" and lands in the same scopes as the real core
+// path relative to base — so a fixture at testdata/src/errclose/store gets
+// the path "errclose/store" and lands in the same scopes as the real store
 // package. Fixtures may import module packages (resolved from source) and
 // any standard-library package in the module's dependency closure.
 func LoadDirs(moduleDir, base string, dirs []string) (*Program, error) {

@@ -47,7 +47,6 @@ import (
 // (atomic.AddUint64(&s.f, 1) and kin) anywhere in the module.
 var Locksafe = &Analyzer{
 	Name: "locksafe",
-	Doc:  "ban dynamic calls, blocking I/O, and channel sends while a sync lock is held; fail on lock-ordering cycles and package-level sync/atomic calls",
 	Run:  runLocksafe,
 }
 

@@ -5,8 +5,6 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		Hotalloc,
 		Errclose,
-		Wallclock,
 		Locksafe,
-		Wirebound,
 	}
 }

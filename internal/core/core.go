@@ -459,7 +459,7 @@ func (e *Engine) ProcessBatchHashed(batch []packet.Packet, hashes []uint64) {
 		e.growScratch(n)
 	}
 	if crossed(e.packets+uint64(n), n, latencySamplePeriod) {
-		//im:allow hotalloc,wallclock — latency telemetry seam: a burst holding a 1-in-1024 packet pays one clock read
+		//im:allow hotalloc — latency telemetry seam: a burst holding a 1-in-1024 packet pays one clock read
 		e.sampleT0 = time.Now()
 	}
 
@@ -540,7 +540,7 @@ func (e *Engine) ProcessBatchHashed(batch []packet.Packet, hashes []uint64) {
 	// divides latencySamplePeriod, so only a burst that publishes is timed.
 	if crossed(e.packets, n, publishEvery) {
 		if crossed(e.packets, n, latencySamplePeriod) {
-			//im:allow hotalloc,wallclock — latency telemetry seam: paired with the sampled time.Now above
+			//im:allow hotalloc — latency telemetry seam: paired with the sampled time.Now above
 			perPkt := uint64(time.Since(e.sampleT0)) / uint64(n)
 			e.tm.latency.Observe(perPkt)
 			// The flight span reuses the sample's own clock reads;

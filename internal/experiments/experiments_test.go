@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -505,6 +506,13 @@ func TestAblationShardingShape(t *testing.T) {
 	rr := parsePct(t, rep.Rows[1][2])
 	if pop > rr {
 		t.Errorf("popcount top-100 error %.3f above spray %.3f — affinity should win", pop, rr)
+	}
+	again, err := AblationShardingQuality(tinyScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Rows, rep.Rows) {
+		t.Errorf("two runs at one seed differ:\n%v\n%v", rep.Rows, again.Rows)
 	}
 }
 

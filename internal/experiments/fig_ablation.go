@@ -13,6 +13,7 @@ import (
 	"instameasure/internal/pipeline"
 	"instameasure/internal/rcc"
 	"instameasure/internal/stats"
+	"instameasure/internal/store"
 	"instameasure/internal/trace"
 	"instameasure/internal/wsaf"
 )
@@ -214,7 +215,10 @@ func sprayShard(h uint64, p *packet.Packet, workers int) int {
 
 // AblationShardingQuality compares measurement quality under the paper's
 // popcount sharding (flow affinity preserved) vs spraying (each flow
-// split across all workers, defeating per-worker sketches).
+// split across all workers, defeating per-worker sketches). The trace is
+// routed in order through System.ProcessBatch — the same engines and
+// policy a four-worker Run uses, without the scheduling that makes a
+// Run's per-engine packet order vary — so every run prints the same rows.
 func AblationShardingQuality(s Scale) (*Report, error) {
 	tr, err := caidaTrace(s)
 	if err != nil {
@@ -246,20 +250,26 @@ func AblationShardingQuality(s Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sys.Run(tr.Source()); err != nil {
-			return nil, err
+		const burst = 256
+		for off := 0; off < len(tr.Packets); off += burst {
+			sys.ProcessBatch(tr.Packets[off:min(off+burst, len(tr.Packets))])
 		}
 
 		// Merge per-worker entries per flow (spraying splits flows).
 		merged := map[packet.FlowKey]float64{}
-		for _, e := range sys.MergedSnapshot() {
-			merged[e.Key] += e.Pkts
+		sys.Each(func(e *wsaf.Entry) { merged[e.Key] += e.Pkts })
+		type flow struct {
+			key  packet.FlowKey
+			pkts float64
 		}
-		keys := make([]packet.FlowKey, 0, len(merged))
-		for k := range merged {
-			keys = append(keys, k)
+		ranking := store.NewRanking(100, len(merged), func(f *flow) *packet.FlowKey { return &f.key })
+		for k, v := range merged {
+			ranking.Offer(v, &flow{k, v})
 		}
-		got := topKeysByValue(keys, merged, 100)
+		var got []packet.FlowKey
+		for _, f := range ranking.Sorted() {
+			got = append(got, f.key)
+		}
 		recall := stats.Recall(got, top100)
 
 		var est, truth []float64
@@ -271,25 +281,6 @@ func AblationShardingQuality(s Scale) (*Report, error) {
 	}
 	rep.AddNote("spraying splits each flow across 4 sketches: per-worker counts stay below saturation, losing flows and accuracy")
 	return rep, nil
-}
-
-func topKeysByValue(keys []packet.FlowKey, vals map[packet.FlowKey]float64, k int) []packet.FlowKey {
-	sorted := make([]packet.FlowKey, len(keys))
-	copy(sorted, keys)
-	// Simple selection sort for the top k — key counts are small here.
-	for i := 0; i < k && i < len(sorted); i++ {
-		maxJ := i
-		for j := i + 1; j < len(sorted); j++ {
-			if vals[sorted[j]] > vals[sorted[maxJ]] {
-				maxJ = j
-			}
-		}
-		sorted[i], sorted[maxJ] = sorted[maxJ], sorted[i]
-	}
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[:k]
 }
 
 // LayersSweep exercises the knob Section V.B points at for TCAM-backed

@@ -38,7 +38,7 @@ func TestFrameLengthCrossCheck(t *testing.T) {
 // TestTruncatedPayloadNoOverAllocate: a header claiming a large (but
 // internally consistent) payload over a truncated stream must fail with
 // ErrUnexpectedEOF — the incremental reader never allocates the claimed
-// size up front.
+// size up front: a fresh reader's buffer grows by one readChunk.
 func TestTruncatedPayloadNoOverAllocate(t *testing.T) {
 	count := uint32(1 << 20)
 	hdr := make([]byte, 0, 21)
@@ -49,8 +49,78 @@ func TestTruncatedPayloadNoOverAllocate(t *testing.T) {
 	hdr = binary.BigEndian.AppendUint32(hdr, count*recordMinBytes) // ~46 MB claimed
 	raw := append(hdr, 1, 2, 3)                                    // 3 bytes delivered
 
-	if _, err := ReadBatch(bytes.NewReader(raw)); !errors.Is(err, io.ErrUnexpectedEOF) {
+	var br BatchReader
+	if _, err := br.Read(bytes.NewReader(raw)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
+	}
+	if c := cap(br.body); c > readChunk {
+		t.Errorf("payload buffer grew to %d bytes on a lying header (limit %d)", c, readChunk)
+	}
+}
+
+// frameWith frames payload as a v1 batch claiming count records, with a
+// valid CRC: everything a decoder checks before the records themselves.
+func frameWith(count uint32, payload []byte) []byte {
+	raw := binary.BigEndian.AppendUint32(nil, batchMagic)
+	raw = append(raw, version)
+	raw = binary.BigEndian.AppendUint64(raw, 1)
+	raw = binary.BigEndian.AppendUint32(raw, count)
+	raw = binary.BigEndian.AppendUint32(raw, uint32(len(payload)))
+	raw = append(raw, payload...)
+	return binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
+}
+
+// TestPayloadDisagreesWithCount: a payload inside the count's length band,
+// with a valid CRC, whose records still do not add up to it — it runs out
+// at a record boundary, runs out inside a record, or has bytes left over —
+// fails both decoders (the stream reader and the in-place snapshot
+// decoder) with an error, never a panic or a short batch.
+func TestPayloadDisagreesWithCount(t *testing.T) {
+	payloadOf := func(recs ...Record) []byte {
+		frame := encodeBatch(t, Batch{Records: recs})
+		return frame[21 : len(frame)-4]
+	}
+	v6 := Record{Key: seedKeyV6(), Pkts: 1}
+	v4 := payloadOf(rec(1))
+	for _, tc := range []struct {
+		name    string
+		count   uint32
+		payload []byte
+	}{
+		{"ends at a record boundary", 3, payloadOf(v6, v6)},
+		{"ends inside a record", 2, append(payloadOf(v6), v4[:22]...)},
+		{"bytes left over", 1, append(bytes.Clone(v4), make([]byte, 10)...)},
+	} {
+		frame := frameWith(tc.count, tc.payload)
+		if b, err := ReadBatch(bytes.NewReader(frame)); err == nil {
+			t.Errorf("%s: ReadBatch returned %d records, want an error", tc.name, len(b.Records))
+		}
+		snap := binary.BigEndian.AppendUint32(nil, snapshotMagic)
+		if _, _, _, err := DecodeSnapshotStats(append(snap, frame...), func(*Record) {}); err == nil {
+			t.Errorf("%s: DecodeSnapshotStats returned no error", tc.name)
+		}
+	}
+}
+
+// TestDecodeSnapshotStatsTruncated: the in-place snapshot decoder slices
+// the payload and the CRC out of the bytes it is given, so every cut of a
+// snapshot short of its end is an error, never a panic — except the cut
+// where the optional stats trailer starts, which is a snapshot without
+// one.
+func TestDecodeSnapshotStatsTruncated(t *testing.T) {
+	snap, err := AppendSnapshotStats(nil, 4, mixedRecords(8), TableStats{Updates: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := len(snap) - 48
+	for cut := range len(snap) {
+		_, _, hasStats, err := DecodeSnapshotStats(snap[:cut], func(*Record) {})
+		switch {
+		case cut == trailer && (err != nil || hasStats):
+			t.Errorf("cut at the trailer: hasStats=%v err=%v, want a snapshot without stats", hasStats, err)
+		case cut != trailer && err == nil:
+			t.Errorf("cut at %d of %d bytes: no error", cut, len(snap))
+		}
 	}
 }
 

@@ -127,10 +127,14 @@ func TestBadSiteLength(t *testing.T) {
 	if _, err := ReadBatch(bytes.NewReader(zero)); !errors.Is(err, ErrBadSite) {
 		t.Fatalf("siteLen=0: err = %v, want ErrBadSite", err)
 	}
-	long := append([]byte(nil), buf.Bytes()...)
-	long[5] = MaxSiteLen + 1
-	if _, err := ReadBatch(bytes.NewReader(long)); !errors.Is(err, ErrBadSite) {
-		t.Fatalf("siteLen=%d: err = %v, want ErrBadSite", MaxSiteLen+1, err)
+	// Just past the limit, and the one-byte prefix's maximum, which
+	// would run past the reader's header buffer if it were sliced by.
+	for _, n := range []byte{MaxSiteLen + 1, 255} {
+		long := append([]byte(nil), buf.Bytes()...)
+		long[5] = n
+		if _, err := ReadBatch(bytes.NewReader(long)); !errors.Is(err, ErrBadSite) {
+			t.Fatalf("siteLen=%d: err = %v, want ErrBadSite", n, err)
+		}
 	}
 	// Valid length prefix but non-printable site bytes: ValidateSite runs
 	// on decode too.

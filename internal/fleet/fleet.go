@@ -171,21 +171,13 @@ func (a *Aggregator) SetFlight(h flight.Handle) {
 	a.mu.Unlock()
 }
 
-// now is the package's single wall-clock seam: arrival stamps and
-// stage durations are operator telemetry about the collector host, not
-// measurement results, which stay on the trace clock.
-func now() time.Time {
-	//im:allow wallclock — fleet arrival stamps and ingest-stage latencies are host-side telemetry, not trace-clock state
-	return time.Now()
-}
-
 // Ingest folds one exported batch into the fleet state. It matches the
 // export.Collector hook signature and may be called concurrently.
 // Detector alerts fire from here; the alert ring, OnAlert callback,
 // telemetry, and flight events all run after the aggregator's lock is
 // released, so a slow alert consumer cannot stall other sites' ingest.
 func (a *Aggregator) Ingest(b export.Batch) {
-	t0 := now()
+	t0 := time.Now()
 	site := b.Site
 	if site == "" {
 		site = DefaultSite
@@ -301,7 +293,7 @@ func (a *Aggregator) Ingest(b export.Batch) {
 		}
 	}
 
-	dur := uint64(now().Sub(t0))
+	dur := uint64(time.Since(t0))
 	fl.EventAt(t0, flight.StageAggregate, b.Epoch, uint32(len(b.Records)), 0, dur)
 	fl.EventAt(t0, flight.StageDetect, b.Epoch, uint32(observed), 0, dur)
 	if len(alerts) > 0 {

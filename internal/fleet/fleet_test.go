@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"instameasure/internal/detect"
 	"instameasure/internal/export"
 	"instameasure/internal/packet"
+	"instameasure/internal/store"
 )
 
 func flowRec(i int, pkts, bytes float64) export.Record {
@@ -281,42 +283,61 @@ func TestMultiExporterStress(t *testing.T) {
 
 // TestDetectionThroughIngest drives a detector via the aggregator's
 // delta path: cumulative snapshots whose growth is the attack.
+// TestDetectionThroughIngest drives a DDoS-victim detector through
+// Ingest: one alert per flood, none for a re-sent snapshot, and a later
+// epoch's flood at a second site alerts in the rotated window. A second
+// fresh aggregator fed the same batches after the first answers
+// identically in every field: windows and alerts run on the trace clock
+// (epochs, record timestamps), never the host's. Only SiteStats'
+// LastArrival is host telemetry, and it is left out.
 func TestDetectionThroughIngest(t *testing.T) {
-	ddos, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindDDoSVictim, Threshold: 50})
-	if err != nil {
-		t.Fatal(err)
+	flood := func(victim uint32, pkts float64, ts int64) []export.Record {
+		recs := make([]export.Record, 0, 200)
+		for s := 0; s < 200; s++ {
+			recs = append(recs, export.Record{
+				Key:  packet.V4Key(0x0A000000+uint32(s), victim, 1024, 80, packet.ProtoTCP),
+				Pkts: pkts, Bytes: 60 * pkts, LastUpdate: ts + int64(s),
+			})
+		}
+		return recs
 	}
+	victim := uint32(0xC0A80001)
+	first := export.Batch{Epoch: 1, Site: "edge-1", Records: flood(victim, 2, 0)}
+	second := export.Batch{Epoch: 2, Site: "edge-2", Records: flood(victim+1, 3, 1_000)}
+
 	var fired []detect.Alert
 	var mu sync.Mutex
-	a := mustAgg(t, Config{
-		Detectors: []*detect.StreamDetector{ddos},
-		OnAlert: func(al detect.Alert) {
-			mu.Lock()
-			fired = append(fired, al)
-			mu.Unlock()
-		},
-	})
-
-	victim := uint32(0xC0A80001)
-	recs := make([]export.Record, 0, 200)
-	for s := 0; s < 200; s++ {
-		recs = append(recs, export.Record{
-			Key:  packet.V4Key(0x0A000000+uint32(s), victim, 1024, 80, packet.ProtoTCP),
-			Pkts: 2, Bytes: 120, LastUpdate: int64(s),
+	fresh := func() *Aggregator {
+		ddos, err := detect.NewStreamDetector(detect.StreamConfig{Kind: detect.KindDDoSVictim, Threshold: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustAgg(t, Config{
+			Detectors: []*detect.StreamDetector{ddos},
+			OnAlert: func(al detect.Alert) {
+				mu.Lock()
+				fired = append(fired, al)
+				mu.Unlock()
+			},
 		})
 	}
-	a.Ingest(export.Batch{Epoch: 1, Site: "edge-1", Records: recs})
+	seen := func() []detect.Alert {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]detect.Alert(nil), fired...)
+	}
+	a := fresh()
+	a.Ingest(first)
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(fired) != 1 {
-		t.Fatalf("OnAlert fired %d times, want 1", len(fired))
+	alerts := seen()
+	if len(alerts) != 1 {
+		t.Fatalf("OnAlert fired %d times, want 1", len(alerts))
 	}
-	if fired[0].Kind != "ddos_victim" || fired[0].Host != "192.168.0.1" {
-		t.Errorf("alert = %+v", fired[0])
+	if alerts[0].Kind != "ddos_victim" || alerts[0].Host != "192.168.0.1" {
+		t.Errorf("alert = %+v", alerts[0])
 	}
-	if fired[0].Seq != 1 {
-		t.Errorf("alert seq = %d, want 1 (ring-assigned)", fired[0].Seq)
+	if alerts[0].Seq != 1 {
+		t.Errorf("alert seq = %d, want 1 (ring-assigned)", alerts[0].Seq)
 	}
 	got := a.Alerts(0, 10)
 	if len(got) != 1 || got[0].Seq != 1 {
@@ -329,9 +350,38 @@ func TestDetectionThroughIngest(t *testing.T) {
 	// Re-sending the same snapshot produces zero deltas: the detector
 	// must not observe anything, so no duplicate alert even after the
 	// latch would have allowed one.
-	a.Ingest(export.Batch{Epoch: 1, Site: "edge-1", Records: recs})
-	if len(fired) != 1 {
-		t.Fatalf("re-sent snapshot re-fired: %d alerts", len(fired))
+	a.Ingest(first)
+	if n := len(seen()); n != 1 {
+		t.Fatalf("re-sent snapshot re-fired: %d alerts", n)
+	}
+	a.Ingest(second)
+	if alerts = seen(); len(alerts) != 2 || alerts[1].Host != "192.168.0.2" || alerts[1].Epoch != 2 {
+		t.Fatalf("second epoch's flood: alerts %+v, want one more for 192.168.0.2", alerts)
+	}
+
+	b := fresh()
+	for _, batch := range []export.Batch{first, first, second} {
+		b.Ingest(batch)
+	}
+	if replayed := seen()[2:]; !reflect.DeepEqual(replayed, alerts) {
+		t.Errorf("replayed OnAlert\n got %+v\nwant %+v", replayed, alerts)
+	}
+	type answers struct {
+		Alerts           []detect.Alert
+		TopPkts, TopByte []FlowRank
+		Changers         []store.FlowChange
+		Sites            []SiteStats
+		Stats            Stats
+	}
+	answer := func(a *Aggregator) answers {
+		sites := a.Sites()
+		for i := range sites {
+			sites[i].LastArrival = 0
+		}
+		return answers{a.Alerts(0, 10), a.TopK(10, false), a.TopK(10, true), a.Changers(10, false), sites, a.Stats()}
+	}
+	if x, y := answer(a), answer(b); !reflect.DeepEqual(x, y) {
+		t.Errorf("two aggregators fed the same batches differ:\n%+v\n%+v", x, y)
 	}
 }
 

@@ -75,29 +75,31 @@ func TestReaderCorruptedValidCapture(t *testing.T) {
 	}
 }
 
-// TestReaderHugeClaimedLength crafts a record header claiming a giant
-// payload: with an unbounded snap length the reader must fail with
-// ErrUnexpectedEOF rather than blocking or over-allocating beyond the
-// claimed (bounded-by-uint32) size.
+// TestReaderHugeClaimedLength crafts a record header claiming a 64 MiB
+// body, with no snap length to cap it, and delivers just enough of the
+// body to fill the reader's first buffer, so the reader must grow it. The
+// read fails with ErrUnexpectedEOF, and the buffer grows by at most one
+// readChunk past what it held: memory tracks the bytes delivered, never
+// the header's claim.
 func TestReaderHugeClaimedLength(t *testing.T) {
-	var buf bytes.Buffer
-	hdr := make([]byte, 24)
+	hdr := make([]byte, 24+16, readChunk)
 	binary.LittleEndian.PutUint32(hdr[0:4], magicNanos)
 	binary.LittleEndian.PutUint32(hdr[16:20], 0) // snap length 0: no cap
 	binary.LittleEndian.PutUint32(hdr[20:24], uint32(LinkEthernet))
-	buf.Write(hdr)
-	rec := make([]byte, 16)
-	binary.LittleEndian.PutUint32(rec[8:12], 1<<20)
-	binary.LittleEndian.PutUint32(rec[12:16], 1<<20)
-	buf.Write(rec)
-	buf.Write([]byte{1, 2, 3}) // far less than claimed
+	binary.LittleEndian.PutUint32(hdr[24+8:24+12], 1<<26)
+	binary.LittleEndian.PutUint32(hdr[24+12:24+16], 1<<26)
+	stream := hdr[:readChunk] // far less than claimed
 
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
+	held := len(r.buf)
 	if _, err := r.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
+	}
+	if n := len(r.buf); n <= held || n > held+readChunk {
+		t.Errorf("buffer went from %d to %d bytes on a lying header; want growth of at most %d", held, n, readChunk)
 	}
 }
 

@@ -18,7 +18,7 @@ func buildSegment(tb testing.TB, n int) []byte {
 	var seg []byte
 	for e := int64(1); e <= int64(n); e++ {
 		var err error
-		seg, err = appendFrame(seg, recordHeader{epoch: e, unixNano: e * 1_000}, epochRecords(e, 3), epochStats(e))
+		seg, err = appendFrame(seg, recordHeader{epoch: e}, epochRecords(e, 3), epochStats(e))
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -377,7 +377,6 @@ func pick(byBytes bool, pkts, bytes float64) float64 {
 // window, largest first. A zero window ranks absolute totals at the
 // latest epoch.
 func (s *Store) TopK(w Window, k int, byBytes bool) ([]FlowDelta, error) {
-	//im:allow wallclock — latency telemetry seam: query timing, not result content
 	start := time.Now()
 	var out []FlowDelta
 	err := s.query(func(refs []recordRef, sr *segReader) error {
@@ -416,7 +415,6 @@ func (s *Store) TimelineByHash(h uint64) ([]TimelinePoint, packet.FlowKey, error
 }
 
 func (s *Store) timeline(w Window, match func(*packet.FlowKey) bool) ([]TimelinePoint, packet.FlowKey, error) {
-	//im:allow wallclock — latency telemetry seam: query timing, not result content
 	start := time.Now()
 	byEpoch := make(map[int64]TimelinePoint)
 	var matched packet.FlowKey
@@ -462,7 +460,6 @@ func (s *Store) timeline(w Window, match func(*packet.FlowKey) bool) ([]Timeline
 // heavy-hitter detection. Flows are ranked by the absolute change in the
 // chosen dimension, largest first.
 func (s *Store) HeavyChangers(older, newer Window, k int, byBytes bool) ([]FlowChange, error) {
-	//im:allow wallclock — latency telemetry seam: query timing, not result content
 	start := time.Now()
 	var out []FlowChange
 	err := s.query(func(refs []recordRef, sr *segReader) error {

@@ -104,11 +104,12 @@ func TestCrashRecovery(t *testing.T) {
 }
 
 // TestBitRotLyingLengthAfterOpen corrupts a record's payloadLen in place
-// while the store is open — bit rot after the open-time scan. The forged
-// length stays inside the count-band cross-check (which has ~count·24
-// bytes of slack for v4 flows), so readFrame must catch the mismatch
-// against the indexed frame size and return ErrChecksum rather than
-// slicing past the buffer and panicking.
+// while the store is open — bit rot after the open-time scan. A forged
+// length inside the count-band cross-check (which has ~count·24 bytes of
+// slack for v4 flows) must be caught against the indexed frame size with
+// ErrChecksum rather than sliced by, and one far outside it fails the band
+// with ErrFrameLength. Either way the failed read allocates under 1 MiB:
+// the frame buffer is sized by the index, never by a header's claim.
 func TestBitRotLyingLengthAfterOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir, Options{})
@@ -123,20 +124,32 @@ func TestBitRotLyingLengthAfterOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	var lenBuf [4]byte
 	lenOff := ref.off + headerLen - 4
 	if _, err := f.ReadAt(lenBuf[:], lenOff); err != nil {
 		t.Fatal(err)
 	}
-	forged := binary.BigEndian.Uint32(lenBuf[:]) + 100 // within the band for 10 v4 records
-	binary.BigEndian.PutUint32(lenBuf[:], forged)
-	if _, err := f.WriteAt(lenBuf[:], lenOff); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	if _, _, _, err := s.EpochRecords(1); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("lying payloadLen: got err=%v, want ErrChecksum", err)
+	valid := binary.BigEndian.Uint32(lenBuf[:])
+	for _, c := range []struct {
+		forged uint32
+		want   error
+	}{
+		{valid + 100, ErrChecksum},  // within the band for 10 v4 records
+		{1<<32 - 1, ErrFrameLength}, // a 4 GiB claim
+	} {
+		binary.BigEndian.PutUint32(lenBuf[:], c.forged)
+		if _, err := f.WriteAt(lenBuf[:], lenOff); err != nil {
+			t.Fatal(err)
+		}
+		var qerr error
+		grew := allocated(func() { _, _, _, qerr = s.EpochRecords(1) })
+		if !errors.Is(qerr, c.want) {
+			t.Fatalf("payloadLen %d: got err=%v, want %v", c.forged, qerr, c.want)
+		}
+		if !raceEnabled && grew > 1<<20 {
+			t.Errorf("payloadLen %d: the failed read allocated %d bytes for a %d-byte frame", c.forged, grew, ref.size)
+		}
 	}
 }
 

@@ -8,9 +8,10 @@
 // Each segment is a sequence of framed records; one record is one epoch
 // append — a full IMS1 snapshot with its IMT1 stats trailer (the exact
 // bytes Meter.ExportSnapshot writes, inner CRCs included) wrapped in an
-// outer frame that adds the epoch, an append wall-clock timestamp, the
-// record count, and a payload CRC, so segments can be indexed and
-// integrity-checked without decoding flow payloads. On open every segment
+// outer frame that adds the epoch, the record count, and a payload CRC, so
+// segments can be indexed and integrity-checked without decoding flow
+// payloads. A segment is a function of the appends alone: two stores fed
+// the same epochs hold byte-identical files. On open every segment
 // is scanned front to back; the scan stops at the first record that fails
 // any check and the file is truncated to the valid prefix — a torn tail
 // from a crash mid-append is recovered, never fatal, with data loss
@@ -41,7 +42,10 @@ const (
 	flagRollup = 1 << 0
 
 	// headerLen is the outer record header:
-	// magic(4) ver(1) flags(1) epoch(8) unixNano(8) count(4) payloadLen(4).
+	// magic(4) ver(1) flags(1) epoch(8) reserved(8) count(4) payloadLen(4).
+	// The reserved bytes are written as zero and skipped on read; earlier
+	// versions stamped the append's wall clock there, and their segments
+	// open unchanged.
 	headerLen = 4 + 1 + 1 + 8 + 8 + 4 + 4
 
 	// maxRecords mirrors the export codec's batch bound: a corrupt count
@@ -73,7 +77,6 @@ var (
 // recordHeader is a decoded outer frame header.
 type recordHeader struct {
 	epoch      int64
-	unixNano   int64 // wall clock at append; written, not indexed
 	count      uint32
 	payloadLen uint32
 }
@@ -88,7 +91,7 @@ func appendHeader(dst []byte, h recordHeader) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, recordMagic)
 	dst = append(dst, segVersion, 0) // flags: none are written
 	dst = binary.BigEndian.AppendUint64(dst, uint64(h.epoch))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(h.unixNano))
+	dst = binary.BigEndian.AppendUint64(dst, 0) // reserved
 	dst = binary.BigEndian.AppendUint32(dst, h.count)
 	dst = binary.BigEndian.AppendUint32(dst, h.payloadLen)
 	return dst
@@ -116,7 +119,6 @@ func parseHeader(b []byte) (recordHeader, error) {
 		return h, fmt.Errorf("%w: 0x%02x", ErrBadFlags, b[5])
 	}
 	h.epoch = int64(binary.BigEndian.Uint64(b[6:14]))
-	h.unixNano = int64(binary.BigEndian.Uint64(b[14:22]))
 	h.count = binary.BigEndian.Uint32(b[22:26])
 	h.payloadLen = binary.BigEndian.Uint32(b[26:30])
 	if h.count > maxRecords {

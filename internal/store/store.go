@@ -191,12 +191,11 @@ func (s *Store) Healthy() error {
 // in StoreStats.AppendErrors.
 // Appends encode in parallel, outside mu, and hold it to write and index.
 func (s *Store) Append(epoch int64, records []export.Record, stats export.TableStats) error {
-	//im:allow wallclock — latency telemetry seam: append timing, not record content
 	start := time.Now()
 	buf := framePool.Get().(*[]byte)
 	defer framePool.Put(buf) // after the deferred unlock: the write is done
 	var err error
-	*buf, err = appendFrame((*buf)[:0], recordHeader{epoch: epoch, unixNano: start.UnixNano()}, records, stats)
+	*buf, err = appendFrame((*buf)[:0], recordHeader{epoch: epoch}, records, stats)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,7 +261,6 @@ func (s *Store) appendLocked(start time.Time, epoch int64, count uint32, enc []b
 	})
 	s.stats.appends++
 	s.stats.appendBytes += uint64(frame)
-	//im:allow wallclock — latency telemetry seam: paired with Append's start stamp
 	elapsed := uint64(time.Since(start))
 	if s.tm != nil {
 		s.tm.appends.Inc()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
@@ -108,6 +109,60 @@ func TestFrameBoundsMatchExportCodec(t *testing.T) {
 	}
 }
 
+// TestHeaderBoundsRejected: an outer header whose count is over the
+// record limit, or whose payload length falls outside the band its count
+// allows, is ErrFrameLength before a payload byte is read — whatever the
+// file goes on to hold. Each case is one bound.
+func TestHeaderBoundsRejected(t *testing.T) {
+	hdr := func(count, payloadLen uint32) []byte {
+		b := appendHeader(nil, recordHeader{epoch: 1, count: count})
+		binary.BigEndian.PutUint32(b[headerLen-4:], payloadLen)
+		return b
+	}
+	const over = maxRecords + 1
+	for _, tc := range []struct {
+		name              string
+		count, payloadLen uint32
+	}{
+		{"count over maxRecords", over, snapOverhead + over*recordMinBytes},
+		{"payload below count·recordMinBytes", 3, snapOverhead + 3*recordMinBytes - 1},
+		{"payload above count·recordMaxBytes", 3, snapOverhead + 3*recordMaxBytes + 1},
+	} {
+		if _, err := parseHeader(hdr(tc.count, tc.payloadLen)); !errors.Is(err, ErrFrameLength) {
+			t.Errorf("%s: err = %v, want ErrFrameLength", tc.name, err)
+		}
+	}
+	if _, err := parseHeader(hdr(3, snapOverhead+3*recordMinBytes)); err != nil {
+		t.Errorf("payload at the band's edge: %v", err)
+	}
+	if err := innerCrossCheck(recordHeader{}, make([]byte, snapOverhead-1)); err == nil {
+		t.Error("innerCrossCheck accepted a payload shorter than a snapshot")
+	}
+}
+
+// TestOuterInnerDisagreementStopsScan: a frame whose outer epoch or count
+// disagrees with the snapshot it carries — CRC intact, count still in the
+// length band — ends the open-time scan there, like any corrupt frame.
+func TestOuterInnerDisagreementStopsScan(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		patch func(frame []byte)
+	}{
+		{"outer epoch", func(f []byte) { binary.BigEndian.PutUint64(f[6:14], 7) }},
+		{"outer count", func(f []byte) { binary.BigEndian.PutUint32(f[22:26], 2) }},
+	} {
+		seg := buildSegment(t, 2)
+		tc.patch(seg)
+		if _, err := parseHeader(seg); err != nil {
+			t.Fatalf("%s: the patched header must pass its own checks: %v", tc.name, err)
+		}
+		refs, validLen, err := parseSegment(1, seg)
+		if err != nil || len(refs) != 0 || validLen != 0 {
+			t.Errorf("%s: scan indexed %d frames, %d valid bytes, err %v; want it to stop at the first frame", tc.name, len(refs), validLen, err)
+		}
+	}
+}
+
 // TestAppendReadBack round-trips epochs through close and reopen: every
 // appended table reads back bit-identically, stats trailer included.
 func TestAppendReadBack(t *testing.T) {
@@ -204,6 +259,52 @@ func TestSegmentRolling(t *testing.T) {
 	s2 := openTestStore(t, dir, Options{})
 	if got := s2.Epochs(); len(got) != epochs {
 		t.Fatalf("after reopen: expected %d epochs, got %d", epochs, len(got))
+	}
+}
+
+// TestSegmentsByteIdenticalAcrossRuns: a segment is a function of the
+// appends alone. Two fresh stores fed the same epochs, across several
+// segment rolls, hold the same files byte for byte, so no host clock or
+// other run-to-run state leaks into what is written.
+func TestSegmentsByteIdenticalAcrossRuns(t *testing.T) {
+	run := func() string {
+		dir := t.TempDir()
+		s := openTestStore(t, dir, Options{})
+		s.segBytes = 4 << 10
+		for e := int64(1); e <= 12; e++ {
+			mustAppend(t, s, e, epochRecords(e, 20), epochStats(e))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	a, b := run(), run()
+	entries, err := os.ReadDir(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, err := os.ReadDir(b); err != nil || len(other) != len(entries) || len(entries) < 3 {
+		t.Fatalf("segment files: %d and %d (%v); want the same count, at least 3", len(entries), len(other), err)
+	}
+	for _, e := range entries {
+		x, errA := os.ReadFile(filepath.Join(a, e.Name()))
+		y, errB := os.ReadFile(filepath.Join(b, e.Name()))
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v, %v", e.Name(), errA, errB)
+		}
+		if len(x) != len(y) {
+			t.Fatalf("%s: %d bytes and %d bytes", e.Name(), len(x), len(y))
+		}
+		diff := 0
+		for i := range x {
+			if x[i] != y[i] {
+				diff++
+			}
+		}
+		if diff != 0 {
+			t.Errorf("%s: %d of %d bytes differ between two runs of the same appends", e.Name(), diff, len(x))
+		}
 	}
 }
 

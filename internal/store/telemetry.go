@@ -69,7 +69,6 @@ func (s *Store) observeQuery(kind queryKind, start time.Time) {
 	s.mu.Lock()
 	tm, fl := s.tm, s.fl
 	s.mu.Unlock()
-	//im:allow wallclock — latency telemetry seam: paired with each query's start stamp
 	elapsed := uint64(time.Since(start))
 	if tm != nil {
 		tm.queryNanos[kind].Observe(elapsed)
