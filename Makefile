@@ -135,7 +135,9 @@ bench-json:
 # bench-layers archives the per-layer microbenchmarks around the meter as
 # BENCH_layers.json, rows of ROADMAP's layered ledger: before it, the path
 # a packet takes — pcap record read, frame parse, and the whole
-# materialised ReadPcap, one frame per op; after it, the cut and the query
+# materialised ReadPcap, one frame per op; the meter itself as the sharded
+# pipeline runs it, two workers over a materialised 1M-packet trace, one
+# packet per op (PipelineRun); after it, the cut and the query
 # — table snapshot, engine top-1k and snapshot export on a 2^20-slot table
 # at ~0.3 % and ~3 % load, one whole walk per op (their Mpps is live
 # entries visited per second); and past the meter, the control plane on
@@ -158,7 +160,7 @@ bench-json:
 # times and benchjson archives and guards the median run, so one run
 # slowed by a neighbour on a shared host neither fails the gate nor
 # lands in the archive.
-BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot|ExportBatch|CollectorServe|CollectorMerge|StoreAppend80k|FleetIngest|StreamObserve|StreamObserveBusy|StoreTopK80k|StoreHeavyChangers80k|FlowtableUpsert|FlowtableUpsert1M
+BENCH_LAYERS = PcapRead|ParseEthernet|ReadPcap|PipelineRun|WSAFSnapshotSparse|EngineTopK1k|ExportSnapshot|ExportBatch|CollectorServe|CollectorMerge|StoreAppend80k|FleetIngest|StreamObserve|StreamObserveBusy|StoreTopK80k|StoreHeavyChangers80k|FlowtableUpsert|FlowtableUpsert1M
 bench-layers:
 	$(GO) test -bench '^Benchmark($(BENCH_LAYERS))$$' -benchmem -count 3 -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -guard -o BENCH_layers.json \

@@ -483,6 +483,29 @@ func BenchmarkReadPcap(b *testing.B) {
 	reportMframes(b)
 }
 
+// BenchmarkPipelineRun is the layer after ReadPcap: the sharded pipeline
+// over a materialised 1M-packet trace, two workers striping it, hashing,
+// sharding, exchanging and metering it — one packet per op, wall time (on
+// a host with fewer cores than workers, the workers' shared time). The
+// system persists across runs, as a meter's does across epochs.
+func BenchmarkPipelineRun(b *testing.B) {
+	tr := benchTrace(b)
+	sys, err := pipeline.New(pipeline.Config{Workers: 2, Engine: core.Config{WSAFEntries: 1 << 19, Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(tr.Packets) {
+		n := min(len(tr.Packets), b.N-i)
+		rep, err := sys.Run(trace.NewTrace(tr.Packets[:n]).Source())
+		if err != nil || rep.Packets != uint64(n) {
+			b.Fatalf("run: %d of %d packets, %v", rep.Packets, n, err)
+		}
+	}
+	reportMframes(b)
+}
+
 // BenchmarkPipelineScaling sweeps the shared-nothing pipeline over 1/2/4/8
 // workers and reports the modeled aggregate throughput (Mpps) plus
 // scaling_eff = aggregate(N) / (N × aggregate(1)). Throughput is modeled

@@ -263,8 +263,9 @@ func TestProcessBatchEmpty(t *testing.T) {
 // TestHashSeedDecouplesSketchRandomness pins the shared-nothing pipeline's
 // cross-worker hash contract: two engines with the same HashSeed but
 // different Seeds accept the same externally computed hashes (via
-// ProcessBatchHashed) and agree with their own internal hashing, while
-// their sketch randomness stays independent.
+// ProcessHashed, the records indexing the whole trace as their base) and
+// agree with their own internal hashing, while their sketch randomness
+// stays independent.
 func TestHashSeedDecouplesSketchRandomness(t *testing.T) {
 	tr := batchTrace(t, 1500, 80_000, 21)
 	const hashSeed = 0xABCDEF12345
@@ -276,17 +277,20 @@ func TestHashSeedDecouplesSketchRandomness(t *testing.T) {
 	// internally — the zero-rehash threading is lossless.
 	ext := testEngine(t, cfgA)
 	twin := testEngine(t, cfgA)
-	hashes := make([]uint64, 256)
+	recs := make([]Hashed, 256)
+	hashed := func(i, end int) []Hashed {
+		for j := i; j < end; j++ {
+			p := &tr.Packets[j]
+			recs[j-i] = Hashed{H: p.Key.Hash64(hashSeed), Len: p.Len, I: uint32(j)}
+		}
+		return recs[:end-i]
+	}
 	for i := 0; i < len(tr.Packets); i += 256 {
 		end := min(i+256, len(tr.Packets))
-		chunk := tr.Packets[i:end]
-		for j := range chunk {
-			hashes[j] = chunk[j].Key.Hash64(hashSeed)
-		}
-		ext.ProcessBatchHashed(chunk, hashes[:len(chunk)])
-		twin.ProcessBatch(chunk)
+		ext.ProcessHashed(tr.Packets, hashed(i, end))
+		twin.ProcessBatch(tr.Packets[i:end])
 	}
-	if ext.Table().Stats() != twin.Table().Stats() {
+	if ext.Table().Stats() != twin.Table().Stats() || ext.LastTS() != twin.LastTS() {
 		t.Fatalf("external hashing diverged from internal: %+v vs %+v",
 			ext.Table().Stats(), twin.Table().Stats())
 	}
@@ -297,11 +301,7 @@ func TestHashSeedDecouplesSketchRandomness(t *testing.T) {
 	b := testEngine(t, cfgB)
 	for i := 0; i < len(tr.Packets); i += 256 {
 		end := min(i+256, len(tr.Packets))
-		chunk := tr.Packets[i:end]
-		for j := range chunk {
-			hashes[j] = chunk[j].Key.Hash64(hashSeed)
-		}
-		b.ProcessBatchHashed(chunk, hashes[:len(chunk)])
+		b.ProcessHashed(tr.Packets, hashed(i, end))
 	}
 	if b.Regulator().Emissions() == ext.Regulator().Emissions() &&
 		b.Table().Stats() == ext.Table().Stats() {

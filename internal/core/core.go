@@ -157,17 +157,18 @@ type Engine struct {
 	packets uint64
 	bytes   uint64
 	lastTS  int64
-	// one/oneHash are Process's burst of one: the packet and its hash run
+	// one/oneRec are Process's burst of one: the packet and its record run
 	// the burst loop like any other burst, without allocating.
-	one     [1]packet.Packet
-	oneHash [1]uint64
+	one    [1]packet.Packet
+	oneRec [1]Hashed
 	// sampleT0 is a timed burst's start, kept here rather than in a local
 	// so the burst loop does not carry it across its calls.
 	sampleT0 time.Time
-	// The burst loop's scratch, grown to the largest burst seen: hashes;
-	// the misses' indices, hashes and lengths; the regulator's results;
-	// and the indices of the misses that passed through.
-	hashBuf     []uint64
+	// The burst loop's scratch, grown to the largest burst seen:
+	// ProcessBatch's records; the misses' indices, hashes and lengths; the
+	// regulator's results; and the indices of the misses that passed
+	// through.
+	recBuf      []Hashed
 	missBuf     []int32
 	missHashBuf []uint64
 	lenBuf      []int
@@ -393,48 +394,68 @@ func (e *Engine) fireCacheCross(ce *hotcache.Entry, ts int64) {
 		Bytes: ce.BaseBytes + float64(ce.Bytes)})
 }
 
+// Hashed is one packet as the engine's packet path takes it: the flow
+// key's hash under the engine's HashSeed, the packet's length, and its
+// index I in the packet base passed alongside (so a base holds at most
+// 2^32 packets). Totals, the cardinality sketch and the regulator need
+// nothing more; the key and the time stamp are read from the base only
+// for a hot-cache probe or a regulator passthrough (~1 % of packets
+// without a cache). So the records are what moves —
+// 16 bytes a packet, where a packet is 56 — and the packets stay where
+// they were read: the pipeline exchanges records between its workers, and
+// no packet is copied between the trace and the engine.
+type Hashed struct {
+	H   uint64
+	Len uint16
+	I   uint32
+}
+
 // Process measures one packet: it is hashed once and run through
-// ProcessBatchHashed as a burst of one, so the scalar path is the burst
-// loop, not a second body. Most packets are absorbed by the FlowRegulator;
+// ProcessHashed as a burst of one, so the scalar path is the burst loop,
+// not a second body. Most packets are absorbed by the FlowRegulator;
 // roughly 1% reach the WSAF. Bulk callers should prefer ProcessBatch,
 // which amortizes the loop's per-burst work.
 //
 //im:hotpath
 func (e *Engine) Process(p packet.Packet) {
 	e.one[0] = p
-	e.oneHash[0] = p.Key.Hash64(e.cfg.HashSeed)
-	e.ProcessBatchHashed(e.one[:], e.oneHash[:])
+	e.oneRec[0] = Hashed{H: p.Key.Hash64(e.cfg.HashSeed), Len: p.Len}
+	e.ProcessHashed(e.one[:], e.oneRec[:])
 }
 
-// ProcessBatch measures a burst of packets — the pipeline workers' hot
-// path. The whole burst is hashed in one tight loop before any sketch is
-// touched; everything else is ProcessBatchHashed.
+// ProcessBatch measures a burst of packets. The whole burst is hashed in
+// one tight loop before any sketch is touched; everything else is
+// ProcessHashed over the burst as its own base.
 //
 //im:hotpath
 func (e *Engine) ProcessBatch(batch []packet.Packet) {
-	if cap(e.hashBuf) < len(batch) {
+	if cap(e.recBuf) < len(batch) {
 		e.growScratch(len(batch))
 	}
-	hashes := e.hashBuf[:len(batch)]
+	recs := e.recBuf[:len(batch)]
 	seed := e.cfg.HashSeed
 	for i := range batch {
-		hashes[i] = batch[i].Key.Hash64(seed)
+		recs[i] = Hashed{H: batch[i].Key.Hash64(seed), Len: batch[i].Len, I: uint32(i)}
 	}
-	e.ProcessBatchHashed(batch, hashes)
+	e.ProcessHashed(batch, recs)
 }
 
-// ProcessBatchHashed is the engine's one packet path. hashes are the
-// packets' flow-key hashes under this engine's HashSeed — the
-// shared-nothing pipeline hashes at ingest to shard and threads the values
-// here, so no packet is ever hashed twice. The burst runs as staged passes
-// so DRAM misses overlap instead of serializing:
+// ProcessHashed is the engine's one packet path: recs are the burst, in
+// order, and each record's I indexes base. The hashes are under this
+// engine's HashSeed — the shared-nothing pipeline hashes at ingest to
+// shard and threads the values here, so no packet is ever hashed twice.
+// The burst runs as staged passes so DRAM misses overlap instead of
+// serializing:
 //
 //	stage 1: totals + hot-cache probe; hits are counted exactly, misses
-//	         enter the cardinality sketch and are compacted (with no
-//	         cache the misses are the burst itself, with no copy)
+//	         enter the cardinality sketch and are compacted
 //	stage 2: batched FlowRegulator over the misses
 //	stage 3: prefetch the WSAF first probe slot of every passthrough
 //	stage 4: WSAF accumulate, cache admission, pass event — packet order
+//
+// base is read where a stage needs a key or a time stamp: the cache probe
+// (stage 1), a passthrough (stage 4), and the burst's last packet for
+// LastTS.
 //
 // Without a cache, sketch and table state advance exactly as one packet at
 // a time would: the regulator never reads the table, and both consume only
@@ -452,9 +473,11 @@ func (e *Engine) ProcessBatch(batch []packet.Packet) {
 // reports what a scalar packet always has.
 //
 //im:hotpath
-func (e *Engine) ProcessBatchHashed(batch []packet.Packet, hashes []uint64) {
-	n := len(batch)
-	hashes = hashes[:n]
+func (e *Engine) ProcessHashed(base []packet.Packet, recs []Hashed) {
+	n := len(recs)
+	if n == 0 {
+		return
+	}
 	if cap(e.passBuf) < n {
 		e.growScratch(n)
 	}
@@ -467,34 +490,31 @@ func (e *Engine) ProcessBatchHashed(batch []packet.Packet, hashes []uint64) {
 	// around the cache probe carries few values across the call.
 	cache := e.cache
 	m := 0
-	for i := range batch {
-		p := &batch[i]
-		e.packets++
-		e.bytes += uint64(p.Len)
-		e.lastTS = p.TS
+	for i := range recs {
+		r := &recs[i]
+		e.bytes += uint64(r.Len)
 		if cache != nil {
-			if cache.Bump(hashes[i], &p.Key, p.Len, p.TS) {
+			p := &base[r.I]
+			if cache.Bump(r.H, &p.Key, r.Len, p.TS) {
 				continue
 			}
-			e.missBuf[m], e.missHashBuf[m] = int32(i), hashes[i]
+			e.missBuf[m] = int32(i)
 		}
 		// A cache hit skips the cardinality sketch too: re-adding an
 		// already-seen hash is a no-op for HLL registers.
-		e.card.Add(hashes[i])
-		e.lenBuf[m] = int(p.Len)
+		e.card.Add(r.H)
+		e.missHashBuf[m], e.lenBuf[m] = r.H, int(r.Len)
 		m++
 	}
+	e.packets += uint64(n)
+	e.lastTS = base[recs[n-1].I].TS
 
 	// Stage 2 runs over the misses, if any; stages 3–4 only when the
 	// regulator passed one through, which its emission count tells
 	// without a scan.
-	var mh []uint64
+	mh := e.missHashBuf[:m]
 	passed := false
 	if m > 0 {
-		mh = hashes[:m]
-		if cache != nil {
-			mh = e.missHashBuf[:m]
-		}
 		emitted := e.reg.Emissions()
 		e.reg.ProcessBatch(mh, e.lenBuf, e.emBuf, e.okBuf)
 		passed = e.reg.Emissions() != emitted
@@ -509,12 +529,13 @@ func (e *Engine) ProcessBatchHashed(batch []packet.Packet, hashes []uint64) {
 			}
 		}
 
-		// Stage 4.
+		// Stage 4. With no cache the misses are the burst itself.
 		for _, j := range pass {
-			p := &batch[j]
+			i := j
 			if cache != nil {
-				p = &batch[e.missBuf[j]]
+				i = e.missBuf[j]
 			}
+			p := &base[recs[i].I]
 			em := &e.emBuf[j]
 			outcome, entry := e.table.AccumulateHashed(mh[j], p.Key, em.EstPkts, em.EstBytes, p.TS)
 			var evPkts, evBytes float64
@@ -560,7 +581,7 @@ func crossed(after uint64, n int, period uint64) bool {
 // growScratch sizes the burst loop's scratch for bursts of n packets.
 func (e *Engine) growScratch(n int) {
 	//im:allow hotalloc — amortized: the scratch grows to the high-water burst size once, then is reused
-	e.hashBuf, e.missBuf, e.missHashBuf, e.lenBuf = make([]uint64, n), make([]int32, n), make([]uint64, n), make([]int, n)
+	e.recBuf, e.missBuf, e.missHashBuf, e.lenBuf = make([]Hashed, n), make([]int32, n), make([]uint64, n), make([]int, n)
 	//im:allow hotalloc — amortized: as above
 	e.emBuf, e.okBuf, e.passBuf = make([]flowreg.Emission, n), make([]bool, n), make([]int32, n)
 }
@@ -786,7 +807,7 @@ func (e *Engine) Bytes() uint64 {
 func (e *Engine) LastTS() int64 { return e.lastTS }
 
 // HashSeed returns the resolved flow-key hash seed — what a caller must
-// hash with for ProcessBatchHashed to be a zero-rehash path.
+// hash with for ProcessHashed to be a zero-rehash path.
 func (e *Engine) HashSeed() uint64 { return e.cfg.HashSeed }
 
 // Regulator exposes the FlowRegulator for regulation-rate metrics.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"instameasure/internal/core"
 	"instameasure/internal/detect"
@@ -28,24 +29,14 @@ func Fig12Monitoring(s Scale) (*Report, error) {
 		Seed:              s.Seed,
 	}
 
-	// Calibration pass: measure the single worker's full-speed capacity.
-	calib, err := pipeline.New(pipeline.Config{Workers: 1, Engine: engCfg})
-	if err != nil {
-		return nil, err
-	}
-	calibRep, err := calib.Run(tr.Source())
-	if err != nil {
-		return nil, err
-	}
-	capacityPPS := calibRep.MPPS() * 1e6
-
-	// Monitored pass: offer traffic at 40% of capacity, as the deployment
-	// ran with headroom (the paper's core never exceeded 40% CPU).
+	// Monitored pass: offer traffic at 40% of the worker's capacity, as the
+	// deployment ran with headroom (the paper's core never exceeded 40%
+	// CPU). The capacity is the worker's own, measured burst by burst.
 	sys, err := pipeline.New(pipeline.Config{Workers: 1, Engine: engCfg})
 	if err != nil {
 		return nil, err
 	}
-	runRep, err := sys.Run(trace.NewPacedSource(tr.Source(), 0.4*capacityPPS))
+	runRep, err := sys.Run(&dutySource{src: tr.Source(), idle: 1/0.4 - 1})
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +79,7 @@ func Fig12Monitoring(s Scale) (*Report, error) {
 	util := runRep.Utilization()[0]
 	rep.SetMetric("utilization", util)
 	rep.AddNote("simulated %0.f hours compressed into a %.2fs run; capacity %.2f Mpps, offered 40%% of it",
-		s.DiurnalHours, runRep.WallTime.Seconds(), capacityPPS/1e6)
+		s.DiurnalHours, runRep.WallTime.Seconds(), runRep.AggregateMPPS())
 	rep.AddNote("worker CPU utilization at 40%% offered load: %s (paper: core stayed under 40%%)", pct2(util))
 	rep.AddNote("regulation over the whole window: %s (%d of %d packets hit the WSAF)",
 		pct(float64(emissions)/float64(pkts)), emissions, pkts)
@@ -97,6 +88,35 @@ func Fig12Monitoring(s Scale) (*Report, error) {
 		eng.Table().Len(), pct2(eng.Table().LoadFactor()), eng.Table().Stats().Evictions)
 	rep.AddNote("paper: diurnal pattern with weekend dip; CPU <=40%%, queue flat, single core")
 	return rep, nil
+}
+
+// dutySource offers traffic at a fixed share of its reader's own speed:
+// before each burst it sleeps idle times as long as the reader spent on
+// the bursts since it last slept (idle = 1/share − 1). The capacity is
+// measured in line, so a host that slows down or speeds up mid-run moves
+// the pacing with it and the offered share stays put, where a separate
+// calibration pass cannot follow the change. Sleeps are taken a
+// millisecond or more at a time and charged at what they actually lasted,
+// so timer slack does not add up.
+type dutySource struct {
+	src  trace.Source
+	idle float64
+	owed time.Duration
+	ret  time.Time // when the last burst was handed over
+}
+
+func (d *dutySource) NextBatch(buf []packet.Packet) (int, error) {
+	if !d.ret.IsZero() {
+		d.owed += time.Duration(float64(time.Since(d.ret)) * d.idle)
+		if d.owed >= time.Millisecond {
+			t := time.Now()
+			time.Sleep(d.owed)
+			d.owed -= time.Since(t)
+		}
+	}
+	n, err := d.src.NextBatch(buf)
+	d.ret = time.Now()
+	return n, err
 }
 
 // Fig13WildAccuracy reproduces Fig. 13: estimation accuracy (standard

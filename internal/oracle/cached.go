@@ -56,7 +56,7 @@ func (r *CachedReport) violatef(format string, args ...any) {
 //   - batch leg: a ProcessBatch engine over the same trace holds the
 //     same per-engine invariants (batch promotions land at burst
 //     boundaries, so no bit-equality with scalar is asserted — see
-//     core.Engine.ProcessBatchHashed).
+//     core.Engine.ProcessHashed).
 //   - sharded leg: the shared-nothing pipeline with one private cache
 //     per worker conserves per-worker shard truth, holds the per-engine
 //     invariants on every worker, and reports no phantom flows.

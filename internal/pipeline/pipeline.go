@@ -11,15 +11,20 @@
 // rings — no goroutine touches every packet, so ingest capacity grows with
 // workers. (The paper's own layout, one manager core dispatching to the
 // workers, is what bounds its Fig. 9a.) A source that can be split
-// (trace.SplittableSource) gives every worker a stripe of its own; one
-// that cannot (a pcap stream, a paced source) is shared, the workers
-// taking turns to read a burst under a mutex (trace.Share).
+// (trace.SplittableSource) is read in place, the workers claiming chunks
+// of it in turn; one that cannot (a pcap stream, a paced source) is
+// shared, the workers taking turns to read a burst under a mutex
+// (trace.Share) into the run's arena.
 //
-// Packets travel in bursts (the DPDK idiom the prototype was built on),
-// which keeps the per-packet synchronization cost negligible, and the flow
-// hash computed at ingest travels with the packet across the rings, so no
-// packet is ever hashed twice (TestShardedSingleHashPerPacket counts the
-// hashes of a four-worker run across this seam).
+// What crosses a ring is a 16-byte core.Hashed record — the flow hash,
+// the length, and the packet's index in the run's packet base — never the
+// packet: engines read the packets they need from the base where they
+// lie, so no packet is copied between the trace and the engine. Records
+// travel in bursts (the DPDK idiom the prototype was built on), which
+// keeps the per-packet synchronization cost negligible, and the hash in
+// the record means no packet is ever hashed twice
+// (TestShardedSingleHashPerPacket counts the hashes of a four-worker run
+// across this seam).
 //
 // Per-engine packet order depends on scheduling once there is more than
 // one worker. A run with Workers: 1 is bit-reproducible: no packet crosses
@@ -68,7 +73,8 @@ type Config struct {
 	// QueueDepth is the capacity in packets of each exchange ring (one per
 	// ordered pair of workers); 0 means 4096. The depth bounds memory and
 	// is the back-pressure point Saturated and the worker_queue_depth gauge
-	// watch.
+	// watch; a shared source's arena holds QueueDepth/BatchSize + 2 bursts
+	// per worker, so a worker whose records fill a lane can read on.
 	QueueDepth int
 	// BatchSize is the burst size packets travel in; 0 means 256.
 	BatchSize int
@@ -103,7 +109,8 @@ type Report struct {
 	PerWorker []uint64
 	// BusyTime is each worker's measurement work — hash, shard, exchange,
 	// engine. Reading the source is not in it (a paced source sleeps, a
-	// shared one waits its turn), nor is time yielded at a full ring.
+	// shared one waits its turn), nor is time yielded waiting on another
+	// worker (for ring space, or for an arena slot's release).
 	BusyTime []time.Duration
 	// Queued counts packets that reached each worker; Dropped counts
 	// packets discarded for that worker because its exchange ring was full
@@ -180,24 +187,17 @@ func (r Report) Utilization() []float64 {
 	return out
 }
 
-// workBatch is one burst bound for an engine: the packets plus their
-// precomputed flow hashes, index-aligned.
-type workBatch struct {
-	pkts   []packet.Packet
-	hashes []uint64
-}
-
 // System is a multi-core measurement pipeline. It serves any number of
 // consecutive runs, and push calls between them, over the same engines.
 type System struct {
 	cfg     Config
 	engines []*core.Engine
-	// push[w] stages the packets of a pushed burst that worker w owns, and
+	// push[w] stages the records of a pushed burst that worker w owns, and
 	// one is Process's burst of one (see ProcessBatch).
-	push []workBatch
+	push [][]core.Hashed
 	one  [1]packet.Packet
-	// rings[f][t] carries packets ingested by worker f but owned by worker
-	// t (nil for f == t), QueueDepth packets per lane. They hang here, not
+	// rings[f][t] carries the records of packets read by worker f but
+	// owned by worker t (nil for f == t), QueueDepth records per lane. They hang here, not
 	// in the run, so Saturated and the queue-depth gauge can read them; a
 	// finished run drops their buffers.
 	rings  [][]*ring
@@ -252,7 +252,7 @@ func New(cfg Config) (*System, error) {
 		cfg:           cfg,
 		flight:        rec,
 		engines:       make([]*core.Engine, cfg.Workers),
-		push:          make([]workBatch, cfg.Workers),
+		push:          make([][]core.Hashed, cfg.Workers),
 		rings:         make([][]*ring, cfg.Workers),
 		policy:        cfg.HashPolicy,
 		hashSeed:      hashSeed,
@@ -386,8 +386,9 @@ func (s *System) Process(p packet.Packet) {
 
 // ProcessBatch measures a burst on the caller's goroutine, without the
 // workers: one worker's engine takes it whole; with more, each packet is
-// hashed once and handed, in order, to its shard's engine. Not safe for
-// concurrent use, nor while Run is in flight.
+// hashed once and its record handed, in order, to its shard's engine,
+// which reads the packet in batch. Not safe for concurrent use, nor while
+// Run is in flight.
 func (s *System) ProcessBatch(batch []packet.Packet) {
 	if len(s.engines) == 1 {
 		s.engines[0].ProcessBatch(batch)
@@ -396,13 +397,13 @@ func (s *System) ProcessBatch(batch []packet.Packet) {
 	for i := range batch {
 		p := &batch[i]
 		h := p.Key.Hash64(s.hashSeed)
-		b := &s.push[s.policy(h, p, len(s.engines))]
-		b.pkts, b.hashes = append(b.pkts, *p), append(b.hashes, h)
+		w := s.policy(h, p, len(s.engines))
+		s.push[w] = append(s.push[w], core.Hashed{H: h, Len: p.Len, I: uint32(i)})
 	}
-	for w := range s.push {
-		if b := &s.push[w]; len(b.pkts) > 0 {
-			s.engines[w].ProcessBatchHashed(b.pkts, b.hashes)
-			b.pkts, b.hashes = b.pkts[:0], b.hashes[:0]
+	for w, recs := range s.push {
+		if len(recs) > 0 {
+			s.engines[w].ProcessHashed(batch, recs)
+			s.push[w] = recs[:0]
 		}
 	}
 }

@@ -4,35 +4,34 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"instameasure/internal/packet"
+	"instameasure/internal/core"
 )
 
-// hpkt is the unit of cross-worker exchange in the shared-nothing
-// pipeline: a packet plus its precomputed flow hash, so the receiving
-// worker never re-hashes (the single hash per packet crosses the ring).
-type hpkt struct {
-	p packet.Packet
-	h uint64
-}
-
-// ring is a bounded single-producer/single-consumer queue of hpkt — the
-// lock-free lane worker A uses to hand worker B the packets A ingested
-// but B's shard owns. The Lamport layout: the producer owns tail, the
-// consumer owns head, each side reads the other's index with one atomic
-// load per burst and publishes its own with one atomic store, so a
+// ring is a bounded single-producer/single-consumer queue of records —
+// the lock-free lane worker A uses to hand worker B the packets A read but
+// B's shard owns. A record (core.Hashed) is the packet's hash, length and
+// index in the run's packet base, 16 bytes: the packet itself stays where A
+// read it, and B's engine reads it there, so the flow hash crosses the
+// ring and the packet never does. The Lamport layout: the producer owns
+// tail, the consumer owns head, each side reads the other's index with one
+// atomic load per burst and publishes its own with one atomic store, so a
 // full-burst exchange costs two atomics instead of a channel's
 // mutex+scheduler round trip. Index fields sit on their own cache lines;
 // without the padding every push would false-share with every pop
-// (TestRingPadding checks the layout). The slots are plain memory, so a
-// cursor published before its slot is filled, or released before it is
-// read, is a data race TestRingConcurrentStress reports under -race.
+// (TestRingPadding checks the layout). The consumer works on the records
+// in place (peek) and advances head only once its engine has processed
+// them (release), so head is also the release signal for the packets the
+// records index: a producer reusing its packet memory waits for it. The
+// slots are plain memory, so a cursor published before its slot is
+// filled, or released before it is read, is a data race
+// TestRingConcurrentStress reports under -race.
 //
 // Close-while-full semantics: close only publishes the closed flag — the
 // consumer drains whatever is buffered first and drained() turns true
 // only once the ring is both closed and empty, so no packet is lost at
 // shutdown.
 type ring struct {
-	buf  []hpkt
+	buf  []core.Hashed
 	mask uint64
 	_    [32]byte // pad the header (24-byte slice + 8-byte mask) to one cache line
 
@@ -53,7 +52,7 @@ func newRing(capacity int) *ring {
 		capacity = 2
 	}
 	n := 1 << bits.Len(uint(capacity-1))
-	return &ring{buf: make([]hpkt, n), mask: uint64(n - 1)}
+	return &ring{buf: make([]core.Hashed, n), mask: uint64(n - 1)}
 }
 
 // pushBatch appends up to len(src) elements and returns how many fit; it
@@ -62,7 +61,7 @@ func newRing(capacity int) *ring {
 // Producer side only.
 //
 //im:hotpath
-func (r *ring) pushBatch(src []hpkt) int {
+func (r *ring) pushBatch(src []core.Hashed) int {
 	t := r.tail.Load() // own cursor: plain value, atomic for the gauge side
 	free := uint64(len(r.buf)) - (t - r.head.Load())
 	n := uint64(len(src))
@@ -76,23 +75,24 @@ func (r *ring) pushBatch(src []hpkt) int {
 	return int(n)
 }
 
-// popBatch removes up to len(dst) elements and returns how many were
-// copied; it never blocks. Consumer side only.
+// peek returns up to limit of the oldest buffered records in place: a view
+// of the ring's own slots, one contiguous run (a run that wraps comes back
+// over two calls). The slots stay the consumer's until release hands them
+// back. Consumer side only.
 //
 //im:hotpath
-func (r *ring) popBatch(dst []hpkt) int {
-	h := r.head.Load()
-	avail := r.tail.Load() - h
-	n := uint64(len(dst))
-	if n > avail {
-		n = avail
-	}
-	for i := uint64(0); i < n; i++ {
-		dst[i] = r.buf[(h+i)&r.mask]
-	}
-	r.head.Store(h + n)
-	return int(n)
+func (r *ring) peek(limit int) []core.Hashed {
+	h := r.head.Load() // own cursor
+	start := h & r.mask
+	n := min(r.tail.Load()-h, uint64(len(r.buf))-start, uint64(limit))
+	return r.buf[start : start+n]
 }
+
+// release hands the n oldest records back to the producer — their slots,
+// and the packets they index. Consumer side only.
+//
+//im:hotpath
+func (r *ring) release(n int) { r.head.Store(r.head.Load() + uint64(n)) }
 
 // close marks the producer done. Buffered elements stay poppable.
 func (r *ring) close() { r.closed.Store(1) }
@@ -102,17 +102,17 @@ func (r *ring) close() { r.closed.Store(1) }
 // lane drained, so the cursors already agree and stay where they are.
 func (r *ring) reopen() {
 	if r.buf == nil {
-		r.buf = make([]hpkt, r.mask+1)
+		r.buf = make([]core.Hashed, r.mask+1)
 	}
 	r.closed.Store(0)
 }
 
-// release drops the buffer once a run has drained the lane. The cursors
+// free drops the buffer once a run has drained the lane. The cursors
 // stay readable (len, drained): the occupancy gauge holds the lanes for as
 // long as its registry lives, which can be longer than the System — a
 // caller that scrapes the registry keeps it — and should not hold
 // QueueDepth packets per lane with them.
-func (r *ring) release() { r.buf = nil }
+func (r *ring) free() { r.buf = nil }
 
 // drained reports closed-and-empty — the consumer's termination test.
 // The closed flag is read before the cursors: racing the producer's final

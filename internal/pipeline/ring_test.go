@@ -6,18 +6,28 @@ import (
 	"testing"
 	"unsafe"
 
+	"instameasure/internal/core"
 	"instameasure/internal/packet"
 )
 
-func mkhpkt(i int) hpkt {
-	return hpkt{
-		p: packet.Packet{
-			Key: packet.V4Key(uint32(i), ^uint32(i), uint16(i), uint16(i>>8)+1, packet.ProtoUDP),
-			Len: uint16(i%1400) + 64,
-			TS:  int64(i),
-		},
-		h: uint64(i)*0x9E3779B97F4A7C15 + 1,
+func mkrec(i int) core.Hashed {
+	return core.Hashed{H: uint64(i)*0x9E3779B97F4A7C15 + 1, Len: uint16(i%1400) + 64, I: uint32(i)}
+}
+
+// pop copies up to len(dst) records out of r and releases them: the
+// consumer's peek/release pair as a copying pop, for tests that check
+// what came out.
+func pop(r *ring, dst []core.Hashed) int {
+	n := 0
+	for n < len(dst) {
+		recs := r.peek(len(dst) - n)
+		if len(recs) == 0 {
+			break
+		}
+		n += copy(dst[n:], recs)
+		r.release(len(recs))
 	}
+	return n
 }
 
 func TestRingCapacityRounding(t *testing.T) {
@@ -37,16 +47,16 @@ func TestRingWraparound(t *testing.T) {
 	r := newRing(8)
 	next := 0
 	got := 0
-	buf := make([]hpkt, 5)
+	buf := make([]core.Hashed, 5)
 	for got < 1000 {
 		for i := 0; i < 3 && next < 1000; i++ {
-			if r.pushBatch([]hpkt{mkhpkt(next)}) == 1 {
+			if r.pushBatch([]core.Hashed{mkrec(next)}) == 1 {
 				next++
 			}
 		}
-		n := r.popBatch(buf)
+		n := pop(r, buf)
 		for i := 0; i < n; i++ {
-			if want := mkhpkt(got); buf[i] != want {
+			if want := mkrec(got); buf[i] != want {
 				t.Fatalf("element %d corrupted: got %+v want %+v", got, buf[i], want)
 			}
 			got++
@@ -59,9 +69,9 @@ func TestRingWraparound(t *testing.T) {
 
 func TestRingPushBoundedByFree(t *testing.T) {
 	r := newRing(8)
-	src := make([]hpkt, 20)
+	src := make([]core.Hashed, 20)
 	for i := range src {
-		src[i] = mkhpkt(i)
+		src[i] = mkrec(i)
 	}
 	if n := r.pushBatch(src); n != 8 {
 		t.Fatalf("push into empty ring of 8 accepted %d", n)
@@ -69,8 +79,8 @@ func TestRingPushBoundedByFree(t *testing.T) {
 	if n := r.pushBatch(src[8:]); n != 0 {
 		t.Fatalf("push into full ring accepted %d", n)
 	}
-	dst := make([]hpkt, 3)
-	if n := r.popBatch(dst); n != 3 {
+	dst := make([]core.Hashed, 3)
+	if n := pop(r, dst); n != 3 {
 		t.Fatalf("pop returned %d", n)
 	}
 	if n := r.pushBatch(src[8:]); n != 3 {
@@ -83,7 +93,7 @@ func TestRingCloseWhileFull(t *testing.T) {
 	// stays false until the consumer has popped every one.
 	r := newRing(4)
 	for i := 0; i < 4; i++ {
-		if r.pushBatch([]hpkt{mkhpkt(i)}) != 1 {
+		if r.pushBatch([]core.Hashed{mkrec(i)}) != 1 {
 			t.Fatal("fill failed")
 		}
 	}
@@ -91,15 +101,15 @@ func TestRingCloseWhileFull(t *testing.T) {
 	if r.drained() {
 		t.Fatal("drained() true with 4 buffered elements")
 	}
-	buf := make([]hpkt, 3)
+	buf := make([]core.Hashed, 3)
 	seen := 0
 	for !r.drained() {
-		n := r.popBatch(buf)
+		n := pop(r, buf)
 		if n == 0 {
-			t.Fatal("ring not drained but popBatch returned 0")
+			t.Fatal("ring not drained but pop returned 0")
 		}
 		for i := 0; i < n; i++ {
-			if buf[i] != mkhpkt(seen) {
+			if buf[i] != mkrec(seen) {
 				t.Fatalf("element %d corrupted after close", seen)
 			}
 			seen++
@@ -108,44 +118,48 @@ func TestRingCloseWhileFull(t *testing.T) {
 	if seen != 4 {
 		t.Fatalf("drained after %d elements, want 4", seen)
 	}
-	if r.popBatch(buf) != 0 {
+	if pop(r, buf) != 0 {
 		t.Fatal("pop after drain returned elements")
 	}
 }
 
-// TestRingConcurrentStress is the -race witness for the SPSC protocol: one
-// producer and one consumer hammer a small ring so the cursors wrap
-// thousands of times, and the consumer checks every element arrives
-// exactly once, in order, uncorrupted. The ring's slots are plain memory,
-// so a cursor published before its slot is filled, or released before it
-// is read, is a data race the detector reports. The consumer keeps
-// draining past a bad element, so the producer never blocks on a full
-// ring and the test ends either way.
+// TestRingConcurrentStress is the -race witness for the SPSC protocol and
+// for head as the release signal: one producer and one consumer hammer a
+// small ring so the cursors wrap thousands of times. Like a shared run's
+// worker, the producer writes each packet into a packet buffer no larger
+// than the ring, reusing a slot only once head says the record indexing
+// it was released; the consumer reads every record and its packet in
+// place, checks each arrives exactly once, in order, uncorrupted, and only
+// then releases. The ring's slots and the packets are plain memory, so a
+// cursor published before its slot is filled, or released before the
+// record and its packet are read, is a data race the detector reports.
+// The consumer keeps draining past a bad element, so the producer never
+// blocks for good and the test ends either way.
 func TestRingConcurrentStress(t *testing.T) {
-	const total = 200_000
-	r := newRing(64)
+	const total, size = 200_000, 64
+	r := newRing(size)
+	pkts := make([]packet.Packet, size)
+	pkt := func(i int) packet.Packet { return packet.Packet{Len: uint16(i), TS: int64(i)} }
+	rec := func(i int) core.Hashed {
+		return core.Hashed{H: uint64(i)*0x9E3779B97F4A7C15 + 1, Len: uint16(i), I: uint32(i % size)}
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // producer
 		defer wg.Done()
-		src := make([]hpkt, 17)
-		next := 0
-		for next < total {
-			n := len(src)
-			if rem := total - next; n > rem {
-				n = rem
+		src := make([]core.Hashed, 17)
+		for next := 0; next < total; {
+			n := min(len(src), total-next)
+			for uint64(next+n)-r.head.Load() > size { // packet slots still referenced
+				runtime.Gosched()
 			}
 			for i := 0; i < n; i++ {
-				src[i] = mkhpkt(next + i)
+				pkts[(next+i)%size] = pkt(next + i)
+				src[i] = rec(next + i)
 			}
-			pushed := 0
-			for pushed < n {
-				k := r.pushBatch(src[pushed:n])
-				if k == 0 {
-					runtime.Gosched()
-				}
-				pushed += k
+			if k := r.pushBatch(src[:n]); k != n {
+				t.Errorf("pushed %d of %d records with their slots free", k, n)
 			}
 			next += n
 		}
@@ -154,20 +168,20 @@ func TestRingConcurrentStress(t *testing.T) {
 
 	go func() { // consumer
 		defer wg.Done()
-		buf := make([]hpkt, 23)
 		seen, bad := 0, -1
 		for !r.drained() {
-			n := r.popBatch(buf)
-			if n == 0 {
+			recs := r.peek(23)
+			if len(recs) == 0 {
 				runtime.Gosched()
 				continue
 			}
-			for i := 0; i < n; i++ {
-				if bad < 0 && buf[i] != mkhpkt(seen) {
+			for _, got := range recs {
+				if bad < 0 && (got != rec(seen) || pkts[got.I] != pkt(seen)) {
 					bad = seen
 				}
 				seen++
 			}
+			r.release(len(recs))
 		}
 		if bad >= 0 {
 			t.Errorf("element %d reordered or corrupted", bad)

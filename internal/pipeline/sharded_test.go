@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"instameasure/internal/core"
 	"instameasure/internal/packet"
 	"instameasure/internal/trace"
 )
@@ -311,7 +312,7 @@ func TestRingProbes(t *testing.T) {
 		t.Fatalf("fresh system: Saturated() = %v, queue depth %g", err, depth())
 	}
 	lane := sys.rings[0][1]
-	fill := make([]hpkt, 60) // ≥ 90 % of 64
+	fill := make([]core.Hashed, 60) // ≥ 90 % of 64
 	if n := lane.pushBatch(fill); n != len(fill) {
 		t.Fatalf("pushed %d of %d", n, len(fill))
 	}
@@ -321,7 +322,7 @@ func TestRingProbes(t *testing.T) {
 	if err := sys.Saturated(); err == nil {
 		t.Error("Saturated() = nil with a lane at 60/64")
 	}
-	if n := lane.popBatch(make([]hpkt, 64)); n != 60 {
+	if n := pop(lane, make([]core.Hashed, 64)); n != 60 {
 		t.Fatalf("popped %d", n)
 	}
 	if err := sys.Saturated(); err != nil || depth() != 0 {

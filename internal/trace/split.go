@@ -1,63 +1,78 @@
 package trace
 
 import (
-	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"instameasure/internal/packet"
 )
 
-// SplitChunk is the stripe width of Split: each part owns consecutive
-// runs of SplitChunk packets, interleaved round-robin across parts. The
-// width matches the pipeline's default burst so a worker's NextBatch
-// usually fills in one copy, and consecutive stripes keep each part's
-// packets in rough timestamp order (within one chunk-round of skew).
+// SplitChunk is the unit Split's parts claim their base in. The width
+// matches the pipeline's default burst so a worker's read is usually one
+// whole chunk, and chunks claimed in order keep the parts' packets in
+// rough timestamp order (within about one chunk per part of skew).
 const SplitChunk = 256
 
-// SplittableSource is a Source that can be divided into independent
-// per-worker sub-sources — the shared-nothing pipeline's ingest contract.
-// Split consumes the receiver: after the call only the returned parts may
-// be read, each from its own goroutine (the parts themselves are not
-// individually concurrency-safe). Every packet of the underlying stream
-// appears in exactly one part, exactly once (FuzzSplitConservation).
+// SplittableSource is a Source whose packets are already in memory, so
+// the shared-nothing pipeline's workers read them in place. Split consumes
+// the receiver: it returns the remaining packets as base and parts stripes
+// over it, each read from its own goroutine (a stripe is not itself
+// concurrency-safe). Every packet of base belongs to exactly one stripe,
+// exactly once (FuzzSplitConservation).
 type SplittableSource interface {
 	Source
-	Split(parts int) []Source
+	Split(parts int) (base []packet.Packet, stripes []*Stripe)
 }
 
-// Split divides the replay source's remaining packets into parts by
-// striping SplitChunk-sized runs round-robin. sliceSource implements
+// Split divides the replay source's remaining packets into parts that
+// claim SplitChunk-sized runs in turn. sliceSource implements
 // SplittableSource; pcap streams do not (one decoder owns the file) and
 // are shared instead (Share).
-func (s *sliceSource) Split(parts int) []Source {
-	if parts < 1 {
-		parts = 1
-	}
-	rem := s.pkts[s.i:] // rebase so part offsets stay chunk-aligned
-	s.i = len(s.pkts)   // the receiver is consumed
-	out := make([]Source, parts)
+func (s *sliceSource) Split(parts int) ([]packet.Packet, []*Stripe) {
+	base := s.pkts[s.i:]
+	s.i = len(s.pkts) // the receiver is consumed
+	claims := new(atomic.Int64)
+	out := make([]*Stripe, max(parts, 1))
 	for i := range out {
-		out[i] = &stripeSource{pkts: rem, next: i * SplitChunk, stride: parts * SplitChunk}
+		out[i] = &Stripe{claims: claims, n: len(base)}
 	}
-	return out
+	return base, out
 }
 
-// Share is Split for a source that cannot be divided (a pcap stream, a
-// paced source, any caller-supplied Source): every part is the same
-// handle, and each NextBatch pulls one burst from src under a mutex, so
-// the workers take turns reading and every packet goes to exactly one of
-// them. Only the read is serialized — the lock is released before the
-// caller touches the burst. Once src errors, every later read by any
-// worker returns that error.
-func Share(src Source, parts int) []Source {
-	out := make([]Source, max(parts, 1))
-	shared := &sharedSource{src: src}
-	for i := range out {
-		out[i] = shared
-	}
-	return out
+// Stripe is one part of a split source: the SplitChunk-runs of its base
+// it claimed, handed out in order as spans of the base — indices, never
+// copies. The parts claim the chunks in turn as they read, from one
+// shared counter, so a part whose reader has more else to do reads less.
+type Stripe struct {
+	claims    *atomic.Int64 // chunks claimed by all parts
+	next, end int           // what is left of this part's current chunk
+	n         int           // len(base)
 }
+
+// Next returns the stripe's next span, base[lo:hi]: at most limit
+// packets, never past the end of the chunk it starts in. lo == hi once the
+// base is exhausted, or when limit is 0 (which consumes nothing).
+func (s *Stripe) Next(limit int) (lo, hi int) {
+	if s.next == s.end {
+		c := int(s.claims.Add(1)-1) * SplitChunk
+		if c >= s.n {
+			return s.n, s.n
+		}
+		s.next, s.end = c, min(c+SplitChunk, s.n)
+	}
+	lo = s.next
+	s.next = min(lo+limit, s.end)
+	return lo, s.next
+}
+
+// Share makes a source that cannot be divided (a pcap stream, a paced
+// source, any caller-supplied Source) safe for several readers at once:
+// each NextBatch pulls one burst from src under a mutex, so readers take
+// turns and every packet goes to exactly one of them. Only the read is
+// serialized — the lock is released before the caller touches the burst.
+// Once src errors, every later read by any reader returns that error.
+func Share(src Source) Source { return &sharedSource{src: src} }
 
 type sharedSource struct {
 	mu  sync.Mutex
@@ -85,36 +100,4 @@ func (s *sharedSource) NextBatch(buf []packet.Packet) (int, error) {
 	n, err := s.src.NextBatch(buf)
 	s.err = err
 	return n, err
-}
-
-// stripeSource replays every SplitChunk-run of packets whose chunk index
-// is congruent to this part's offset. next always points at the first
-// undelivered packet of the current owned chunk.
-type stripeSource struct {
-	pkts   []packet.Packet
-	next   int // absolute index of the next packet to deliver
-	stride int // parts × SplitChunk: distance between owned chunk starts
-}
-
-func (s *stripeSource) chunkEnd() int {
-	// End of the owned chunk containing next: its start is next rounded
-	// down to the owning chunk's base, which advances by stride.
-	base := s.next - (s.next % SplitChunk)
-	return min(base+SplitChunk, len(s.pkts))
-}
-
-// NextBatch copies from the current owned chunk — at most one chunk per
-// call, so reads are one memmove and short reads mark chunk boundaries
-// (the Source contract allows both) — and hops to the next owned chunk
-// once it has delivered the last packet of this one.
-func (s *stripeSource) NextBatch(buf []packet.Packet) (int, error) {
-	if s.next >= len(s.pkts) {
-		return 0, io.EOF
-	}
-	n := copy(buf, s.pkts[s.next:s.chunkEnd()])
-	s.next += n
-	if n > 0 && s.next%SplitChunk == 0 { // crossed into the next (unowned) chunk
-		s.next += s.stride - SplitChunk
-	}
-	return n, nil
 }

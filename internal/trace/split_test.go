@@ -18,6 +18,40 @@ func splitTestTrace(t *testing.T, packets int) *Trace {
 	return tr
 }
 
+// splitReaders splits src and reads each stripe as a Source, copying its
+// spans out — how the tests compare the parts with the stream.
+func splitReaders(src SplittableSource, parts int) []Source {
+	base, stripes := src.Split(parts)
+	out := make([]Source, len(stripes))
+	for i, s := range stripes {
+		out[i] = stripeReader{base, s}
+	}
+	return out
+}
+
+type stripeReader struct {
+	base []packet.Packet
+	s    *Stripe
+}
+
+func (r stripeReader) NextBatch(buf []packet.Packet) (int, error) {
+	lo, hi := r.s.Next(len(buf)) // Next(0) too: it must consume nothing
+	if lo == hi && len(buf) > 0 {
+		return 0, io.EOF
+	}
+	return copy(buf, r.base[lo:hi]), nil
+}
+
+// shared is Share's handle n times over: n readers of one source.
+func shared(src Source, n int) []Source {
+	h := Share(src)
+	out := make([]Source, n)
+	for i := range out {
+		out[i] = h
+	}
+	return out
+}
+
 // TestSplitConservation: the union of the parts is exactly the source
 // stream — no packet lost, none duplicated — for awkward part counts and
 // stream lengths that don't align with SplitChunk, read in a mix of sizes
@@ -30,7 +64,7 @@ func TestSplitConservation(t *testing.T) {
 			src := &sliceSource{pkts: pkts}
 			seen := make(map[packet.Packet]int, len(pkts))
 			total := 0
-			for pi, part := range src.Split(parts) {
+			for pi, part := range splitReaders(src, parts) {
 				got := drain(t, part, 0, 97, 256, 3)
 				// Each part must deliver its packets in stream order.
 				for i := 1; i < len(got); i++ {
@@ -99,7 +133,7 @@ func TestShareConservation(t *testing.T) {
 		for _, parts := range []int{1, 3, 8} {
 			tr := splitTestTrace(t, max(packets, 1))
 			pkts := tr.Packets[:min(packets, len(tr.Packets))]
-			got, ends, err := drainConcurrently(Share(&sliceSource{pkts: pkts}, parts), []int{97})
+			got, ends, err := drainConcurrently(shared(&sliceSource{pkts: pkts}, parts), []int{97})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +171,7 @@ func TestShareDefersAndKeepsError(t *testing.T) {
 	tr := splitTestTrace(t, 3000)
 	boom := errors.New("read failed")
 	const good = 1000 // not a multiple of the read size: the last read is short
-	parts := Share(&failAfter{inner: tr.Source(), n: good, err: boom}, 4)
+	parts := shared(&failAfter{inner: tr.Source(), n: good, err: boom}, 4)
 	got, ends, err := drainConcurrently(parts, []int{64})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +204,7 @@ func TestSplitAfterPartialRead(t *testing.T) {
 		t.Fatalf("priming read: n=%d err=%v", n, err)
 	}
 	total := 0
-	for _, part := range src.Split(3) {
+	for _, part := range splitReaders(src, 3) {
 		total += len(drain(t, part))
 	}
 	if want := len(tr.Packets) - 300; total != want {
@@ -214,9 +248,9 @@ func FuzzSplitConservation(f *testing.F) {
 		src := &sliceSource{pkts: pkts}
 		var handles []Source
 		if mode&2 == 0 {
-			handles = src.Split(int(parts))
+			handles = splitReaders(src, int(parts))
 		} else {
-			handles = Share(src, int(parts))
+			handles = shared(src, int(parts))
 		}
 		sizes := []int{int(bufSize)}
 		if mode&1 == 1 {
