@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(GO) test ./internal/export/ -fuzz '^FuzzFleetFrame$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/store/ -fuzz '^FuzzStoreSegment$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/core/ -fuzz '^FuzzEachMatchesMapMerge$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/flowreg/ -fuzz '^FuzzRegulatorBursts$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
@@ -126,7 +127,7 @@ bench-guard:
 # the archive itself: it fails on a >10% Mpps drop against the previous
 # archived numbers or scaling efficiency below 0.6 — full-benchtime
 # max-estimator runs are comparable at that band.
-BENCH_HOTPATH = Fig9aCores|PipelineScaling|EncodePerPacket|ProcessBatchPerPacket|ProcessBatchCachedPerPacket|RCCLocate|RCCEncode|FlowRegulatorProcess|WSAFAccumulate|FlowKeyHash
+BENCH_HOTPATH = Fig9aCores|PipelineScaling|EncodePerPacket|ProcessBatchPerPacket|ProcessBatchCachedPerPacket|RCCLocate|RCCEncode|FlowRegulatorProcess|FlowRegulatorBatch|WSAFAccumulate|FlowKeyHash
 bench-json:
 	$(GO) test -bench '$(BENCH_HOTPATH)' -benchmem -run '^$$' . | \
 		$(GO) run ./cmd/benchjson -guard -o BENCH_hotpath.json \

@@ -206,6 +206,38 @@ func BenchmarkFlowRegulatorProcess(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowRegulatorBatch is the regulator as the engine runs it:
+// the bench trace's hashes in 256-packet bursts through ProcessBatch, ns
+// per packet. 32KiB is the paper's L1 pool, whose words stay in the
+// caches; 8MiB is a pool whose words mostly miss them.
+func BenchmarkFlowRegulatorBatch(b *testing.B) {
+	for _, pool := range []struct {
+		name  string
+		bytes int
+	}{{"32KiB", 32 << 10}, {"8MiB", 8 << 20}} {
+		b.Run(pool.name, func(b *testing.B) {
+			reg := flowreg.MustNew(flowreg.Config{Layer: rcc.Config{
+				MemoryBytes: pool.bytes, VectorBits: 8, Seed: 1,
+			}})
+			hashes := benchHashes(b)
+			lens := make([]int, len(hashes))
+			for i := range lens {
+				lens[i] = 64 + i%1400
+			}
+			const burst = 256
+			ems, oks := make([]flowreg.Emission, burst), make([]bool, burst)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += burst {
+				start := i % (len(hashes) - burst)
+				n := min(burst, b.N-i)
+				reg.ProcessBatch(hashes[start:start+n], lens[start:start+n], ems, oks)
+			}
+			b.ReportMetric(float64(1e3)/float64(b.Elapsed().Nanoseconds())*float64(b.N), "Mpps")
+		})
+	}
+}
+
 func BenchmarkWSAFAccumulate(b *testing.B) {
 	tab := wsaf.MustNew(wsaf.Config{Entries: 1 << 18})
 	tr := benchTrace(b)

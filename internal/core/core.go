@@ -165,16 +165,10 @@ type Engine struct {
 	// so the burst loop does not carry it across its calls.
 	sampleT0 time.Time
 	// The burst loop's scratch, grown to the largest burst seen:
-	// ProcessBatch's records; the misses' indices, hashes and lengths; the
-	// regulator's results; and the indices of the misses that passed
-	// through.
+	// ProcessBatch's records, and the misses' indices and hashes.
 	recBuf      []Hashed
 	missBuf     []int32
 	missHashBuf []uint64
-	lenBuf      []int
-	emBuf       []flowreg.Emission
-	okBuf       []bool
-	passBuf     []int32
 	// victim is the demotion scratch Admit fills when it displaces a
 	// cached flow; the delta is folded into the WSAF immediately, so the
 	// scratch never outlives one admission.
@@ -478,7 +472,7 @@ func (e *Engine) ProcessHashed(base []packet.Packet, recs []Hashed) {
 	if n == 0 {
 		return
 	}
-	if cap(e.passBuf) < n {
+	if cap(e.missHashBuf) < n {
 		e.growScratch(n)
 	}
 	if crossed(e.packets+uint64(n), n, latencySamplePeriod) {
@@ -503,57 +497,47 @@ func (e *Engine) ProcessHashed(base []packet.Packet, recs []Hashed) {
 		// A cache hit skips the cardinality sketch too: re-adding an
 		// already-seen hash is a no-op for HLL registers.
 		e.card.Add(r.H)
-		e.missHashBuf[m], e.lenBuf[m] = r.H, int(r.Len)
+		e.missHashBuf[m] = r.H
 		m++
 	}
 	e.packets += uint64(n)
 	e.lastTS = base[recs[n-1].I].TS
 
-	// Stage 2 runs over the misses, if any; stages 3–4 only when the
-	// regulator passed one through, which its emission count tells
-	// without a scan.
+	// Stage 2 runs over the misses; stages 3–4 over the passthroughs it
+	// returns.
 	mh := e.missHashBuf[:m]
-	passed := false
-	if m > 0 {
-		emitted := e.reg.Emissions()
-		e.reg.ProcessBatch(mh, e.lenBuf, e.emBuf, e.okBuf)
-		passed = e.reg.Emissions() != emitted
+	pass := e.reg.ProcessBurst(mh)
+	// Stage 3.
+	for j := range pass {
+		e.table.PrefetchHashed(mh[pass[j].I])
 	}
-	if passed {
-		// Stage 3.
-		pass := e.passBuf[:0]
-		for j, ok := range e.okBuf[:m] {
-			if ok {
-				e.table.PrefetchHashed(mh[j])
-				pass = append(pass, int32(j))
+
+	// Stage 4. With no cache the misses are the burst itself.
+	for _, ps := range pass {
+		i := ps.I
+		if cache != nil {
+			i = e.missBuf[i]
+		}
+		rec := &recs[i]
+		p := &base[rec.I]
+		em := ps.Emission(int(rec.Len))
+		h := mh[ps.I]
+		outcome, entry := e.table.AccumulateHashed(h, p.Key, em.EstPkts, em.EstBytes, p.TS)
+		var evPkts, evBytes float64
+		if entry != nil {
+			// Copy the totals out before admission: folding a demoted
+			// victim into the table may relocate the entry the pointer
+			// aliases. The returned entry fills the pass event, so a
+			// passthrough costs exactly one probe sequence.
+			evPkts, evBytes = entry.Pkts, entry.Bytes
+			if cache != nil {
+				// The slot is read before admission for the same reason.
+				e.admit(h, &p.Key, uint32(e.table.SlotOf(entry)), p.TS, evPkts, evBytes)
 			}
 		}
-
-		// Stage 4. With no cache the misses are the burst itself.
-		for _, j := range pass {
-			i := j
-			if cache != nil {
-				i = e.missBuf[j]
-			}
-			p := &base[recs[i].I]
-			em := &e.emBuf[j]
-			outcome, entry := e.table.AccumulateHashed(mh[j], p.Key, em.EstPkts, em.EstBytes, p.TS)
-			var evPkts, evBytes float64
-			if entry != nil {
-				// Copy the totals out before admission: folding a demoted
-				// victim into the table may relocate the entry the pointer
-				// aliases. The returned entry fills the pass event, so a
-				// passthrough costs exactly one probe sequence.
-				evPkts, evBytes = entry.Pkts, entry.Bytes
-				if cache != nil {
-					// The slot is read before admission for the same reason.
-					e.admit(mh[j], &p.Key, uint32(e.table.SlotOf(entry)), p.TS, evPkts, evBytes)
-				}
-			}
-			if e.onPass != nil {
-				e.onPass(PassEvent{Key: p.Key, TS: p.TS, Est: *em,
-					Outcome: outcome, Pkts: evPkts, Bytes: evBytes})
-			}
+		if e.onPass != nil {
+			e.onPass(PassEvent{Key: p.Key, TS: p.TS, Est: em,
+				Outcome: outcome, Pkts: evPkts, Bytes: evBytes})
 		}
 	}
 
@@ -581,9 +565,7 @@ func crossed(after uint64, n int, period uint64) bool {
 // growScratch sizes the burst loop's scratch for bursts of n packets.
 func (e *Engine) growScratch(n int) {
 	//im:allow hotalloc — amortized: the scratch grows to the high-water burst size once, then is reused
-	e.recBuf, e.missBuf, e.missHashBuf, e.lenBuf = make([]Hashed, n), make([]int32, n), make([]uint64, n), make([]int, n)
-	//im:allow hotalloc — amortized: as above
-	e.emBuf, e.okBuf, e.passBuf = make([]flowreg.Emission, n), make([]bool, n), make([]int32, n)
+	e.recBuf, e.missBuf, e.missHashBuf = make([]Hashed, n), make([]int32, n), make([]uint64, n)
 }
 
 // admit offers a regulator passthrough a hot-cache slot and, when an

@@ -17,6 +17,9 @@
 // Section V notes that for WSAF in TCAM "FlowRegulator can be configured
 // to have enough margin by adjusting the vector size or even the number of
 // layers" — Config.Layers implements exactly that knob.
+//
+// Packets arrive in bursts of flow hashes (ProcessBurst), and the
+// passthroughs leave as a list; Process is a burst of one.
 package flowreg
 
 import (
@@ -90,7 +93,11 @@ type Regulator struct {
 	l1Sats    uint64
 	emissions uint64
 
-	locBuf []rcc.Location // reused across ProcessBatch calls to avoid per-burst allocation
+	// ProcessBurst's scratch, grown to the largest burst seen: the L1
+	// saturations and the passthroughs. one is Process's burst of one.
+	sats []rcc.Saturation
+	pass []Pass
+	one  [1]uint64
 }
 
 // New builds a Regulator: one L1 counter plus (Layers−1) banks of
@@ -162,106 +169,97 @@ func MustNew(cfg Config) *Regulator {
 	return r
 }
 
+// Pass is one passthrough of a burst: I indexes the burst's hashes, Unit
+// and Count are the estimate's factors (see Emission).
+type Pass struct {
+	I     int32
+	Unit  float64
+	Count float64
+}
+
+// Emission is the passthrough's estimate for a triggering packet of
+// pktLen bytes.
+func (p *Pass) Emission(pktLen int) Emission {
+	est := p.Unit * p.Count
+	return Emission{Unit: p.Unit, Count: p.Count, EstPkts: est, EstBytes: est * float64(pktLen)}
+}
+
 // Process records one packet of the flow with hash h and wire length
-// pktLen. ok reports whether the packet passed through FlowRegulator; if
-// so, em carries the estimate to accumulate into the WSAF.
+// pktLen: a burst of one through ProcessBurst. ok reports whether the
+// packet passed through FlowRegulator; if so, em carries the estimate to
+// accumulate into the WSAF.
 //
 //im:hotpath
 func (r *Regulator) Process(h uint64, pktLen int) (em Emission, ok bool) {
-	l1 := r.layers[0][0]
-	var loc rcc.Location
-	l1.Locate(h, &loc)
-	return r.processLoc(&loc, pktLen)
+	r.one[0] = h
+	if pass := r.ProcessBurst(r.one[:]); len(pass) > 0 {
+		return pass[0].Emission(pktLen), true
+	}
+	return Emission{}, false
 }
 
-// batchWindow bounds how many L1 pool words are prefetched ahead of their
-// encodes in ProcessBatch: 64 lines stay resident in a 32 KiB L1D while
-// comfortably exceeding the hardware's outstanding-miss capacity.
-const batchWindow = 64
-
-// ProcessBatch is Process over a burst of packets with precomputed hashes:
-// state transitions are bit-identical to len(hashes) sequential Process
-// calls (same RNG stream, same recycle order — TestProcessBatchMatchesScalar
-// enforces this). Within a window it first resolves every packet's L1
-// Location and prefetches the pool word, then encodes in packet order with
-// the lines already in flight. ems[i], oks[i] receive packet i's result;
-// pktLens, ems, and oks must be at least as long as hashes.
+// ProcessBatch is ProcessBurst with per-packet results: oks[i] reports
+// whether packet i passed through and, where it did, ems[i] receives its
+// emission for length pktLens[i]; the ems of absorbed packets are left as
+// they were. pktLens, ems and oks must be at least as long as hashes.
 //
 //im:hotpath
 func (r *Regulator) ProcessBatch(hashes []uint64, pktLens []int, ems []Emission, oks []bool) {
-	if len(hashes) == 1 {
-		// A lone packet has no miss to overlap its own with: no prefetch.
-		var loc rcc.Location
-		r.layers[0][0].Locate(hashes[0], &loc)
-		ems[0], oks[0] = r.processLoc(&loc, pktLens[0])
-		return
-	}
-	pktLens = pktLens[:len(hashes)]
-	ems = ems[:len(hashes)]
-	oks = oks[:len(hashes)]
-	if cap(r.locBuf) < len(hashes) {
-		//im:allow hotalloc — amortized: the location buffer grows to the high-water batch size once, then is reused
-		r.locBuf = make([]rcc.Location, len(hashes))
-	}
-	locs := r.locBuf[:len(hashes)]
-	l1 := r.layers[0][0]
-	for base := 0; base < len(hashes); base += batchWindow {
-		end := min(base+batchWindow, len(hashes))
-		for i := base; i < end; i++ {
-			l1.Locate(hashes[i], &locs[i])
-			l1.PrefetchLoc(&locs[i])
-		}
-		for i := base; i < end; i++ {
-			ems[i], oks[i] = r.processLoc(&locs[i], pktLens[i])
-		}
+	clear(oks[:len(hashes)])
+	for _, p := range r.ProcessBurst(hashes) {
+		ems[p.I], oks[p.I] = p.Emission(pktLens[p.I]), true
 	}
 }
 
-// processLoc runs the layer chain for one packet whose L1 Location is
-// already resolved. loc is valid for every layer: the banks share L1's
-// geometry by construction (see New), which is also the paper's hash-reuse
-// trick — one Locate serves the whole chain.
+// ProcessBurst records one packet of each flow hash in hashes and returns
+// the passthroughs in burst order, in the regulator's scratch (valid until
+// its next call). Layer 1 runs over the whole burst in one pass, layers
+// 2..L over the packets that saturated it: every counter is its own pool
+// with its own draw stream and still sees its encodes in packet order, so
+// the state is bit-identical to one packet at a time, whatever the split.
 //
 //im:hotpath
-func (r *Regulator) processLoc(loc *rcc.Location, pktLen int) (em Emission, ok bool) {
-	r.packets++
-
+func (r *Regulator) ProcessBurst(hashes []uint64) []Pass {
+	if cap(r.sats) < len(hashes) {
+		//im:allow hotalloc — amortized: the scratch grows to the high-water burst size once, then is reused
+		r.sats, r.pass = make([]rcc.Saturation, 0, len(hashes)), make([]Pass, 0, len(hashes))
+	}
 	l1 := r.layers[0][0]
-	z, sat := l1.EncodeLoc(loc)
-	if !sat {
-		return Emission{}, false
-	}
-	r.l1Sats++
-	if r.tm != nil {
-		r.tm.LayerRecycles[0].Inc()
-		r.tm.NoiseLevels.Observe(uint64(z))
-	}
-
-	unit := l1.Decode(z)
-	count := 1.0
-	for k := 1; k < r.depth; k++ {
-		counter := r.layers[k][z-r.noiseMin]
-		z, sat = counter.EncodeLoc(loc)
-		if !sat {
-			return Emission{}, false
-		}
+	r.packets += uint64(len(hashes))
+	r.sats = l1.EncodeBurst(hashes, r.sats[:0])
+	r.l1Sats += uint64(len(r.sats))
+	pass := r.pass[:0]
+saturations:
+	for i := range r.sats {
+		sat := &r.sats[i]
+		z := int(sat.Noise)
 		if r.tm != nil {
-			r.tm.LayerRecycles[k].Inc()
+			r.tm.LayerRecycles[0].Inc()
+			r.tm.NoiseLevels.Observe(uint64(z))
 		}
-		count *= counter.Decode(z)
+		// The saturation's Location is valid in every layer: the banks
+		// share L1's geometry by construction (see New), which is also the
+		// paper's hash-reuse trick — one Locate serves the whole chain.
+		unit, count := l1.Decode(z), 1.0
+		for k := 1; k < r.depth; k++ {
+			counter := r.layers[k][z-r.noiseMin]
+			var ok bool
+			if z, ok = counter.EncodeLoc(&sat.Loc); !ok {
+				continue saturations
+			}
+			if r.tm != nil {
+				r.tm.LayerRecycles[k].Inc()
+			}
+			count *= counter.Decode(z)
+		}
+		r.emissions++
+		if r.tm != nil {
+			r.tm.Emissions.Inc()
+		}
+		pass = append(pass, Pass{I: sat.I, Unit: unit, Count: count})
 	}
-	r.emissions++
-	if r.tm != nil {
-		r.tm.Emissions.Inc()
-	}
-
-	est := unit * count
-	return Emission{
-		Unit:     unit,
-		Count:    count,
-		EstPkts:  est,
-		EstBytes: est * float64(pktLen),
-	}, true
+	r.pass = pass
+	return pass
 }
 
 // EstimateResidual estimates the packets of flow h still retained inside

@@ -18,10 +18,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"unsafe"
 
 	"instameasure/internal/flowhash"
-	"instameasure/internal/prefetch"
 )
 
 // DecodeMethod selects how a noise level is converted to a packet-count
@@ -107,13 +105,23 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// Location is a resolved virtual vector: the pool word holding it and the
-// mask of its v bit positions inside that word. FlowRegulator resolves a
-// Location once per packet and reuses it across both layers (the paper's
-// hash-reuse design).
+// Location is a resolved virtual vector: the pool word holding it, the mask
+// of its v bit positions inside that word, and where pick finds its bits in
+// the position table. FlowRegulator resolves a Location once per packet and
+// reuses it across every layer (the paper's hash-reuse design). 24 bytes.
 type Location struct {
-	Word int
-	Mask uint64
+	Word       int
+	Mask       uint64
+	row        uint16 // row·v: the row's first entry in pos (< 2¹⁶ for v ≤ 64)
+	off        uint8  // v − (mask bits the rotation carries past the span's top)
+	rot, shift uint8  // rotation within the span; 32 for a word's upper 32-bit span, else 0
+}
+
+// Saturation is a packet of a burst that saturated its vector: its index in
+// the burst, its noise level and its Location.
+type Saturation struct {
+	I, Noise int32
+	Loc      Location
 }
 
 // A virtual vector is one of tableSize precomputed v-of-span masks, rotated
@@ -130,14 +138,15 @@ const (
 type Counter struct {
 	cfg   Config
 	words []uint64
-	// nSpans counts the pool's confinement spans: virtual vectors live
-	// inside one span of cfg.WordBits bits, so a 32-bit CPU still reads
-	// the whole vector with one access.
-	nSpans uint64
-	// masks holds span-relative vectors (bits below cfg.WordBits only).
-	// Read-only after New, so Siblings share it.
+	// Virtual vectors live inside one span of cfg.WordBits bits, so a
+	// 32-bit CPU still reads the whole vector with one access.
+	geom geometry
+	// masks holds span-relative vectors (bits below cfg.WordBits only);
+	// pos lists each mask's bit positions in ascending order, v a row.
+	// Read-only after New, so Siblings share them.
 	masks  *[tableSize]uint64
-	rng    *flowhash.Rand
+	pos    []uint8
+	rng    flowhash.Rand
 	decode []float64
 
 	encodes     uint64
@@ -151,12 +160,15 @@ func New(cfg Config) (*Counter, error) {
 		return nil, err
 	}
 	n := (full.MemoryBytes + 7) / 8
+	masks, pos := vectorTable(full)
+	halves := uint64(wordBits/full.WordBits - 1)
 	return &Counter{
 		cfg:    full,
 		words:  make([]uint64, n),
-		nSpans: uint64(n * (wordBits / full.WordBits)),
-		masks:  vectorTable(full),
-		rng:    flowhash.NewRand(full.Seed ^ 0xC0FFEE),
+		geom:   geometry{full.Seed + 0x9E3779B97F4A7C15, uint64(n) << halves, halves, ^uint64(0) >> (wordBits - full.WordBits)},
+		masks:  masks,
+		pos:    pos,
+		rng:    *flowhash.NewRand(full.Seed ^ 0xC0FFEE),
 		decode: decodeTable(full),
 	}, nil
 }
@@ -165,12 +177,11 @@ func New(cfg Config) (*Counter, error) {
 // Location resolved by either is valid for both — but its own zeroed pool
 // and an independent bit-draw stream (distinct stream values give
 // unrelated streams). FlowRegulator builds its higher-layer banks this way.
-// EncodeLoc trusts popcount(loc.Mask) == VectorBits: a Location from a
-// Counter of another geometry is not checked and misbehaves in selectBit.
+// EncodeLoc trusts a Location to come from a Counter of the same geometry.
 func (c *Counter) Sibling(stream uint64) *Counter {
 	s := *c
 	s.words = make([]uint64, len(c.words))
-	s.rng = flowhash.NewRand(c.cfg.Seed ^ 0xC0FFEE ^ flowhash.Mix64(stream))
+	s.rng = *flowhash.NewRand(c.cfg.Seed ^ 0xC0FFEE ^ flowhash.Mix64(stream))
 	s.encodes, s.saturations = 0, 0
 	return &s
 }
@@ -191,9 +202,6 @@ func (c *Counter) Config() Config { return c.cfg }
 // MemoryBytes returns the bit pool size.
 func (c *Counter) MemoryBytes() int { return len(c.words) * 8 }
 
-// Words returns the number of pool words.
-func (c *Counter) Words() int { return len(c.words) }
-
 // Encodes returns the number of Encode calls processed.
 func (c *Counter) Encodes() uint64 { return c.encodes }
 
@@ -211,17 +219,52 @@ func (c *Counter) Saturations() uint64 { return c.saturations }
 //
 //im:hotpath
 func (c *Counter) Locate(h uint64, loc *Location) {
-	s := flowhash.Mix64(h ^ (c.cfg.Seed + 0x9E3779B97F4A7C15))
-	span, _ := bits.Mul64(s, c.nSpans)
-	m := c.masks[s&(tableSize-1)]
-	rot := int(s >> tableBits) // the rotates reduce it modulo the span
-	if c.cfg.WordBits == wordBits {
-		loc.Word = int(span)
-		loc.Mask = bits.RotateLeft64(m, rot)
-		return
-	}
-	loc.Word = int(span >> 1)
-	loc.Mask = uint64(bits.RotateLeft32(uint32(m), rot)) << (32 * (span & 1))
+	*loc = c.location(c.geom.vector(h))
+}
+
+// location is the Location of table row row rotated by rot, in the span
+// at shift of pool word word.
+func (c *Counter) location(word int, shift uint, row uint64, rot uint) Location {
+	v := c.cfg.VectorBits
+	r, wrapped := c.geom.rotate(c.masks[row], rot)
+	return Location{Word: word, Mask: r << shift, row: uint16(int(row) * v),
+		off: uint8(v - wrapped), rot: uint8(rot), shift: uint8(shift)}
+}
+
+// geometry is what locating a vector reads: the flow hash's mixing key, the
+// span count, halves (1 if a word holds two spans), the span's bits.
+type geometry struct {
+	key, nSpans, halves, spanBits uint64
+}
+
+// vector is Locate's arithmetic: the pool word, the span's offset in it,
+// the table row and the rotation of flow hash h's vector.
+func (g geometry) vector(h uint64) (word int, shift uint, row uint64, rot uint) {
+	s := flowhash.Mix64(h ^ g.key)
+	span, _ := bits.Mul64(s, g.nSpans)
+	return int(span >> g.halves), uint(span&g.halves) * 32, s & (tableSize - 1), uint(s>>tableBits) & (63 >> g.halves)
+}
+
+// rotate rotates span-relative mask m left by rot within the span (a
+// 32-bit span's mask doubled into both halves first) and counts the bits
+// it carried past the span's top: they sit below bit rot.
+func (g geometry) rotate(m uint64, rot uint) (r uint64, wrapped int) {
+	r = bits.RotateLeft64(m|m<<(32*g.halves&63), int(rot)) & g.spanBits
+	return r, bits.OnesCount64(r & (1<<(rot&63) - 1))
+}
+
+// pick returns selectBit(loc.Mask, k), the k-th lowest bit of loc's
+// vector, from the position table: the rotation moves the row's wrapped
+// last entries below its first, and each position up by rot in the span.
+func (c *Counter) pick(loc *Location, k int) uint64 {
+	p := uint(c.pos[int(loc.row)+reduce(k+int(loc.off), c.cfg.VectorBits)])
+	return 1 << (((p+uint(loc.rot))&uint(c.cfg.WordBits-1) + uint(loc.shift)) & 63)
+}
+
+// reduce is j mod v for j in [0, 2v), without a branch: either case is
+// about as likely, and a mispredicted branch costs more than the pick.
+func reduce(j, v int) int {
+	return j - v&((v-1-j)>>63)
 }
 
 // Encode records one packet of the flow with hash h. It reports the noise
@@ -232,16 +275,6 @@ func (c *Counter) Encode(h uint64) (noise int, saturated bool) {
 	return c.EncodeLoc(&loc)
 }
 
-// PrefetchLoc hints the cache line holding loc's pool word. The batched
-// regulator resolves a burst of Locations first, prefetches every word,
-// then encodes — overlapping the pool's DRAM misses across the burst.
-// Advisory only; see internal/prefetch.
-//
-//im:hotpath
-func (c *Counter) PrefetchLoc(loc *Location) {
-	prefetch.T0(unsafe.Pointer(&c.words[loc.Word]))
-}
-
 // EncodeLoc is Encode with a pre-resolved Location.
 //
 //im:hotpath
@@ -249,18 +282,44 @@ func (c *Counter) EncodeLoc(loc *Location) (noise int, saturated bool) {
 	c.encodes++
 	v := c.cfg.VectorBits
 	w := &c.words[loc.Word]
-	*w |= selectBit(loc.Mask, c.rng.Intn(v))
+	*w |= c.pick(loc, c.rng.Intn(v))
 
 	zeros := v - bits.OnesCount64(*w&loc.Mask)
 	if zeros > c.cfg.NoiseMax {
 		return zeros, false
 	}
-	if zeros < c.cfg.NoiseMin {
-		zeros = c.cfg.NoiseMin
-	}
 	*w &^= loc.Mask // recycle the vector
 	c.saturations++
-	return zeros, true
+	return max(zeros, c.cfg.NoiseMin), true
+}
+
+// EncodeBurst is Encode over every hash of hashes, in order, with the draw
+// stream, tables and geometry in locals; it appends the packets that
+// saturated to sats and returns it. Only a saturation writes a Location.
+//
+//im:hotpath
+func (c *Counter) EncodeBurst(hashes []uint64, sats []Saturation) []Saturation {
+	words, masks, pos, v, noiseMax := c.words, c.masks, c.pos, c.cfg.VectorBits, c.cfg.NoiseMax
+	g, rng, listed := c.geom, c.rng, len(sats)
+	spanMask := uint(63 >> g.halves)
+	for i, h := range hashes {
+		word, shift, row, rot := g.vector(h)
+		r, wrapped := g.rotate(masks[row], rot)
+		p := uint(pos[int(row)*v+reduce(rng.Intn(v)+v-wrapped, v)]) // pick, in locals
+		w := words[word] | 1<<(((p+rot)&spanMask+shift)&63)
+		mask := r << (shift & 63)
+		zeros := v - bits.OnesCount64(w&mask)
+		if zeros > noiseMax {
+			words[word] = w
+			continue
+		}
+		words[word] = w &^ mask // recycle the vector
+		sats = append(sats, Saturation{I: int32(i), Noise: int32(max(zeros, c.cfg.NoiseMin)), Loc: c.location(word, shift, row, rot)})
+	}
+	c.rng = rng
+	c.encodes += uint64(len(hashes))
+	c.saturations += uint64(len(sats) - listed)
+	return sats
 }
 
 // Decode converts a saturation noise level to the estimated number of
@@ -351,26 +410,29 @@ func decodeTable(cfg Config) []float64 {
 // vectorTable draws the tableSize span-relative masks Locate picks from.
 // Each takes its v positions one at a time, uniformly among the span
 // positions still free, so every mask has exactly v distinct bits inside
-// the span for any v up to the span size.
-func vectorTable(cfg Config) *[tableSize]uint64 {
+// the span for any v up to the span size. pos lists each mask's positions
+// in ascending order, v a row.
+func vectorTable(cfg Config) (t *[tableSize]uint64, pos []uint8) {
 	rng := flowhash.NewRand(cfg.Seed ^ 0x7AB1E)
 	span := ^uint64(0) >> (wordBits - cfg.WordBits)
-	t := new([tableSize]uint64)
+	t, pos = new([tableSize]uint64), make([]uint8, 0, tableSize*cfg.VectorBits)
 	for i := range t {
 		for n := cfg.WordBits; n > cfg.WordBits-cfg.VectorBits; n-- {
 			t[i] |= selectBit(span&^t[i], rng.Intn(n))
 		}
+		for m := t[i]; m != 0; m &= m - 1 {
+			pos = append(pos, uint8(bits.TrailingZeros64(m)))
+		}
 	}
-	return t
+	return t, pos
 }
 
 // selectBit returns the k-th (0-based) lowest set bit of x, as a one-bit
 // mask; x must have more than k bits set. Branch-free broadword selection
 // (Vigna, "Broadword implementation of rank/select queries"): prefix sums
 // of the per-byte popcounts locate the byte holding rank k, then prefix
-// sums of that byte's bits, spread one per lane, locate the bit.
-//
-//im:hotpath
+// sums of that byte's bits, spread one per lane, locate the bit. It draws
+// the vector table; packets' bits are picked from the position table.
 func selectBit(x uint64, k int) uint64 {
 	s := x - (x>>1)&0x5555555555555555
 	s = s&0x3333333333333333 + (s>>2)&0x3333333333333333
@@ -389,8 +451,6 @@ const l8, h8 = 0x0101010101010101, 0x8080808080808080
 // lanesAtMost counts the byte lanes of sums holding a value ≤ k (all
 // < 128): a lane's top bit survives the subtraction iff its value ≤ k. On
 // prefix sums that is the index of the first lane exceeding k.
-//
-//im:hotpath
 func lanesAtMost(sums, k uint64) uint {
 	return uint(bits.OnesCount64(((k*l8 | h8) - sums) & h8))
 }

@@ -62,7 +62,7 @@ func TestMemoryRounding(t *testing.T) {
 		t.Errorf("MemoryBytes = %d, want word-aligned >= 100", c.MemoryBytes())
 	}
 	tiny := MustNew(Config{VectorBits: 8, MemoryBytes: 1})
-	if tiny.Words() < 1 {
+	if len(tiny.words) < 1 {
 		t.Error("must allocate at least one word")
 	}
 }

@@ -17,8 +17,8 @@ import (
 func spanOf(t *testing.T, c *Counter, loc Location) int {
 	t.Helper()
 	cfg := c.Config()
-	if loc.Word < 0 || loc.Word >= c.Words() {
-		t.Fatalf("word %d outside pool [0,%d)", loc.Word, c.Words())
+	if loc.Word < 0 || loc.Word >= len(c.words) {
+		t.Fatalf("word %d outside pool [0,%d)", loc.Word, len(c.words))
 	}
 	if n := bits.OnesCount64(loc.Mask); n != cfg.VectorBits {
 		t.Fatalf("mask %016x has %d bits, want %d distinct positions", loc.Mask, n, cfg.VectorBits)
@@ -133,7 +133,7 @@ func TestWordIndexCoversOddPools(t *testing.T) {
 		{64, 24}, {32, 24}, {64, 8 * 1000}, {32, 8 * 37},
 	} {
 		c := MustNew(Config{VectorBits: 8, WordBits: tc.wordBits, MemoryBytes: tc.memory, Seed: 41})
-		spans := c.Words() * 64 / tc.wordBits
+		spans := len(c.words) * 64 / tc.wordBits
 		counts := make([]int, spans)
 		rng := rand.New(rand.NewSource(42))
 		total := 2000 * spans
@@ -156,7 +156,7 @@ func TestWordIndexCoversOddPools(t *testing.T) {
 func TestLocateSpreadsShardedHashes(t *testing.T) {
 	c := MustNew(Config{VectorBits: 8, MemoryBytes: 8 * 16, Seed: 51})
 	rng := rand.New(rand.NewSource(52))
-	counts := make([]int, c.Words())
+	counts := make([]int, len(c.words))
 	var loc Location
 	for i := 0; i < 16*2000; i++ {
 		h := rng.Uint64()>>3 | 5<<61 // shard 5 of 8
