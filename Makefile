@@ -28,14 +28,15 @@ bench-check:
 
 # lint fails on any file gofmt would change, then runs imvet, the repo's
 # domain-specific static-analysis gate (cmd/imvet + internal/analysis):
-# three analyzers — hot-path allocation discipline (hotalloc), store/export
-# error checking (errclose), and lock-scope discipline (locksafe: no
-# dynamic calls / blocking I/O / channel sends under a mutex,
-# cross-package lock-order cycles, typed atomics only). Exits non-zero
-# with file:line:col diagnostics on any violation. The single hash per
-# packet, the seqlock, the SPSC ring, replay determinism and the
-# decoders' bounds checks are witnessed by tests instead (see vet-race
-# and DESIGN.md §5e).
+# three analyzers — hot-path latency discipline (hotpath: no defer, go,
+# select, channel operations, fmt, clock reads or locks in //im:hotpath
+# code), store/export error checking (errclose), and lock-scope
+# discipline (locksafe: no dynamic calls / blocking I/O / channel sends
+# under a mutex, cross-package lock-order cycles, typed atomics only).
+# Exits non-zero with file:line:col diagnostics on any violation. Hot-path
+# allocation, the single hash per packet, the seqlock, the SPSC ring,
+# replay determinism and the decoders' bounds checks are witnessed by
+# tests instead (see vet-race and DESIGN.md §5e).
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/imvet ./...

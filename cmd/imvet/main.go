@@ -1,5 +1,5 @@
 // Command imvet runs instameasure's three domain-specific static
-// analyzers — hotalloc, errclose, locksafe — over the module and prints
+// analyzers — hotpath, errclose, locksafe — over the module and prints
 // vet-style file:line:col: msg [analyzer] diagnostics to stderr, exiting
 // non-zero if any invariant is violated.
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -133,11 +134,18 @@ func TestTopKAllocatesForKNotLive(t *testing.T) {
 			}
 		}
 		allocs = testing.AllocsPerRun(5, query)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		query()
-		runtime.ReadMemStats(&m1)
-		return allocs, m1.TotalAlloc - m0.TotalAlloc
+		// Another goroutine's allocation can land inside a window and
+		// only adds bytes, so the query's own count is the least of
+		// several single-query windows.
+		bytes = math.MaxUint64
+		for range 5 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			query()
+			runtime.ReadMemStats(&m1)
+			bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return allocs, bytes
 	}
 	allocsSmall, bytesSmall := measure(5_000)
 	allocsLarge, bytesLarge := measure(50_000)

@@ -14,7 +14,8 @@
 //	//im:hotpath
 //	    On a function's doc comment: the function (and everything it
 //	    statically calls inside the module) must stay free of
-//	    allocation-prone and latency-hazard constructs (see hotalloc).
+//	    latency-hazard constructs (see hotpath); its allocations are
+//	    witnessed by tests.
 //
 //	//im:allow <name>[,<name>...] — <reason>
 //	    Suppresses the named analyzers' diagnostics on the directive's
@@ -69,7 +70,7 @@ type Program struct {
 	allow map[string]map[int][]string
 
 	// fnOnce guards the lazily-built function index shared by every
-	// analyzer that walks the static call graph (hotalloc, locksafe): the
+	// analyzer that walks the static call graph (hotpath, locksafe): the
 	// program is loaded once, so the declaration index is built once too
 	// instead of re-walked per analyzer.
 	fnOnce  sync.Once

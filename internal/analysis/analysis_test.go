@@ -12,8 +12,8 @@ func TestParseAllow(t *testing.T) {
 		ok      bool
 	}{
 		{"//im:allow locksafe — WAL durability seam", []string{"locksafe"}, true},
-		{"// im:allow hotalloc,errclose -- batch buffer growth", []string{"hotalloc", "errclose"}, true},
-		{"//im:allow hotalloc errclose", []string{"hotalloc", "errclose"}, true},
+		{"// im:allow hotpath,errclose -- batch buffer growth", []string{"hotpath", "errclose"}, true},
+		{"//im:allow hotpath errclose", []string{"hotpath", "errclose"}, true},
 		{"//im:allow * — generated code", []string{"*"}, true},
 		{"//im:allow", nil, false},           // no names
 		{"//im:allowed nothing", nil, false}, // not the directive
@@ -48,7 +48,7 @@ func TestInScope(t *testing.T) {
 }
 
 func TestSuiteNames(t *testing.T) {
-	want := []string{"hotalloc", "errclose", "locksafe"}
+	want := []string{"hotpath", "errclose", "locksafe"}
 	suite := Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers; want %d", len(suite), len(want))

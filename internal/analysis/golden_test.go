@@ -114,16 +114,16 @@ func runGolden(t *testing.T, a *Analyzer, dirs ...string) {
 	}
 }
 
-func TestHotallocGolden(t *testing.T) {
-	runGolden(t, Hotalloc, "hotalloc")
+func TestHotpathGolden(t *testing.T) {
+	runGolden(t, Hotpath, "hotpath")
 }
 
-// TestFlightrecGolden pins hotalloc's flight-package scope: the hash and
-// map bans that apply only inside the flight recorder's record seam.
-func TestFlightrecGolden(t *testing.T) {
+// TestHotpathFlightGolden pins hotpath's flight-package scope: the hash
+// and map bans that apply only inside the flight recorder's record seam.
+func TestHotpathFlightGolden(t *testing.T) {
 	// Order matters: fixture imports resolve against already-loaded dirs,
 	// so dependencies come first.
-	runGolden(t, Hotalloc, "hotalloc/flowhash", "hotalloc/flight", "hotalloc/flightroot")
+	runGolden(t, Hotpath, "hotpath/flowhash", "hotpath/flight", "hotpath/flightroot")
 }
 
 func TestErrcloseGolden(t *testing.T) {

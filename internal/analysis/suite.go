@@ -3,7 +3,7 @@ package analysis
 // Suite returns the full imvet analyzer set in its canonical order.
 func Suite() []*Analyzer {
 	return []*Analyzer{
-		Hotalloc,
+		Hotpath,
 		Errclose,
 		Locksafe,
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"instameasure/internal/hotcache"
 	"instameasure/internal/packet"
 	"instameasure/internal/trace"
 )
@@ -198,38 +199,79 @@ func TestSingleHashPerPacket(t *testing.T) {
 	}
 }
 
-// TestProcessBatchZeroAllocs asserts the steady-state hot path allocates
-// nothing: after warmup (hash buffer grown, telemetry shards touched),
-// ProcessBatch must run alloc-free.
+// TestProcessBatchZeroAllocs: the //im:hotpath roots Process,
+// ProcessBatch, ProcessHashed and admit allocate nothing once the burst
+// scratch is grown — with and without the hot cache and an OnPass
+// callback. Each measured run sends 1024 packets through each entry point,
+// so each crosses a latency sample (the flight span) and the counter
+// publication; with the 16-entry LRU cache every run also demotes
+// incumbents that took hits and folds their deltas back into the table.
 func TestProcessBatchZeroAllocs(t *testing.T) {
 	tr := batchTrace(t, 1000, 60_000, 9)
-	eng := testEngine(t, Config{SketchMemoryBytes: 8 << 10, WSAFEntries: 1 << 14, Seed: 1})
-
-	const burst = 256
-	// Warm up: size the hash buffer and fault in the table.
-	eng.ProcessBatch(tr.Packets[:burst])
-
-	next := burst
-	allocs := testing.AllocsPerRun(100, func() {
-		end := next + burst
-		if end > len(tr.Packets) {
-			next = burst
-			end = next + burst
+	const burst, perRun = 256, 1024
+	for _, c := range []struct {
+		entries int
+		policy  hotcache.Policy
+	}{{0, 0}, {16, hotcache.AdmitProbabilistic}, {16, hotcache.AdmitAlways}} {
+		for _, withPass := range []bool{false, true} {
+			eng := testEngine(t, Config{SketchMemoryBytes: 1 << 10, WSAFEntries: 1 << 14, HotCacheEntries: c.entries, HotCachePolicy: c.policy, Seed: 1})
+			passes := 0
+			if withPass {
+				eng.OnPass(func(PassEvent) { passes++ })
+			}
+			// Grow the scratch and fill the cache.
+			for i := 0; i < 8192; i += burst {
+				eng.ProcessBatch(tr.Packets[i : i+burst])
+			}
+			recs := make([]Hashed, burst)
+			next := 8192
+			window := func() []packet.Packet {
+				if next+burst > len(tr.Packets) {
+					next = 0
+				}
+				next += burst
+				return tr.Packets[next-burst : next]
+			}
+			latency := eng.Telemetry().Histogram("process_latency_ns", "", 24)
+			spans := latency.Count()
+			// fewestFolded is the fewest demoted packets one run folded
+			// back into the table.
+			fewestFolded := uint64(1 << 62)
+			allocs := testing.AllocsPerRun(20, func() {
+				var folded uint64
+				if c.entries > 0 {
+					folded = eng.cache.Stats().DemotedPkts
+				}
+				eng.ProcessHashed(nil, nil)
+				for range perRun / burst {
+					eng.ProcessBatch(window())
+				}
+				for range perRun / burst {
+					for _, p := range window() {
+						eng.Process(p)
+					}
+				}
+				for range perRun / burst {
+					b := window()
+					for i := range b {
+						recs[i] = Hashed{H: b[i].Key.Hash64(eng.cfg.HashSeed), Len: b[i].Len, I: uint32(i)}
+					}
+					eng.ProcessHashed(b, recs)
+				}
+				if c.entries > 0 {
+					fewestFolded = min(fewestFolded, eng.cache.Stats().DemotedPkts-folded)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("cache=%d policy=%d onPass=%v: %.2f allocations per %d packets, want 0", c.entries, c.policy, withPass, allocs, 3*perRun)
+			}
+			if got := latency.Count() - spans; got < 3*21 {
+				t.Errorf("cache=%d: %d latency samples over 21 runs, want one per 1024 packets", c.entries, got)
+			}
+			if withPass && passes == 0 || c.policy == hotcache.AdmitAlways && fewestFolded == 0 {
+				t.Errorf("cache=%d policy=%d onPass=%v: degenerate run: %d pass events, fewest demoted packets folded in a run %d", c.entries, c.policy, withPass, passes, fewestFolded)
+			}
 		}
-		eng.ProcessBatch(tr.Packets[next:end])
-		next = end
-	})
-	if allocs > 0.5 {
-		t.Errorf("ProcessBatch allocates %.1f objects per burst in steady state, want 0", allocs)
-	}
-
-	// Process is a burst of one through engine-owned scratch.
-	allocs = testing.AllocsPerRun(1000, func() {
-		eng.Process(tr.Packets[next%len(tr.Packets)])
-		next++
-	})
-	if allocs != 0 {
-		t.Errorf("Process allocates %.2f objects per packet, want 0", allocs)
 	}
 }
 

@@ -476,7 +476,7 @@ func (e *Engine) ProcessHashed(base []packet.Packet, recs []Hashed) {
 		e.growScratch(n)
 	}
 	if crossed(e.packets+uint64(n), n, latencySamplePeriod) {
-		//im:allow hotalloc — latency telemetry seam: a burst holding a 1-in-1024 packet pays one clock read
+		//im:allow hotpath — latency telemetry seam: a burst holding a 1-in-1024 packet pays one clock read
 		e.sampleT0 = time.Now()
 	}
 
@@ -545,11 +545,11 @@ func (e *Engine) ProcessHashed(base []packet.Packet, recs []Hashed) {
 	// divides latencySamplePeriod, so only a burst that publishes is timed.
 	if crossed(e.packets, n, publishEvery) {
 		if crossed(e.packets, n, latencySamplePeriod) {
-			//im:allow hotalloc — latency telemetry seam: paired with the sampled time.Now above
+			//im:allow hotpath — latency telemetry seam: paired with the sampled time.Now above
 			perPkt := uint64(time.Since(e.sampleT0)) / uint64(n)
 			e.tm.latency.Observe(perPkt)
 			// The flight span reuses the sample's own clock reads;
-			// hotalloc holds Span alloc-, hash- and map-free.
+			// hotpath holds Span hash- and map-free.
 			e.fl.Span(e.sampleT0, uint32(n), perPkt)
 		}
 		e.publishTotals()
@@ -564,7 +564,6 @@ func crossed(after uint64, n int, period uint64) bool {
 
 // growScratch sizes the burst loop's scratch for bursts of n packets.
 func (e *Engine) growScratch(n int) {
-	//im:allow hotalloc — amortized: the scratch grows to the high-water burst size once, then is reused
 	e.recBuf, e.missBuf, e.missHashBuf = make([]Hashed, n), make([]int32, n), make([]uint64, n)
 }
 

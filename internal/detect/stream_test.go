@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"instameasure/internal/export"
+	"instameasure/internal/flowhash"
 	"instameasure/internal/hll"
 	"instameasure/internal/packet"
 	"instameasure/internal/trace"
@@ -499,5 +500,61 @@ func TestAlertSiteAttributionBounded(t *testing.T) {
 	}
 	if len(alerts[0].Sites) > maxAlertSites {
 		t.Errorf("alert carries %d sites, cap is %d", len(alerts[0].Sites), maxAlertSites)
+	}
+}
+
+// TestStreamBumpZeroAllocs: the //im:hotpath root bump allocates nothing
+// on a full table, at each precision with its own bias constant. Each
+// measured run re-arms every group and feeds it distinct elements, so
+// each run takes every branch: below the estimate floor, a scan without a
+// register rise, a scan below the threshold in HyperLogLog's
+// linear-counting range, a crossing in its raw range, and a latched
+// group.
+func TestStreamBumpZeroAllocs(t *testing.T) {
+	const maxKeys = 64
+	for p := hll.MinPrecision; p <= 7; p++ {
+		threshold := 3.75 * float64(int(1)<<p) // past 2.5m: the raw range
+		d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: threshold, Precision: p, MaxKeys: maxKeys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := range maxKeys {
+			pkt := packet.Packet{Key: packet.V4Key(1, 0xC6336400|uint32(g), 1, 80, packet.ProtoTCP), TS: 1}
+			d.ObservePacket(&pkt, nil)
+		}
+		if len(d.keys) != maxKeys {
+			t.Fatalf("table holds %d groups, want it full at %d", len(d.keys), maxKeys)
+		}
+		entries := make([]*streamEntry, 0, maxKeys)
+		for _, e := range d.keys {
+			entries = append(entries, e)
+		}
+		var ts int64
+		var crossed, quiet, below int
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, e := range entries {
+				e.sk.Reset()
+				e.adds, e.alerted = 0, false
+				for i := range int(4 * threshold) {
+					ts++
+					// Every fourth element repeats the last: no register rises.
+					c, est := d.bump(e, flowhash.Mix64(uint64(i-i%4/3)), 1, ts)
+					switch {
+					case c:
+						crossed++
+					case e.adds >= d.estFloor && !e.alerted && est == 0:
+						below++
+					default:
+						quiet++
+					}
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("precision %d: bump allocates %.2f objects per run, want 0", p, allocs)
+		}
+		if runs := 21 * maxKeys; crossed != runs || below == 0 || quiet == 0 {
+			t.Errorf("precision %d: crossings %d (want one per group and run, %d), below-threshold %d, quiet %d", p, crossed, runs, below, quiet)
+		}
 	}
 }

@@ -13,8 +13,8 @@
 // fetch-add and open it with one compare-and-swap, and readers (the
 // /debug/flight handler, the timeline reconstruction) skip slots whose
 // sequence moved under them. The hot path records only sampled spans
-// through Handle.Span, which the imvet hotalloc gate holds to the
-// alloc-free, hash-free contract.
+// through Handle.Span, which the imvet hotpath gate holds hash- and
+// lock-free and TestSpanZeroAllocs holds allocation-free.
 //
 // A Recorder also derives observability surfaces: per-stage duration
 // histograms (instameasure_epoch_stage_seconds) pushed into any
@@ -229,8 +229,8 @@ type Handle struct {
 
 // Span records a sampled hot-path span: n packets measured at perPktNanos
 // each, stamped at t0 (the sample's own clock read — Span reads no clock
-// of its own). Alloc-free and hash-free; guarded by the imvet hotalloc
-// gate on the //im:hotpath call graph.
+// of its own). Hash-free, guarded by the imvet hotpath gate on the
+// //im:hotpath call graph; alloc-free, witnessed by TestSpanZeroAllocs.
 func (h Handle) Span(t0 time.Time, n uint32, perPktNanos uint64) {
 	if h.rec == nil {
 		return

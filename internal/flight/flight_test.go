@@ -376,3 +376,28 @@ func TestRingPadding(t *testing.T) {
 		t.Errorf("slot slice sits at offset %d, sharing the write cursor's cache line", off)
 	}
 }
+
+// TestSpanZeroAllocs: Handle.Span, the record seam the engine's
+// //im:hotpath ProcessHashed calls on sampled bursts, allocates nothing —
+// into a free slot, into a slot a concurrent writer holds open (the
+// record is skipped), and through the zero Handle.
+func TestSpanZeroAllocs(t *testing.T) {
+	rec := NewRecorder(2, 64)
+	h := rec.Handle(1)
+	t0 := time.Now()
+	var none Handle
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range 64 {
+			h.Span(t0, uint32(i), 42)
+		}
+		// The next slot's writer is mid-update: the span is dropped.
+		s := &h.r.s[h.r.pos.Load()&uint64(len(h.r.s)-1)]
+		s.seq.Add(1)
+		h.Span(t0, 1, 42)
+		s.seq.Add(1)
+		none.Span(t0, 1, 42)
+	})
+	if allocs != 0 {
+		t.Fatalf("Span allocates %.2f objects per run, want 0", allocs)
+	}
+}

@@ -203,3 +203,24 @@ func popcount64(x uint64) int {
 	}
 	return n
 }
+
+// TestHotpathZeroAllocs: the three //im:hotpath roots allocate nothing —
+// Sum64 at every length up to 64 bytes, so the 32-byte stripes and each
+// 8-, 4- and 1-byte tail run, SumFlowKeyV4 and Mix64.
+func TestHotpathZeroAllocs(t *testing.T) {
+	buf := make([]byte, 64)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		for n := range len(buf) + 1 {
+			sink ^= Sum64(buf[:n], sink)
+		}
+		sink ^= SumFlowKeyV4(sink, uint32(sink), uint8(sink), 7)
+		sink = Mix64(sink)
+	})
+	if allocs != 0 {
+		t.Fatalf("Sum64/SumFlowKeyV4/Mix64 allocate %.2f objects per run, want 0 (sink %x)", allocs, sink)
+	}
+}

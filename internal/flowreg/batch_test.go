@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"testing"
 
 	"instameasure/internal/flowhash"
 	"instameasure/internal/rcc"
+	"instameasure/internal/telemetry"
 )
 
 // burstPass is a passthrough of a whole run: the packet's index in the
@@ -230,24 +232,56 @@ func FuzzRegulatorBursts(f *testing.F) {
 }
 
 // TestProcessBatchZeroAllocSteadyState: after the scratch reaches its
-// high-water size, bursts must not allocate.
+// high-water size, the //im:hotpath roots ProcessBurst, ProcessBatch and
+// Process must not allocate — at chain depths 2 and 3, with and without
+// telemetry. 16 flows share a 256-byte pool, so every measured run has
+// saturations that stop in a deeper layer and ones that pass through.
 func TestProcessBatchZeroAllocSteadyState(t *testing.T) {
-	r := MustNew(testConfig(4<<10, 5))
 	const burst = 256
 	hashes := make([]uint64, burst)
 	lens := make([]int, burst)
 	ems := make([]Emission, burst)
 	oks := make([]bool, burst)
 	for i := range hashes {
-		hashes[i] = flowhash.Mix64(uint64(i))
+		hashes[i] = flowhash.Mix64(uint64(i % 16))
 		lens[i] = 100
 	}
-	r.ProcessBatch(hashes, lens, ems, oks) // warm the scratch
-
-	if allocs := testing.AllocsPerRun(100, func() {
-		r.ProcessBatch(hashes, lens, ems, oks)
-		r.Process(hashes[0], lens[0])
-	}); allocs != 0 {
-		t.Fatalf("steady-state ProcessBatch allocates: %.2f allocs/run", allocs)
+	reg := telemetry.NewRegistry("t", 1)
+	for layers := 2; layers <= 3; layers++ {
+		tm := &Telemetry{
+			LayerRecycles: make([]telemetry.CounterShard, layers),
+			Emissions:     reg.Counter("emissions", "").Shard(0),
+			NoiseLevels:   reg.Histogram("noise", "", 1).Shard(0), // noise past 1 lands in +Inf
+		}
+		for k := range tm.LayerRecycles {
+			tm.LayerRecycles[k] = reg.Counter("recycles", "", "layer", strconv.Itoa(k)).Shard(0)
+		}
+		for _, tel := range []*Telemetry{nil, tm} {
+			cfg := testConfig(256, 5)
+			cfg.Layers = layers
+			r := MustNew(cfg)
+			r.SetTelemetry(tel)
+			r.ProcessBatch(hashes, lens, ems, oks) // warm the scratch
+			fewest, stopped := burst, burst
+			allocs := testing.AllocsPerRun(100, func() {
+				sats, passes := r.L1Saturations(), r.Emissions()
+				for range 4 {
+					r.ProcessBatch(hashes, lens, ems, oks)
+					for _, h := range hashes {
+						r.Process(h, 100)
+					}
+					r.ProcessBurst(hashes)
+				}
+				passes = r.Emissions() - passes
+				fewest = min(fewest, int(passes))
+				stopped = min(stopped, int(r.L1Saturations()-sats-passes))
+			})
+			if allocs != 0 {
+				t.Errorf("layers %d, telemetry %v: steady-state bursts allocate %.2f objects per run, want 0", layers, tel != nil, allocs)
+			}
+			if fewest == 0 || stopped == 0 {
+				t.Errorf("layers %d: a run had %d passthroughs and %d saturations stopped in a deeper layer; want both", layers, fewest, stopped)
+			}
+		}
 	}
 }

@@ -221,7 +221,6 @@ func (r *Regulator) ProcessBatch(hashes []uint64, pktLens []int, ems []Emission,
 //im:hotpath
 func (r *Regulator) ProcessBurst(hashes []uint64) []Pass {
 	if cap(r.sats) < len(hashes) {
-		//im:allow hotalloc — amortized: the scratch grows to the high-water burst size once, then is reused
 		r.sats, r.pass = make([]rcc.Saturation, 0, len(hashes)), make([]Pass, 0, len(hashes))
 	}
 	l1 := r.layers[0][0]

@@ -3,6 +3,7 @@ package hotcache
 import (
 	"testing"
 
+	"instameasure/internal/flowhash"
 	"instameasure/internal/packet"
 )
 
@@ -199,19 +200,72 @@ func TestResetClears(t *testing.T) {
 	}
 }
 
-// TestZeroAllocHotPath: Bump and Admit allocate nothing.
+// TestZeroAllocHotPath: the //im:hotpath roots Bump and Admit allocate
+// nothing, under both policies, with the crossing callback armed and not.
+// Each measured run starts from an empty 16-entry cache and drives 48
+// flows through it, so every run takes each Admit branch — a free way, a
+// replacement, a refusal under the probabilistic policy, a duplicate, a
+// zero hash — and Bump's hits, misses and tag-only matches.
 func TestZeroAllocHotPath(t *testing.T) {
-	c := MustNew(Config{Entries: 64})
-	k := key(1)
-	h := hash(&k)
-	var v Entry
-	allocs := testing.AllocsPerRun(1000, func() {
-		if !c.Bump(h, &k, 100, 1) {
-			c.Admit(h, &k, 0, 1, 0, 0, &v)
+	keys := make([]packet.FlowKey, 48)
+	hashes := make([]uint64, len(keys))
+	for i := range keys {
+		keys[i] = key(uint32(i))
+		hashes[i] = hash(&keys[i])
+	}
+	fired := 0
+	for _, policy := range []Policy{AdmitProbabilistic, AdmitAlways} {
+		for _, armed := range []bool{false, true} {
+			c := MustNew(Config{Entries: 16, Policy: policy, Seed: 9})
+			if armed {
+				c.SetCrossing(40, 4000, func(*Entry, int64) { fired++ })
+			}
+			var v Entry
+			var fewest [AlreadyCached + 1]int
+			for i := range fewest {
+				fewest[i] = 1 << 30
+			}
+			var ts int64
+			allocs := testing.AllocsPerRun(100, func() {
+				c.Reset()
+				var seen [AlreadyCached + 1]int
+				for i := range 2000 {
+					ts++
+					j := int(flowhash.Mix64(uint64(i)) % uint64(len(keys)))
+					// Flows past the 40th arrive with bases past both
+					// thresholds.
+					base := float64(j)
+					if c.Bump(hashes[j], &keys[j], 100, ts) {
+						seen[c.Admit(hashes[j], &keys[j], 0, ts, base, 100*base, &v)]++ // a duplicate
+						continue
+					}
+					seen[c.Admit(hashes[j], &keys[j], uint32(j), ts, base, 100*base, &v)]++
+					if c.Bump(hashes[j], &keys[(j+1)%len(keys)], 100, ts) {
+						t.Fatal("a tag match with another key counted as a hit")
+					}
+				}
+				if c.Admit(0, &keys[0], 0, ts, 1, 100, &v) != NotAdmitted {
+					t.Fatal("a zero hash was admitted")
+				}
+				for r := range seen {
+					fewest[r] = min(fewest[r], seen[r])
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("policy %d, armed %v: hot path allocates %.1f objects per run, want 0", policy, armed, allocs)
+			}
+			if policy == AdmitAlways {
+				fewest[NotAdmitted] = -1 // never refuses
+			}
+			for r, n := range fewest {
+				if n == 0 {
+					t.Errorf("policy %d, armed %v: a run returned no %d from Admit (fewest per run %v)", policy, armed, r, fewest)
+				}
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("hot path allocates %.1f/op, want 0", allocs)
+	}
+	if fired == 0 {
+		t.Error("the armed crossing never fired")
 	}
 }
 

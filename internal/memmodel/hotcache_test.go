@@ -67,29 +67,6 @@ func TestSketchAccessesZeroDefaults(t *testing.T) {
 	}
 }
 
-func TestLedgerCacheHitCost(t *testing.T) {
-	m := Default()
-	l := NewLedger(m)
-	l.RecordCacheHit(10)
-	if l.CacheHits() != 10 {
-		t.Errorf("cache hit count = %d, want 10", l.CacheHits())
-	}
-	if got, want := l.CostNs(), 10*m.HotCacheHitNs; math.Abs(got-want) > 1e-9 {
-		t.Errorf("CostNs = %v, want %v", got, want)
-	}
-	// Disabled cache model costs hits as plain SRAM accesses.
-	m.HotCacheHitNs = 0
-	l = NewLedger(m)
-	l.RecordCacheHit(10)
-	if got, want := l.CostNs(), 10*m.SRAMAccessNs; math.Abs(got-want) > 1e-9 {
-		t.Errorf("disabled-model CostNs = %v, want %v", got, want)
-	}
-	l.Reset()
-	if l.CacheHits() != 0 || l.CostNs() != 0 {
-		t.Error("Reset must zero the cache hit counter")
-	}
-}
-
 // TestHotCacheModelCrossCheck holds the cache model against the machine:
 // the modeled CacheSpeedup at the *measured* hit rate and regulation ratio
 // must agree with the measured cached-vs-uncached ProcessBatch ns/op ratio

@@ -149,19 +149,6 @@ func (m Model) PrefetchSpeedup() float64 {
 	return m.DRAMAccessNs / (m.DRAMPrefetchedNs + m.PrefetchIssueNs)
 }
 
-// SustainablePrefetched is Sustainable for a batched (two-pass prefetch)
-// WSAF: overlapped DRAM accesses widen the speed margin by the prefetch
-// speedup, so the regulated insertion rate the WSAF absorbs rises by the
-// same factor. Non-DRAM WSAF tiers gain nothing — prefetch hides DRAM
-// latency, SRAM/TCAM have none to hide.
-func (m Model) SustainablePrefetched(pps float64, sketchTier, wsafTier Tier) float64 {
-	s := m.Sustainable(pps, sketchTier, wsafTier)
-	if wsafTier == TierDRAM {
-		s *= m.PrefetchSpeedup()
-	}
-	return s
-}
-
 // SpeedMargin returns the sustainable ips/pps ratio when the WSAF lives in
 // `wsafTier` and per-packet sketch work runs at `sketchTier` speed: the
 // fraction of the packet budget one WSAF operation consumes, inverted.
@@ -173,18 +160,6 @@ func (m Model) SpeedMargin(sketchTier, wsafTier Tier) float64 {
 	return m.accessNs(sketchTier) / (m.accessNs(wsafTier) * per)
 }
 
-// Sustainable returns the highest insertion rate (ips) the WSAF tier can
-// absorb while packets arrive at pps.
-func (m Model) Sustainable(pps float64, sketchTier, wsafTier Tier) float64 {
-	return pps * m.SpeedMargin(sketchTier, wsafTier)
-}
-
-// Fits reports whether a regulated insertion rate ips keeps the WSAF tier
-// within budget at arrival rate pps.
-func (m Model) Fits(pps, ips float64, sketchTier, wsafTier Tier) bool {
-	return ips <= m.Sustainable(pps, sketchTier, wsafTier)
-}
-
 func (m Model) accessNs(t Tier) float64 {
 	switch t {
 	case TierTCAM:
@@ -194,84 +169,4 @@ func (m Model) accessNs(t Tier) float64 {
 	default:
 		return m.DRAMAccessNs
 	}
-}
-
-// Ledger counts memory accesses by tier so experiments can report simulated
-// time cost alongside throughput.
-type Ledger struct {
-	counts     [TierDRAM + 1]uint64
-	prefetched uint64
-	cacheHits  uint64
-	model      Model
-}
-
-// NewLedger returns a ledger using model for costing.
-func NewLedger(model Model) *Ledger {
-	return &Ledger{model: model}
-}
-
-// Record adds n accesses to tier t.
-func (l *Ledger) Record(t Tier, n uint64) {
-	if t >= TierTCAM && t <= TierDRAM {
-		l.counts[t] += n
-	}
-}
-
-// Count returns accesses recorded for tier t.
-func (l *Ledger) Count(t Tier) uint64 {
-	if t < TierTCAM || t > TierDRAM {
-		return 0
-	}
-	return l.counts[t]
-}
-
-// RecordPrefetchedDRAM adds n DRAM accesses issued under the two-pass
-// prefetch discipline. They are costed at the overlapped rate plus the
-// prefetch-pass overhead instead of the full access latency; with the
-// prefetch model disabled (DRAMPrefetchedNs 0) they cost the same as
-// plain DRAM accesses.
-func (l *Ledger) RecordPrefetchedDRAM(n uint64) {
-	l.prefetched += n
-}
-
-// PrefetchedDRAM returns the prefetched DRAM accesses recorded.
-func (l *Ledger) PrefetchedDRAM() uint64 {
-	return l.prefetched
-}
-
-// RecordCacheHit adds n hot-cache hits, costed at HotCacheHitNs each (or
-// one SRAM access apiece when the cache model is disabled).
-func (l *Ledger) RecordCacheHit(n uint64) {
-	l.cacheHits += n
-}
-
-// CacheHits returns the hot-cache hits recorded.
-func (l *Ledger) CacheHits() uint64 {
-	return l.cacheHits
-}
-
-// CostNs returns total simulated memory time across all tiers.
-func (l *Ledger) CostNs() float64 {
-	pre := l.model.DRAMPrefetchedNs + l.model.PrefetchIssueNs
-	if l.model.DRAMPrefetchedNs <= 0 {
-		pre = l.model.DRAMAccessNs
-	}
-	hit := l.model.HotCacheHitNs
-	if hit <= 0 {
-		hit = l.model.SRAMAccessNs
-	}
-	return float64(l.counts[TierTCAM])*l.model.TCAMAccessNs +
-		float64(l.counts[TierSRAM])*l.model.SRAMAccessNs +
-		float64(l.counts[TierDRAM])*l.model.DRAMAccessNs +
-		float64(l.prefetched)*pre +
-		float64(l.cacheHits)*hit
-}
-
-// Reset zeroes all counters.
-func (l *Ledger) Reset() {
-	for i := range l.counts {
-		l.counts[i] = 0
-	}
-	l.prefetched = 0
-	l.cacheHits = 0
 }

@@ -44,42 +44,3 @@ func TestSpeedMarginZeroOpsDefaults(t *testing.T) {
 		t.Error("zero WSAFAccessesPerOp must default to 1")
 	}
 }
-
-func TestSustainableAndFits(t *testing.T) {
-	m := Default()
-	pps := 1e6
-	budget := m.Sustainable(pps, TierSRAM, TierDRAM)
-
-	// FlowRegulator's ~1% regulation must fit; RCC's ~12% must not.
-	if !m.Fits(pps, 0.0102*pps, TierSRAM, TierDRAM) {
-		t.Errorf("1.02%% of 1Mpps (%v ips) should fit budget %v", 0.0102*pps, budget)
-	}
-	if m.Fits(pps, 0.12*pps, TierSRAM, TierDRAM) {
-		t.Errorf("12%% of 1Mpps should exceed budget %v", budget)
-	}
-}
-
-func TestLedger(t *testing.T) {
-	l := NewLedger(Default())
-	l.Record(TierDRAM, 10)
-	l.Record(TierSRAM, 100)
-	l.Record(TierTCAM, 2)
-	l.Record(Tier(99), 5) // ignored
-
-	if l.Count(TierDRAM) != 10 || l.Count(TierSRAM) != 100 || l.Count(TierTCAM) != 2 {
-		t.Errorf("counts wrong: %d/%d/%d",
-			l.Count(TierTCAM), l.Count(TierSRAM), l.Count(TierDRAM))
-	}
-	if l.Count(Tier(99)) != 0 {
-		t.Error("unknown tier count must be 0")
-	}
-	m := Default()
-	want := 10*m.DRAMAccessNs + 100*m.SRAMAccessNs + 2*m.TCAMAccessNs
-	if got := l.CostNs(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("CostNs = %v, want %v", got, want)
-	}
-	l.Reset()
-	if l.CostNs() != 0 {
-		t.Error("Reset must zero the ledger")
-	}
-}

@@ -1,7 +1,6 @@
 package memmodel
 
 import (
-	"math"
 	"os"
 	"testing"
 
@@ -32,38 +31,6 @@ func TestPrefetchSpeedupDisabled(t *testing.T) {
 	m.DRAMPrefetchedNs = 0
 	if m.PrefetchSpeedup() != 1 {
 		t.Error("zero DRAMPrefetchedNs must disable the prefetch model")
-	}
-}
-
-func TestSustainablePrefetched(t *testing.T) {
-	m := Default()
-	pps := 1e6
-	plain := m.Sustainable(pps, TierSRAM, TierDRAM)
-	pre := m.SustainablePrefetched(pps, TierSRAM, TierDRAM)
-	if want := plain * m.PrefetchSpeedup(); math.Abs(pre-want) > 1e-9 {
-		t.Errorf("prefetched budget %v, want %v", pre, want)
-	}
-	// An SRAM-resident WSAF gains nothing from prefetch.
-	if m.SustainablePrefetched(pps, TierSRAM, TierSRAM) != m.Sustainable(pps, TierSRAM, TierSRAM) {
-		t.Error("prefetch must not widen a non-DRAM budget")
-	}
-}
-
-func TestLedgerPrefetchedCost(t *testing.T) {
-	m := Default()
-	l := NewLedger(m)
-	l.Record(TierDRAM, 10)
-	l.RecordPrefetchedDRAM(10)
-	if l.PrefetchedDRAM() != 10 {
-		t.Errorf("prefetched count = %d, want 10", l.PrefetchedDRAM())
-	}
-	want := 10*m.DRAMAccessNs + 10*(m.DRAMPrefetchedNs+m.PrefetchIssueNs)
-	if got := l.CostNs(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("CostNs = %v, want %v", got, want)
-	}
-	l.Reset()
-	if l.PrefetchedDRAM() != 0 || l.CostNs() != 0 {
-		t.Error("Reset must zero the prefetched counter")
 	}
 }
 

@@ -152,3 +152,26 @@ func TestKeyComparable(t *testing.T) {
 		t.Error("equal keys must index the same map slot")
 	}
 }
+
+// TestHash64ZeroAllocs: the //im:hotpath root Hash64 allocates nothing on
+// either path — the fixed-width IPv4 one and the IPv6 one that stages the
+// encoding on the stack — with hash counting off and on.
+func TestHash64ZeroAllocs(t *testing.T) {
+	v4 := V4Key(0x0A000001, 0xC0A80001, 1234, 443, ProtoTCP)
+	v6 := v4
+	v6.IsV6 = true
+	for i := range v6.SrcIP {
+		v6.SrcIP[i], v6.DstIP[i] = byte(i), byte(0xF0|i)
+	}
+	defer SetHashCounting(false)
+	for _, counting := range []bool{false, true} {
+		SetHashCounting(counting)
+		var sink uint64
+		allocs := testing.AllocsPerRun(100, func() {
+			sink ^= v4.Hash64(sink) ^ v6.Hash64(sink)
+		})
+		if allocs != 0 {
+			t.Errorf("counting=%v: Hash64 allocates %.2f objects per v4+v6 pair, want 0 (sink %x)", counting, allocs, sink)
+		}
+	}
+}

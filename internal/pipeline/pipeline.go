@@ -92,13 +92,6 @@ type Config struct {
 	// Report.Dropped and the telemetry registry. Default false (lossless
 	// back-pressure).
 	DropWhenFull bool
-	// Telemetry, if non-nil, receives per-worker metrics and is shared
-	// with every worker engine; nil creates a registry sharded by
-	// Workers, reachable via System.Telemetry().
-	Telemetry *telemetry.Registry
-	// Flight, if non-nil, is the flight recorder shared with every worker
-	// engine; nil uses flight.Default().
-	Flight *flight.Recorder
 }
 
 // Report summarizes a completed run.
@@ -240,14 +233,10 @@ func New(cfg Config) (*System, error) {
 	if hashSeed == 0 {
 		hashSeed = 0x1A57A4EA5EED // default shared hash seed
 	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry("instameasure", cfg.Workers)
-	}
-	rec := cfg.Flight
-	if rec == nil {
-		rec = flight.Default()
-	}
+	// Every worker engine shares one registry, sharded by worker, and the
+	// process-wide flight recorder.
+	reg := telemetry.NewRegistry("instameasure", cfg.Workers)
+	rec := flight.Default()
 	s := &System{
 		cfg:           cfg,
 		flight:        rec,

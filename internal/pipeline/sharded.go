@@ -387,10 +387,10 @@ func (w *shardWorker) flushOut(t int) {
 // window; time handed to other goroutines is their work, not ours.
 func (w *shardWorker) wait() {
 	w.drainIn()
-	//im:allow hotalloc — blocked-time stamp on a wait, not per-packet
+	//im:allow hotpath — blocked-time stamp on a wait, not per-packet
 	g0 := time.Now()
 	runtime.Gosched()
-	//im:allow hotalloc — paired with the start stamp above
+	//im:allow hotpath — paired with the start stamp above
 	w.blocked += time.Since(g0)
 }
 

@@ -238,25 +238,47 @@ func TestShardedCancellation(t *testing.T) {
 	})
 }
 
-// TestShardedSteadyStateAllocations: a run reuses its batches, staging
-// buffers, and rings — steady state must not allocate per burst, whichever
-// way the source is read.
+// TestShardedSteadyStateAllocations is the allocation witness of the
+// //im:hotpath roots that run only inside Run — the workers' ingest,
+// drainIn and process, the rings' pushBatch, peek, release and drained: a
+// run reuses its batches, staging buffers and rings, so what it allocates
+// is setup, and eight times the packets may cost no more than a few dozen
+// objects more (scheduling moves the setup count by about that much).
+// 64-record rings fill on every flush and wrap every few bursts; both
+// exchange policies run, each from a striped and from a shared source.
 func TestShardedSteadyStateAllocations(t *testing.T) {
-	tr := testTrace(t, 2000, 400_000)
-	sources(t, tr, func(t *testing.T, src trace.Source) {
-		sys := mustSystem(t, testConfig(2))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rep, err := sys.Run(src)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs := after.Mallocs - before.Mallocs
-		if allocs > rep.Packets/500 {
-			t.Errorf("run allocated %d objects over %d packets (> 1 per 500)", allocs, rep.Packets)
-		}
-	})
+	small, large := testTrace(t, 2000, 50_000), testTrace(t, 2000, 400_000)
+	for _, src := range []struct {
+		name string
+		open func(testing.TB, *trace.Trace) trace.Source
+	}{
+		{"striped", func(_ testing.TB, tr *trace.Trace) trace.Source { return tr.Source() }},
+		{"streamed", func(t testing.TB, tr *trace.Trace) trace.Source { return streamed(t, tr) }},
+	} {
+		t.Run(src.name, func(t *testing.T) {
+			for _, drop := range []bool{false, true} {
+				cfg := testConfig(2)
+				cfg.QueueDepth, cfg.DropWhenFull = 64, drop
+				runAllocs := func(tr *trace.Trace) uint64 {
+					sys := mustSystem(t, cfg)
+					src := src.open(t, tr)
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					_, err := sys.Run(src)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return after.Mallocs - before.Mallocs
+				}
+				few, many := runAllocs(small), runAllocs(large)
+				if many > few+64 {
+					t.Errorf("drop=%v: a run allocated %d objects over %d packets and %d over %d: the count grows with the packets",
+						drop, few, len(small.Packets), many, len(large.Packets))
+				}
+			}
+		})
+	}
 }
 
 // failingSource delivers n packets and then fails, for good.

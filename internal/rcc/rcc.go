@@ -428,29 +428,12 @@ func vectorTable(cfg Config) (t *[tableSize]uint64, pos []uint8) {
 }
 
 // selectBit returns the k-th (0-based) lowest set bit of x, as a one-bit
-// mask; x must have more than k bits set. Branch-free broadword selection
-// (Vigna, "Broadword implementation of rank/select queries"): prefix sums
-// of the per-byte popcounts locate the byte holding rank k, then prefix
-// sums of that byte's bits, spread one per lane, locate the bit. It draws
-// the vector table; packets' bits are picked from the position table.
+// mask; x must have more than k bits set. It clears the k lowest set bits
+// and isolates the next. It only draws the vector table at construction;
+// packets' bits are picked from the position table.
 func selectBit(x uint64, k int) uint64 {
-	s := x - (x>>1)&0x5555555555555555
-	s = s&0x3333333333333333 + (s>>2)&0x3333333333333333
-	s = (s + s>>4) & 0x0F0F0F0F0F0F0F0F
-	sums := s * l8 // lane i: popcount of bytes 0..i
-	byteOff := lanesAtMost(sums, uint64(k)) * 8
-	rank := uint64(k) - (sums<<8>>byteOff)&0xFF
-	b := (x >> byteOff & 0xFF) * l8 & 0x8040201008040201 // bit i to lane i
-	b = (b + 0x7F7F7F7F7F7F7F7F) >> 7 & l8               // as 0/1
-	return 1 << (byteOff + lanesAtMost(b*l8, rank))
-}
-
-// The low and the high bit of every byte lane.
-const l8, h8 = 0x0101010101010101, 0x8080808080808080
-
-// lanesAtMost counts the byte lanes of sums holding a value ≤ k (all
-// < 128): a lane's top bit survives the subtraction iff its value ≤ k. On
-// prefix sums that is the index of the first lane exceeding k.
-func lanesAtMost(sums, k uint64) uint {
-	return uint(bits.OnesCount64(((k*l8 | h8) - sums) & h8))
+	for ; k > 0; k-- {
+		x &= x - 1
+	}
+	return x & -x
 }

@@ -360,3 +360,38 @@ func TestCounting32BitConfinement(t *testing.T) {
 		t.Errorf("32-bit confinement estimate %.0f, rel err %.3f", est, relErr)
 	}
 }
+
+// TestHotpathZeroAllocs: the //im:hotpath roots Locate, EncodeLoc and
+// EncodeBurst allocate nothing, in 32- and 64-bit spans, on packets that
+// saturate their vector and packets that do not (a 64-byte pool
+// saturates within every run). EncodeBurst appends into the caller's
+// capacity, as the regulator sizes it.
+func TestHotpathZeroAllocs(t *testing.T) {
+	hashes := make([]uint64, 256)
+	for i := range hashes {
+		hashes[i] = flowhash.Mix64(uint64(i))
+	}
+	for _, wb := range []int{32, 64} {
+		c := MustNew(Config{VectorBits: 8, WordBits: wb, MemoryBytes: 64, Seed: 5})
+		sats := make([]Saturation, 0, len(hashes))
+		var loc Location
+		var plain, saturated int
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, h := range hashes {
+				c.Locate(h, &loc)
+				if _, sat := c.EncodeLoc(&loc); sat {
+					saturated++
+				} else {
+					plain++
+				}
+			}
+			sats = c.EncodeBurst(hashes, sats[:0])
+		})
+		if allocs != 0 {
+			t.Errorf("w=%d: Locate/EncodeLoc/EncodeBurst allocate %.2f objects per run, want 0", wb, allocs)
+		}
+		if plain == 0 || saturated < 101 || len(sats) == 0 {
+			t.Errorf("w=%d: a run missed a branch: %d plain, %d saturated encodes, %d burst saturations", wb, plain, saturated, len(sats))
+		}
+	}
+}

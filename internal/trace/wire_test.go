@@ -506,3 +506,117 @@ func rawIP(t testing.TB, capture []byte) []byte {
 	}
 	return buf.Bytes()
 }
+
+// decodeCorpus is one block of Ethernet frames reaching every branch of the
+// frame decoders — each protocol, VLAN and QinQ tags, fragments, an IPv6
+// extension chain and one too long to walk, malformed headers, and every
+// prefix of the longest frames, so each truncation check fires — and the
+// same frames without their Ethernet header as a raw-IP block.
+func decodeCorpus(t *testing.T) (eth, raw pcap.Block) {
+	t.Helper()
+	build := func(k packet.FlowKey) []byte {
+		f, err := packet.BuildEthernet(packet.Packet{Key: k, Len: 60}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	v6 := func(proto uint8) packet.FlowKey {
+		k := packet.V4Key(1, 2, 3, 4, proto)
+		k.IsV6, k.SrcIP[15], k.DstIP[0] = true, 9, 0x20
+		return k
+	}
+	// withV6Ext inserts 8-byte extension headers of the given types between
+	// an IPv6 header and its TCP header; frag sets a fragment header's M bit.
+	withV6Ext := func(frag bool, types ...uint8) []byte {
+		f := build(v6(packet.ProtoTCP))
+		out := append([]byte(nil), f[:14+40]...)
+		out[14+6] = types[0]
+		for i, ty := range types {
+			next := uint8(packet.ProtoTCP)
+			if i+1 < len(types) {
+				next = types[i+1]
+			}
+			h := []byte{next, 0, 0, 0, 0, 0, 0, 0}
+			if ty == 44 && frag {
+				h[3] = 1
+			}
+			out = append(out, h...)
+		}
+		return append(out, f[14+40:]...)
+	}
+	tcp4 := build(packet.V4Key(1, 2, 3, 4, packet.ProtoTCP))
+	vlan := append(append(append([]byte(nil), tcp4[:12]...), 0x81, 0x00, 0x00, 0x05), tcp4[12:]...)
+	qinq := append(append(append([]byte(nil), tcp4[:12]...), 0x81, 0x00, 0x00, 0x01, 0x81, 0x00, 0x00, 0x02), tcp4[12:]...)
+	icmp4 := build(packet.V4Key(1, 2, 8, 0, packet.ProtoICMP))
+	chain := withV6Ext(false, 0, 43, 60, 44)
+	frames := [][]byte{
+		tcp4, vlan, qinq, icmp4,
+		build(packet.V4Key(1, 2, 3, 4, packet.ProtoUDP)),
+		build(v6(packet.ProtoTCP)), build(v6(packet.ProtoUDP)), build(v6(packet.ProtoICMPv6)),
+		chain, withV6Ext(true, 44), withV6Ext(false, 60, 60, 60, 60, 60, 60),
+	}
+	edit := func(f []byte, at int, b byte) []byte {
+		f = append([]byte(nil), f...)
+		f[at] = b
+		return f
+	}
+	frames = append(frames,
+		edit(tcp4, 14+6, 0x20),    // IPv4 first fragment
+		edit(tcp4, 14+9, 47),      // GRE: unsupported L4
+		edit(tcp4, 14, 0x44),      // IHL below 20
+		edit(tcp4, 14, 0x65),      // IPv4 ethertype, version 6
+		edit(chain, 14, 0x45),     // IPv6 ethertype, version 4
+		edit(tcp4, 13, 0x06),      // ARP
+		edit(chain, 14+40+1, 200), // extension header longer than the frame
+	)
+	for _, f := range [][]byte{qinq, chain, icmp4, withV6Ext(true, 44)} {
+		for n := range len(f) {
+			frames = append(frames, f[:n])
+		}
+	}
+	add := func(b *pcap.Block, f []byte) {
+		wire := uint32(len(f))
+		if len(b.Frames) == 0 {
+			wire = 1 << 20 // a length past the 16-bit field, clamped
+		}
+		b.Frames = append(b.Frames, pcap.Frame{TS: int64(len(b.Frames)), Off: uint32(len(b.Data)), Incl: uint32(len(f)), WireLen: wire})
+		b.Data = append(b.Data, f...)
+	}
+	for _, f := range frames {
+		add(&eth, f)
+		if len(f) >= 14 && f[12] != 0x81 {
+			add(&raw, f[14:])
+		}
+	}
+	add(&raw, nil)                      // empty datagram
+	add(&raw, edit(tcp4[14:], 0, 0x55)) // version 5
+	return eth, raw
+}
+
+// TestDecodeFramesZeroAllocs: decodeFrames, the //im:hotpath root of
+// ReadPcap and PcapSource, allocates nothing on either link type — on the
+// frames it decodes and the frames it skips, whatever the error, and when
+// its output fills before its frames run out.
+func TestDecodeFramesZeroAllocs(t *testing.T) {
+	eth, raw := decodeCorpus(t)
+	out := make([]packet.Packet, 7)
+	for _, c := range []struct {
+		link  pcap.LinkType
+		block pcap.Block
+	}{{pcap.LinkEthernet, eth}, {pcap.LinkRaw, raw}} {
+		var decoded, skipped int
+		allocs := testing.AllocsPerRun(20, func() {
+			for frames := c.block.Frames; len(frames) > 0; {
+				n, used := decodeFrames(c.link, c.block.Data, frames, out)
+				decoded, skipped, frames = decoded+n, skipped+used-n, frames[used:]
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("link %d: decodeFrames allocates %.2f objects per pass over %d frames, want 0", c.link, allocs, len(c.block.Frames))
+		}
+		if decoded == 0 || skipped == 0 {
+			t.Errorf("link %d: %d frames decoded, %d skipped; want both", c.link, decoded, skipped)
+		}
+	}
+}

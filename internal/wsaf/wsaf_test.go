@@ -3,10 +3,13 @@ package wsaf
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"instameasure/internal/packet"
+	"instameasure/internal/telemetry"
 )
 
 func key(i int) packet.FlowKey {
@@ -664,4 +667,91 @@ func TestStatsConservation(t *testing.T) {
 	if uint64(tab.Len()) != s.Inserts {
 		t.Errorf("occupancy %d != inserts %d (reclaim/evict must be occupancy-neutral)", tab.Len(), s.Inserts)
 	}
+}
+
+// TestHotpathZeroAllocs: the //im:hotpath roots allocate nothing. Each
+// measured run churns a 16-slot table through every AccumulateHashed
+// outcome — update, insert, a flow's own expired entry restarted, an
+// expired slot reclaimed for another flow, eviction — under both eviction
+// policies and both probe sequences, with and without telemetry
+// attached, and probes LookupHashed and SlotHashed for live, expired and
+// absent keys. Dropped is not reached: a probe sequence with no free slot
+// always leaves an eviction candidate (see TestOccupancyMatchesUsed).
+func TestHotpathZeroAllocs(t *testing.T) {
+	reg := telemetry.NewRegistry("t", 1)
+	tm := &Telemetry{
+		ProbeLength: reg.Histogram("probe", "", 8).Shard(0),
+		Occupancy:   reg.Gauge("occ", "").Shard(0),
+	}
+	for i := range tm.Outcomes {
+		tm.Outcomes[i] = reg.Counter("ops", "", "o", strconv.Itoa(i)).Shard(0)
+	}
+	keys := make([]packet.FlowKey, 40)
+	hashes := make([]uint64, len(keys))
+	for _, policy := range []struct {
+		Eviction
+		Probing
+	}{{EvictSecondChance, ProbeQuadratic}, {EvictFirst, ProbeLinear}} {
+		for _, tel := range []*Telemetry{nil, tm} {
+			tab := MustNew(Config{Entries: 16, ProbeLimit: 4, TTL: 50, Eviction: policy.Eviction, Probing: policy.Probing, Seed: 3})
+			tab.SetTelemetry(tel)
+			for i := range keys {
+				keys[i] = key(i)
+				hashes[i] = keys[i].Hash64(tab.seed)
+			}
+			rng := rand.New(rand.NewSource(int64(policy.Eviction)))
+			var now int64
+			// fewest[o] is the fewest times one run saw outcome o; 0 is a
+			// run's own-entry restart, which is a Reclaimed too.
+			var fewest [Dropped + 1]int
+			for i := range fewest {
+				fewest[i] = 1 << 30
+			}
+			var lookups [2]int // found, not found
+			allocs := testing.AllocsPerRun(50, func() {
+				tab.Reset() // so every run inserts
+				var seen [Dropped + 1]int
+				for range 400 {
+					now += int64(rng.Intn(8))
+					j := rng.Intn(len(keys))
+					k, h := keys[j], hashes[j]
+					own := holds(tab, k)
+					tab.PrefetchHashed(h)
+					o, e := tab.AccumulateHashed(h, k, 1+float64(rng.Intn(9)), 64, now)
+					if o == Reclaimed && own {
+						o = 0
+					}
+					seen[o]++
+					if e != nil && tab.SlotOf(e) < 0 {
+						t.Fatal("SlotOf outside the table")
+					}
+					q := rng.Intn(len(keys))
+					if _, ok := tab.LookupHashed(hashes[q], keys[q], now); ok {
+						lookups[0]++
+					} else if tab.SlotHashed(hashes[q], keys[q], now) < 0 {
+						lookups[1]++
+					}
+				}
+				for o := range seen {
+					fewest[o] = min(fewest[o], seen[o])
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("policy %v, telemetry %v: %.2f allocations per run, want 0", policy, tel != nil, allocs)
+			}
+			if slices.Contains(fewest[:Dropped], 0) || lookups[0] == 0 || lookups[1] == 0 {
+				t.Errorf("policy %v: a run missed an outcome: fewest per run %v (own restart, then Updated..Evicted), lookups %v", policy, fewest, lookups)
+			}
+		}
+	}
+}
+
+// holds reports whether any slot, live or expired, holds k.
+func holds(tab *Table, k packet.FlowKey) bool {
+	for i := range tab.entries {
+		if tab.entries[i].used && tab.entries[i].Key == k {
+			return true
+		}
+	}
+	return false
 }
