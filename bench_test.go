@@ -620,33 +620,6 @@ func BenchmarkAblationLayers(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDecode compares the coupon-collector decode rule
-// against linear counting.
-func BenchmarkAblationDecode(b *testing.B) {
-	tr := benchTrace(b)
-	for _, m := range []struct {
-		name   string
-		method rcc.DecodeMethod
-	}{
-		{"coupon-collector", rcc.DecodeCouponCollector},
-		{"linear-counting", rcc.DecodeLinearCounting},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := core.MustNew(core.Config{
-					SketchMemoryBytes: 32 << 10,
-					WSAFEntries:       1 << 18,
-					DecodeMethod:      m.method,
-					Seed:              1,
-				})
-				for j := range tr.Packets {
-					eng.Process(tr.Packets[j])
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSharding compares the paper's popcount sharding with
 // a per-packet spray (no flow affinity) across 4 workers.
 func BenchmarkAblationSharding(b *testing.B) {

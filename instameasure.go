@@ -147,7 +147,9 @@ type Stats struct {
 	// policy; WSAFExpirations counts TTL-expired entries reclaimed inline
 	// during probing. The two leave-the-table paths are distinct: an
 	// eviction loses live state, an expiration is garbage collection.
-	// WSAFDrops counts updates lost with eviction disabled.
+	// WSAFDrops counts updates the table could not place: zero by
+	// construction, since both eviction policies always find a victim in
+	// the probe window.
 	WSAFEvictions   uint64
 	WSAFExpirations uint64
 	WSAFDrops       uint64

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"instameasure/internal/hotcache"
 	"instameasure/internal/packet"
 	"instameasure/internal/trace"
 )
@@ -204,17 +203,19 @@ func TestSingleHashPerPacket(t *testing.T) {
 // scratch is grown — with and without the hot cache and an OnPass
 // callback. Each measured run sends 1024 packets through each entry point,
 // so each crosses a latency sample (the flight span) and the counter
-// publication; with the 16-entry LRU cache every run also demotes
-// incumbents that took hits and folds their deltas back into the table.
+// publication; with the 16-entry cache every run also demotes incumbents
+// that took hits and folds their deltas back into the table: at Zipf(0.5)
+// no few flows own the cache, so its probabilistic admission keeps
+// replacing incumbents that took hits.
 func TestProcessBatchZeroAllocs(t *testing.T) {
-	tr := batchTrace(t, 1000, 60_000, 9)
+	tr, err := trace.GenerateZipf(trace.ZipfConfig{Flows: 1000, TotalPackets: 60_000, Skew: 0.5, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const burst, perRun = 256, 1024
-	for _, c := range []struct {
-		entries int
-		policy  hotcache.Policy
-	}{{0, 0}, {16, hotcache.AdmitProbabilistic}, {16, hotcache.AdmitAlways}} {
+	for _, entries := range []int{0, 16} {
 		for _, withPass := range []bool{false, true} {
-			eng := testEngine(t, Config{SketchMemoryBytes: 1 << 10, WSAFEntries: 1 << 14, HotCacheEntries: c.entries, HotCachePolicy: c.policy, Seed: 1})
+			eng := testEngine(t, Config{SketchMemoryBytes: 1 << 10, WSAFEntries: 1 << 14, HotCacheEntries: entries, Seed: 1})
 			passes := 0
 			if withPass {
 				eng.OnPass(func(PassEvent) { passes++ })
@@ -239,7 +240,7 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 			fewestFolded := uint64(1 << 62)
 			allocs := testing.AllocsPerRun(20, func() {
 				var folded uint64
-				if c.entries > 0 {
+				if entries > 0 {
 					folded = eng.cache.Stats().DemotedPkts
 				}
 				eng.ProcessHashed(nil, nil)
@@ -258,18 +259,18 @@ func TestProcessBatchZeroAllocs(t *testing.T) {
 					}
 					eng.ProcessHashed(b, recs)
 				}
-				if c.entries > 0 {
+				if entries > 0 {
 					fewestFolded = min(fewestFolded, eng.cache.Stats().DemotedPkts-folded)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("cache=%d policy=%d onPass=%v: %.2f allocations per %d packets, want 0", c.entries, c.policy, withPass, allocs, 3*perRun)
+				t.Errorf("cache=%d onPass=%v: %.2f allocations per %d packets, want 0", entries, withPass, allocs, 3*perRun)
 			}
 			if got := latency.Count() - spans; got < 3*21 {
-				t.Errorf("cache=%d: %d latency samples over 21 runs, want one per 1024 packets", c.entries, got)
+				t.Errorf("cache=%d: %d latency samples over 21 runs, want one per 1024 packets", entries, got)
 			}
-			if withPass && passes == 0 || c.policy == hotcache.AdmitAlways && fewestFolded == 0 {
-				t.Errorf("cache=%d policy=%d onPass=%v: degenerate run: %d pass events, fewest demoted packets folded in a run %d", c.entries, c.policy, withPass, passes, fewestFolded)
+			if withPass && passes == 0 || entries > 0 && fewestFolded == 0 {
+				t.Errorf("cache=%d onPass=%v: degenerate run: %d pass events, fewest demoted packets folded in a run %d", entries, withPass, passes, fewestFolded)
 			}
 		}
 	}

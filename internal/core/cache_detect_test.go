@@ -127,7 +127,6 @@ func TestCachedLookupNoPhantomZeroDelta(t *testing.T) {
 func TestCacheFoldDropsObservable(t *testing.T) {
 	e := testEngine(t, Config{
 		HotCacheEntries: 8, // one set: admissions constantly demote
-		HotCachePolicy:  hotcache.AdmitAlways,
 		Seed:            9,
 	})
 	tr := batchTrace(t, 500, 60_000, 17)

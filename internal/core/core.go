@@ -36,9 +36,6 @@ type Config struct {
 	// Layers is the FlowRegulator chain depth; 0 means 2 (the paper's
 	// design). Deeper chains trade accuracy for TCAM-grade regulation.
 	Layers int
-	// DecodeMethod selects the sketch estimation rule; 0 means
-	// coupon-collector decoding.
-	DecodeMethod rcc.DecodeMethod
 	// WSAFEntries is the WSAF table capacity (power of two); 0 means 2^20,
 	// the paper's fixed setting (33 MB of DRAM at 33 bytes/entry).
 	WSAFEntries int
@@ -54,10 +51,6 @@ type Config struct {
 	// count). 0 disables the cache — the default, and the paper's
 	// original architecture.
 	HotCacheEntries int
-	// HotCachePolicy selects the cache admission rule; 0 means the
-	// PRECISION-style probabilistic policy. hotcache.AdmitAlways is the
-	// always-admit LRU ablation.
-	HotCachePolicy hotcache.Policy
 	// Seed drives all hashing and sketch randomness.
 	Seed uint64
 	// HashSeed, when non-zero, overrides Seed for flow-key hashing and the
@@ -190,20 +183,24 @@ type Engine struct {
 	tmCacheBase hotcache.Stats
 }
 
+// NewRegulator builds the FlowRegulator an Engine of cfg runs, resolving
+// cfg's sketch defaults the one way the engine does.
+func NewRegulator(cfg Config) (*flowreg.Regulator, error) {
+	cfg = cfg.withDefaults()
+	reg, err := flowreg.New(flowreg.Config{Layers: cfg.Layers, Layer: rcc.Config{
+		MemoryBytes: cfg.SketchMemoryBytes, VectorBits: cfg.VectorBits, Seed: cfg.Seed}})
+	if err != nil {
+		return nil, fmt.Errorf("flow regulator: %w", err)
+	}
+	return reg, nil
+}
+
 // New builds an Engine from cfg.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	reg, err := flowreg.New(flowreg.Config{
-		Layer: rcc.Config{
-			MemoryBytes: cfg.SketchMemoryBytes,
-			VectorBits:  cfg.VectorBits,
-			Decode:      cfg.DecodeMethod,
-			Seed:        cfg.Seed,
-		},
-		Layers: cfg.Layers,
-	})
+	reg, err := NewRegulator(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("flow regulator: %w", err)
+		return nil, err
 	}
 	table, err := wsaf.New(wsaf.Config{
 		Entries:    cfg.WSAFEntries,
@@ -224,7 +221,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.HotCacheEntries > 0 {
 		cache, err := hotcache.New(hotcache.Config{
 			Entries: cfg.HotCacheEntries,
-			Policy:  cfg.HotCachePolicy,
 			// The admission coin flips get their own stream, decoupled
 			// from the sketch randomness derived from the same seed.
 			Seed: cfg.Seed ^ 0xCAC4E5EED,

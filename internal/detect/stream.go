@@ -60,7 +60,7 @@ const (
 var (
 	ErrStreamKind = errors.New("detect: unknown stream detector kind")
 	// ErrThreshold (shared with HeavyHitterDetector) rejects a
-	// non-positive or non-finite firing threshold or clear ratio.
+	// non-positive or non-finite firing threshold.
 )
 
 // StreamConfig parameterizes one streaming distinct-count detector.
@@ -70,11 +70,6 @@ type StreamConfig struct {
 	// Threshold is the distinct-element estimate that fires an alert.
 	// Required > 0 and finite.
 	Threshold float64
-	// ClearRatio re-arms an alerted group when a window closes with its
-	// estimate at or below ClearRatio*Threshold — the hysteresis band
-	// that keeps one attack episode from firing once per window.
-	// Default 0.5; must be in (0, 1].
-	ClearRatio float64
 	// Precision is the per-group HyperLogLog precision. Default 8
 	// (256 registers, ~6.5% standard error, 256 B per tracked group).
 	Precision int
@@ -127,7 +122,7 @@ type streamEntry struct {
 //
 // Alerting is edge-triggered with hysteresis: a group fires when its
 // pane estimate first reaches Threshold, then stays latched until a
-// pane closes at or below ClearRatio*Threshold. A sustained attack
+// pane closes at or below clearRatio*Threshold. A sustained attack
 // therefore alerts exactly once per episode, not once per window.
 //
 // It is the one distinct-count engine: the fleet aggregator feeds it flow
@@ -138,7 +133,7 @@ type streamEntry struct {
 // detectors under its own lock.
 type StreamDetector struct {
 	cfg      StreamConfig
-	clearAbs float64 // ClearRatio * Threshold
+	clearAbs float64 // clearRatio * Threshold
 	estFloor float64 // skip Estimate() until adds reaches this
 	pane     uint64
 	keys     map[netip.Addr]*streamEntry
@@ -163,6 +158,11 @@ type StreamStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
+// clearRatio re-arms an alerted group when a pane closes with its
+// estimate at or below clearRatio*Threshold: the hysteresis band that
+// keeps one attack episode from firing once per window.
+const clearRatio = 0.5
+
 // NewStreamDetector validates cfg, applies defaults, and returns a
 // detector.
 func NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) {
@@ -175,12 +175,6 @@ func NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) {
 	// registers on every record (adds < NaN is false).
 	if !(cfg.Threshold > 0) || math.IsInf(cfg.Threshold, 1) {
 		return nil, fmt.Errorf("%w (got %g)", ErrThreshold, cfg.Threshold)
-	}
-	if cfg.ClearRatio == 0 {
-		cfg.ClearRatio = 0.5
-	}
-	if !(cfg.ClearRatio > 0 && cfg.ClearRatio <= 1) {
-		return nil, fmt.Errorf("%w: ClearRatio must be in (0, 1] (got %g)", ErrThreshold, cfg.ClearRatio)
 	}
 	if cfg.Precision == 0 {
 		cfg.Precision = 8
@@ -196,7 +190,7 @@ func NewStreamDetector(cfg StreamConfig) (*StreamDetector, error) {
 	}
 	return &StreamDetector{
 		cfg:      cfg,
-		clearAbs: cfg.ClearRatio * cfg.Threshold,
+		clearAbs: clearRatio * cfg.Threshold,
 		// Distinct count never exceeds observation count, and the HLL
 		// error at the default precision is a few percent, so until a
 		// pane has seen Threshold/2 observations its estimate cannot

@@ -48,9 +48,6 @@ func TestNewStreamDetectorValidation(t *testing.T) {
 	if _, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim}); !errors.Is(err, ErrThreshold) {
 		t.Errorf("zero threshold: err = %v, want ErrThreshold", err)
 	}
-	if _, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 10, ClearRatio: 1.5}); err == nil {
-		t.Error("ClearRatio 1.5 accepted")
-	}
 	if _, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 10, MaxKeys: -1}); err == nil {
 		t.Error("negative MaxKeys accepted")
 	}
@@ -178,7 +175,7 @@ func TestHysteresisEpisodes(t *testing.T) {
 		t.Fatalf("sustained pane re-fired: %+v", got)
 	}
 	// Pane 3: the attack quiets to a trickle (one source), the pane
-	// closes at estimate ~1 <= ClearRatio*Threshold, re-arming the group.
+	// closes at estimate ~1 <= clearRatio*Threshold, re-arming the group.
 	d.Rotate()
 	trickle := export.Record{Key: atk.Packets[0].Key, Pkts: 1, LastUpdate: 1}
 	if got := d.Observe("s", &trickle, 1, 3, nil); len(got) != 0 {
@@ -423,19 +420,17 @@ func TestStreamEstimatePrecision10(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsNonFinite: a NaN or infinite threshold, or a NaN clear
-// ratio, would build a detector that never fires (and scans registers on
-// every record); construction refuses them.
+// TestStreamRejectsNonFinite: a NaN or infinite threshold would build a
+// detector that never fires (and scans registers on every record);
+// construction refuses it.
 func TestStreamRejectsNonFinite(t *testing.T) {
 	for _, cfg := range []StreamConfig{
 		{Kind: KindDDoSVictim, Threshold: math.NaN()},
 		{Kind: KindDDoSVictim, Threshold: math.Inf(1)},
 		{Kind: KindDDoSVictim, Threshold: math.Inf(-1)},
-		{Kind: KindDDoSVictim, Threshold: 10, ClearRatio: math.NaN()},
-		{Kind: KindDDoSVictim, Threshold: 10, ClearRatio: math.Inf(1)},
 	} {
 		if _, err := NewStreamDetector(cfg); !errors.Is(err, ErrThreshold) {
-			t.Errorf("threshold %g, clear ratio %g: err = %v, want ErrThreshold", cfg.Threshold, cfg.ClearRatio, err)
+			t.Errorf("threshold %g: err = %v, want ErrThreshold", cfg.Threshold, err)
 		}
 	}
 }
@@ -486,7 +481,7 @@ func TestCumulativeReobservationIdempotent(t *testing.T) {
 }
 
 func TestAlertSiteAttributionBounded(t *testing.T) {
-	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 3, ClearRatio: 1})
+	d, err := NewStreamDetector(StreamConfig{Kind: KindDDoSVictim, Threshold: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,61 +58,59 @@ func sameState(t *testing.T, a, b *Regulator, flows []uint64) {
 // time through Process do, and leaves every layer in the same state. This
 // is the strong form: every counter consumes its own sequential draw
 // stream, so any reordering of the deferred layers diverges at once. The
-// table covers the chain depths and both span widths.
+// table covers the chain depths and two vector sizes in the 64-bit word.
 func TestProcessBatchMatchesScalar(t *testing.T) {
 	for _, layers := range []int{2, 3, 4} {
-		for _, wordBits := range []int{32, 64} {
-			for _, v := range []int{8, 16} {
-				t.Run(fmt.Sprintf("L%d/w%d/v%d", layers, wordBits, v), func(t *testing.T) {
-					cfg := Config{Layer: rcc.Config{MemoryBytes: 1 << 10, WordBits: wordBits, VectorBits: v, Seed: 11}, Layers: layers}
-					batched, scalar := MustNew(cfg), MustNew(cfg)
-					rng := flowhash.NewRand(33)
-					const total = 200_000
-					flows := make([]uint64, 2_000)
-					for i := range flows {
-						flows[i] = flowhash.Mix64(uint64(i))
+		for _, v := range []int{8, 16} {
+			t.Run(fmt.Sprintf("L%d/w64/v%d", layers, v), func(t *testing.T) {
+				cfg := Config{Layer: rcc.Config{MemoryBytes: 1 << 10, VectorBits: v, Seed: 11}, Layers: layers}
+				batched, scalar := MustNew(cfg), MustNew(cfg)
+				rng := flowhash.NewRand(33)
+				const total = 200_000
+				flows := make([]uint64, 2_000)
+				for i := range flows {
+					flows[i] = flowhash.Mix64(uint64(i))
+				}
+				hashes, lens := make([]uint64, total), make([]int, total)
+				for i := range hashes {
+					f := rng.Intn(len(flows))
+					if i%2 == 0 {
+						f = rng.Intn(2) // two elephants reach the deepest layer
 					}
-					hashes, lens := make([]uint64, total), make([]int, total)
-					for i := range hashes {
-						f := rng.Intn(len(flows))
-						if i%2 == 0 {
-							f = rng.Intn(2) // two elephants reach the deepest layer
-						}
-						hashes[i], lens[i] = flows[f], 64+rng.Intn(1400)
+					hashes[i], lens[i] = flows[f], 64+rng.Intn(1400)
+				}
+				var cuts []int
+				for end := 0; end < total; {
+					n := 256 - rng.Intn(3)
+					if rng.Intn(8) == 0 {
+						n = 1
 					}
-					var cuts []int
-					for end := 0; end < total; {
-						n := 256 - rng.Intn(3)
-						if rng.Intn(8) == 0 {
-							n = 1
-						}
-						end += n
-						cuts = append(cuts, end)
-					}
-					got := runBursts(batched, hashes, cuts)
-					var want []burstPass
-					for i, h := range hashes {
-						if em, ok := scalar.Process(h, lens[i]); ok {
-							want = append(want, burstPass{I: i, Unit: em.Unit, Count: em.Count})
-							if em.EstPkts != em.Unit*em.Count || em.EstBytes != em.EstPkts*float64(lens[i]) {
-								t.Fatalf("packet %d: emission %+v is not Unit·Count and EstPkts·len(%d)", i, em, lens[i])
-							}
+					end += n
+					cuts = append(cuts, end)
+				}
+				got := runBursts(batched, hashes, cuts)
+				var want []burstPass
+				for i, h := range hashes {
+					if em, ok := scalar.Process(h, lens[i]); ok {
+						want = append(want, burstPass{I: i, Unit: em.Unit, Count: em.Count})
+						if em.EstPkts != em.Unit*em.Count || em.EstBytes != em.EstPkts*float64(lens[i]) {
+							t.Fatalf("packet %d: emission %+v is not Unit·Count and EstPkts·len(%d)", i, em, lens[i])
 						}
 					}
-					if !slices.Equal(got, want) {
-						j := 0
-						for j < len(got) && j < len(want) && got[j] == want[j] {
-							j++
-						}
-						t.Fatalf("%d passthroughs in bursts, %d one at a time; they differ at the %d-th: %v vs %v",
-							len(got), len(want), j, got[j:min(j+1, len(got))], want[j:min(j+1, len(want))])
+				}
+				if !slices.Equal(got, want) {
+					j := 0
+					for j < len(got) && j < len(want) && got[j] == want[j] {
+						j++
 					}
-					sameState(t, batched, scalar, flows)
-					if batched.Emissions() == 0 {
-						t.Fatal("degenerate run: no emissions — equivalence never exercised the full chain")
-					}
-				})
-			}
+					t.Fatalf("%d passthroughs in bursts, %d one at a time; they differ at the %d-th: %v vs %v",
+						len(got), len(want), j, got[j:min(j+1, len(got))], want[j:min(j+1, len(want))])
+				}
+				sameState(t, batched, scalar, flows)
+				if batched.Emissions() == 0 {
+					t.Fatal("degenerate run: no emissions — equivalence never exercised the full chain")
+				}
+			})
 		}
 	}
 }
@@ -154,18 +152,16 @@ func TestProcessBatchPerPacketResults(t *testing.T) {
 // here by name. The last row saturates on every packet.
 func TestRegulatorGolden(t *testing.T) {
 	for _, g := range []struct {
-		wordBits, v, layers, memory int
-		packets, l1Sats, emissions  uint64
-		sumPkts, sumBytes           float64
+		v, layers, memory          int
+		packets, l1Sats, emissions uint64
+		sumPkts, sumBytes          float64
 	}{
-		{64, 8, 2, 4096, 200000, 25959, 2192, 110381.56263038216, 8.429737898068015e+07},
-		{32, 8, 3, 4096, 200000, 25953, 272, 96375.67839671703, 7.00810627000306e+07},
-		{64, 8, 4, 2048, 200000, 26656, 40, 100290.0967069482, 7.985849675532508e+07},
-		{32, 17, 2, 1024, 200000, 13182, 531, 110703.49979563372, 8.387778753833245e+07},
-		{64, 64, 2, 1024, 200000, 3175, 24, 92100.40437663742, 6.7049094386192e+07},
-		{64, 3, 3, 512, 200000, 200000, 200000, 199999.99999999997, 1.5251580099999997e+08},
+		{8, 2, 4096, 200000, 25959, 2192, 110381.56263038216, 8.429737898068015e+07},
+		{8, 4, 2048, 200000, 26656, 40, 100290.0967069482, 7.985849675532508e+07},
+		{64, 2, 1024, 200000, 3175, 24, 92100.40437663742, 6.7049094386192e+07},
+		{3, 3, 512, 200000, 200000, 200000, 199999.99999999997, 1.5251580099999997e+08},
 	} {
-		r := MustNew(Config{Layer: rcc.Config{MemoryBytes: g.memory, WordBits: g.wordBits, VectorBits: g.v, Seed: 2024}, Layers: g.layers})
+		r := MustNew(Config{Layer: rcc.Config{MemoryBytes: g.memory, VectorBits: g.v, Seed: 2024}, Layers: g.layers})
 		rng := flowhash.NewRand(77)
 		var pkts, bytes float64
 		for i := 0; i < 200_000; i++ {
@@ -180,8 +176,8 @@ func TestRegulatorGolden(t *testing.T) {
 		}
 		if r.Packets() != g.packets || r.L1Saturations() != g.l1Sats || r.Emissions() != g.emissions ||
 			pkts != g.sumPkts || bytes != g.sumBytes {
-			t.Errorf("w=%d v=%d L%d %dB: (%d, %d, %d, %v, %v), want (%d, %d, %d, %v, %v)",
-				g.wordBits, g.v, g.layers, g.memory, r.Packets(), r.L1Saturations(), r.Emissions(), pkts, bytes,
+			t.Errorf("v=%d L%d %dB: (%d, %d, %d, %v, %v), want (%d, %d, %d, %v, %v)",
+				g.v, g.layers, g.memory, r.Packets(), r.L1Saturations(), r.Emissions(), pkts, bytes,
 				g.packets, g.l1Sats, g.emissions, g.sumPkts, g.sumBytes)
 		}
 	}
@@ -190,8 +186,8 @@ func TestRegulatorGolden(t *testing.T) {
 // FuzzRegulatorBursts: any packet sequence, split into bursts anywhere,
 // returns the passthroughs the unsplit burst returns and leaves the same
 // state. data is read two bytes a packet: the flow (of 32) and, in the
-// low bit, whether a burst ends after it; geometry picks the chain depth,
-// the span width and the vector size.
+// low bit, whether a burst ends after it; geometry picks the chain depth
+// (its low two bits) and the vector size (bits 3–4); bit 2 is unread.
 func FuzzRegulatorBursts(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 0, 1, 1, 2, 0, 1, 1})
 	f.Add(uint8(5), []byte{7, 1, 7, 1, 7, 1, 7, 1, 3, 0})
@@ -199,7 +195,6 @@ func FuzzRegulatorBursts(f *testing.F) {
 	f.Fuzz(func(t *testing.T, geometry uint8, data []byte) {
 		cfg := Config{Layer: rcc.Config{
 			MemoryBytes: 64,
-			WordBits:    32 << (geometry >> 2 & 1),
 			VectorBits:  []int{2, 3, 8, 17}[geometry>>3&3],
 			Seed:        uint64(geometry),
 		}, Layers: 2 + int(geometry&3)%3}

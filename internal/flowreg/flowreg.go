@@ -80,11 +80,10 @@ type Telemetry struct {
 type Regulator struct {
 	// layers[0] holds the single L1 counter; layers[k>0] holds one
 	// counter per noise class, selected by the previous layer's
-	// saturation noise.
-	layers   [][]*rcc.Counter
-	noiseMin int
-	depth    int
-	tm       *Telemetry
+	// saturation noise z, at index z−1.
+	layers [][]*rcc.Counter
+	depth  int
+	tm     *Telemetry
 	// perBit[k][i] is the packets one set bit of layers[k][i] stands for
 	// in EstimateResidual (k ≥ 1).
 	perBit [][]float64
@@ -116,8 +115,7 @@ func New(cfg Config) (*Regulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("layer 1: %w", err)
 	}
-	resolved := l1.Config()
-	classes := resolved.NoiseMax - resolved.NoiseMin + 1
+	classes := l1.Config().NoiseMax // noise levels 1..NoiseMax
 
 	layers := make([][]*rcc.Counter, depth)
 	layers[0] = []*rcc.Counter{l1}
@@ -129,24 +127,22 @@ func New(cfg Config) (*Regulator, error) {
 		layers[k] = bank
 	}
 	return &Regulator{
-		layers:   layers,
-		noiseMin: resolved.NoiseMin,
-		depth:    depth,
-		perBit:   residualWeights(l1, depth, classes),
+		layers: layers,
+		depth:  depth,
+		perBit: residualWeights(l1, depth, classes),
 	}, nil
 }
 
 // residualWeights precomputes EstimateResidual's per-bit values. A bit of
-// L2 class i stands for Decode(i) packets. Below a deeper bank the class
+// L2 class i stands for Decode(i+1) packets. Below a deeper bank the class
 // path is not recorded (an inherent property of the chained design), so
 // each layer beyond the second multiplies in the mean decode once more.
 func residualWeights(l1 *rcc.Counter, depth, classes int) [][]float64 {
-	noiseMin := l1.Config().NoiseMin
 	perBit := make([][]float64, depth)
 	perBit[1] = make([]float64, classes)
 	var mean float64
 	for i := range perBit[1] {
-		perBit[1][i] = l1.Decode(noiseMin + i)
+		perBit[1][i] = l1.Decode(i + 1)
 		mean += perBit[1][i] / float64(classes)
 	}
 	deep := mean
@@ -241,7 +237,7 @@ saturations:
 		// paper's hash-reuse trick — one Locate serves the whole chain.
 		unit, count := l1.Decode(z), 1.0
 		for k := 1; k < r.depth; k++ {
-			counter := r.layers[k][z-r.noiseMin]
+			counter := r.layers[k][z-1]
 			var ok bool
 			if z, ok = counter.EncodeLoc(&sat.Loc); !ok {
 				continue saturations
@@ -337,6 +333,9 @@ func (r *Regulator) Classes() int { return len(r.layers[1]) }
 
 // Layers returns the chain depth.
 func (r *Regulator) Layers() int { return r.depth }
+
+// Layer returns the resolved counter configuration every layer shares.
+func (r *Regulator) Layer() rcc.Config { return r.layers[0][0].Config() }
 
 // Reset clears every layer and all statistics.
 func (r *Regulator) Reset() {

@@ -170,7 +170,7 @@ func TestResidualZeroWhenFresh(t *testing.T) {
 }
 
 // TestResidualWeights pins the precomputed per-bit values: a bit of L2
-// class i stands for Decode(i) packets; below a deeper bank the class path
+// class i stands for Decode(i+1) packets; below a deeper bank the class path
 // is not recorded, so layer k ≥ 3 stands for the mean decode to the power
 // k−1 whatever the class.
 func TestResidualWeights(t *testing.T) {
@@ -180,7 +180,7 @@ func TestResidualWeights(t *testing.T) {
 	l1 := r.layers[0][0]
 	var mean float64
 	for i := 0; i < r.Classes(); i++ {
-		unit := l1.Decode(r.noiseMin + i)
+		unit := l1.Decode(i + 1)
 		if got := r.perBit[1][i]; got != unit {
 			t.Errorf("L2 class %d: per-bit %v, want Decode = %v", i, got, unit)
 		}

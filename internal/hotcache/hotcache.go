@@ -18,8 +18,7 @@
 // 1/(count+1). A flow of true size s therefore wins a slot with
 // probability ≈ s/(s+c) over its lifetime — elephants promote almost
 // surely, mice almost never — without keeping any per-flow admission
-// state. AdmitAlways (evict the set's LRU unconditionally) is the
-// ablation policy.
+// state.
 //
 // Cache entries hold the exact packet/byte DELTA accumulated since
 // promotion. The flow's pre-promotion estimate stays in the WSAF; on
@@ -42,28 +41,12 @@ import (
 // 64-byte cache line, the packing the probe cost model assumes.
 const ways = 8
 
-// Policy selects the admission rule applied when a regulator passthrough
-// finds its set full.
-type Policy int
-
-// Admission policies.
-const (
-	// AdmitProbabilistic is the default PRECISION-style rule: replace
-	// the set's smallest incumbent with probability 1/(count+1).
-	AdmitProbabilistic Policy = iota + 1
-	// AdmitAlways is the always-admit LRU ablation: unconditionally
-	// replace the set's least-recently-updated incumbent.
-	AdmitAlways
-)
-
 // Config parameterizes a Cache.
 type Config struct {
 	// Entries is the target capacity; it is rounded up so the set count
 	// is a power of two (ways stay fixed at 8). 0 means 4096, the ~4k
 	// sweet spot where the cache stays L2-resident.
 	Entries int
-	// Policy selects the admission rule; 0 means AdmitProbabilistic.
-	Policy Policy
 	// Seed drives the admission coin flips (deterministic per seed).
 	Seed uint64
 }
@@ -121,8 +104,8 @@ type Stats struct {
 	Demotions    uint64
 	DemotedPkts  uint64
 	DemotedBytes uint64
-	// Rejected counts admission attempts the probabilistic policy
-	// declined (always 0 under AdmitAlways).
+	// Rejected counts admission attempts the probabilistic rule
+	// declined.
 	Rejected uint64
 }
 
@@ -131,7 +114,7 @@ type AdmitResult int
 
 // Admit results.
 const (
-	// NotAdmitted: the policy kept the incumbents; nothing changed.
+	// NotAdmitted: the admission rule kept the incumbents; nothing changed.
 	NotAdmitted AdmitResult = iota
 	// AdmittedFree: the flow took an empty way; no demotion.
 	AdmittedFree
@@ -153,7 +136,6 @@ type Cache struct {
 	tags    []uint64 // tags[set*ways+w]; 0 marks an empty way
 	ents    []Entry  // parallel to tags
 	setMask uint64
-	policy  Policy
 	rng     uint64 // splitmix state for admission coin flips
 
 	// Crossing notification (SetCrossing): cache hits bypass the
@@ -183,15 +165,10 @@ func New(cfg Config) (*Cache, error) {
 	if bits.OnesCount(uint(sets)) != 1 {
 		sets = 1 << bits.Len(uint(sets))
 	}
-	policy := cfg.Policy
-	if policy == 0 {
-		policy = AdmitProbabilistic
-	}
 	return &Cache{
 		tags:    make([]uint64, sets*ways),
 		ents:    make([]Entry, sets*ways),
 		setMask: uint64(sets - 1),
-		policy:  policy,
 		// Mix the seed so seed 0 and seed 1 diverge immediately.
 		rng: flowhash.Mix64(cfg.Seed ^ 0xA51CAFE5EED),
 	}, nil
@@ -293,15 +270,15 @@ func (c *Cache) Bump(h uint64, key *packet.FlowKey, length uint16, ts int64) boo
 }
 
 // Admit offers a flow that just passed through the regulator into the
-// WSAF a cache slot. An empty way is taken unconditionally; a full set
-// consults the admission policy. When an incumbent is displaced its
-// entry (the delta to fold back into the WSAF) is written to *victim and
-// AdmittedReplaced is returned. A newly admitted entry starts at zero:
-// the packet that triggered admission was already accounted to the WSAF
-// by the caller. basePkts/baseBytes are the flow's WSAF totals after
-// that accumulate — the pre-promotion estimate recorded on the entry so
-// merged totals stay readable from the cache alone, and slot is the WSAF
-// slot that accumulate wrote (see Entry.Slot).
+// WSAF a cache slot. An empty way is taken unconditionally; in a full set
+// the smallest incumbent is replaced with probability 1/(count+1). When an
+// incumbent is displaced its entry (the delta to fold back into the WSAF)
+// is written to *victim and AdmittedReplaced is returned. A newly admitted
+// entry starts at zero: the packet that triggered admission was already
+// accounted to the WSAF by the caller. basePkts/baseBytes are the flow's
+// WSAF totals after that accumulate — the pre-promotion estimate recorded
+// on the entry so merged totals stay readable from the cache alone, and
+// slot is the WSAF slot that accumulate wrote (see Entry.Slot).
 //
 // h must be the flow's Hash64 under the engine's hash seed. A flow that
 // is already cached — a batched burst probes every packet before any
@@ -339,41 +316,25 @@ func (c *Cache) Admit(h uint64, key *packet.FlowKey, slot uint32, ts int64, base
 		}
 	}
 
+	// Free way first, else PRECISION: the smallest incumbent is replaced
+	// with probability 1/(count+1), so only flows that keep coming back —
+	// elephants — eventually win the slot.
 	victimWay := -1
-	switch c.policy {
-	case AdmitAlways:
-		// Free way first, else the set's LRU.
-		var oldest int64
-		for w := 0; w < ways; w++ {
-			if tags[w] == 0 {
-				c.place(base+w, h, key, slot, ts, basePkts, baseBytes)
-				return AdmittedFree
-			}
-			if e := &c.ents[base+w]; victimWay < 0 || e.LastUpdate < oldest {
-				oldest = e.LastUpdate
-				victimWay = w
-			}
+	var minPkts uint64
+	for w := 0; w < ways; w++ {
+		if tags[w] == 0 {
+			c.place(base+w, h, key, slot, ts, basePkts, baseBytes)
+			return AdmittedFree
 		}
-	default:
-		// Free way first, else PRECISION: the smallest incumbent is
-		// replaced with probability 1/(count+1), so only flows that keep
-		// coming back — elephants — eventually win the slot.
-		var minPkts uint64
-		for w := 0; w < ways; w++ {
-			if tags[w] == 0 {
-				c.place(base+w, h, key, slot, ts, basePkts, baseBytes)
-				return AdmittedFree
-			}
-			if e := &c.ents[base+w]; victimWay < 0 || e.Pkts < minPkts {
-				minPkts = e.Pkts
-				victimWay = w
-			}
+		if e := &c.ents[base+w]; victimWay < 0 || e.Pkts < minPkts {
+			minPkts = e.Pkts
+			victimWay = w
 		}
-		c.rng += 0x9E3779B97F4A7C15
-		if flowhash.Mix64(c.rng) >= ^uint64(0)/(minPkts+1) {
-			c.stats.Rejected++
-			return NotAdmitted
-		}
+	}
+	c.rng += 0x9E3779B97F4A7C15
+	if flowhash.Mix64(c.rng) >= ^uint64(0)/(minPkts+1) {
+		c.stats.Rejected++
+		return NotAdmitted
 	}
 
 	v := &c.ents[base+victimWay]

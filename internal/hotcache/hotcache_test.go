@@ -73,43 +73,6 @@ func TestTagCollisionConfirmsKey(t *testing.T) {
 	}
 }
 
-// TestAdmitAlwaysEvictsLRU: the ablation policy replaces the set's
-// least-recently-updated incumbent and surfaces its delta.
-func TestAdmitAlwaysEvictsLRU(t *testing.T) {
-	c := MustNew(Config{Entries: 8, Policy: AdmitAlways}) // one set of 8 ways
-	keys := make([]packet.FlowKey, 9)
-	hs := make([]uint64, 9)
-	for i := range keys {
-		keys[i] = key(uint32(i))
-		hs[i] = hash(&keys[i])
-	}
-	var v Entry
-	for i := 0; i < 8; i++ {
-		if res := c.Admit(hs[i], &keys[i], 0, int64(i), 0, 0, &v); res != AdmittedFree {
-			t.Fatalf("Admit %d = %v, want AdmittedFree", i, res)
-		}
-	}
-	// Touch everything except flow 3, then advance flow 3's rivals.
-	for i := 0; i < 8; i++ {
-		if i != 3 {
-			c.Bump(hs[i], &keys[i], 10, 100+int64(i))
-		}
-	}
-	if res := c.Admit(hs[8], &keys[8], 0, 200, 0, 0, &v); res != AdmittedReplaced {
-		t.Fatalf("Admit on full set = %v, want AdmittedReplaced", res)
-	}
-	if v.Key != keys[3] {
-		t.Fatalf("victim = %v, want the LRU flow %v", v.Key, keys[3])
-	}
-	s := c.Stats()
-	if s.Demotions != 1 || s.DemotedPkts != v.Pkts || s.DemotedBytes != v.Bytes {
-		t.Fatalf("demotion stats = %+v, victim %+v", s, v)
-	}
-	if c.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", c.Len())
-	}
-}
-
 // TestProbabilisticAdmissionFavorsReturningFlows: with incumbents of
 // size c, a newcomer's admission probability is 1/(c+1) per attempt —
 // over many attempts a heavy flow gets in, and the rejection counter
@@ -153,19 +116,17 @@ func TestProbabilisticAdmissionFavorsReturningFlows(t *testing.T) {
 }
 
 // TestConservationIdentity: Σ live deltas + DemotedPkts == Hits, the
-// invariant the oracle's cached leg relies on, under heavy churn.
+// invariant the oracle's cached leg relies on, under heavy churn: 40 flows
+// in a random order over 16 entries, so an incumbent is often hit before
+// a rival displaces it and demotions carry packets.
 func TestConservationIdentity(t *testing.T) {
-	c := MustNew(Config{Entries: 16, Policy: AdmitAlways, Seed: 3})
+	c := MustNew(Config{Entries: 16, Seed: 3})
 	var v Entry
-	ts := int64(0)
-	for round := 0; round < 50; round++ {
-		for i := 0; i < 40; i++ {
-			k := key(uint32(i))
-			h := hash(&k)
-			ts++
-			if !c.Bump(h, &k, 100, ts) {
-				c.Admit(h, &k, 0, ts, 0, 0, &v)
-			}
+	for ts := int64(1); ts <= 2000; ts++ {
+		k := key(uint32(flowhash.Mix64(uint64(ts)) % 40))
+		h := hash(&k)
+		if !c.Bump(h, &k, 100, ts) {
+			c.Admit(h, &k, 0, ts, 0, 0, &v)
 		}
 	}
 	var livePkts, liveBytes uint64
@@ -174,6 +135,9 @@ func TestConservationIdentity(t *testing.T) {
 		liveBytes += e.Bytes
 	})
 	s := c.Stats()
+	if s.Demotions == 0 || s.DemotedPkts == 0 {
+		t.Fatalf("degenerate churn: %d demotions carried %d packets", s.Demotions, s.DemotedPkts)
+	}
 	if livePkts+s.DemotedPkts != s.Hits {
 		t.Fatalf("pkt conservation broken: live %d + demoted %d != hits %d",
 			livePkts, s.DemotedPkts, s.Hits)
@@ -201,11 +165,11 @@ func TestResetClears(t *testing.T) {
 }
 
 // TestZeroAllocHotPath: the //im:hotpath roots Bump and Admit allocate
-// nothing, under both policies, with the crossing callback armed and not.
-// Each measured run starts from an empty 16-entry cache and drives 48
-// flows through it, so every run takes each Admit branch — a free way, a
-// replacement, a refusal under the probabilistic policy, a duplicate, a
-// zero hash — and Bump's hits, misses and tag-only matches.
+// nothing, with the crossing callback armed and not. Each measured run
+// starts from an empty 16-entry cache and drives 48 flows through it, so
+// every run takes each Admit branch — a free way, a replacement, a
+// refusal, a duplicate, a zero hash — and Bump's hits, misses and
+// tag-only matches.
 func TestZeroAllocHotPath(t *testing.T) {
 	keys := make([]packet.FlowKey, 48)
 	hashes := make([]uint64, len(keys))
@@ -214,53 +178,48 @@ func TestZeroAllocHotPath(t *testing.T) {
 		hashes[i] = hash(&keys[i])
 	}
 	fired := 0
-	for _, policy := range []Policy{AdmitProbabilistic, AdmitAlways} {
-		for _, armed := range []bool{false, true} {
-			c := MustNew(Config{Entries: 16, Policy: policy, Seed: 9})
-			if armed {
-				c.SetCrossing(40, 4000, func(*Entry, int64) { fired++ })
-			}
-			var v Entry
-			var fewest [AlreadyCached + 1]int
-			for i := range fewest {
-				fewest[i] = 1 << 30
-			}
-			var ts int64
-			allocs := testing.AllocsPerRun(100, func() {
-				c.Reset()
-				var seen [AlreadyCached + 1]int
-				for i := range 2000 {
-					ts++
-					j := int(flowhash.Mix64(uint64(i)) % uint64(len(keys)))
-					// Flows past the 40th arrive with bases past both
-					// thresholds.
-					base := float64(j)
-					if c.Bump(hashes[j], &keys[j], 100, ts) {
-						seen[c.Admit(hashes[j], &keys[j], 0, ts, base, 100*base, &v)]++ // a duplicate
-						continue
-					}
-					seen[c.Admit(hashes[j], &keys[j], uint32(j), ts, base, 100*base, &v)]++
-					if c.Bump(hashes[j], &keys[(j+1)%len(keys)], 100, ts) {
-						t.Fatal("a tag match with another key counted as a hit")
-					}
+	for _, armed := range []bool{false, true} {
+		c := MustNew(Config{Entries: 16, Seed: 9})
+		if armed {
+			c.SetCrossing(40, 4000, func(*Entry, int64) { fired++ })
+		}
+		var v Entry
+		var fewest [AlreadyCached + 1]int
+		for i := range fewest {
+			fewest[i] = 1 << 30
+		}
+		var ts int64
+		allocs := testing.AllocsPerRun(100, func() {
+			c.Reset()
+			var seen [AlreadyCached + 1]int
+			for i := range 2000 {
+				ts++
+				j := int(flowhash.Mix64(uint64(i)) % uint64(len(keys)))
+				// Flows past the 40th arrive with bases past both
+				// thresholds.
+				base := float64(j)
+				if c.Bump(hashes[j], &keys[j], 100, ts) {
+					seen[c.Admit(hashes[j], &keys[j], 0, ts, base, 100*base, &v)]++ // a duplicate
+					continue
 				}
-				if c.Admit(0, &keys[0], 0, ts, 1, 100, &v) != NotAdmitted {
-					t.Fatal("a zero hash was admitted")
+				seen[c.Admit(hashes[j], &keys[j], uint32(j), ts, base, 100*base, &v)]++
+				if c.Bump(hashes[j], &keys[(j+1)%len(keys)], 100, ts) {
+					t.Fatal("a tag match with another key counted as a hit")
 				}
-				for r := range seen {
-					fewest[r] = min(fewest[r], seen[r])
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("policy %d, armed %v: hot path allocates %.1f objects per run, want 0", policy, armed, allocs)
 			}
-			if policy == AdmitAlways {
-				fewest[NotAdmitted] = -1 // never refuses
+			if c.Admit(0, &keys[0], 0, ts, 1, 100, &v) != NotAdmitted {
+				t.Fatal("a zero hash was admitted")
 			}
-			for r, n := range fewest {
-				if n == 0 {
-					t.Errorf("policy %d, armed %v: a run returned no %d from Admit (fewest per run %v)", policy, armed, r, fewest)
-				}
+			for r := range seen {
+				fewest[r] = min(fewest[r], seen[r])
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("armed %v: hot path allocates %.1f objects per run, want 0", armed, allocs)
+		}
+		for r, n := range fewest {
+			if n == 0 {
+				t.Errorf("armed %v: a run returned no %d from Admit (fewest per run %v)", armed, r, fewest)
 			}
 		}
 	}

@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"instameasure/internal/core"
-	"instameasure/internal/rcc"
 )
 
 // CouponMean returns E[T] for one fill cycle of a v-bit vector stopping at
@@ -51,7 +50,6 @@ func CouponVariance(v, z int) float64 {
 type Envelope struct {
 	// Resolved sketch geometry.
 	VectorBits int
-	NoiseMin   int
 	NoiseMax   int
 	Layers     int
 
@@ -64,7 +62,7 @@ type Envelope struct {
 	EmissionCV float64
 	// Retention is the maximum packets one flow can hold inside the chain
 	// before its first emission — the product of per-layer maxima (cycles
-	// stopping at NoiseMin). Flows below this floor may never emit and are
+	// stopping at noise 1). Flows below this floor may never emit and are
 	// excluded from envelope checks.
 	Retention float64
 	// SizeCV is the relative variation of per-packet sizes within a flow;
@@ -75,43 +73,27 @@ type Envelope struct {
 	Sigmas float64
 }
 
-// NewEnvelope derives the envelope for an engine configuration, resolving
-// the same defaults core.New and rcc.New apply.
+// NewEnvelope derives the envelope for an engine configuration, reading
+// the geometry off the regulator the engine would build.
 func NewEnvelope(cfg core.Config, sigmas float64) (Envelope, error) {
-	// Mirror core.Config's sketch defaults, then let rcc resolve the rest
-	// (noise thresholds, decode rule) exactly as the engine will.
-	vec := cfg.VectorBits
-	if vec == 0 {
-		vec = 8
-	}
-	mem := cfg.SketchMemoryBytes
-	if mem == 0 {
-		mem = 32 << 10
-	}
-	c, err := rcc.New(rcc.Config{MemoryBytes: mem, VectorBits: vec, Decode: cfg.DecodeMethod, Seed: cfg.Seed})
+	reg, err := core.NewRegulator(cfg)
 	if err != nil {
 		return Envelope{}, err
-	}
-	resolved := c.Config()
-	layers := cfg.Layers
-	if layers == 0 {
-		layers = 2
 	}
 	if sigmas <= 0 {
 		sigmas = 5
 	}
 
-	v, zMin, zMax := resolved.VectorBits, resolved.NoiseMin, resolved.NoiseMax
+	v, zMax, layers := reg.Layer().VectorBits, reg.Layer().NoiseMax, reg.Layers()
 	cycleMean := CouponMean(v, zMax)
 	cycleCV := math.Sqrt(CouponVariance(v, zMax)) / cycleMean
 	env := Envelope{
 		VectorBits:  v,
-		NoiseMin:    zMin,
 		NoiseMax:    zMax,
 		Layers:      layers,
 		PerEmission: math.Pow(cycleMean, float64(layers)),
 		EmissionCV:  cycleCV * math.Sqrt(float64(layers)),
-		Retention:   math.Pow(CouponMean(v, zMin), float64(layers)),
+		Retention:   math.Pow(CouponMean(v, 1), float64(layers)),
 		SizeCV:      0.15,
 		Sigmas:      sigmas,
 	}

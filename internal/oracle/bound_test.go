@@ -51,9 +51,18 @@ func TestEnvelopeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paper defaults: v=8 → NoiseMax=⌈3·8/8⌉=3, NoiseMin=1, 2 layers.
-	if env.VectorBits != 8 || env.NoiseMin != 1 || env.NoiseMax != 3 || env.Layers != 2 {
+	// Paper defaults: v=8 → NoiseMax=⌈3·8/8⌉=3, 2 layers.
+	if env.VectorBits != 8 || env.NoiseMax != 3 || env.Layers != 2 {
 		t.Errorf("resolved geometry = %+v", env)
+	}
+	// The zero config is the explicit paper configuration: 32 KB L1,
+	// 8-bit vectors, two layers.
+	explicit, err := NewEnvelope(core.Config{SketchMemoryBytes: 32 << 10, VectorBits: 8, Layers: 2}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explicit != env {
+		t.Errorf("explicit defaults resolve to %+v, zero config to %+v", explicit, env)
 	}
 	if env.Sigmas != 5 {
 		t.Errorf("default Sigmas = %v, want 5", env.Sigmas)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"instameasure/internal/core"
-	"instameasure/internal/hotcache"
 )
 
 // cachedScale shrinks the cached-leg workload under -short and -race the
@@ -23,44 +22,34 @@ func cachedScale(t *testing.T) (flows, packets int) {
 // -race in tier 1 via the TestDifferential name prefix.
 func TestDifferentialCachedExact(t *testing.T) {
 	flows, packets := cachedScale(t)
-	for _, tc := range []struct {
-		name    string
-		entries int
-		policy  hotcache.Policy
-	}{
-		{"probabilistic-4k", 4096, hotcache.AdmitProbabilistic},
-		{"lru-1k", 1024, hotcache.AdmitAlways},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := genTrace(t, flows, packets, 6151)
-			rep, err := RunCached(tr, Config{
-				Engine: core.Config{
-					WSAFEntries:     1 << 15,
-					HotCacheEntries: tc.entries,
-					HotCachePolicy:  tc.policy,
-					Seed:            271,
-				},
-				Workers: 4,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if rep.Promoted == 0 {
-				t.Fatal("no flows promoted; cache never engaged")
-			}
-			if rep.Exact != rep.Promoted {
-				t.Errorf("only %d/%d promoted flows exact", rep.Exact, rep.Promoted)
-			}
-			if rep.HitRate <= 0 {
-				t.Error("cache hit rate is zero on a skewed workload")
-			}
-			t.Logf("promoted=%d exact=%d demotions=%d folds=%d hitRate=%.3f",
-				rep.Promoted, rep.Exact, rep.Demotions, rep.Folds, rep.HitRate)
+	t.Run("probabilistic-4k", func(t *testing.T) {
+		tr := genTrace(t, flows, packets, 6151)
+		rep, err := RunCached(tr, Config{
+			Engine: core.Config{
+				WSAFEntries:     1 << 15,
+				HotCacheEntries: 4096,
+				Seed:            271,
+			},
+			Workers: 4,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range rep.Violations {
+			t.Errorf("violation: %s", v)
+		}
+		if rep.Promoted == 0 {
+			t.Fatal("no flows promoted; cache never engaged")
+		}
+		if rep.Exact != rep.Promoted {
+			t.Errorf("only %d/%d promoted flows exact", rep.Exact, rep.Promoted)
+		}
+		if rep.HitRate <= 0 {
+			t.Error("cache hit rate is zero on a skewed workload")
+		}
+		t.Logf("promoted=%d exact=%d demotions=%d folds=%d hitRate=%.3f",
+			rep.Promoted, rep.Exact, rep.Demotions, rep.Folds, rep.HitRate)
+	})
 }
 
 // TestDifferentialCachedChurn forces heavy demotion traffic through a tiny
@@ -76,7 +65,6 @@ func TestDifferentialCachedChurn(t *testing.T) {
 		Engine: core.Config{
 			WSAFEntries:     1 << 14,
 			HotCacheEntries: 32,
-			HotCachePolicy:  hotcache.AdmitAlways,
 			Seed:            13,
 		},
 		Workers: 3,

@@ -3,14 +3,15 @@
 // FlowRegulator is built from.
 //
 // Each flow owns a small *virtual vector* of VectorBits bit positions, all
-// confined within a single machine word of a shared bit pool so that one
+// confined within a single 64-bit word of a shared bit pool so that one
 // memory access serves the whole vector. Every packet sets one uniformly
 // random bit of the flow's vector. When few zero bits remain — the count of
 // remaining zeros is the *noise level* — the vector is *saturated*: the
-// number of packets it absorbed is estimated online from the noise level,
-// the vector is recycled (its bits cleared), and the estimate is handed to
-// the caller. Mice flows rarely saturate and are therefore retained inside
-// the sketch; only flows that keep growing emit estimates.
+// number of packets it absorbed is estimated online from the noise level
+// by the coupon-collector expectation (Decode), the vector is recycled
+// (its bits cleared), and the estimate is handed to the caller. Mice flows
+// rarely saturate and are therefore retained inside the sketch; only flows
+// that keep growing emit estimates.
 package rcc
 
 import (
@@ -22,21 +23,8 @@ import (
 	"instameasure/internal/flowhash"
 )
 
-// DecodeMethod selects how a noise level is converted to a packet-count
-// estimate.
-type DecodeMethod int
-
-const (
-	// DecodeCouponCollector estimates the expected number of uniform
-	// throws needed to leave exactly z of v bins empty:
-	// v·(H_v − H_z). This matches the stopping rule "saturate the first
-	// time zeros reach the threshold" and is the default.
-	DecodeCouponCollector DecodeMethod = iota + 1
-	// DecodeLinearCounting uses the linear-counting MLE v·ln(v/z),
-	// kept as an ablation of the decoding rule.
-	DecodeLinearCounting
-)
-
+// wordBits is the confinement word: a virtual vector lies inside one
+// uint64 of the pool, so one memory access serves it (Section III.D).
 const wordBits = 64
 
 // Config parameterizes a Counter.
@@ -44,44 +32,28 @@ type Config struct {
 	// MemoryBytes is the size of the shared bit pool. It is rounded up to
 	// a whole number of words; at least one word is allocated.
 	MemoryBytes int
-	// WordBits is the confinement word size — "32 or 64 bits depending on
-	// processor" (Section III.D). 0 means 64. A 32-bit confinement halves
-	// the span a virtual vector may occupy, raising collision noise
-	// slightly but matching 32-bit switch CPUs.
-	WordBits int
-	// VectorBits is v, the virtual vector size per flow (2..WordBits).
+	// VectorBits is v, the virtual vector size per flow (2..64).
 	VectorBits int
 	// NoiseMax is the saturation threshold: the vector saturates when at
 	// most NoiseMax zero bits remain. 0 means derive the paper's default
-	// (3 zero bits for an 8-bit vector, scaled as ⌈3v/8⌉, floor 1).
+	// (3 zero bits for an 8-bit vector, scaled as ⌈3v/8⌉, floor 1). A
+	// saturation reports its noise level in [1, NoiseMax]: a vector other
+	// flows' bits filled completely reports 1.
 	NoiseMax int
-	// NoiseMin is the lowest reportable noise level (observed noise below
-	// it is clamped up). 0 means 1.
-	NoiseMin int
-	// Decode selects the estimation rule; 0 means DecodeCouponCollector.
-	Decode DecodeMethod
 	// Seed makes hashing and random bit selection deterministic.
 	Seed uint64
 }
 
 // Validation errors.
 var (
-	ErrVectorBits = errors.New("rcc: VectorBits must be in [2, WordBits]")
-	ErrWordBits   = errors.New("rcc: WordBits must be 32 or 64")
-	ErrNoiseRange = errors.New("rcc: need 1 <= NoiseMin <= NoiseMax < VectorBits")
+	ErrVectorBits = errors.New("rcc: VectorBits must be in [2, 64]")
+	ErrNoiseRange = errors.New("rcc: need 1 <= NoiseMax < VectorBits")
 )
 
 func (c *Config) withDefaults() (Config, error) {
 	cfg := *c
-	if cfg.WordBits == 0 {
-		cfg.WordBits = wordBits
-	}
-	if cfg.WordBits != 32 && cfg.WordBits != 64 {
-		return cfg, fmt.Errorf("%w (got %d)", ErrWordBits, cfg.WordBits)
-	}
-	if cfg.VectorBits < 2 || cfg.VectorBits > cfg.WordBits {
-		return cfg, fmt.Errorf("%w (got %d with %d-bit words)",
-			ErrVectorBits, cfg.VectorBits, cfg.WordBits)
+	if cfg.VectorBits < 2 || cfg.VectorBits > wordBits {
+		return cfg, fmt.Errorf("%w (got %d)", ErrVectorBits, cfg.VectorBits)
 	}
 	if cfg.MemoryBytes < 8 {
 		cfg.MemoryBytes = 8
@@ -92,15 +64,8 @@ func (c *Config) withDefaults() (Config, error) {
 			cfg.NoiseMax = 1
 		}
 	}
-	if cfg.NoiseMin == 0 {
-		cfg.NoiseMin = 1
-	}
-	if cfg.Decode == 0 {
-		cfg.Decode = DecodeCouponCollector
-	}
-	if cfg.NoiseMin < 1 || cfg.NoiseMin > cfg.NoiseMax || cfg.NoiseMax >= cfg.VectorBits {
-		return cfg, fmt.Errorf("%w (min=%d max=%d v=%d)",
-			ErrNoiseRange, cfg.NoiseMin, cfg.NoiseMax, cfg.VectorBits)
+	if cfg.NoiseMax < 1 || cfg.NoiseMax >= cfg.VectorBits {
+		return cfg, fmt.Errorf("%w (max=%d v=%d)", ErrNoiseRange, cfg.NoiseMax, cfg.VectorBits)
 	}
 	return cfg, nil
 }
@@ -110,11 +75,11 @@ func (c *Config) withDefaults() (Config, error) {
 // the position table. FlowRegulator resolves a Location once per packet and
 // reuses it across every layer (the paper's hash-reuse design). 24 bytes.
 type Location struct {
-	Word       int
-	Mask       uint64
-	row        uint16 // row·v: the row's first entry in pos (< 2¹⁶ for v ≤ 64)
-	off        uint8  // v − (mask bits the rotation carries past the span's top)
-	rot, shift uint8  // rotation within the span; 32 for a word's upper 32-bit span, else 0
+	Word int
+	Mask uint64
+	row  uint16 // row·v: the row's first entry in pos (< 2¹⁶ for v ≤ 64)
+	off  uint8  // v − (mask bits the rotation carries past the word's top)
+	rot  uint8  // rotation within the word
 }
 
 // Saturation is a packet of a burst that saturated its vector: its index in
@@ -124,10 +89,10 @@ type Saturation struct {
 	Loc      Location
 }
 
-// A virtual vector is one of tableSize precomputed v-of-span masks, rotated
-// within its span by further hash bits: tableSize × span ≥ 2¹⁵ distinct
-// vectors per span for one table load, and rotation over every offset makes
-// each span position exactly equally likely whatever the table holds.
+// A virtual vector is one of tableSize precomputed v-of-64 masks, rotated
+// within its word by further hash bits: tableSize × 64 = 2¹⁶ distinct
+// vectors per word for one table load, and rotation over every offset makes
+// each bit position exactly equally likely whatever the table holds.
 const (
 	tableBits = 10
 	tableSize = 1 << tableBits
@@ -138,11 +103,9 @@ const (
 type Counter struct {
 	cfg   Config
 	words []uint64
-	// Virtual vectors live inside one span of cfg.WordBits bits, so a
-	// 32-bit CPU still reads the whole vector with one access.
-	geom geometry
-	// masks holds span-relative vectors (bits below cfg.WordBits only);
-	// pos lists each mask's bit positions in ascending order, v a row.
+	geom  geometry
+	// masks holds the unrotated vectors; pos lists each mask's bit
+	// positions in ascending order, v a row.
 	// Read-only after New, so Siblings share them.
 	masks  *[tableSize]uint64
 	pos    []uint8
@@ -161,15 +124,14 @@ func New(cfg Config) (*Counter, error) {
 	}
 	n := (full.MemoryBytes + 7) / 8
 	masks, pos := vectorTable(full)
-	halves := uint64(wordBits/full.WordBits - 1)
 	return &Counter{
 		cfg:    full,
 		words:  make([]uint64, n),
-		geom:   geometry{full.Seed + 0x9E3779B97F4A7C15, uint64(n) << halves, halves, ^uint64(0) >> (wordBits - full.WordBits)},
+		geom:   geometry{full.Seed + 0x9E3779B97F4A7C15, uint64(n)},
 		masks:  masks,
 		pos:    pos,
 		rng:    *flowhash.NewRand(full.Seed ^ 0xC0FFEE),
-		decode: decodeTable(full),
+		decode: decodeTable(full.VectorBits),
 	}, nil
 }
 
@@ -210,55 +172,54 @@ func (c *Counter) Encodes() uint64 { return c.encodes }
 func (c *Counter) Saturations() uint64 { return c.saturations }
 
 // Locate resolves the virtual vector for flow hash h into loc. The vector
-// is confined within one span (WordBits bits) of one pool word. One mix of
-// h supplies everything: its high bits pick the span by multiply-high (no
-// division, any pool size), its low bits pick a table mask, the next bits
-// rotate the mask within the span. The span comes from the mix and not
-// from h itself because the sharded pipeline routes flows by h's high bits;
-// a shard's flows must still spread over its whole pool.
+// is confined within one pool word. One mix of h supplies everything: its
+// high bits pick the word by multiply-high (no division, any pool size),
+// its low bits pick a table mask, the next bits rotate the mask within the
+// word. The word comes from the mix and not from h itself because the
+// sharded pipeline routes flows by h's high bits; a shard's flows must
+// still spread over its whole pool.
 //
 //im:hotpath
 func (c *Counter) Locate(h uint64, loc *Location) {
 	*loc = c.location(c.geom.vector(h))
 }
 
-// location is the Location of table row row rotated by rot, in the span
-// at shift of pool word word.
-func (c *Counter) location(word int, shift uint, row uint64, rot uint) Location {
+// location is the Location of table row row rotated by rot in pool word
+// word.
+func (c *Counter) location(word int, row uint64, rot uint) Location {
 	v := c.cfg.VectorBits
-	r, wrapped := c.geom.rotate(c.masks[row], rot)
-	return Location{Word: word, Mask: r << shift, row: uint16(int(row) * v),
-		off: uint8(v - wrapped), rot: uint8(rot), shift: uint8(shift)}
+	r, wrapped := rotate(c.masks[row], rot)
+	return Location{Word: word, Mask: r, row: uint16(int(row) * v),
+		off: uint8(v - wrapped), rot: uint8(rot)}
 }
 
-// geometry is what locating a vector reads: the flow hash's mixing key, the
-// span count, halves (1 if a word holds two spans), the span's bits.
+// geometry is what locating a vector reads: the flow hash's mixing key and
+// the pool's word count.
 type geometry struct {
-	key, nSpans, halves, spanBits uint64
+	key, nWords uint64
 }
 
-// vector is Locate's arithmetic: the pool word, the span's offset in it,
-// the table row and the rotation of flow hash h's vector.
-func (g geometry) vector(h uint64) (word int, shift uint, row uint64, rot uint) {
+// vector is Locate's arithmetic: the pool word, the table row and the
+// rotation of flow hash h's vector.
+func (g geometry) vector(h uint64) (word int, row uint64, rot uint) {
 	s := flowhash.Mix64(h ^ g.key)
-	span, _ := bits.Mul64(s, g.nSpans)
-	return int(span >> g.halves), uint(span&g.halves) * 32, s & (tableSize - 1), uint(s>>tableBits) & (63 >> g.halves)
+	w, _ := bits.Mul64(s, g.nWords)
+	return int(w), s & (tableSize - 1), uint(s>>tableBits) & (wordBits - 1)
 }
 
-// rotate rotates span-relative mask m left by rot within the span (a
-// 32-bit span's mask doubled into both halves first) and counts the bits
-// it carried past the span's top: they sit below bit rot.
-func (g geometry) rotate(m uint64, rot uint) (r uint64, wrapped int) {
-	r = bits.RotateLeft64(m|m<<(32*g.halves&63), int(rot)) & g.spanBits
+// rotate rotates mask m left by rot and counts the bits it carried past
+// the word's top: they sit below bit rot.
+func rotate(m uint64, rot uint) (r uint64, wrapped int) {
+	r = bits.RotateLeft64(m, int(rot))
 	return r, bits.OnesCount64(r & (1<<(rot&63) - 1))
 }
 
 // pick returns selectBit(loc.Mask, k), the k-th lowest bit of loc's
 // vector, from the position table: the rotation moves the row's wrapped
-// last entries below its first, and each position up by rot in the span.
+// last entries below its first, and each position up by rot in the word.
 func (c *Counter) pick(loc *Location, k int) uint64 {
 	p := uint(c.pos[int(loc.row)+reduce(k+int(loc.off), c.cfg.VectorBits)])
-	return 1 << (((p+uint(loc.rot))&uint(c.cfg.WordBits-1) + uint(loc.shift)) & 63)
+	return 1 << ((p + uint(loc.rot)) & (wordBits - 1))
 }
 
 // reduce is j mod v for j in [0, 2v), without a branch: either case is
@@ -290,7 +251,7 @@ func (c *Counter) EncodeLoc(loc *Location) (noise int, saturated bool) {
 	}
 	*w &^= loc.Mask // recycle the vector
 	c.saturations++
-	return max(zeros, c.cfg.NoiseMin), true
+	return max(zeros, 1), true
 }
 
 // EncodeBurst is Encode over every hash of hashes, in order, with the draw
@@ -301,20 +262,18 @@ func (c *Counter) EncodeLoc(loc *Location) (noise int, saturated bool) {
 func (c *Counter) EncodeBurst(hashes []uint64, sats []Saturation) []Saturation {
 	words, masks, pos, v, noiseMax := c.words, c.masks, c.pos, c.cfg.VectorBits, c.cfg.NoiseMax
 	g, rng, listed := c.geom, c.rng, len(sats)
-	spanMask := uint(63 >> g.halves)
 	for i, h := range hashes {
-		word, shift, row, rot := g.vector(h)
-		r, wrapped := g.rotate(masks[row], rot)
+		word, row, rot := g.vector(h)
+		mask, wrapped := rotate(masks[row], rot)
 		p := uint(pos[int(row)*v+reduce(rng.Intn(v)+v-wrapped, v)]) // pick, in locals
-		w := words[word] | 1<<(((p+rot)&spanMask+shift)&63)
-		mask := r << (shift & 63)
+		w := words[word] | 1<<((p+rot)&(wordBits-1))
 		zeros := v - bits.OnesCount64(w&mask)
 		if zeros > noiseMax {
 			words[word] = w
 			continue
 		}
 		words[word] = w &^ mask // recycle the vector
-		sats = append(sats, Saturation{I: int32(i), Noise: int32(max(zeros, c.cfg.NoiseMin)), Loc: c.location(word, shift, row, rot)})
+		sats = append(sats, Saturation{I: int32(i), Noise: int32(max(zeros, 1)), Loc: c.location(word, row, rot)})
 	}
 	c.rng = rng
 	c.encodes += uint64(len(hashes))
@@ -322,15 +281,13 @@ func (c *Counter) EncodeBurst(hashes []uint64, sats []Saturation) []Saturation {
 	return sats
 }
 
-// Decode converts a saturation noise level to the estimated number of
-// packets absorbed during that fill cycle.
+// Decode converts a saturation noise level in [0, VectorBits] to the
+// estimated number of packets absorbed during that fill cycle: the
+// coupon-collector expectation v·(H_v − H_z) of uniform throws that leave
+// exactly z of v bins empty, which matches the stopping rule "saturate the
+// first time zeros reach the threshold". Every caller passes a level some
+// saturation reported, in [1, NoiseMax].
 func (c *Counter) Decode(noise int) float64 {
-	if noise < 0 {
-		noise = 0
-	}
-	if noise >= len(c.decode) {
-		noise = len(c.decode) - 1
-	}
 	return c.decode[noise]
 }
 
@@ -362,7 +319,7 @@ func (c *Counter) EstimateResidualLoc(loc *Location) float64 {
 // emit — the maximum number of packets one virtual vector retains before the
 // flow must pass through (Fig. 8a's y-axis).
 func (c *Counter) RetentionCapacity() float64 {
-	return c.Decode(c.cfg.NoiseMin)
+	return c.Decode(1)
 }
 
 // Reset clears the bit pool and statistics.
@@ -384,41 +341,29 @@ func (c *Counter) FillRatio() float64 {
 	return float64(ones) / float64(len(c.words)*wordBits)
 }
 
-func decodeTable(cfg Config) []float64 {
-	v := cfg.VectorBits
+// decodeTable is Decode's table: t[z] = v·(H_v − H_z).
+func decodeTable(v int) []float64 {
+	h := make([]float64, v+1)
+	for k := 1; k <= v; k++ {
+		h[k] = h[k-1] + 1/float64(k)
+	}
 	t := make([]float64, v+1)
-	switch cfg.Decode {
-	case DecodeLinearCounting:
-		fv := float64(v)
-		for z := 1; z <= v; z++ {
-			t[z] = fv * math.Log(fv/float64(z))
-		}
-		t[0] = fv*math.Log(fv) + fv // one past z=1, mirroring the CC tail
-	default: // DecodeCouponCollector
-		// t[z] = v·(H_v − H_z): expected throws to leave z of v bins empty.
-		h := make([]float64, v+1)
-		for k := 1; k <= v; k++ {
-			h[k] = h[k-1] + 1/float64(k)
-		}
-		for z := 0; z <= v; z++ {
-			t[z] = float64(v) * (h[v] - h[z])
-		}
+	for z := range t {
+		t[z] = float64(v) * (h[v] - h[z])
 	}
 	return t
 }
 
-// vectorTable draws the tableSize span-relative masks Locate picks from.
-// Each takes its v positions one at a time, uniformly among the span
-// positions still free, so every mask has exactly v distinct bits inside
-// the span for any v up to the span size. pos lists each mask's positions
-// in ascending order, v a row.
+// vectorTable draws the tableSize masks Locate picks from. Each takes its
+// v positions one at a time, uniformly among the word's positions still
+// free, so every mask has exactly v distinct bits for any v up to 64. pos
+// lists each mask's positions in ascending order, v a row.
 func vectorTable(cfg Config) (t *[tableSize]uint64, pos []uint8) {
 	rng := flowhash.NewRand(cfg.Seed ^ 0x7AB1E)
-	span := ^uint64(0) >> (wordBits - cfg.WordBits)
 	t, pos = new([tableSize]uint64), make([]uint8, 0, tableSize*cfg.VectorBits)
 	for i := range t {
-		for n := cfg.WordBits; n > cfg.WordBits-cfg.VectorBits; n-- {
-			t[i] |= selectBit(span&^t[i], rng.Intn(n))
+		for n := wordBits; n > wordBits-cfg.VectorBits; n-- {
+			t[i] |= selectBit(^t[i], rng.Intn(n))
 		}
 		for m := t[i]; m != 0; m &= m - 1 {
 			pos = append(pos, uint8(bits.TrailingZeros64(m)))

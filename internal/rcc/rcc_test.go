@@ -3,7 +3,6 @@ package rcc
 import (
 	"errors"
 	"math"
-	"math/bits"
 	"testing"
 
 	"instameasure/internal/flowhash"
@@ -17,10 +16,10 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"vector too small", Config{VectorBits: 1}, ErrVectorBits},
 		{"vector too big", Config{VectorBits: 65}, ErrVectorBits},
-		{"noise min > max", Config{VectorBits: 8, NoiseMin: 4, NoiseMax: 2}, ErrNoiseRange},
+		{"noise max below 1", Config{VectorBits: 8, NoiseMax: -1}, ErrNoiseRange},
 		{"noise max >= v", Config{VectorBits: 8, NoiseMax: 8}, ErrNoiseRange},
 		{"ok defaults", Config{VectorBits: 8}, nil},
-		{"ok explicit", Config{VectorBits: 16, NoiseMin: 2, NoiseMax: 6, MemoryBytes: 1024}, nil},
+		{"ok explicit", Config{VectorBits: 16, NoiseMax: 6, MemoryBytes: 1024}, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -43,12 +42,6 @@ func TestDefaultsDerivation(t *testing.T) {
 	cfg := c.Config()
 	if cfg.NoiseMax != 3 {
 		t.Errorf("default NoiseMax for v=8 is %d, want 3 (the paper's three noise classes)", cfg.NoiseMax)
-	}
-	if cfg.NoiseMin != 1 {
-		t.Errorf("default NoiseMin = %d, want 1", cfg.NoiseMin)
-	}
-	if cfg.Decode != DecodeCouponCollector {
-		t.Errorf("default Decode = %v, want coupon collector", cfg.Decode)
 	}
 	c16 := MustNew(Config{VectorBits: 16})
 	if got := c16.Config().NoiseMax; got != 6 {
@@ -78,19 +71,17 @@ func TestLocateDeterministic(t *testing.T) {
 }
 
 func TestDecodeTableMonotonic(t *testing.T) {
-	for _, method := range []DecodeMethod{DecodeCouponCollector, DecodeLinearCounting} {
-		c := MustNew(Config{VectorBits: 8, Decode: method})
-		prev := math.Inf(1)
-		for z := 1; z <= 7; z++ {
-			d := c.Decode(z)
-			if d <= 0 {
-				t.Errorf("method %v: Decode(%d) = %v, want positive", method, z, d)
-			}
-			if d >= prev {
-				t.Errorf("method %v: Decode(%d)=%v not < Decode(%d)=%v", method, z, d, z-1, prev)
-			}
-			prev = d
+	c := MustNew(Config{VectorBits: 8})
+	prev := math.Inf(1)
+	for z := 1; z <= 7; z++ {
+		d := c.Decode(z)
+		if d <= 0 {
+			t.Errorf("Decode(%d) = %v, want positive", z, d)
 		}
+		if d >= prev {
+			t.Errorf("Decode(%d)=%v not < Decode(%d)=%v", z, d, z-1, prev)
+		}
+		prev = d
 	}
 }
 
@@ -103,16 +94,6 @@ func TestDecodeCouponCollectorValues(t *testing.T) {
 	// v(H_v − H_1) ≈ 13.743
 	if got := c.Decode(1); math.Abs(got-13.7429) > 0.001 {
 		t.Errorf("Decode(1) = %v, want ≈13.743", got)
-	}
-}
-
-func TestDecodeClamps(t *testing.T) {
-	c := MustNew(Config{VectorBits: 8})
-	if c.Decode(-5) != c.Decode(0) {
-		t.Error("negative noise must clamp to 0")
-	}
-	if c.Decode(100) != c.Decode(8) {
-		t.Error("oversized noise must clamp to v")
 	}
 }
 
@@ -189,8 +170,8 @@ func TestSaturationNoiseWithinRange(t *testing.T) {
 	for i := 0; i < 50_000; i++ {
 		h := flowhash.Mix64(uint64(i % 37))
 		if z, sat := c.Encode(h); sat {
-			if z < cfg.NoiseMin || z > cfg.NoiseMax {
-				t.Fatalf("saturation noise %d outside [%d,%d]", z, cfg.NoiseMin, cfg.NoiseMax)
+			if z < 1 || z > cfg.NoiseMax {
+				t.Fatalf("saturation noise %d outside [1,%d]", z, cfg.NoiseMax)
 			}
 		}
 	}
@@ -307,91 +288,35 @@ func TestWordSharingNoiseOnlyInflates(t *testing.T) {
 	}
 }
 
-func TestWordBitsValidation(t *testing.T) {
-	if _, err := New(Config{VectorBits: 8, WordBits: 16}); !errors.Is(err, ErrWordBits) {
-		t.Errorf("WordBits=16 err = %v, want ErrWordBits", err)
-	}
-	if _, err := New(Config{VectorBits: 48, WordBits: 32}); !errors.Is(err, ErrVectorBits) {
-		t.Errorf("v=48 in 32-bit words err = %v, want ErrVectorBits", err)
-	}
-	if _, err := New(Config{VectorBits: 8, WordBits: 32}); err != nil {
-		t.Errorf("valid 32-bit config rejected: %v", err)
-	}
-}
-
-func TestLocate32BitConfinement(t *testing.T) {
-	c := MustNew(Config{VectorBits: 8, WordBits: 32, MemoryBytes: 4096, NoiseMax: 3})
-	sawLow, sawHigh := false, false
-	for h := uint64(0); h < 500; h++ {
-		var loc Location
-		c.Locate(flowhash.Mix64(h+1), &loc)
-		if bits.OnesCount64(loc.Mask) != 8 {
-			t.Fatalf("mask popcount = %d", bits.OnesCount64(loc.Mask))
-		}
-		// All positions must sit inside one aligned 32-bit half.
-		low := loc.Mask & 0xFFFFFFFF
-		high := loc.Mask >> 32
-		switch {
-		case low != 0 && high != 0:
-			t.Fatalf("vector spans both 32-bit halves: %#x", loc.Mask)
-		case low != 0:
-			sawLow = true
-		default:
-			sawHigh = true
-		}
-	}
-	if !sawLow || !sawHigh {
-		t.Error("confinement never used one of the word halves")
-	}
-}
-
-func TestCounting32BitConfinement(t *testing.T) {
-	c := MustNew(Config{VectorBits: 8, WordBits: 32, MemoryBytes: 4096, Seed: 6})
-	h := flowhash.Sum64([]byte("flow32"), 2)
-	const n = 20_000
-	var est float64
-	for i := 0; i < n; i++ {
-		if z, sat := c.Encode(h); sat {
-			est += c.Decode(z)
-		}
-	}
-	est += c.EstimateResidual(h)
-	if relErr := math.Abs(est-n) / n; relErr > 0.15 {
-		t.Errorf("32-bit confinement estimate %.0f, rel err %.3f", est, relErr)
-	}
-}
-
 // TestHotpathZeroAllocs: the //im:hotpath roots Locate, EncodeLoc and
-// EncodeBurst allocate nothing, in 32- and 64-bit spans, on packets that
-// saturate their vector and packets that do not (a 64-byte pool
-// saturates within every run). EncodeBurst appends into the caller's
-// capacity, as the regulator sizes it.
+// EncodeBurst allocate nothing, on packets that saturate their vector and
+// packets that do not (a 64-byte pool saturates within every run).
+// EncodeBurst appends into the caller's capacity, as the regulator sizes
+// it.
 func TestHotpathZeroAllocs(t *testing.T) {
 	hashes := make([]uint64, 256)
 	for i := range hashes {
 		hashes[i] = flowhash.Mix64(uint64(i))
 	}
-	for _, wb := range []int{32, 64} {
-		c := MustNew(Config{VectorBits: 8, WordBits: wb, MemoryBytes: 64, Seed: 5})
-		sats := make([]Saturation, 0, len(hashes))
-		var loc Location
-		var plain, saturated int
-		allocs := testing.AllocsPerRun(100, func() {
-			for _, h := range hashes {
-				c.Locate(h, &loc)
-				if _, sat := c.EncodeLoc(&loc); sat {
-					saturated++
-				} else {
-					plain++
-				}
+	c := MustNew(Config{VectorBits: 8, MemoryBytes: 64, Seed: 5})
+	sats := make([]Saturation, 0, len(hashes))
+	var loc Location
+	var plain, saturated int
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, h := range hashes {
+			c.Locate(h, &loc)
+			if _, sat := c.EncodeLoc(&loc); sat {
+				saturated++
+			} else {
+				plain++
 			}
-			sats = c.EncodeBurst(hashes, sats[:0])
-		})
-		if allocs != 0 {
-			t.Errorf("w=%d: Locate/EncodeLoc/EncodeBurst allocate %.2f objects per run, want 0", wb, allocs)
 		}
-		if plain == 0 || saturated < 101 || len(sats) == 0 {
-			t.Errorf("w=%d: a run missed a branch: %d plain, %d saturated encodes, %d burst saturations", wb, plain, saturated, len(sats))
-		}
+		sats = c.EncodeBurst(hashes, sats[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("Locate/EncodeLoc/EncodeBurst allocate %.2f objects per run, want 0", allocs)
+	}
+	if plain == 0 || saturated < 101 || len(sats) == 0 {
+		t.Errorf("a run missed a branch: %d plain, %d saturated encodes, %d burst saturations", plain, saturated, len(sats))
 	}
 }

@@ -8,13 +8,13 @@ import (
 )
 
 // The tests below hold the table-driven vector derivation to the
-// statistics of the ideal one — a uniform v-subset of a uniform span —
+// statistics of the ideal one — a uniform v-subset of a uniform word —
 // since every accuracy bound downstream (decode table, oracle envelopes)
 // assumes them.
 
-// spanOf returns the index of the span holding loc's vector and fails the
-// test unless the mask is exactly v bits inside that one span.
-func spanOf(t *testing.T, c *Counter, loc Location) int {
+// wordOf returns the pool word holding loc's vector and fails the test
+// unless the word is in the pool and the mask is exactly v bits.
+func wordOf(t *testing.T, c *Counter, loc Location) int {
 	t.Helper()
 	cfg := c.Config()
 	if loc.Word < 0 || loc.Word >= len(c.words) {
@@ -23,37 +23,22 @@ func spanOf(t *testing.T, c *Counter, loc Location) int {
 	if n := bits.OnesCount64(loc.Mask); n != cfg.VectorBits {
 		t.Fatalf("mask %016x has %d bits, want %d distinct positions", loc.Mask, n, cfg.VectorBits)
 	}
-	if cfg.WordBits == 64 {
-		return loc.Word
-	}
-	lo, hi := loc.Mask&0xFFFFFFFF, loc.Mask>>32
-	if lo != 0 && hi != 0 {
-		t.Fatalf("mask %016x straddles the 32-bit span boundary", loc.Mask)
-	}
-	if hi != 0 {
-		return 2*loc.Word + 1
-	}
-	return 2 * loc.Word
+	return loc.Word
 }
 
 func TestVectorExactAndConfined(t *testing.T) {
-	for _, wordBits := range []int{32, 64} {
-		for _, v := range []int{2, 3, 4, 8, 16, 32, 33, 48, 64} {
-			if v > wordBits {
-				continue
+	for _, v := range []int{2, 3, 4, 8, 16, 32, 33, 48, 64} {
+		c := MustNew(Config{VectorBits: v, MemoryBytes: 4096, NoiseMax: 1, Seed: uint64(v)})
+		for _, m := range c.masks {
+			if bits.OnesCount64(m) != v {
+				t.Fatalf("v=%d: table mask %016x is not v bits", v, m)
 			}
-			c := MustNew(Config{VectorBits: v, WordBits: wordBits, MemoryBytes: 4096, NoiseMax: 1, Seed: uint64(v)})
-			for _, m := range c.masks {
-				if bits.OnesCount64(m) != v || bits.Len64(m) > wordBits {
-					t.Fatalf("w=%d v=%d: table mask %016x is not v bits of one span", wordBits, v, m)
-				}
-			}
-			rng := rand.New(rand.NewSource(int64(v)))
-			var loc Location
-			for i := 0; i < 5000; i++ {
-				c.Locate(rng.Uint64(), &loc)
-				spanOf(t, c, loc)
-			}
+		}
+		rng := rand.New(rand.NewSource(int64(v)))
+		var loc Location
+		for i := 0; i < 5000; i++ {
+			c.Locate(rng.Uint64(), &loc)
+			wordOf(t, c, loc)
 		}
 	}
 }
@@ -73,78 +58,71 @@ func chiSquare(counts []int, total int) (x, limit float64) {
 // TestVectorMarginalUniform: over many flows of a one-word pool, every bit
 // position of the word belongs to a vector equally often.
 func TestVectorMarginalUniform(t *testing.T) {
-	for _, wordBits := range []int{32, 64} {
-		c := MustNew(Config{VectorBits: 8, WordBits: wordBits, MemoryBytes: 8, Seed: 21})
-		rng := rand.New(rand.NewSource(22))
-		const flows = 200_000
-		counts := make([]int, 64)
-		var loc Location
-		for i := 0; i < flows; i++ {
-			c.Locate(rng.Uint64(), &loc)
-			for m := loc.Mask; m != 0; m &= m - 1 {
-				counts[bits.TrailingZeros64(m)]++
-			}
+	c := MustNew(Config{VectorBits: 8, MemoryBytes: 8, Seed: 21})
+	rng := rand.New(rand.NewSource(22))
+	const flows = 200_000
+	counts := make([]int, 64)
+	var loc Location
+	for i := 0; i < flows; i++ {
+		c.Locate(rng.Uint64(), &loc)
+		for m := loc.Mask; m != 0; m &= m - 1 {
+			counts[bits.TrailingZeros64(m)]++
 		}
-		// The v bits of one vector are distinct, which only lowers the
-		// statistic.
-		if x, limit := chiSquare(counts, flows*8); x > limit {
-			t.Errorf("w=%d: per-bit chi-square %.1f > %.1f; counts %v", wordBits, x, limit, counts)
-		}
+	}
+	// The v bits of one vector are distinct, which only lowers the
+	// statistic.
+	if x, limit := chiSquare(counts, flows*8); x > limit {
+		t.Errorf("per-bit chi-square %.1f > %.1f; counts %v", x, limit, counts)
 	}
 }
 
-// TestVectorPairwiseOverlap: two flows sharing a span overlap in v²/span
+// TestVectorPairwiseOverlap: two flows sharing a word overlap in v²/64
 // positions on average, as uniform v-subsets do, and almost never share
 // the whole vector.
 func TestVectorPairwiseOverlap(t *testing.T) {
-	for _, wordBits := range []int{32, 64} {
-		const v = 8
-		c := MustNew(Config{VectorBits: v, WordBits: wordBits, MemoryBytes: 8, Seed: 31})
-		rng := rand.New(rand.NewSource(32))
-		var a, b Location
-		var pairs, overlap, identical int
-		for pairs < 1_000_000 {
-			c.Locate(rng.Uint64(), &a)
-			c.Locate(rng.Uint64(), &b)
-			if spanOf(t, c, a) != spanOf(t, c, b) {
-				continue
-			}
-			pairs++
-			overlap += bits.OnesCount64(a.Mask & b.Mask)
-			if a.Mask == b.Mask {
-				identical++
-			}
+	const v = 8
+	c := MustNew(Config{VectorBits: v, MemoryBytes: 8, Seed: 31})
+	rng := rand.New(rand.NewSource(32))
+	var a, b Location
+	var pairs, overlap, identical int
+	for pairs < 1_000_000 {
+		c.Locate(rng.Uint64(), &a)
+		c.Locate(rng.Uint64(), &b)
+		if wordOf(t, c, a) != wordOf(t, c, b) {
+			continue
 		}
-		want := float64(v*v) / float64(wordBits)
-		if got := float64(overlap) / float64(pairs); math.Abs(got-want) > 0.05*want {
-			t.Errorf("w=%d: mean overlap %.4f, want %.4f ±5%%", wordBits, got, want)
+		pairs++
+		overlap += bits.OnesCount64(a.Mask & b.Mask)
+		if a.Mask == b.Mask {
+			identical++
 		}
-		if p := float64(identical) / float64(pairs); p > 1.0/(1<<14) {
-			t.Errorf("w=%d: P(identical vector) = %.2e > 2^-14", wordBits, p)
-		}
+	}
+	want := float64(v*v) / wordBits
+	if got := float64(overlap) / float64(pairs); math.Abs(got-want) > 0.05*want {
+		t.Errorf("mean overlap %.4f, want %.4f ±5%%", got, want)
+	}
+	if p := float64(identical) / float64(pairs); p > 1.0/(1<<14) {
+		t.Errorf("P(identical vector) = %.2e > 2^-14", p)
 	}
 }
 
-// TestWordIndexCoversOddPools: multiply-high span selection reaches every
-// span of a pool whose size is not a power of two, the last included,
+// TestWordIndexCoversOddPools: multiply-high word selection reaches every
+// word of a pool whose size is not a power of two, the last included,
 // evenly, and never indexes past the pool.
 func TestWordIndexCoversOddPools(t *testing.T) {
-	for _, tc := range []struct{ wordBits, memory int }{
-		{64, 24}, {32, 24}, {64, 8 * 1000}, {32, 8 * 37},
-	} {
-		c := MustNew(Config{VectorBits: 8, WordBits: tc.wordBits, MemoryBytes: tc.memory, Seed: 41})
-		spans := len(c.words) * 64 / tc.wordBits
-		counts := make([]int, spans)
+	for _, memory := range []int{24, 8 * 37, 8 * 1000} {
+		c := MustNew(Config{VectorBits: 8, MemoryBytes: memory, Seed: 41})
+		counts := make([]int, len(c.words))
 		rng := rand.New(rand.NewSource(42))
-		total := 2000 * spans
+		total := 2000 * len(counts)
 		var loc Location
 		for i := 0; i < total; i++ {
 			c.Locate(rng.Uint64(), &loc)
-			counts[spanOf(t, c, loc)]++
+			counts[wordOf(t, c, loc)]++
 		}
-		for s, n := range counts {
+		for w, n := range counts {
 			if n < 1700 || n > 2300 { // 2000 ± 6.7σ
-				t.Errorf("w=%d %dB: span %d of %d selected %d times, want ≈2000", tc.wordBits, tc.memory, s, spans, n)
+				t.Errorf("%dB: word %d of %d selected %d times, want ≈2000", memory, w, len(counts), n)
 			}
 		}
 	}
