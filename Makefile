@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/store/ -fuzz '^FuzzStoreSegment$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/core/ -fuzz '^FuzzEachMatchesMapMerge$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/flowreg/ -fuzz '^FuzzRegulatorBursts$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/wsaf/ -fuzz '^FuzzTableMatchesReference$$' -fuzztime $(FUZZTIME) -run '^$$'
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

@@ -3,6 +3,7 @@ package instameasure
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"runtime"
@@ -14,11 +15,11 @@ import (
 	"instameasure/internal/wsaf"
 )
 
-// TestExportSnapshotGolden pins the snapshot file, byte for byte, to what
-// the full-scan table walk wrote before the occupancy bitmap: the hashes
-// were recorded on the parent commit of the change that introduced the
-// walk. A different record order, a missed or doubled flow, or a changed
-// stats trailer all change the hash.
+// TestExportSnapshotGolden pins each snapshot twice. The content hash —
+// the records sorted by key, every field — was recorded on the slot-order
+// walk before the WSAF's entries went dense, and a missed, doubled or
+// changed flow changes it. The byte hash also pins the record order (the
+// dense walk's insertion order) and the stats trailer.
 func TestExportSnapshotGolden(t *testing.T) {
 	tr, err := GenerateZipfTrace(ZipfTraceConfig{Flows: 20_000, TotalPackets: 400_000, Seed: 31})
 	if err != nil {
@@ -34,14 +35,19 @@ func TestExportSnapshotGolden(t *testing.T) {
 	ttl.WSAFTTLNanos = 50e6
 
 	cases := []struct {
-		name   string
-		export func(*bytes.Buffer) error
-		want   string
+		name    string
+		export  func(*bytes.Buffer) error
+		want    string
+		content string
 	}{
-		{"meter", clusterCut(t, ClusterConfig{Meter: base}, tr), "55bce9b97a9453b0ffc6ce4fc26f91294108f2ddb7169109a1da53f3b048500a"},
-		{"meter_cached", clusterCut(t, ClusterConfig{Meter: cached}, tr), "0964420c6d755683ab3d53c5e23e3be2dc1a1a70a3f8de6783360236195efbd9"},
-		{"meter_cached_ttl", clusterCut(t, ClusterConfig{Meter: ttl}, tr), "5eb8103eca44746d3f7a425934afc8cfd9e59eeb8c24b6fa2cd907157ea176c4"},
-		{"cluster_w1", clusterCut(t, ClusterConfig{Workers: 1, Meter: cached}, tr), "0964420c6d755683ab3d53c5e23e3be2dc1a1a70a3f8de6783360236195efbd9"},
+		{"meter", clusterCut(t, ClusterConfig{Meter: base}, tr), "f43c9451aa1117fd53b63ec034d33a4c93b3858bd492f04ddb2a031a928ba379",
+			"611a54f9928352fc336b7dc45df8b1ca75b1368d1b93e80b55ab666042cbe034"},
+		{"meter_cached", clusterCut(t, ClusterConfig{Meter: cached}, tr), "32318747b9c6fcfaad049fc322822fee12c96c2c9caed246da330b70bbf112de",
+			"2dcede54bc123d44fbcebbd84364d62d1282e62157cdcd714331aba715dbfb13"},
+		{"meter_cached_ttl", clusterCut(t, ClusterConfig{Meter: ttl}, tr), "6ed8fe97539d2dd0fcb642e83cd2eb6e2c64e18bd01c50626eb7aaf2365ef68c",
+			"9f1f669cdf95e8f5c920ee23b20efb5c69e2d3f05a96223f026cb1058a33bc79"},
+		{"cluster_w1", clusterCut(t, ClusterConfig{Workers: 1, Meter: cached}, tr), "32318747b9c6fcfaad049fc322822fee12c96c2c9caed246da330b70bbf112de",
+			"2dcede54bc123d44fbcebbd84364d62d1282e62157cdcd714331aba715dbfb13"},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -52,7 +58,38 @@ func TestExportSnapshotGolden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s: snapshot of %d bytes hashes to %s, want %s", c.name, buf.Len(), got, c.want)
 		}
+		recs, _, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := contentHash(recs); got != c.content {
+			t.Errorf("%s: %d records sorted by key hash to %s, want %s", c.name, len(recs), got, c.content)
+		}
 	}
+}
+
+// contentHash is the sha256 of recs sorted by key, every field of every
+// record included: what a snapshot says, whatever order it says it in.
+func contentHash(recs []FlowRecord) string {
+	rows := make([][]byte, len(recs))
+	for i, r := range recs {
+		k := r.Key
+		b := append(append(append([]byte(nil), k.SrcIP[:]...), k.DstIP[:]...),
+			byte(k.SrcPort>>8), byte(k.SrcPort), byte(k.DstPort>>8), byte(k.DstPort), k.Proto, 0)
+		if k.IsV6 {
+			b[len(b)-1] = 1
+		}
+		for _, v := range []uint64{math.Float64bits(r.Pkts), math.Float64bits(r.Bytes), uint64(r.FirstSeen), uint64(r.LastUpdate)} {
+			b = binary.BigEndian.AppendUint64(b, v)
+		}
+		rows[i] = b
+	}
+	slices.SortFunc(rows, bytes.Compare)
+	h := sha256.New()
+	for _, b := range rows {
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func clusterCut(t *testing.T, cfg ClusterConfig, tr *Trace) func(*bytes.Buffer) error {

@@ -172,8 +172,8 @@ type Stats struct {
 	HotCacheHitRate    float64
 	HotCachePromotions uint64
 	HotCacheDemotions  uint64
-	// HotCacheFoldDrops counts demotion folds the WSAF dropped (probe
-	// limit exhausted) — exact deltas lost. Zero in a healthy run.
+	// HotCacheFoldDrops counts demotion folds the WSAF dropped: zero by
+	// construction, like WSAFDrops, since every fold places its flow.
 	HotCacheFoldDrops uint64
 }
 
@@ -304,7 +304,8 @@ func (m *Meter) TopKBytes(k int) []FlowRecord {
 }
 
 // topK selects across the workers' walks: only the k survivors are copied.
-// Flows of equal metric come lower worker, then that engine's order, first.
+// Flows of equal metric come lower worker, then that engine's walk order
+// (its earlier WSAF entry; cache-only flows after every entry), first.
 func (m *Meter) topK(k int, metric func(*wsaf.Entry) float64) []FlowRecord {
 	sel := topk.New[wsaf.Entry](k)
 	m.sys.Each(func(e *wsaf.Entry) { sel.Offer(metric(e), e) })

@@ -64,8 +64,8 @@ func TestBatchScalarEquivalence(t *testing.T) {
 		}
 	}
 
-	// WSAF snapshots must be byte-identical (same entries, same slots —
-	// Snapshot walks the table in slot order).
+	// WSAF snapshots must be byte-identical (same entries in the same
+	// order — Snapshot walks the entries in insertion order).
 	sa, sb := scalar.Snapshot(), batched.Snapshot()
 	if len(sa) != len(sb) {
 		t.Fatalf("snapshot sizes: scalar %d, batch %d", len(sa), len(sb))

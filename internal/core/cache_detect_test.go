@@ -119,11 +119,10 @@ func TestCachedLookupNoPhantomZeroDelta(t *testing.T) {
 	}
 }
 
-// TestCacheFoldDropsObservable: demotion folds that the WSAF drops lose
-// the victim's exact delta, so the engine counts them. Under the current
-// eviction policies Accumulate always finds a victim, so the counter
-// must stay zero through heavy churn — it exists to make any future
-// conservation gap visible rather than silent.
+// TestCacheFoldDropsObservable: a demotion fold always places the
+// victim's exact delta — every Accumulate finds a free slot or a victim —
+// so CacheFoldDrops, kept for the callers that report it, reads zero
+// through heavy churn.
 func TestCacheFoldDropsObservable(t *testing.T) {
 	e := testEngine(t, Config{
 		HotCacheEntries: 8, // one set: admissions constantly demote

@@ -129,10 +129,9 @@ type engineMetrics struct {
 	bytes   telemetry.CounterShard
 	latency telemetry.HistogramShard
 	// Hot-cache activity; attached only when the cache is enabled.
-	cacheHits      telemetry.CounterShard
-	cachePromos    telemetry.CounterShard
-	cacheDemos     telemetry.CounterShard
-	cacheFoldDrops telemetry.CounterShard
+	cacheHits   telemetry.CounterShard
+	cachePromos telemetry.CounterShard
+	cacheDemos  telemetry.CounterShard
 }
 
 // Engine is a single-core InstaMeasure instance.
@@ -166,14 +165,11 @@ type Engine struct {
 	// cached flow; the delta is folded into the WSAF immediately, so the
 	// scratch never outlives one admission.
 	victim hotcache.Entry
-	// Each's merge scratch, sized to the cache: packed slot<<32|index
-	// words, the radix pass's buffer, one bit per cache index merged.
+	// Each's merge scratch, sized to the cache: packed WSAF index<<32 |
+	// cache index words, the radix pass's buffer, one bit per cache index
+	// merged.
 	cand, candTmp, matched []uint64
 	merged                 wsaf.Entry
-	// foldDrops counts demotion folds the WSAF dropped (probe-limit
-	// exhaustion): the victim's exact delta was lost, a hole in the
-	// cache tier's conservation identity that must stay observable.
-	foldDrops uint64
 	// tmPacketsBase/tmBytesBase keep the published counters cumulative
 	// across window Resets (Prometheus counters must not move backwards).
 	tmPacketsBase uint64
@@ -270,8 +266,6 @@ func (e *Engine) instrument() {
 			"Flows promoted into the hot cache.").Shard(w)
 		e.tm.cacheDemos = reg.Counter("hotcache_demotions_total",
 			"Cached flows demoted; their exact deltas were folded back into the WSAF.").Shard(w)
-		e.tm.cacheFoldDrops = reg.Counter("hotcache_fold_drops_total",
-			"Demotion folds the WSAF dropped (probe limit exhausted); the victim's exact delta was lost.").Shard(w)
 		reg.Gauge("hotcache_capacity_entries",
 			"Hot-cache capacity in entries across all workers.").Shard(w).Set(int64(e.cache.Capacity()))
 	}
@@ -298,7 +292,7 @@ func (e *Engine) instrument() {
 		Occupancy: reg.Gauge("wsaf_occupancy",
 			"Live WSAF entries across all workers.").Shard(w),
 	}
-	for i, outcome := range []string{"updated", "inserted", "reclaimed", "evicted", "dropped"} {
+	for i, outcome := range []string{"updated", "inserted", "reclaimed", "evicted"} {
 		wt.Outcomes[i] = reg.Counter("wsaf_ops_total",
 			"WSAF accumulate operations by outcome.", "outcome", outcome).Shard(w)
 	}
@@ -519,17 +513,14 @@ func (e *Engine) ProcessHashed(base []packet.Packet, recs []Hashed) {
 		em := ps.Emission(int(rec.Len))
 		h := mh[ps.I]
 		outcome, entry := e.table.AccumulateHashed(h, p.Key, em.EstPkts, em.EstBytes, p.TS)
-		var evPkts, evBytes float64
-		if entry != nil {
-			// Copy the totals out before admission: folding a demoted
-			// victim into the table may relocate the entry the pointer
-			// aliases. The returned entry fills the pass event, so a
-			// passthrough costs exactly one probe sequence.
-			evPkts, evBytes = entry.Pkts, entry.Bytes
-			if cache != nil {
-				// The slot is read before admission for the same reason.
-				e.admit(h, &p.Key, uint32(e.table.SlotOf(entry)), p.TS, evPkts, evBytes)
-			}
+		// Copy the totals out before admission: folding a demoted victim
+		// into the table may overwrite the entry the pointer aliases. The
+		// returned entry fills the pass event, so a passthrough costs
+		// exactly one probe sequence.
+		evPkts, evBytes := entry.Pkts, entry.Bytes
+		if cache != nil {
+			// The index is read before admission for the same reason.
+			e.admit(h, &p.Key, uint32(e.table.IndexOf(entry)), p.TS, evPkts, evBytes)
 		}
 		if e.onPass != nil {
 			e.onPass(PassEvent{Key: p.Key, TS: p.TS, Est: em,
@@ -570,32 +561,25 @@ func (e *Engine) growScratch(n int) {
 // fold's timestamp is the victim's own LastUpdate, so TTL semantics see
 // the flow's true idle time, not the demotion instant. pkts/bytes are
 // the flow's WSAF totals after the accumulate that triggered admission —
-// the pre-promotion base recorded on the cache entry — and slot is where
-// that accumulate wrote them.
+// the pre-promotion base recorded on the cache entry — and index is the
+// entry that accumulate wrote them to.
 //
 //im:hotpath
-func (e *Engine) admit(h uint64, key *packet.FlowKey, slot uint32, ts int64, pkts, bytes float64) {
-	if e.cache.Admit(h, key, slot, ts, pkts, bytes, &e.victim) == hotcache.AdmittedReplaced {
+func (e *Engine) admit(h uint64, key *packet.FlowKey, index uint32, ts int64, pkts, bytes float64) {
+	if e.cache.Admit(h, key, index, ts, pkts, bytes, &e.victim) == hotcache.AdmittedReplaced {
 		v := &e.victim
 		if v.Pkts > 0 || v.Bytes > 0 {
 			// A zero-delta victim (promoted, never hit) has nothing to
 			// conserve; folding it would insert a phantom zero entry.
-			outcome, _ := e.table.AccumulateHashed(v.Hash, v.Key, float64(v.Pkts), float64(v.Bytes), v.LastUpdate)
-			if outcome == wsaf.Dropped {
-				// The probe window held only live, recently-referenced
-				// entries: the victim's exact delta is lost. Count it —
-				// conservation violations must never be silent.
-				e.foldDrops++
-				e.tm.cacheFoldDrops.Inc()
-			}
+			e.table.AccumulateHashed(v.Hash, v.Key, float64(v.Pkts), float64(v.Bytes), v.LastUpdate)
 		}
 	}
 }
 
-// CacheFoldDrops reports demotion folds the WSAF dropped — exact deltas
-// lost to probe-limit exhaustion. Zero in a healthy run; also published
-// as hotcache_fold_drops_total.
-func (e *Engine) CacheFoldDrops() uint64 { return e.foldDrops }
+// CacheFoldDrops reports demotion folds the WSAF dropped. It is zero by
+// construction — every Accumulate places its flow (see wsaf.Evicted) —
+// and stays for the callers that report it.
+func (e *Engine) CacheFoldDrops() uint64 { return 0 }
 
 // Estimate returns the engine's current estimate of the flow's packet and
 // byte totals: its WSAF entry (if any) plus the fraction still retained
@@ -663,33 +647,34 @@ func (e *Engine) Lookup(key packet.FlowKey) (wsaf.Entry, bool) {
 }
 
 // Each calls fn for every live flow as one coherent table: the WSAF
-// entries in ascending slot order, each promoted flow's exact cache delta
+// entries in insertion order, each promoted flow's exact cache delta
 // merged in, then the cached flows whose WSAF entry is gone, in cache
 // order. Epoch export, the store and top-k all read this merged view, so
 // the cache tier is invisible downstream. The pointer is valid only during
 // the call.
 //
 // The merge is one pass over the cache, not a probe per cached flow: a
-// radix pass puts the entries in the order of their recorded WSAF slots
-// (hotcache.Entry.Slot), and the slot-order table walk merges a cached
-// flow at its slot when the key there is still its own. A flow whose slot
-// another key took, or whose entry expired, follows with its delta alone.
+// radix pass puts the entries in the order of their recorded WSAF entry
+// indexes (hotcache.Entry.Index), and the table walk, which visits entries
+// by index, merges a cached flow at its index when the key there is still
+// its own. A flow whose entry another key took over, or whose entry
+// expired, follows with its delta alone.
 func (e *Engine) Each(fn func(*wsaf.Entry)) {
 	if e.cache == nil || e.cache.Len() == 0 {
 		e.table.Each(e.lastTS, func(_ int, en *wsaf.Entry) { fn(en) })
 		return
 	}
 	cand := e.cand[:0]
-	e.cache.Each(func(i int, ce *hotcache.Entry) { cand = append(cand, uint64(ce.Slot)<<32|uint64(i)) })
-	cand = radixSortSlots(cand, e.candTmp, bits.Len(uint(e.table.Capacity()-1)))
+	e.cache.Each(func(i int, ce *hotcache.Entry) { cand = append(cand, uint64(ce.Index)<<32|uint64(i)) })
+	cand = radixSortIndex(cand, e.candTmp, bits.Len(uint(e.table.Len())))
 	matched := e.matched
 	clear(matched)
-	e.table.Each(e.lastTS, func(slot int, en *wsaf.Entry) {
-		for len(cand) > 0 && int(cand[0]>>32) < slot {
-			cand = cand[1:] // an expired entry's slot: the walk skipped it
+	e.table.Each(e.lastTS, func(n int, en *wsaf.Entry) {
+		for len(cand) > 0 && int(cand[0]>>32) < n {
+			cand = cand[1:] // an expired entry: the walk skipped it
 		}
 		out := en
-		for ; len(cand) > 0 && int(cand[0]>>32) == slot; cand = cand[1:] {
+		for ; len(cand) > 0 && int(cand[0]>>32) == n; cand = cand[1:] {
 			i := uint32(cand[0])
 			if ce := e.cache.At(int(i)); ce.Key == en.Key {
 				matched[i>>6] |= 1 << (i & 63)
@@ -715,11 +700,11 @@ func (e *Engine) Each(fn func(*wsaf.Entry)) {
 	})
 }
 
-// radixSortSlots sorts slot<<32|index words by slot, stably, in 8-bit LSD
+// radixSortIndex sorts index<<32|i words by index, stably, in 8-bit LSD
 // passes between a and tmp, and returns whichever holds the result: a
 // comparison sort costs more than the walk it feeds, in mispredictions.
-func radixSortSlots(a, tmp []uint64, slotBits int) []uint64 {
-	for shift := 32; shift < 32+slotBits; shift += 8 {
+func radixSortIndex(a, tmp []uint64, indexBits int) []uint64 {
+	for shift := 32; shift < 32+indexBits; shift += 8 {
 		var off [256]int
 		for _, v := range a {
 			off[byte(v>>shift)]++

@@ -43,19 +43,19 @@ func refSnapshot(e *Engine) (snap []wsaf.Entry, merged, orphans int) {
 	return snap, merged, orphans
 }
 
-// staleSlots counts the cached flows whose recorded WSAF slot no longer
-// holds their live entry: another key sits there, or their own entry there
-// expired. Those are the flows the slot merge must not merge.
+// staleSlots counts the cached flows whose recorded WSAF entry index no
+// longer holds their live entry: another key took the entry over, or their
+// own entry there expired. Those are the flows the merge must not merge.
 func staleSlots(e *Engine) (taken, expired int) {
-	type slotState struct {
+	type entryState struct {
 		key  packet.FlowKey
 		live bool
 	}
-	slots := map[int]*slotState{}
-	e.table.Each(0, func(slot int, en *wsaf.Entry) { slots[slot] = &slotState{key: en.Key} })
-	e.table.Each(e.lastTS, func(slot int, _ *wsaf.Entry) { slots[slot].live = true })
+	entries := map[int]*entryState{}
+	e.table.Each(0, func(n int, en *wsaf.Entry) { entries[n] = &entryState{key: en.Key} })
+	e.table.Each(e.lastTS, func(n int, _ *wsaf.Entry) { entries[n].live = true })
 	e.cache.Each(func(_ int, ce *hotcache.Entry) {
-		switch s := slots[int(ce.Slot)]; {
+		switch s := entries[int(ce.Index)]; {
 		case s == nil || s.key != ce.Key:
 			taken++
 		case !s.live:
@@ -91,10 +91,10 @@ func (r mergeRun) run(t *testing.T, pkts []packet.Packet) (seen mergeSeen) {
 	if e.cache != nil {
 		// A pass event fires after its admission. A flow cached at two
 		// events under one residency (same FirstSeen — timestamps rise
-		// packet by packet) but at two slots was moved by AlreadyCached.
+		// packet by packet) but at two indexes was moved by AlreadyCached.
 		type residency struct {
 			firstSeen int64
-			slot      uint32
+			index     uint32
 		}
 		last := map[packet.FlowKey]residency{}
 		e.OnPass(func(ev PassEvent) {
@@ -102,10 +102,10 @@ func (r mergeRun) run(t *testing.T, pkts []packet.Packet) (seen mergeSeen) {
 			if !ok {
 				return
 			}
-			if was, ok := last[ev.Key]; ok && was.firstSeen == ce.FirstSeen && was.slot != ce.Slot {
+			if was, ok := last[ev.Key]; ok && was.firstSeen == ce.FirstSeen && was.index != ce.Index {
 				seen.moved++
 			}
-			last[ev.Key] = residency{ce.FirstSeen, ce.Slot}
+			last[ev.Key] = residency{ce.FirstSeen, ce.Index}
 		})
 	}
 	check := max(1, len(pkts)/8)

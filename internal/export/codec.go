@@ -420,7 +420,7 @@ type TableStats struct {
 	Inserts     uint64
 	Expirations uint64 // TTL-expired entries reclaimed during probing
 	Evictions   uint64 // live entries displaced by the clock policy
-	Drops       uint64
+	Drops       uint64 // zero by construction (wsaf.Stats.Drops); kept in the wire format
 }
 
 // AppendSnapshotStats appends a snapshot file with a CRC-protected stats

@@ -1,9 +1,10 @@
 // Package flowtable is the collection tier's one keyed table: a growable,
 // open-addressed map from flow key to a caller-chosen value, in the shape
 // of the WSAF (power-of-two slots, triangular probing, the flow hash
-// threaded in by the caller) minus eviction and TTL — the collector, the
-// fleet aggregator and the store's queries keep every flow they are told
-// about, so the table grows instead of displacing.
+// threaded in by the caller, slot words over dense entries) minus eviction
+// and TTL — the collector, the fleet aggregator and the store's queries
+// keep every flow they are told about, so the table grows instead of
+// displacing.
 //
 // Layout: a slot array of 8-byte words, each a 32-bit tag (the hash's high
 // half) beside a 32-bit entry number, and a dense entry array in insertion
@@ -44,9 +45,9 @@ func Hash(k *packet.FlowKey) uint64 { return k.Hash64(seed) }
 // minSlots is the first slot array's size.
 const minSlots = 16
 
-// Burst is how far a bulk caller hints ahead of what it resolves: wsaf's
-// prefetchWindow, for the same reason — past the 10–16 misses a core
-// overlaps, and few enough lines to still be in L1D when resolved.
+// Burst is how far a bulk caller hints ahead of what it resolves: past the
+// 10–16 misses a core overlaps, and few enough lines to still be in L1D
+// when resolved.
 const Burst = 32
 
 // Table maps flow keys to values of type V. The zero value is an empty

@@ -74,10 +74,10 @@ type Entry struct {
 	// DRAM path while the flow is cached.
 	BasePkts  float64
 	BaseBytes float64
-	// Slot is the WSAF slot the admitting (or last AlreadyCached)
+	// Index is the WSAF entry index the admitting (or last AlreadyCached)
 	// accumulate wrote: the only writes of the flow's key into the table,
-	// so its entry is at Slot or nowhere.
-	Slot uint32
+	// and an entry never moves, so the flow's entry is at Index or nowhere.
+	Index uint32
 	// Notified records which armed crossing thresholds already fired
 	// for this residency (bit 0 packets, bit 1 bytes), so each
 	// dimension reports at most once per promotion.
@@ -184,7 +184,7 @@ func MustNew(cfg Config) *Cache {
 }
 
 // set returns the base index of h's set. The set bits come from the
-// hash's upper half: the WSAF slot and the sketch indices consume the
+// hash's upper half: the WSAF probe and the sketch indices consume the
 // low bits, so the tiers probe independent projections of the one hash.
 func (c *Cache) set(h uint64) int {
 	return int((h>>32)&c.setMask) * ways
@@ -278,17 +278,17 @@ func (c *Cache) Bump(h uint64, key *packet.FlowKey, length uint16, ts int64) boo
 // accounted to the WSAF by the caller. basePkts/baseBytes are the flow's
 // WSAF totals after that accumulate — the pre-promotion estimate recorded
 // on the entry so merged totals stay readable from the cache alone, and
-// slot is the WSAF slot that accumulate wrote (see Entry.Slot).
+// index is the WSAF entry that accumulate wrote (see Entry.Index).
 //
 // h must be the flow's Hash64 under the engine's hash seed. A flow that
 // is already cached — a batched burst probes every packet before any
 // admission, so a second same-burst passthrough can arrive for a flow
 // promoted moments earlier — is detected on the tag line and returns
-// AlreadyCached with only its base and slot refreshed: no duplicate way,
+// AlreadyCached with only its base and index refreshed: no duplicate way,
 // no promotion count, no delta reset.
 //
 //im:hotpath
-func (c *Cache) Admit(h uint64, key *packet.FlowKey, slot uint32, ts int64, basePkts, baseBytes float64, victim *Entry) AdmitResult {
+func (c *Cache) Admit(h uint64, key *packet.FlowKey, index uint32, ts int64, basePkts, baseBytes float64, victim *Entry) AdmitResult {
 	if h == 0 {
 		// Tag 0 marks an empty way; the one-in-2^64 flow hashing to 0
 		// simply never promotes.
@@ -309,8 +309,8 @@ func (c *Cache) Admit(h uint64, key *packet.FlowKey, slot uint32, ts int64, base
 			// The WSAF totals just grew past the recorded base; refresh
 			// it (the live delta counts only cache hits, which the WSAF
 			// never saw, so base+delta stays the merged truth). The
-			// accumulate may have re-inserted the flow at a new slot.
-			e.BasePkts, e.BaseBytes, e.Slot = basePkts, baseBytes, slot
+			// accumulate may have re-inserted the flow at a new index.
+			e.BasePkts, e.BaseBytes, e.Index = basePkts, baseBytes, index
 			c.seedNotified(e)
 			return AlreadyCached
 		}
@@ -323,7 +323,7 @@ func (c *Cache) Admit(h uint64, key *packet.FlowKey, slot uint32, ts int64, base
 	var minPkts uint64
 	for w := 0; w < ways; w++ {
 		if tags[w] == 0 {
-			c.place(base+w, h, key, slot, ts, basePkts, baseBytes)
+			c.place(base+w, h, key, index, ts, basePkts, baseBytes)
 			return AdmittedFree
 		}
 		if e := &c.ents[base+w]; victimWay < 0 || e.Pkts < minPkts {
@@ -343,15 +343,15 @@ func (c *Cache) Admit(h uint64, key *packet.FlowKey, slot uint32, ts int64, base
 	c.stats.DemotedPkts += v.Pkts
 	c.stats.DemotedBytes += v.Bytes
 	c.size--
-	c.place(base+victimWay, h, key, slot, ts, basePkts, baseBytes)
+	c.place(base+victimWay, h, key, index, ts, basePkts, baseBytes)
 	return AdmittedReplaced
 }
 
 // place installs a fresh zero-delta entry at index i.
-func (c *Cache) place(i int, h uint64, key *packet.FlowKey, slot uint32, ts int64, basePkts, baseBytes float64) {
+func (c *Cache) place(i int, h uint64, key *packet.FlowKey, index uint32, ts int64, basePkts, baseBytes float64) {
 	c.tags[i] = h
 	c.ents[i] = Entry{Hash: h, Key: *key, BasePkts: basePkts, BaseBytes: baseBytes,
-		FirstSeen: ts, LastUpdate: ts, Slot: slot}
+		FirstSeen: ts, LastUpdate: ts, Index: index}
 	c.seedNotified(&c.ents[i])
 	c.size++
 	c.stats.Promotions++
@@ -400,7 +400,7 @@ func (c *Cache) MemoryBytes() int {
 
 // entryBytes is the accounting size of one cache entry: 8 (hash) + 38
 // (key) + 8 + 8 (counters) + 8 + 8 (timestamps) + 8 + 8 (pre-promotion
-// base) + 4 (WSAF slot) + 1 (notified bits).
+// base) + 4 (WSAF index) + 1 (notified bits).
 const entryBytes = 99
 
 // Stats returns a copy of the activity counters.

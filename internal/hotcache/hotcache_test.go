@@ -260,8 +260,8 @@ func TestAdmitDuplicateReturnsAlreadyCached(t *testing.T) {
 	if e.Pkts != 1 || e.Bytes != 100 {
 		t.Fatalf("delta = (%d, %d), want (1, 100) — duplicate reset it", e.Pkts, e.Bytes)
 	}
-	if e.BasePkts != 9 || e.BaseBytes != 900 || e.Slot != 7 {
-		t.Fatalf("base = (%.0f, %.0f) at slot %d, want refreshed (9, 900) at 7", e.BasePkts, e.BaseBytes, e.Slot)
+	if e.BasePkts != 9 || e.BaseBytes != 900 || e.Index != 7 {
+		t.Fatalf("base = (%.0f, %.0f) at index %d, want refreshed (9, 900) at 7", e.BasePkts, e.BaseBytes, e.Index)
 	}
 	// The duplicate must not have installed a second way for the key.
 	seen := 0

@@ -4,11 +4,11 @@
 // copies or sorts the flows it does not return.
 //
 // Order is total: larger score first, and among equal scores the value
-// offered earlier first. Fed from a table walk in ascending slot order
-// that is "lower slot first"; the result is therefore the first k rows of
-// a stable descending sort of the whole walk. The collection tier's
-// rankings break ties by flow key instead (NewTied), so their answers do
-// not depend on the order flows were first seen in.
+// offered earlier first. Fed from the WSAF's walk, which is in insertion
+// order, that is "the earlier entry first"; the result is therefore the
+// first k rows of a stable descending sort of the whole walk. The
+// collection tier's rankings break ties by flow key instead (NewTied), so
+// their answers do not depend on the order flows were first seen in.
 package topk
 
 import "slices"

@@ -1,42 +1,66 @@
 package wsaf
 
 import (
-	"math/bits"
+	"bytes"
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// checkOccupancy asserts the bitmap invariant: bit i is set exactly when
-// slot i is used, no bit past the table is set, and Len is the popcount.
+// checkOccupancy asserts the layout invariant: every nonzero slot word
+// names a distinct entry whose slot points back to it, under a tag equal
+// to the entry's FlowID, and there are exactly Len such words.
 func checkOccupancy(t testing.TB, tab *Table) {
 	t.Helper()
-	for i := range tab.entries {
-		if bit := tab.occ[i>>6]>>(i&63)&1 == 1; bit != tab.entries[i].used {
-			t.Fatalf("slot %d: occupancy bit %v, used %v", i, bit, tab.entries[i].used)
+	named := make([]bool, len(tab.entries))
+	words := 0
+	for slot, w := range tab.slots {
+		if w == 0 {
+			continue
 		}
+		words++
+		n := int(uint32(w)) - 1
+		if n < 0 || n >= len(tab.entries) {
+			t.Fatalf("slot %d names entry %d of %d", slot, n, len(tab.entries))
+		}
+		e := &tab.entries[n]
+		if named[n] || int(e.slot) != slot || uint32(w>>32) != e.FlowID {
+			t.Fatalf("slot %d: word %#x names entry %d (named twice %v, its slot %d, FlowID %#x)",
+				slot, w, n, named[n], e.slot, e.FlowID)
+		}
+		named[n] = true
 	}
-	pop := 0
-	for _, w := range tab.occ {
-		pop += bits.OnesCount64(w)
-	}
-	if pop != tab.Len() {
-		t.Fatalf("bitmap popcount %d, Len %d (%d slots)", pop, tab.Len(), len(tab.entries))
+	if words != tab.Len() || len(tab.entries) != tab.Len() {
+		t.Fatalf("%d slot words, %d entries, Len %d", words, len(tab.entries), tab.Len())
 	}
 }
 
-// refSnapshot is the full scan the occupancy walk replaced, kept as the
-// reference: every slot, in order, tested for used.
+// refSnapshot is a scan of the slots in slot order, reading each entry
+// through its slot word: the live set Each must visit, in another order.
 func refSnapshot(tab *Table, now int64) []Entry {
 	var out []Entry
-	for i := range tab.entries {
-		e := &tab.entries[i]
-		if !e.used || (now > 0 && tab.expired(e, now)) {
+	for _, w := range tab.slots {
+		if w == 0 {
 			continue
 		}
-		out = append(out, *e)
+		if e := &tab.entries[uint32(w)-1]; now <= 0 || !tab.expired(e, now) {
+			out = append(out, *e)
+		}
 	}
 	return out
+}
+
+// byKey returns es sorted by key, for comparing live sets whatever order
+// they were listed in.
+func byKey(es []Entry) []Entry {
+	es = slices.Clone(es)
+	slices.SortFunc(es, func(a, b Entry) int {
+		x, y := &a.Key, &b.Key
+		return cmp.Or(bytes.Compare(x.SrcIP[:], y.SrcIP[:]), bytes.Compare(x.DstIP[:], y.DstIP[:]),
+			cmp.Compare(x.SrcPort, y.SrcPort), cmp.Compare(x.DstPort, y.DstPort), cmp.Compare(x.Proto, y.Proto))
+	})
+	return es
 }
 
 // churn drives ops seeded random accumulates over a keyspace a few times
@@ -53,14 +77,14 @@ func churn(tab *Table, rng *rand.Rand, ops int, after func(o Outcome, selfLive b
 		default:
 			now += int64(rng.Intn(4))
 		}
-		k := key(rng.Intn(4 * len(tab.entries)))
+		k := key(rng.Intn(4 * tab.Capacity()))
 		selfLive := false
 		for h, j := k.Hash64(tab.seed), 0; j < tab.probeLimit; j++ {
-			e := &tab.entries[tab.slot(h, j)]
-			if !e.used {
+			w := tab.slots[tab.slot(h, j)]
+			if w == 0 {
 				break
 			}
-			selfLive = selfLive || e.Key == k
+			selfLive = selfLive || tab.entries[uint32(w)-1].Key == k
 		}
 		// A handful of distinct sizes, so top-k ties are common.
 		o, _ := tab.Accumulate(k, float64(1+rng.Intn(5)), float64(40+rng.Intn(3)), now)
@@ -69,10 +93,8 @@ func churn(tab *Table, rng *rand.Rand, ops int, after func(o Outcome, selfLive b
 }
 
 // TestOccupancyMatchesUsed drives tiny, tight tables through every way a
-// slot changes hands and checks the bitmap after each operation. Dropped
-// is the one outcome not forced: with a probe limit of at least one, a
-// probe sequence with no free slot always leaves an eviction candidate,
-// under either policy.
+// slot changes hands and checks the slot words against the dense entries
+// after each operation.
 func TestOccupancyMatchesUsed(t *testing.T) {
 	type seen struct{ insert, update, selfReclaim, slotReclaim, evict, reset bool }
 	for _, eviction := range []Eviction{EvictSecondChance, EvictFirst} {
@@ -124,20 +146,18 @@ func TestOccupancyMatchesUsed(t *testing.T) {
 	})
 	big.Reset()
 	checkOccupancy(t, big)
-	for i := range big.entries {
-		if big.entries[i] != (Entry{}) {
-			t.Fatalf("Reset left slot %d = %+v", i, big.entries[i])
+	for slot, w := range big.slots {
+		if w != 0 {
+			t.Fatalf("Reset left slot %d = %#x", slot, w)
 		}
 	}
 }
 
-// TestWalkMatchesFullScan: Each and Snapshot off the bitmap equal the
-// reference full scan element for element and in order, with the TTL filter
-// on and off.
+// TestWalkMatchesFullScan: Each and Snapshot list the live set a scan of
+// the slot words finds, with the TTL filter on and off, and Each visits
+// the dense entries in index order.
 func TestWalkMatchesFullScan(t *testing.T) {
 	for _, ttlOn := range []bool{false, true} {
-		// A table smaller than one bitmap word, and one spanning many
-		// prefetch windows plus a partial one.
 		for _, entries := range []int{16, 4096} {
 			ttl := int64(0)
 			if ttlOn {
@@ -155,19 +175,20 @@ func TestWalkMatchesFullScan(t *testing.T) {
 				if ttl > 0 && now == last && (len(want) == 0 || len(want) == tab.Len()) {
 					t.Fatalf("ttl %d: %d of %d entries live at now — the expiry filter is not exercised", ttl, len(want), tab.Len())
 				}
-				if got := tab.Snapshot(now); !slices.Equal(got, want) {
-					t.Fatalf("entries %d ttl %d now %d: Snapshot differs from the full scan (%d vs %d entries)",
+				got := tab.Snapshot(now)
+				if !slices.Equal(byKey(got), byKey(want)) {
+					t.Fatalf("entries %d ttl %d now %d: Snapshot differs from the slot scan (%d vs %d entries)",
 						entries, ttl, now, len(got), len(want))
 				}
 				prev, i := -1, 0
-				tab.Each(now, func(slot int, e *Entry) {
-					if slot <= prev || e != &tab.entries[slot] || *e != want[i] {
-						t.Fatalf("Each visit %d: slot %d after %d, entry %+v, want %+v", i, slot, prev, *e, want[i])
+				tab.Each(now, func(n int, e *Entry) {
+					if n <= prev || e != &tab.entries[n] || *e != got[i] {
+						t.Fatalf("Each visit %d: index %d after %d, entry %+v, want %+v", i, n, prev, *e, got[i])
 					}
-					prev, i = slot, i+1
+					prev, i = n, i+1
 				})
-				if i != len(want) {
-					t.Fatalf("Each visited %d entries, want %d", i, len(want))
+				if i != len(got) {
+					t.Fatalf("Each visited %d entries, want %d", i, len(got))
 				}
 			}
 		}

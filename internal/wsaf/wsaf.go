@@ -9,6 +9,15 @@
 // second-chance (clock) replacement policy that evicts expired or least
 // significant mice entries inline — garbage collection happens during
 // probing rather than on a separate core.
+//
+// Layout (flowtable's): the probed array is one 8-byte word per slot, 0
+// when empty, else the entry's FlowID beside its entry number; the entries
+// sit in a dense array of exactly the live ones, in insertion order. A
+// probe compares tags and reads an entry only on a tag match, or when the
+// TTL or the eviction policy must look at it. Eviction, reclaim and the
+// TTL restart overwrite an entry in place and nothing frees a single
+// entry, so the array never has holes: a snapshot, a top-k or a Reset is
+// one sequential pass over what is live, never a walk of the slots.
 package wsaf
 
 import (
@@ -87,12 +96,10 @@ const (
 	// Reclaimed: a new entry replaced an expired one (inline GC).
 	Reclaimed
 	// Evicted: a new entry replaced a live entry chosen by the
-	// second-chance policy.
+	// eviction policy. A probe window with no free slot holds only live
+	// entries, and both policies pick one of them, so every Accumulate
+	// places its flow.
 	Evicted
-	// Dropped: every probed slot held a live, recently-referenced entry
-	// and even eviction could not place the flow (only possible when the
-	// clock pass is disabled); the update was lost.
-	Dropped
 )
 
 // Entry is one WSAF record. Pkts and Bytes are float64 because
@@ -105,11 +112,15 @@ type Entry struct {
 	FirstSeen  int64
 	LastUpdate int64
 
-	used   bool
 	chance bool
+	// slot is the slot whose word names this entry; it fits the struct's
+	// padding, so Entry is 88 bytes with or without it.
+	slot uint32
 }
 
-// Stats aggregates table activity counters.
+// Stats aggregates table activity counters. Drops is zero by
+// construction (see Evicted); it stays because the snapshot trailer, the
+// dump tool and the oracle carry it.
 type Stats struct {
 	Updates    uint64
 	Inserts    uint64
@@ -123,8 +134,8 @@ type Stats struct {
 // FlowRegulator passthroughs (~1% of packets), so updating these on every
 // call is cheap. All handles must be set when the struct is non-nil.
 type Telemetry struct {
-	// Outcomes[o-1] counts Accumulate results by Outcome (Updated..Dropped).
-	Outcomes [5]telemetry.CounterShard
+	// Outcomes[o-1] counts Accumulate results by Outcome (Updated..Evicted).
+	Outcomes [4]telemetry.CounterShard
 	// ProbeLength observes the number of slots probed per Accumulate —
 	// the paper's quadratic-vs-linear probing quantity.
 	ProbeLength telemetry.HistogramShard
@@ -135,13 +146,12 @@ type Telemetry struct {
 // Table is a WSAF instance. It is not safe for concurrent use; the pipeline
 // shards one Table per worker.
 type Table struct {
-	entries []Entry
-	// occ is the occupancy bitmap: bit i is set exactly when entries[i].used.
-	// used only ever goes false→true in place and back in Reset — eviction
-	// and TTL reclaim overwrite a used slot in place — so those two are the
-	// only writers. Each walks it, so a snapshot, a top-k or a Reset costs
-	// what is live, not what is allocated.
-	occ        []uint64
+	// slots holds 0 for an empty slot, else FlowID<<32 | entry number + 1.
+	slots []uint64
+	// entries holds exactly the Len() live (or expired, not yet reclaimed)
+	// entries in insertion order. It is reserved at capacity, so an insert
+	// never reallocates and an entry never moves short of Reset.
+	entries    []Entry
 	mask       uint64
 	probeLimit int
 	ttl        int64
@@ -150,9 +160,8 @@ type Table struct {
 	seed       uint64
 	tm         *Telemetry
 
-	size     int
 	stats    Stats
-	probeBuf []int // reused across Accumulate calls to avoid per-packet allocation
+	probeBuf []int // entry numbers of the probed live entries, reused across calls
 	victim   Entry // scratch for the displaced entry of the last eviction
 }
 
@@ -177,8 +186,8 @@ func New(cfg Config) (*Table, error) {
 		eviction = EvictSecondChance
 	}
 	return &Table{
-		entries:    make([]Entry, cfg.Entries),
-		occ:        make([]uint64, (cfg.Entries+63)/64),
+		slots:      make([]uint64, cfg.Entries),
+		entries:    make([]Entry, 0, cfg.Entries),
 		mask:       uint64(cfg.Entries - 1),
 		probeLimit: probeLimit,
 		ttl:        cfg.TTL,
@@ -217,12 +226,12 @@ func (t *Table) Accumulate(key packet.FlowKey, pkts, bytes float64, now int64) (
 // AccumulateHashed is Accumulate with the key's precomputed Hash64 — the
 // zero-rehash hot path: the engine hashes each packet once and threads the
 // value through the FlowRegulator and into the table. It returns the live
-// entry for key after the update (nil only for Dropped); the pointer is
-// into the table and MUST NOT be held across the next mutating call — any
-// later Accumulate may relocate, evict, or overwrite the slot. Copy the
-// fields out before touching the table again. For Evicted, the displaced
-// entry is retained in the table's victim scratch until the next eviction;
-// read it through Victim (a copy) or use Accumulate, which surfaces it.
+// entry for key after the update; the pointer is into the table and MUST
+// NOT be held across the next mutating call — any later Accumulate may
+// evict or overwrite the entry. Copy the fields out before touching the
+// table again. For Evicted, the displaced entry is retained in the table's
+// victim scratch until the next eviction; read it through Victim (a copy)
+// or use Accumulate, which surfaces it.
 //
 //im:hotpath
 func (t *Table) AccumulateHashed(h uint64, key packet.FlowKey, pkts, bytes float64, now int64) (Outcome, *Entry) {
@@ -235,25 +244,27 @@ func (t *Table) AccumulateHashed(h uint64, key packet.FlowKey, pkts, bytes float
 	for i := 0; i < t.probeLimit; i++ {
 		slot := t.slot(h, i)
 		steps++
-		e := &t.entries[slot]
-		switch {
-		case !e.used:
+		w := t.slots[slot]
+		if w == 0 {
+			// An empty slot ends the probe chain: the key cannot be
+			// stored past the first hole it would have filled.
 			if freeSlot < 0 {
 				freeSlot = slot
 			}
-			// An empty slot ends the probe chain: the key cannot be
-			// stored past the first hole it would have filled.
-			i = t.probeLimit
-		case e.FlowID == id && e.Key == key:
+			break
+		}
+		n := int(uint32(w)) - 1
+		e := &t.entries[n]
+		switch {
+		case uint32(w>>32) == id && e.Key == key:
 			if t.expired(e, now) {
 				// The flow's own entry sat idle past the TTL. Lookup and
 				// Snapshot already treat it as dead, so resuming the stale
 				// counters here would resurrect a flow the rest of the API
 				// says expired: start a fresh record instead (inline GC of
-				// our own slot).
+				// our own entry).
 				t.stats.Reclaims++
-				t.size--
-				t.place(slot, id, key, pkts, bytes, now)
+				t.place(slot, n, id, key, pkts, bytes, now)
 				return t.note(Reclaimed, steps), e
 			}
 			e.Pkts += pkts
@@ -266,68 +277,56 @@ func (t *Table) AccumulateHashed(h uint64, key packet.FlowKey, pkts, bytes float
 			if freeSlot < 0 {
 				freeSlot = slot
 			}
-			probed = append(probed, slot)
 		default:
-			probed = append(probed, slot)
+			probed = append(probed, n)
 		}
 	}
 
 	if freeSlot >= 0 {
-		slot := &t.entries[freeSlot]
-		outcome := Inserted
-		if slot.used {
-			outcome = Reclaimed
+		if w := t.slots[freeSlot]; w != 0 {
 			t.stats.Reclaims++
-			t.size--
-		} else {
-			t.stats.Inserts++
+			e := t.place(freeSlot, int(uint32(w))-1, id, key, pkts, bytes, now)
+			return t.note(Reclaimed, steps), e
 		}
-		t.place(freeSlot, id, key, pkts, bytes, now)
-		return t.note(outcome, steps), slot
+		t.stats.Inserts++
+		n := len(t.entries)
+		t.entries = t.entries[:n+1]
+		e := t.place(freeSlot, n, id, key, pkts, bytes, now)
+		return t.note(Inserted, steps), e
 	}
 
-	victimSlot := -1
-	switch t.eviction {
-	case EvictFirst:
-		if len(probed) > 0 {
-			victimSlot = probed[0]
-		}
-	default:
+	// No slot was free, so every probed slot is in probed (probeLimit ≥ 1).
+	victim := probed[0]
+	if t.eviction != EvictFirst {
 		// Second-chance clock pass over the probed window: entries
 		// holding a chance bit get it cleared and survive; the first
 		// entry without one is the eviction candidate. If every entry
 		// had its chance (all now cleared), evict the smallest flow —
 		// mice first, per the paper.
-		for _, slot := range probed {
-			e := &t.entries[slot]
+		victim = -1
+		for _, n := range probed {
+			e := &t.entries[n]
 			if e.chance {
 				e.chance = false
 				continue
 			}
-			victimSlot = slot
+			victim = n
 			break
 		}
-		if victimSlot < 0 {
-			minPkts := -1.0
-			for _, slot := range probed {
-				if e := &t.entries[slot]; minPkts < 0 || e.Pkts < minPkts {
-					minPkts = e.Pkts
-					victimSlot = slot
+		if victim < 0 {
+			victim = probed[0]
+			for _, n := range probed[1:] {
+				if t.entries[n].Pkts < t.entries[victim].Pkts {
+					victim = n
 				}
 			}
 		}
 	}
-	if victimSlot < 0 {
-		t.stats.Drops++
-		return t.note(Dropped, steps), nil
-	}
 
-	t.victim = t.entries[victimSlot]
-	t.size--
-	slot := &t.entries[victimSlot]
-	t.place(victimSlot, id, key, pkts, bytes, now)
+	t.victim = t.entries[victim]
+	e := t.place(int(t.victim.slot), victim, id, key, pkts, bytes, now)
 	t.stats.Evictions++
-	return t.note(Evicted, steps), slot
+	return t.note(Evicted, steps), e
 }
 
 // note folds one Accumulate's probe work and outcome into the stats and,
@@ -337,7 +336,7 @@ func (t *Table) note(o Outcome, steps int) Outcome {
 	if t.tm != nil {
 		t.tm.Outcomes[o-1].Inc()
 		t.tm.ProbeLength.Observe(uint64(steps))
-		t.tm.Occupancy.Set(int64(t.size))
+		t.tm.Occupancy.Set(int64(len(t.entries)))
 	}
 	return o
 }
@@ -353,7 +352,7 @@ func (t *Table) Victim() Entry { return t.victim }
 func (t *Table) SetTelemetry(tm *Telemetry) {
 	t.tm = tm
 	if tm != nil {
-		tm.Occupancy.Set(int64(t.size))
+		tm.Occupancy.Set(int64(len(t.entries)))
 	}
 }
 
@@ -367,119 +366,107 @@ func (t *Table) Lookup(key packet.FlowKey, now int64) (Entry, bool) {
 //
 //im:hotpath
 func (t *Table) LookupHashed(h uint64, key packet.FlowKey, now int64) (Entry, bool) {
-	if slot := t.SlotHashed(h, key, now); slot >= 0 {
-		return t.entries[slot], true
+	if n := t.IndexHashed(h, key, now); n >= 0 {
+		return t.entries[n], true
 	}
 	return Entry{}, false
 }
 
-// SlotHashed returns the slot holding key's entry, or -1 if the key is
+// IndexHashed returns the index of key's entry, or -1 if the key is
 // absent or its entry expired at now: the probe LookupHashed reads
-// through, and the reference SlotOf is tested against.
+// through, and the reference IndexOf is tested against.
 //
 //im:hotpath
-func (t *Table) SlotHashed(h uint64, key packet.FlowKey, now int64) int {
+func (t *Table) IndexHashed(h uint64, key packet.FlowKey, now int64) int {
 	id := uint32(h ^ (h >> 32))
 	for i := 0; i < t.probeLimit; i++ {
-		slot := t.slot(h, i)
-		e := &t.entries[slot]
-		if !e.used {
+		w := t.slots[t.slot(h, i)]
+		if w == 0 {
 			return -1
 		}
-		if e.FlowID == id && e.Key == key {
-			if t.expired(e, now) {
+		if uint32(w>>32) != id {
+			continue
+		}
+		if n := int(uint32(w)) - 1; t.entries[n].Key == key {
+			if t.expired(&t.entries[n], now) {
 				return -1
 			}
-			return slot
+			return n
 		}
 	}
 	return -1
 }
 
-// Each calls fn for every live entry in ascending slot order (expired ones
-// excluded when a TTL is configured and now > 0). It walks the occupancy
-// bitmap, so an almost-empty table costs its live entries plus one pass
-// over 1 bit per slot. Live entries of a sparse table are one DRAM miss
-// each, so the walk runs prefetchWindow entries behind its own prefetches,
-// the same overlap the engine's prefetch pass buys. The pointer is into
-// the table and valid only during the call; fn may overwrite *e but must
-// not call anything that probes.
-func (t *Table) Each(now int64, fn func(slot int, e *Entry)) {
-	var ring [prefetchWindow]int
-	queued := 0
-	visit := func(slot int) {
-		if e := &t.entries[slot]; now <= 0 || !t.expired(e, now) {
-			fn(slot, e)
+// Each calls fn for every live entry with its index, in insertion order
+// (expired ones excluded when a TTL is configured and now > 0): one
+// sequential pass over the dense entries. The pointer is into the table
+// and valid only during the call; fn must not modify the table.
+func (t *Table) Each(now int64, fn func(i int, e *Entry)) {
+	for i := range t.entries {
+		if e := &t.entries[i]; now <= 0 || !t.expired(e, now) {
+			fn(i, e)
 		}
-	}
-	for w, word := range t.occ {
-		for ; word != 0; word &= word - 1 {
-			slot := w<<6 | bits.TrailingZeros64(word)
-			if queued >= len(ring) {
-				visit(ring[queued%len(ring)])
-			}
-			t.prefetchSlot(slot)
-			ring[queued%len(ring)] = slot
-			queued++
-		}
-	}
-	for i := max(0, queued-len(ring)); i < queued; i++ {
-		visit(ring[i%len(ring)])
 	}
 }
 
 // Snapshot copies out all live entries (expired ones excluded when a TTL is
-// configured and now > 0), in ascending slot order.
+// configured and now > 0), in insertion order.
 func (t *Table) Snapshot(now int64) []Entry {
-	out := make([]Entry, 0, t.size)
+	out := make([]Entry, 0, len(t.entries))
 	t.Each(now, func(_ int, e *Entry) { out = append(out, *e) })
 	return out
 }
 
-// Len returns the number of occupied slots (including expired-but-not-yet-
-// reclaimed entries).
-func (t *Table) Len() int { return t.size }
+// Len returns the number of entries (including expired-but-not-yet-
+// reclaimed ones).
+func (t *Table) Len() int { return len(t.entries) }
 
 // Capacity returns the table size in entries.
-func (t *Table) Capacity() int { return len(t.entries) }
+func (t *Table) Capacity() int { return len(t.slots) }
 
 // LoadFactor is Len/Capacity.
 func (t *Table) LoadFactor() float64 {
-	return float64(t.size) / float64(len(t.entries))
+	return float64(len(t.entries)) / float64(len(t.slots))
 }
 
-// MemoryBytes reports DRAM consumption using the paper's 33-byte entries.
-// The occupancy bitmap (1 bit per slot, +0.4 %) is this implementation's
-// index, not part of the paper's accounting, and is left out.
-func (t *Table) MemoryBytes() int { return len(t.entries) * EntryBytes }
+// MemoryBytes reports DRAM consumption using the paper's 33-byte entries
+// at capacity. The slot words (8 bytes per slot) and the 88-byte Go
+// entries are this implementation's layout, not the paper's accounting,
+// and are left out.
+func (t *Table) MemoryBytes() int { return len(t.slots) * EntryBytes }
 
 // Stats returns a copy of the activity counters.
 func (t *Table) Stats() Stats { return t.stats }
 
-// Reset clears all entries and statistics.
+// Reset clears all entries and statistics. It zeroes only the slot words
+// the entries name, so it costs what is live, not what is allocated.
 func (t *Table) Reset() {
-	t.Each(0, func(_ int, e *Entry) { *e = Entry{} })
-	clear(t.occ)
-	t.size = 0
+	for i := range t.entries {
+		t.slots[t.entries[i].slot] = 0
+	}
+	t.entries = t.entries[:0]
 	t.stats = Stats{}
 	if t.tm != nil {
 		t.tm.Occupancy.Set(0)
 	}
 }
 
-func (t *Table) place(slot int, id uint32, key packet.FlowKey, pkts, bytes float64, now int64) {
-	t.occ[slot>>6] |= 1 << (slot & 63)
-	t.entries[slot] = Entry{
+// place writes a fresh entry for key at entry number n and names it from
+// slot, and returns it.
+func (t *Table) place(slot, n int, id uint32, key packet.FlowKey, pkts, bytes float64, now int64) *Entry {
+	t.slots[slot] = uint64(id)<<32 | uint64(n+1)
+	e := &t.entries[n]
+	*e = Entry{
 		FlowID:     id,
 		Key:        key,
 		Pkts:       pkts,
 		Bytes:      bytes,
 		FirstSeen:  now,
 		LastUpdate: now,
-		used:       true,
 		chance:     true,
+		slot:       uint32(slot),
 	}
-	t.size++
+	return e
 }
 
 func (t *Table) expired(e *Entry, now int64) bool {

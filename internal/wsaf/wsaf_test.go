@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"instameasure/internal/packet"
 	"instameasure/internal/telemetry"
@@ -87,7 +88,7 @@ func TestHashedAPIMatchesKeyed(t *testing.T) {
 		if oK != oH {
 			t.Fatalf("packet %d: keyed outcome %v, hashed outcome %v", i, oK, oH)
 		}
-		if oH != Dropped && live == nil {
+		if live == nil {
 			t.Fatalf("packet %d: outcome %v returned nil live entry", i, oH)
 		}
 		if live != nil && live.Key != k {
@@ -120,10 +121,10 @@ func TestAccumulateHashedLiveEntryTotals(t *testing.T) {
 	}
 }
 
-// TestSlotOfMatchesSlotHashed: the slot SlotOf reads off every live entry
-// AccumulateHashed returns — insert, update, reclaim or eviction — is the
-// slot a probe for the key finds right after.
-func TestSlotOfMatchesSlotHashed(t *testing.T) {
+// TestIndexOfMatchesIndexHashed: the index IndexOf reads off every live
+// entry AccumulateHashed returns — insert, update, reclaim or eviction —
+// is the index a probe for the key finds right after.
+func TestIndexOfMatchesIndexHashed(t *testing.T) {
 	tab := MustNew(Config{Entries: 64, ProbeLimit: 4, TTL: 50})
 	rng := rand.New(rand.NewSource(5))
 	seen := map[Outcome]bool{}
@@ -132,12 +133,9 @@ func TestSlotOfMatchesSlotHashed(t *testing.T) {
 		k := key(rng.Intn(256))
 		h := k.Hash64(tab.seed)
 		o, live := tab.AccumulateHashed(h, k, 1, 1, now)
-		if live == nil {
-			continue
-		}
 		seen[o] = true
-		if got, want := tab.SlotOf(live), tab.SlotHashed(h, k, now); got != want {
-			t.Fatalf("op %d (%v): SlotOf = %d, SlotHashed = %d", i, o, got, want)
+		if got, want := tab.IndexOf(live), tab.IndexHashed(h, k, now); got != want {
+			t.Fatalf("op %d (%v): IndexOf = %d, IndexHashed = %d", i, o, got, want)
 		}
 	}
 	for _, o := range []Outcome{Updated, Inserted, Reclaimed, Evicted} {
@@ -164,9 +162,6 @@ func TestAccumulateHashedEvictionReturnsNewEntry(t *testing.T) {
 				t.Fatalf("evict live entry = %+v, want fresh entry for %v", live, newKey)
 			}
 			break
-		}
-		if outcome == Dropped {
-			continue // every candidate slot recently referenced; try another key
 		}
 	}
 
@@ -373,6 +368,11 @@ func TestLoadFactorAndMemory(t *testing.T) {
 	if tab.Capacity() != 128 {
 		t.Errorf("Capacity = %d, want 128", tab.Capacity())
 	}
+	// The slot an entry records sits in padding: a live flow costs its
+	// 8-byte slot word plus 88 bytes of entry.
+	if size := unsafe.Sizeof(Entry{}); size != 88 {
+		t.Errorf("Entry is %d bytes, want 88", size)
+	}
 }
 
 func TestReset(t *testing.T) {
@@ -488,8 +488,8 @@ func TestQuadraticBeatsLinearClusteringAtHighLoad(t *testing.T) {
 
 // TestModelEquivalence is a model-based property test: with a roomy table
 // (no eviction pressure), the WSAF must behave exactly like a reference
-// map for any accumulate/lookup interleaving, its occupancy bitmap true to
-// the slots after every step.
+// map for any accumulate/lookup interleaving, its slot words true to the
+// dense entries after every step.
 func TestModelEquivalence(t *testing.T) {
 	type op struct {
 		Flow  uint8
@@ -674,9 +674,8 @@ func TestStatsConservation(t *testing.T) {
 // outcome — update, insert, a flow's own expired entry restarted, an
 // expired slot reclaimed for another flow, eviction — under both eviction
 // policies and both probe sequences, with and without telemetry
-// attached, and probes LookupHashed and SlotHashed for live, expired and
-// absent keys. Dropped is not reached: a probe sequence with no free slot
-// always leaves an eviction candidate (see TestOccupancyMatchesUsed).
+// attached, and probes LookupHashed and IndexHashed for live, expired and
+// absent keys.
 func TestHotpathZeroAllocs(t *testing.T) {
 	reg := telemetry.NewRegistry("t", 1)
 	tm := &Telemetry{
@@ -703,14 +702,14 @@ func TestHotpathZeroAllocs(t *testing.T) {
 			var now int64
 			// fewest[o] is the fewest times one run saw outcome o; 0 is a
 			// run's own-entry restart, which is a Reclaimed too.
-			var fewest [Dropped + 1]int
+			var fewest [Evicted + 1]int
 			for i := range fewest {
 				fewest[i] = 1 << 30
 			}
 			var lookups [2]int // found, not found
 			allocs := testing.AllocsPerRun(50, func() {
 				tab.Reset() // so every run inserts
-				var seen [Dropped + 1]int
+				var seen [Evicted + 1]int
 				for range 400 {
 					now += int64(rng.Intn(8))
 					j := rng.Intn(len(keys))
@@ -722,13 +721,13 @@ func TestHotpathZeroAllocs(t *testing.T) {
 						o = 0
 					}
 					seen[o]++
-					if e != nil && tab.SlotOf(e) < 0 {
-						t.Fatal("SlotOf outside the table")
+					if n := tab.IndexOf(e); n < 0 || n >= tab.Len() {
+						t.Fatal("IndexOf outside the table")
 					}
 					q := rng.Intn(len(keys))
 					if _, ok := tab.LookupHashed(hashes[q], keys[q], now); ok {
 						lookups[0]++
-					} else if tab.SlotHashed(hashes[q], keys[q], now) < 0 {
+					} else if tab.IndexHashed(hashes[q], keys[q], now) < 0 {
 						lookups[1]++
 					}
 				}
@@ -739,17 +738,17 @@ func TestHotpathZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("policy %v, telemetry %v: %.2f allocations per run, want 0", policy, tel != nil, allocs)
 			}
-			if slices.Contains(fewest[:Dropped], 0) || lookups[0] == 0 || lookups[1] == 0 {
+			if slices.Contains(fewest[:], 0) || lookups[0] == 0 || lookups[1] == 0 {
 				t.Errorf("policy %v: a run missed an outcome: fewest per run %v (own restart, then Updated..Evicted), lookups %v", policy, fewest, lookups)
 			}
 		}
 	}
 }
 
-// holds reports whether any slot, live or expired, holds k.
+// holds reports whether any entry, live or expired, holds k.
 func holds(tab *Table, k packet.FlowKey) bool {
 	for i := range tab.entries {
-		if tab.entries[i].used && tab.entries[i].Key == k {
+		if tab.entries[i].Key == k {
 			return true
 		}
 	}
