@@ -99,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/export/ -fuzz '^FuzzReadBatch$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/export/ -fuzz '^FuzzReadSnapshotStats$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/export/ -fuzz '^FuzzFleetFrame$$' -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/export/ -fuzz '^FuzzEncoderMatchesReference$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/store/ -fuzz '^FuzzStoreSegment$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/core/ -fuzz '^FuzzEachMatchesMapMerge$$' -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/flowreg/ -fuzz '^FuzzRegulatorBursts$$' -fuzztime $(FUZZTIME) -run '^$$'

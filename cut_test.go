@@ -5,13 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"math"
+	"net"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
 	"unsafe"
 
+	"instameasure/internal/trace"
 	"instameasure/internal/wsaf"
 )
 
@@ -193,5 +197,91 @@ func TestTopKAllocatesForKNotLive(t *testing.T) {
 	// The selection's entries, then the k records handed out.
 	if limit := uint64(k) * uint64(8*unsafe.Sizeof(wsaf.Entry{})+unsafe.Sizeof(FlowRecord{})); bytesLarge > limit {
 		t.Errorf("top-%d allocated %d B, above %d (8 entries and one record per row)", k, bytesLarge, limit)
+	}
+}
+
+// TestCutSinksAllocateNothing: each epoch cut encodes every flow straight
+// from the walk into a pooled frame, so on a warm meter a snapshot to
+// io.Discard, a store commit and a collector export allocate nothing, at
+// ~1 000 and at ~30 000 live flows. The meter has a hot cache holding
+// flows, so the walk merges cached deltas too.
+func TestCutSinksAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the race detector off")
+	}
+	// A GC would empty the pools, and so would a move to another P
+	// between the warm-up and the measured runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs, maxBytes = 20, 1 << 10
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // a collector that reads and drops every frame
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		io.Copy(io.Discard, c) //nolint:errcheck // drains until the exporter closes
+	}()
+	exp, err := DialCollector(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	fs, err := OpenFlowStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	tr, err := trace.GenerateZipf(trace.ZipfConfig{Flows: 500, TotalPackets: 50_000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, live := range []int{1_000, 30_000} {
+		m, err := New(Config{WSAFEntries: 1 << 17, HotCacheEntries: 256, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.ProcessBatch(tr.Packets)
+		tab := m.sys.Engines()[0].Table()
+		for i := 0; tab.Len() < live; i++ {
+			tab.Accumulate(V4Key(uint32(i), 9, uint16(i), 443, ProtoTCP), float64(1+i%613), float64(i), 1)
+		}
+		if m.Stats().HotCachePromotions == 0 {
+			t.Fatal("the hot cache holds no flow: the walk's merge goes unmeasured")
+		}
+		m.AttachStore(fs)
+		epoch := int64(0)
+		for _, sink := range []struct {
+			name string
+			cut  func(epoch int64) error
+		}{
+			{"ExportSnapshot", func(epoch int64) error { return m.ExportSnapshot(io.Discard, epoch) }},
+			{"CommitEpoch", m.CommitEpoch},
+			{"ExportMeter", func(epoch int64) error { return exp.ExportMeter(m, epoch) }},
+		} {
+			cut := func() {
+				epoch++
+				if err := sink.cut(epoch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cut()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(runs, cut)
+			runtime.ReadMemStats(&after)
+			perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			t.Logf("%d live flows, %s: %.0f allocs, %d B per cut", live, sink.name, allocs, perRun)
+			if allocs != 0 || perRun > maxBytes {
+				t.Errorf("%d live flows: a warm %s allocates %.0f times, %d B; want 0 and at most %d B", live, sink.name, allocs, perRun, maxBytes)
+			}
+		}
 	}
 }

@@ -89,15 +89,23 @@ func DialCollector(addr string) (*Exporter, error) {
 }
 
 // ExportMeter sends the meter's current flow table, merged across
-// workers, tagged with epoch. The snapshot walk and wire encoding are
-// recorded as the epoch's encode stage; the send itself (and any
-// reconnect/backoff) records separately inside the exporter.
+// workers, tagged with epoch and the exporter's site. The walk encodes
+// straight into the frame, recorded as the epoch's encode stage, before
+// the send takes the exporter's wire-order lock; the send itself (and
+// any reconnect/backoff) records separately inside the exporter.
 func (e *Exporter) ExportMeter(m *Meter, epoch int64) error {
 	start := time.Now()
-	records, _ := m.cut()
+	var enc export.Encoder
+	enc.Begin(m.frame[:0], epoch, e.e.Site(), m.live())
+	m.encodeCut(&enc)
+	var err error
+	m.frame, err = enc.End()
 	m.sys.Flight().Control().EventAt(start, flight.StageEncode, epoch,
-		uint32(len(records)), 0, uint64(time.Since(start)))
-	if err := e.e.Export(export.Batch{Epoch: epoch, Records: records}); err != nil {
+		uint32(enc.Count()), 0, uint64(time.Since(start)))
+	if err == nil {
+		err = e.e.Send(m.frame, epoch, enc.Count())
+	}
+	if err != nil {
 		return fmt.Errorf("instameasure: %w", err)
 	}
 	return nil

@@ -59,11 +59,7 @@ func SetDetectionDelayBudget(d time.Duration) {
 // decided, before exporting or committing the snapshot. The flow count
 // recorded is the WSAF population at the cut, summed across workers.
 func (m *Meter) MarkEpochCut(epoch int64) {
-	var flows int
-	for _, eng := range m.sys.Engines() {
-		flows += eng.Table().Len()
-	}
-	m.sys.Flight().Control().Event(flight.StageCut, epoch, uint32(flows), 0, 0)
+	m.sys.Flight().Control().Event(flight.StageCut, epoch, uint32(m.live()), 0, 0)
 }
 
 // Connected reports whether the exporter currently holds a live

@@ -160,8 +160,9 @@ func (m *Meter) CommitEpoch(epoch int64) error {
 	if m.store == nil {
 		return fmt.Errorf("instameasure: no store attached (use WithStore)")
 	}
-	records, stats := m.cut()
-	if err := m.store.st.Append(epoch, records, stats); err != nil {
+	var f store.Frame
+	m.store.st.Begin(&f, epoch, m.live())
+	if err := m.store.st.Commit(&f, m.encodeCut(&f.Encoder)); err != nil {
 		return fmt.Errorf("instameasure: %w", err)
 	}
 	return nil

@@ -187,6 +187,7 @@ type Meter struct {
 	sys   *pipeline.System
 	seed  uint64
 	store *FlowStore
+	frame []byte // ExportSnapshot's and ExportMeter's cut, reused
 }
 
 // Cluster is the Meter's former multi-worker name, kept as an alias.
@@ -373,25 +374,36 @@ func (m *Meter) Saturated() error { return m.sys.Saturated() }
 // recording the table's update/insert/expiration/eviction activity, summed
 // across workers; pre-trailer readers simply stop at the flow records.
 func (m *Meter) ExportSnapshot(w io.Writer, epoch int64) error {
-	records, stats := m.cut()
-	if err := export.WriteSnapshotStats(w, epoch, records, stats); err != nil {
+	var enc export.Encoder
+	enc.BeginSnapshot(m.frame[:0], epoch, m.live())
+	var err error
+	if m.frame, err = enc.EndSnapshot(m.encodeCut(&enc)); err == nil {
+		_, err = w.Write(m.frame)
+	}
+	if err != nil {
 		return fmt.Errorf("instameasure: %w", err)
 	}
 	return nil
 }
 
-// cut walks the workers' live flows once into export records and sums
-// their WSAF activity: the body of every epoch cut — snapshot file, store
-// commit, collector export.
-func (m *Meter) cut() ([]export.Record, export.TableStats) {
-	live := 0
+// live is the workers' WSAF population: a cut's size, give or take the
+// cached flows whose WSAF entry has gone.
+func (m *Meter) live() int {
+	n := 0
 	for _, eng := range m.sys.Engines() {
-		live += eng.Table().Len()
+		n += eng.Table().Len()
 	}
-	records := make([]export.Record, 0, live)
+	return n
+}
+
+// encodeCut walks the workers' live flows once, encoding each merged
+// entry into enc as the walk reaches it, and sums their WSAF activity:
+// the body of every epoch cut — snapshot file, store commit, collector
+// export.
+func (m *Meter) encodeCut(enc *export.Encoder) export.TableStats {
 	var stats export.TableStats
 	for _, eng := range m.sys.Engines() {
-		eng.Each(func(e *wsaf.Entry) { records = append(records, export.FromEntry(*e)) })
+		eng.Each(enc.PutEntry)
 		ts := eng.Table().Stats()
 		stats.Updates += ts.Updates
 		stats.Inserts += ts.Inserts
@@ -399,7 +411,7 @@ func (m *Meter) cut() ([]export.Record, export.TableStats) {
 		stats.Evictions += ts.Evictions
 		stats.Drops += ts.Drops
 	}
-	return records, stats
+	return stats
 }
 
 // WSAFActivity summarizes how a snapshot's table churned, splitting the

@@ -6,6 +6,12 @@
 // paper's "analyze flow behavior for long-term measurement"), a TCP
 // exporter/collector pair used to measure real delegation latency, and
 // Merge, the delegation side's additive flow table.
+//
+// Encoder is the one encoder: it streams a frame record by record, so an
+// epoch cut encodes each flow as its walk reaches it, and the slice forms
+// (AppendBatch, AppendSnapshotStats, WriteBatch) are loops over it.
+// DecodeSnapshotStats is the one in-memory decoder, a burst of records
+// at a time into the caller's array.
 package export
 
 import (
@@ -125,35 +131,9 @@ type Batch struct {
 // tailBytes is a record past its addresses: ports, proto, 4 counters.
 const tailBytes = 4 + 1 + 4*8
 
-// putRecord encodes r at the front of b and returns its length: 1 flag
-// byte, addresses (4+4 or 16+16), ports, proto, then the four fixed
-// counters. Every field sits at a fixed offset, so a v4 address is one
-// 4-byte load and store. b must have room for the record.
-func putRecord(b []byte, r *Record) int {
-	k, n := &r.Key, recordMinBytes
-	if !k.IsV6 {
-		b[0] = 0
-		*(*[4]byte)(b[1:5]) = [4]byte(k.SrcIP[:4])
-		*(*[4]byte)(b[5:9]) = [4]byte(k.DstIP[:4])
-	} else {
-		n = recordMaxBytes
-		b[0] = 1
-		*(*[16]byte)(b[1:17]) = k.SrcIP
-		*(*[16]byte)(b[17:33]) = k.DstIP
-	}
-	t := b[n-tailBytes:][:tailBytes]
-	binary.BigEndian.PutUint16(t[0:2], k.SrcPort)
-	binary.BigEndian.PutUint16(t[2:4], k.DstPort)
-	t[4] = k.Proto
-	binary.BigEndian.PutUint64(t[5:13], math.Float64bits(r.Pkts))
-	binary.BigEndian.PutUint64(t[13:21], math.Float64bits(r.Bytes))
-	binary.BigEndian.PutUint64(t[21:29], uint64(r.FirstSeen))
-	binary.BigEndian.PutUint64(t[29:37], uint64(r.LastUpdate))
-	return n
-}
-
 // decodeRecord decodes one record from b into r, overwriting all of it,
-// and returns the remainder. It reads the fixed offsets putRecord writes.
+// and returns the remainder. It reads the fixed offsets Encoder.put
+// writes.
 func decodeRecord(r *Record, b []byte) ([]byte, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("export: record flag: %w", io.ErrUnexpectedEOF)
@@ -184,67 +164,151 @@ func decodeRecord(r *Record, b []byte) ([]byte, error) {
 	return b[n:], nil
 }
 
-// decodeRecords decodes the count records that must fill payload exactly,
-// handing each to fn. The pointee is reused between calls.
-func decodeRecords(payload []byte, count uint32, fn func(*Record)) error {
-	var rec Record
-	rest := payload
-	for i := uint32(0); i < count; i++ {
-		var err error
-		if rest, err = decodeRecord(&rec, rest); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-		fn(&rec)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("export: %d trailing payload bytes", len(rest))
-	}
-	return nil
-}
+// crcChunk is how much payload Put lets build up before folding it into
+// the frame CRC: the bytes are still in cache, and the fold runs at full
+// speed. CRC-32 is a running state, so the value is a single pass's.
+const crcChunk = 16 << 10
 
-// AppendBatch appends b's frame to dst and returns the extended buffer:
+// Encoder streams one batch frame onto a buffer, so a cut can encode each
+// flow as its walk reaches it, with no []Record in between:
 //
 //	v1: magic(4) version(1) epoch(8) count(4) payloadLen(4) payload crc32(4)
 //	v2: magic(4) version(1) siteLen(1) site epoch(8) count(4) payloadLen(4) payload crc32(4)
 //
-// Version 2 is emitted only when the batch carries a site ID; its CRC
-// covers the site bytes as well as the payload, so a corrupted site
-// cannot silently misattribute a frame. On error dst is returned as it
-// was.
-func AppendBatch(dst []byte, b Batch) ([]byte, error) {
-	if len(b.Records) > maxBatchRecords {
-		return dst, fmt.Errorf("%w (%d records)", ErrOversized, len(b.Records))
-	}
-	if err := ValidateSite(b.Site); err != nil {
-		return dst, err
-	}
-	payloadLen := len(b.Records) * recordMinBytes
-	for i := range b.Records {
-		if b.Records[i].Key.IsV6 {
-			payloadLen += recordMaxBytes - recordMinBytes
-		}
+// Begin writes the header with count and payloadLen zero, Put appends a
+// record, and End patches both and appends the CRC, which in version 2
+// (written only when there is a site) covers the site bytes too. Put folds
+// the payload into the CRC every crcChunk bytes, while it is in cache.
+type Encoder struct {
+	buf    []byte
+	start  int // len(dst) at Begin: what End returns on error
+	hdr    int // offset of the count field; the payload starts 8 bytes on
+	folded int // buf[:folded] is in crc
+	crc    uint32
+	count  int
+	err    error
+}
+
+// Begin starts a frame for epoch at the end of dst, sized for hint records.
+func (e *Encoder) Begin(dst []byte, epoch int64, site string, hint int) {
+	*e = Encoder{start: len(dst), err: ValidateSite(site)}
+	if e.err != nil {
+		e.buf = dst
+		return
 	}
 	// 64 spare bytes take what a snapshot or a store record appends after.
-	dst = slices.Grow(dst, 22+len(b.Site)+payloadLen+4+64)
+	dst = slices.Grow(dst, 22+len(site)+max(hint, 0)*recordMinBytes+4+64)
 	dst = binary.BigEndian.AppendUint32(dst, batchMagic)
-	crc := uint32(0)
-	if b.Site == "" {
+	if site == "" {
 		dst = append(dst, version)
 	} else {
-		dst = append(dst, versionSited, byte(len(b.Site)))
-		dst = append(dst, b.Site...)
-		crc = crc32.Update(crc, crc32.IEEETable, dst[len(dst)-1-len(b.Site):])
+		dst = append(dst, versionSited, byte(len(site)))
+		dst = append(dst, site...)
+		e.crc = crc32.Update(0, crc32.IEEETable, dst[len(dst)-1-len(site):])
 	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(b.Epoch))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Records)))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(payloadLen))
-	off := len(dst)
-	dst = dst[:off+payloadLen]
-	payload := dst[off:]
+	dst = binary.BigEndian.AppendUint64(dst, uint64(epoch))
+	e.hdr = len(dst)
+	e.buf = binary.BigEndian.AppendUint64(dst, 0) // count, payloadLen: End patches them
+	e.folded = len(e.buf)
+}
+
+// Put appends r to the frame's payload.
+func (e *Encoder) Put(r *Record) { e.put(&r.Key, r.Pkts, r.Bytes, r.FirstSeen, r.LastUpdate) }
+
+// PutEntry appends the record of a WSAF entry, as Put(FromEntry(en))
+// would, reading the fields where they lie: a cut that built each Record
+// on the stack first spent a third of its time on that copy.
+func (e *Encoder) PutEntry(en *wsaf.Entry) {
+	e.put(&en.Key, en.Pkts, en.Bytes, en.FirstSeen, en.LastUpdate)
+}
+
+// put encodes one record: 1 flag byte, addresses (4+4 or 16+16), ports,
+// proto, then the four fixed counters. Every field sits at a fixed
+// offset, so a v4 address is one 4-byte load and store.
+func (e *Encoder) put(k *packet.FlowKey, pkts, bytes float64, firstSeen, lastUpdate int64) {
+	if cap(e.buf)-len(e.buf) < recordMaxBytes {
+		e.buf = slices.Grow(e.buf, recordMaxBytes)
+	}
+	b := e.buf[len(e.buf):][:recordMaxBytes]
+	n := recordMinBytes
+	if !k.IsV6 {
+		b[0] = 0
+		*(*[4]byte)(b[1:5]) = [4]byte(k.SrcIP[:4])
+		*(*[4]byte)(b[5:9]) = [4]byte(k.DstIP[:4])
+	} else {
+		n = recordMaxBytes
+		b[0] = 1
+		*(*[16]byte)(b[1:17]) = k.SrcIP
+		*(*[16]byte)(b[17:33]) = k.DstIP
+	}
+	t := b[n-tailBytes:][:tailBytes]
+	binary.BigEndian.PutUint16(t[0:2], k.SrcPort)
+	binary.BigEndian.PutUint16(t[2:4], k.DstPort)
+	t[4] = k.Proto
+	binary.BigEndian.PutUint64(t[5:13], math.Float64bits(pkts))
+	binary.BigEndian.PutUint64(t[13:21], math.Float64bits(bytes))
+	binary.BigEndian.PutUint64(t[21:29], uint64(firstSeen))
+	binary.BigEndian.PutUint64(t[29:37], uint64(lastUpdate))
+	e.buf = e.buf[:len(e.buf)+n]
+	e.count++
+	if len(e.buf)-e.folded >= crcChunk {
+		e.crc = crc32.Update(e.crc, crc32.IEEETable, e.buf[e.folded:])
+		e.folded = len(e.buf)
+	}
+}
+
+// Count is the number of records Put so far.
+func (e *Encoder) Count() int { return e.count }
+
+// End completes the frame and returns the buffer holding it; on error (a
+// bad site, too many records), as dst was.
+func (e *Encoder) End() ([]byte, error) {
+	if e.err == nil && e.count > maxBatchRecords {
+		e.err = fmt.Errorf("%w (%d records)", ErrOversized, e.count)
+	}
+	if e.err != nil {
+		return e.buf[:e.start], e.err
+	}
+	binary.BigEndian.PutUint32(e.buf[e.hdr:], uint32(e.count))
+	binary.BigEndian.PutUint32(e.buf[e.hdr+4:], uint32(len(e.buf)-e.hdr-8))
+	return binary.BigEndian.AppendUint32(e.buf, crc32.Update(e.crc, crc32.IEEETable, e.buf[e.folded:])), nil
+}
+
+// BeginSnapshot starts a snapshot: its magic, then a frame with no site.
+func (e *Encoder) BeginSnapshot(dst []byte, epoch int64, hint int) {
+	start := len(dst)
+	e.Begin(binary.BigEndian.AppendUint32(dst, snapshotMagic), epoch, "", hint)
+	e.start = start
+}
+
+// EndSnapshot ends the frame BeginSnapshot started and appends the
+// CRC-protected stats trailer:
+//
+//	magic(4) updates(8) inserts(8) expirations(8) evictions(8) drops(8) crc32(4)
+//
+// Readers that predate the trailer stop at the batch and are unaffected.
+func (e *Encoder) EndSnapshot(stats TableStats) ([]byte, error) {
+	out, err := e.End()
+	if err != nil {
+		return out, err
+	}
+	out = binary.BigEndian.AppendUint32(out, trailerMagic)
+	start := len(out)
+	for _, v := range [...]uint64{stats.Updates, stats.Inserts, stats.Expirations, stats.Evictions, stats.Drops} {
+		out = binary.BigEndian.AppendUint64(out, v)
+	}
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:])), nil
+}
+
+// AppendBatch appends b's frame, as an Encoder writes it, to dst; on
+// error dst is returned as it was.
+func AppendBatch(dst []byte, b Batch) ([]byte, error) {
+	var e Encoder
+	e.Begin(dst, b.Epoch, b.Site, len(b.Records))
 	for i := range b.Records {
-		off += putRecord(dst[off:], &b.Records[i])
+		e.Put(&b.Records[i])
 	}
-	return binary.BigEndian.AppendUint32(dst, crc32.Update(crc, crc32.IEEETable, payload)), nil
+	return e.End()
 }
 
 // framePool holds the buffers WriteBatch and the snapshot writer encode
@@ -423,24 +487,15 @@ type TableStats struct {
 	Drops       uint64 // zero by construction (wsaf.Stats.Drops); kept in the wire format
 }
 
-// AppendSnapshotStats appends a snapshot file with a CRC-protected stats
-// trailer after the batch:
-//
-//	magic(4) updates(8) inserts(8) expirations(8) evictions(8) drops(8) crc32(4)
-//
-// Readers that predate the trailer stop at the batch and are unaffected.
-// On error dst is returned as it was.
+// AppendSnapshotStats appends a snapshot file, as an Encoder's
+// BeginSnapshot and EndSnapshot write it, to dst; on error, as AppendBatch.
 func AppendSnapshotStats(dst []byte, epoch int64, records []Record, stats TableStats) ([]byte, error) {
-	out, err := AppendBatch(binary.BigEndian.AppendUint32(dst, snapshotMagic), Batch{Epoch: epoch, Records: records})
-	if err != nil {
-		return dst, err
+	var e Encoder
+	e.BeginSnapshot(dst, epoch, len(records))
+	for i := range records {
+		e.Put(&records[i])
 	}
-	out = binary.BigEndian.AppendUint32(out, trailerMagic)
-	start := len(out)
-	for _, v := range [...]uint64{stats.Updates, stats.Inserts, stats.Expirations, stats.Evictions, stats.Drops} {
-		out = binary.BigEndian.AppendUint64(out, v)
-	}
-	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:])), nil
+	return e.EndSnapshot(stats)
 }
 
 // WriteSnapshotStats writes the snapshot AppendSnapshotStats encodes with
@@ -491,11 +546,12 @@ func ReadSnapshotStats(r io.Reader) (b Batch, stats TableStats, hasStats bool, e
 // memory: every check is the same — magics, version, site, the record
 // limit, the count/length cross-check, the batch CRC, each record's
 // bounds, no trailing payload, the trailer CRC — but the payload is read
-// where it lies and each record is handed to fn as it is decoded (the
-// pointee reused between calls) instead of being collected, so a caller
-// that folds records into a table never holds a []Record. fn has seen the
-// records ahead of a malformed one by the time the error is returned.
-func DecodeSnapshotStats(snap []byte, fn func(*Record)) (epoch int64, stats TableStats, hasStats bool, err error) {
+// where it lies, up to len(burst) records at a time straight into burst,
+// and each filled burst is handed to fn (and overwritten by the next), so
+// a caller that folds records into a table never holds a []Record nor
+// copies one. fn has seen the records ahead of a malformed one by the
+// time the error is returned. burst must not be empty.
+func DecodeSnapshotStats(snap []byte, burst []Record, fn func([]Record)) (epoch int64, stats TableStats, hasStats bool, err error) {
 	r := bytes.NewReader(snap)
 	if err := readSnapshotMagic(r); err != nil {
 		return 0, TableStats{}, false, err
@@ -515,8 +571,19 @@ func DecodeSnapshotStats(snap []byte, fn func(*Record)) (epoch int64, stats Tabl
 	if crc32.Update(h.crc, crc32.IEEETable, payload) != binary.BigEndian.Uint32(rest[:4]) {
 		return 0, TableStats{}, false, ErrChecksum
 	}
-	if err := decodeRecords(payload, h.count, fn); err != nil {
-		return 0, TableStats{}, false, err
+	for done := 0; done < int(h.count); {
+		n := min(int(h.count)-done, len(burst))
+		for i := range burst[:n] {
+			if payload, err = decodeRecord(&burst[i], payload); err != nil {
+				fn(burst[:i])
+				return 0, TableStats{}, false, fmt.Errorf("record %d: %w", done+i, err)
+			}
+		}
+		fn(burst[:n])
+		done += n
+	}
+	if len(payload) != 0 {
+		return 0, TableStats{}, false, fmt.Errorf("export: %d trailing payload bytes", len(payload))
 	}
 	stats, hasStats, err = readTrailer(bytes.NewReader(rest[4:]))
 	if err != nil {

@@ -73,7 +73,6 @@ type Exporter struct {
 	// work — probes (Connected, Site) take mu alone and stay responsive
 	// while a send is stalled on a full TCP buffer.
 	sendMu sync.Mutex
-	frame  []byte // the frame being sent, reused; guarded by sendMu
 
 	mu       sync.Mutex
 	conn     net.Conn  // nil while disconnected
@@ -171,23 +170,37 @@ func (e *Exporter) noteFailureLocked() {
 	e.retryAt = time.Now().Add(e.backoffDelay())
 }
 
-// Export sends one batch, redialing first if the connection previously
-// broke. A send error tears the connection down; the following Export
-// attempts the reconnect (or returns ErrBackoff while the wait is on).
+// Export encodes one batch, stamped with the exporter's site when it
+// carries none, into a pooled buffer and sends it as Send does.
+func (e *Exporter) Export(b Batch) error {
+	if b.Site == "" {
+		b.Site = e.Site()
+	}
+	buf := framePool.Get().(*[]byte)
+	defer framePool.Put(buf)
+	frame, err := AppendBatch((*buf)[:0], b)
+	if err != nil {
+		return fmt.Errorf("export: %w", err)
+	}
+	*buf = frame
+	return e.Send(frame, b.Epoch, len(b.Records))
+}
+
+// Send writes one encoded frame of epoch's count records, redialing
+// first if the connection previously broke. A send error tears the
+// connection down; the following send attempts the reconnect (or returns
+// ErrBackoff while the wait is on).
 //
 // Blocking work — the dial and the frame write — happens under sendMu
 // only; e.mu guards state for at most a few field copies at a time, so
 // Connected/Site/SetBackoff never stall behind a send blocked on a full
 // TCP buffer. Close tears the connection down with only e.mu held, which
 // unblocks an in-flight write immediately.
-func (e *Exporter) Export(b Batch) error {
+func (e *Exporter) Send(frame []byte, epoch int64, count int) error {
 	e.sendMu.Lock()
 	defer e.sendMu.Unlock()
 
 	e.mu.Lock()
-	if b.Site == "" {
-		b.Site = e.site
-	}
 	fl := e.fl
 	conn := e.conn
 	wasDown := conn == nil
@@ -197,7 +210,7 @@ func (e *Exporter) Export(b Batch) error {
 			e.tm.Errors.Inc()
 		}
 		e.mu.Unlock()
-		fl.Event(flight.StageBackoff, b.Epoch, uint32(len(b.Records)), 0, 0)
+		fl.Event(flight.StageBackoff, epoch, uint32(count), 0, 0)
 		return fmt.Errorf("%w (%s)", ErrBackoff, wait)
 	}
 	e.mu.Unlock()
@@ -213,7 +226,7 @@ func (e *Exporter) Export(b Batch) error {
 				e.tm.Errors.Inc()
 			}
 			e.mu.Unlock()
-			fl.Event(flight.StageSendError, b.Epoch, uint32(len(b.Records)), 0, 0)
+			fl.Event(flight.StageSendError, epoch, uint32(count), 0, 0)
 			return fmt.Errorf("export: redial %s: %w", e.addr, err)
 		}
 		// Close may have raced the dial: its sentinel retryAt means the
@@ -221,24 +234,19 @@ func (e *Exporter) Export(b Batch) error {
 		if time.Now().Before(e.retryAt) {
 			e.mu.Unlock()
 			_ = nc.Close()
-			fl.Event(flight.StageBackoff, b.Epoch, uint32(len(b.Records)), 0, 0)
+			fl.Event(flight.StageBackoff, epoch, uint32(count), 0, 0)
 			return fmt.Errorf("%w (closed)", ErrBackoff)
 		}
 		e.conn = nc
 		e.attempts = 0
 		e.mu.Unlock()
 		conn = nc
-		fl.Event(flight.StageReconnect, b.Epoch, 0, 0, 0)
+		fl.Event(flight.StageReconnect, epoch, 0, 0, 0)
 	}
 
 	start := time.Now()
-	sent := 0
-	frame, err := AppendBatch(e.frame[:0], b)
-	if err == nil {
-		e.frame = frame
-		//im:allow locksafe sendMu is the wire-order lock; its entire purpose is to be held across this frame write, and Close unblocks it via conn.Close under e.mu
-		sent, err = conn.Write(frame)
-	}
+	//im:allow locksafe sendMu is the wire-order lock; its entire purpose is to be held across this frame write, and Close unblocks it via conn.Close under e.mu
+	sent, err := conn.Write(frame)
 	if err != nil {
 		// The write already failed; a close error adds nothing.
 		_ = conn.Close()
@@ -252,20 +260,20 @@ func (e *Exporter) Export(b Batch) error {
 			e.tm.Bytes.Add(uint64(sent))
 		}
 		e.mu.Unlock()
-		fl.EventAt(start, flight.StageSendError, b.Epoch,
-			uint32(len(b.Records)), uint64(sent), uint64(time.Since(start)))
+		fl.EventAt(start, flight.StageSendError, epoch,
+			uint32(count), uint64(sent), uint64(time.Since(start)))
 		return fmt.Errorf("export: %w", err)
 	}
 	e.mu.Lock()
 	e.attempts = 0
 	if e.tm != nil {
 		e.tm.Batches.Inc()
-		e.tm.Records.Add(uint64(len(b.Records)))
+		e.tm.Records.Add(uint64(count))
 		e.tm.Bytes.Add(uint64(sent))
 	}
 	e.mu.Unlock()
-	fl.EventAt(start, flight.StageSend, b.Epoch,
-		uint32(len(b.Records)), uint64(sent), uint64(time.Since(start)))
+	fl.EventAt(start, flight.StageSend, epoch,
+		uint32(count), uint64(sent), uint64(time.Since(start)))
 	return nil
 }
 

@@ -100,8 +100,10 @@ func TestRecordRoundTripProperty(t *testing.T) {
 			FirstSeen:  first,
 			LastUpdate: last,
 		}
-		buf := make([]byte, recordMaxBytes)
-		buf = buf[:putRecord(buf, &r)]
+		var e Encoder
+		e.Begin(nil, 0, "", 1)
+		e.Put(&r)
+		buf := e.buf[e.hdr+8:]          // the payload: r alone
 		got := Record{Key: seedKeyV6()} // stale v6 bytes the decode must overwrite
 		rest, err := decodeRecord(&got, buf)
 		if err != nil || len(rest) != 0 {

@@ -108,9 +108,16 @@ func FuzzReadSnapshotStats(f *testing.F) {
 		// The in-place decoder accepts exactly what the stream decoder
 		// accepts, and hands over the same records, bit for bit.
 		var streamed []Record
-		epoch, stats2, hasStats2, err2 := DecodeSnapshotStats(data, func(r *Record) { streamed = append(streamed, *r) })
+		epoch, stats2, hasStats2, err2 := DecodeSnapshotStats(data, make([]Record, 1), func(rs []Record) { streamed = append(streamed, rs...) })
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("ReadSnapshotStats error %v, DecodeSnapshotStats error %v", err, err2)
+		}
+		// Three records a burst hand over what one a burst does, up to a
+		// malformed record included, with the same error.
+		var bursts []Record
+		_, _, _, err3 := DecodeSnapshotStats(data, make([]Record, 3), func(rs []Record) { bursts = append(bursts, rs...) })
+		if fmt.Sprint(err3) != fmt.Sprint(err2) || !sameBatch(Batch{Records: bursts}, Batch{Records: streamed}) {
+			t.Fatalf("bursts of 3: %d records, error %v; bursts of 1: %d records, error %v", len(bursts), err3, len(streamed), err2)
 		}
 		if err != nil {
 			return

@@ -96,7 +96,7 @@ func TestPayloadDisagreesWithCount(t *testing.T) {
 			t.Errorf("%s: ReadBatch returned %d records, want an error", tc.name, len(b.Records))
 		}
 		snap := binary.BigEndian.AppendUint32(nil, snapshotMagic)
-		if _, _, _, err := DecodeSnapshotStats(append(snap, frame...), func(*Record) {}); err == nil {
+		if _, _, _, err := DecodeSnapshotStats(append(snap, frame...), make([]Record, 1), func([]Record) {}); err == nil {
 			t.Errorf("%s: DecodeSnapshotStats returned no error", tc.name)
 		}
 	}
@@ -114,7 +114,7 @@ func TestDecodeSnapshotStatsTruncated(t *testing.T) {
 	}
 	trailer := len(snap) - 48
 	for cut := range len(snap) {
-		_, _, hasStats, err := DecodeSnapshotStats(snap[:cut], func(*Record) {})
+		_, _, hasStats, err := DecodeSnapshotStats(snap[:cut], make([]Record, 1), func([]Record) {})
 		switch {
 		case cut == trailer && (err != nil || hasStats):
 			t.Errorf("cut at the trailer: hasStats=%v err=%v, want a snapshot without stats", hasStats, err)

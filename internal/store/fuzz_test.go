@@ -93,7 +93,7 @@ func FuzzStoreSegment(f *testing.F) {
 		for _, r := range refs {
 			payload := data[r.off+headerLen : r.off+r.size-4]
 			_, _, _, err := export.ReadSnapshotStats(bytes.NewReader(payload))
-			_, _, _, err2 := export.DecodeSnapshotStats(payload, func(*export.Record) {})
+			_, _, _, err2 := export.DecodeSnapshotStats(payload, make([]export.Record, 1), func([]export.Record) {})
 			if (err == nil) != (err2 == nil) {
 				t.Fatalf("stream decoder error %v, in-place decoder error %v", err, err2)
 			}
@@ -177,4 +177,15 @@ func quoteBytes(data []byte) string {
 	}
 	b.WriteByte('"')
 	return b.String()
+}
+
+// appendFrame encodes one epoch as a complete record frame onto dst, as
+// Append does.
+func appendFrame(dst []byte, h recordHeader, records []export.Record, stats export.TableStats) ([]byte, error) {
+	var enc export.Encoder
+	enc.BeginSnapshot(appendHeader(dst, h), h.epoch, len(records))
+	for i := range records {
+		enc.Put(&records[i])
+	}
+	return endFrame(&enc, len(dst), stats)
 }

@@ -50,8 +50,10 @@ func TestWarmQueriesAllocateForTheAnswer(t *testing.T) {
 	older, newer, _ := s.DefaultChangerWindows()
 	// A collection between the warm-up and the measurement empties the
 	// pools the warm queries take their table and buffer back from, so
-	// only the explicit one ahead of each warm-up runs.
+	// only the explicit one ahead of each warm-up runs. So does a move to
+	// another P: a pool hands its last Put back only on the P that made it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, q := range []struct {
 		name string
 		run  func() error

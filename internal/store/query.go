@@ -130,7 +130,7 @@ type segReader struct {
 	files   map[int]*os.File
 	buf     []byte
 	windows [2]flowtable.Table[flowWindow] // windowDelta's, Reset per use
-	recs    [flowtable.Burst]export.Record // eachBurst's (a local would escape via fn)
+	recs    [flowtable.Burst]export.Record // each's decode burst (a local would escape via fn)
 }
 
 var segReaders = sync.Pool{New: func() any { return &segReader{files: make(map[int]*os.File)} }}
@@ -141,10 +141,11 @@ func newSegReader(dir string) *segReader {
 	return sr
 }
 
-// each re-verifies ref's frame and decodes it in place, handing every flow
-// record to fn in frame order. The pointee is reused between calls, and fn
-// has seen the records ahead of a malformed one when an error comes back.
-func (sr *segReader) each(ref recordRef, fn func(*export.Record)) (export.TableStats, error) {
+// each re-verifies ref's frame and decodes it in place, a burst of
+// records at a time into sr.recs, handing every burst to fn in frame
+// order. The records are overwritten by the next burst, and fn has seen
+// the records ahead of a malformed one when an error comes back.
+func (sr *segReader) each(ref recordRef, fn func([]export.Record)) (export.TableStats, error) {
 	f, ok := sr.files[ref.seg]
 	if !ok {
 		var err error
@@ -161,33 +162,26 @@ func (sr *segReader) each(ref recordRef, fn func(*export.Record)) (export.TableS
 	if err != nil {
 		return export.TableStats{}, err
 	}
-	_, stats, _, err := export.DecodeSnapshotStats(payload, fn)
+	_, stats, _, err := export.DecodeSnapshotStats(payload, sr.recs[:], fn)
 	if err != nil {
 		return export.TableStats{}, fmt.Errorf("store: decode epoch %d: %w", ref.epoch, err)
 	}
 	return stats, nil
 }
 
-// eachBurst is each for resolving every record in t: keys are hashed and
-// hinted in t as decoded, and fn gets them in frame order a burst behind.
+// eachBurst is each for resolving every record in t: a burst's keys are
+// hashed and hinted in t, then fn gets its records in frame order.
 func (sr *segReader) eachBurst(ref recordRef, t interface{ Prefetch(uint64) }, fn func(h uint64, rec *export.Record)) (export.TableStats, error) {
 	var hs [flowtable.Burst]uint64
-	n := 0
-	resolve := func() {
-		for i := range n {
-			fn(hs[i], &sr.recs[i])
+	return sr.each(ref, func(recs []export.Record) {
+		for i := range recs {
+			hs[i] = flowtable.Hash(&recs[i].Key)
+			t.Prefetch(hs[i])
 		}
-		n = 0
-	}
-	stats, err := sr.each(ref, func(rec *export.Record) {
-		hs[n], sr.recs[n] = flowtable.Hash(&rec.Key), *rec
-		t.Prefetch(hs[n])
-		if n++; n == flowtable.Burst {
-			resolve()
+		for i := range recs {
+			fn(hs[i], &recs[i])
 		}
 	})
-	resolve()
-	return stats, err
 }
 
 // close closes every segment file the reader opened, returns it to the
@@ -236,7 +230,7 @@ func (s *Store) EpochRecords(epoch int64) (records []export.Record, stats export
 			return nil
 		}
 		recs := make([]export.Record, 0, match.count)
-		st, derr := sr.each(*match, func(rec *export.Record) { recs = append(recs, *rec) })
+		st, derr := sr.each(*match, func(burst []export.Record) { recs = append(recs, burst...) })
 		if derr != nil {
 			return derr
 		}
@@ -426,14 +420,16 @@ func (s *Store) timeline(w Window, match func(*packet.FlowKey) bool) ([]Timeline
 			if w.To > 0 && r.epoch > w.To {
 				continue
 			}
-			_, err := sr.each(r, func(rec *export.Record) {
-				if match(&rec.Key) {
-					matched = rec.Key
-					byEpoch[r.epoch] = TimelinePoint{
-						Epoch: r.epoch,
-						TS:    rec.LastUpdate,
-						Pkts:  rec.Pkts,
-						Bytes: rec.Bytes,
+			_, err := sr.each(r, func(burst []export.Record) {
+				for i := range burst {
+					if rec := &burst[i]; match(&rec.Key) {
+						matched = rec.Key
+						byEpoch[r.epoch] = TimelinePoint{
+							Epoch: r.epoch,
+							TS:    rec.LastUpdate,
+							Pkts:  rec.Pkts,
+							Bytes: rec.Bytes,
+						}
 					}
 				}
 			})

@@ -156,17 +156,18 @@ func innerCrossCheck(h recordHeader, payload []byte) error {
 	return nil
 }
 
-// appendFrame encodes one epoch as a complete record frame onto dst: the
-// outer header, the records and stats as a snapshot payload, and the
-// payload CRC. On error dst is returned as it was.
-func appendFrame(dst []byte, h recordHeader, records []export.Record, stats export.TableStats) ([]byte, error) {
-	start := len(dst)
-	h.count = uint32(len(records))
-	out, err := export.AppendSnapshotStats(appendHeader(dst, h), h.epoch, records, stats)
+// endFrame ends a record frame that starts at start in enc's buffer, where
+// the outer header (appendHeader) precedes the snapshot enc began: the
+// stats trailer closes the payload, the outer count and payloadLen are
+// patched, and the payload CRC follows. On error the buffer is returned
+// as it was before the header.
+func endFrame(enc *export.Encoder, start int, stats export.TableStats) ([]byte, error) {
+	out, err := enc.EndSnapshot(stats)
 	if err != nil {
-		return dst, err
+		return out[:start], err
 	}
 	payload := out[start+headerLen:]
+	binary.BigEndian.PutUint32(out[start+headerLen-8:], uint32(enc.Count()))
 	binary.BigEndian.PutUint32(out[start+headerLen-4:], uint32(len(payload)))
 	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload)), nil
 }

@@ -188,21 +188,47 @@ func (s *Store) Healthy() error {
 // framed snapshot record in the active segment. Records sharing an epoch
 // are legal (multi-exporter stores); queries union them with later
 // appends winning per flow. Every call that returns an error is counted
-// in StoreStats.AppendErrors.
-// Appends encode in parallel, outside mu, and hold it to write and index.
+// in StoreStats.AppendErrors. Append is Begin, a Put per record, and
+// Commit.
 func (s *Store) Append(epoch int64, records []export.Record, stats export.TableStats) error {
-	start := time.Now()
-	buf := framePool.Get().(*[]byte)
-	defer framePool.Put(buf) // after the deferred unlock: the write is done
+	var f Frame
+	s.Begin(&f, epoch, len(records))
+	for i := range records {
+		f.Put(&records[i])
+	}
+	return s.Commit(&f, stats)
+}
+
+// Frame is one epoch append being encoded: Begin starts it in a pooled
+// buffer, the caller Puts each flow record into the embedded Encoder —
+// a meter's cut straight from its walk — and Commit ends it and writes it.
+type Frame struct {
+	export.Encoder
+	epoch int64
+	start time.Time
+	buf   *[]byte
+}
+
+// Begin starts epoch's append in f, sized for about hint records.
+func (s *Store) Begin(f *Frame, epoch int64, hint int) {
+	f.epoch, f.start, f.buf = epoch, time.Now(), framePool.Get().(*[]byte)
+	f.BeginSnapshot(appendHeader((*f.buf)[:0], recordHeader{epoch: epoch}), epoch, hint)
+}
+
+// Commit ends f's frame with stats as its trailer and appends it, as
+// Append does. Frames encode in parallel, outside mu; Commit holds it to
+// write and index.
+func (s *Store) Commit(f *Frame, stats export.TableStats) error {
+	defer framePool.Put(f.buf) // after the deferred unlock: the write is done
 	var err error
-	*buf, err = appendFrame((*buf)[:0], recordHeader{epoch: epoch}, records, stats)
+	*f.buf, err = endFrame(&f.Encoder, 0, stats)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
-		err = fmt.Errorf("store: encode epoch %d: %w", epoch, err)
+		err = fmt.Errorf("store: encode epoch %d: %w", f.epoch, err)
 	} else {
-		err = s.appendLocked(start, epoch, uint32(len(records)), *buf)
+		err = s.appendLocked(f.start, f.epoch, uint32(f.Count()), *f.buf)
 	}
 	if err != nil {
 		s.stats.appendErrors++
@@ -213,7 +239,7 @@ func (s *Store) Append(epoch int64, records []export.Record, stats export.TableS
 	return err
 }
 
-// framePool holds Append's frame buffers across appends.
+// framePool holds the frame buffers appends encode into.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendLocked writes one encoded frame and indexes it. Callers hold mu.
